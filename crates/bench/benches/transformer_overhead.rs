@@ -24,7 +24,7 @@ fn layered_round(frontier: &[(PState<Addr>, Ctx, Store)]) -> Vec<(PState<Addr>, 
     let mut out = Vec::new();
     for (ps, ctx, store) in frontier {
         for ((ps2, ctx2), store2) in
-            run_store_passing(mnext::<M, Addr>(ps.clone()), ctx.clone(), store.clone())
+            run_store_passing(mnext::<M, Addr>(ps.clone(), ()), ctx.clone(), store.clone())
         {
             out.push((ps2, ctx2, store2));
         }

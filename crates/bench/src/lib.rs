@@ -212,7 +212,7 @@ pub fn worklist_row(name: &'static str, program: &CExp) -> WorklistRow {
     let counter = Rc::clone(&steps);
     let counted = move |ps: PState<KCallAddr>| {
         counter.set(counter.get() + 1);
-        mnext::<M, KCallAddr>(ps)
+        mnext::<M, KCallAddr>(ps, ())
     };
     let start = Instant::now();
     let kleene: KCfaShared<1> = explore_fp::<M, _, _, _>(counted, PState::inject(program.clone()));
@@ -821,19 +821,11 @@ pub fn telemetry_row(name: impl Into<String>, program: &CExp, threads: usize) ->
         analyse_kcfa_shared_parallel_traced::<1, _>(program, threads, &mut trace);
     let traced_time = start.elapsed();
 
-    // `steal_events` is a scheduling gauge, legitimately different between
-    // any two runs (traced or not); every deterministic counter must agree.
-    let normalise = |mut s: EngineStats| {
-        s.steal_events = 0;
-        // The traced solve resolves extra labels out of the interner when
-        // draining worker buffers, so the stripe-contention gauge
-        // legitimately differs between the two runs.
-        s.stripe_acquisitions = 0;
-        s
-    };
+    // The timing gauges legitimately differ between any two runs (traced or
+    // not); every deterministic counter must agree.
     assert_eq!(
-        normalise(untraced_stats),
-        normalise(traced_stats),
+        untraced_stats.work(),
+        traced_stats.work(),
         "{name}@t{threads}: tracing perturbed the engine's work counters"
     );
     TelemetryRow {

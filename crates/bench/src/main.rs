@@ -1100,6 +1100,10 @@ mod tests {
                         part != "wall_ms" && part != "host_cpus" && !part.ends_with("_ms"),
                         "{section}: gated counter path {path} samples a timing field"
                     );
+                    assert!(
+                        !mai_core::EngineStats::GAUGES.contains(&part),
+                        "{section}: gated counter path {path} samples a timing gauge"
+                    );
                 }
             }
         }

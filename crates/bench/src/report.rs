@@ -466,7 +466,7 @@ pub fn engine_trace_json(trace: &TraceBuffer, top_k: usize) -> Json {
             Json::obj([
                 ("address", Json::Str(h.label)),
                 ("joins", Json::Int(h.joins as u64)),
-                ("widenings", Json::Int(h.widenings as u64)),
+                ("grew", Json::Int(h.grew as u64)),
             ])
         })
         .collect();
@@ -645,7 +645,7 @@ mod tests {
         let hot = reparsed.get("hot_states").expect("hot states").items();
         assert_eq!(hot[0].get("state").and_then(Json::as_str), Some("(f x)"));
         let addrs = reparsed.get("hot_addresses").expect("hot addrs").items();
-        assert_eq!(addrs[0].get("widenings").and_then(Json::as_u64), Some(1));
+        assert_eq!(addrs[0].get("grew").and_then(Json::as_u64), Some(1));
         let totals = reparsed.get("phase_totals").expect("totals");
         assert_eq!(totals.get("wall_us").and_then(Json::as_f64), Some(8.0));
     }

@@ -213,7 +213,40 @@ pub struct EngineStats {
     pub stripe_acquisitions: usize,
 }
 
+/// Declares the one list of timing gauges: generates both
+/// [`EngineStats::GAUGES`] and [`EngineStats::work`] from it, so the names
+/// and the zeroing cannot drift apart.
+macro_rules! timing_gauges {
+    ($($field:ident),* $(,)?) => {
+        /// The timing gauges: counters that depend on thread scheduling,
+        /// so two runs of the same solve may report different values.
+        /// They are reported, never compared by tests and never gated;
+        /// every other counter is deterministic work.
+        pub const GAUGES: &'static [&'static str] = &[$(stringify!($field)),*];
+
+        /// A copy with the timing gauges ([`EngineStats::GAUGES`]) zeroed:
+        /// the deterministic work of the run, which any two runs of the
+        /// same solve must agree on.
+        pub fn work(&self) -> EngineStats {
+            EngineStats {
+                $($field: 0,)*
+                ..*self
+            }
+        }
+    };
+}
+
 impl EngineStats {
+    timing_gauges! {
+        steal_events,
+        shard_imbalance,
+        epochs_run,
+        stale_merges,
+        worker_cache_hits,
+        worker_cache_misses,
+        stripe_acquisitions,
+    }
+
     /// Joins two stat records: additive *work* counters (steps, joins,
     /// hits, re-enqueues, widenings, spine clones, intern traffic, rounds,
     /// steal events) are summed; *gauge* counters (peaks: frontier, shared
@@ -340,15 +373,18 @@ pub trait StateRoots {
 /// desugared `g -> s -> [((state, g), s)]` shape of the `StorePassing`
 /// monad (paper §5.3.1), as a plain function.
 ///
-/// Two producers exist:
+/// Each language's `mnext` is written once, against
+/// [`StepMonad`](crate::monad::StepMonad), and reaches this shape through
+/// either of its abstract instances:
 ///
-/// * `run_store_passing ∘ mnext` — the **`Rc`-closure oracle carrier**
-///   (every `Fn(Ps, G, S) -> Vec<((Ps, G), S)>` closure implements this
-///   trait, so wrapping a monadic step is one line);
-/// * the language crates' `mnext_direct` — the **direct-style carrier**
-///   ([`crate::monad::direct`]), which evaluates the same semantics with
-///   `bind` as plain function composition and no `Rc<dyn Fn>` allocation
-///   per bind.
+/// * `run_store_passing ∘ mnext` — the **closure carrier** (`mnext` on
+///   [`StorePassing`](crate::monad::StorePassing), the oracle; every
+///   `Fn(Ps, G, S) -> Vec<((Ps, G), S)>` closure implements this trait, so
+///   wrapping it is one line);
+/// * the language crates' `mnext_direct` — `mnext` on the **direct
+///   carrier** ([`Direct`](crate::monad::Direct)), whose `bind` is plain
+///   function composition over the explicit `(guts, store)` context, with
+///   no `Rc<dyn Fn>` allocation per bind.
 ///
 /// The solvers are written once against this trait and therefore compute
 /// identical fixpoints (and identical work counters) on either carrier;

@@ -1361,9 +1361,13 @@ mod tests {
         };
 
         let budget = Budget::unlimited().with_widening(WidenPolicy::after_growths(3));
-        let (outcome, _) =
-            <SharedStoreDomain<NarrowSt, u64, IS> as DirectCollecting<NarrowSt, u64, IS>>::
-                explore_frontier_governed(&step, SolveFrom::Fresh(NarrowSt(0)), &budget);
+        let (outcome, _) = <SharedStoreDomain<NarrowSt, u64, IS> as DirectCollecting<
+            NarrowSt,
+            u64,
+            IS,
+        >>::explore_frontier_governed(
+            &step, SolveFrom::Fresh(NarrowSt(0)), &budget
+        );
         let fixpoint = outcome.into_complete();
 
         // The loop cell widens to [0,+∞) and narrowing cannot tighten it

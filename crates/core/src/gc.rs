@@ -13,14 +13,15 @@
 //! * [`reachable`] — the transitive closure of the touch relation through
 //!   the store (the paper's `R̂`), provided once here.
 //! * [`GcStrategy`] — the `GarbageCollector` class of the paper: a monadic
-//!   action run after every transition.  [`NoGc`] is the default no-op; the
-//!   language crates provide strategies that restrict the store to the
-//!   reachable addresses (the paper's `Γ̂`).
+//!   action run after every transition.  [`NoGc`] is the default no-op;
+//!   [`ReachableGc`] restricts the store to the addresses reachable from
+//!   the stepped state (the paper's `Γ̂`), for every language at once.
 
 use std::collections::BTreeSet;
 
 use crate::addr::Address;
-use crate::monad::{MonadFamily, Value};
+use crate::engine::StateRoots;
+use crate::monad::{MonadFamily, MonadState, MonadTrans, StateT, StorePassing, Value, VecM};
 use crate::store::StoreLike;
 
 /// Entities that directly touch a set of addresses (the paper's `T̂`).
@@ -130,6 +131,32 @@ pub struct NoGc;
 impl<M: MonadFamily, Ps: Value> GcStrategy<M, Ps> for NoGc {
     fn collect(&self, _ps: &Ps) -> M::M<()> {
         M::pure(())
+    }
+}
+
+/// Abstract garbage collection on the closure carrier (paper §6.4): restrict
+/// the store to the addresses reachable from the stepped state's
+/// [`StateRoots`].  One strategy serves every language, because each
+/// language's roots are its states' [`Touches`]; the direct carrier's
+/// counterpart is [`with_state_gc`](crate::engine::with_state_gc).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ReachableGc;
+
+impl<G, S, Ps> GcStrategy<StorePassing<G, S>, Ps> for ReachableGc
+where
+    G: Value,
+    Ps: StateRoots + Value,
+    S: StoreLike<Ps::Addr>,
+    S::D: Touches<Ps::Addr>,
+{
+    fn collect(&self, ps: &Ps) -> <StorePassing<G, S> as MonadFamily>::M<()> {
+        let roots = ps.state_roots();
+        <StorePassing<G, S> as MonadTrans>::lift(<StateT<S, VecM> as MonadState<S>>::modify(
+            move |store: S| {
+                let live = reachable(roots.clone(), &store);
+                store.filter_store(|a| live.contains(a))
+            },
+        ))
     }
 }
 

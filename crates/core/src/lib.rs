@@ -14,7 +14,9 @@
 //! * [`monad`] — the analysis monads themselves: a GAT-encoded monad
 //!   hierarchy with the identity monad, the non-determinism (list) monad,
 //!   the state monad and the state-transformer, from which the paper's
-//!   `StorePassing` monad (`StateT g (StateT s [])`) is assembled.
+//!   `StorePassing` monad (`StateT g (StateT s [])`) is assembled; plus
+//!   the explicit-context [`monad::StepMonad`] every language's `mnext` is
+//!   written against, and its allocation-free direct instance.
 //! * [`lattice`] — complete lattices, Kleene iteration and Galois
 //!   connections (§5.1–§5.2 of the paper).
 //! * [`addr`] — `Addressable` contexts controlling polyvariance and
@@ -23,7 +25,8 @@
 //! * [`store`] — `StoreLike` abstract stores (§6.2) and the counting store
 //!   implementing abstract counting (§6.3).
 //! * [`gc`] — abstract garbage collection (§6.4) as a reusable reachability
-//!   engine plus a pluggable [`gc::GcStrategy`].
+//!   engine plus a pluggable [`gc::GcStrategy`] ([`gc::ReachableGc`] serves
+//!   every language).
 //! * [`collect`] — the `Collecting` fixed-point interface (§5.2), the
 //!   per-state-store ("heap-cloning") analysis domain (§5.3.3) and the
 //!   shared-store widened domain obtained through a Galois connection
@@ -101,7 +104,7 @@ pub use engine::{
     SharedResumeSeed, SolveFrom, StateRoots, StepFn,
 };
 pub use env::{CowMap, CowSet};
-pub use gc::{reachable, GcStrategy, NoGc, Touches};
+pub use gc::{reachable, GcStrategy, NoGc, ReachableGc, Touches};
 pub use hash::{fx_hash_of, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use intern::{EnvId, InternKey, Interner, ShardedInterner, StateId};
 pub use lattice::{

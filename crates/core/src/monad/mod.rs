@@ -24,7 +24,7 @@
 //!   assembled [`StorePassing`] stack.
 //! * [`combinators`] — `map_m`, `sequence_m`, `gets_nd_set` and friends.
 //!
-//! ### Design notes (faithfulness vs. Rust) — two carriers
+//! ### Design notes (faithfulness vs. Rust) — one semantics, three instances
 //!
 //! Monadic values built from [`StateT`] are reference-counted closures
 //! (`Rc<dyn Fn(S) -> …>`), so they can be run several times — which is
@@ -34,22 +34,32 @@
 //! the ubiquitous `(Ord a, Eq a)`-style constraints of the Haskell original
 //! and is harmless for the finite machine states the framework manipulates.
 //!
-//! The closure encoding is the **oracle carrier**: maximally faithful, and
-//! what `analyse_*`/`analyse_*_worklist` run.  Its cost is one `Rc`
-//! allocation per `bind` plus the capture clones those binds force — which,
-//! once store clones are `Arc` bumps ([`crate::pmap`]), dominates every
-//! transition.  The [`direct`] module therefore provides a second,
-//! **direct-style carrier** ([`direct::MonadStep`]/[`direct::DirectStep`]):
-//! a computation is its eagerly evaluated `(value, guts, store)` branch
-//! vector and `bind` is a monomorphized loop — plain function composition
-//! over an explicit mutable context, no `Rc<dyn Fn>` anywhere.  The
-//! language crates express `mnext` against both carriers; the engines
-//! select one per entry point (`analyse_*_direct` is the fast path) and the
-//! two are differentially tested against each other over observable
-//! `(result, guts, store)` triples.  See the README's engine table for
-//! when each carrier wins.
+//! Each language's `mnext` is written once, against [`StepMonad`]: a monad
+//! whose computations run against an explicit context `Cx` that every
+//! interface operation takes and every `bind` continuation receives.  The
+//! semantics then has three instances:
+//!
+//! * the **closure carrier** — [`StorePassing`], what `analyse_*` and
+//!   `analyse_*_worklist` run.  Every [`MonadFamily`] is a `StepMonad`
+//!   with `Cx = ()`: its state lives inside its closures.  Maximally
+//!   faithful, and the oracle; its cost is one `Rc` allocation per `bind`
+//!   plus the capture clones those binds force;
+//! * the **concrete heap** — [`StateM`] over each language's heap, the
+//!   paper's §4 interpreter, also with `Cx = ()`;
+//! * the **direct carrier** — [`direct::Direct`], what `analyse_*_direct`
+//!   and every parallel driver run.  Its context is the `(guts, store)`
+//!   pair itself and a computation is its eagerly evaluated branch vector
+//!   ([`direct::Branches`], one branch held inline), so `bind` is a
+//!   monomorphized loop and no `Rc<dyn Fn>` is ever allocated.
+//!
+//! The engines take the direct carrier's output through
+//! [`StepFn`](crate::engine::StepFn), the closure carrier's through
+//! [`run_store_passing`]; see the README's carrier table for when each
+//! wins.
 
 pub mod direct;
+
+use std::rc::Rc;
 
 mod identity;
 mod nondet;
@@ -59,7 +69,7 @@ mod state_t;
 pub mod combinators;
 
 pub use combinators::{foldr_m, gets_nd_set, join_m, map_m, msum, sequence_m, when_m};
-pub use direct::{DirectStep, MonadStep, StepM};
+pub use direct::{Branches, Direct};
 pub use identity::IdM;
 pub use nondet::VecM;
 pub use state::{eval_state, exec_state, run_state, StateM};
@@ -188,6 +198,145 @@ pub trait MonadTrans: MonadFamily {
     fn lift<A: Value>(m: <Self::Base as MonadFamily>::M<A>) -> Self::M<A>;
 }
 
+/// The one trait each language's `mnext` is written against: a monad whose
+/// computations run against an explicit context.
+///
+/// The transition threads the context by hand — every semantic-interface
+/// operation takes the current `cx`, and `bind`'s continuation receives the
+/// context its branch produced — so one transition body serves carriers
+/// that keep their state in closures and carriers that keep it in plain
+/// values alike:
+///
+/// * every [`MonadFamily`] is a `StepMonad` with `Cx = ()` (its state lives
+///   inside its closures); `bind` forwards to [`MonadFamily::bind`];
+/// * the direct carrier [`Direct<G, S>`](direct::Direct) has `Cx = (G, S)`:
+///   a computation is the eagerly evaluated vector of `((value, guts),
+///   store)` branches, and `bind` calls its continuation in place, once
+///   per branch.
+///
+/// `bind`'s continuation is `'static` because closure carriers keep it.
+///
+/// # Laws
+///
+/// Over observable runs (checked in `tests/monad_laws.rs`):
+///
+/// * left identity: `bind(pure(a, cx), k) ≡ k(a, cx)`
+/// * right identity: `bind(m, pure) ≡ m`
+/// * associativity: `bind(bind(m, k), h) ≡ bind(m, |a, cx| bind(k(a, cx), h))`
+///
+/// ```rust
+/// use mai_core::monad::{Direct, StepMonad, VecM};
+///
+/// // A closure carrier: the context is `()`.
+/// let m = <VecM as StepMonad>::bind(vec![1u8, 2], |x, ()| vec![x * 10]);
+/// assert_eq!(m, vec![10, 20]);
+///
+/// // The direct carrier: the context is the `(guts, store)` pair.
+/// type D = Direct<u32, u32>;
+/// let m = D::bind(D::pure((), (7, 100)), |(), (g, s)| D::pure(s, (g, s * 2)));
+/// assert_eq!(m.into_vec(), vec![((100, 7), 200)]);
+/// ```
+pub trait StepMonad {
+    /// The context a computation runs against: `()` for closure carriers,
+    /// the `(guts, store)` pair for the direct carrier.
+    type Cx: 'static;
+
+    /// The type of computations producing values of type `A`.
+    type M<A: Value>: 'static;
+
+    /// The computation that yields `a` on the context `cx`, unchanged.
+    fn pure<A: Value>(a: A, cx: Self::Cx) -> Self::M<A>;
+
+    /// Sequencing: feeds every branch of `m`, with the context it produced,
+    /// to `k`.
+    fn bind<A: Value, B: Value, F>(m: Self::M<A>, k: F) -> Self::M<B>
+    where
+        F: Fn(A, Self::Cx) -> Self::M<B> + 'static;
+
+    /// Haskell's `m >> return b`: runs `m` for its effects and yields `b`
+    /// on every branch.
+    fn then_pure<A: Value, B: Value>(m: Self::M<A>, b: B) -> Self::M<B>
+    where
+        Self: Sized,
+    {
+        Self::bind(m, move |_, cx| Self::pure(b.clone(), cx))
+    }
+
+    /// Haskell's `mapM f xs`: runs `f` on each element left to right,
+    /// threading the context, and collects one result per element.
+    fn map_m<I, A, F>(xs: I, f: F, cx: Self::Cx) -> Self::M<Vec<A>>
+    where
+        I: IntoIterator,
+        I::Item: Value,
+        A: Value,
+        F: Fn(I::Item, Self::Cx) -> Self::M<A> + 'static,
+        Self: Sized,
+    {
+        map_m_from::<Self, _, _, _>(
+            Rc::new(xs.into_iter().collect()),
+            0,
+            Vec::new(),
+            Rc::new(f),
+            cx,
+        )
+    }
+
+    /// Haskell's `mapM_ f xs`: [`map_m`](StepMonad::map_m), discarding
+    /// the results.
+    fn for_each_m<I, F>(xs: I, f: F, cx: Self::Cx) -> Self::M<()>
+    where
+        I: IntoIterator,
+        I::Item: Value,
+        F: Fn(I::Item, Self::Cx) -> Self::M<()> + 'static,
+        Self: Sized,
+    {
+        Self::bind(Self::map_m(xs, f, cx), |_, cx| Self::pure((), cx))
+    }
+}
+
+/// The default [`StepMonad::map_m`]: bind element `i`, then recurse with
+/// the grown accumulator.
+fn map_m_from<M, X, A, F>(
+    xs: Rc<Vec<X>>,
+    i: usize,
+    done: Vec<A>,
+    f: Rc<F>,
+    cx: M::Cx,
+) -> M::M<Vec<A>>
+where
+    M: StepMonad,
+    X: Value,
+    A: Value,
+    F: Fn(X, M::Cx) -> M::M<A> + 'static,
+{
+    let Some(x) = xs.get(i).cloned() else {
+        return M::pure(done, cx);
+    };
+    let rest = Rc::clone(&xs);
+    let k = Rc::clone(&f);
+    M::bind(f(x, cx), move |a, cx| {
+        let mut done = done.clone();
+        done.push(a);
+        map_m_from::<M, X, A, F>(Rc::clone(&rest), i + 1, done, Rc::clone(&k), cx)
+    })
+}
+
+impl<F: MonadFamily> StepMonad for F {
+    type Cx = ();
+    type M<A: Value> = F::M<A>;
+
+    fn pure<A: Value>(a: A, (): ()) -> F::M<A> {
+        <F as MonadFamily>::pure(a)
+    }
+
+    fn bind<A: Value, B: Value, K>(m: F::M<A>, k: K) -> F::M<B>
+    where
+        K: Fn(A, ()) -> F::M<B> + 'static,
+    {
+        <F as MonadFamily>::bind(m, move |a| k(a, ()))
+    }
+}
+
 /// The paper's analysis monad (§5.3.1):
 ///
 /// ```text
@@ -225,7 +374,10 @@ pub fn run_store_passing<G: Value, S: Value, A: Value>(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::{
+        run_store_passing, MonadFamily, MonadPlus, MonadState, MonadTrans, StateT, StorePassing,
+        VecM,
+    };
 
     type Sp = StorePassing<u64, u64>;
 

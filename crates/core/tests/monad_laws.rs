@@ -3,19 +3,20 @@
 //! The monad laws (left identity, right identity, associativity) are
 //! checked for the plain state monad [`StateM`], the non-determinism
 //! carrier [`VecM`], the assembled `StorePassing` stack and the
-//! direct-style carrier [`DirectStep`], all over **observable `(result,
+//! direct-style carrier [`Direct`], all over **observable `(result,
 //! guts, store)` runs** — `Rc`-closure computations cannot be compared as
 //! values, only by running them.  On top of the per-carrier laws, a
-//! randomized program AST is interpreted into *both* the `Rc` and the
-//! direct encodings and the two are asserted equal run-for-run, which is
-//! what licenses the engines to select either carrier per entry point.
+//! randomized program AST is interpreted — by one interpreter written
+//! against [`StepMonad`], as each language's `mnext` is — on *both* the
+//! `Rc` and the direct carrier, and the two are asserted equal
+//! run-for-run, which is what licenses the engines to select either
+//! carrier per entry point.
 
 use std::collections::BTreeSet;
 
-use mai_core::monad::direct::{into_runs, DirectStep, MonadStep, StepM};
 use mai_core::monad::{
-    run_state, run_store_passing, MonadFamily, MonadPlus, MonadState, MonadTrans, StateM, StateT,
-    StorePassing, VecM,
+    run_state, run_store_passing, Branches, Direct, MonadFamily, MonadPlus, MonadState, MonadTrans,
+    StateM, StateT, StepMonad, StorePassing, VecM,
 };
 use proptest::prelude::*;
 
@@ -28,16 +29,16 @@ use proptest::prelude::*;
 fn state_k(select: u8) -> impl Fn(u64) -> <StateM<u64> as MonadFamily>::M<u64> {
     type C = StateM<u64>;
     move |x: u64| match select % 4 {
-        0 => C::pure(x.wrapping_mul(3)),
+        0 => <C as MonadFamily>::pure(x.wrapping_mul(3)),
         1 => <C as MonadState<u64>>::gets(move |s| s.wrapping_add(x)),
-        2 => C::then(
+        2 => <C as MonadFamily>::then(
             <C as MonadState<u64>>::modify(move |s| s.wrapping_add(x)),
-            C::pure(x),
+            <C as MonadFamily>::pure(x),
         ),
-        _ => C::bind(<C as MonadState<u64>>::get(), move |s| {
-            C::then(
+        _ => <C as MonadFamily>::bind(<C as MonadState<u64>>::get(), move |s| {
+            <C as MonadFamily>::then(
                 <C as MonadState<u64>>::put(s ^ x),
-                C::pure(s.wrapping_sub(x)),
+                <C as MonadFamily>::pure(s.wrapping_sub(x)),
             )
         }),
     }
@@ -52,15 +53,15 @@ proptest! {
 
         // Left identity: bind(pure(a), k) == k(a).
         prop_assert_eq!(
-            run_state(C::bind(C::pure(a), state_k(ka)), s0),
+            run_state(<C as MonadFamily>::bind(<C as MonadFamily>::pure(a), state_k(ka)), s0),
             run_state(k(a), s0)
         );
         // Right identity: bind(m, pure) == m.
         let m = k(a);
-        prop_assert_eq!(run_state(C::bind(m.clone(), C::pure), s0), run_state(m.clone(), s0));
+        prop_assert_eq!(run_state(<C as MonadFamily>::bind(m.clone(), <C as MonadFamily>::pure), s0), run_state(m.clone(), s0));
         // Associativity.
-        let lhs = C::bind(C::bind(m.clone(), state_k(kb)), state_k(ka));
-        let rhs = C::bind(m, move |x| C::bind(h(x), state_k(ka)));
+        let lhs = <C as MonadFamily>::bind(<C as MonadFamily>::bind(m.clone(), state_k(kb)), state_k(ka));
+        let rhs = <C as MonadFamily>::bind(m, move |x| <C as MonadFamily>::bind(h(x), state_k(ka)));
         prop_assert_eq!(run_state(lhs, s0), run_state(rhs, s0));
     }
 }
@@ -71,9 +72,12 @@ proptest! {
 
 fn vec_k(select: u8) -> impl Fn(u8) -> Vec<u8> {
     move |x: u8| match select % 4 {
-        0 => VecM::pure(x.wrapping_mul(2)),
+        0 => <VecM as MonadFamily>::pure(x.wrapping_mul(2)),
         1 => VecM::mzero(),
-        2 => VecM::mplus(VecM::pure(x), VecM::pure(x.wrapping_add(1))),
+        2 => VecM::mplus(
+            <VecM as MonadFamily>::pure(x),
+            <VecM as MonadFamily>::pure(x.wrapping_add(1)),
+        ),
         _ => vec![x, x, x.wrapping_add(7)],
     }
 }
@@ -90,29 +94,29 @@ proptest! {
         let h = vec_k(kb);
 
         // Left identity.
-        prop_assert_eq!(VecM::bind(VecM::pure(a), vec_k(ka)), k(a));
+        prop_assert_eq!(<VecM as MonadFamily>::bind(<VecM as MonadFamily>::pure(a), vec_k(ka)), k(a));
         // Right identity.
-        prop_assert_eq!(VecM::bind(m.clone(), VecM::pure), m.clone());
+        prop_assert_eq!(<VecM as MonadFamily>::bind(m.clone(), <VecM as MonadFamily>::pure), m.clone());
         // Associativity.
-        let lhs = VecM::bind(VecM::bind(m.clone(), vec_k(ka)), vec_k(kb));
-        let rhs = VecM::bind(m.clone(), move |x| VecM::bind(k(x), vec_k(kb)));
+        let lhs = <VecM as MonadFamily>::bind(<VecM as MonadFamily>::bind(m.clone(), vec_k(ka)), vec_k(kb));
+        let rhs = <VecM as MonadFamily>::bind(m.clone(), move |x| <VecM as MonadFamily>::bind(k(x), vec_k(kb)));
         prop_assert_eq!(lhs, rhs);
         // mzero is the unit of mplus and annihilates bind.
         let _ = &h;
         prop_assert_eq!(VecM::mplus(VecM::mzero(), m.clone()), m.clone());
         prop_assert_eq!(VecM::mplus(m.clone(), VecM::mzero()), m);
-        prop_assert_eq!(VecM::bind(VecM::mzero::<u8>(), vec_k(kb)), Vec::<u8>::new());
+        prop_assert_eq!(<VecM as MonadFamily>::bind(VecM::mzero::<u8>(), vec_k(kb)), Vec::<u8>::new());
     }
 }
 
 // ---------------------------------------------------------------------------
-// StorePassing (Rc carrier) vs DirectStep — one program AST, two carriers
+// StorePassing (Rc carrier) vs Direct — one program AST, one interpreter
 // ---------------------------------------------------------------------------
 
 type G = u64;
 type S = BTreeSet<u8>;
 type Rc = StorePassing<G, S>;
-type D = DirectStep<G, S>;
+type D = Direct<G, S>;
 
 /// A small monadic program over guts `u64` and store `BTreeSet<u8>`,
 /// generated randomly and interpreted into both carriers.
@@ -149,74 +153,100 @@ fn prog_strategy() -> BoxedStrategy<Prog> {
     })
 }
 
-/// Interprets the program on the `Rc`-closure carrier.
-fn interp_rc(p: &Prog) -> <Rc as MonadFamily>::M<u8> {
+/// The program's effects — the analogue of a language's semantic
+/// interface, implemented once per carrier.
+trait ProgEffects: StepMonad<Cx: Clone> {
+    fn tick(v: u8, cx: Self::Cx) -> Self::M<u8>;
+    fn write(v: u8, cx: Self::Cx) -> Self::M<u8>;
+    fn read_branch(cap: u8, cx: Self::Cx) -> Self::M<u8>;
+    fn plus(x: Self::M<u8>, y: Self::M<u8>) -> Self::M<u8>;
+}
+
+impl ProgEffects for Rc {
+    fn tick(v: u8, (): ()) -> <Rc as MonadFamily>::M<u8> {
+        <Rc as MonadFamily>::bind(
+            <Rc as MonadState<G>>::modify(move |g| g.wrapping_mul(31).wrapping_add(v as u64)),
+            move |_| <Rc as MonadFamily>::pure(v),
+        )
+    }
+
+    fn write(v: u8, (): ()) -> <Rc as MonadFamily>::M<u8> {
+        <Rc as MonadFamily>::bind(
+            <Rc as MonadTrans>::lift(<StateT<S, VecM> as MonadState<S>>::modify(
+                move |mut s: S| {
+                    s.insert(v);
+                    s
+                },
+            )),
+            move |_| <Rc as MonadFamily>::pure(v),
+        )
+    }
+
+    fn read_branch(cap: u8, (): ()) -> <Rc as MonadFamily>::M<u8> {
+        <Rc as MonadTrans>::lift(mai_core::monad::gets_nd_set::<StateT<S, VecM>, S, u8, _>(
+            move |s| s.iter().copied().filter(|v| *v < cap).collect(),
+        ))
+    }
+
+    fn plus(
+        x: <Rc as MonadFamily>::M<u8>,
+        y: <Rc as MonadFamily>::M<u8>,
+    ) -> <Rc as MonadFamily>::M<u8> {
+        Rc::mplus(x, y)
+    }
+}
+
+impl ProgEffects for D {
+    fn tick(v: u8, (g, s): (G, S)) -> Branches<u8, G, S> {
+        D::pure(v, (g.wrapping_mul(31).wrapping_add(v as u64), s))
+    }
+
+    fn write(v: u8, (g, mut s): (G, S)) -> Branches<u8, G, S> {
+        s.insert(v);
+        D::pure(v, (g, s))
+    }
+
+    fn read_branch(cap: u8, (g, s): (G, S)) -> Branches<u8, G, S> {
+        let values = s.iter().copied().filter(|v| *v < cap).collect();
+        Branches::each(values, (g, s))
+    }
+
+    fn plus(mut x: Branches<u8, G, S>, y: Branches<u8, G, S>) -> Branches<u8, G, S> {
+        x.append(y);
+        x
+    }
+}
+
+/// Interprets the program — written once, against [`StepMonad`].
+fn interp<M: ProgEffects>(p: &Prog, cx: M::Cx) -> M::M<u8> {
     match p {
-        Prog::Pure(v) => Rc::pure(*v),
-        Prog::Tick(v) => {
-            let v = *v;
-            Rc::bind(
-                <Rc as MonadState<G>>::modify(move |g| g.wrapping_mul(31).wrapping_add(v as u64)),
-                move |_| Rc::pure(v),
-            )
-        }
-        Prog::Write(v) => {
-            let v = *v;
-            Rc::bind(
-                <Rc as MonadTrans>::lift(<StateT<S, VecM> as MonadState<S>>::modify(
-                    move |mut s: S| {
-                        s.insert(v);
-                        s
-                    },
-                )),
-                move |_| Rc::pure(v),
-            )
-        }
-        Prog::ReadBranch(cap) => {
-            let cap = *cap;
-            <Rc as MonadTrans>::lift(mai_core::monad::gets_nd_set::<StateT<S, VecM>, S, u8, _>(
-                move |s| s.iter().copied().filter(|v| *v < cap).collect(),
-            ))
-        }
-        Prog::Plus(a, b) => Rc::mplus(interp_rc(a), interp_rc(b)),
+        Prog::Pure(v) => M::pure(*v, cx),
+        Prog::Tick(v) => M::tick(*v, cx),
+        Prog::Write(v) => M::write(*v, cx),
+        Prog::ReadBranch(cap) => M::read_branch(*cap, cx),
+        Prog::Plus(a, b) => M::plus(interp::<M>(a, cx.clone()), interp::<M>(b, cx)),
         Prog::Seq(a, b) => {
             let b = (**b).clone();
-            Rc::bind(interp_rc(a), move |x| {
-                Rc::bind(interp_rc(&b), move |y| Rc::pure(x.wrapping_add(y)))
+            M::bind(interp::<M>(a, cx), move |x, cx| {
+                M::bind(interp::<M>(&b, cx), move |y, cx| {
+                    M::pure(x.wrapping_add(y), cx)
+                })
             })
         }
     }
 }
 
-/// Interprets the program on the direct-style carrier.
-fn interp_direct(p: &Prog, guts: G, store: S) -> StepM<u8, G, S> {
-    match p {
-        Prog::Pure(v) => D::pure(*v, guts, store),
-        Prog::Tick(v) => D::pure(*v, guts.wrapping_mul(31).wrapping_add(*v as u64), store),
-        Prog::Write(v) => {
-            let mut store = store;
-            store.insert(*v);
-            D::pure(*v, guts, store)
-        }
-        Prog::ReadBranch(cap) => {
-            let cap = *cap;
-            store
-                .iter()
-                .copied()
-                .filter(|v| *v < cap)
-                .collect::<Vec<u8>>()
-                .into_iter()
-                .map(|v| (v, guts, store.clone()))
-                .collect()
-        }
-        Prog::Plus(a, b) => D::mplus(
-            interp_direct(a, guts, store.clone()),
-            interp_direct(b, guts, store),
-        ),
-        Prog::Seq(a, b) => D::bind(interp_direct(a, guts, store), |x, g, s| {
-            D::fmap(interp_direct(b, g, s), move |y| x.wrapping_add(y))
-        }),
-    }
+fn interp_rc(p: &Prog) -> <Rc as MonadFamily>::M<u8> {
+    interp::<Rc>(p, ())
+}
+
+fn interp_direct(p: &Prog, guts: G, store: S) -> Branches<u8, G, S> {
+    interp::<D>(p, (guts, store))
+}
+
+/// `fmap` on the direct carrier.
+fn fmap_direct(m: Branches<u8, G, S>, f: impl Fn(u8) -> u8 + 'static) -> Branches<u8, G, S> {
+    D::bind(m, move |y, cx| D::pure(f(y), cx))
 }
 
 proptest! {
@@ -230,7 +260,7 @@ proptest! {
         seed in proptest::collection::btree_set(0u8..8, 0..4),
     ) {
         let rc: Vec<((u8, G), S)> = run_store_passing(interp_rc(&p), guts, seed.clone());
-        let direct = into_runs(interp_direct(&p, guts, seed));
+        let direct = interp_direct(&p, guts, seed).into_vec();
         prop_assert_eq!(rc, direct);
     }
 
@@ -244,24 +274,24 @@ proptest! {
         guts in any::<u64>(),
         seed in proptest::collection::btree_set(0u8..8, 0..4),
     ) {
-        let k = |x: u8, g: G, s: S| {
-            D::fmap(interp_direct(&p, g, s), move |y| y.wrapping_add(x))
+        let m = interp_direct(&p, guts, seed.clone());
+        let k = move |x: u8, (g, s): (G, S)| {
+            fmap_direct(interp_direct(&p, g, s), move |y| y.wrapping_add(x))
         };
-        let h = |x: u8, g: G, s: S| {
-            D::fmap(interp_direct(&q, g, s), move |y| y ^ x)
+        let h = move |x: u8, (g, s): (G, S)| {
+            fmap_direct(interp_direct(&q, g, s), move |y| y ^ x)
         };
 
         // Left identity.
         prop_assert_eq!(
-            D::bind(D::pure(a, guts, seed.clone()), k),
-            k(a, guts, seed.clone())
+            D::bind(D::pure(a, (guts, seed.clone())), k.clone()),
+            k(a, (guts, seed.clone()))
         );
         // Right identity.
-        let m = interp_direct(&p, guts, seed.clone());
         prop_assert_eq!(D::bind(m.clone(), D::pure), m.clone());
         // Associativity.
-        let lhs = D::bind(D::bind(m.clone(), k), h);
-        let rhs = D::bind(m, |x, g, s| D::bind(k(x, g, s), h));
+        let lhs = D::bind(D::bind(m.clone(), k.clone()), h.clone());
+        let rhs = D::bind(m, move |x, cx| D::bind(k(x, cx), h.clone()));
         prop_assert_eq!(lhs, rhs);
     }
 
@@ -277,25 +307,25 @@ proptest! {
     ) {
         let pk = p.clone();
         let k = move |x: u8| {
-            Rc::fmap(interp_rc(&pk), move |y: u8| y.wrapping_add(x))
+            <Rc as MonadFamily>::fmap(interp_rc(&pk), move |y: u8| y.wrapping_add(x))
         };
         let qk = q.clone();
-        let h = move |x: u8| Rc::fmap(interp_rc(&qk), move |y: u8| y ^ x);
+        let h = move |x: u8| <Rc as MonadFamily>::fmap(interp_rc(&qk), move |y: u8| y ^ x);
 
         // Left identity.
         prop_assert_eq!(
-            run_store_passing(Rc::bind(Rc::pure(a), k.clone()), guts, seed.clone()),
+            run_store_passing(<Rc as MonadFamily>::bind(<Rc as MonadFamily>::pure(a), k.clone()), guts, seed.clone()),
             run_store_passing(k(a), guts, seed.clone())
         );
         // Right identity.
         let m = interp_rc(&p);
         prop_assert_eq!(
-            run_store_passing(Rc::bind(m.clone(), Rc::pure), guts, seed.clone()),
+            run_store_passing(<Rc as MonadFamily>::bind(m.clone(), <Rc as MonadFamily>::pure), guts, seed.clone()),
             run_store_passing(m.clone(), guts, seed.clone())
         );
         // Associativity.
-        let lhs = Rc::bind(Rc::bind(m.clone(), k.clone()), h.clone());
-        let rhs = Rc::bind(m, move |x| Rc::bind(k(x), h.clone()));
+        let lhs = <Rc as MonadFamily>::bind(<Rc as MonadFamily>::bind(m.clone(), k.clone()), h.clone());
+        let rhs = <Rc as MonadFamily>::bind(m, move |x| <Rc as MonadFamily>::bind(k(x), h.clone()));
         prop_assert_eq!(
             run_store_passing(lhs, guts, seed.clone()),
             run_store_passing(rhs, guts, seed)

@@ -7,7 +7,7 @@
 //! [`StoreLike`] stores (plain or counting), the per-state / shared-store
 //! [`Collecting`] domains, and the garbage-collection reachability engine.
 //! The only CPS-specific ingredients are the [`CpsInterface`] instance below
-//! and the [`Touches`] instances of [`crate::semantics`].
+//! and the [`Touches`](mai_core::gc::Touches) instances of [`crate::semantics`].
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -23,7 +23,7 @@ use mai_core::engine::{
     with_state_gc, Budget, DirectCollecting, EngineError, EngineStats, FrontierCollecting,
     LadderReport, Outcome, ParallelCollecting, ParallelConfig, SharedResumeSeed, SolveFrom,
 };
-use mai_core::gc::{reachable, GcStrategy, Touches};
+use mai_core::gc::ReachableGc;
 use mai_core::lattice::{KleeneOutcome, Lattice};
 use mai_core::monad::{
     gets_nd_set, MonadFamily, MonadState, MonadTrans, StateT, StorePassing, Value, VecM,
@@ -50,9 +50,9 @@ where
     C: Context,
     S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
 {
-    fn fun(env: &Env<C::Addr>, e: &AExp) -> Self::M<Val<C::Addr>> {
+    fn fun(env: &Env<C::Addr>, e: &AExp, (): ()) -> Self::M<Val<C::Addr>> {
         match e {
-            AExp::Lam(lam) => Self::pure(Val::closure(lam.clone(), env.clone())),
+            AExp::Lam(lam) => <Self as MonadFamily>::pure(Val::closure(lam.clone(), env.clone())),
             AExp::Ref(v) => {
                 let addr = env.get(v).cloned();
                 Self::lift(gets_nd_set::<StateT<S, VecM>, S, Val<C::Addr>, _>(
@@ -65,46 +65,37 @@ where
         }
     }
 
-    fn arg(env: &Env<C::Addr>, e: &AExp) -> Self::M<Val<C::Addr>> {
-        Self::fun(env, e)
+    fn arg(env: &Env<C::Addr>, e: &AExp, cx: ()) -> Self::M<Val<C::Addr>> {
+        Self::fun(env, e, cx)
     }
 
-    fn write(addr: C::Addr, val: Val<C::Addr>) -> Self::M<()> {
+    fn write(addr: C::Addr, val: Val<C::Addr>, (): ()) -> Self::M<()> {
         Self::lift(<StateT<S, VecM> as MonadState<S>>::modify(move |store| {
             store.bind(addr.clone(), [val.clone()].into_iter().collect())
         }))
     }
 
-    fn alloc(var: &Var) -> Self::M<C::Addr> {
+    fn alloc(var: &Var, (): ()) -> Self::M<C::Addr> {
         let var = var.clone();
         <Self as MonadState<C>>::gets(move |ctx| ctx.valloc(&var))
     }
 
-    fn tick(_proc: &Val<C::Addr>, ps: &PState<C::Addr>) -> Self::M<()> {
+    fn tick(_proc: &Val<C::Addr>, ps: &PState<C::Addr>, (): ()) -> Self::M<()> {
         let site = ps.site();
         <Self as MonadState<C>>::modify(move |ctx| ctx.advance(site))
     }
 }
 
-/// The abstract garbage collector for CPS (paper §6.4): restrict the store
-/// to the addresses reachable from the current partial state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CpsGc;
-
-impl<C, S> GcStrategy<StorePassing<C, S>, PState<C::Addr>> for CpsGc
+/// [`mnext`] on the closure carrier, in the `Fn(state) -> M<state>` shape
+/// the closure-carrier engines take.
+fn closure_mnext<C, S>(
+    ps: PState<C::Addr>,
+) -> <StorePassing<C, S> as MonadFamily>::M<PState<C::Addr>>
 where
     C: Context,
     S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
 {
-    fn collect(&self, ps: &PState<C::Addr>) -> <StorePassing<C, S> as MonadFamily>::M<()> {
-        let roots = ps.touches();
-        <StorePassing<C, S> as MonadTrans>::lift(<StateT<S, VecM> as MonadState<S>>::modify(
-            move |store: S| {
-                let live = reachable(roots.clone(), &store);
-                store.filter_store(|a| live.contains(a))
-            },
-        ))
-    }
+    mnext::<StorePassing<C, S>, C::Addr>(ps, ())
 }
 
 /// Runs the monadically-parameterized analysis of a CPS program with an
@@ -118,7 +109,7 @@ where
     Fp: Collecting<StorePassing<C, S>, PState<C::Addr>>,
 {
     run_analysis::<StorePassing<C, S>, _, Fp, _>(
-        mnext::<StorePassing<C, S>, C::Addr>,
+        closure_mnext::<C, S>,
         PState::inject(program.clone()),
     )
 }
@@ -132,10 +123,7 @@ where
     Fp: Collecting<StorePassing<C, S>, PState<C::Addr>>,
 {
     run_analysis::<StorePassing<C, S>, _, Fp, _>(
-        with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(
-            mnext::<StorePassing<C, S>, C::Addr>,
-            CpsGc,
-        ),
+        with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(closure_mnext::<C, S>, ReachableGc),
         PState::inject(program.clone()),
     )
 }
@@ -152,7 +140,7 @@ where
     Fp: FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
 {
     explore_worklist_stats::<StorePassing<C, S>, _, Fp, _>(
-        mnext::<StorePassing<C, S>, C::Addr>,
+        closure_mnext::<C, S>,
         PState::inject(program.clone()),
     )
 }
@@ -165,10 +153,7 @@ where
     Fp: FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
 {
     explore_worklist_stats::<StorePassing<C, S>, _, Fp, _>(
-        with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(
-            mnext::<StorePassing<C, S>, C::Addr>,
-            CpsGc,
-        ),
+        with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(closure_mnext::<C, S>, ReachableGc),
         PState::inject(program.clone()),
     )
 }
@@ -480,7 +465,7 @@ where
     Fp: FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
 {
     explore_worklist_structural_stats::<StorePassing<C, S>, _, Fp, _>(
-        mnext::<StorePassing<C, S>, C::Addr>,
+        closure_mnext::<C, S>,
         PState::inject(program.clone()),
     )
 }
@@ -493,10 +478,7 @@ where
     Fp: FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
 {
     explore_worklist_structural_stats::<StorePassing<C, S>, _, Fp, _>(
-        with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(
-            mnext::<StorePassing<C, S>, C::Addr>,
-            CpsGc,
-        ),
+        with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(closure_mnext::<C, S>, ReachableGc),
         PState::inject(program.clone()),
     )
 }
@@ -511,7 +493,7 @@ where
     Fp: FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
 {
     explore_worklist_rescan_stats::<StorePassing<C, S>, _, Fp, _>(
-        mnext::<StorePassing<C, S>, C::Addr>,
+        closure_mnext::<C, S>,
         PState::inject(program.clone()),
     )
 }
@@ -524,10 +506,7 @@ where
     Fp: FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
 {
     explore_worklist_rescan_stats::<StorePassing<C, S>, _, Fp, _>(
-        with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(
-            mnext::<StorePassing<C, S>, C::Addr>,
-            CpsGc,
-        ),
+        with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(closure_mnext::<C, S>, ReachableGc),
         PState::inject(program.clone()),
     )
 }
@@ -884,10 +863,9 @@ pub fn analyse_concrete_collecting(
     program: &CExp,
     max_iterations: usize,
 ) -> KleeneOutcome<ConcreteCollectingDomain> {
-    type A = <ConcreteCtx as Context>::Addr;
-    type S = BasicStore<A, Val<A>>;
+    type S = BasicStore<<ConcreteCtx as Context>::Addr, Val<<ConcreteCtx as Context>::Addr>>;
     explore_fp_bounded::<StorePassing<ConcreteCtx, S>, _, _, _>(
-        mnext::<StorePassing<ConcreteCtx, S>, A>,
+        closure_mnext::<ConcreteCtx, S>,
         PState::inject(program.clone()),
         max_iterations,
     )

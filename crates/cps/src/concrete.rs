@@ -76,9 +76,9 @@ impl Heap {
 /// [`CExp::Error`] states before `fun`/`arg` run, and fresh allocation
 /// writes every address before it can be read.
 impl CpsInterface<HeapAddr> for StateM<Heap> {
-    fn fun(env: &Env<HeapAddr>, e: &AExp) -> Self::M<Val<HeapAddr>> {
+    fn fun(env: &Env<HeapAddr>, e: &AExp, (): ()) -> Self::M<Val<HeapAddr>> {
         match e {
-            AExp::Lam(lam) => Self::pure(Val::closure(lam.clone(), env.clone())),
+            AExp::Lam(lam) => <Self as MonadFamily>::pure(Val::closure(lam.clone(), env.clone())),
             AExp::Ref(v) => {
                 let addr = env
                     .get(v)
@@ -93,33 +93,36 @@ impl CpsInterface<HeapAddr> for StateM<Heap> {
         }
     }
 
-    fn arg(env: &Env<HeapAddr>, e: &AExp) -> Self::M<Val<HeapAddr>> {
-        Self::fun(env, e)
+    fn arg(env: &Env<HeapAddr>, e: &AExp, cx: ()) -> Self::M<Val<HeapAddr>> {
+        Self::fun(env, e, cx)
     }
 
-    fn write(addr: HeapAddr, val: Val<HeapAddr>) -> Self::M<()> {
+    fn write(addr: HeapAddr, val: Val<HeapAddr>, (): ()) -> Self::M<()> {
         <Self as MonadState<Heap>>::modify(move |mut heap| {
             heap.cells.insert(addr.clone(), val.clone());
             heap
         })
     }
 
-    fn alloc(var: &Var) -> Self::M<HeapAddr> {
+    fn alloc(var: &Var, (): ()) -> Self::M<HeapAddr> {
         let var = var.clone();
-        Self::bind(<Self as MonadState<Heap>>::get(), move |heap| {
+        <Self as MonadFamily>::bind(<Self as MonadState<Heap>>::get(), move |heap| {
             let addr = HeapAddr {
                 name: var.clone(),
                 index: heap.next,
             };
             let mut bumped = heap.clone();
             bumped.next += 1;
-            Self::then(<Self as MonadState<Heap>>::put(bumped), Self::pure(addr))
+            <Self as MonadFamily>::then(
+                <Self as MonadState<Heap>>::put(bumped),
+                <Self as MonadFamily>::pure(addr),
+            )
         })
     }
 
-    fn tick(_proc: &Val<HeapAddr>, _ps: &PState<HeapAddr>) -> Self::M<()> {
+    fn tick(_proc: &Val<HeapAddr>, _ps: &PState<HeapAddr>, (): ()) -> Self::M<()> {
         // In the real world, time advances without our help.
-        Self::pure(())
+        <Self as MonadFamily>::pure(())
     }
 }
 
@@ -219,7 +222,7 @@ pub fn interpret_governed(program: &CExp, budget: &Budget) -> Outcome {
         if budget.exhausted(steps, steps).is_some() {
             return Outcome::OutOfFuel { state, heap };
         }
-        let computation = mnext::<StateM<Heap>, HeapAddr>(state);
+        let computation = mnext::<StateM<Heap>, HeapAddr>(state, ());
         let (next_state, next_heap) = run_state(computation, heap);
         state = next_state;
         heap = next_heap;

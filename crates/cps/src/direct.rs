@@ -1,202 +1,69 @@
-//! The direct-style evaluation mode of the CPS transition rule.
+//! The direct instance of the CPS semantics.
 //!
-//! [`mnext_direct`] is the same Figure-2 semantics as
-//! [`mnext`](crate::semantics::mnext), expressed on the direct-style step
-//! carrier ([`mai_core::monad::direct`]): each `do`-notation bind of the
-//! `Rc`-closure original becomes plain control flow threading an explicit
-//! `(context, store)` pair, so a transition allocates no `Rc<dyn Fn>` at
-//! all.  Branch structure is reproduced *faithfully* — one branch per
-//! combination of operator closure and operand values, in the same order
-//! the non-determinism monad enumerates them — so the two carriers are
-//! observationally identical and the `Rc` encoding remains the
-//! differential-testing oracle (see `tests/differential.rs`).
+//! [`mnext`] runs on the direct-style step carrier ([`Direct`]) with the
+//! `(context, store)` pair as its explicit context: `fun`/`arg` fan a
+//! fetched binding out into one branch per value, `write` is an in-place
+//! weak update on the branch's own store, `alloc` consults the context and
+//! `tick` advances it.  No `Rc<dyn Fn>` is allocated, and the branches come
+//! out in the order the closure carrier enumerates them.
 
 use std::collections::BTreeSet;
 
 use mai_core::addr::Context;
+use mai_core::monad::{Branches, Direct, StepMonad};
 use mai_core::store::{fetch_filtered, StoreLike};
 
-use crate::semantics::{arity_mismatch, first_unbound, Env, PState, Val};
-use crate::syntax::{AExp, CExp};
+use crate::semantics::{mnext, CpsInterface, Env, PState, Val};
+use crate::syntax::{AExp, Var};
 
-/// The branch vector of one direct-style CPS transition.
-pub type Branches<C, S> = Vec<((PState<<C as Context>::Addr>, C), S)>;
-
-/// Evaluates an atomic expression to its branch values against a store —
-/// the direct-style `fun`/`arg` (one closure for a λ-literal, the fetched
-/// value set for a reference, nothing for an unbound variable).
-fn atomic<C, S>(env: &Env<C::Addr>, e: &AExp, store: &S) -> Vec<Val<C::Addr>>
+impl<C, S> CpsInterface<C::Addr> for Direct<C, S>
 where
     C: Context,
     S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>>,
 {
-    match e {
-        AExp::Lam(lam) => vec![Val::closure(lam.clone(), env.clone())],
-        AExp::Ref(v) => match env.get(v) {
-            // Borrow the binding instead of materialising a fresh set
-            // (`fetch` deep-clones the BTreeSet); each value is cloned
-            // exactly once, into the branch vector.
-            Some(a) => fetch_filtered(store, a, |v| Some(v)),
-            None => Vec::new(),
-        },
+    fn fun(env: &Env<C::Addr>, e: &AExp, (ctx, store): (C, S)) -> Branches<Val<C::Addr>, C, S> {
+        match e {
+            AExp::Lam(lam) => Self::pure(Val::closure(lam.clone(), env.clone()), (ctx, store)),
+            AExp::Ref(v) => {
+                let vals = match env.get(v) {
+                    Some(a) => fetch_filtered(&store, a, |v| Some(v)),
+                    None => Vec::new(),
+                };
+                Branches::each(vals, (ctx, store))
+            }
+        }
+    }
+
+    fn arg(env: &Env<C::Addr>, e: &AExp, cx: (C, S)) -> Branches<Val<C::Addr>, C, S> {
+        Self::fun(env, e, cx)
+    }
+
+    fn write(addr: C::Addr, val: Val<C::Addr>, (ctx, mut store): (C, S)) -> Branches<(), C, S> {
+        store.bind_in_place(addr, [val].into_iter().collect());
+        Self::pure((), (ctx, store))
+    }
+
+    fn alloc(var: &Var, (ctx, store): (C, S)) -> Branches<C::Addr, C, S> {
+        Self::pure(ctx.valloc(var), (ctx, store))
+    }
+
+    fn tick(
+        _proc: &Val<C::Addr>,
+        ps: &PState<C::Addr>,
+        (ctx, store): (C, S),
+    ) -> Branches<(), C, S> {
+        Self::pure((), (ctx.advance(ps.site()), store))
     }
 }
 
-/// The direct-style transition rule of CPS — the paper's `mnext`
-/// (Figure 2) on the allocation-free carrier:
-///
-/// ```text
-/// mnext ps@(Call f aes, ρ) = do
-///   proc@(Clo (vs ⇒ call′, ρ′)) ← fun ρ f      -- outer branch loop
-///   tick proc ps                               -- mutates the context copy
-///   as ← mapM alloc vs                         -- plain loop
-///   ds ← mapM (arg ρ) aes                      -- cartesian branch loop
-///   let ρ′′ = ρ′ // [v ⇒ a | v ← vs | a ← as]
-///   sequence [a ↦ d | a ← as | d ← ds]         -- in-place weak updates
-///   return (call′, ρ′′)
-/// mnext ς = return ς
-/// ```
-pub fn mnext_direct<C, S>(ps: PState<C::Addr>, ctx: C, store: S) -> Branches<C, S>
+/// The successor branches of one transition, in the engines' shape.
+pub type Successors<C, S> = Vec<((PState<<C as Context>::Addr>, C), S)>;
+
+/// [`mnext`] on the direct carrier, as the engines' step function.
+pub fn mnext_direct<C, S>(ps: PState<C::Addr>, ctx: C, store: S) -> Successors<C, S>
 where
     C: Context,
     S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>>,
 {
-    let (f, args) = match &ps.call {
-        CExp::Call { f, args, .. } => (f.clone(), args.clone()),
-        CExp::Exit | CExp::Error(_) => return vec![((ps, ctx), store)],
-    };
-    // Same pure stuck check as the Rc carrier's `mnext`: an unbound
-    // reference becomes an error state, not an empty branch set.
-    if let Some(v) = first_unbound(&ps.env, &f, &args) {
-        return vec![(
-            (
-                PState::new(CExp::Error(format!("unbound variable `{}`", v)), Env::new()),
-                ctx,
-            ),
-            store,
-        )];
-    }
-    let site = ps.site();
-    let env = ps.env.clone();
-
-    let mut out = Vec::new();
-    for proc in atomic::<C, S>(&env, &f, &store) {
-        // Arity mismatches error per callee branch, before the tick —
-        // matching `mnext`, whose check precedes the monadic `tick`.
-        if proc.lambda().params().len() != args.len() {
-            out.push((
-                (
-                    PState::new(
-                        CExp::Error(arity_mismatch(proc.lambda(), args.len())),
-                        Env::new(),
-                    ),
-                    ctx.clone(),
-                ),
-                store.clone(),
-            ));
-            continue;
-        }
-        // tick: advance the context across this call (per callee branch,
-        // exactly as the Rc carrier's state threading does).
-        let ticked = ctx.clone().advance(site);
-        // mapM alloc: deterministic, against the ticked context.
-        let lambda = proc.lambda().clone();
-        let addrs: Vec<C::Addr> = lambda.params().iter().map(|v| ticked.valloc(v)).collect();
-        // ρ′′ = ρ′ // [v ⇒ a] — shared by every operand-value branch.
-        let mut next_env = proc.env().clone();
-        for (v, a) in lambda.params().iter().zip(addrs.iter()) {
-            next_env.insert(v.clone(), a.clone());
-        }
-        let body = lambda.body();
-        // mapM (arg ρ): each operand contributes a branch per value; the
-        // cartesian product enumerates them leftmost-outermost, matching
-        // the list monad.
-        let arg_vals: Vec<Vec<Val<C::Addr>>> = args
-            .iter()
-            .map(|ae| atomic::<C, S>(&env, ae, &store))
-            .collect();
-        // An operand with no values (unbound/stuck) annihilates the
-        // product, exactly like `mzero`.
-        if arg_vals.iter().any(Vec::is_empty) {
-            continue;
-        }
-        let mut chosen: Vec<usize> = vec![0; arg_vals.len()];
-        loop {
-            // sequence [a ↦ d]: weak updates on this branch's own store.
-            let mut branch_store = store.clone();
-            for (a, (vals, pick)) in addrs.iter().zip(arg_vals.iter().zip(chosen.iter())) {
-                branch_store.bind_in_place(a.clone(), [vals[*pick].clone()].into_iter().collect());
-            }
-            out.push((
-                (
-                    PState::new((**body).clone(), next_env.clone()),
-                    ticked.clone(),
-                ),
-                branch_store,
-            ));
-            // Advance the odometer (rightmost fastest, as nested binds).
-            let mut pos = chosen.len();
-            loop {
-                if pos == 0 {
-                    break;
-                }
-                pos -= 1;
-                chosen[pos] += 1;
-                if chosen[pos] < arg_vals[pos].len() {
-                    break;
-                }
-                chosen[pos] = 0;
-            }
-            if chosen.iter().all(|c| *c == 0) {
-                break;
-            }
-        }
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::analysis::KStore;
-    use crate::parser::parse_program;
-    use crate::semantics::mnext;
-    use mai_core::monad::{run_store_passing, StorePassing};
-    use mai_core::{KCallAddr, KCallCtx};
-
-    type Ctx = KCallCtx<1>;
-    type M = StorePassing<Ctx, KStore>;
-
-    /// Steps a state with both carriers and compares the branch sets.
-    fn assert_carriers_agree(ps: PState<KCallAddr>, ctx: Ctx, store: KStore) {
-        let mut rc: Vec<((PState<KCallAddr>, Ctx), KStore)> = run_store_passing(
-            mnext::<M, KCallAddr>(ps.clone()),
-            ctx.clone(),
-            store.clone(),
-        );
-        let mut direct = mnext_direct::<Ctx, KStore>(ps, ctx, store);
-        // Branch order within one transition is an implementation detail of
-        // the list monad; compare as multisets.
-        rc.sort();
-        direct.sort();
-        assert_eq!(rc, direct);
-    }
-
-    #[test]
-    fn carriers_agree_on_every_reachable_state_of_a_program() {
-        let program = parse_program("((λ (x k) (k x)) (λ (y j) (j y)) (λ (r) exit))").unwrap();
-        // Drive the Rc analysis and replay every reachable (state, ctx)
-        // pair against the accumulated store with both carriers.
-        let (fixpoint, _) = crate::analysis::analyse_kcfa_shared_worklist::<1>(&program);
-        assert!(!fixpoint.states().is_empty());
-        for (ps, ctx) in fixpoint.states() {
-            assert_carriers_agree(ps.clone(), ctx.clone(), fixpoint.store().clone());
-        }
-    }
-
-    #[test]
-    fn exit_states_step_to_themselves_on_both_carriers() {
-        let ps: PState<KCallAddr> = PState::inject(CExp::Exit);
-        assert_carriers_agree(ps, Ctx::empty(), KStore::new());
-    }
+    mnext::<Direct<C, S>, C::Addr>(ps, (ctx, store)).into_vec()
 }

@@ -51,7 +51,7 @@ pub use analysis::{
     analyse_kcfa_shared_worklist, analyse_kcfa_with_count, analyse_kcfa_with_count_worklist,
     analyse_kcfa_worklist, analyse_mono, analyse_mono_worklist, analyse_worklist,
     analyse_worklist_rescan, analyse_worklist_structural, distinct_env_count, flow_map_of_store,
-    AnalysisMetrics, CpsGc, FlowMap,
+    AnalysisMetrics, FlowMap,
 };
 pub use analysis::{
     analyse_gc_worklist_direct, analyse_kcfa_direct, analyse_kcfa_shared_direct,

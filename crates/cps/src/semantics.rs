@@ -6,17 +6,19 @@
 //! *final* `mnext` — written once, against the interface, and never changed
 //! again.  Everything else (concrete interpretation, 0CFA, k-CFA, abstract
 //! counting, garbage collection, store widening) is obtained by choosing a
-//! different monad and interface implementation in
-//! [`crate::analysis`] / [`crate::concrete`].
+//! different monad and interface implementation: the closure carrier in
+//! [`crate::analysis`], the concrete heap in [`crate::concrete`] and the
+//! direct carrier the fixpoint engines run in [`crate::direct`].
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 use mai_core::addr::Address;
 use mai_core::engine::StateRoots;
 use mai_core::env::CowMap;
 use mai_core::gc::Touches;
-use mai_core::monad::{map_m, sequence_m, MonadFamily};
+use mai_core::monad::StepMonad;
 use mai_core::name::Label;
 
 use crate::syntax::{AExp, CExp, Lambda, Var};
@@ -163,33 +165,37 @@ impl<A: Address> StateRoots for PState<A> {
 /// The paper's `CPSInterface m a` (Figure 2): the five operations through
 /// which the CPS semantics interacts with values, the store and time.
 ///
-/// Implementations choose the analysis monad `Self` and the address type
-/// `A`; [`mnext`] is written once against this interface.
+/// Implementations choose the step monad `Self` and the address type `A`;
+/// [`mnext`] is written once against this interface.  Every operation
+/// takes the context `cx` it runs against ([`StepMonad::Cx`]: `()` for the
+/// closure carriers, the `(context, store)` pair for the direct one).
 ///
-/// * [`fun`](CpsInterface::fun) evaluates the operator position (the only
-///   source of non-determinism in the abstract semantics);
-/// * [`arg`](CpsInterface::arg) evaluates operand positions;
+/// * [`fun`](CpsInterface::fun) evaluates the operator position and
+///   branches once per callee;
+/// * [`arg`](CpsInterface::arg) evaluates operand positions and, in the
+///   abstract instances, branches once per operand value — so a call
+///   steps to the *product* of its callees and its operands' values;
 /// * [`write`](CpsInterface::write) is the paper's `(↦)`: binds an address
 ///   to a value in the store carried by the monad;
 /// * [`alloc`](CpsInterface::alloc) allocates an address for a variable,
 ///   consulting whatever context the monad carries;
 /// * [`tick`](CpsInterface::tick) advances the monad's internal notion of
 ///   time across a call.
-pub trait CpsInterface<A: Address>: MonadFamily {
+pub trait CpsInterface<A: Address>: StepMonad {
     /// Evaluates an atomic expression in operator position.
-    fn fun(env: &Env<A>, e: &AExp) -> Self::M<Val<A>>;
+    fn fun(env: &Env<A>, e: &AExp, cx: Self::Cx) -> Self::M<Val<A>>;
 
     /// Evaluates an atomic expression in operand position.
-    fn arg(env: &Env<A>, e: &AExp) -> Self::M<Val<A>>;
+    fn arg(env: &Env<A>, e: &AExp, cx: Self::Cx) -> Self::M<Val<A>>;
 
     /// Binds `addr ↦ val` in the store carried by the monad.
-    fn write(addr: A, val: Val<A>) -> Self::M<()>;
+    fn write(addr: A, val: Val<A>, cx: Self::Cx) -> Self::M<()>;
 
     /// Allocates an address for the variable `var`.
-    fn alloc(var: &Var) -> Self::M<A>;
+    fn alloc(var: &Var, cx: Self::Cx) -> Self::M<A>;
 
     /// Advances time across the application of `proc` at state `ps`.
-    fn tick(proc: &Val<A>, ps: &PState<A>) -> Self::M<()>;
+    fn tick(proc: &Val<A>, ps: &PState<A>, cx: Self::Cx) -> Self::M<()>;
 }
 
 /// The single transition rule of CPS in monadic normal form — the paper's
@@ -213,88 +219,66 @@ pub trait CpsInterface<A: Address>: MonadFamily {
 /// itself): the error layer.  Both checks are *pure* (the environment and
 /// the callee's parameter list live outside the monad), so every carrier,
 /// concrete or abstract, produces the identical error successor.
-pub fn mnext<M, A>(ps: PState<A>) -> M::M<PState<A>>
+pub fn mnext<M, A>(ps: PState<A>, cx: M::Cx) -> M::M<PState<A>>
 where
     M: CpsInterface<A>,
     A: Address,
 {
-    match ps.call.clone() {
-        CExp::Call { f, args, .. } => {
-            if let Some(v) = first_unbound(&ps.env, &f, &args) {
-                return M::pure(PState::new(
-                    CExp::Error(format!("unbound variable `{}`", v)),
+    let (f, args): (AExp, Arc<[AExp]>) = match &ps.call {
+        CExp::Call { f, args, .. } => (f.clone(), args[..].into()),
+        CExp::Exit | CExp::Error(_) => return M::pure(ps, cx),
+    };
+    if let Some(v) = first_unbound(&ps.env, &f, &args) {
+        return M::pure(
+            PState::new(CExp::Error(format!("unbound variable `{}`", v)), Env::new()),
+            cx,
+        );
+    }
+    let env = ps.env.clone();
+    M::bind(M::fun(&env, &f, cx), move |proc, cx| {
+        if proc.lambda().params().len() != args.len() {
+            return M::pure(
+                PState::new(
+                    CExp::Error(arity_mismatch(proc.lambda(), args.len())),
                     Env::new(),
-                ));
-            }
-            let env = ps.env.clone();
-            let state = ps;
-            M::bind(M::fun(&env, &f), move |proc| {
-                if proc.lambda().params().len() != args.len() {
-                    return M::pure(PState::new(
-                        CExp::Error(arity_mismatch(proc.lambda(), args.len())),
-                        Env::new(),
-                    ));
+                ),
+                cx,
+            );
+        }
+        let (env, args) = (env.clone(), args.clone());
+        M::bind(M::tick(&proc, &ps, cx), move |(), cx| {
+            let (env, args, proc) = (env.clone(), args.clone(), proc.clone());
+            let addrs = M::map_m(
+                proc.lambda().params().iter().cloned(),
+                |v, cx| M::alloc(&v, cx),
+                cx,
+            );
+            M::bind(addrs, move |addrs, cx| {
+                // ρ′′ = ρ′ // [v ⇒ a]
+                let mut next_env = proc.env().clone();
+                for (v, a) in proc.lambda().params().iter().zip(&addrs) {
+                    next_env.insert(v.clone(), a.clone());
                 }
-                // Each non-deterministic callee gets its own copies.
-                let env = env.clone();
-                let args = args.clone();
-                let state = state.clone();
-                let lambda = proc.lambda().clone();
-                let captured_env = proc.env().clone();
-                M::bind(M::tick(&proc, &state), move |()| {
-                    let env = env.clone();
-                    let args = args.clone();
-                    let params = lambda.params().to_vec();
-                    let body = lambda.body().clone();
-                    let captured_env = captured_env.clone();
-                    M::bind(
-                        map_m::<M, Var, A, _>(|v| M::alloc(&v), params.clone()),
-                        move |addrs| {
-                            let env = env.clone();
-                            let args = args.clone();
-                            let params = params.clone();
-                            let body = body.clone();
-                            let captured_env = captured_env.clone();
-                            M::bind(
-                                map_m::<M, AExp, Val<A>, _>(
-                                    {
-                                        let env = env.clone();
-                                        move |ae| M::arg(&env, &ae)
-                                    },
-                                    args.clone(),
-                                ),
-                                move |vals| {
-                                    // ρ′′ = ρ′ // [v ⇒ a]
-                                    let mut next_env = captured_env.clone();
-                                    for (v, a) in params.iter().zip(addrs.iter()) {
-                                        next_env.insert(v.clone(), a.clone());
-                                    }
-                                    // sequence [a ↦ d]
-                                    let writes: Vec<M::M<()>> = addrs
-                                        .iter()
-                                        .cloned()
-                                        .zip(vals)
-                                        .map(|(a, d)| M::write(a, d))
-                                        .collect();
-                                    let body = body.clone();
-                                    M::bind(sequence_m::<M, ()>(writes), move |_| {
-                                        M::pure(PState::new((*body).clone(), next_env.clone()))
-                                    })
-                                },
-                            )
-                        },
+                let body = proc.lambda().body().clone();
+                let (env, args) = (env.clone(), args.clone());
+                let ds = M::map_m(0..args.len(), move |i, cx| M::arg(&env, &args[i], cx), cx);
+                M::bind(ds, move |ds, cx| {
+                    // sequence [a ↦ d]
+                    let writes = addrs.iter().cloned().zip(ds);
+                    let next = PState::new((*body).clone(), next_env.clone());
+                    M::then_pure(
+                        M::for_each_m(writes, |(a, d), cx| M::write(a, d, cx), cx),
+                        next,
                     )
                 })
             })
-        }
-        CExp::Exit | CExp::Error(_) => M::pure(ps),
-    }
+        })
+    })
 }
 
 /// The first unbound variable reference of a call, operator position
-/// first, operands left to right — shared by both carriers so the error
-/// state (and its message) is byte-identical.
-pub(crate) fn first_unbound<A>(env: &Env<A>, f: &AExp, args: &[AExp]) -> Option<Var> {
+/// first, operands left to right.
+fn first_unbound<A>(env: &Env<A>, f: &AExp, args: &[AExp]) -> Option<Var> {
     std::iter::once(f).chain(args.iter()).find_map(|e| match e {
         AExp::Ref(v) if env.get(v).is_none() => Some(v.clone()),
         _ => None,
@@ -302,7 +286,7 @@ pub(crate) fn first_unbound<A>(env: &Env<A>, f: &AExp, args: &[AExp]) -> Option<
 }
 
 /// The arity-mismatch message for applying `lambda` to `got` arguments.
-pub(crate) fn arity_mismatch(lambda: &Lambda, got: usize) -> String {
+fn arity_mismatch(lambda: &Lambda, got: usize) -> String {
     format!(
         "arity mismatch: callee takes {} arguments, call passes {}",
         lambda.params().len(),

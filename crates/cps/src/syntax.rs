@@ -21,8 +21,9 @@ pub type Var = Name;
 /// construction, so no mutation is exposed.
 #[derive(Clone)]
 pub struct Lambda {
-    /// The formal parameters.
-    params: Vec<Var>,
+    /// The formal parameters, shared by every clone of this abstraction
+    /// (a closure value is cloned into every branch that fetches it).
+    params: Arc<[Var]>,
     /// The body — always a call site in CPS.
     body: Arc<CExp>,
     /// The lazily computed free variables, shared by every clone of this
@@ -75,7 +76,7 @@ impl Lambda {
     /// Creates a λ-abstraction.
     pub fn new(params: Vec<Var>, body: CExp) -> Self {
         Lambda {
-            params,
+            params: params.into(),
             body: Arc::new(body),
             free: std::sync::Arc::new(std::sync::OnceLock::new()),
         }
@@ -101,7 +102,7 @@ impl Lambda {
     pub fn free_vars_ref(&self) -> &std::collections::BTreeSet<Var> {
         self.free.get_or_init(|| {
             let mut free = self.body.free_vars();
-            for p in &self.params {
+            for p in self.params.iter() {
                 free.remove(p);
             }
             free

@@ -20,10 +20,8 @@ use mai_core::engine::{
     with_state_gc, Budget, DirectCollecting, EngineError, EngineStats, FrontierCollecting,
     LadderReport, Outcome, ParallelCollecting, ParallelConfig, SharedResumeSeed, SolveFrom,
 };
-use mai_core::gc::{reachable, GcStrategy, Touches};
-use mai_core::monad::{
-    gets_nd_set, MonadFamily, MonadState, MonadTrans, StateT, StorePassing, Value, VecM,
-};
+use mai_core::gc::ReachableGc;
+use mai_core::monad::{gets_nd_set, MonadState, MonadTrans, StateT, StorePassing, Value, VecM};
 use mai_core::name::{Label, Name};
 use mai_core::store::{BasicStore, CountingStore, StoreLike};
 use mai_core::{KCallAddr, KCallCtx, MonoAddr, MonoCtx};
@@ -36,7 +34,7 @@ where
     C: Context,
     S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
 {
-    fn lookup(env: &Env<C::Addr>, var: &VarName) -> Self::M<Obj<C::Addr>> {
+    fn lookup(env: &Env<C::Addr>, var: &VarName, (): ()) -> Self::M<Obj<C::Addr>> {
         let addr = env.get(var).cloned();
         Self::lift(gets_nd_set::<StateT<S, VecM>, S, Obj<C::Addr>, _>(
             move |store| match &addr {
@@ -51,7 +49,7 @@ where
         ))
     }
 
-    fn fetch(addr: &C::Addr) -> Self::M<Obj<C::Addr>> {
+    fn fetch(addr: &C::Addr, (): ()) -> Self::M<Obj<C::Addr>> {
         let addr = addr.clone();
         Self::lift(gets_nd_set::<StateT<S, VecM>, S, Obj<C::Addr>, _>(
             move |store| {
@@ -65,7 +63,7 @@ where
         ))
     }
 
-    fn kont_at(addr: &C::Addr) -> Self::M<Kont<C::Addr>> {
+    fn kont_at(addr: &C::Addr, (): ()) -> Self::M<Kont<C::Addr>> {
         let addr = addr.clone();
         Self::lift(gets_nd_set::<StateT<S, VecM>, S, Kont<C::Addr>, _>(
             move |store| {
@@ -79,7 +77,7 @@ where
         ))
     }
 
-    fn bind_val(addr: C::Addr, val: Obj<C::Addr>) -> Self::M<()> {
+    fn bind_val(addr: C::Addr, val: Obj<C::Addr>, (): ()) -> Self::M<()> {
         Self::lift(<StateT<S, VecM> as MonadState<S>>::modify(move |store| {
             store.bind(
                 addr.clone(),
@@ -88,7 +86,7 @@ where
         }))
     }
 
-    fn bind_kont(addr: C::Addr, kont: Kont<C::Addr>) -> Self::M<()> {
+    fn bind_kont(addr: C::Addr, kont: Kont<C::Addr>, (): ()) -> Self::M<()> {
         Self::lift(<StateT<S, VecM> as MonadState<S>>::modify(move |store| {
             store.bind(
                 addr.clone(),
@@ -97,38 +95,18 @@ where
         }))
     }
 
-    fn alloc(name: &Name) -> Self::M<C::Addr> {
+    fn alloc(name: &Name, (): ()) -> Self::M<C::Addr> {
         let name = name.clone();
         <Self as MonadState<C>>::gets(move |ctx| ctx.valloc(&name))
     }
 
-    fn alloc_kont(site: Label, kind: KontKind) -> Self::M<C::Addr> {
+    fn alloc_kont(site: Label, kind: KontKind, (): ()) -> Self::M<C::Addr> {
         let name = kont_name(site, kind);
         <Self as MonadState<C>>::gets(move |ctx| ctx.valloc(&name))
     }
 
-    fn tick(site: Label) -> Self::M<()> {
+    fn tick(site: Label, (): ()) -> Self::M<()> {
         <Self as MonadState<C>>::modify(move |ctx| ctx.advance(site))
-    }
-}
-
-/// The abstract garbage collector for Featherweight Java.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FjGc;
-
-impl<C, S> GcStrategy<StorePassing<C, S>, PState<C::Addr>> for FjGc
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-{
-    fn collect(&self, ps: &PState<C::Addr>) -> <StorePassing<C, S> as MonadFamily>::M<()> {
-        let roots = ps.touches();
-        <StorePassing<C, S> as MonadTrans>::lift(<StateT<S, VecM> as MonadState<S>>::modify(
-            move |store: S| {
-                let live = reachable(roots.clone(), &store);
-                store.filter_store(|a| live.contains(a))
-            },
-        ))
     }
 }
 
@@ -142,7 +120,7 @@ where
 {
     let table = program.table.clone();
     run_analysis::<StorePassing<C, S>, _, Fp, _>(
-        move |ps| mnext::<StorePassing<C, S>, C::Addr>(&table, ps),
+        move |ps| mnext::<StorePassing<C, S>, C::Addr>(&table, ps, ()),
         PState::inject(program.main.clone()),
     )
 }
@@ -157,8 +135,8 @@ where
     let table = program.table.clone();
     run_analysis::<StorePassing<C, S>, _, Fp, _>(
         with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(
-            move |ps| mnext::<StorePassing<C, S>, C::Addr>(&table, ps),
-            FjGc,
+            move |ps| mnext::<StorePassing<C, S>, C::Addr>(&table, ps, ()),
+            ReachableGc,
         ),
         PState::inject(program.main.clone()),
     )
@@ -175,7 +153,7 @@ where
 {
     let table = program.table.clone();
     explore_worklist_stats::<StorePassing<C, S>, _, Fp, _>(
-        move |ps| mnext::<StorePassing<C, S>, C::Addr>(&table, ps),
+        move |ps| mnext::<StorePassing<C, S>, C::Addr>(&table, ps, ()),
         PState::inject(program.main.clone()),
     )
 }
@@ -190,8 +168,8 @@ where
     let table = program.table.clone();
     explore_worklist_stats::<StorePassing<C, S>, _, Fp, _>(
         with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(
-            move |ps| mnext::<StorePassing<C, S>, C::Addr>(&table, ps),
-            FjGc,
+            move |ps| mnext::<StorePassing<C, S>, C::Addr>(&table, ps, ()),
+            ReachableGc,
         ),
         PState::inject(program.main.clone()),
     )
@@ -521,7 +499,7 @@ where
 {
     let table = program.table.clone();
     explore_worklist_structural_stats::<StorePassing<C, S>, _, Fp, _>(
-        move |ps| mnext::<StorePassing<C, S>, C::Addr>(&table, ps),
+        move |ps| mnext::<StorePassing<C, S>, C::Addr>(&table, ps, ()),
         PState::inject(program.main.clone()),
     )
 }
@@ -537,8 +515,8 @@ where
     let table = program.table.clone();
     explore_worklist_structural_stats::<StorePassing<C, S>, _, Fp, _>(
         with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(
-            move |ps| mnext::<StorePassing<C, S>, C::Addr>(&table, ps),
-            FjGc,
+            move |ps| mnext::<StorePassing<C, S>, C::Addr>(&table, ps, ()),
+            ReachableGc,
         ),
         PState::inject(program.main.clone()),
     )
@@ -555,7 +533,7 @@ where
 {
     let table = program.table.clone();
     explore_worklist_rescan_stats::<StorePassing<C, S>, _, Fp, _>(
-        move |ps| mnext::<StorePassing<C, S>, C::Addr>(&table, ps),
+        move |ps| mnext::<StorePassing<C, S>, C::Addr>(&table, ps, ()),
         PState::inject(program.main.clone()),
     )
 }
@@ -570,8 +548,8 @@ where
     let table = program.table.clone();
     explore_worklist_rescan_stats::<StorePassing<C, S>, _, Fp, _>(
         with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(
-            move |ps| mnext::<StorePassing<C, S>, C::Addr>(&table, ps),
-            FjGc,
+            move |ps| mnext::<StorePassing<C, S>, C::Addr>(&table, ps, ()),
+            ReachableGc,
         ),
         PState::inject(program.main.clone()),
     )

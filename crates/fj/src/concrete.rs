@@ -53,15 +53,15 @@ impl Heap {
 }
 
 impl FjInterface<HeapAddr> for StateM<Heap> {
-    fn lookup(env: &Env<HeapAddr>, var: &VarName) -> Self::M<Obj<HeapAddr>> {
+    fn lookup(env: &Env<HeapAddr>, var: &VarName, cx: ()) -> Self::M<Obj<HeapAddr>> {
         let addr = env
             .get(var)
             .cloned()
             .unwrap_or_else(|| panic!("unbound variable `{}` in concrete execution", var));
-        Self::fetch(&addr)
+        Self::fetch(&addr, cx)
     }
 
-    fn fetch(addr: &HeapAddr) -> Self::M<Obj<HeapAddr>> {
+    fn fetch(addr: &HeapAddr, (): ()) -> Self::M<Obj<HeapAddr>> {
         let addr = addr.clone();
         <Self as MonadState<Heap>>::gets(move |heap| {
             heap.values
@@ -71,7 +71,7 @@ impl FjInterface<HeapAddr> for StateM<Heap> {
         })
     }
 
-    fn kont_at(addr: &HeapAddr) -> Self::M<Kont<HeapAddr>> {
+    fn kont_at(addr: &HeapAddr, (): ()) -> Self::M<Kont<HeapAddr>> {
         let addr = addr.clone();
         <Self as MonadState<Heap>>::gets(move |heap| {
             heap.konts
@@ -81,44 +81,44 @@ impl FjInterface<HeapAddr> for StateM<Heap> {
         })
     }
 
-    fn bind_val(addr: HeapAddr, val: Obj<HeapAddr>) -> Self::M<()> {
+    fn bind_val(addr: HeapAddr, val: Obj<HeapAddr>, (): ()) -> Self::M<()> {
         <Self as MonadState<Heap>>::modify(move |mut heap| {
             heap.values.insert(addr.clone(), val.clone());
             heap
         })
     }
 
-    fn bind_kont(addr: HeapAddr, kont: Kont<HeapAddr>) -> Self::M<()> {
+    fn bind_kont(addr: HeapAddr, kont: Kont<HeapAddr>, (): ()) -> Self::M<()> {
         <Self as MonadState<Heap>>::modify(move |mut heap| {
             heap.konts.insert(addr.clone(), kont.clone());
             heap
         })
     }
 
-    fn alloc(name: &Name) -> Self::M<HeapAddr> {
+    fn alloc(name: &Name, (): ()) -> Self::M<HeapAddr> {
         fresh(name.clone())
     }
 
-    fn alloc_kont(site: Label, kind: KontKind) -> Self::M<HeapAddr> {
+    fn alloc_kont(site: Label, kind: KontKind, (): ()) -> Self::M<HeapAddr> {
         fresh(kont_name(site, kind))
     }
 
-    fn tick(_site: Label) -> Self::M<()> {
-        Self::pure(())
+    fn tick(_site: Label, (): ()) -> Self::M<()> {
+        <Self as MonadFamily>::pure(())
     }
 }
 
 fn fresh(name: Name) -> <StateM<Heap> as MonadFamily>::M<HeapAddr> {
-    StateM::<Heap>::bind(<StateM<Heap> as MonadState<Heap>>::get(), move |heap| {
+    <StateM<Heap> as MonadFamily>::bind(<StateM<Heap> as MonadState<Heap>>::get(), move |heap| {
         let addr = HeapAddr {
             name: name.clone(),
             index: heap.next,
         };
         let mut bumped = heap.clone();
         bumped.next += 1;
-        StateM::<Heap>::then(
+        <StateM<Heap> as MonadFamily>::then(
             <StateM<Heap> as MonadState<Heap>>::put(bumped),
-            StateM::<Heap>::pure(addr),
+            <StateM<Heap> as MonadFamily>::pure(addr),
         )
     })
 }
@@ -202,8 +202,10 @@ pub fn run_governed(program: &Program, budget: &Budget) -> Outcome {
         if budget.exhausted(steps, steps).is_some() {
             return Outcome::OutOfFuel { state };
         }
-        let (next_state, next_heap) =
-            run_state(mnext::<StateM<Heap>, HeapAddr>(&program.table, state), heap);
+        let (next_state, next_heap) = run_state(
+            mnext::<StateM<Heap>, HeapAddr>(&program.table, state, ()),
+            heap,
+        );
         state = next_state;
         heap = next_heap;
         steps += 1;

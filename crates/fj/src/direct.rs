@@ -1,556 +1,84 @@
-//! The direct-style evaluation mode of the Featherweight Java machine.
+//! The direct instance of the Featherweight Java semantics.
 //!
-//! [`mnext_direct`] replays [`mnext`](crate::machine::mnext) — the monadic
-//! FJ machine written against `FjInterface` — on the direct-style step
-//! carrier ([`mai_core::monad::direct`]): every `bind` of the `Rc`-closure
-//! original becomes plain control flow over an explicit `(context, store)`
-//! pair.  Branch structure (one branch per fetched object or continuation
-//! frame, in set order) is reproduced faithfully; the `Rc` carrier remains
-//! the differential-testing oracle.
+//! [`mnext`] runs on the direct-style step carrier ([`Direct`]) with the
+//! `(context, store)` pair as its explicit context: `lookup`/`fetch`/
+//! `kont_at` fan the fetched set out into one branch per element, `bind_*`
+//! are in-place weak updates on the branch's own store, `alloc*` consult
+//! the context and `tick` advances it.  No `Rc<dyn Fn>` is allocated, and
+//! the branches come out in the order the closure carrier enumerates them.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
-use mai_core::addr::{Address, Context};
-use mai_core::name::Label;
+use mai_core::addr::Context;
+use mai_core::monad::{Branches, Direct, StepMonad};
+use mai_core::name::{Label, Name};
 use mai_core::store::{fetch_filtered, StoreLike};
 
-use crate::machine::{
-    field_name, kont_name, Control, Env, Kont, KontKind, KontRef, Obj, PState, Storable,
-};
-use crate::syntax::{this_var, ClassName, ClassTable, Expr, MethodName};
+use crate::machine::{kont_name, mnext, Env, FjInterface, Kont, KontKind, Obj, PState, Storable};
+use crate::syntax::{ClassTable, VarName};
 
-type Branch<C, S> = ((PState<<C as Context>::Addr>, C), S);
-
-fn stuck<A: Address>(why: impl Into<String>) -> PState<A> {
-    PState {
-        control: Control::Stuck(why.into()),
-        env: Env::new(),
-        kont: None,
-    }
-}
-
-/// The objects bound at `addr`, via the shared lending fallback
-/// ([`fetch_filtered`]).
-fn objs_at<C, S>(store: &S, addr: &C::Addr) -> Vec<Obj<C::Addr>>
+impl<C, S> FjInterface<C::Addr> for Direct<C, S>
 where
     C: Context,
     S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>>,
 {
-    fetch_filtered(store, addr, Storable::as_val)
-}
-
-/// The continuation frames bound at `addr` (same lending contract).
-fn konts_at<C, S>(store: &S, addr: &C::Addr) -> Vec<Kont<C::Addr>>
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>>,
-{
-    fetch_filtered(store, addr, Storable::as_kont)
-}
-
-/// Allocates a continuation frame at its synthetic name and pushes it:
-/// the successor evaluates `next_control` under `env` with the frame as
-/// its continuation.
-fn push_frame<C, S>(
-    site: Label,
-    kind: KontKind,
-    frame: Kont<C::Addr>,
-    next_control: Arc<Expr>,
-    env: Env<C::Addr>,
-    ctx: C,
-    mut store: S,
-) -> Branch<C, S>
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>>,
-{
-    let addr = ctx.valloc(&kont_name(site, kind));
-    store.bind_in_place(addr.clone(), [Storable::Kont(frame)].into_iter().collect());
-    (
-        (
-            PState {
-                control: Control::Eval(next_control),
-                env,
-                kont: Some(addr),
-            },
-            ctx,
-        ),
-        store,
-    )
-}
-
-/// Allocates addresses for every field of `class`, writes the argument
-/// objects into them, and returns the freshly constructed object.
-fn construct<C, S>(
-    table: &ClassTable,
-    site: Label,
-    class: ClassName,
-    args: Vec<Obj<C::Addr>>,
-    kont: KontRef<C::Addr>,
-    ctx: C,
-    store: S,
-) -> Branch<C, S>
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>>,
-{
-    let fields = match table.fields(&class) {
-        Ok(fields) => fields,
-        Err(e) => return ((stuck(e.to_string()), ctx), store),
-    };
-    if fields.len() != args.len() {
-        return (
-            (
-                stuck(format!(
-                    "new {class} expected {} arguments, got {}",
-                    fields.len(),
-                    args.len()
-                )),
-                ctx,
-            ),
-            store,
-        );
+    fn lookup(env: &Env<C::Addr>, var: &VarName, cx: (C, S)) -> Branches<Obj<C::Addr>, C, S> {
+        match env.get(var) {
+            Some(a) => Self::fetch(a, cx),
+            None => Branches::none(),
+        }
     }
-    let ticked = ctx.advance(site);
-    let addrs: Vec<C::Addr> = fields
-        .iter()
-        .map(|(_, f)| ticked.valloc(&field_name(&class, f)))
-        .collect();
-    let mut store = store;
-    for (a, o) in addrs.iter().zip(args) {
-        store.bind_in_place(a.clone(), [Storable::Val(o)].into_iter().collect());
+
+    fn fetch(addr: &C::Addr, (ctx, store): (C, S)) -> Branches<Obj<C::Addr>, C, S> {
+        let objs = fetch_filtered(&store, addr, Storable::as_val);
+        Branches::each(objs, (ctx, store))
     }
-    let object = Obj {
-        class,
-        fields: addrs,
-    };
-    (
-        (
-            PState {
-                control: Control::Value(object),
-                env: Env::new(),
-                kont,
-            },
-            ticked,
-        ),
-        store,
-    )
+
+    fn kont_at(addr: &C::Addr, (ctx, store): (C, S)) -> Branches<Kont<C::Addr>, C, S> {
+        let frames = fetch_filtered(&store, addr, Storable::as_kont);
+        Branches::each(frames, (ctx, store))
+    }
+
+    fn bind_val(addr: C::Addr, val: Obj<C::Addr>, (ctx, mut store): (C, S)) -> Branches<(), C, S> {
+        store.bind_in_place(addr, [Storable::Val(val)].into_iter().collect());
+        Self::pure((), (ctx, store))
+    }
+
+    fn bind_kont(
+        addr: C::Addr,
+        kont: Kont<C::Addr>,
+        (ctx, mut store): (C, S),
+    ) -> Branches<(), C, S> {
+        store.bind_in_place(addr, [Storable::Kont(kont)].into_iter().collect());
+        Self::pure((), (ctx, store))
+    }
+
+    fn alloc(name: &Name, (ctx, store): (C, S)) -> Branches<C::Addr, C, S> {
+        Self::pure(ctx.valloc(name), (ctx, store))
+    }
+
+    fn alloc_kont(site: Label, kind: KontKind, (ctx, store): (C, S)) -> Branches<C::Addr, C, S> {
+        Self::pure(ctx.valloc(&kont_name(site, kind)), (ctx, store))
+    }
+
+    fn tick(site: Label, (ctx, store): (C, S)) -> Branches<(), C, S> {
+        Self::pure((), (ctx.advance(site), store))
+    }
 }
 
-/// Invokes `method` on `receiver` with the given evaluated arguments.
-#[allow(clippy::too_many_arguments)] // mirrors the Rc `invoke`'s parameters plus the explicit context pair
-fn invoke<C, S>(
-    table: &ClassTable,
-    site: Label,
-    method: &MethodName,
-    receiver: Obj<C::Addr>,
-    args: Vec<Obj<C::Addr>>,
-    kont: KontRef<C::Addr>,
-    ctx: C,
-    store: S,
-) -> Branch<C, S>
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>>,
-{
-    let (_, decl) = match table.mbody(method, &receiver.class) {
-        Ok(found) => found,
-        Err(e) => return ((stuck(e.to_string()), ctx), store),
-    };
-    if decl.params.len() != args.len() {
-        return (
-            (
-                stuck(format!(
-                    "method {method} expected {} arguments, got {}",
-                    decl.params.len(),
-                    args.len()
-                )),
-                ctx,
-            ),
-            store,
-        );
-    }
-    let ticked = ctx.advance(site);
-    let mut env = Env::new();
-    let mut store = store;
-    let names = std::iter::once(this_var()).chain(decl.params.iter().map(|(_, n)| n.clone()));
-    let values = std::iter::once(receiver).chain(args);
-    for (name, value) in names.zip(values) {
-        let addr = ticked.valloc(&name);
-        env.insert(name, addr.clone());
-        store.bind_in_place(addr, [Storable::Val(value)].into_iter().collect());
-    }
-    let body = Arc::new(decl.body.clone());
-    (
-        (
-            PState {
-                control: Control::Eval(body),
-                env,
-                kont,
-            },
-            ticked,
-        ),
-        store,
-    )
-}
+/// The successor branches of one transition, in the engines' shape.
+pub type Successors<C, S> = Vec<((PState<<C as Context>::Addr>, C), S)>;
 
-/// The direct-style FJ transition function — the same semantics as
-/// [`mnext`](crate::machine::mnext), bind-for-bind, with the monadic
-/// operations inlined against the explicit context.
+/// [`mnext`] on the direct carrier, as the engines' step function.
 pub fn mnext_direct<C, S>(
     table: &ClassTable,
     ps: PState<C::Addr>,
     ctx: C,
     store: S,
-) -> Vec<Branch<C, S>>
+) -> Successors<C, S>
 where
     C: Context,
     S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>>,
 {
-    match ps.control.clone() {
-        Control::Eval(expr) => {
-            let env = ps.env.clone();
-            let kont = ps.kont.clone();
-            match expr.as_ref().clone() {
-                Expr::Var(v) => match env.get(&v) {
-                    Some(addr) => objs_at::<C, S>(&store, addr)
-                        .into_iter()
-                        .map(|obj| {
-                            (
-                                (
-                                    PState {
-                                        control: Control::Value(obj),
-                                        env: Env::new(),
-                                        kont: kont.clone(),
-                                    },
-                                    ctx.clone(),
-                                ),
-                                store.clone(),
-                            )
-                        })
-                        .collect(),
-                    // Same pure env-miss check as `mnext`: an unbound
-                    // variable becomes a stuck state, not an empty branch
-                    // set (which the fixpoint could not distinguish from
-                    // an unreached program point).
-                    None => vec![((stuck(format!("unbound variable `{}`", v)), ctx), store)],
-                },
-                Expr::FieldAccess {
-                    label,
-                    object,
-                    field,
-                } => vec![push_frame(
-                    label,
-                    KontKind::Field,
-                    Kont::FieldK {
-                        site: label,
-                        field,
-                        next: kont,
-                    },
-                    object,
-                    env,
-                    ctx,
-                    store,
-                )],
-                Expr::MethodCall {
-                    label,
-                    object,
-                    method,
-                    args,
-                } => vec![push_frame(
-                    label,
-                    KontKind::Rcv,
-                    Kont::CallRcvK {
-                        site: label,
-                        method,
-                        args,
-                        env: env.clone(),
-                        next: kont,
-                    },
-                    object,
-                    env,
-                    ctx,
-                    store,
-                )],
-                Expr::New { label, class, args } => {
-                    if table.fields(&class).is_err() {
-                        return vec![(
-                            (stuck(format!("new of unknown class {class}")), ctx),
-                            store,
-                        )];
-                    }
-                    match args.split_first() {
-                        None => vec![construct(table, label, class, Vec::new(), kont, ctx, store)],
-                        Some((first, rest)) => vec![push_frame(
-                            label,
-                            KontKind::New,
-                            Kont::NewK {
-                                site: label,
-                                class,
-                                done: Vec::new(),
-                                rest: rest.to_vec(),
-                                env: env.clone(),
-                                next: kont,
-                            },
-                            Arc::new(first.clone()),
-                            env,
-                            ctx,
-                            store,
-                        )],
-                    }
-                }
-                Expr::Cast {
-                    label,
-                    class,
-                    object,
-                } => vec![push_frame(
-                    label,
-                    KontKind::Cast,
-                    Kont::CastK {
-                        site: label,
-                        class,
-                        next: kont,
-                    },
-                    object,
-                    env,
-                    ctx,
-                    store,
-                )],
-            }
-        }
-        Control::Value(value) => match ps.kont.clone() {
-            None => vec![(
-                (
-                    PState {
-                        control: Control::Halted(value),
-                        env: Env::new(),
-                        kont: None,
-                    },
-                    ctx,
-                ),
-                store,
-            )],
-            Some(addr) => {
-                let frames = konts_at::<C, S>(&store, &addr);
-                let mut out = Vec::new();
-                for frame in frames {
-                    match frame {
-                        Kont::FieldK { field, next, .. } => {
-                            let index = match table.field_index(&value.class, &field) {
-                                Ok(i) => i,
-                                Err(e) => {
-                                    out.push(((stuck(e.to_string()), ctx.clone()), store.clone()));
-                                    continue;
-                                }
-                            };
-                            let Some(field_addr) = value.fields.get(index).cloned() else {
-                                out.push((
-                                    (
-                                        stuck(format!(
-                                            "object of class {} has no slot for field {}",
-                                            value.class, field
-                                        )),
-                                        ctx.clone(),
-                                    ),
-                                    store.clone(),
-                                ));
-                                continue;
-                            };
-                            for obj in objs_at::<C, S>(&store, &field_addr) {
-                                out.push((
-                                    (
-                                        PState {
-                                            control: Control::Value(obj),
-                                            env: Env::new(),
-                                            kont: next.clone(),
-                                        },
-                                        ctx.clone(),
-                                    ),
-                                    store.clone(),
-                                ));
-                            }
-                        }
-                        Kont::CallRcvK {
-                            site,
-                            method,
-                            args,
-                            env,
-                            next,
-                        } => match args.split_first() {
-                            None => out.push(invoke(
-                                table,
-                                site,
-                                &method,
-                                value.clone(),
-                                Vec::new(),
-                                next,
-                                ctx.clone(),
-                                store.clone(),
-                            )),
-                            Some((first, rest)) => out.push(push_frame(
-                                site,
-                                KontKind::Args,
-                                Kont::CallArgsK {
-                                    site,
-                                    method,
-                                    receiver: value.clone(),
-                                    done: Vec::new(),
-                                    rest: rest.to_vec(),
-                                    env: env.clone(),
-                                    next,
-                                },
-                                Arc::new(first.clone()),
-                                env,
-                                ctx.clone(),
-                                store.clone(),
-                            )),
-                        },
-                        Kont::CallArgsK {
-                            site,
-                            method,
-                            receiver,
-                            mut done,
-                            rest,
-                            env,
-                            next,
-                        } => {
-                            done.push(value.clone());
-                            match rest.split_first() {
-                                None => out.push(invoke(
-                                    table,
-                                    site,
-                                    &method,
-                                    receiver,
-                                    done,
-                                    next,
-                                    ctx.clone(),
-                                    store.clone(),
-                                )),
-                                Some((first, remaining)) => out.push(push_frame(
-                                    site,
-                                    KontKind::Args,
-                                    Kont::CallArgsK {
-                                        site,
-                                        method,
-                                        receiver,
-                                        done,
-                                        rest: remaining.to_vec(),
-                                        env: env.clone(),
-                                        next,
-                                    },
-                                    Arc::new(first.clone()),
-                                    env,
-                                    ctx.clone(),
-                                    store.clone(),
-                                )),
-                            }
-                        }
-                        Kont::NewK {
-                            site,
-                            class,
-                            mut done,
-                            rest,
-                            env,
-                            next,
-                        } => {
-                            done.push(value.clone());
-                            match rest.split_first() {
-                                None => out.push(construct(
-                                    table,
-                                    site,
-                                    class,
-                                    done,
-                                    next,
-                                    ctx.clone(),
-                                    store.clone(),
-                                )),
-                                Some((first, remaining)) => out.push(push_frame(
-                                    site,
-                                    KontKind::New,
-                                    Kont::NewK {
-                                        site,
-                                        class,
-                                        done,
-                                        rest: remaining.to_vec(),
-                                        env: env.clone(),
-                                        next,
-                                    },
-                                    Arc::new(first.clone()),
-                                    env,
-                                    ctx.clone(),
-                                    store.clone(),
-                                )),
-                            }
-                        }
-                        Kont::CastK { class, next, .. } => {
-                            match table.is_subtype(&value.class, &class) {
-                                Ok(true) => out.push((
-                                    (
-                                        PState {
-                                            control: Control::Value(value.clone()),
-                                            env: Env::new(),
-                                            kont: next,
-                                        },
-                                        ctx.clone(),
-                                    ),
-                                    store.clone(),
-                                )),
-                                Ok(false) => out.push((
-                                    (
-                                        stuck(format!(
-                                            "failed cast of {} to {}",
-                                            value.class, class
-                                        )),
-                                        ctx.clone(),
-                                    ),
-                                    store.clone(),
-                                )),
-                                Err(e) => {
-                                    out.push(((stuck(e.to_string()), ctx.clone()), store.clone()))
-                                }
-                            }
-                        }
-                    }
-                }
-                out
-            }
-        },
-        Control::Halted(_) | Control::Stuck(_) => vec![((ps, ctx), store)],
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::analysis::KFjStore;
-    use crate::machine::mnext;
-    use mai_core::monad::{run_store_passing, StorePassing};
-    use mai_core::{KCallAddr, KCallCtx};
-
-    type Ctx = KCallCtx<1>;
-    type M = StorePassing<Ctx, KFjStore>;
-
-    #[test]
-    fn carriers_agree_on_every_reachable_state_of_a_program() {
-        let program = crate::programs::two_cells();
-        let (fixpoint, _) = crate::analysis::analyse_kcfa_shared_worklist::<1>(&program);
-        assert!(!fixpoint.states().is_empty());
-        for (ps, ctx) in fixpoint.states() {
-            let mut rc: Vec<((PState<KCallAddr>, Ctx), KFjStore)> = run_store_passing(
-                mnext::<M, KCallAddr>(&program.table, ps.clone()),
-                ctx.clone(),
-                fixpoint.store().clone(),
-            );
-            let mut direct = mnext_direct::<Ctx, KFjStore>(
-                &program.table,
-                ps.clone(),
-                ctx.clone(),
-                fixpoint.store().clone(),
-            );
-            rc.sort();
-            direct.sort();
-            assert_eq!(rc, direct, "carriers diverged at {ps:?}");
-        }
-    }
+    mnext::<Direct<C, S>, C::Addr>(table, ps, (ctx, store)).into_vec()
 }

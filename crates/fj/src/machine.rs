@@ -15,7 +15,7 @@ use mai_core::addr::Address;
 use mai_core::engine::StateRoots;
 use mai_core::env::CowMap;
 use mai_core::gc::Touches;
-use mai_core::monad::{map_m, MonadFamily};
+use mai_core::monad::StepMonad;
 use mai_core::name::{Label, Name};
 
 use crate::syntax::{this_var, ClassName, ClassTable, Expr, FieldName, MethodName, VarName};
@@ -332,32 +332,33 @@ impl<A: Address> StateRoots for PState<A> {
 /// with the store, addresses and time.  The same `StorePassing` monad,
 /// contexts, stores and garbage collector used for CPS and the CESK machine
 /// implement it (see `crate::analysis`), which is the reuse claim of the
-/// paper.
-pub trait FjInterface<A: Address>: MonadFamily {
+/// paper.  Every operation takes the context `cx` it runs against
+/// ([`StepMonad::Cx`]).
+pub trait FjInterface<A: Address>: StepMonad {
     /// Looks up a variable.
-    fn lookup(env: &Env<A>, var: &VarName) -> Self::M<Obj<A>>;
+    fn lookup(env: &Env<A>, var: &VarName, cx: Self::Cx) -> Self::M<Obj<A>>;
 
     /// Fetches the object(s) stored at an address (used for field reads).
-    fn fetch(addr: &A) -> Self::M<Obj<A>>;
+    fn fetch(addr: &A, cx: Self::Cx) -> Self::M<Obj<A>>;
 
     /// Fetches a continuation frame.
-    fn kont_at(addr: &A) -> Self::M<Kont<A>>;
+    fn kont_at(addr: &A, cx: Self::Cx) -> Self::M<Kont<A>>;
 
     /// Binds an object in the store.
-    fn bind_val(addr: A, val: Obj<A>) -> Self::M<()>;
+    fn bind_val(addr: A, val: Obj<A>, cx: Self::Cx) -> Self::M<()>;
 
     /// Binds a continuation frame in the store.
-    fn bind_kont(addr: A, kont: Kont<A>) -> Self::M<()>;
+    fn bind_kont(addr: A, kont: Kont<A>, cx: Self::Cx) -> Self::M<()>;
 
     /// Allocates an address for the given (variable or field) name.
-    fn alloc(name: &Name) -> Self::M<A>;
+    fn alloc(name: &Name, cx: Self::Cx) -> Self::M<A>;
 
     /// Allocates an address for a continuation of the given kind created
     /// at `site`.
-    fn alloc_kont(site: Label, kind: KontKind) -> Self::M<A>;
+    fn alloc_kont(site: Label, kind: KontKind, cx: Self::Cx) -> Self::M<A>;
 
     /// Advances time across the program point `site`.
-    fn tick(site: Label) -> Self::M<()>;
+    fn tick(site: Label, cx: Self::Cx) -> Self::M<()>;
 }
 
 /// The kind of continuation frame being allocated; frames of different
@@ -416,79 +417,85 @@ fn stuck<A: Address>(why: impl Into<String>) -> PState<A> {
 /// The monadic transition function of the Featherweight Java machine,
 /// parameterized by the class table and written once against
 /// [`FjInterface`].
-pub fn mnext<M, A>(table: &ClassTable, ps: PState<A>) -> M::M<PState<A>>
+pub fn mnext<M, A>(table: &ClassTable, ps: PState<A>, cx: M::Cx) -> M::M<PState<A>>
 where
     M: FjInterface<A>,
     A: Address,
 {
-    match ps.control.clone() {
-        Control::Eval(expr) => step_eval::<M, A>(table, expr, ps),
-        Control::Value(value) => step_value::<M, A>(table, value, ps),
-        Control::Halted(_) | Control::Stuck(_) => M::pure(ps),
+    match ps.control {
+        Control::Eval(expr) => step_eval::<M, A>(table, &expr, ps.env, ps.kont, cx),
+        Control::Value(value) => step_value::<M, A>(table, value, ps.kont, cx),
+        Control::Halted(_) | Control::Stuck(_) => M::pure(ps, cx),
     }
 }
 
+/// Allocates a frame of `kind` at `site`, stores it, and continues by
+/// evaluating `next_control` under `env` with the frame as continuation.
 fn push_frame_and_eval<M, A>(
     site: Label,
     kind: KontKind,
     frame: Kont<A>,
     next_control: Arc<Expr>,
     env: Env<A>,
+    cx: M::Cx,
 ) -> M::M<PState<A>>
 where
     M: FjInterface<A>,
     A: Address,
 {
-    M::bind(M::alloc_kont(site, kind), move |addr| {
-        let frame = frame.clone();
-        let env = env.clone();
-        let next_control = next_control.clone();
-        let keep = addr.clone();
-        M::bind(M::bind_kont(addr, frame), move |_| {
-            M::pure(PState {
-                control: Control::Eval(next_control.clone()),
-                env: env.clone(),
-                kont: Some(keep.clone()),
-            })
-        })
+    M::bind(M::alloc_kont(site, kind, cx), move |addr, cx| {
+        let next = PState {
+            control: Control::Eval(next_control.clone()),
+            env: env.clone(),
+            kont: Some(addr.clone()),
+        };
+        M::then_pure(M::bind_kont(addr, frame.clone(), cx), next)
     })
 }
 
-fn step_eval<M, A>(table: &ClassTable, expr: Arc<Expr>, ps: PState<A>) -> M::M<PState<A>>
+fn step_eval<M, A>(
+    table: &ClassTable,
+    expr: &Expr,
+    env: Env<A>,
+    kont: KontRef<A>,
+    cx: M::Cx,
+) -> M::M<PState<A>>
 where
     M: FjInterface<A>,
     A: Address,
 {
-    let env = ps.env.clone();
-    let kont = ps.kont.clone();
-    match expr.as_ref().clone() {
+    match expr {
         // The environment lives in the state, not the monad, so an unbound
         // variable is detected *before* the monadic lookup — the check (and
         // the stuck successor it produces) is identical on every carrier.
-        Expr::Var(v) if env.get(&v).is_none() => {
-            M::pure(stuck(format!("unbound variable `{}`", v)))
+        Expr::Var(v) if env.get(v).is_none() => {
+            M::pure(stuck(format!("unbound variable `{}`", v)), cx)
         }
-        Expr::Var(v) => M::bind(M::lookup(&env, &v), move |obj| {
-            M::pure(PState {
-                control: Control::Value(obj),
-                env: Env::new(),
-                kont: kont.clone(),
-            })
+        Expr::Var(v) => M::bind(M::lookup(&env, v, cx), move |obj, cx| {
+            M::pure(
+                PState {
+                    control: Control::Value(obj),
+                    env: Env::new(),
+                    kont: kont.clone(),
+                },
+                cx,
+            )
         }),
         Expr::FieldAccess {
             label,
             object,
             field,
         } => push_frame_and_eval::<M, A>(
-            label,
+            *label,
             KontKind::Field,
             Kont::FieldK {
-                site: label,
-                field,
+                site: *label,
+                field: field.clone(),
                 next: kont,
             },
-            object,
+            object.clone(),
             env,
+            cx,
         ),
         Expr::MethodCall {
             label,
@@ -496,30 +503,31 @@ where
             method,
             args,
         } => push_frame_and_eval::<M, A>(
-            label,
+            *label,
             KontKind::Rcv,
             Kont::CallRcvK {
-                site: label,
-                method,
-                args,
+                site: *label,
+                method: method.clone(),
+                args: args.clone(),
                 env: env.clone(),
                 next: kont,
             },
-            object,
+            object.clone(),
             env,
+            cx,
         ),
         Expr::New { label, class, args } => {
-            if table.fields(&class).is_err() {
-                return M::pure(stuck(format!("new of unknown class {class}")));
+            if table.fields(class).is_err() {
+                return M::pure(stuck(format!("new of unknown class {class}")), cx);
             }
             match args.split_first() {
-                None => construct::<M, A>(table, label, class, Vec::new(), kont),
+                None => construct::<M, A>(table, *label, class.clone(), Vec::new(), kont, cx),
                 Some((first, rest)) => push_frame_and_eval::<M, A>(
-                    label,
+                    *label,
                     KontKind::New,
                     Kont::NewK {
-                        site: label,
-                        class,
+                        site: *label,
+                        class: class.clone(),
                         done: Vec::new(),
                         rest: rest.to_vec(),
                         env: env.clone(),
@@ -527,6 +535,7 @@ where
                     },
                     Arc::new(first.clone()),
                     env,
+                    cx,
                 ),
             }
         }
@@ -535,17 +544,47 @@ where
             class,
             object,
         } => push_frame_and_eval::<M, A>(
-            label,
+            *label,
             KontKind::Cast,
             Kont::CastK {
-                site: label,
-                class,
+                site: *label,
+                class: class.clone(),
                 next: kont,
             },
-            object,
+            object.clone(),
             env,
+            cx,
         ),
     }
+}
+
+/// Allocates an address per name (after ticking at `site`), writes
+/// `values` into them in order, and continues with `then(addrs)`.
+fn bind_all<M, A, K>(
+    site: Label,
+    names: Vec<Name>,
+    values: Vec<Obj<A>>,
+    cx: M::Cx,
+    then: K,
+) -> M::M<PState<A>>
+where
+    M: FjInterface<A>,
+    A: Address,
+    K: Fn(&[A]) -> PState<A> + 'static,
+{
+    let then = Arc::new(then);
+    M::bind(M::tick(site, cx), move |(), cx| {
+        let (values, then) = (values.clone(), then.clone());
+        let addrs = M::map_m(names.iter().cloned(), |n, cx| M::alloc(&n, cx), cx);
+        M::bind(addrs, move |addrs, cx| {
+            let next = then(&addrs);
+            let writes = addrs.into_iter().zip(values.iter().cloned());
+            M::then_pure(
+                M::for_each_m(writes, |(a, o), cx| M::bind_val(a, o, cx), cx),
+                next,
+            )
+        })
+    })
 }
 
 /// Allocates addresses for every field of `class`, writes the argument
@@ -556,6 +595,7 @@ fn construct<M, A>(
     class: ClassName,
     args: Vec<Obj<A>>,
     kont: KontRef<A>,
+    cx: M::Cx,
 ) -> M::M<PState<A>>
 where
     M: FjInterface<A>,
@@ -563,44 +603,24 @@ where
 {
     let fields = match table.fields(&class) {
         Ok(fields) => fields,
-        Err(e) => return M::pure(stuck(e.to_string())),
+        Err(e) => return M::pure(stuck(e.to_string()), cx),
     };
     if fields.len() != args.len() {
-        return M::pure(stuck(format!(
+        let why = format!(
             "new {class} expected {} arguments, got {}",
             fields.len(),
             args.len()
-        )));
+        );
+        return M::pure(stuck(why), cx);
     }
     let names: Vec<Name> = fields.iter().map(|(_, f)| field_name(&class, f)).collect();
-    M::bind(M::tick(site), move |_| {
-        let names = names.clone();
-        let args = args.clone();
-        let class = class.clone();
-        let kont = kont.clone();
-        M::bind(
-            map_m::<M, Name, A, _>(|n| M::alloc(&n), names),
-            move |addrs| {
-                let writes: Vec<M::M<()>> = addrs
-                    .iter()
-                    .cloned()
-                    .zip(args.iter().cloned())
-                    .map(|(a, o)| M::bind_val(a, o))
-                    .collect();
-                let object = Obj {
-                    class: class.clone(),
-                    fields: addrs.clone(),
-                };
-                let kont = kont.clone();
-                M::bind(mai_core::monad::sequence_m::<M, ()>(writes), move |_| {
-                    M::pure(PState {
-                        control: Control::Value(object.clone()),
-                        env: Env::new(),
-                        kont: kont.clone(),
-                    })
-                })
-            },
-        )
+    bind_all::<M, A, _>(site, names, args, cx, move |addrs| PState {
+        control: Control::Value(Obj {
+            class: class.clone(),
+            fields: addrs.to_vec(),
+        }),
+        env: Env::new(),
+        kont: kont.clone(),
     })
 }
 
@@ -612,6 +632,7 @@ fn invoke<M, A>(
     receiver: Obj<A>,
     args: Vec<Obj<A>>,
     kont: KontRef<A>,
+    cx: M::Cx,
 ) -> M::M<PState<A>>
 where
     M: FjInterface<A>,
@@ -619,190 +640,176 @@ where
 {
     let (_, decl) = match table.mbody(method, &receiver.class) {
         Ok(found) => found,
-        Err(e) => return M::pure(stuck(e.to_string())),
+        Err(e) => return M::pure(stuck(e.to_string()), cx),
     };
     if decl.params.len() != args.len() {
-        return M::pure(stuck(format!(
+        let why = format!(
             "method {method} expected {} arguments, got {}",
             decl.params.len(),
             args.len()
-        )));
+        );
+        return M::pure(stuck(why), cx);
     }
-    let param_names: Vec<Name> = std::iter::once(this_var())
+    let names: Vec<Name> = std::iter::once(this_var())
         .chain(decl.params.iter().map(|(_, n)| n.clone()))
         .collect();
+    let values: Vec<Obj<A>> = std::iter::once(receiver).chain(args).collect();
     let body = Arc::new(decl.body.clone());
-    M::bind(M::tick(site), move |_| {
-        let param_names = param_names.clone();
-        let body = body.clone();
-        let kont = kont.clone();
-        let receiver = receiver.clone();
-        let args = args.clone();
-        M::bind(
-            map_m::<M, Name, A, _>(|n| M::alloc(&n), param_names.clone()),
-            move |addrs| {
-                let mut env = Env::new();
-                for (name, addr) in param_names.iter().zip(addrs.iter()) {
-                    env.insert(name.clone(), addr.clone());
-                }
-                let values: Vec<Obj<A>> = std::iter::once(receiver.clone())
-                    .chain(args.iter().cloned())
-                    .collect();
-                let writes: Vec<M::M<()>> = addrs
-                    .iter()
-                    .cloned()
-                    .zip(values)
-                    .map(|(a, o)| M::bind_val(a, o))
-                    .collect();
-                let body = body.clone();
-                let kont = kont.clone();
-                M::bind(mai_core::monad::sequence_m::<M, ()>(writes), move |_| {
-                    M::pure(PState {
-                        control: Control::Eval(body.clone()),
-                        env: env.clone(),
-                        kont: kont.clone(),
-                    })
-                })
-            },
-        )
+    let params = names.clone();
+    bind_all::<M, A, _>(site, names, values, cx, move |addrs| PState {
+        control: Control::Eval(body.clone()),
+        env: params.iter().cloned().zip(addrs.iter().cloned()).collect(),
+        kont: kont.clone(),
     })
 }
 
-fn step_value<M, A>(table: &ClassTable, value: Obj<A>, ps: PState<A>) -> M::M<PState<A>>
+fn step_value<M, A>(
+    table: &ClassTable,
+    value: Obj<A>,
+    kont: KontRef<A>,
+    cx: M::Cx,
+) -> M::M<PState<A>>
 where
     M: FjInterface<A>,
     A: Address,
 {
-    match ps.kont.clone() {
-        None => M::pure(PState {
-            control: Control::Halted(value),
-            env: Env::new(),
-            kont: None,
-        }),
-        Some(addr) => {
-            let table = table.clone();
-            M::bind(M::kont_at(&addr), move |frame| {
-                let value = value.clone();
-                let table = table.clone();
-                match frame {
-                    Kont::FieldK { field, next, .. } => {
-                        let index = match table.field_index(&value.class, &field) {
-                            Ok(i) => i,
-                            Err(e) => return M::pure(stuck(e.to_string())),
-                        };
-                        let Some(field_addr) = value.fields.get(index).cloned() else {
-                            return M::pure(stuck(format!(
-                                "object of class {} has no slot for field {}",
-                                value.class, field
-                            )));
-                        };
-                        let next = next.clone();
-                        M::bind(M::fetch(&field_addr), move |obj| {
-                            M::pure(PState {
-                                control: Control::Value(obj),
-                                env: Env::new(),
-                                kont: next.clone(),
-                            })
-                        })
-                    }
-                    Kont::CallRcvK {
-                        site,
-                        method,
-                        args,
-                        env,
-                        next,
-                    } => match args.split_first() {
-                        None => invoke::<M, A>(&table, site, &method, value, Vec::new(), next),
-                        Some((first, rest)) => push_frame_and_eval::<M, A>(
-                            site,
-                            KontKind::Args,
-                            Kont::CallArgsK {
-                                site,
-                                method,
-                                receiver: value,
-                                done: Vec::new(),
-                                rest: rest.to_vec(),
-                                env: env.clone(),
-                                next,
-                            },
-                            Arc::new(first.clone()),
-                            env,
-                        ),
-                    },
+    let Some(addr) = kont else {
+        return M::pure(
+            PState {
+                control: Control::Halted(value),
+                env: Env::new(),
+                kont: None,
+            },
+            cx,
+        );
+    };
+    let table = table.clone();
+    M::bind(M::kont_at(&addr, cx), move |frame, cx| {
+        let value = value.clone();
+        match frame {
+            Kont::FieldK { field, next, .. } => {
+                let index = match table.field_index(&value.class, &field) {
+                    Ok(i) => i,
+                    Err(e) => return M::pure(stuck(e.to_string()), cx),
+                };
+                let Some(field_addr) = value.fields.get(index) else {
+                    let why = format!(
+                        "object of class {} has no slot for field {}",
+                        value.class, field
+                    );
+                    return M::pure(stuck(why), cx);
+                };
+                M::bind(M::fetch(field_addr, cx), move |obj, cx| {
+                    M::pure(
+                        PState {
+                            control: Control::Value(obj),
+                            env: Env::new(),
+                            kont: next.clone(),
+                        },
+                        cx,
+                    )
+                })
+            }
+            Kont::CallRcvK {
+                site,
+                method,
+                args,
+                env,
+                next,
+            } => match args.split_first() {
+                None => invoke::<M, A>(&table, site, &method, value, Vec::new(), next, cx),
+                Some((first, rest)) => push_frame_and_eval::<M, A>(
+                    site,
+                    KontKind::Args,
                     Kont::CallArgsK {
                         site,
                         method,
-                        receiver,
-                        mut done,
-                        rest,
-                        env,
+                        receiver: value,
+                        done: Vec::new(),
+                        rest: rest.to_vec(),
+                        env: env.clone(),
                         next,
-                    } => {
-                        done.push(value);
-                        match rest.split_first() {
-                            None => invoke::<M, A>(&table, site, &method, receiver, done, next),
-                            Some((first, remaining)) => push_frame_and_eval::<M, A>(
-                                site,
-                                KontKind::Args,
-                                Kont::CallArgsK {
-                                    site,
-                                    method,
-                                    receiver,
-                                    done,
-                                    rest: remaining.to_vec(),
-                                    env: env.clone(),
-                                    next,
-                                },
-                                Arc::new(first.clone()),
-                                env,
-                            ),
-                        }
-                    }
-                    Kont::NewK {
+                    },
+                    Arc::new(first.clone()),
+                    env,
+                    cx,
+                ),
+            },
+            Kont::CallArgsK {
+                site,
+                method,
+                receiver,
+                mut done,
+                rest,
+                env,
+                next,
+            } => {
+                done.push(value);
+                match rest.split_first() {
+                    None => invoke::<M, A>(&table, site, &method, receiver, done, next, cx),
+                    Some((first, remaining)) => push_frame_and_eval::<M, A>(
                         site,
-                        class,
-                        mut done,
-                        rest,
+                        KontKind::Args,
+                        Kont::CallArgsK {
+                            site,
+                            method,
+                            receiver,
+                            done,
+                            rest: remaining.to_vec(),
+                            env: env.clone(),
+                            next,
+                        },
+                        Arc::new(first.clone()),
                         env,
-                        next,
-                    } => {
-                        done.push(value);
-                        match rest.split_first() {
-                            None => construct::<M, A>(&table, site, class, done, next),
-                            Some((first, remaining)) => push_frame_and_eval::<M, A>(
-                                site,
-                                KontKind::New,
-                                Kont::NewK {
-                                    site,
-                                    class,
-                                    done,
-                                    rest: remaining.to_vec(),
-                                    env: env.clone(),
-                                    next,
-                                },
-                                Arc::new(first.clone()),
-                                env,
-                            ),
-                        }
-                    }
-                    Kont::CastK { class, next, .. } => {
-                        match table.is_subtype(&value.class, &class) {
-                            Ok(true) => M::pure(PState {
-                                control: Control::Value(value),
-                                env: Env::new(),
-                                kont: next,
-                            }),
-                            Ok(false) => M::pure(stuck(format!(
-                                "failed cast of {} to {}",
-                                value.class, class
-                            ))),
-                            Err(e) => M::pure(stuck(e.to_string())),
-                        }
-                    }
+                        cx,
+                    ),
                 }
-            })
+            }
+            Kont::NewK {
+                site,
+                class,
+                mut done,
+                rest,
+                env,
+                next,
+            } => {
+                done.push(value);
+                match rest.split_first() {
+                    None => construct::<M, A>(&table, site, class, done, next, cx),
+                    Some((first, remaining)) => push_frame_and_eval::<M, A>(
+                        site,
+                        KontKind::New,
+                        Kont::NewK {
+                            site,
+                            class,
+                            done,
+                            rest: remaining.to_vec(),
+                            env: env.clone(),
+                            next,
+                        },
+                        Arc::new(first.clone()),
+                        env,
+                        cx,
+                    ),
+                }
+            }
+            Kont::CastK { class, next, .. } => match table.is_subtype(&value.class, &class) {
+                Ok(true) => M::pure(
+                    PState {
+                        control: Control::Value(value),
+                        env: Env::new(),
+                        kont: next,
+                    },
+                    cx,
+                ),
+                Ok(false) => M::pure(
+                    stuck(format!("failed cast of {} to {}", value.class, class)),
+                    cx,
+                ),
+                Err(e) => M::pure(stuck(e.to_string()), cx),
+            },
         }
-    }
+    })
 }
 
 #[cfg(test)]

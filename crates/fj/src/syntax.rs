@@ -263,7 +263,9 @@ impl std::error::Error for TableError {}
 /// against, with the usual Featherweight Java lookup functions.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ClassTable {
-    classes: BTreeMap<ClassName, ClassDecl>,
+    /// Shared, so that cloning a table into a transition's continuation is
+    /// a reference-count bump.
+    classes: Arc<BTreeMap<ClassName, ClassDecl>>,
 }
 
 impl ClassTable {
@@ -279,7 +281,9 @@ impl ClassTable {
                 return Err(TableError::DuplicateClass(decl.name));
             }
         }
-        Ok(ClassTable { classes })
+        Ok(ClassTable {
+            classes: Arc::new(classes),
+        })
     }
 
     /// The declaration of a class, if any.

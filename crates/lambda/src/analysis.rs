@@ -18,8 +18,7 @@ use mai_core::engine::{
     with_state_gc, Budget, DirectCollecting, EngineError, EngineStats, FrontierCollecting,
     LadderReport, Outcome, ParallelCollecting, ParallelConfig, SharedResumeSeed, SolveFrom,
 };
-use mai_core::gc::Touches;
-use mai_core::gc::{reachable, GcStrategy};
+use mai_core::gc::ReachableGc;
 use mai_core::monad::{
     gets_nd_set, MonadFamily, MonadState, MonadTrans, StateT, StorePassing, Value, VecM,
 };
@@ -37,7 +36,7 @@ where
     C: Context,
     S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
 {
-    fn lookup(env: &Env<C::Addr>, var: &Var) -> Self::M<Closure<C::Addr>> {
+    fn lookup(env: &Env<C::Addr>, var: &Var, (): ()) -> Self::M<Closure<C::Addr>> {
         let addr = env.get(var).cloned();
         Self::lift(gets_nd_set::<StateT<S, VecM>, S, Closure<C::Addr>, _>(
             move |store| match &addr {
@@ -52,7 +51,7 @@ where
         ))
     }
 
-    fn kont_at(addr: &C::Addr) -> Self::M<Kont<C::Addr>> {
+    fn kont_at(addr: &C::Addr, (): ()) -> Self::M<Kont<C::Addr>> {
         let addr = addr.clone();
         Self::lift(gets_nd_set::<StateT<S, VecM>, S, Kont<C::Addr>, _>(
             move |store| {
@@ -66,7 +65,7 @@ where
         ))
     }
 
-    fn bind_val(addr: C::Addr, val: Closure<C::Addr>) -> Self::M<()> {
+    fn bind_val(addr: C::Addr, val: Closure<C::Addr>, (): ()) -> Self::M<()> {
         Self::lift(<StateT<S, VecM> as MonadState<S>>::modify(move |store| {
             store.bind(
                 addr.clone(),
@@ -75,7 +74,7 @@ where
         }))
     }
 
-    fn bind_kont(addr: C::Addr, kont: Kont<C::Addr>) -> Self::M<()> {
+    fn bind_kont(addr: C::Addr, kont: Kont<C::Addr>, (): ()) -> Self::M<()> {
         Self::lift(<StateT<S, VecM> as MonadState<S>>::modify(move |store| {
             store.bind(
                 addr.clone(),
@@ -84,41 +83,31 @@ where
         }))
     }
 
-    fn alloc_val(var: &Var) -> Self::M<C::Addr> {
+    fn alloc_val(var: &Var, (): ()) -> Self::M<C::Addr> {
         let var = var.clone();
         <Self as MonadState<C>>::gets(move |ctx| ctx.valloc(&var))
     }
 
-    fn alloc_kont(site: Label, kind: KontKind) -> Self::M<C::Addr> {
+    fn alloc_kont(site: Label, kind: KontKind, (): ()) -> Self::M<C::Addr> {
         let name = kont_name(site, kind);
         <Self as MonadState<C>>::gets(move |ctx| ctx.valloc(&name))
     }
 
-    fn tick(site: Label) -> Self::M<()> {
+    fn tick(site: Label, (): ()) -> Self::M<()> {
         <Self as MonadState<C>>::modify(move |ctx| ctx.advance(site))
     }
 }
 
-/// The abstract garbage collector for the CESK machine: restricts the store
-/// (values *and* continuations) to the addresses reachable from the current
-/// state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CeskGc;
-
-impl<C, S> GcStrategy<StorePassing<C, S>, PState<C::Addr>> for CeskGc
+/// [`mnext`] on the closure carrier, in the `Fn(state) -> M<state>` shape
+/// the closure-carrier engines take.
+fn closure_mnext<C, S>(
+    ps: PState<C::Addr>,
+) -> <StorePassing<C, S> as MonadFamily>::M<PState<C::Addr>>
 where
     C: Context,
     S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
 {
-    fn collect(&self, ps: &PState<C::Addr>) -> <StorePassing<C, S> as MonadFamily>::M<()> {
-        let roots = ps.touches();
-        <StorePassing<C, S> as MonadTrans>::lift(<StateT<S, VecM> as MonadState<S>>::modify(
-            move |store: S| {
-                let live = reachable(roots.clone(), &store);
-                store.filter_store(|a| live.contains(a))
-            },
-        ))
-    }
+    mnext::<StorePassing<C, S>, C::Addr>(ps, ())
 }
 
 /// Runs the CESK analysis with an arbitrary context, store and collecting
@@ -130,7 +119,7 @@ where
     Fp: Collecting<StorePassing<C, S>, PState<C::Addr>>,
 {
     run_analysis::<StorePassing<C, S>, _, Fp, _>(
-        mnext::<StorePassing<C, S>, C::Addr>,
+        closure_mnext::<C, S>,
         PState::inject(term.clone()),
     )
 }
@@ -143,10 +132,7 @@ where
     Fp: Collecting<StorePassing<C, S>, PState<C::Addr>>,
 {
     run_analysis::<StorePassing<C, S>, _, Fp, _>(
-        with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(
-            mnext::<StorePassing<C, S>, C::Addr>,
-            CeskGc,
-        ),
+        with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(closure_mnext::<C, S>, ReachableGc),
         PState::inject(term.clone()),
     )
 }
@@ -161,7 +147,7 @@ where
     Fp: FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
 {
     explore_worklist_stats::<StorePassing<C, S>, _, Fp, _>(
-        mnext::<StorePassing<C, S>, C::Addr>,
+        closure_mnext::<C, S>,
         PState::inject(term.clone()),
     )
 }
@@ -174,10 +160,7 @@ where
     Fp: FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
 {
     explore_worklist_stats::<StorePassing<C, S>, _, Fp, _>(
-        with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(
-            mnext::<StorePassing<C, S>, C::Addr>,
-            CeskGc,
-        ),
+        with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(closure_mnext::<C, S>, ReachableGc),
         PState::inject(term.clone()),
     )
 }
@@ -473,7 +456,7 @@ where
     Fp: FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
 {
     explore_worklist_structural_stats::<StorePassing<C, S>, _, Fp, _>(
-        mnext::<StorePassing<C, S>, C::Addr>,
+        closure_mnext::<C, S>,
         PState::inject(term.clone()),
     )
 }
@@ -487,10 +470,7 @@ where
     Fp: FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
 {
     explore_worklist_structural_stats::<StorePassing<C, S>, _, Fp, _>(
-        with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(
-            mnext::<StorePassing<C, S>, C::Addr>,
-            CeskGc,
-        ),
+        with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(closure_mnext::<C, S>, ReachableGc),
         PState::inject(term.clone()),
     )
 }
@@ -505,7 +485,7 @@ where
     Fp: FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
 {
     explore_worklist_rescan_stats::<StorePassing<C, S>, _, Fp, _>(
-        mnext::<StorePassing<C, S>, C::Addr>,
+        closure_mnext::<C, S>,
         PState::inject(term.clone()),
     )
 }
@@ -518,10 +498,7 @@ where
     Fp: FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
 {
     explore_worklist_rescan_stats::<StorePassing<C, S>, _, Fp, _>(
-        with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(
-            mnext::<StorePassing<C, S>, C::Addr>,
-            CeskGc,
-        ),
+        with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(closure_mnext::<C, S>, ReachableGc),
         PState::inject(term.clone()),
     )
 }

@@ -55,7 +55,7 @@ impl Heap {
 }
 
 impl CeskInterface<HeapAddr> for StateM<Heap> {
-    fn lookup(env: &Env<HeapAddr>, var: &Var) -> Self::M<Closure<HeapAddr>> {
+    fn lookup(env: &Env<HeapAddr>, var: &Var, (): ()) -> Self::M<Closure<HeapAddr>> {
         let addr = env
             .get(var)
             .cloned()
@@ -68,7 +68,7 @@ impl CeskInterface<HeapAddr> for StateM<Heap> {
         })
     }
 
-    fn kont_at(addr: &HeapAddr) -> Self::M<Kont<HeapAddr>> {
+    fn kont_at(addr: &HeapAddr, (): ()) -> Self::M<Kont<HeapAddr>> {
         let addr = addr.clone();
         <Self as MonadState<Heap>>::gets(move |heap| {
             heap.konts
@@ -78,44 +78,44 @@ impl CeskInterface<HeapAddr> for StateM<Heap> {
         })
     }
 
-    fn bind_val(addr: HeapAddr, val: Closure<HeapAddr>) -> Self::M<()> {
+    fn bind_val(addr: HeapAddr, val: Closure<HeapAddr>, (): ()) -> Self::M<()> {
         <Self as MonadState<Heap>>::modify(move |mut heap| {
             heap.values.insert(addr.clone(), val.clone());
             heap
         })
     }
 
-    fn bind_kont(addr: HeapAddr, kont: Kont<HeapAddr>) -> Self::M<()> {
+    fn bind_kont(addr: HeapAddr, kont: Kont<HeapAddr>, (): ()) -> Self::M<()> {
         <Self as MonadState<Heap>>::modify(move |mut heap| {
             heap.konts.insert(addr.clone(), kont.clone());
             heap
         })
     }
 
-    fn alloc_val(var: &Var) -> Self::M<HeapAddr> {
+    fn alloc_val(var: &Var, (): ()) -> Self::M<HeapAddr> {
         fresh(var.clone())
     }
 
-    fn alloc_kont(site: Label, kind: KontKind) -> Self::M<HeapAddr> {
+    fn alloc_kont(site: Label, kind: KontKind, (): ()) -> Self::M<HeapAddr> {
         fresh(kont_name(site, kind))
     }
 
-    fn tick(_site: Label) -> Self::M<()> {
-        Self::pure(())
+    fn tick(_site: Label, (): ()) -> Self::M<()> {
+        <Self as MonadFamily>::pure(())
     }
 }
 
 fn fresh(name: Name) -> <StateM<Heap> as MonadFamily>::M<HeapAddr> {
-    StateM::<Heap>::bind(<StateM<Heap> as MonadState<Heap>>::get(), move |heap| {
+    <StateM<Heap> as MonadFamily>::bind(<StateM<Heap> as MonadState<Heap>>::get(), move |heap| {
         let addr = HeapAddr {
             name: name.clone(),
             index: heap.next,
         };
         let mut bumped = heap.clone();
         bumped.next += 1;
-        StateM::<Heap>::then(
+        <StateM<Heap> as MonadFamily>::then(
             <StateM<Heap> as MonadState<Heap>>::put(bumped),
-            StateM::<Heap>::pure(addr),
+            <StateM<Heap> as MonadFamily>::pure(addr),
         )
     })
 }
@@ -221,7 +221,7 @@ pub fn evaluate_governed(term: &Term, budget: &Budget) -> Outcome {
         if budget.exhausted(steps, steps).is_some() {
             return Outcome::OutOfFuel { state, heap };
         }
-        let (next_state, next_heap) = run_state(mnext::<StateM<Heap>, HeapAddr>(state), heap);
+        let (next_state, next_heap) = run_state(mnext::<StateM<Heap>, HeapAddr>(state, ()), heap);
         state = next_state;
         heap = next_heap;
         steps += 1;

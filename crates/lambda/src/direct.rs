@@ -1,313 +1,85 @@
-//! The direct-style evaluation mode of the CESK transition function.
+//! The direct instance of the CESK semantics.
 //!
-//! [`mnext_direct`] replays [`mnext`](crate::machine::mnext) — the monadic
-//! CESK machine written against `CeskInterface` — on the direct-style step
-//! carrier ([`mai_core::monad::direct`]): every `bind` of the `Rc`-closure
-//! original becomes plain control flow over an explicit `(context, store)`
-//! pair, so a transition allocates no `Rc<dyn Fn>`.  Branch structure
-//! (one branch per fetched closure or continuation frame, in set order) is
-//! reproduced faithfully; the `Rc` carrier remains the differential-testing
-//! oracle.
+//! [`mnext`] runs on the direct-style step carrier ([`Direct`]) with the
+//! `(context, store)` pair as its explicit context: `lookup`/`kont_at` fan
+//! the fetched set out into one branch per element, `bind_*` are in-place
+//! weak updates on the branch's own store, `alloc_*` consult the context
+//! and `tick` advances it.  No `Rc<dyn Fn>` is allocated, and the branches
+//! come out in the order the closure carrier enumerates them.
 
 use std::collections::BTreeSet;
 
 use mai_core::addr::Context;
+use mai_core::monad::{Branches, Direct, StepMonad};
+use mai_core::name::Label;
 use mai_core::store::{fetch_filtered, StoreLike};
 
-use crate::machine::{kont_name, Closure, Control, Env, Kont, KontKind, PState, Storable};
-use crate::syntax::Term;
+use crate::machine::{
+    kont_name, mnext, CeskInterface, Closure, Env, Kont, KontKind, PState, Storable,
+};
+use crate::syntax::Var;
 
-type Branches<C, S> = Vec<((PState<<C as Context>::Addr>, C), S)>;
-
-/// One successor on an unchanged store.
-fn pure_branch<C: Context, S>(ps: PState<C::Addr>, ctx: C, store: S) -> ((PState<C::Addr>, C), S) {
-    ((ps, ctx), store)
-}
-
-/// The closures bound at `addr`, via the shared lending fallback
-/// ([`fetch_filtered`]).
-fn vals_at<C, S>(store: &S, addr: &C::Addr) -> Vec<Closure<C::Addr>>
+impl<C, S> CeskInterface<C::Addr> for Direct<C, S>
 where
     C: Context,
     S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>>,
 {
-    fetch_filtered(store, addr, Storable::as_val)
+    fn lookup(
+        env: &Env<C::Addr>,
+        var: &Var,
+        (ctx, store): (C, S),
+    ) -> Branches<Closure<C::Addr>, C, S> {
+        let vals = match env.get(var) {
+            Some(a) => fetch_filtered(&store, a, Storable::as_val),
+            None => Vec::new(),
+        };
+        Branches::each(vals, (ctx, store))
+    }
+
+    fn kont_at(addr: &C::Addr, (ctx, store): (C, S)) -> Branches<Kont<C::Addr>, C, S> {
+        let frames = fetch_filtered(&store, addr, Storable::as_kont);
+        Branches::each(frames, (ctx, store))
+    }
+
+    fn bind_val(
+        addr: C::Addr,
+        val: Closure<C::Addr>,
+        (ctx, mut store): (C, S),
+    ) -> Branches<(), C, S> {
+        store.bind_in_place(addr, [Storable::Val(val)].into_iter().collect());
+        Self::pure((), (ctx, store))
+    }
+
+    fn bind_kont(
+        addr: C::Addr,
+        kont: Kont<C::Addr>,
+        (ctx, mut store): (C, S),
+    ) -> Branches<(), C, S> {
+        store.bind_in_place(addr, [Storable::Kont(kont)].into_iter().collect());
+        Self::pure((), (ctx, store))
+    }
+
+    fn alloc_val(var: &Var, (ctx, store): (C, S)) -> Branches<C::Addr, C, S> {
+        Self::pure(ctx.valloc(var), (ctx, store))
+    }
+
+    fn alloc_kont(site: Label, kind: KontKind, (ctx, store): (C, S)) -> Branches<C::Addr, C, S> {
+        Self::pure(ctx.valloc(&kont_name(site, kind)), (ctx, store))
+    }
+
+    fn tick(site: Label, (ctx, store): (C, S)) -> Branches<(), C, S> {
+        Self::pure((), (ctx.advance(site), store))
+    }
 }
 
-/// The continuation frames bound at `addr` (same lending contract).
-fn konts_at<C, S>(store: &S, addr: &C::Addr) -> Vec<Kont<C::Addr>>
+/// The successor branches of one transition, in the engines' shape.
+pub type Successors<C, S> = Vec<((PState<<C as Context>::Addr>, C), S)>;
+
+/// [`mnext`] on the direct carrier, as the engines' step function.
+pub fn mnext_direct<C, S>(ps: PState<C::Addr>, ctx: C, store: S) -> Successors<C, S>
 where
     C: Context,
     S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>>,
 {
-    fetch_filtered(store, addr, Storable::as_kont)
-}
-
-/// The direct-style CESK transition function — the same semantics as
-/// [`mnext`](crate::machine::mnext), bind-for-bind, with the monadic
-/// operations inlined against the explicit context:
-///
-/// * `lookup`/`kont_at` iterate the fetched set (one branch per element);
-/// * `alloc_*` consult the context in place;
-/// * `bind_*` are in-place weak updates on the branch's own store;
-/// * `tick` advances the branch's context copy.
-pub fn mnext_direct<C, S>(ps: PState<C::Addr>, ctx: C, store: S) -> Branches<C, S>
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>>,
-{
-    match ps.control.clone() {
-        Control::Eval(term) => match term.as_ref().clone() {
-            Term::Var(v) => match ps.env.get(&v) {
-                Some(addr) => vals_at::<C, S>(&store, addr)
-                    .into_iter()
-                    .map(|value| {
-                        pure_branch(
-                            PState {
-                                control: Control::Value(value),
-                                env: Env::new(),
-                                kont: ps.kont.clone(),
-                            },
-                            ctx.clone(),
-                            store.clone(),
-                        )
-                    })
-                    .collect(),
-                // Same pure env-miss check as `mnext`: an unbound
-                // variable becomes an error state, not an empty branch
-                // set (which the fixpoint could not distinguish from an
-                // unreached program point).
-                None => vec![pure_branch(
-                    PState {
-                        control: Control::Error(format!("unbound variable `{}`", v)),
-                        env: Env::new(),
-                        kont: ps.kont,
-                    },
-                    ctx,
-                    store,
-                )],
-            },
-            Term::Lam { param, body } => vec![pure_branch(
-                PState {
-                    control: Control::Value(Closure {
-                        param,
-                        body,
-                        env: ps.env.clone(),
-                    }),
-                    env: Env::new(),
-                    kont: ps.kont,
-                },
-                ctx,
-                store,
-            )],
-            Term::App { label, func, arg } => {
-                let frame = Kont::Ar {
-                    site: label,
-                    arg,
-                    env: ps.env.clone(),
-                    next: ps.kont,
-                };
-                let addr = ctx.valloc(&kont_name(label, KontKind::Ar));
-                let mut store = store;
-                store.bind_in_place(addr.clone(), [Storable::Kont(frame)].into_iter().collect());
-                vec![pure_branch(
-                    PState {
-                        control: Control::Eval(func),
-                        env: ps.env,
-                        kont: Some(addr),
-                    },
-                    ctx,
-                    store,
-                )]
-            }
-            Term::Let {
-                label,
-                name,
-                rhs,
-                body,
-            } => {
-                let frame = Kont::LetK {
-                    site: label,
-                    name,
-                    body,
-                    env: ps.env.clone(),
-                    next: ps.kont,
-                };
-                let addr = ctx.valloc(&kont_name(label, KontKind::Let));
-                let mut store = store;
-                store.bind_in_place(addr.clone(), [Storable::Kont(frame)].into_iter().collect());
-                vec![pure_branch(
-                    PState {
-                        control: Control::Eval(rhs),
-                        env: ps.env,
-                        kont: Some(addr),
-                    },
-                    ctx,
-                    store,
-                )]
-            }
-        },
-        Control::Value(value) => match ps.kont.clone() {
-            None => vec![pure_branch(
-                PState {
-                    control: Control::Halted(value),
-                    env: Env::new(),
-                    kont: None,
-                },
-                ctx,
-                store,
-            )],
-            Some(addr) => {
-                let frames = konts_at::<C, S>(&store, &addr);
-                let mut out = Vec::new();
-                for frame in frames {
-                    match frame {
-                        Kont::Ar {
-                            site,
-                            arg,
-                            env,
-                            next,
-                        } => {
-                            let fn_frame = Kont::Fn {
-                                site,
-                                closure: value.clone(),
-                                next,
-                            };
-                            let kaddr = ctx.valloc(&kont_name(site, KontKind::Fn));
-                            let mut branch_store = store.clone();
-                            branch_store.bind_in_place(
-                                kaddr.clone(),
-                                [Storable::Kont(fn_frame)].into_iter().collect(),
-                            );
-                            out.push(pure_branch(
-                                PState {
-                                    control: Control::Eval(arg),
-                                    env,
-                                    kont: Some(kaddr),
-                                },
-                                ctx.clone(),
-                                branch_store,
-                            ));
-                        }
-                        Kont::Fn {
-                            site,
-                            closure,
-                            next,
-                        } => {
-                            let ticked = ctx.clone().advance(site);
-                            let vaddr = ticked.valloc(&closure.param);
-                            let mut env = closure.env.clone();
-                            env.insert(closure.param.clone(), vaddr.clone());
-                            let mut branch_store = store.clone();
-                            branch_store.bind_in_place(
-                                vaddr,
-                                [Storable::Val(value.clone())].into_iter().collect(),
-                            );
-                            out.push(pure_branch(
-                                PState {
-                                    control: Control::Eval(closure.body.clone()),
-                                    env,
-                                    kont: next,
-                                },
-                                ticked,
-                                branch_store,
-                            ));
-                        }
-                        Kont::LetK {
-                            site,
-                            name,
-                            body,
-                            env,
-                            next,
-                        } => {
-                            let ticked = ctx.clone().advance(site);
-                            let vaddr = ticked.valloc(&name);
-                            let mut env = env.clone();
-                            env.insert(name.clone(), vaddr.clone());
-                            let mut branch_store = store.clone();
-                            branch_store.bind_in_place(
-                                vaddr,
-                                [Storable::Val(value.clone())].into_iter().collect(),
-                            );
-                            out.push(pure_branch(
-                                PState {
-                                    control: Control::Eval(body),
-                                    env,
-                                    kont: next,
-                                },
-                                ticked,
-                                branch_store,
-                            ));
-                        }
-                    }
-                }
-                out
-            }
-        },
-        Control::Halted(_) | Control::Error(_) => vec![pure_branch(ps, ctx, store)],
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::analysis::KCeskStore;
-    use crate::machine::mnext;
-    use crate::syntax::TermBuilder;
-    use mai_core::monad::{run_store_passing, StorePassing};
-    use mai_core::{KCallAddr, KCallCtx};
-
-    type Ctx = KCallCtx<1>;
-    type M = StorePassing<Ctx, KCeskStore>;
-
-    #[test]
-    fn carriers_agree_on_every_reachable_state_of_a_program() {
-        let mut b = TermBuilder::new();
-        let first = b.app(Term::var("f"), Term::lam("a", Term::var("a")));
-        let second = b.app(Term::var("f"), Term::lam("b", Term::var("b")));
-        let use_both = b.app(first, second);
-        let program = b.let_in("f", Term::lam("x", Term::var("x")), use_both);
-
-        let (fixpoint, _) = crate::analysis::analyse_kcfa_shared_worklist::<1>(&program);
-        assert!(!fixpoint.states().is_empty());
-        for (ps, ctx) in fixpoint.states() {
-            let mut rc: Vec<((PState<KCallAddr>, Ctx), KCeskStore)> = run_store_passing(
-                mnext::<M, KCallAddr>(ps.clone()),
-                ctx.clone(),
-                fixpoint.store().clone(),
-            );
-            let mut direct =
-                mnext_direct::<Ctx, KCeskStore>(ps.clone(), ctx.clone(), fixpoint.store().clone());
-            rc.sort();
-            direct.sort();
-            assert_eq!(rc, direct, "carriers diverged at {ps:?}");
-        }
-    }
-
-    #[test]
-    fn carriers_agree_on_stuck_states_of_an_open_program() {
-        // `(λx. x) free` — the argument position references an unbound
-        // variable, so both carriers must produce the same error state
-        // (and self-loop on it) rather than dropping the branch.
-        let mut b = TermBuilder::new();
-        let program = b.app(Term::lam("x", Term::var("x")), Term::var("free"));
-
-        let (fixpoint, _) = crate::analysis::analyse_kcfa_shared_worklist::<1>(&program);
-        assert!(
-            fixpoint.states().iter().any(|(ps, _)| ps.is_error()),
-            "the unbound variable never surfaced as an error state"
-        );
-        for (ps, ctx) in fixpoint.states() {
-            let mut rc: Vec<((PState<KCallAddr>, Ctx), KCeskStore)> = run_store_passing(
-                mnext::<M, KCallAddr>(ps.clone()),
-                ctx.clone(),
-                fixpoint.store().clone(),
-            );
-            let mut direct =
-                mnext_direct::<Ctx, KCeskStore>(ps.clone(), ctx.clone(), fixpoint.store().clone());
-            rc.sort();
-            direct.sort();
-            assert_eq!(rc, direct, "carriers diverged at {ps:?}");
-        }
-    }
+    mnext::<Direct<C, S>, C::Addr>(ps, (ctx, store)).into_vec()
 }

@@ -46,7 +46,7 @@ pub use analysis::{
     analyse_kcfa_worklist, analyse_mono, analyse_mono_worklist, analyse_with_gc,
     analyse_with_gc_worklist, analyse_with_gc_worklist_rescan, analyse_with_gc_worklist_structural,
     analyse_worklist, analyse_worklist_rescan, analyse_worklist_structural, distinct_env_count,
-    flow_map_of_store, CeskGc,
+    flow_map_of_store,
 };
 pub use analysis::{
     analyse_kcfa_shared_direct, analyse_kcfa_shared_direct_traced, analyse_kcfa_shared_elastic,

@@ -16,7 +16,7 @@ use mai_core::addr::Address;
 use mai_core::engine::StateRoots;
 use mai_core::env::CowMap;
 use mai_core::gc::Touches;
-use mai_core::monad::MonadFamily;
+use mai_core::monad::StepMonad;
 use mai_core::name::{Label, Name};
 
 use crate::syntax::{Term, Var};
@@ -303,29 +303,30 @@ impl<A: Address> StateRoots for PState<A> {
 /// machine interacts with values, continuations, the store and time.
 /// The analysis monads and context/store/GC parameters plugged into it are
 /// exactly the ones used for CPS — this is the reuse claim of the paper's
-/// Figure 3.
-pub trait CeskInterface<A: Address>: MonadFamily {
+/// Figure 3.  Every operation takes the context `cx` it runs against
+/// ([`StepMonad::Cx`]).
+pub trait CeskInterface<A: Address>: StepMonad {
     /// Looks up the value of a variable.
-    fn lookup(env: &Env<A>, var: &Var) -> Self::M<Closure<A>>;
+    fn lookup(env: &Env<A>, var: &Var, cx: Self::Cx) -> Self::M<Closure<A>>;
 
     /// Fetches a continuation frame from the store.
-    fn kont_at(addr: &A) -> Self::M<Kont<A>>;
+    fn kont_at(addr: &A, cx: Self::Cx) -> Self::M<Kont<A>>;
 
     /// Binds a value in the store.
-    fn bind_val(addr: A, val: Closure<A>) -> Self::M<()>;
+    fn bind_val(addr: A, val: Closure<A>, cx: Self::Cx) -> Self::M<()>;
 
     /// Binds a continuation frame in the store.
-    fn bind_kont(addr: A, kont: Kont<A>) -> Self::M<()>;
+    fn bind_kont(addr: A, kont: Kont<A>, cx: Self::Cx) -> Self::M<()>;
 
     /// Allocates an address for a variable binding.
-    fn alloc_val(var: &Var) -> Self::M<A>;
+    fn alloc_val(var: &Var, cx: Self::Cx) -> Self::M<A>;
 
     /// Allocates an address for a continuation of the given kind created
     /// at `site`.
-    fn alloc_kont(site: Label, kind: KontKind) -> Self::M<A>;
+    fn alloc_kont(site: Label, kind: KontKind, cx: Self::Cx) -> Self::M<A>;
 
     /// Advances time across the call/binding at `site`.
-    fn tick(site: Label) -> Self::M<()>;
+    fn tick(site: Label, cx: Self::Cx) -> Self::M<()>;
 }
 
 /// The kind of continuation frame being allocated.  Allocating frames of
@@ -366,71 +367,126 @@ pub fn kont_name(site: Label, kind: KontKind) -> Name {
 /// the paper's `mnext` for the direct-style λ-calculus.  Written once
 /// against [`CeskInterface`]; every interpreter and analysis of this crate
 /// reuses it unchanged.
-pub fn mnext<M, A>(ps: PState<A>) -> M::M<PState<A>>
+pub fn mnext<M, A>(ps: PState<A>, cx: M::Cx) -> M::M<PState<A>>
 where
     M: CeskInterface<A>,
     A: Address,
 {
-    match ps.control.clone() {
-        Control::Eval(term) => step_eval::<M, A>(term, ps),
-        Control::Value(value) => step_value::<M, A>(value, ps),
-        Control::Halted(_) | Control::Error(_) => M::pure(ps),
+    match ps.control {
+        Control::Eval(term) => step_eval::<M, A>(&term, ps.env, ps.kont, cx),
+        Control::Value(value) => step_value::<M, A>(value, ps.kont, cx),
+        Control::Halted(_) | Control::Error(_) => M::pure(ps, cx),
     }
 }
 
-fn step_eval<M, A>(term: Arc<Term>, ps: PState<A>) -> M::M<PState<A>>
+/// Allocates a frame of `kind` at `site`, stores it, and continues by
+/// evaluating `control` under `env` with the frame as continuation.
+fn push_frame<M, A>(
+    site: Label,
+    kind: KontKind,
+    frame: Kont<A>,
+    control: Arc<Term>,
+    env: Env<A>,
+    cx: M::Cx,
+) -> M::M<PState<A>>
 where
     M: CeskInterface<A>,
     A: Address,
 {
-    let env = ps.env.clone();
-    let kont = ps.kont.clone();
-    match term.as_ref().clone() {
+    M::bind(M::alloc_kont(site, kind, cx), move |addr, cx| {
+        let next = PState {
+            control: Control::Eval(control.clone()),
+            env: env.clone(),
+            kont: Some(addr.clone()),
+        };
+        M::then_pure(M::bind_kont(addr, frame.clone(), cx), next)
+    })
+}
+
+/// Binds `name` to `value` at a fresh address (after ticking at `site`)
+/// and continues by evaluating `body` under the extended environment.
+fn bind_and_eval<M, A>(
+    site: Label,
+    name: Var,
+    value: Closure<A>,
+    body: Arc<Term>,
+    env: Env<A>,
+    next: KontRef<A>,
+    cx: M::Cx,
+) -> M::M<PState<A>>
+where
+    M: CeskInterface<A>,
+    A: Address,
+{
+    M::bind(M::tick(site, cx), move |(), cx| {
+        let (name, value, body, env, next) = (
+            name.clone(),
+            value.clone(),
+            body.clone(),
+            env.clone(),
+            next.clone(),
+        );
+        M::bind(M::alloc_val(&name, cx), move |vaddr, cx| {
+            let mut env = env.clone();
+            env.insert(name.clone(), vaddr.clone());
+            let next = PState {
+                control: Control::Eval(body.clone()),
+                env,
+                kont: next.clone(),
+            };
+            M::then_pure(M::bind_val(vaddr, value.clone(), cx), next)
+        })
+    })
+}
+
+fn step_eval<M, A>(term: &Term, env: Env<A>, kont: KontRef<A>, cx: M::Cx) -> M::M<PState<A>>
+where
+    M: CeskInterface<A>,
+    A: Address,
+{
+    match term {
         // The environment lives in the state, not the monad, so an
         // unbound variable is detected *before* the monadic lookup — the
         // check (and the error successor it produces) is identical on
         // every carrier, concrete or abstract.
-        Term::Var(v) if env.get(&v).is_none() => M::pure(PState {
-            control: Control::Error(format!("unbound variable `{}`", v)),
-            env: Env::new(),
-            kont,
-        }),
-        Term::Var(v) => M::bind(M::lookup(&env, &v), move |value| {
-            M::pure(PState {
-                control: Control::Value(value),
+        Term::Var(v) if env.get(v).is_none() => M::pure(
+            PState {
+                control: Control::Error(format!("unbound variable `{}`", v)),
                 env: Env::new(),
-                kont: kont.clone(),
-            })
+                kont,
+            },
+            cx,
+        ),
+        Term::Var(v) => M::bind(M::lookup(&env, v, cx), move |value, cx| {
+            M::pure(
+                PState {
+                    control: Control::Value(value),
+                    env: Env::new(),
+                    kont: kont.clone(),
+                },
+                cx,
+            )
         }),
-        Term::Lam { param, body } => M::pure(PState {
-            control: Control::Value(Closure {
-                param,
-                body,
-                env: env.clone(),
-            }),
-            env: Env::new(),
-            kont,
-        }),
+        Term::Lam { param, body } => M::pure(
+            PState {
+                control: Control::Value(Closure {
+                    param: param.clone(),
+                    body: body.clone(),
+                    env,
+                }),
+                env: Env::new(),
+                kont,
+            },
+            cx,
+        ),
         Term::App { label, func, arg } => {
             let frame = Kont::Ar {
-                site: label,
-                arg,
+                site: *label,
+                arg: arg.clone(),
                 env: env.clone(),
                 next: kont,
             };
-            M::bind(M::alloc_kont(label, KontKind::Ar), move |addr| {
-                let frame = frame.clone();
-                let env = env.clone();
-                let func = func.clone();
-                let keep = addr.clone();
-                M::bind(M::bind_kont(addr, frame), move |_| {
-                    M::pure(PState {
-                        control: Control::Eval(func.clone()),
-                        env: env.clone(),
-                        kont: Some(keep.clone()),
-                    })
-                })
-            })
+            push_frame::<M, A>(*label, KontKind::Ar, frame, func.clone(), env, cx)
         }
         Term::Let {
             label,
@@ -439,126 +495,67 @@ where
             body,
         } => {
             let frame = Kont::LetK {
-                site: label,
-                name,
-                body,
+                site: *label,
+                name: name.clone(),
+                body: body.clone(),
                 env: env.clone(),
                 next: kont,
             };
-            M::bind(M::alloc_kont(label, KontKind::Let), move |addr| {
-                let frame = frame.clone();
-                let env = env.clone();
-                let rhs = rhs.clone();
-                let keep = addr.clone();
-                M::bind(M::bind_kont(addr, frame), move |_| {
-                    M::pure(PState {
-                        control: Control::Eval(rhs.clone()),
-                        env: env.clone(),
-                        kont: Some(keep.clone()),
-                    })
-                })
-            })
+            push_frame::<M, A>(*label, KontKind::Let, frame, rhs.clone(), env, cx)
         }
     }
 }
 
-fn step_value<M, A>(value: Closure<A>, ps: PState<A>) -> M::M<PState<A>>
+fn step_value<M, A>(value: Closure<A>, kont: KontRef<A>, cx: M::Cx) -> M::M<PState<A>>
 where
     M: CeskInterface<A>,
     A: Address,
 {
-    match ps.kont.clone() {
-        None => M::pure(PState {
-            control: Control::Halted(value),
-            env: Env::new(),
-            kont: None,
-        }),
-        Some(addr) => M::bind(M::kont_at(&addr), move |frame| {
-            let value = value.clone();
-            match frame {
-                Kont::Ar {
-                    site,
-                    arg,
-                    env,
-                    next,
-                } => {
-                    let fn_frame = Kont::Fn {
-                        site,
-                        closure: value,
-                        next,
-                    };
-                    M::bind(M::alloc_kont(site, KontKind::Fn), move |kaddr| {
-                        let fn_frame = fn_frame.clone();
-                        let arg = arg.clone();
-                        let env = env.clone();
-                        let keep = kaddr.clone();
-                        M::bind(M::bind_kont(kaddr, fn_frame), move |_| {
-                            M::pure(PState {
-                                control: Control::Eval(arg.clone()),
-                                env: env.clone(),
-                                kont: Some(keep.clone()),
-                            })
-                        })
-                    })
-                }
-                Kont::Fn {
-                    site,
-                    closure,
-                    next,
-                } => {
-                    let param = closure.param.clone();
-                    let body = closure.body.clone();
-                    let captured = closure.env.clone();
-                    M::bind(M::tick(site), move |_| {
-                        let param = param.clone();
-                        let body = body.clone();
-                        let captured = captured.clone();
-                        let value = value.clone();
-                        let next = next.clone();
-                        M::bind(M::alloc_val(&param), move |vaddr| {
-                            let mut env = captured.clone();
-                            env.insert(param.clone(), vaddr.clone());
-                            let body = body.clone();
-                            let next = next.clone();
-                            M::bind(M::bind_val(vaddr, value.clone()), move |_| {
-                                M::pure(PState {
-                                    control: Control::Eval(body.clone()),
-                                    env: env.clone(),
-                                    kont: next.clone(),
-                                })
-                            })
-                        })
-                    })
-                }
-                Kont::LetK {
-                    site,
-                    name,
-                    body,
-                    env,
-                    next,
-                } => M::bind(M::tick(site), move |_| {
-                    let name = name.clone();
-                    let body = body.clone();
-                    let outer = env.clone();
-                    let value = value.clone();
-                    let next = next.clone();
-                    M::bind(M::alloc_val(&name), move |vaddr| {
-                        let mut env = outer.clone();
-                        env.insert(name.clone(), vaddr.clone());
-                        let body = body.clone();
-                        let next = next.clone();
-                        M::bind(M::bind_val(vaddr, value.clone()), move |_| {
-                            M::pure(PState {
-                                control: Control::Eval(body.clone()),
-                                env: env.clone(),
-                                kont: next.clone(),
-                            })
-                        })
-                    })
-                }),
-            }
-        }),
-    }
+    let Some(addr) = kont else {
+        return M::pure(
+            PState {
+                control: Control::Halted(value),
+                env: Env::new(),
+                kont: None,
+            },
+            cx,
+        );
+    };
+    M::bind(M::kont_at(&addr, cx), move |frame, cx| match frame {
+        Kont::Ar {
+            site,
+            arg,
+            env,
+            next,
+        } => {
+            let fn_frame = Kont::Fn {
+                site,
+                closure: value.clone(),
+                next,
+            };
+            push_frame::<M, A>(site, KontKind::Fn, fn_frame, arg, env, cx)
+        }
+        Kont::Fn {
+            site,
+            closure,
+            next,
+        } => bind_and_eval::<M, A>(
+            site,
+            closure.param,
+            value.clone(),
+            closure.body,
+            closure.env,
+            next,
+            cx,
+        ),
+        Kont::LetK {
+            site,
+            name,
+            body,
+            env,
+            next,
+        } => bind_and_eval::<M, A>(site, name, value.clone(), body, env, next, cx),
+    })
 }
 
 #[cfg(test)]

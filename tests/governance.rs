@@ -35,16 +35,15 @@ use mai_lambda::Term;
 mod common;
 use common::{term_from_seed, COMMITTED_SEEDS, PARALLEL_THREADS};
 
-/// Zeroes the timing gauges (`steal_events`, `shard_imbalance`) and the
+/// Zeroes the timing gauges ([`EngineStats::work`]) and the
 /// fold-order-dependent `store_bytes_shared` sample, which legitimately
 /// vary between parallel runs — the same exemptions the differential
 /// suite's counter parity grants.  Everything else must match exactly.
 fn deterministic_counters(stats: EngineStats) -> EngineStats {
-    let mut s = stats;
-    s.steal_events = 0;
-    s.shard_imbalance = 0;
-    s.store_bytes_shared = 0;
-    s
+    EngineStats {
+        store_bytes_shared: 0,
+        ..stats.work()
+    }
 }
 
 /// The resume chain is provably finite (each resumed round steps at least

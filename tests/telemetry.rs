@@ -69,15 +69,12 @@ fn assert_sequential_rounds(trace: &TraceBuffer, stats: &EngineStats, label: &st
 
 #[test]
 fn kleene_traced_matches_untraced() {
+    let step = |ps| cps::mnext::<M, KCallAddr>(ps, ());
     for program in corpus() {
-        let untraced: Domain =
-            explore_fp::<M, _, _, _>(cps::mnext::<M, KCallAddr>, PState::inject(program.clone()));
+        let untraced: Domain = explore_fp::<M, _, _, _>(step, PState::inject(program.clone()));
         let mut trace = TraceBuffer::new();
-        let traced: Domain = explore_fp_traced::<M, _, _, _, _>(
-            cps::mnext::<M, KCallAddr>,
-            PState::inject(program),
-            &mut trace,
-        );
+        let traced: Domain =
+            explore_fp_traced::<M, _, _, _, _>(step, PState::inject(program), &mut trace);
         assert_eq!(traced, untraced, "Kleene fixpoint changed under tracing");
         assert!(!trace.rounds.is_empty());
         assert!(trace.rounds.iter().all(|r| r.sync_ns == 0));
@@ -93,7 +90,7 @@ fn kleene_traced_matches_untraced() {
 fn worklist_engines_traced_match_untraced() {
     for program in corpus() {
         let inject = || PState::inject(program.clone());
-        let step = cps::mnext::<M, KCallAddr>;
+        let step = |ps| cps::mnext::<M, KCallAddr>(ps, ());
 
         let (untraced, stats): (Domain, _) = explore_worklist_stats::<M, _, _, _>(step, inject());
         let mut trace = TraceBuffer::new();
@@ -174,19 +171,12 @@ fn parallel_driver_traced_matches_untraced() {
             traced, untraced,
             "t{threads}: parallel fixpoint changed under tracing"
         );
-        // `steal_events` is a scheduling gauge (how often a worker ran dry
-        // and claimed a chunk), and `stripe_acquisitions` counts interner
-        // lock traffic (the traced run resolves extra labels) — both
-        // legitimately different between any two runs; every deterministic
-        // counter must agree exactly.
-        let normalise = |mut s: EngineStats| {
-            s.steal_events = 0;
-            s.stripe_acquisitions = 0;
-            s
-        };
+        // The timing gauges (steals, shard imbalance, interner lock
+        // traffic, …) legitimately differ between any two runs; every
+        // deterministic counter must agree exactly.
         assert_eq!(
-            normalise(traced_stats),
-            normalise(stats),
+            traced_stats.work(),
+            stats.work(),
             "t{threads}: parallel work counters changed under tracing"
         );
         assert_eq!(trace.rounds.len(), stats.iterations);

@@ -221,7 +221,7 @@ fn worklist_steps_strictly_fewer_states_than_kleene_on_kcfa_worst_case() {
         let counter = Rc::clone(&kleene_steps);
         let counted_step = move |ps: PState<KCallAddr>| {
             counter.set(counter.get() + 1);
-            monadic_ai::cps::mnext::<M, KCallAddr>(ps)
+            monadic_ai::cps::mnext::<M, KCallAddr>(ps, ())
         };
         let kleene: Domain =
             explore_fp::<M, _, _, _>(counted_step, PState::inject(program.clone()));
