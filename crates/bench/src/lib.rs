@@ -20,7 +20,7 @@ use mai_cps::analysis::{
     analyse_kcfa, analyse_kcfa_shared, analyse_kcfa_shared_direct, analyse_kcfa_shared_elastic,
     analyse_kcfa_shared_elastic_governed, analyse_kcfa_shared_elastic_traced,
     analyse_kcfa_shared_gc, analyse_kcfa_shared_governed, analyse_kcfa_shared_parallel,
-    analyse_kcfa_shared_parallel_traced, analyse_kcfa_shared_rescan, analyse_kcfa_shared_resume,
+    analyse_kcfa_shared_parallel_traced, analyse_kcfa_shared_resume,
     analyse_kcfa_shared_structural, analyse_kcfa_shared_worklist, analyse_mono, distinct_env_count,
     AnalysisMetrics, KCfaShared, KStore,
 };
@@ -276,66 +276,6 @@ impl WorklistRow {
             ]
             .into_iter()
             .chain(timing_fields(self.kleene_time + self.worklist_time)),
-        )
-    }
-}
-
-/// One row of the E9 comparison: the same 1CFA shared-store analysis solved
-/// by the incremental accumulator engine and by the PR-1 rescanning engine.
-#[derive(Debug, Clone)]
-pub struct IncrementalRow {
-    /// The workload name.
-    pub program: &'static str,
-    /// `(state, guts)` pairs in the fixpoint (identical for both engines).
-    pub configurations: usize,
-    /// Work statistics of the incremental accumulator.
-    pub incremental: EngineStats,
-    /// Wall-clock time of the incremental solve.
-    pub incremental_time: Duration,
-    /// Work statistics of the PR-1 rescanning engine.
-    pub rescan: EngineStats,
-    /// Wall-clock time of the rescanning solve.
-    pub rescan_time: Duration,
-    /// Whether the two fixpoints were identical (they always must be).
-    pub equal: bool,
-}
-
-impl IncrementalRow {
-    /// Renders the row in the fixed-width format used by the report binary.
-    /// The headline columns are joins-per-round: O(|frontier|) for the
-    /// incremental engine against O(|states|) for the rescanning engine.
-    pub fn render(&self) -> String {
-        format!(
-            "{:<18} states={:<5} joins/round inc={:<7.1} rescan={:<7.1} \
-             inc={:<10.2?} rescan={:<10.2?} rebuilds={} equal={}",
-            self.program,
-            self.configurations,
-            self.incremental.joins_per_round(),
-            self.rescan.joins_per_round(),
-            self.incremental_time,
-            self.rescan_time,
-            self.incremental.rebuild_rounds,
-            self.equal,
-        )
-    }
-
-    /// The JSON rendering of the row for `BENCH_report.json`.
-    pub fn to_json(&self) -> Json {
-        Json::obj(
-            [
-                ("program", Json::Str(self.program.to_string())),
-                ("configurations", Json::Int(self.configurations as u64)),
-                ("incremental", engine_stats_json(&self.incremental)),
-                (
-                    "incremental_ms",
-                    Json::Num(self.incremental_time.as_secs_f64() * 1e3),
-                ),
-                ("rescan", engine_stats_json(&self.rescan)),
-                ("rescan_ms", Json::Num(self.rescan_time.as_secs_f64() * 1e3)),
-                ("equal", Json::Bool(self.equal)),
-            ]
-            .into_iter()
-            .chain(timing_fields(self.incremental_time + self.rescan_time)),
         )
     }
 }
@@ -705,28 +645,6 @@ pub fn parallel_row(
         parallel: parallel_stats,
         parallel_time,
         equal: direct == parallel,
-    }
-}
-
-/// Runs the E9 comparison for one program: 1CFA with a shared store, solved
-/// by the incremental accumulator and by the PR-1 rescanning engine.
-pub fn incremental_row(name: &'static str, program: &CExp) -> IncrementalRow {
-    let start = Instant::now();
-    let (incremental, inc_stats) = analyse_kcfa_shared_worklist::<1>(program);
-    let incremental_time = start.elapsed();
-
-    let start = Instant::now();
-    let (rescan, rescan_stats) = analyse_kcfa_shared_rescan::<1>(program);
-    let rescan_time = start.elapsed();
-
-    IncrementalRow {
-        program: name,
-        configurations: incremental.len(),
-        incremental: inc_stats,
-        incremental_time,
-        rescan: rescan_stats,
-        rescan_time,
-        equal: incremental == rescan,
     }
 }
 
@@ -1739,24 +1657,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_rows_agree_and_join_less() {
-        let program = mai_cps::programs::kcfa_worst_case(2);
-        let row = incremental_row("kcfa-worst-2", &program);
-        assert!(row.equal, "incremental and rescan fixpoints differ");
-        // The whole point of E9: the incremental engine folds O(|frontier|)
-        // contributions per round where the rescanning engine re-joins
-        // O(|states|).
-        assert!(
-            row.incremental.store_joins < row.rescan.store_joins,
-            "expected fewer incremental joins: {}",
-            row.render()
-        );
-        assert!(row.incremental.joins_per_round() < row.rescan.joins_per_round());
-        let json = row.to_json().render();
-        assert!(json.contains("\"joins_per_round\""));
-    }
-
-    #[test]
     fn interned_rows_agree_and_report_interning() {
         let program = mai_cps::programs::kcfa_worst_case_scaled(2, 3);
         let row = interned_row("kcfa-worst-2w3", &program, 2);
@@ -1833,7 +1733,6 @@ mod tests {
         let jsons = vec![
             polyvariance_rows("kcfa-worst-2w3", &program)[0].to_json(),
             worklist_row("kcfa-worst-2w3", &program).to_json(),
-            incremental_row("kcfa-worst-2w3", &program).to_json(),
             interned_row("kcfa-worst-2w3", &program, 1).to_json(),
             direct_row("kcfa-worst-2w3", &program, 1).to_json(),
             parallel_row("kcfa-worst-2w3", &program, 2, 1).to_json(),

@@ -1,7 +1,7 @@
 //! The experiment report binary: regenerates the qualitative tables listed
-//! in `EXPERIMENTS.md` (E1–E15), prints them to stdout and writes the
-//! machine-readable `BENCH_report.json` next to the current directory so
-//! the performance trajectory is tracked across PRs.
+//! in `EXPERIMENTS.md` (E1–E8 and E10–E16; E9 is retired), prints them to
+//! stdout and writes the machine-readable `BENCH_report.json` next to the
+//! current directory so the performance trajectory is tracked across PRs.
 //!
 //! Run with `cargo run -p mai-bench --release`.
 //!
@@ -9,9 +9,10 @@
 //! re-measures the *deterministic* work counters (step-function invocations
 //! and contribution joins per engine and workload), compares them against
 //! the committed `BENCH_report.json`, and exits non-zero if any counter
-//! regressed — the CI gate that keeps the engines from quietly re-doing
-//! work they had stopped doing.  Timing fields (`wall_ms`, `host_cpus`,
-//! `*_ms`) are recorded on every row but never gated.
+//! regressed or a gated section has no committed rows — the CI gate that
+//! keeps the engines from quietly re-doing work they had stopped doing.
+//! Timing fields (`wall_ms`, `host_cpus`, `*_ms`) are recorded on every row
+//! but never gated.
 //!
 //! With `--trace-out <path>`, the binary instead solves one parallel kCFA
 //! workload with the tracing sink attached (worker count from `--threads`,
@@ -42,8 +43,8 @@ use std::time::Instant;
 use mai_bench::report::Json;
 use mai_bench::{
     cancel_latency_row, cloning_vs_shared, cps_corpus, direct_row, elastic_row, gc_rows,
-    governed_row, host_cpus, incremental_row, interned_row, parallel_row, polyvariance_rows,
-    telemetry_row, widening_row, worklist_row, E10_SCALE_WIDTH, PROFILE_TOP_K,
+    governed_row, host_cpus, interned_row, parallel_row, polyvariance_rows, telemetry_row,
+    widening_row, worklist_row, E10_SCALE_WIDTH, PROFILE_TOP_K,
 };
 use mai_core::store::StoreLike;
 use mai_cps::analysis::{analyse_kcfa_shared, analyse_mono};
@@ -189,28 +190,6 @@ fn experiment_worklist() -> Vec<Json> {
         let row = worklist_row(name, &program);
         println!("n={n:<3} {}", row.render());
         println!("     engine: {}", row.stats);
-        rows.push(row.to_json());
-    }
-    rows
-}
-
-/// E9 — the incremental accumulator engine vs. the PR-1 rescanning engine:
-/// identical fixpoints, O(|frontier|) instead of O(|states|) contribution
-/// joins per round.
-fn experiment_incremental() -> Vec<Json> {
-    heading("E9  incremental accumulator vs. PR-1 rescanning engine (1CFA, shared store)");
-    let mut rows = Vec::new();
-    for (name, program) in cps_corpus() {
-        let row = incremental_row(name, &program);
-        println!("{}", row.render());
-        rows.push(row.to_json());
-    }
-    for (n, name) in [(3usize, "kcfa-worst-3"), (4, "kcfa-worst-4")] {
-        let program = kcfa_worst_case(n);
-        let row = incremental_row(name, &program);
-        println!("n={n:<3} {}", row.render());
-        println!("     incremental: {}", row.incremental);
-        println!("     rescan:      {}", row.rescan);
         rows.push(row.to_json());
     }
     rows
@@ -714,15 +693,6 @@ const GATED_COUNTER_PATHS: &[(&str, &[&str])] = &[
         ],
     ),
     (
-        "e9_incremental_vs_rescan",
-        &[
-            "incremental.states_stepped",
-            "incremental.store_joins",
-            "rescan.states_stepped",
-            "rescan.store_joins",
-        ],
-    ),
-    (
         "e10_interned_vs_structural",
         &[
             "interned.states_stepped",
@@ -795,6 +765,27 @@ fn higher_is_better(counter: &str) -> bool {
     counter.ends_with("store_bytes_shared")
 }
 
+/// The committed rows of one report section: the section itself when it
+/// is an array, else its `rows` field (E12 keeps `host_cpus` next to its
+/// rows).  Empty when the report lacks the section.
+fn committed_rows<'a>(report: &'a Json, section: &str) -> &'a [Json] {
+    report
+        .get(section)
+        .map(|section_json| section_json.get("rows").unwrap_or(section_json))
+        .map_or(&[], Json::items)
+}
+
+/// The gated sections with no committed rows.  A missing baseline would
+/// turn every fresh sample of its section into a "new row" and silently
+/// switch that section's gate off, so `--check-regress` fails on it.
+fn sections_without_baseline(report: &Json) -> Vec<&'static str> {
+    GATED_COUNTER_PATHS
+        .iter()
+        .map(|(section, _)| *section)
+        .filter(|section| committed_rows(report, section).is_empty())
+        .collect()
+}
+
 /// Reads `row.engine.states_stepped`-style nested counters out of a parsed
 /// report row.
 fn committed_counter(row: &Json, path: &str) -> Option<u64> {
@@ -819,20 +810,6 @@ fn fresh_counters() -> Vec<CounterSample> {
         sample_row(
             &mut samples,
             "e8_worklist_vs_kleene",
-            name.to_string(),
-            &row.to_json(),
-        );
-    }
-    // E9: incremental vs. rescanning counters.
-    for (name, program) in &corpus {
-        let row = incremental_row(name, program);
-        assert!(
-            row.equal,
-            "{name}: incremental fixpoint differs from rescan"
-        );
-        sample_row(
-            &mut samples,
-            "e9_incremental_vs_rescan",
             name.to_string(),
             &row.to_json(),
         );
@@ -925,8 +902,9 @@ fn fresh_counters() -> Vec<CounterSample> {
 /// The `--check-regress` mode: compares freshly measured deterministic
 /// counters against the committed `BENCH_report.json`.  Exits non-zero on
 /// any counter that grew (the engine does *more* work than the committed
-/// baseline); counters that shrank are reported as improvements and pass
-/// (regenerate the report to lock them in).
+/// baseline) and on any gated section the report has no rows for;
+/// counters that shrank are reported as improvements and pass (regenerate
+/// the report to lock them in).
 fn check_regress() -> std::process::ExitCode {
     println!("Monadic Abstract Interpreters — counter regression check");
     let path = "BENCH_report.json";
@@ -944,6 +922,11 @@ fn check_regress() -> std::process::ExitCode {
         }
     };
 
+    let unbaselined = sections_without_baseline(&committed);
+    for section in &unbaselined {
+        println!("NO BASELINE {section}: gated section has no committed rows in {path}");
+    }
+
     let mut regressions = 0usize;
     let mut improvements = 0usize;
     let mut missing = 0usize;
@@ -955,17 +938,14 @@ fn check_regress() -> std::process::ExitCode {
             Some((p, t)) => (p.to_string(), t.parse::<u64>().ok()),
             None => (program.clone(), None),
         };
-        let baseline = committed
-            .get(section)
-            .map(|section_json| section_json.get("rows").unwrap_or(section_json))
-            .and_then(|rows| {
-                rows.items().iter().find(|row| {
-                    row.get("program").and_then(Json::as_str) == Some(&program_name)
-                        && match threads {
-                            Some(t) => row.get("threads").and_then(Json::as_u64) == Some(t),
-                            None => true,
-                        }
-                })
+        let baseline = committed_rows(&committed, section)
+            .iter()
+            .find(|row| {
+                row.get("program").and_then(Json::as_str) == Some(&program_name)
+                    && match threads {
+                        Some(t) => row.get("threads").and_then(Json::as_u64) == Some(t),
+                        None => true,
+                    }
             })
             .and_then(|row| committed_counter(row, counter));
         match baseline {
@@ -1001,7 +981,13 @@ fn check_regress() -> std::process::ExitCode {
     println!(
         "\ncheck-regress: {regressions} regression(s), {improvements} improvement(s), {missing} new counter(s)"
     );
-    if regressions > 0 {
+    if !unbaselined.is_empty() {
+        println!(
+            "{} gated section(s) have no committed baseline — regenerate BENCH_report.json",
+            unbaselined.len()
+        );
+        std::process::ExitCode::FAILURE
+    } else if regressions > 0 {
         println!("step/join counters regressed — investigate, or regenerate BENCH_report.json if intentional");
         std::process::ExitCode::FAILURE
     } else {
@@ -1040,7 +1026,6 @@ fn main() -> std::process::ExitCode {
     experiment_reuse();
     experiment_classic();
     let worklist = experiment_worklist();
-    let incremental = experiment_incremental();
     let interned = experiment_interned();
     let persistent = experiment_persistent();
     let parallel = experiment_parallel();
@@ -1050,14 +1035,13 @@ fn main() -> std::process::ExitCode {
     let widening = experiment_widening();
 
     let report = Json::obj([
-        ("schema_version", Json::Int(8)),
+        ("schema_version", Json::Int(9)),
         (
             "report_wall_clock_ms",
             Json::Num(started.elapsed().as_secs_f64() * 1e3),
         ),
         ("e2_polyvariance", Json::Arr(polyvariance)),
         ("e8_worklist_vs_kleene", Json::Arr(worklist)),
-        ("e9_incremental_vs_rescan", Json::Arr(incremental)),
         ("e10_interned_vs_structural", Json::Arr(interned)),
         ("e11_persistent_vs_interned", Json::Arr(persistent)),
         ("e12_parallel_vs_direct", parallel),
@@ -1109,6 +1093,25 @@ mod tests {
         }
     }
 
+    /// The committed report carries rows for every gated section — a
+    /// deleted baseline would otherwise switch its section's gate off.
+    #[test]
+    fn committed_report_has_rows_for_every_gated_section() {
+        let report = Json::parse(include_str!("../../../BENCH_report.json"))
+            .expect("committed BENCH_report.json parses");
+        let unbaselined = sections_without_baseline(&report);
+        assert!(
+            unbaselined.is_empty(),
+            "gated sections without committed rows: {unbaselined:?}"
+        );
+        // …and the check itself fires when a section goes missing.
+        let gutted = Json::obj([("schema_version", Json::Int(9))]);
+        assert_eq!(
+            sections_without_baseline(&gutted).len(),
+            GATED_COUNTER_PATHS.len()
+        );
+    }
+
     /// Every gated path resolves inside the JSON rendering its section's
     /// row type produces — a path typo would otherwise only surface as a
     /// panic in the (slow) `--check-regress` mode.
@@ -1119,10 +1122,6 @@ mod tests {
             (
                 "e8_worklist_vs_kleene",
                 worklist_row("w", &program).to_json(),
-            ),
-            (
-                "e9_incremental_vs_rescan",
-                incremental_row("w", &program).to_json(),
             ),
             (
                 "e10_interned_vs_structural",

@@ -2,11 +2,13 @@
 //! failure, and (behind the `fault-inject` feature) deterministic fault
 //! injection for the parallel drivers.
 //!
-//! Every engine in the ladder is *governed*: the solver loop consults a
-//! [`Budget`] at each round boundary (sequential engines) or
-//! barrier/epoch boundary (parallel drivers) and, instead of running
-//! open-loop until the fixpoint, returns an [`Outcome`] that is either
-//! `Complete` or `Exhausted` with a *resumable partial*.  The ungoverned
+//! Every engine in the ladder is *governed* (the structural-key
+//! baseline, which only differential tests and benchmarks run, is not):
+//! the solver loop consults a [`Budget`] at each round boundary
+//! (sequential engines) or barrier/epoch boundary (parallel drivers) and,
+//! instead of running open-loop until the fixpoint, returns an
+//! [`Outcome`] that is either `Complete` or `Exhausted` with a *resumable
+//! partial*.  The ungoverned
 //! entry points are thin wrappers passing [`Budget::unlimited`], whose
 //! checks cost one branch and one relaxed atomic load per round and
 //! never touch the clock — so governed-off runs are byte-identical to

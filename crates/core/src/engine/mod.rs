@@ -10,9 +10,10 @@
 //!
 //! This module exploits the same decoupling in the other direction, the way
 //! *Abstracting Definitional Interpreters* (Darais et al.) exploits its
-//! caching fixpoint: a domain that implements [`FrontierCollecting`] can be
-//! solved by [`explore_worklist`], which only re-steps states whose inputs
-//! may actually have changed.
+//! caching fixpoint: a domain that implements [`FrontierCollecting`] (or,
+//! from a desugared step function, [`DirectCollecting`]) is solved by a
+//! frontier-driven engine that only re-steps states whose inputs may
+//! actually have changed.
 //!
 //! Two solving strategies are provided, one per analysis domain:
 //!
@@ -33,11 +34,8 @@
 //!   contributions back in with the change-tracking in-place joins of the
 //!   lattice layer.  Per-address store deltas fall out of the fold
 //!   ([`StoreDelta::join_in_place_delta`](crate::store::StoreDelta)), so a
-//!   round costs O(|frontier| × store-join) — the PR-1 engine's remaining
-//!   O(|states| × store-join) per-round re-join is gone.  That PR-1
-//!   *rescanning* solver is retained as
-//!   [`FrontierCollecting::explore_frontier_rescan`] for differential
-//!   testing and as the E9 benchmark baseline.
+//!   round costs O(|frontier| × store-join), not the O(|states| ×
+//!   store-join) of re-joining every cached contribution.
 //!
 //! All strategies compute *exactly* the fixpoint
 //! [`explore_fp`](crate::collect::explore_fp) computes — see the
@@ -48,7 +46,8 @@
 //!
 //! ## Choosing a driver
 //!
-//! Use [`explore_worklist`] (or the language crates' `analyse_*_worklist`
+//! Use the domain's [`DirectCollecting`] or [`FrontierCollecting`] methods
+//! (or the language crates' `analyse_*_direct` / `analyse_*_worklist`
 //! entry points) whenever the analysis is the bottleneck: on worklist-hard
 //! workloads such as `kcfa_worst_case` the engine steps a small fraction of
 //! the states Kleene iteration re-steps.  Use
@@ -68,9 +67,7 @@ pub use governor::{
     LadderReport, LadderRung, Outcome, ResumeSeed, SolveFrom, WidenPolicy,
 };
 pub use parallel::{explore_frontier_ladder, explore_frontier_ladder_traced, ParallelConfig};
-pub use shared::{
-    explore_rescan_governed_stats, explore_structural_governed_stats, SharedResumeSeed,
-};
+pub use shared::SharedResumeSeed;
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -95,9 +92,8 @@ pub struct EngineStats {
     pub states_stepped: usize,
     /// Steps whose cached contribution was reused instead of being
     /// re-executed: per round, the states *not* on the frontier.  The
-    /// incremental engine does not even visit them on fast-path rounds
-    /// (rebuild rounds re-execute everything, so they contribute no hits);
-    /// the rescan engine replays them from its memo table.
+    /// shared-store engines do not even visit them on fast-path rounds
+    /// (rebuild rounds re-execute everything, so they contribute no hits).
     pub cache_hits: usize,
     /// Previously-stepped states that were re-enqueued because an address
     /// they read was widened (shared-store engine only).
@@ -282,9 +278,10 @@ impl EngineStats {
         self.stripe_acquisitions += other.stripe_acquisitions;
     }
 
-    /// Average contribution joins per solver round — the E9 headline metric
-    /// (O(|frontier|) for the incremental engine, O(|states|) for the
-    /// rescanning engine and naive Kleene iteration).
+    /// Average contribution joins per solver round: O(|frontier|) for the
+    /// shared-store engines, against the O(|states|) of any solver that
+    /// re-joins every cached contribution each round (naive Kleene
+    /// iteration does).
     pub fn joins_per_round(&self) -> f64 {
         if self.iterations == 0 {
             0.0
@@ -658,20 +655,8 @@ pub trait DirectCollecting<Ps, G, S>: Sized {
     }
 }
 
-/// Computes the collecting semantics with the worklist engine from a
-/// direct-style step function — the carrier-selected counterpart of
-/// [`explore_worklist_stats`].
-pub fn explore_worklist_direct_stats<Ps, G, S, Fp, F>(step: F, initial: Ps) -> (Fp, EngineStats)
-where
-    Ps: fmt::Debug,
-    Fp: DirectCollecting<Ps, G, S>,
-    F: StepFn<Ps, G, S>,
-{
-    Fp::explore_frontier_direct(&step, initial)
-}
-
-/// [`explore_worklist_direct_stats`] with a
-/// [`TraceSink`] observing the solve.
+/// [`DirectCollecting::explore_frontier_direct_traced`] as a free
+/// function taking the step function by value.
 pub fn explore_worklist_direct_traced_stats<Ps, G, S, Fp, F, T>(
     step: F,
     initial: Ps,
@@ -828,72 +813,6 @@ pub trait ParallelCollecting<Ps, G, S>: Sized {
         Ps: fmt::Debug;
 }
 
-/// Computes the collecting semantics with the sharded parallel engine from
-/// a direct-style step function — the thread-count-selecting counterpart
-/// of [`explore_worklist_direct_stats`].
-pub fn explore_worklist_parallel_stats<Ps, G, S, Fp, F>(
-    step: F,
-    initial: Ps,
-    threads: usize,
-) -> (Fp, EngineStats)
-where
-    Ps: fmt::Debug,
-    Fp: ParallelCollecting<Ps, G, S>,
-    F: StepFn<Ps, G, S>,
-{
-    Fp::explore_frontier_parallel(&step, initial, threads)
-}
-
-/// [`explore_worklist_parallel_stats`] with a
-/// [`TraceSink`] observing the solve.
-pub fn explore_worklist_parallel_traced_stats<Ps, G, S, Fp, F, T>(
-    step: F,
-    initial: Ps,
-    threads: usize,
-    sink: &mut T,
-) -> (Fp, EngineStats)
-where
-    Ps: fmt::Debug,
-    Fp: ParallelCollecting<Ps, G, S>,
-    F: StepFn<Ps, G, S>,
-    T: TraceSink,
-{
-    Fp::explore_frontier_parallel_traced(&step, initial, threads, sink)
-}
-
-/// Computes the collecting semantics with the barrier-elastic engine from
-/// a direct-style step function — the [`ParallelConfig`]-selecting
-/// counterpart of [`explore_worklist_parallel_stats`].
-pub fn explore_worklist_elastic_stats<Ps, G, S, Fp, F>(
-    step: F,
-    initial: Ps,
-    config: ParallelConfig,
-) -> (Fp, EngineStats)
-where
-    Ps: fmt::Debug,
-    Fp: ParallelCollecting<Ps, G, S>,
-    F: StepFn<Ps, G, S>,
-{
-    Fp::explore_frontier_elastic(&step, initial, config)
-}
-
-/// [`explore_worklist_elastic_stats`] with a
-/// [`TraceSink`] observing the solve.
-pub fn explore_worklist_elastic_traced_stats<Ps, G, S, Fp, F, T>(
-    step: F,
-    initial: Ps,
-    config: ParallelConfig,
-    sink: &mut T,
-) -> (Fp, EngineStats)
-where
-    Ps: fmt::Debug,
-    Fp: ParallelCollecting<Ps, G, S>,
-    F: StepFn<Ps, G, S>,
-    T: TraceSink,
-{
-    Fp::explore_frontier_elastic_traced(&step, initial, config, sink)
-}
-
 /// Analysis domains that can be solved by a frontier-driven worklist engine
 /// instead of naive Kleene iteration.
 ///
@@ -911,7 +830,7 @@ pub trait FrontierCollecting<M: MonadFamily, A: Value>: Collecting<M, A> {
     /// This is the *incremental accumulator*: the solver maintains one
     /// running domain and folds in only the contributions of re-stepped
     /// states, so a round costs O(|frontier| × store-join) instead of the
-    /// O(|states| × store-join) the rescanning engine pays.
+    /// O(|states| × store-join) of re-joining every cached contribution.
     fn explore_frontier<F>(step: &F, initial: A) -> (Self, EngineStats)
     where
         F: Fn(A) -> M::M<A> + Sync,
@@ -929,43 +848,14 @@ pub trait FrontierCollecting<M: MonadFamily, A: Value>: Collecting<M, A> {
         T: TraceSink,
         A: fmt::Debug;
 
-    /// The PR-1 *rescanning* solver: memoises step outcomes the same way,
-    /// but rebuilds the iterate by re-joining **every** cached contribution
-    /// each round.  Computes the identical fixpoint; kept as the
-    /// differential-testing oracle and the baseline the E9 benchmarks
-    /// measure the incremental accumulator against.  Domains whose
-    /// [`Self::explore_frontier`] already steps each state exactly once
-    /// (the per-state domain) use it unchanged.
-    fn explore_frontier_rescan<F>(step: &F, initial: A) -> (Self, EngineStats)
-    where
-        F: Fn(A) -> M::M<A> + Sync,
-        A: fmt::Debug,
-    {
-        Self::explore_frontier_rescan_traced(step, initial, &mut NoopSink)
-    }
-
-    /// [`Self::explore_frontier_rescan`] with a
-    /// [`TraceSink`] observing the solve.
-    fn explore_frontier_rescan_traced<F, T>(
-        step: &F,
-        initial: A,
-        sink: &mut T,
-    ) -> (Self, EngineStats)
-    where
-        F: Fn(A) -> M::M<A> + Sync,
-        T: TraceSink,
-        A: fmt::Debug,
-    {
-        Self::explore_frontier_traced(step, initial, sink)
-    }
-
     /// The PR-2 *structural-key* incremental accumulator: the same
     /// frontier/fold strategy as [`Self::explore_frontier`], but with every
     /// engine table keyed by the full `(state, guts)` structure — `BTreeMap`
     /// lookups paying a deep `Ord` walk per comparison, frontier, successor
     /// and dependency sets deep-cloning states.  Computes the identical
-    /// fixpoint; kept as a differential-testing oracle and the baseline the
-    /// E10 benchmarks measure the id-indexed engine against.  Domains whose
+    /// fixpoint, unbudgeted and join-only; kept as a differential-testing
+    /// oracle and the baseline the E10 benchmarks measure the id-indexed
+    /// engine against.  Domains whose
     /// [`Self::explore_frontier`] never had a structural-key incarnation
     /// (the per-state domain) use it unchanged.
     fn explore_frontier_structural<F>(step: &F, initial: A) -> (Self, EngineStats)
@@ -990,111 +880,6 @@ pub trait FrontierCollecting<M: MonadFamily, A: Value>: Collecting<M, A> {
     {
         Self::explore_frontier_traced(step, initial, sink)
     }
-}
-
-/// Computes the collecting semantics with the worklist engine — the drop-in
-/// counterpart of [`explore_fp`](crate::collect::explore_fp).
-pub fn explore_worklist<M, A, Fp, F>(step: F, initial: A) -> Fp
-where
-    M: MonadFamily,
-    A: Value + fmt::Debug,
-    Fp: FrontierCollecting<M, A>,
-    F: Fn(A) -> M::M<A> + Sync,
-{
-    Fp::explore_frontier(&step, initial).0
-}
-
-/// Like [`explore_worklist`], additionally returning the [`EngineStats`]
-/// describing how much work the run performed.
-pub fn explore_worklist_stats<M, A, Fp, F>(step: F, initial: A) -> (Fp, EngineStats)
-where
-    M: MonadFamily,
-    A: Value + fmt::Debug,
-    Fp: FrontierCollecting<M, A>,
-    F: Fn(A) -> M::M<A> + Sync,
-{
-    Fp::explore_frontier(&step, initial)
-}
-
-/// [`explore_worklist_stats`] with a
-/// [`TraceSink`] observing the solve.
-pub fn explore_worklist_traced_stats<M, A, Fp, F, T>(
-    step: F,
-    initial: A,
-    sink: &mut T,
-) -> (Fp, EngineStats)
-where
-    M: MonadFamily,
-    A: Value + fmt::Debug,
-    Fp: FrontierCollecting<M, A>,
-    F: Fn(A) -> M::M<A> + Sync,
-    T: TraceSink,
-{
-    Fp::explore_frontier_traced(&step, initial, sink)
-}
-
-/// Solves with the PR-1 *rescanning* worklist engine
-/// ([`FrontierCollecting::explore_frontier_rescan`]): same fixpoint, but
-/// every round re-joins every cached contribution.  Exposed for
-/// differential testing and for the E9 incremental-vs-rescan benchmarks.
-pub fn explore_worklist_rescan_stats<M, A, Fp, F>(step: F, initial: A) -> (Fp, EngineStats)
-where
-    M: MonadFamily,
-    A: Value + fmt::Debug,
-    Fp: FrontierCollecting<M, A>,
-    F: Fn(A) -> M::M<A> + Sync,
-{
-    Fp::explore_frontier_rescan(&step, initial)
-}
-
-/// [`explore_worklist_rescan_stats`] with a
-/// [`TraceSink`] observing the solve.
-pub fn explore_worklist_rescan_traced_stats<M, A, Fp, F, T>(
-    step: F,
-    initial: A,
-    sink: &mut T,
-) -> (Fp, EngineStats)
-where
-    M: MonadFamily,
-    A: Value + fmt::Debug,
-    Fp: FrontierCollecting<M, A>,
-    F: Fn(A) -> M::M<A> + Sync,
-    T: TraceSink,
-{
-    Fp::explore_frontier_rescan_traced(&step, initial, sink)
-}
-
-/// Solves with the PR-2 *structural-key* incremental engine
-/// ([`FrontierCollecting::explore_frontier_structural`]): same fixpoint and
-/// same frontier strategy as [`explore_worklist_stats`], but state identity
-/// is structural (deep `Ord`/clone) instead of id-indexed.  Exposed for
-/// differential testing and as the baseline of the E10
-/// interned-vs-incremental benchmarks.
-pub fn explore_worklist_structural_stats<M, A, Fp, F>(step: F, initial: A) -> (Fp, EngineStats)
-where
-    M: MonadFamily,
-    A: Value + fmt::Debug,
-    Fp: FrontierCollecting<M, A>,
-    F: Fn(A) -> M::M<A> + Sync,
-{
-    Fp::explore_frontier_structural(&step, initial)
-}
-
-/// [`explore_worklist_structural_stats`] with a
-/// [`TraceSink`] observing the solve.
-pub fn explore_worklist_structural_traced_stats<M, A, Fp, F, T>(
-    step: F,
-    initial: A,
-    sink: &mut T,
-) -> (Fp, EngineStats)
-where
-    M: MonadFamily,
-    A: Value + fmt::Debug,
-    Fp: FrontierCollecting<M, A>,
-    F: Fn(A) -> M::M<A> + Sync,
-    T: TraceSink,
-{
-    Fp::explore_frontier_structural_traced(&step, initial, sink)
 }
 
 #[cfg(test)]
@@ -1180,15 +965,11 @@ mod tests {
             let step = table_step(table);
             let kleene: SharedStoreDomain<St, u64, S> =
                 explore_fp::<M, St, _, _>(&step, St(0));
-            let (worklist, stats): (SharedStoreDomain<St, u64, S>, _) =
-                explore_worklist_stats::<M, St, _, _>(&step, St(0));
-            prop_assert_eq!(&worklist, &kleene);
-            // …and so does the PR-1 rescanning solver.
-            let (rescan, rescan_stats): (SharedStoreDomain<St, u64, S>, _) =
-                explore_worklist_rescan_stats::<M, St, _, _>(&step, St(0));
-            prop_assert_eq!(&rescan, &kleene);
-            // The result is a genuine fixpoint of the Kleene functional.
             type Domain = SharedStoreDomain<St, u64, S>;
+            let (worklist, stats) =
+                <Domain as FrontierCollecting<M, St>>::explore_frontier(&step, St(0));
+            prop_assert_eq!(&worklist, &kleene);
+            // The result is a genuine fixpoint of the Kleene functional.
             let again = <Domain as crate::collect::Collecting<M, St>>::apply_step(&step, &worklist)
                 .join(<Domain as crate::collect::Collecting<M, St>>::inject(St(0)));
             prop_assert!(again.leq(&worklist));
@@ -1196,11 +977,9 @@ mod tests {
             prop_assert!(stats.states_stepped >= worklist.len());
             prop_assert_eq!(stats.states_stepped - stats.reenqueued, worklist.len());
             // These machines are GC-free, so every round stays on the
-            // monotone fast path: one contribution fold per stepped pair,
-            // never more than the rescanning engine's full re-joins.
+            // monotone fast path: one contribution fold per stepped pair.
             prop_assert_eq!(stats.rebuild_rounds, 0);
             prop_assert_eq!(stats.store_joins, stats.states_stepped);
-            prop_assert!(stats.store_joins <= rescan_stats.store_joins);
         }
 
         #[test]
@@ -1210,8 +989,11 @@ mod tests {
             let step = table_step(table);
             let kleene: PerStateDomain<St, u64, S> =
                 explore_fp::<M, St, _, _>(&step, St(0));
-            let (worklist, stats): (PerStateDomain<St, u64, S>, _) =
-                explore_worklist_stats::<M, St, _, _>(&step, St(0));
+            let (worklist, stats) =
+                <PerStateDomain<St, u64, S> as FrontierCollecting<M, St>>::explore_frontier(
+                    &step,
+                    St(0),
+                );
             prop_assert_eq!(&worklist, &kleene);
             // Frontier reachability steps every triple exactly once.
             prop_assert_eq!(stats.states_stepped, worklist.len());

@@ -13,10 +13,9 @@
 //! one deep hash plus (usually) one equality check, and the worklist is a
 //! queue of plain `u32`s.  The domain itself is assembled once at the end,
 //! from the interner's value table.  Because every triple is stepped
-//! exactly once, the incremental, structural and rescanning solvers all
-//! coincide here ([`FrontierCollecting::explore_frontier_rescan`] and
-//! [`FrontierCollecting::explore_frontier_structural`] keep their
-//! defaults).
+//! exactly once, the incremental and structural solvers coincide here
+//! ([`FrontierCollecting::explore_frontier_structural`] keeps its
+//! default).
 //!
 //! ## Infinite-height co-domains
 //!

@@ -93,15 +93,11 @@ pub use collect::{
 #[cfg(feature = "fault-inject")]
 pub use engine::FaultGuard;
 pub use engine::{
-    explore_frontier_ladder, explore_frontier_ladder_traced, explore_worklist,
-    explore_worklist_direct_stats, explore_worklist_direct_traced_stats,
-    explore_worklist_parallel_stats, explore_worklist_parallel_traced_stats,
-    explore_worklist_rescan_stats, explore_worklist_rescan_traced_stats, explore_worklist_stats,
-    explore_worklist_structural_stats, explore_worklist_structural_traced_stats,
-    explore_worklist_traced_stats, with_state_gc, Budget, CancelToken, DirectCollecting,
-    EngineError, EngineStats, ExhaustReason, FaultAction, FaultPlan, FaultSpec, FrontierCollecting,
-    LadderReport, LadderRung, Outcome, ParallelCollecting, ParallelConfig, ResumeSeed,
-    SharedResumeSeed, SolveFrom, StateRoots, StepFn,
+    explore_frontier_ladder, explore_frontier_ladder_traced, explore_worklist_direct_traced_stats,
+    with_state_gc, Budget, CancelToken, DirectCollecting, EngineError, EngineStats, ExhaustReason,
+    FaultAction, FaultPlan, FaultSpec, FrontierCollecting, LadderReport, LadderRung, Outcome,
+    ParallelCollecting, ParallelConfig, ResumeSeed, SharedResumeSeed, SolveFrom, StateRoots,
+    StepFn,
 };
 pub use env::{CowMap, CowSet};
 pub use gc::{reachable, GcStrategy, NoGc, ReachableGc, Touches};

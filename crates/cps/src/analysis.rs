@@ -16,12 +16,9 @@ use mai_core::collect::{
     explore_fp_bounded, run_analysis, with_gc, Collecting, PerStateDomain, SharedStoreDomain,
 };
 use mai_core::engine::{
-    explore_frontier_ladder, explore_worklist_direct_stats, explore_worklist_direct_traced_stats,
-    explore_worklist_elastic_stats, explore_worklist_elastic_traced_stats,
-    explore_worklist_parallel_stats, explore_worklist_parallel_traced_stats,
-    explore_worklist_rescan_stats, explore_worklist_stats, explore_worklist_structural_stats,
-    with_state_gc, Budget, DirectCollecting, EngineError, EngineStats, FrontierCollecting,
-    LadderReport, Outcome, ParallelCollecting, ParallelConfig, SharedResumeSeed, SolveFrom,
+    explore_frontier_ladder, with_state_gc, Budget, DirectCollecting, EngineError, EngineStats,
+    FrontierCollecting, LadderReport, Outcome, ParallelCollecting, ParallelConfig,
+    SharedResumeSeed, SolveFrom,
 };
 use mai_core::gc::ReachableGc;
 use mai_core::lattice::{KleeneOutcome, Lattice};
@@ -139,10 +136,7 @@ where
     S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
     Fp: FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
 {
-    explore_worklist_stats::<StorePassing<C, S>, _, Fp, _>(
-        closure_mnext::<C, S>,
-        PState::inject(program.clone()),
-    )
+    Fp::explore_frontier(&closure_mnext::<C, S>, PState::inject(program.clone()))
 }
 
 /// Like [`analyse_gc`], but solved by the worklist engine.
@@ -152,8 +146,8 @@ where
     S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
     Fp: FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
 {
-    explore_worklist_stats::<StorePassing<C, S>, _, Fp, _>(
-        with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(closure_mnext::<C, S>, ReachableGc),
+    Fp::explore_frontier(
+        &with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(closure_mnext::<C, S>, ReachableGc),
         PState::inject(program.clone()),
     )
 }
@@ -171,8 +165,8 @@ where
     S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
     Fp: DirectCollecting<PState<C::Addr>, C, S>,
 {
-    explore_worklist_direct_stats(
-        crate::direct::mnext_direct::<C, S>,
+    Fp::explore_frontier_direct(
+        &crate::direct::mnext_direct::<C, S>,
         PState::inject(program.clone()),
     )
 }
@@ -186,8 +180,8 @@ where
     S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
     Fp: DirectCollecting<PState<C::Addr>, C, S>,
 {
-    explore_worklist_direct_stats(
-        with_state_gc(crate::direct::mnext_direct::<C, S>),
+    Fp::explore_frontier_direct(
+        &with_state_gc(crate::direct::mnext_direct::<C, S>),
         PState::inject(program.clone()),
     )
 }
@@ -231,27 +225,6 @@ where
     Fp::explore_frontier_governed(
         &crate::direct::mnext_direct::<C, S>,
         SolveFrom::Resume(seed),
-        budget,
-    )
-}
-
-/// [`analyse_worklist_parallel`], governed: budget and cancellation are
-/// checked at every barrier, and a panicked worker surfaces as a clean
-/// [`EngineError`] instead of deadlocking the pool.
-pub fn analyse_worklist_parallel_governed<C, S, Fp>(
-    program: &CExp,
-    threads: usize,
-    budget: &Budget,
-) -> Result<(Outcome<Fp, Fp::Seed>, EngineStats), EngineError>
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
-    Fp: ParallelCollecting<PState<C::Addr>, C, S>,
-{
-    Fp::explore_frontier_parallel_governed(
-        &crate::direct::mnext_direct::<C, S>,
-        SolveFrom::Fresh(PState::inject(program.clone())),
-        threads,
         budget,
     )
 }
@@ -320,8 +293,8 @@ where
     S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
     Fp: ParallelCollecting<PState<C::Addr>, C, S>,
 {
-    explore_worklist_parallel_stats(
-        crate::direct::mnext_direct::<C, S>,
+    Fp::explore_frontier_parallel(
+        &crate::direct::mnext_direct::<C, S>,
         PState::inject(program.clone()),
         threads,
     )
@@ -343,8 +316,8 @@ where
     Fp: DirectCollecting<PState<C::Addr>, C, S>,
     T: mai_core::telemetry::TraceSink,
 {
-    explore_worklist_direct_traced_stats(
-        crate::direct::mnext_direct::<C, S>,
+    Fp::explore_frontier_direct_traced(
+        &crate::direct::mnext_direct::<C, S>,
         PState::inject(program.clone()),
         sink,
     )
@@ -359,8 +332,8 @@ where
     S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
     Fp: ParallelCollecting<PState<C::Addr>, C, S>,
 {
-    explore_worklist_parallel_stats(
-        with_state_gc(crate::direct::mnext_direct::<C, S>),
+    Fp::explore_frontier_parallel(
+        &with_state_gc(crate::direct::mnext_direct::<C, S>),
         PState::inject(program.clone()),
         threads,
     )
@@ -382,8 +355,8 @@ where
     S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
     Fp: ParallelCollecting<PState<C::Addr>, C, S>,
 {
-    explore_worklist_elastic_stats(
-        crate::direct::mnext_direct::<C, S>,
+    Fp::explore_frontier_elastic(
+        &crate::direct::mnext_direct::<C, S>,
         PState::inject(program.clone()),
         config,
     )
@@ -403,8 +376,8 @@ where
     Fp: ParallelCollecting<PState<C::Addr>, C, S>,
     T: mai_core::telemetry::TraceSink,
 {
-    explore_worklist_elastic_traced_stats(
-        crate::direct::mnext_direct::<C, S>,
+    Fp::explore_frontier_elastic_traced(
+        &crate::direct::mnext_direct::<C, S>,
         PState::inject(program.clone()),
         config,
         sink,
@@ -422,8 +395,8 @@ where
     S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
     Fp: ParallelCollecting<PState<C::Addr>, C, S>,
 {
-    explore_worklist_elastic_stats(
-        with_state_gc(crate::direct::mnext_direct::<C, S>),
+    Fp::explore_frontier_elastic(
+        &with_state_gc(crate::direct::mnext_direct::<C, S>),
         PState::inject(program.clone()),
         config,
     )
@@ -446,8 +419,8 @@ where
     Fp: ParallelCollecting<PState<C::Addr>, C, S>,
     T: mai_core::telemetry::TraceSink,
 {
-    explore_worklist_parallel_traced_stats(
-        crate::direct::mnext_direct::<C, S>,
+    Fp::explore_frontier_parallel_traced(
+        &crate::direct::mnext_direct::<C, S>,
         PState::inject(program.clone()),
         threads,
         sink,
@@ -464,10 +437,7 @@ where
     S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
     Fp: FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
 {
-    explore_worklist_structural_stats::<StorePassing<C, S>, _, Fp, _>(
-        closure_mnext::<C, S>,
-        PState::inject(program.clone()),
-    )
+    Fp::explore_frontier_structural(&closure_mnext::<C, S>, PState::inject(program.clone()))
 }
 
 /// Like [`analyse_gc_worklist`], but solved by the structural-key engine.
@@ -477,36 +447,8 @@ where
     S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
     Fp: FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
 {
-    explore_worklist_structural_stats::<StorePassing<C, S>, _, Fp, _>(
-        with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(closure_mnext::<C, S>, ReachableGc),
-        PState::inject(program.clone()),
-    )
-}
-
-/// Like [`analyse_worklist`], but solved by the PR-1 *rescanning* worklist
-/// engine (full contribution re-join per round).  Same fixpoint; kept as
-/// the differential-testing oracle and the E9 benchmark baseline.
-pub fn analyse_worklist_rescan<C, S, Fp>(program: &CExp) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
-    Fp: FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
-{
-    explore_worklist_rescan_stats::<StorePassing<C, S>, _, Fp, _>(
-        closure_mnext::<C, S>,
-        PState::inject(program.clone()),
-    )
-}
-
-/// Like [`analyse_gc_worklist`], but solved by the rescanning engine.
-pub fn analyse_gc_worklist_rescan<C, S, Fp>(program: &CExp) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
-    Fp: FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
-{
-    explore_worklist_rescan_stats::<StorePassing<C, S>, _, Fp, _>(
-        with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(closure_mnext::<C, S>, ReachableGc),
+    Fp::explore_frontier_structural(
+        &with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(closure_mnext::<C, S>, ReachableGc),
         PState::inject(program.clone()),
     )
 }
@@ -597,12 +539,6 @@ pub fn analyse_kcfa_shared_worklist<const K: usize>(
     analyse_worklist::<KCallCtx<K>, KStore, _>(program)
 }
 
-/// [`analyse_kcfa_shared`] solved by the PR-1 rescanning worklist engine —
-/// the baseline the E9 experiment measures the incremental engine against.
-pub fn analyse_kcfa_shared_rescan<const K: usize>(program: &CExp) -> (KCfaShared<K>, EngineStats) {
-    analyse_worklist_rescan::<KCallCtx<K>, KStore, _>(program)
-}
-
 /// [`analyse_kcfa_shared`] solved by the PR-2 structural-key incremental
 /// engine — the baseline the E10 experiment measures the id-indexed engine
 /// against.
@@ -637,23 +573,12 @@ pub fn analyse_kcfa_shared_gc_direct<const K: usize>(
     analyse_gc_worklist_direct::<KCallCtx<K>, KStore, _>(program)
 }
 
-/// [`analyse_kcfa_worklist`] (per-state stores) on the direct-style
-/// carrier.
-pub fn analyse_kcfa_direct<const K: usize>(program: &CExp) -> (KCfaPerState<K>, EngineStats) {
-    analyse_worklist_direct::<KCallCtx<K>, KStore, _>(program)
-}
-
 /// [`analyse_kcfa_with_count_worklist`] (shared counting store) on the
 /// direct-style carrier.
 pub fn analyse_kcfa_with_count_direct<const K: usize>(
     program: &CExp,
 ) -> (KCfaCounting<K>, EngineStats) {
     analyse_worklist_direct::<KCallCtx<K>, KCountingStore, _>(program)
-}
-
-/// [`analyse_mono_worklist`] on the direct-style carrier.
-pub fn analyse_mono_direct(program: &CExp) -> (MonoShared, EngineStats) {
-    analyse_worklist_direct::<MonoCtx, BasicStore<MonoAddr, Val<MonoAddr>>, _>(program)
 }
 
 /// [`analyse_kcfa_shared_direct`] solved by the sharded parallel driver —
@@ -687,20 +612,6 @@ pub fn analyse_kcfa_shared_gc_parallel<const K: usize>(
     analyse_gc_worklist_parallel::<KCallCtx<K>, KStore, _>(program, threads)
 }
 
-/// [`analyse_mono_direct`] solved by the sharded parallel driver.
-pub fn analyse_mono_parallel(program: &CExp, threads: usize) -> (MonoShared, EngineStats) {
-    analyse_worklist_parallel::<MonoCtx, BasicStore<MonoAddr, Val<MonoAddr>>, _>(program, threads)
-}
-
-/// [`analyse_kcfa_with_count_direct`] solved by the sharded parallel
-/// driver.
-pub fn analyse_kcfa_with_count_parallel<const K: usize>(
-    program: &CExp,
-    threads: usize,
-) -> (KCfaCounting<K>, EngineStats) {
-    analyse_worklist_parallel::<KCallCtx<K>, KCountingStore, _>(program, threads)
-}
-
 /// [`analyse_kcfa_shared_direct`] solved by the barrier-elastic driver —
 /// the E14 measurement subject.
 pub fn analyse_kcfa_shared_elastic<const K: usize>(
@@ -724,29 +635,6 @@ where
     analyse_worklist_elastic_traced::<KCallCtx<K>, KStore, _, T>(program, config, sink)
 }
 
-/// [`analyse_kcfa_shared_gc_direct`] solved by the barrier-elastic driver.
-pub fn analyse_kcfa_shared_gc_elastic<const K: usize>(
-    program: &CExp,
-    config: ParallelConfig,
-) -> (KCfaShared<K>, EngineStats) {
-    analyse_gc_worklist_elastic::<KCallCtx<K>, KStore, _>(program, config)
-}
-
-/// [`analyse_mono_direct`] solved by the barrier-elastic driver.
-pub fn analyse_mono_elastic(program: &CExp, config: ParallelConfig) -> (MonoShared, EngineStats) {
-    analyse_worklist_elastic::<MonoCtx, BasicStore<MonoAddr, Val<MonoAddr>>, _>(program, config)
-}
-
-/// [`analyse_kcfa_with_count_direct`] solved by the barrier-elastic
-/// driver (abstract counting commutes with lazy merging: the counting
-/// store's join is the analysis join).
-pub fn analyse_kcfa_with_count_elastic<const K: usize>(
-    program: &CExp,
-    config: ParallelConfig,
-) -> (KCfaCounting<K>, EngineStats) {
-    analyse_worklist_elastic::<KCallCtx<K>, KCountingStore, _>(program, config)
-}
-
 /// The resume seed of a governed shared-store k-CFA solve.
 pub type KCfaSeed<const K: usize> = SharedResumeSeed<PState<KCallAddr>, KCallCtx<K>, KStore>;
 
@@ -764,15 +652,6 @@ pub fn analyse_kcfa_shared_resume<const K: usize>(
     budget: &Budget,
 ) -> (Outcome<KCfaShared<K>, KCfaSeed<K>>, EngineStats) {
     analyse_resume_governed::<KCallCtx<K>, KStore, _>(seed, budget)
-}
-
-/// [`analyse_kcfa_shared_parallel`], governed by a [`Budget`].
-pub fn analyse_kcfa_shared_parallel_governed<const K: usize>(
-    program: &CExp,
-    threads: usize,
-    budget: &Budget,
-) -> Result<(Outcome<KCfaShared<K>, KCfaSeed<K>>, EngineStats), EngineError> {
-    analyse_worklist_parallel_governed::<KCallCtx<K>, KStore, _>(program, threads, budget)
 }
 
 /// [`analyse_kcfa_shared_elastic`], governed by a [`Budget`].

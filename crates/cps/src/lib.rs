@@ -44,23 +44,20 @@ pub mod syntax;
 
 pub use analysis::{
     abstract_errors, analyse, analyse_concrete_collecting, analyse_gc, analyse_gc_worklist,
-    analyse_gc_worklist_rescan, analyse_gc_worklist_structural, analyse_kcfa,
-    analyse_kcfa_count_cloned, analyse_kcfa_count_cloned_worklist, analyse_kcfa_gc,
-    analyse_kcfa_gc_worklist, analyse_kcfa_shared, analyse_kcfa_shared_gc,
-    analyse_kcfa_shared_gc_worklist, analyse_kcfa_shared_rescan, analyse_kcfa_shared_structural,
-    analyse_kcfa_shared_worklist, analyse_kcfa_with_count, analyse_kcfa_with_count_worklist,
-    analyse_kcfa_worklist, analyse_mono, analyse_mono_worklist, analyse_worklist,
-    analyse_worklist_rescan, analyse_worklist_structural, distinct_env_count, flow_map_of_store,
+    analyse_gc_worklist_structural, analyse_kcfa, analyse_kcfa_count_cloned,
+    analyse_kcfa_count_cloned_worklist, analyse_kcfa_gc, analyse_kcfa_gc_worklist,
+    analyse_kcfa_shared, analyse_kcfa_shared_gc, analyse_kcfa_shared_gc_worklist,
+    analyse_kcfa_shared_structural, analyse_kcfa_shared_worklist, analyse_kcfa_with_count,
+    analyse_kcfa_with_count_worklist, analyse_kcfa_worklist, analyse_mono, analyse_mono_worklist,
+    analyse_worklist, analyse_worklist_structural, distinct_env_count, flow_map_of_store,
     AnalysisMetrics, FlowMap,
 };
 pub use analysis::{
-    analyse_gc_worklist_direct, analyse_kcfa_direct, analyse_kcfa_shared_direct,
-    analyse_kcfa_shared_direct_traced, analyse_kcfa_shared_elastic,
-    analyse_kcfa_shared_elastic_traced, analyse_kcfa_shared_gc_direct,
-    analyse_kcfa_shared_gc_elastic, analyse_kcfa_shared_parallel_traced,
-    analyse_kcfa_with_count_direct, analyse_kcfa_with_count_elastic, analyse_mono_direct,
-    analyse_mono_elastic, analyse_worklist_direct, analyse_worklist_direct_traced,
-    analyse_worklist_elastic_traced, analyse_worklist_parallel_traced,
+    analyse_gc_worklist_direct, analyse_kcfa_shared_direct, analyse_kcfa_shared_direct_traced,
+    analyse_kcfa_shared_elastic, analyse_kcfa_shared_elastic_traced, analyse_kcfa_shared_gc_direct,
+    analyse_kcfa_shared_parallel_traced, analyse_kcfa_with_count_direct, analyse_worklist_direct,
+    analyse_worklist_direct_traced, analyse_worklist_elastic_traced,
+    analyse_worklist_parallel_traced,
 };
 pub use concrete::{interpret, interpret_with_limit, Heap, HeapAddr, Outcome};
 pub use convert::cps_convert;

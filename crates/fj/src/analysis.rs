@@ -13,12 +13,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use mai_core::addr::{Context, NamedAddress};
 use mai_core::collect::{run_analysis, with_gc, Collecting, PerStateDomain, SharedStoreDomain};
 use mai_core::engine::{
-    explore_frontier_ladder, explore_worklist_direct_stats, explore_worklist_direct_traced_stats,
-    explore_worklist_elastic_stats, explore_worklist_elastic_traced_stats,
-    explore_worklist_parallel_stats, explore_worklist_parallel_traced_stats,
-    explore_worklist_rescan_stats, explore_worklist_stats, explore_worklist_structural_stats,
-    with_state_gc, Budget, DirectCollecting, EngineError, EngineStats, FrontierCollecting,
-    LadderReport, Outcome, ParallelCollecting, ParallelConfig, SharedResumeSeed, SolveFrom,
+    with_state_gc, DirectCollecting, EngineStats, FrontierCollecting, ParallelCollecting,
+    ParallelConfig,
 };
 use mai_core::gc::ReachableGc;
 use mai_core::monad::{gets_nd_set, MonadState, MonadTrans, StateT, StorePassing, Value, VecM};
@@ -152,8 +148,8 @@ where
     Fp: FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
 {
     let table = program.table.clone();
-    explore_worklist_stats::<StorePassing<C, S>, _, Fp, _>(
-        move |ps| mnext::<StorePassing<C, S>, C::Addr>(&table, ps, ()),
+    Fp::explore_frontier(
+        &move |ps| mnext::<StorePassing<C, S>, C::Addr>(&table, ps, ()),
         PState::inject(program.main.clone()),
     )
 }
@@ -166,8 +162,8 @@ where
     Fp: FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
 {
     let table = program.table.clone();
-    explore_worklist_stats::<StorePassing<C, S>, _, Fp, _>(
-        with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(
+    Fp::explore_frontier(
+        &with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(
             move |ps| mnext::<StorePassing<C, S>, C::Addr>(&table, ps, ()),
             ReachableGc,
         ),
@@ -186,8 +182,8 @@ where
     Fp: DirectCollecting<PState<C::Addr>, C, S>,
 {
     let table = program.table.clone();
-    explore_worklist_direct_stats(
-        move |ps, ctx, store| crate::direct::mnext_direct::<C, S>(&table, ps, ctx, store),
+    Fp::explore_frontier_direct(
+        &move |ps, ctx, store| crate::direct::mnext_direct::<C, S>(&table, ps, ctx, store),
         PState::inject(program.main.clone()),
     )
 }
@@ -208,8 +204,8 @@ where
     T: mai_core::telemetry::TraceSink,
 {
     let table = program.table.clone();
-    explore_worklist_direct_traced_stats(
-        move |ps, ctx, store| crate::direct::mnext_direct::<C, S>(&table, ps, ctx, store),
+    Fp::explore_frontier_direct_traced(
+        &move |ps, ctx, store| crate::direct::mnext_direct::<C, S>(&table, ps, ctx, store),
         PState::inject(program.main.clone()),
         sink,
     )
@@ -225,180 +221,11 @@ where
     Fp: DirectCollecting<PState<C::Addr>, C, S>,
 {
     let table = program.table.clone();
-    explore_worklist_direct_stats(
-        with_state_gc(move |ps, ctx, store| {
+    Fp::explore_frontier_direct(
+        &with_state_gc(move |ps, ctx, store| {
             crate::direct::mnext_direct::<C, S>(&table, ps, ctx, store)
         }),
         PState::inject(program.main.clone()),
-    )
-}
-
-/// Like [`analyse_worklist_direct`], but *governed*: the solve consults
-/// `budget` at every round boundary and returns an [`Outcome`] — either
-/// the complete fixpoint or an `Exhausted` partial whose resume seed
-/// reaches the identical fixpoint when handed back to
-/// [`analyse_resume_governed`].  With `Budget::unlimited()` the result and
-/// every deterministic work counter are byte-identical to
-/// [`analyse_worklist_direct`] (the ungoverned entry point *is* this one,
-/// applied to the unlimited budget).
-pub fn analyse_worklist_governed<C, S, Fp>(
-    program: &Program,
-    budget: &Budget,
-) -> (Outcome<Fp, Fp::Seed>, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: DirectCollecting<PState<C::Addr>, C, S>,
-{
-    let table = program.table.clone();
-    Fp::explore_frontier_governed(
-        &move |ps, ctx, store| crate::direct::mnext_direct::<C, S>(&table, ps, ctx, store),
-        SolveFrom::Fresh(PState::inject(program.main.clone())),
-        budget,
-    )
-}
-
-/// Resumes an exhausted governed solve from its carried seed (the class
-/// table must be the one the original solve ran against).  Monotone
-/// accumulation guarantees the resumed solve reaches exactly the fixpoint
-/// the one-shot solve would have.
-pub fn analyse_resume_governed<C, S, Fp>(
-    table: &ClassTable,
-    seed: Fp::Seed,
-    budget: &Budget,
-) -> (Outcome<Fp, Fp::Seed>, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: DirectCollecting<PState<C::Addr>, C, S>,
-{
-    let table = table.clone();
-    Fp::explore_frontier_governed(
-        &move |ps, ctx, store| crate::direct::mnext_direct::<C, S>(&table, ps, ctx, store),
-        SolveFrom::Resume(seed),
-        budget,
-    )
-}
-
-/// [`analyse_worklist_parallel`], governed: budget and cancellation are
-/// checked at every barrier, and a panicked worker surfaces as a clean
-/// [`EngineError`] instead of deadlocking the pool.
-pub fn analyse_worklist_parallel_governed<C, S, Fp>(
-    program: &Program,
-    threads: usize,
-    budget: &Budget,
-) -> Result<(Outcome<Fp, Fp::Seed>, EngineStats), EngineError>
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: ParallelCollecting<PState<C::Addr>, C, S>,
-{
-    let table = program.table.clone();
-    Fp::explore_frontier_parallel_governed(
-        &move |ps, ctx, store| crate::direct::mnext_direct::<C, S>(&table, ps, ctx, store),
-        SolveFrom::Fresh(PState::inject(program.main.clone())),
-        threads,
-        budget,
-    )
-}
-
-/// [`analyse_worklist_elastic`], governed: budget and cancellation are
-/// checked at every epoch boundary (cancel latency is at most one epoch).
-pub fn analyse_worklist_elastic_governed<C, S, Fp>(
-    program: &Program,
-    config: ParallelConfig,
-    budget: &Budget,
-) -> Result<(Outcome<Fp, Fp::Seed>, EngineStats), EngineError>
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: ParallelCollecting<PState<C::Addr>, C, S>,
-{
-    let table = program.table.clone();
-    Fp::explore_frontier_elastic_governed(
-        &move |ps, ctx, store| crate::direct::mnext_direct::<C, S>(&table, ps, ctx, store),
-        SolveFrom::Fresh(PState::inject(program.main.clone())),
-        config,
-        budget,
-    )
-}
-
-/// The outcome type of a ladder solve over the shared-store FJ domain.
-pub type LadderOutcome<C, S> = Outcome<
-    SharedStoreDomain<PState<<C as Context>::Addr>, C, S>,
-    SharedResumeSeed<PState<<C as Context>::Addr>, C, S>,
->;
-
-/// [`analyse_worklist_elastic`] behind the full degradation ladder:
-/// elastic → barrier → sequential direct.  A faulted parallel rung is
-/// reported in the [`LadderReport`]; the returned fixpoint is byte-identical
-/// to [`analyse_worklist_direct`] no matter which rung completed.
-pub fn analyse_worklist_ladder<C, S>(
-    program: &Program,
-    config: ParallelConfig,
-    budget: &Budget,
-) -> (LadderOutcome<C, S>, EngineStats, LadderReport)
-where
-    C: Context + std::hash::Hash,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>>
-        + mai_core::store::StoreDelta<C::Addr>
-        + mai_core::lattice::WidenLattice
-        + Value,
-{
-    let table = program.table.clone();
-    explore_frontier_ladder(
-        &move |ps, ctx, store| crate::direct::mnext_direct::<C, S>(&table, ps, ctx, store),
-        PState::inject(program.main.clone()),
-        config,
-        budget,
-    )
-}
-
-/// Like [`analyse_worklist_direct`], but solved by the **sharded parallel
-/// driver** ([`mai_core::engine::parallel`]) on `threads` worker threads:
-/// the frontier is sharded across workers (work-stealing by `StateId`
-/// ranges), each worker steps against a snapshot of the global store —
-/// sharing one class table — and per-shard deltas are joined at a sync
-/// barrier each round.  Byte-identical fixpoint — and identical
-/// deterministic work counters — to [`analyse_worklist_direct`] at every
-/// thread count; the sequential direct engine remains the determinism
-/// oracle.
-pub fn analyse_worklist_parallel<C, S, Fp>(program: &Program, threads: usize) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: ParallelCollecting<PState<C::Addr>, C, S>,
-{
-    let table = program.table.clone();
-    explore_worklist_parallel_stats(
-        move |ps, ctx, store| crate::direct::mnext_direct::<C, S>(&table, ps, ctx, store),
-        PState::inject(program.main.clone()),
-        threads,
-    )
-}
-
-/// [`analyse_worklist_parallel`] with a
-/// [`TraceSink`](mai_core::telemetry::TraceSink) observing the solve:
-/// per-round phase timings plus one
-/// [`WorkerSpan`](mai_core::telemetry::WorkerSpan) per worker per round
-/// and a [`StealTrace`](mai_core::telemetry::StealTrace) per stolen chunk.
-pub fn analyse_worklist_parallel_traced<C, S, Fp, T>(
-    program: &Program,
-    threads: usize,
-    sink: &mut T,
-) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: ParallelCollecting<PState<C::Addr>, C, S>,
-    T: mai_core::telemetry::TraceSink,
-{
-    let table = program.table.clone();
-    explore_worklist_parallel_traced_stats(
-        move |ps, ctx, store| crate::direct::mnext_direct::<C, S>(&table, ps, ctx, store),
-        PState::inject(program.main.clone()),
-        threads,
-        sink,
     )
 }
 
@@ -412,59 +239,12 @@ where
     Fp: ParallelCollecting<PState<C::Addr>, C, S>,
 {
     let table = program.table.clone();
-    explore_worklist_parallel_stats(
-        with_state_gc(move |ps, ctx, store| {
+    Fp::explore_frontier_parallel(
+        &with_state_gc(move |ps, ctx, store| {
             crate::direct::mnext_direct::<C, S>(&table, ps, ctx, store)
         }),
         PState::inject(program.main.clone()),
         threads,
-    )
-}
-
-/// Like [`analyse_worklist_parallel`], but solved by the **barrier-elastic
-/// driver** ([`mai_core::engine::parallel::elastic`]): workers advance
-/// private sub-frontiers for up to [`ParallelConfig::epochs`] epochs
-/// between barriers, merging per-shard store deltas lazily.  The fixpoint
-/// stays byte-identical to [`analyse_worklist_direct`]; the *work
-/// counters* become timing-dependent (`epochs = 1` delegates to the
-/// barrier engine, deterministic counters and all).
-pub fn analyse_worklist_elastic<C, S, Fp>(
-    program: &Program,
-    config: ParallelConfig,
-) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: ParallelCollecting<PState<C::Addr>, C, S>,
-{
-    let table = program.table.clone();
-    explore_worklist_elastic_stats(
-        move |ps, ctx, store| crate::direct::mnext_direct::<C, S>(&table, ps, ctx, store),
-        PState::inject(program.main.clone()),
-        config,
-    )
-}
-
-/// [`analyse_worklist_elastic`] with a
-/// [`TraceSink`](mai_core::telemetry::TraceSink) observing the solve
-/// (per-round, per-worker, per-epoch and per-merge profiles).
-pub fn analyse_worklist_elastic_traced<C, S, Fp, T>(
-    program: &Program,
-    config: ParallelConfig,
-    sink: &mut T,
-) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: ParallelCollecting<PState<C::Addr>, C, S>,
-    T: mai_core::telemetry::TraceSink,
-{
-    let table = program.table.clone();
-    explore_worklist_elastic_traced_stats(
-        move |ps, ctx, store| crate::direct::mnext_direct::<C, S>(&table, ps, ctx, store),
-        PState::inject(program.main.clone()),
-        config,
-        sink,
     )
 }
 
@@ -479,8 +259,8 @@ where
     Fp: ParallelCollecting<PState<C::Addr>, C, S>,
 {
     let table = program.table.clone();
-    explore_worklist_elastic_stats(
-        with_state_gc(move |ps, ctx, store| {
+    Fp::explore_frontier_elastic(
+        &with_state_gc(move |ps, ctx, store| {
             crate::direct::mnext_direct::<C, S>(&table, ps, ctx, store)
         }),
         PState::inject(program.main.clone()),
@@ -498,8 +278,8 @@ where
     Fp: FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
 {
     let table = program.table.clone();
-    explore_worklist_structural_stats::<StorePassing<C, S>, _, Fp, _>(
-        move |ps| mnext::<StorePassing<C, S>, C::Addr>(&table, ps, ()),
+    Fp::explore_frontier_structural(
+        &move |ps| mnext::<StorePassing<C, S>, C::Addr>(&table, ps, ()),
         PState::inject(program.main.clone()),
     )
 }
@@ -513,41 +293,8 @@ where
     Fp: FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
 {
     let table = program.table.clone();
-    explore_worklist_structural_stats::<StorePassing<C, S>, _, Fp, _>(
-        with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(
-            move |ps| mnext::<StorePassing<C, S>, C::Addr>(&table, ps, ()),
-            ReachableGc,
-        ),
-        PState::inject(program.main.clone()),
-    )
-}
-
-/// Like [`analyse_worklist`], but solved by the PR-1 *rescanning* worklist
-/// engine (full contribution re-join per round) — the differential-testing
-/// oracle and E9 benchmark baseline.
-pub fn analyse_worklist_rescan<C, S, Fp>(program: &Program) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
-{
-    let table = program.table.clone();
-    explore_worklist_rescan_stats::<StorePassing<C, S>, _, Fp, _>(
-        move |ps| mnext::<StorePassing<C, S>, C::Addr>(&table, ps, ()),
-        PState::inject(program.main.clone()),
-    )
-}
-
-/// Like [`analyse_with_gc_worklist`], but solved by the rescanning engine.
-pub fn analyse_with_gc_worklist_rescan<C, S, Fp>(program: &Program) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
-{
-    let table = program.table.clone();
-    explore_worklist_rescan_stats::<StorePassing<C, S>, _, Fp, _>(
-        with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(
+    Fp::explore_frontier_structural(
+        &with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(
             move |ps| mnext::<StorePassing<C, S>, C::Addr>(&table, ps, ()),
             ReachableGc,
         ),
@@ -603,13 +350,6 @@ pub fn analyse_kcfa_shared_worklist<const K: usize>(
     program: &Program,
 ) -> (KFjShared<K>, EngineStats) {
     analyse_worklist::<KCallCtx<K>, KFjStore, _>(program)
-}
-
-/// [`analyse_kcfa_shared`] solved by the PR-1 rescanning worklist engine.
-pub fn analyse_kcfa_shared_rescan<const K: usize>(
-    program: &Program,
-) -> (KFjShared<K>, EngineStats) {
-    analyse_worklist_rescan::<KCallCtx<K>, KFjStore, _>(program)
 }
 
 /// [`analyse_kcfa_shared`] solved by the PR-2 structural-key incremental
@@ -680,69 +420,9 @@ pub fn analyse_kcfa_shared_gc_direct<const K: usize>(
     analyse_with_gc_worklist_direct::<KCallCtx<K>, KFjStore, _>(program)
 }
 
-/// [`analyse_kcfa_with_count_worklist`] on the direct-style carrier.
-pub fn analyse_kcfa_with_count_direct<const K: usize>(
-    program: &Program,
-) -> (
-    SharedStoreDomain<PState<KCallAddr>, KCallCtx<K>, KFjCountingStore>,
-    EngineStats,
-) {
-    analyse_worklist_direct::<KCallCtx<K>, KFjCountingStore, _>(program)
-}
-
 /// [`analyse_mono_worklist`] on the direct-style carrier.
 pub fn analyse_mono_direct(program: &Program) -> (MonoFjShared, EngineStats) {
     analyse_worklist_direct::<MonoCtx, BasicStore<MonoAddr, Storable<MonoAddr>>, _>(program)
-}
-
-/// [`analyse_kcfa_shared_direct`] solved by the sharded parallel driver.
-pub fn analyse_kcfa_shared_parallel<const K: usize>(
-    program: &Program,
-    threads: usize,
-) -> (KFjShared<K>, EngineStats) {
-    analyse_worklist_parallel::<KCallCtx<K>, KFjStore, _>(program, threads)
-}
-
-/// [`analyse_kcfa_shared_parallel`] with a
-/// [`TraceSink`](mai_core::telemetry::TraceSink) observing the solve
-/// (per-round, per-worker profiles).
-pub fn analyse_kcfa_shared_parallel_traced<const K: usize, T>(
-    program: &Program,
-    threads: usize,
-    sink: &mut T,
-) -> (KFjShared<K>, EngineStats)
-where
-    T: mai_core::telemetry::TraceSink,
-{
-    analyse_worklist_parallel_traced::<KCallCtx<K>, KFjStore, _, T>(program, threads, sink)
-}
-
-/// [`analyse_mono_direct`] solved by the sharded parallel driver.
-pub fn analyse_mono_parallel(program: &Program, threads: usize) -> (MonoFjShared, EngineStats) {
-    analyse_worklist_parallel::<MonoCtx, BasicStore<MonoAddr, Storable<MonoAddr>>, _>(
-        program, threads,
-    )
-}
-
-/// [`analyse_kcfa_shared_direct`] solved by the barrier-elastic driver.
-pub fn analyse_kcfa_shared_elastic<const K: usize>(
-    program: &Program,
-    config: ParallelConfig,
-) -> (KFjShared<K>, EngineStats) {
-    analyse_worklist_elastic::<KCallCtx<K>, KFjStore, _>(program, config)
-}
-
-/// [`analyse_kcfa_shared_elastic`] with a
-/// [`TraceSink`](mai_core::telemetry::TraceSink) observing the solve.
-pub fn analyse_kcfa_shared_elastic_traced<const K: usize, T>(
-    program: &Program,
-    config: ParallelConfig,
-    sink: &mut T,
-) -> (KFjShared<K>, EngineStats)
-where
-    T: mai_core::telemetry::TraceSink,
-{
-    analyse_worklist_elastic_traced::<KCallCtx<K>, KFjStore, _, T>(program, config, sink)
 }
 
 /// [`analyse_kcfa_shared_gc_direct`] solved by the barrier-elastic driver.
@@ -753,67 +433,9 @@ pub fn analyse_kcfa_shared_gc_elastic<const K: usize>(
     analyse_with_gc_elastic::<KCallCtx<K>, KFjStore, _>(program, config)
 }
 
-/// [`analyse_mono_direct`] solved by the barrier-elastic driver.
-pub fn analyse_mono_elastic(
-    program: &Program,
-    config: ParallelConfig,
-) -> (MonoFjShared, EngineStats) {
-    analyse_worklist_elastic::<MonoCtx, BasicStore<MonoAddr, Storable<MonoAddr>>, _>(
-        program, config,
-    )
-}
-
 /// [`analyse_mono`] solved by the worklist engine.
 pub fn analyse_mono_worklist(program: &Program) -> (MonoFjShared, EngineStats) {
     analyse_worklist::<MonoCtx, BasicStore<MonoAddr, Storable<MonoAddr>>, _>(program)
-}
-
-/// The resume seed of a governed shared-store k-CFA solve.
-pub type KFjSeed<const K: usize> = SharedResumeSeed<PState<KCallAddr>, KCallCtx<K>, KFjStore>;
-
-/// [`analyse_kcfa_shared_direct`], governed by a [`Budget`].
-pub fn analyse_kcfa_shared_governed<const K: usize>(
-    program: &Program,
-    budget: &Budget,
-) -> (Outcome<KFjShared<K>, KFjSeed<K>>, EngineStats) {
-    analyse_worklist_governed::<KCallCtx<K>, KFjStore, _>(program, budget)
-}
-
-/// Resumes an exhausted [`analyse_kcfa_shared_governed`] solve.
-pub fn analyse_kcfa_shared_resume<const K: usize>(
-    table: &ClassTable,
-    seed: KFjSeed<K>,
-    budget: &Budget,
-) -> (Outcome<KFjShared<K>, KFjSeed<K>>, EngineStats) {
-    analyse_resume_governed::<KCallCtx<K>, KFjStore, _>(table, seed, budget)
-}
-
-/// [`analyse_kcfa_shared_parallel`], governed by a [`Budget`].
-pub fn analyse_kcfa_shared_parallel_governed<const K: usize>(
-    program: &Program,
-    threads: usize,
-    budget: &Budget,
-) -> Result<(Outcome<KFjShared<K>, KFjSeed<K>>, EngineStats), EngineError> {
-    analyse_worklist_parallel_governed::<KCallCtx<K>, KFjStore, _>(program, threads, budget)
-}
-
-/// [`analyse_kcfa_shared_elastic`], governed by a [`Budget`].
-pub fn analyse_kcfa_shared_elastic_governed<const K: usize>(
-    program: &Program,
-    config: ParallelConfig,
-    budget: &Budget,
-) -> Result<(Outcome<KFjShared<K>, KFjSeed<K>>, EngineStats), EngineError> {
-    analyse_worklist_elastic_governed::<KCallCtx<K>, KFjStore, _>(program, config, budget)
-}
-
-/// [`analyse_kcfa_shared_elastic`] behind the degradation ladder
-/// (elastic → barrier → sequential direct).
-pub fn analyse_kcfa_shared_ladder<const K: usize>(
-    program: &Program,
-    config: ParallelConfig,
-    budget: &Budget,
-) -> (Outcome<KFjShared<K>, KFjSeed<K>>, EngineStats, LadderReport) {
-    analyse_worklist_ladder::<KCallCtx<K>, KFjStore>(program, config, budget)
 }
 
 /// Which classes may flow to each variable or field cell, extracted from an

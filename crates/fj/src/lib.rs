@@ -41,20 +41,16 @@ pub mod typecheck;
 
 pub use analysis::{
     abstract_errors, analyse, analyse_kcfa, analyse_kcfa_shared, analyse_kcfa_shared_gc,
-    analyse_kcfa_shared_gc_worklist, analyse_kcfa_shared_rescan, analyse_kcfa_shared_structural,
-    analyse_kcfa_shared_worklist, analyse_kcfa_with_count, analyse_kcfa_with_count_worklist,
-    analyse_kcfa_worklist, analyse_mono, analyse_mono_worklist, analyse_with_gc,
-    analyse_with_gc_worklist, analyse_with_gc_worklist_rescan, analyse_with_gc_worklist_structural,
-    analyse_worklist, analyse_worklist_rescan, analyse_worklist_structural, class_flow_map,
-    distinct_env_count, result_classes, FjAnalyser,
+    analyse_kcfa_shared_gc_worklist, analyse_kcfa_shared_structural, analyse_kcfa_shared_worklist,
+    analyse_kcfa_with_count, analyse_kcfa_with_count_worklist, analyse_kcfa_worklist, analyse_mono,
+    analyse_mono_worklist, analyse_with_gc, analyse_with_gc_worklist,
+    analyse_with_gc_worklist_structural, analyse_worklist, analyse_worklist_structural,
+    class_flow_map, distinct_env_count, result_classes, FjAnalyser,
 };
 pub use analysis::{
-    analyse_kcfa_shared_direct, analyse_kcfa_shared_direct_traced, analyse_kcfa_shared_elastic,
-    analyse_kcfa_shared_elastic_traced, analyse_kcfa_shared_gc_direct,
-    analyse_kcfa_shared_gc_elastic, analyse_kcfa_shared_parallel_traced,
-    analyse_kcfa_with_count_direct, analyse_mono_direct, analyse_mono_elastic,
-    analyse_with_gc_worklist_direct, analyse_worklist_direct, analyse_worklist_direct_traced,
-    analyse_worklist_elastic_traced, analyse_worklist_parallel_traced,
+    analyse_kcfa_shared_direct, analyse_kcfa_shared_direct_traced, analyse_kcfa_shared_gc_direct,
+    analyse_kcfa_shared_gc_elastic, analyse_mono_direct, analyse_with_gc_worklist_direct,
+    analyse_worklist_direct, analyse_worklist_direct_traced,
 };
 pub use concrete::{run, run_with_limit, Outcome};
 pub use direct::mnext_direct;

@@ -11,12 +11,9 @@ use std::collections::BTreeSet;
 use mai_core::addr::{Context, NamedAddress};
 use mai_core::collect::{run_analysis, with_gc, Collecting, PerStateDomain, SharedStoreDomain};
 use mai_core::engine::{
-    explore_frontier_ladder, explore_worklist_direct_stats, explore_worklist_direct_traced_stats,
-    explore_worklist_elastic_stats, explore_worklist_elastic_traced_stats,
-    explore_worklist_parallel_stats, explore_worklist_parallel_traced_stats,
-    explore_worklist_rescan_stats, explore_worklist_stats, explore_worklist_structural_stats,
-    with_state_gc, Budget, DirectCollecting, EngineError, EngineStats, FrontierCollecting,
-    LadderReport, Outcome, ParallelCollecting, ParallelConfig, SharedResumeSeed, SolveFrom,
+    explore_frontier_ladder, with_state_gc, Budget, DirectCollecting, EngineError, EngineStats,
+    FrontierCollecting, LadderReport, Outcome, ParallelCollecting, ParallelConfig,
+    SharedResumeSeed, SolveFrom,
 };
 use mai_core::gc::ReachableGc;
 use mai_core::monad::{
@@ -146,10 +143,7 @@ where
     S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
     Fp: FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
 {
-    explore_worklist_stats::<StorePassing<C, S>, _, Fp, _>(
-        closure_mnext::<C, S>,
-        PState::inject(term.clone()),
-    )
+    Fp::explore_frontier(&closure_mnext::<C, S>, PState::inject(term.clone()))
 }
 
 /// Like [`analyse_with_gc`], but solved by the worklist engine.
@@ -159,8 +153,8 @@ where
     S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
     Fp: FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
 {
-    explore_worklist_stats::<StorePassing<C, S>, _, Fp, _>(
-        with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(closure_mnext::<C, S>, ReachableGc),
+    Fp::explore_frontier(
+        &with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(closure_mnext::<C, S>, ReachableGc),
         PState::inject(term.clone()),
     )
 }
@@ -175,8 +169,8 @@ where
     S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
     Fp: DirectCollecting<PState<C::Addr>, C, S>,
 {
-    explore_worklist_direct_stats(
-        crate::direct::mnext_direct::<C, S>,
+    Fp::explore_frontier_direct(
+        &crate::direct::mnext_direct::<C, S>,
         PState::inject(term.clone()),
     )
 }
@@ -193,8 +187,8 @@ where
     Fp: DirectCollecting<PState<C::Addr>, C, S>,
     T: mai_core::telemetry::TraceSink,
 {
-    explore_worklist_direct_traced_stats(
-        crate::direct::mnext_direct::<C, S>,
+    Fp::explore_frontier_direct_traced(
+        &crate::direct::mnext_direct::<C, S>,
         PState::inject(term.clone()),
         sink,
     )
@@ -209,8 +203,8 @@ where
     S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
     Fp: DirectCollecting<PState<C::Addr>, C, S>,
 {
-    explore_worklist_direct_stats(
-        with_state_gc(crate::direct::mnext_direct::<C, S>),
+    Fp::explore_frontier_direct(
+        &with_state_gc(crate::direct::mnext_direct::<C, S>),
         PState::inject(term.clone()),
     )
 }
@@ -229,34 +223,10 @@ where
     S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
     Fp: ParallelCollecting<PState<C::Addr>, C, S>,
 {
-    explore_worklist_parallel_stats(
-        crate::direct::mnext_direct::<C, S>,
+    Fp::explore_frontier_parallel(
+        &crate::direct::mnext_direct::<C, S>,
         PState::inject(term.clone()),
         threads,
-    )
-}
-
-/// [`analyse_worklist_parallel`] with a
-/// [`TraceSink`](mai_core::telemetry::TraceSink) observing the solve:
-/// per-round phase timings plus one
-/// [`WorkerSpan`](mai_core::telemetry::WorkerSpan) per worker per round
-/// and a [`StealTrace`](mai_core::telemetry::StealTrace) per stolen chunk.
-pub fn analyse_worklist_parallel_traced<C, S, Fp, T>(
-    term: &Term,
-    threads: usize,
-    sink: &mut T,
-) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: ParallelCollecting<PState<C::Addr>, C, S>,
-    T: mai_core::telemetry::TraceSink,
-{
-    explore_worklist_parallel_traced_stats(
-        crate::direct::mnext_direct::<C, S>,
-        PState::inject(term.clone()),
-        threads,
-        sink,
     )
 }
 
@@ -269,8 +239,8 @@ where
     S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
     Fp: ParallelCollecting<PState<C::Addr>, C, S>,
 {
-    explore_worklist_parallel_stats(
-        with_state_gc(crate::direct::mnext_direct::<C, S>),
+    Fp::explore_frontier_parallel(
+        &with_state_gc(crate::direct::mnext_direct::<C, S>),
         PState::inject(term.clone()),
         threads,
     )
@@ -289,32 +259,10 @@ where
     S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
     Fp: ParallelCollecting<PState<C::Addr>, C, S>,
 {
-    explore_worklist_elastic_stats(
-        crate::direct::mnext_direct::<C, S>,
+    Fp::explore_frontier_elastic(
+        &crate::direct::mnext_direct::<C, S>,
         PState::inject(term.clone()),
         config,
-    )
-}
-
-/// [`analyse_worklist_elastic`] with a
-/// [`TraceSink`](mai_core::telemetry::TraceSink) observing the solve
-/// (per-round, per-worker, per-epoch and per-merge profiles).
-pub fn analyse_worklist_elastic_traced<C, S, Fp, T>(
-    term: &Term,
-    config: ParallelConfig,
-    sink: &mut T,
-) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: ParallelCollecting<PState<C::Addr>, C, S>,
-    T: mai_core::telemetry::TraceSink,
-{
-    explore_worklist_elastic_traced_stats(
-        crate::direct::mnext_direct::<C, S>,
-        PState::inject(term.clone()),
-        config,
-        sink,
     )
 }
 
@@ -325,8 +273,8 @@ where
     S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
     Fp: ParallelCollecting<PState<C::Addr>, C, S>,
 {
-    explore_worklist_elastic_stats(
-        with_state_gc(crate::direct::mnext_direct::<C, S>),
+    Fp::explore_frontier_elastic(
+        &with_state_gc(crate::direct::mnext_direct::<C, S>),
         PState::inject(term.clone()),
         config,
     )
@@ -455,10 +403,7 @@ where
     S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
     Fp: FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
 {
-    explore_worklist_structural_stats::<StorePassing<C, S>, _, Fp, _>(
-        closure_mnext::<C, S>,
-        PState::inject(term.clone()),
-    )
+    Fp::explore_frontier_structural(&closure_mnext::<C, S>, PState::inject(term.clone()))
 }
 
 /// Like [`analyse_with_gc_worklist`], but solved by the structural-key
@@ -469,36 +414,8 @@ where
     S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
     Fp: FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
 {
-    explore_worklist_structural_stats::<StorePassing<C, S>, _, Fp, _>(
-        with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(closure_mnext::<C, S>, ReachableGc),
-        PState::inject(term.clone()),
-    )
-}
-
-/// Like [`analyse_worklist`], but solved by the PR-1 *rescanning* worklist
-/// engine (full contribution re-join per round) — the differential-testing
-/// oracle and E9 benchmark baseline.
-pub fn analyse_worklist_rescan<C, S, Fp>(term: &Term) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
-{
-    explore_worklist_rescan_stats::<StorePassing<C, S>, _, Fp, _>(
-        closure_mnext::<C, S>,
-        PState::inject(term.clone()),
-    )
-}
-
-/// Like [`analyse_with_gc_worklist`], but solved by the rescanning engine.
-pub fn analyse_with_gc_worklist_rescan<C, S, Fp>(term: &Term) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
-{
-    explore_worklist_rescan_stats::<StorePassing<C, S>, _, Fp, _>(
-        with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(closure_mnext::<C, S>, ReachableGc),
+    Fp::explore_frontier_structural(
+        &with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(closure_mnext::<C, S>, ReachableGc),
         PState::inject(term.clone()),
     )
 }
@@ -575,11 +492,6 @@ pub fn analyse_kcfa_shared_gc_worklist<const K: usize>(
     analyse_with_gc_worklist::<KCallCtx<K>, KCeskStore, _>(term)
 }
 
-/// [`analyse_kcfa_shared`] solved by the PR-1 rescanning worklist engine.
-pub fn analyse_kcfa_shared_rescan<const K: usize>(term: &Term) -> (KCeskShared<K>, EngineStats) {
-    analyse_worklist_rescan::<KCallCtx<K>, KCeskStore, _>(term)
-}
-
 /// [`analyse_kcfa_shared`] solved by the PR-2 structural-key incremental
 /// engine — the E10 benchmark baseline.
 pub fn analyse_kcfa_shared_structural<const K: usize>(
@@ -624,24 +536,9 @@ where
     analyse_worklist_direct_traced::<KCallCtx<K>, KCeskStore, _, T>(term, sink)
 }
 
-/// [`analyse_kcfa_shared_gc_worklist`] on the direct-style carrier.
-pub fn analyse_kcfa_shared_gc_direct<const K: usize>(term: &Term) -> (KCeskShared<K>, EngineStats) {
-    analyse_with_gc_worklist_direct::<KCallCtx<K>, KCeskStore, _>(term)
-}
-
 /// [`analyse_mono_worklist`] on the direct-style carrier.
 pub fn analyse_mono_direct(term: &Term) -> (MonoCeskShared, EngineStats) {
     analyse_worklist_direct::<MonoCtx, BasicStore<MonoAddr, Storable<MonoAddr>>, _>(term)
-}
-
-/// [`analyse_kcfa_with_count_worklist`] on the direct-style carrier.
-pub fn analyse_kcfa_with_count_direct<const K: usize>(
-    term: &Term,
-) -> (
-    SharedStoreDomain<PState<KCallAddr>, KCallCtx<K>, KCeskCountingStore>,
-    EngineStats,
-) {
-    analyse_worklist_direct::<KCallCtx<K>, KCeskCountingStore, _>(term)
 }
 
 /// [`analyse_kcfa_shared_direct`] solved by the sharded parallel driver.
@@ -652,72 +549,9 @@ pub fn analyse_kcfa_shared_parallel<const K: usize>(
     analyse_worklist_parallel::<KCallCtx<K>, KCeskStore, _>(term, threads)
 }
 
-/// [`analyse_kcfa_shared_parallel`] with a
-/// [`TraceSink`](mai_core::telemetry::TraceSink) observing the solve
-/// (per-round, per-worker profiles).
-pub fn analyse_kcfa_shared_parallel_traced<const K: usize, T>(
-    term: &Term,
-    threads: usize,
-    sink: &mut T,
-) -> (KCeskShared<K>, EngineStats)
-where
-    T: mai_core::telemetry::TraceSink,
-{
-    analyse_worklist_parallel_traced::<KCallCtx<K>, KCeskStore, _, T>(term, threads, sink)
-}
-
-/// [`analyse_kcfa_shared_gc_direct`] solved by the sharded parallel driver.
-pub fn analyse_kcfa_shared_gc_parallel<const K: usize>(
-    term: &Term,
-    threads: usize,
-) -> (KCeskShared<K>, EngineStats) {
-    analyse_with_gc_parallel::<KCallCtx<K>, KCeskStore, _>(term, threads)
-}
-
 /// [`analyse_mono_direct`] solved by the sharded parallel driver.
 pub fn analyse_mono_parallel(term: &Term, threads: usize) -> (MonoCeskShared, EngineStats) {
     analyse_worklist_parallel::<MonoCtx, BasicStore<MonoAddr, Storable<MonoAddr>>, _>(term, threads)
-}
-
-/// [`analyse_kcfa_with_count_direct`] solved by the sharded parallel
-/// driver.
-pub fn analyse_kcfa_with_count_parallel<const K: usize>(
-    term: &Term,
-    threads: usize,
-) -> (
-    SharedStoreDomain<PState<KCallAddr>, KCallCtx<K>, KCeskCountingStore>,
-    EngineStats,
-) {
-    analyse_worklist_parallel::<KCallCtx<K>, KCeskCountingStore, _>(term, threads)
-}
-
-/// [`analyse_kcfa_shared_direct`] solved by the barrier-elastic driver.
-pub fn analyse_kcfa_shared_elastic<const K: usize>(
-    term: &Term,
-    config: ParallelConfig,
-) -> (KCeskShared<K>, EngineStats) {
-    analyse_worklist_elastic::<KCallCtx<K>, KCeskStore, _>(term, config)
-}
-
-/// [`analyse_kcfa_shared_elastic`] with a
-/// [`TraceSink`](mai_core::telemetry::TraceSink) observing the solve.
-pub fn analyse_kcfa_shared_elastic_traced<const K: usize, T>(
-    term: &Term,
-    config: ParallelConfig,
-    sink: &mut T,
-) -> (KCeskShared<K>, EngineStats)
-where
-    T: mai_core::telemetry::TraceSink,
-{
-    analyse_worklist_elastic_traced::<KCallCtx<K>, KCeskStore, _, T>(term, config, sink)
-}
-
-/// [`analyse_kcfa_shared_gc_direct`] solved by the barrier-elastic driver.
-pub fn analyse_kcfa_shared_gc_elastic<const K: usize>(
-    term: &Term,
-    config: ParallelConfig,
-) -> (KCeskShared<K>, EngineStats) {
-    analyse_with_gc_elastic::<KCallCtx<K>, KCeskStore, _>(term, config)
 }
 
 /// [`analyse_mono_direct`] solved by the barrier-elastic driver.
@@ -753,7 +587,8 @@ pub fn analyse_kcfa_shared_parallel_governed<const K: usize>(
     analyse_worklist_parallel_governed::<KCallCtx<K>, KCeskStore, _>(term, threads, budget)
 }
 
-/// [`analyse_kcfa_shared_elastic`], governed by a [`Budget`].
+/// [`analyse_kcfa_shared_parallel`] on the barrier-elastic driver,
+/// governed by a [`Budget`].
 pub fn analyse_kcfa_shared_elastic_governed<const K: usize>(
     term: &Term,
     config: ParallelConfig,
@@ -762,7 +597,7 @@ pub fn analyse_kcfa_shared_elastic_governed<const K: usize>(
     analyse_worklist_elastic_governed::<KCallCtx<K>, KCeskStore, _>(term, config, budget)
 }
 
-/// [`analyse_kcfa_shared_elastic`] behind the degradation ladder
+/// [`analyse_kcfa_shared_direct`] behind the degradation ladder
 /// (elastic → barrier → sequential direct).
 pub fn analyse_kcfa_shared_ladder<const K: usize>(
     term: &Term,

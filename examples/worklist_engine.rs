@@ -5,7 +5,7 @@
 
 use monadic_ai::cps::programs::{kcfa_worst_case, omega};
 use monadic_ai::cps::{
-    analyse_kcfa_shared, analyse_kcfa_shared_rescan, analyse_kcfa_shared_worklist,
+    analyse_kcfa_shared, analyse_kcfa_shared_structural, analyse_kcfa_shared_worklist,
     analyse_mono_worklist, parse_program,
 };
 
@@ -27,19 +27,25 @@ fn main() {
     );
 
     // The k-CFA worst case: identical fixpoint, far fewer steps than the
-    // Kleene oracle re-steps — and far fewer contribution joins than the
-    // PR-1 rescanning engine re-joins (the `joins=` counter: the
-    // incremental accumulator folds O(|frontier|) contributions per round,
-    // the rescanning engine O(|states|)).
+    // Kleene oracle re-steps.  The incremental accumulator folds
+    // O(|frontier|) contributions per round (the `joins=` counter over the
+    // `iters=` rounds), not the O(|states|) of re-joining every cached
+    // contribution; the structural-key baseline runs the same strategy
+    // with deep-compared states instead of interned ids.
     let program = kcfa_worst_case(3);
     let kleene = analyse_kcfa_shared::<1>(&program);
     let (worklist, stats) = analyse_kcfa_shared_worklist::<1>(&program);
-    let (rescan, rescan_stats) = analyse_kcfa_shared_rescan::<1>(&program);
+    let (structural, structural_stats) = analyse_kcfa_shared_structural::<1>(&program);
     println!(
-        "kcfa-worst-3 (1CFA): incremental == kleene: {}, rescan == kleene: {}",
+        "kcfa-worst-3 (1CFA): incremental == kleene: {}, structural == kleene: {}",
         worklist == kleene,
-        rescan == kleene
+        structural == kleene
+    );
+    println!(
+        "  joins/round {:.1} over {} states",
+        stats.joins_per_round(),
+        worklist.len()
     );
     println!("  incremental [{stats}]");
-    println!("  rescan      [{rescan_stats}]");
+    println!("  structural  [{structural_stats}]");
 }

@@ -9,16 +9,15 @@
 //!
 //! * naive Kleene iteration (`analyse*` — the paper's literal algorithm,
 //!   the ground truth),
-//! * the PR-1 rescanning worklist engine (`analyse_*_rescan`),
 //! * the PR-2 structural-key incremental engine (`analyse_*_structural`),
 //! * the PR-3 id-indexed engine on the `Rc`-closure carrier
 //!   (`analyse_*_worklist`),
 //! * the id-indexed engine on the direct-style carrier
 //!   (`analyse_*_direct`),
-//! * the sharded parallel driver (`analyse_*_parallel`, this PR), run at
-//!   1, 2 and 4 worker threads.
+//! * the sharded parallel driver (`analyse_*_parallel`), run at 1, 2 and
+//!   4 worker threads.
 //!
-//! All five sequential solvers must produce bit-identical fixpoints, and
+//! All four sequential solvers must produce bit-identical fixpoints, and
 //! the parallel driver must additionally reproduce the sequential direct
 //! engine's *deterministic work counters* (steps, joins, rounds,
 //! widenings, re-enqueues, intern traffic) at every thread count — only
@@ -85,7 +84,8 @@ fn assert_parallel_counters(label: &str, threads: usize, seq: &EngineStats, par:
 }
 
 /// Solves one CESK configuration with all five engine/carrier combinations
-/// (plus the GC'd variants of each) and asserts them identical.
+/// (four sequential plus the parallel driver, and the GC'd variants of
+/// each) and asserts them identical.
 fn cesk_pentagon<C, S>(term: &Term)
 where
     C: mai_core::addr::Context + std::hash::Hash,
@@ -101,11 +101,9 @@ where
     let kleene: Dom<C, S> = la::analyse::<C, S, _>(term);
     let (interned, _): (Dom<C, S>, _) = la::analyse_worklist::<C, S, _>(term);
     let (structural, _): (Dom<C, S>, _) = la::analyse_worklist_structural::<C, S, _>(term);
-    let (rescan, _): (Dom<C, S>, _) = la::analyse_worklist_rescan::<C, S, _>(term);
     let (direct, direct_stats): (Dom<C, S>, _) = la::analyse_worklist_direct::<C, S, _>(term);
     assert_eq!(interned, kleene, "CESK interned != Kleene");
     assert_eq!(structural, kleene, "CESK structural != Kleene");
-    assert_eq!(rescan, kleene, "CESK rescan != Kleene");
     assert_eq!(direct, kleene, "CESK direct != Kleene");
     for threads in PARALLEL_THREADS {
         let (parallel, par_stats): (Dom<C, S>, _) =
@@ -121,12 +119,10 @@ where
     let (gc_interned, _): (Dom<C, S>, _) = la::analyse_with_gc_worklist::<C, S, _>(term);
     let (gc_structural, _): (Dom<C, S>, _) =
         la::analyse_with_gc_worklist_structural::<C, S, _>(term);
-    let (gc_rescan, _): (Dom<C, S>, _) = la::analyse_with_gc_worklist_rescan::<C, S, _>(term);
     let (gc_direct, gc_direct_stats): (Dom<C, S>, _) =
         la::analyse_with_gc_worklist_direct::<C, S, _>(term);
     assert_eq!(gc_interned, gc_kleene, "CESK gc interned != Kleene");
     assert_eq!(gc_structural, gc_kleene, "CESK gc structural != Kleene");
-    assert_eq!(gc_rescan, gc_kleene, "CESK gc rescan != Kleene");
     assert_eq!(gc_direct, gc_kleene, "CESK gc direct != Kleene");
     for threads in PARALLEL_THREADS {
         let (gc_parallel, gc_par_stats): (Dom<C, S>, _) =
@@ -140,7 +136,8 @@ where
 }
 
 /// Solves one CPS configuration with all five engine/carrier combinations
-/// (plus the GC'd variants) and asserts them identical.
+/// (four sequential plus the parallel driver, and the GC'd variants) and
+/// asserts them identical.
 fn cps_pentagon<C, S>(program: &mai_cps::CExp)
 where
     C: mai_core::addr::Context + std::hash::Hash,
@@ -156,11 +153,9 @@ where
     let kleene: Dom<C, S> = ca::analyse::<C, S, _>(program);
     let (interned, _): (Dom<C, S>, _) = ca::analyse_worklist::<C, S, _>(program);
     let (structural, _): (Dom<C, S>, _) = ca::analyse_worklist_structural::<C, S, _>(program);
-    let (rescan, _): (Dom<C, S>, _) = ca::analyse_worklist_rescan::<C, S, _>(program);
     let (direct, direct_stats): (Dom<C, S>, _) = ca::analyse_worklist_direct::<C, S, _>(program);
     assert_eq!(interned, kleene, "CPS interned != Kleene");
     assert_eq!(structural, kleene, "CPS structural != Kleene");
-    assert_eq!(rescan, kleene, "CPS rescan != Kleene");
     assert_eq!(direct, kleene, "CPS direct != Kleene");
     for threads in PARALLEL_THREADS {
         let (parallel, par_stats): (Dom<C, S>, _) =
@@ -175,12 +170,10 @@ where
     let gc_kleene: Dom<C, S> = ca::analyse_gc::<C, S, _>(program);
     let (gc_interned, _): (Dom<C, S>, _) = ca::analyse_gc_worklist::<C, S, _>(program);
     let (gc_structural, _): (Dom<C, S>, _) = ca::analyse_gc_worklist_structural::<C, S, _>(program);
-    let (gc_rescan, _): (Dom<C, S>, _) = ca::analyse_gc_worklist_rescan::<C, S, _>(program);
     let (gc_direct, gc_direct_stats): (Dom<C, S>, _) =
         ca::analyse_gc_worklist_direct::<C, S, _>(program);
     assert_eq!(gc_interned, gc_kleene, "CPS gc interned != Kleene");
     assert_eq!(gc_structural, gc_kleene, "CPS gc structural != Kleene");
-    assert_eq!(gc_rescan, gc_kleene, "CPS gc rescan != Kleene");
     assert_eq!(gc_direct, gc_kleene, "CPS gc direct != Kleene");
     for threads in PARALLEL_THREADS {
         let (gc_parallel, gc_par_stats): (Dom<C, S>, _) =

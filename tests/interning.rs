@@ -39,9 +39,9 @@ fn interner_ids_agree_with_structural_equality_on_machine_states() {
     }
 }
 
-/// The id-indexed engine, the structural engine, the rescanning engine and
-/// Kleene iteration agree on the scaled worst-case family — the E10
-/// workloads — and the intern statistics account for every configuration.
+/// The id-indexed engine, the structural engine and Kleene iteration agree
+/// on the scaled worst-case family — the E10 workloads — and the intern
+/// statistics account for every configuration.
 #[test]
 fn interned_engine_agrees_on_the_scaled_worst_case_family() {
     for (n, width) in [(3usize, 2usize), (4, 2), (3, 4)] {
@@ -49,14 +49,12 @@ fn interned_engine_agrees_on_the_scaled_worst_case_family() {
         let kleene = cps::analyse_kcfa_shared::<1>(&program);
         let (interned, stats) = cps::analyse_kcfa_shared_worklist::<1>(&program);
         let (structural, structural_stats) = cps::analyse_kcfa_shared_structural::<1>(&program);
-        let (rescan, _) = cps::analyse_kcfa_shared_rescan::<1>(&program);
 
         assert_eq!(interned, kleene, "kcfa-worst-{n}w{width}: interned differs");
         assert_eq!(
             structural, kleene,
             "kcfa-worst-{n}w{width}: structural differs"
         );
-        assert_eq!(rescan, kleene, "kcfa-worst-{n}w{width}: rescan differs");
 
         // Intern accounting: one miss per distinct configuration, hits for
         // every re-derivation, and the id space is exactly the state set.

@@ -1,9 +1,8 @@
 //! Tracing is observation, never behaviour: the on/off parity suite.
 //!
-//! Every rung of the fixpoint ladder — Kleene iteration (`explore_fp`),
-//! the rescanning and structural worklist engines, the id-indexed
-//! incremental engine, the direct-carrier engine and the sharded parallel
-//! driver — has a `_traced` entry point that threads a
+//! Every solver — Kleene iteration (`explore_fp`), the structural and
+//! id-indexed worklist engines, the direct-carrier engine and the sharded
+//! parallel driver — has a `_traced` variant that threads a
 //! [`TraceSink`](monadic_ai::core::telemetry::TraceSink) through the
 //! solve.  The telemetry layer's central guarantee is that the sink is
 //! write-only: attaching a recording [`TraceBuffer`] must reproduce the
@@ -17,11 +16,7 @@
 //! [`RoundTrace`]: monadic_ai::core::telemetry::RoundTrace
 
 use monadic_ai::core::collect::{explore_fp, explore_fp_traced};
-use monadic_ai::core::engine::{
-    explore_worklist_rescan_stats, explore_worklist_rescan_traced_stats, explore_worklist_stats,
-    explore_worklist_structural_stats, explore_worklist_structural_traced_stats,
-    explore_worklist_traced_stats, EngineStats,
-};
+use monadic_ai::core::engine::{EngineStats, FrontierCollecting};
 use monadic_ai::core::telemetry::TraceBuffer;
 use monadic_ai::core::{KCallAddr, KCallCtx, SharedStoreDomain, StorePassing};
 use monadic_ai::cps::analysis::KStore;
@@ -92,28 +87,17 @@ fn worklist_engines_traced_match_untraced() {
         let inject = || PState::inject(program.clone());
         let step = |ps| cps::mnext::<M, KCallAddr>(ps, ());
 
-        let (untraced, stats): (Domain, _) = explore_worklist_stats::<M, _, _, _>(step, inject());
+        let (untraced, stats) = Domain::explore_frontier(&step, inject());
         let mut trace = TraceBuffer::new();
-        let (traced, traced_stats): (Domain, _) =
-            explore_worklist_traced_stats::<M, _, _, _, _>(step, inject(), &mut trace);
+        let (traced, traced_stats) = Domain::explore_frontier_traced(&step, inject(), &mut trace);
         assert_eq!(traced, untraced, "interned fixpoint changed under tracing");
         assert_eq!(traced_stats, stats, "interned stats changed under tracing");
         assert_sequential_rounds(&trace, &stats, "interned");
 
-        let (untraced, stats): (Domain, _) =
-            explore_worklist_rescan_stats::<M, _, _, _>(step, inject());
+        let (untraced, stats) = Domain::explore_frontier_structural(&step, inject());
         let mut trace = TraceBuffer::new();
-        let (traced, traced_stats): (Domain, _) =
-            explore_worklist_rescan_traced_stats::<M, _, _, _, _>(step, inject(), &mut trace);
-        assert_eq!(traced, untraced, "rescan fixpoint changed under tracing");
-        assert_eq!(traced_stats, stats, "rescan stats changed under tracing");
-        assert_sequential_rounds(&trace, &stats, "rescan");
-
-        let (untraced, stats): (Domain, _) =
-            explore_worklist_structural_stats::<M, _, _, _>(step, inject());
-        let mut trace = TraceBuffer::new();
-        let (traced, traced_stats): (Domain, _) =
-            explore_worklist_structural_traced_stats::<M, _, _, _, _>(step, inject(), &mut trace);
+        let (traced, traced_stats) =
+            Domain::explore_frontier_structural_traced(&step, inject(), &mut trace);
         assert_eq!(
             traced, untraced,
             "structural fixpoint changed under tracing"

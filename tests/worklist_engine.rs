@@ -2,22 +2,23 @@
 //!
 //! The id-indexed (interned) incremental engine (`mai_core::engine`, the
 //! default behind `analyse_*_worklist`), the retained PR-2 structural-key
-//! incremental engine (`analyse_*_structural`) and the retained PR-1
-//! rescanning engine (`analyse_*_rescan`) all promise to compute *exactly*
-//! the fixpoint `explore_fp` computes, for every combination of the
-//! paper's degrees of freedom: context sensitivity (mono / 0CFA / 1CFA),
-//! store representation (basic / counting) and abstract GC (on / off),
-//! with per-state or shared stores, across all three language substrates.
-//! These tests assert `==` on the analysis domains over the benchmark
-//! corpus, that the engines do strictly less work than Kleene iteration on
-//! the k-CFA worst-case family, and that the incremental engines fold
-//! O(|frontier|) contributions per round where the rescanning engine
-//! re-joins O(|states|).
+//! incremental engine (`analyse_*_structural`) and the parallel drivers
+//! (`analyse_*_parallel`, `analyse_*_elastic`) all promise to compute
+//! *exactly* the fixpoint `explore_fp` computes, for every combination of
+//! the paper's degrees of freedom: context sensitivity (mono / 0CFA /
+//! 1CFA), store representation (basic / counting) and abstract GC (on /
+//! off), with per-state or shared stores, across all three language
+//! substrates.  These tests assert `==` on the analysis domains over the
+//! benchmark corpus, that the engines do strictly less work than Kleene
+//! iteration on the k-CFA worst-case family, and that the incremental
+//! engine folds O(|frontier|) contributions per round where re-joining
+//! every cached contribution would cost O(|states|).
 
 use std::cell::Cell;
 use std::rc::Rc;
 
 use monadic_ai::core::collect::explore_fp;
+use monadic_ai::core::engine::ParallelConfig;
 use monadic_ai::core::store::{BasicStore, CountingStore};
 use monadic_ai::core::{KCallAddr, KCallCtx, MonoAddr, MonoCtx, StorePassing};
 use monadic_ai::cps::programs::{
@@ -26,7 +27,7 @@ use monadic_ai::cps::programs::{
 use monadic_ai::cps::{PState, Val};
 use monadic_ai::{cps, fj, lambda};
 
-/// Asserts Kleene / incremental-worklist / rescanning-worklist agreement
+/// Asserts Kleene / incremental-worklist / structural-worklist agreement
 /// for one CPS shared-store configuration, with and without abstract GC.
 macro_rules! check_cps_shared {
     ($name:expr, $program:expr, $label:expr, $ctx:ty, $store:ty) => {{
@@ -74,28 +75,14 @@ macro_rules! check_cps_shared {
             $name,
             $label
         );
-        let (rescan, rescan_stats): (Domain, _) =
-            cps::analyse_worklist_rescan::<$ctx, $store, _>(program);
-        assert_eq!(
-            rescan, kleene,
-            "{}/{}: rescanning engine differs from Kleene (no gc)",
-            $name, $label
-        );
         // GC-free contributions are monotone, so the incremental engine
         // never leaves the fast path and folds exactly one contribution per
-        // stepped pair — never more than the rescanning engine's per-round
-        // full re-join.
+        // stepped pair.
         assert_eq!(stats.rebuild_rounds, 0, "{}/{}", $name, $label);
         assert_eq!(
             stats.store_joins, stats.states_stepped,
             "{}/{}",
             $name, $label
-        );
-        assert!(
-            stats.store_joins <= rescan_stats.store_joins,
-            "{}/{}",
-            $name,
-            $label
         );
 
         let kleene_gc: Domain = cps::analyse_gc::<$ctx, $store, _>(program);
@@ -110,13 +97,6 @@ macro_rules! check_cps_shared {
         assert_eq!(
             structural_gc, kleene_gc,
             "{}/{}: structural engine differs from Kleene (gc)",
-            $name, $label
-        );
-        let (rescan_gc, _): (Domain, _) =
-            cps::analyse_gc_worklist_rescan::<$ctx, $store, _>(program);
-        assert_eq!(
-            rescan_gc, kleene_gc,
-            "{}/{}: rescanning engine differs from Kleene (gc)",
             $name, $label
         );
     }};
@@ -238,42 +218,25 @@ fn worklist_steps_strictly_fewer_states_than_kleene_on_kcfa_worst_case() {
     }
 }
 
-/// The E9 acceptance criterion on `kcfa_worst_case`: the incremental
-/// engine's contribution joins per round are O(|frontier|) where the
-/// rescanning engine (like naive Kleene iteration) re-joins O(|states|)
-/// cached contributions per round.
+/// On `kcfa_worst_case` the incremental engine's contribution joins per
+/// round are O(|frontier|): a solver that re-joins every cached
+/// contribution each round (naive Kleene iteration does) pays O(|states|).
 #[test]
 fn incremental_engine_joins_per_frontier_not_per_state() {
-    for n in [2usize, 3, 4] {
+    for n in 2usize..=4 {
         let program = kcfa_worst_case(n);
-        let (incremental, stats) = cps::analyse_kcfa_shared_worklist::<1>(&program);
-        let (rescan, rescan_stats) = cps::analyse_kcfa_shared_rescan::<1>(&program);
-        assert_eq!(incremental, rescan, "kcfa-worst-{n}: fixpoints differ");
-
+        let (fixpoint, stats) = cps::analyse_kcfa_shared_worklist::<1>(&program);
         // Fast path throughout: one fold per stepped pair, so total joins
         // track the frontier sizes (Σ_r |frontier_r| = states_stepped)…
         assert_eq!(stats.rebuild_rounds, 0, "kcfa-worst-{n}");
         assert_eq!(stats.store_joins, stats.states_stepped, "kcfa-worst-{n}");
-        // …while the rescanning engine re-joins every cached contribution
-        // every round (Σ_r |states_r| ≥ iterations × final-state-count / 2).
+        // …and the per-round average stays a small constant frontier, below
+        // the O(|states|) floor of re-joining every cached contribution.
         assert!(
-            stats.store_joins < rescan_stats.store_joins,
-            "kcfa-worst-{n}: incremental joined {} contributions, rescan {}",
-            stats.store_joins,
-            rescan_stats.store_joins
-        );
-        // The per-round average drops from O(|states|) to O(|frontier|):
-        // the rescanning engine's joins/round equals the (growing) state
-        // count, the incremental engine's stays a small constant frontier.
-        assert!(
-            stats.joins_per_round() < rescan_stats.joins_per_round(),
-            "kcfa-worst-{n}: joins/round {} vs {}",
+            stats.joins_per_round() < fixpoint.len() as f64 / 2.0,
+            "kcfa-worst-{n}: joins/round {} vs |states|/2 = {}",
             stats.joins_per_round(),
-            rescan_stats.joins_per_round()
-        );
-        assert!(
-            rescan_stats.joins_per_round() >= incremental.len() as f64 / 2.0,
-            "kcfa-worst-{n}: rescan joins/round should scale with |states|"
+            fixpoint.len() as f64 / 2.0
         );
     }
 }
@@ -297,8 +260,6 @@ fn cesk_worklist_agrees_with_kleene() {
         assert_eq!(one_wl, one, "{name}: CESK 1CFA differs");
         let (one_structural, _) = lambda::analyse_kcfa_shared_structural::<1>(&term);
         assert_eq!(one_structural, one, "{name}: CESK 1CFA structural differs");
-        let (one_rescan, _) = lambda::analyse_kcfa_shared_rescan::<1>(&term);
-        assert_eq!(one_rescan, one, "{name}: CESK 1CFA rescan differs");
 
         let counted = lambda::analyse_kcfa_with_count::<1>(&term);
         let (counted_wl, _) = lambda::analyse_kcfa_with_count_worklist::<1>(&term);
@@ -307,13 +268,30 @@ fn cesk_worklist_agrees_with_kleene() {
         let gced = lambda::analyse_kcfa_shared_gc::<1>(&term);
         let (gced_wl, _) = lambda::analyse_kcfa_shared_gc_worklist::<1>(&term);
         assert_eq!(gced_wl, gced, "{name}: CESK 1CFA+GC differs");
-        let (gced_rescan, _) = lambda::analyse_with_gc_worklist_rescan::<
-            KCallCtx<1>,
-            monadic_ai::core::BasicStore<KCallAddr, lambda::Storable<KCallAddr>>,
-            lambda::analysis::KCeskShared<1>,
-        >(&term);
-        assert_eq!(gced_rescan, gced, "{name}: CESK 1CFA+GC rescan differs");
     }
+}
+
+/// FJ through the two parallel drivers with abstract GC — the routes the
+/// benchmark times: both land on the Kleene fixpoint, and the barrier
+/// driver's deterministic work equals the sequential direct engine's.
+fn check_fj_parallel_drivers(name: &str, program: &fj::Program) {
+    let gced = fj::analyse_kcfa_shared_gc::<1>(program);
+    let (direct, direct_stats) = fj::analyse_kcfa_shared_gc_direct::<1>(program);
+    assert_eq!(direct, gced, "{name}: FJ 1CFA+GC direct differs");
+    let (barrier, barrier_stats) = fj::analysis::analyse_with_gc_parallel::<
+        KCallCtx<1>,
+        fj::analysis::KFjStore,
+        fj::analysis::KFjShared<1>,
+    >(program, 2);
+    assert_eq!(barrier, gced, "{name}: FJ 1CFA+GC barrier differs");
+    assert_eq!(
+        (barrier_stats.states_stepped, barrier_stats.store_joins),
+        (direct_stats.states_stepped, direct_stats.store_joins),
+        "{name}: FJ barrier work differs from direct"
+    );
+    let (elastic, _) =
+        fj::analyse_kcfa_shared_gc_elastic::<1>(program, ParallelConfig::elastic(2, 4));
+    assert_eq!(elastic, gced, "{name}: FJ 1CFA+GC elastic differs");
 }
 
 /// …and Featherweight Java, completing the three-language wiring.
@@ -329,8 +307,6 @@ fn fj_worklist_agrees_with_kleene() {
         assert_eq!(one_wl, one, "{name}: FJ 1CFA differs");
         let (one_structural, _) = fj::analyse_kcfa_shared_structural::<1>(&program);
         assert_eq!(one_structural, one, "{name}: FJ 1CFA structural differs");
-        let (one_rescan, _) = fj::analyse_kcfa_shared_rescan::<1>(&program);
-        assert_eq!(one_rescan, one, "{name}: FJ 1CFA rescan differs");
 
         let counted = fj::analyse_kcfa_with_count::<1>(&program);
         let (counted_wl, _) = fj::analyse_kcfa_with_count_worklist::<1>(&program);
@@ -339,12 +315,10 @@ fn fj_worklist_agrees_with_kleene() {
         let gced = fj::analyse_kcfa_shared_gc::<1>(&program);
         let (gced_wl, _) = fj::analyse_kcfa_shared_gc_worklist::<1>(&program);
         assert_eq!(gced_wl, gced, "{name}: FJ 1CFA+GC differs");
-        let (gced_rescan, _) = fj::analyse_with_gc_worklist_rescan::<
-            KCallCtx<1>,
-            monadic_ai::core::BasicStore<KCallAddr, fj::Storable<KCallAddr>>,
-            fj::analysis::KFjShared<1>,
-        >(&program);
-        assert_eq!(gced_rescan, gced, "{name}: FJ 1CFA+GC rescan differs");
+        check_fj_parallel_drivers(name, &program);
+    }
+    for n in 1..=4 {
+        check_fj_parallel_drivers(&format!("nested-cells-{n}"), &fj::programs::nested_cells(n));
     }
 }
 
