@@ -324,15 +324,19 @@ impl InternedRow {
 
     /// Renders the row in the fixed-width format used by the report binary.
     /// The headline column is the wall-clock speedup; the intern hit rate
-    /// and the distinct state/env counts explain where it comes from.
+    /// and the distinct state/env counts explain where it comes from, and
+    /// `deps` sets the journaled read sets against the structural
+    /// baseline's root closures (Σ |read set| over steps).
     pub fn render(&self) -> String {
         format!(
-            "{:<18} states={:<6} envs={:<5} hit-rate={:<5.2} \
+            "{:<18} states={:<6} envs={:<5} hit-rate={:<5.2} deps={}/{} \
              interned={:<10.2?} structural={:<10.2?} speedup={:<5.2} equal={}",
             self.program,
             self.interned.distinct_states,
             self.interned.distinct_envs,
             self.interned.intern_hit_rate(),
+            self.interned.dep_edges,
+            self.structural.dep_edges,
             self.interned_time,
             self.structural_time,
             self.speedup(),
@@ -441,12 +445,13 @@ impl DirectRow {
     /// show the structural sharing both carriers now enjoy.
     pub fn render(&self) -> String {
         format!(
-            "{:<18} states={:<6} clones={:<6} shared-bytes={:<8} \
+            "{:<18} states={:<6} clones={:<6} shared-bytes={:<8} deps={:<7} \
              rc={:<10.2?} direct={:<10.2?} speedup={:<5.2} equal={}",
             self.program,
             self.direct.distinct_states,
             self.direct.spine_clones,
             self.direct.store_bytes_shared,
+            self.direct.dep_edges,
             self.rc_time,
             self.direct_time,
             self.speedup(),
@@ -1694,6 +1699,7 @@ mod tests {
         assert_eq!(row.rc.spine_clones, row.direct.spine_clones);
         assert_eq!(row.rc.store_joins_applied, row.direct.store_joins_applied);
         assert_eq!(row.rc.widen_applied, row.direct.widen_applied);
+        assert_eq!(row.rc.dep_edges, row.direct.dep_edges);
         // The persistent spine actually shares structure with the caches.
         assert!(row.direct.spine_clones > 0);
         assert!(row.direct.store_bytes_shared > 0);

@@ -708,6 +708,7 @@ const GATED_COUNTER_PATHS: &[(&str, &[&str])] = &[
             "direct.store_joins",
             "direct.spine_clones",
             "direct.store_bytes_shared",
+            "direct.dep_edges",
         ],
     ),
     (
@@ -824,12 +825,14 @@ fn fresh_counters() -> Vec<CounterSample> {
             (
                 row.rc.states_stepped,
                 row.rc.store_joins,
-                row.rc.spine_clones
+                row.rc.spine_clones,
+                row.rc.dep_edges
             ),
             (
                 row.direct.states_stepped,
                 row.direct.store_joins,
-                row.direct.spine_clones
+                row.direct.spine_clones,
+                row.direct.dep_edges
             ),
             "{name}: carriers disagree on work counters"
         );

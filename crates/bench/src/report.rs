@@ -409,6 +409,7 @@ pub fn engine_stats_json(stats: &EngineStats) -> Json {
             "stripe_acquisitions",
             Json::Int(stats.stripe_acquisitions as u64),
         ),
+        ("dep_edges", Json::Int(stats.dep_edges as u64)),
     ])
 }
 

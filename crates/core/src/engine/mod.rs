@@ -28,11 +28,12 @@
 //!   successors can change when the store is widened.  The engine is an
 //!   **incremental accumulator**: it maintains one running domain, steps
 //!   only the frontier (new pairs, plus pairs invalidated through a reverse
-//!   dependency index over the addresses their transition may read — the
-//!   [`reachable`] closure of their [`StateRoots`],
-//!   the same root set abstract GC uses), and folds only those re-stepped
-//!   contributions back in with the change-tracking in-place joins of the
-//!   lattice layer.  Per-address store deltas fall out of the fold
+//!   dependency index over the addresses their last step read — recorded by
+//!   the store itself in a read journal
+//!   ([`StoreDelta::arm_read_journal`](crate::store::StoreDelta::arm_read_journal))),
+//!   and folds only those re-stepped contributions back in with the
+//!   change-tracking in-place joins of the lattice layer.  Per-address
+//!   store deltas fall out of the fold
 //!   ([`StoreDelta::join_in_place_delta`](crate::store::StoreDelta)), so a
 //!   round costs O(|frontier| × store-join), not the O(|states| ×
 //!   store-join) of re-joining every cached contribution.
@@ -43,6 +44,9 @@
 //! exact — so the Kleene driver remains usable as a reference oracle (and
 //! is asserted equal across the test corpus).  The engines additionally report
 //! [`EngineStats`] so experiment harnesses can quantify the work saved.
+//! [`certify`] checks a shared-store fixpoint without trusting any of the
+//! engines' machinery — cache, dependency index, read journal or interner —
+//! by re-stepping every state once against the final store.
 //!
 //! ## Choosing a driver
 //!
@@ -55,10 +59,13 @@
 //! literal algorithm, a second opinion in a differential test, or a domain
 //! that implements only [`Collecting`].
 
+mod certificate;
 pub mod governor;
 pub mod parallel;
 mod per_state;
 mod shared;
+
+pub use certificate::{certify, CertReport};
 
 #[cfg(feature = "fault-inject")]
 pub use governor::FaultGuard;
@@ -207,6 +214,14 @@ pub struct EngineStats {
     /// — the contention gauge the worker cache drives down.  0 for sequential
     /// engines; reported, never gated (traced runs resolve extra labels).
     pub stripe_acquisitions: usize,
+    /// Read-set size summed over every executed step: Σ |read set|, the
+    /// edges each step installs in the reverse dependency index.  The
+    /// id-indexed engines read it off the store's read journal (plus the
+    /// write targets a step still binds), the structural baseline off the
+    /// [`StateRoots`] closure; a growing count means steps read, or are
+    /// believed to read, more of the store.  Deterministic work, summed
+    /// by [`EngineStats::merge`].
+    pub dep_edges: usize,
 }
 
 /// Declares the one list of timing gauges: generates both
@@ -245,9 +260,9 @@ impl EngineStats {
 
     /// Joins two stat records: additive *work* counters (steps, joins,
     /// hits, re-enqueues, widenings, spine clones, intern traffic, rounds,
-    /// steal events) are summed; *gauge* counters (peaks: frontier, shared
-    /// bytes, shard imbalance; totals: distinct states/envs) take the
-    /// maximum.  This is how the parallel engine folds per-shard stats into
+    /// dependency edges, steal events) are summed; *gauge* counters
+    /// (peaks: frontier, shared bytes, shard imbalance; totals: distinct
+    /// states/envs) take the maximum.  This is how the parallel engine folds per-shard stats into
     /// the run's record at each sync barrier — worker records carry only
     /// per-shard work, the coordinator's record carries the round
     /// structure, and `merge` is associative and commutative on that
@@ -276,6 +291,7 @@ impl EngineStats {
         self.worker_cache_hits += other.worker_cache_hits;
         self.worker_cache_misses += other.worker_cache_misses;
         self.stripe_acquisitions += other.stripe_acquisitions;
+        self.dep_edges += other.dep_edges;
     }
 
     /// Average contribution joins per solver round: O(|frontier|) for the
@@ -322,7 +338,7 @@ impl fmt::Display for EngineStats {
             f,
             "iters={} stepped={} hits={} reenq={} addr-joins={} widened={} joins={} rebuilds={} \
              peak={} intern={}/{} distinct={} clones={} shared-bytes={} syncs={} steals={} \
-             imbalance={} epochs={} stale={} memo={}/{} stripe-locks={}",
+             imbalance={} epochs={} stale={} memo={}/{} stripe-locks={} dep-edges={}",
             self.iterations,
             self.states_stepped,
             self.cache_hits,
@@ -344,7 +360,8 @@ impl fmt::Display for EngineStats {
             self.stale_merges,
             self.worker_cache_hits,
             self.worker_cache_misses,
-            self.stripe_acquisitions
+            self.stripe_acquisitions,
+            self.dep_edges
         )
     }
 }
@@ -354,10 +371,17 @@ impl fmt::Display for EngineStats {
 ///
 /// This is the engine-facing view of the language crates'
 /// [`Touches`] instances: the address type becomes an
-/// associated type so that the shared-store engine can name it without an
-/// unconstrained type parameter.  The contract is the one abstract garbage
-/// collection (§6.4) already relies on: a transition from `self` may only
+/// associated type so that the shared-store engines can name it without
+/// an unconstrained type parameter.  The contract is the one abstract
+/// garbage collection (§6.4) relies on: a transition from `self` may only
 /// fetch addresses inside `reachable(self.state_roots(), store)`.
+///
+/// Two things close the roots over the store: abstract GC
+/// ([`with_state_gc`], [`ReachableGc`](crate::gc::ReachableGc)) and the
+/// structural baseline engine
+/// ([`FrontierCollecting::explore_frontier_structural`]), whose read sets
+/// are that closure.  The id-indexed engines do not: their read set is
+/// the store's read journal, which the closure only bounds.
 pub trait StateRoots {
     /// The address type this state touches.
     type Addr: Address;

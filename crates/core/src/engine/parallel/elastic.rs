@@ -235,6 +235,7 @@ where
                 }
                 sid
             });
+            outcome.stats.dep_edges += entry.deps.len();
             if trace {
                 outcome.trace.costs.push((id, step_watch.lap_ns()));
             }

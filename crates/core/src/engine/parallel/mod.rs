@@ -352,6 +352,7 @@ where
             let mut step_watch = Stopwatch::start(*trace);
             let (ps, guts) = interner.resolve_cloned(id);
             let entry = step_entry(step, ps, guts, store, |k| interner.intern(k));
+            outcome.stats.dep_edges += entry.deps.len();
             if *trace {
                 // Raw `(id, ns)` only — labels are resolved by the
                 // coordinator at the barrier, never on the hot path.

@@ -4,10 +4,21 @@
 //! closed unit: its successors depend on the global store, which other
 //! states keep widening.  Naive Kleene iteration handles this by re-stepping
 //! every pair every round.  The solvers here memoise each pair's step
-//! outcome together with the set of addresses the transition may have read —
-//! the [`reachable`] closure of the pair's [`StateRoots`], the very set
-//! abstract GC proves sufficient — and maintain **one running accumulated
-//! domain**.  Per round they
+//! outcome together with its *read set* and maintain **one running
+//! accumulated domain**.  The id-indexed engine's read set is exact: the
+//! step runs on a store armed with a read journal
+//! ([`StoreDelta::arm_read_journal`]), which records every address the
+//! transition fetched on any branch, including fetches that came back
+//! empty and every address an abstract-GC sweep visited.  The structural
+//! baseline keeps the older, larger read set: the [`reachable`] closure of
+//! the pair's [`StateRoots`], which bounds what a transition may fetch.
+//! Both add the write targets a step still binds.  The journal needs one
+//! contract from the semantics: it reads the store only through the
+//! journaled methods ([`StoreLike`]'s *Journaled reads*).  A transition
+//! that decides its successors from anything else, such as a store's
+//! `iter()`, is not re-stepped when what it looked at grows, and the
+//! engine returns a smaller fixpoint than Kleene iteration, which
+//! [`certify`](super::certify) rejects.  Per round they
 //!
 //! 1. step only the *frontier* — states with no cached outcome (newly
 //!    discovered) plus states invalidated through a reverse dependency
@@ -49,7 +60,7 @@
 //! the frontier) — re-running its transition would reproduce that cached
 //! contribution exactly (the §6.4 garbage-collection argument: a transition
 //! is a pure function of the state, the guts and the store restricted to
-//! its read set).  So `current ⊔ f(current)`, the accumulated Kleene
+//! what it reads).  So `current ⊔ f(current)`, the accumulated Kleene
 //! iterate computed by [`explore_fp`](crate::collect::explore_fp), equals
 //! `current ⊔ (inject ⊔ Σ frontier contributions)` — the fold the engines
 //! perform.  As defence in depth, whenever a re-stepped contribution
@@ -161,8 +172,10 @@ pub(super) struct InternedEntry<S, A> {
     /// The join of the per-branch result stores, restricted to the
     /// addresses the step changed relative to its pre-store.
     pub(super) delta: S,
-    /// Every address the transition may have read (see [`CacheEntry::deps`];
-    /// sorted, deduplicated).
+    /// The step's read set (sorted, deduplicated): every address its
+    /// transition read, from the store's read journal (see
+    /// [`step_entry`]), plus the write targets the result still binds —
+    /// `bind` reads the binding it joins into (see [`CacheEntry::deps`]).
     pub(super) deps: Vec<A>,
 }
 
@@ -195,6 +208,7 @@ where
     stats.states_stepped += 1;
     stats.spine_clones += 1;
     let entry = step_pair(step, key, store);
+    stats.dep_edges += entry.deps.len();
     let mut shrank = false;
     if let Some(old) = cache.get(key) {
         stats.reenqueued += 1;
@@ -255,6 +269,13 @@ where
 /// cache entry.  The intern sink is abstract so the same stepping core
 /// serves the sequential engine (a `&mut` [`Interner`]) and the parallel
 /// engine (a shared [`ShardedInterner`](crate::intern::ShardedInterner)).
+///
+/// The read set is **journaled**, not inferred: the step runs on a clone
+/// of `store` armed with [`StoreDelta::arm_read_journal`], so every
+/// address the transition fetched — on any branch, including a fetch that
+/// came back empty and left no branch at all, and every address an
+/// abstract-GC sweep visited on a branch store — lands in one journal,
+/// which is taken (and closed) the moment the step returns.
 pub(super) fn step_entry<Ps, G, S, F, IN>(
     step: &F,
     ps: Ps,
@@ -266,53 +287,43 @@ where
     Ps: Value + Ord + Hash + StateRoots,
     G: Value + Ord + Hash,
     S: StoreLike<Ps::Addr> + StoreDelta<Ps::Addr> + Value,
-    S::D: Touches<Ps::Addr>,
     F: StepFn<Ps, G, S>,
     IN: FnMut((Ps, G)) -> StateId,
 {
-    let mut deps = reachable(ps.state_roots(), store);
+    let mut pre = store.clone();
+    let journal = pre.arm_read_journal();
+    let branches = step.step(ps, guts, pre);
+    let mut deps = journal.take();
     let mut successors: Vec<StateId> = Vec::new();
     let mut delta = S::bottom();
-    for ((ps2, g2), s2) in step.step(ps, guts, store.clone()) {
-        // Same write-targets-are-reads rule as `step_pair`, probing the
-        // handful of changed addresses directly instead of materialising
-        // the full address set of the result store.  While probing, watch
-        // for *drops* — changed addresses the result no longer binds.
+    for ((ps2, g2), s2) in branches {
+        // Write targets are read dependencies (see `CacheEntry::deps`):
+        // keep the changed addresses the branch still binds.  An address a
+        // GC'd branch dropped no longer influences the outcome; whether it
+        // stays dropped is decided by the sweep, whose reads are already
+        // in the journal.
         let changed = s2.changed_addresses(store);
-        let mut dropped = false;
-        for a in &changed {
-            if s2.contains(a) {
-                deps.insert(a.clone());
-            } else {
-                dropped = true;
-            }
-        }
-        // A branch that dropped nothing is a pure weak update: its delta is
-        // confined to its write targets (all registered above) and its
-        // successors are a function of its fetches (all inside the
-        // pre-state closure), so the entry cannot be perturbed through any
-        // other address and the successor-side closure is redundant.  A
-        // branch that *did* drop bindings ran abstract GC, and whether a
-        // write target stays dropped depends on reachability through the
-        // whole result store — so there, like the structural engines, the
-        // closure of the successor's roots joins the read set.
-        if dropped {
-            deps.extend(reachable(ps2.state_roots(), &s2));
-        }
+        deps.extend(changed.iter().filter(|a| s2.contains(a)).cloned());
         successors.push(intern((ps2, g2)));
         // Keep only what the branch changed: every other binding of `s2`
         // was copied out of the pre-store and is already below the
         // accumulated store the entry will be folded into.  `restrict_to`
         // extracts the handful of changed bindings by descent instead of
-        // walking the whole spine.
+        // walking the whole spine.  Folding into an unarmed bottom leaves
+        // the cached delta disconnected from the journal.
         delta.join_in_place(s2.restrict_to(&changed));
     }
     successors.sort_unstable();
     successors.dedup();
+    deps.sort_unstable();
+    deps.dedup();
+    // The journal repeats an address once per branch that read it; the
+    // cache keeps the entry, so give back the repeats' capacity.
+    deps.shrink_to_fit();
     InternedEntry {
         successors,
         delta,
-        deps: deps.into_iter().collect(),
+        deps,
     }
 }
 
@@ -357,6 +368,7 @@ where
     stats.spine_clones += 1;
     let (ps, guts) = interner.resolve(id).clone();
     let entry = step_entry(step, ps, guts, store, |k| interner.intern(k));
+    stats.dep_edges += entry.deps.len();
     // Interning the successors may have minted fresh ids; keep the flat
     // cache as long as the id space.
     if cache.len() < interner.len() {
@@ -1107,6 +1119,134 @@ mod tests {
         // The copied cell must stay [0,+∞): the reproducing strong update
         // at state 2 is a real producer even though it never diffs.
         assert_eq!(fixpoint.store().fetch(&1u8), Interval::at_least(0));
+    }
+
+    /// States of the read-journal edge-case machines.  No state has roots,
+    /// so the `StateRoots` closure is empty everywhere and only the read
+    /// journal can see what state 1 reads.
+    #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    struct Rd(u32);
+
+    impl StateRoots for Rd {
+        type Addr = u8;
+
+        fn state_roots(&self) -> BTreeSet<u8> {
+            BTreeSet::new()
+        }
+    }
+
+    /// `0 → {1, 2}`, `2 → 3`, and `3` writes `Ptr(5)` into cell 0 and goes
+    /// to `4`.  State 1 follows every pointer in cell 0 to `10 + ptr` — a
+    /// round before state 3's write, while the cell is still empty — and,
+    /// with `fallthrough`, also always steps to 9.
+    fn reader_step(fallthrough: bool) -> impl Fn(Rd) -> <M as MonadFamily>::M<Rd> {
+        move |st: Rd| match st.0 {
+            0 => M::mplus(M::pure(Rd(1)), M::pure(Rd(2))),
+            1 => {
+                let fetched = <M as MonadTrans>::lift(crate::monad::gets_nd_set::<
+                    StateT<S, VecM>,
+                    S,
+                    Ptr,
+                    _,
+                >(|store| store.fetch(&0u8)));
+                let via_heap = M::bind(fetched, |ptr| M::pure(Rd(10 + u32::from(ptr.0))));
+                if fallthrough {
+                    M::mplus(M::pure(Rd(9)), via_heap)
+                } else {
+                    via_heap
+                }
+            }
+            2 => M::pure(Rd(3)),
+            3 => {
+                let write = <M as MonadTrans>::lift(<StateT<S, VecM> as MonadState<S>>::modify(
+                    |store: S| store.bind(0u8, [Ptr(5)].into_iter().collect()),
+                ));
+                M::bind(write, |_| M::pure(Rd(4)))
+            }
+            _ => M::pure(st),
+        }
+    }
+
+    /// Solves `reader_step(fallthrough)` and asserts that state 1 was
+    /// re-stepped after the write: its first step saw an empty cell, so
+    /// only a re-step reaches the pointer's target, state 15.
+    fn assert_reader_sees_the_later_write(fallthrough: bool) {
+        let step = reader_step(fallthrough);
+        let kleene: SharedStoreDomain<Rd, G, S> = explore_fp::<M, Rd, _, _>(&step, Rd(0));
+        let (engine, _) =
+            <SharedStoreDomain<Rd, G, S> as FrontierCollecting<M, Rd>>::explore_frontier(
+                &step,
+                Rd(0),
+            );
+        assert_eq!(engine, kleene);
+        assert!(engine.states().iter().any(|(ps, _)| ps.0 == 15));
+    }
+
+    #[test]
+    fn an_empty_fetch_with_no_successors_is_still_a_dependency() {
+        // State 1's first step has no branch at all: its read must reach
+        // the journal through the armed pre-store, not a branch store.
+        assert_reader_sees_the_later_write(false);
+    }
+
+    #[test]
+    fn a_reader_without_roots_is_re_enqueued_by_a_write_to_its_cell() {
+        assert_reader_sees_the_later_write(true);
+    }
+
+    /// Arms a clone of `plain`, checks that arming changes neither equality,
+    /// order nor hash, that reads through the armed store and a store
+    /// derived from it land in one journal, and that the journal records
+    /// nothing once taken.
+    fn assert_journal_is_not_part_of_the_value<St>(plain: St)
+    where
+        St: StoreDelta<u8> + Hash + Clone,
+    {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::Hasher;
+
+        let digest = |s: &St| {
+            let mut h = DefaultHasher::new();
+            s.hash(&mut h);
+            h.finish()
+        };
+        let mut armed = plain.clone();
+        let journal = armed.arm_read_journal();
+        assert_eq!(armed, plain);
+        assert_eq!(armed.cmp(&plain), std::cmp::Ordering::Equal);
+        assert_eq!(digest(&armed), digest(&plain));
+
+        let branch = armed.clone();
+        let _ = branch.fetch(&1);
+        let _ = armed.fetch_ref(&2);
+        assert!(!branch.contains(&3));
+        assert_eq!(journal.take(), vec![1, 2, 3]);
+        let _ = branch.fetch(&1);
+        assert!(armed.contains(&1));
+        assert!(
+            journal.take().is_empty(),
+            "the journal recorded after the take"
+        );
+    }
+
+    #[test]
+    fn an_armed_store_is_the_same_value_and_stops_recording_after_the_take() {
+        use crate::lattice::Interval;
+        use crate::store::{Counter, CountingStore, IntervalStore};
+
+        let ptrs: BTreeSet<Ptr> = [Ptr(7)].into_iter().collect();
+        assert_journal_is_not_part_of_the_value(S::new().bind(1, ptrs.clone()));
+        let counting = CountingStore::<u8, Ptr>::new().bind(1, ptrs);
+        assert_journal_is_not_part_of_the_value(counting.clone());
+        assert_journal_is_not_part_of_the_value(
+            IntervalStore::new().bind(1, Interval::singleton(7)),
+        );
+
+        // The counting store's allocation count is a read too.
+        let mut armed = counting;
+        let journal = armed.arm_read_journal();
+        let _ = armed.count(&4);
+        assert_eq!(journal.take(), vec![4]);
     }
 
     #[test]

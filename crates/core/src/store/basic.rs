@@ -8,7 +8,7 @@ use crate::env::CowSet;
 use crate::lattice::Lattice;
 use crate::pmap::PMap;
 
-use super::StoreLike;
+use super::{ReadJournal, ReadTap, StoreLike};
 
 /// The standard abstract store of the abstracted abstract machine:
 /// a point-wise map from addresses to *sets* of values,
@@ -28,9 +28,14 @@ use super::StoreLike;
 /// identity for every *subtree* (not just every set) that was merely
 /// carried along.  The [`StoreLike`] co-domain stays the structural
 /// `BTreeSet<V>`.
+///
+/// `fetch`, `fetch_ref` and `contains` are journaled reads
+/// ([`StoreDelta::arm_read_journal`](super::StoreDelta::arm_read_journal));
+/// [`BasicStore::iter`] is not.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct BasicStore<A: Ord, V: Ord> {
     bindings: PMap<A, CowSet<V>>,
+    reads: ReadTap<A>,
 }
 
 impl<A: Address, V: Ord + Clone> BasicStore<A, V> {
@@ -38,11 +43,14 @@ impl<A: Address, V: Ord + Clone> BasicStore<A, V> {
     pub fn new() -> Self {
         BasicStore {
             bindings: PMap::new(),
+            reads: ReadTap::default(),
         }
     }
 
     /// Iterates over the bindings of the store, in the spine's
-    /// deterministic (hash) order.
+    /// deterministic (hash) order.  Not a journaled read: a transition
+    /// that inspects the store this way is invisible to the engines'
+    /// dependency tracking.
     pub fn iter(&self) -> impl Iterator<Item = (&A, &BTreeSet<V>)> {
         self.bindings.iter().map(|(a, vs)| (a, vs.as_set()))
     }
@@ -117,6 +125,7 @@ where
     }
 
     fn fetch(&self, a: &A) -> Self::D {
+        self.reads.record(a);
         self.bindings
             .get(a)
             .map(|vs| vs.as_set().clone())
@@ -126,10 +135,12 @@ where
     fn contains(&self, a: &A) -> bool {
         // Cheaper than the trait default, which materialises the fetched
         // set just to test it for bottom.
+        self.reads.record(a);
         self.bindings.get(a).is_some_and(|vs| !vs.is_empty())
     }
 
     fn fetch_ref(&self, a: &A) -> Option<&Self::D> {
+        self.reads.record(a);
         self.bindings.get(a).map(CowSet::as_set)
     }
 
@@ -170,6 +181,10 @@ where
 
     fn join_in_place_delta(&mut self, other: Self) -> BTreeSet<A> {
         self.bindings.join_in_place_delta(other.bindings)
+    }
+
+    fn arm_read_journal(&mut self) -> ReadJournal<A> {
+        self.reads.arm()
     }
 }
 

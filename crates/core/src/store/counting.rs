@@ -8,7 +8,7 @@ use crate::env::CowSet;
 use crate::lattice::{AbsNat, Lattice};
 use crate::pmap::PMap;
 
-use super::StoreLike;
+use super::{ReadJournal, ReadTap, StoreLike};
 
 /// A store that additionally tracks, for every address, an [`AbsNat`]
 /// abstract count of how many times it has been allocated/bound:
@@ -28,9 +28,15 @@ use super::StoreLike;
 /// diffs/joins skip shared subtrees) and the per-address value sets are
 /// copy-on-write [`CowSet`]s; each entry is the pair lattice
 /// `(value set, count)`.
+///
+/// `fetch`, `fetch_ref`, `contains` (through `fetch`) and
+/// [`Counter::count`] are journaled reads
+/// ([`StoreDelta::arm_read_journal`](super::StoreDelta::arm_read_journal));
+/// [`CountingStore::iter`] is not.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct CountingStore<A: Ord, V: Ord> {
     bindings: PMap<A, (CowSet<V>, AbsNat)>,
+    reads: ReadTap<A>,
 }
 
 impl<A: Address, V: Ord + Clone> CountingStore<A, V> {
@@ -38,11 +44,12 @@ impl<A: Address, V: Ord + Clone> CountingStore<A, V> {
     pub fn new() -> Self {
         CountingStore {
             bindings: PMap::new(),
+            reads: ReadTap::default(),
         }
     }
 
     /// Iterates over `(address, values, count)` triples, in the spine's
-    /// deterministic (hash) order.
+    /// deterministic (hash) order.  Not a journaled read.
     pub fn iter(&self) -> impl Iterator<Item = (&A, &BTreeSet<V>, AbsNat)> {
         self.bindings
             .iter()
@@ -143,6 +150,7 @@ where
     }
 
     fn fetch(&self, a: &A) -> Self::D {
+        self.reads.record(a);
         self.bindings
             .get(a)
             .map(|(vs, _)| vs.as_set().clone())
@@ -150,6 +158,7 @@ where
     }
 
     fn fetch_ref(&self, a: &A) -> Option<&Self::D> {
+        self.reads.record(a);
         self.bindings.get(a).map(|(vs, _)| vs.as_set())
     }
 
@@ -196,6 +205,10 @@ where
         // merge reports count-only growth too.
         self.bindings.join_in_place_delta(other.bindings)
     }
+
+    fn arm_read_journal(&mut self) -> ReadJournal<A> {
+        self.reads.arm()
+    }
 }
 
 /// The paper's `ACounter` class: stores that can report how often an
@@ -228,6 +241,7 @@ where
     V: Ord + Clone + fmt::Debug + Send + Sync + 'static,
 {
     fn count(&self, a: &A) -> AbsNat {
+        self.reads.record(a);
         self.bindings
             .get(a)
             .map(|(_, n)| *n)

@@ -21,7 +21,7 @@ use crate::addr::Address;
 use crate::lattice::{Interval, Lattice, WidenLattice};
 use crate::pmap::PMap;
 
-use super::{StoreDelta, StoreLike};
+use super::{ReadJournal, ReadTap, StoreDelta, StoreLike};
 
 /// A point-wise map from addresses to [`Interval`]s:
 /// `Ŝtore = Âddr → Interval`.
@@ -39,11 +39,15 @@ use super::{StoreDelta, StoreLike};
 /// operational metadata for the engines' narrowing post-pass, **not**
 /// part of the store's value: equality, ordering and hashing see the
 /// bindings only, so an armed snapshot compares equal to its unarmed
-/// original.
+/// original.  The same holds for the read journal
+/// ([`StoreDelta::arm_read_journal`]), which `fetch`, `fetch_ref` and
+/// `contains` record into; [`IntervalStore::iter`] is not a journaled
+/// read.
 #[derive(Clone, Default)]
 pub struct IntervalStore<A: Ord> {
     bindings: PMap<A, Interval>,
     journal: Option<PMap<A, Interval>>,
+    reads: ReadTap<A>,
 }
 
 impl<A: Ord + Eq> PartialEq for IntervalStore<A> {
@@ -78,6 +82,7 @@ impl<A: Address> IntervalStore<A> {
         IntervalStore {
             bindings: PMap::new(),
             journal: None,
+            reads: ReadTap::default(),
         }
     }
 
@@ -190,14 +195,17 @@ impl<A: Address> StoreLike<A> for IntervalStore<A> {
     }
 
     fn fetch(&self, a: &A) -> Self::D {
+        self.reads.record(a);
         self.bindings.get(a).copied().unwrap_or(Interval::Empty)
     }
 
     fn fetch_ref(&self, a: &A) -> Option<&Self::D> {
+        self.reads.record(a);
         self.bindings.get(a)
     }
 
     fn contains(&self, a: &A) -> bool {
+        self.reads.record(a);
         self.bindings.get(a).is_some_and(|i| !i.is_bottom())
     }
 
@@ -267,7 +275,12 @@ impl<A: Address> StoreDelta<A> for IntervalStore<A> {
         self.journal.take().map(|journal| IntervalStore {
             bindings: journal,
             journal: None,
+            reads: ReadTap::default(),
         })
+    }
+
+    fn arm_read_journal(&mut self) -> ReadJournal<A> {
+        self.reads.arm()
     }
 }
 

@@ -23,6 +23,9 @@ pub use interval::IntervalStore;
 
 use std::collections::BTreeSet;
 use std::fmt::Debug;
+use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::addr::Address;
 use crate::lattice::Lattice;
@@ -45,6 +48,21 @@ use crate::lattice::Lattice;
 /// let fetched: BTreeSet<&str> = store.fetch(&1);
 /// assert_eq!(fetched.len(), 2); // weak update: both closures flow to address 1
 /// ```
+///
+/// ## Journaled reads
+///
+/// [`StoreLike::fetch`], [`StoreLike::fetch_ref`], [`StoreLike::contains`]
+/// and [`Counter::count`] are the store's **reads**: on a snapshot armed
+/// with [`StoreDelta::arm_read_journal`] (and on every store derived from
+/// it) each of them records the address it looked at.  The id-indexed
+/// engines take that journal as the step's read set, so a transition may
+/// depend on the pre-store only through these methods.  Everything else —
+/// [`StoreLike::addresses`], [`StoreLike::binding_count`], the stores'
+/// `iter()`, diffs and joins — is invisible to dependency tracking: a
+/// semantics that decides successors from it is not re-stepped when the
+/// store it looked at grows, and the engine returns a smaller fixpoint
+/// than Kleene iteration (which
+/// [`certify`](crate::engine::certify) rejects).
 pub trait StoreLike<A: Address>: Lattice + Ord + Debug + Send + Sync + 'static {
     /// The co-domain of the store: what an address denotes.
     ///
@@ -169,6 +187,126 @@ where
     }
 }
 
+/// One armed step's read journal, shared by every store connected to it.
+struct Journal<A> {
+    /// The addresses read so far; `None` once the journal is closed.
+    reads: Mutex<Option<Vec<A>>>,
+    /// Cleared when the journal closes and checked before locking, so a
+    /// read on a store whose journal was taken costs one load, not a lock.
+    /// It guards no data (`reads` is closed under the lock), so `Relaxed`
+    /// suffices.
+    open: AtomicBool,
+}
+
+type SharedReads<A> = Arc<Journal<A>>;
+
+/// A store's connection to a read journal: the field through which a
+/// journaling store records its [journaled reads](StoreLike#journaled-reads).
+///
+/// Unarmed (the default) it records nothing.  [`ReadTap::arm`] connects it
+/// to a fresh journal; cloning the store clones the connection, so every
+/// store derived from an armed snapshot — each branch of a step, each
+/// GC-filtered result — records into the **same** journal.  That sharing is
+/// what makes a read count even when it produced no branch: a fetch that
+/// comes back empty leaves no successor and no branch store to carry a
+/// private journal, but the read still depends on the address.
+///
+/// The tap is operational metadata, not part of the store's value: every
+/// tap compares equal, orders equal and hashes to nothing, so a store type
+/// can keep its derived `Eq`, `Ord` and `Hash` with a tap field in it.
+pub struct ReadTap<A>(Option<SharedReads<A>>);
+
+impl<A: Clone + PartialEq> ReadTap<A> {
+    /// Connects this tap to a fresh, open journal and returns the
+    /// engine's handle on it (replacing any earlier connection).
+    pub fn arm(&mut self) -> ReadJournal<A> {
+        let journal: SharedReads<A> = Arc::new(Journal {
+            reads: Mutex::new(Some(Vec::new())),
+            open: AtomicBool::new(true),
+        });
+        self.0 = Some(Arc::clone(&journal));
+        ReadJournal(journal)
+    }
+
+    /// Records a read of `a`, if the tap is connected to an open journal.
+    /// A read of the address recorded last is not recorded again: a fetch
+    /// repeated on every branch of a fan-out stays one entry.
+    #[inline]
+    pub fn record(&self, a: &A) {
+        let Some(journal) = &self.0 else { return };
+        if !journal.open.load(Ordering::Relaxed) {
+            return;
+        }
+        // A push either happens or not, so a poisoned journal is still a
+        // valid record of the reads before the panic.
+        let mut reads = journal.reads.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(log) = reads.as_mut() {
+            if log.last() != Some(a) {
+                log.push(a.clone());
+            }
+        }
+    }
+}
+
+impl<A> Clone for ReadTap<A> {
+    fn clone(&self) -> Self {
+        ReadTap(self.0.clone())
+    }
+}
+
+impl<A> Default for ReadTap<A> {
+    fn default() -> Self {
+        ReadTap(None)
+    }
+}
+
+impl<A> PartialEq for ReadTap<A> {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl<A> Eq for ReadTap<A> {}
+
+impl<A> PartialOrd for ReadTap<A> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<A> Ord for ReadTap<A> {
+    fn cmp(&self, _: &Self) -> std::cmp::Ordering {
+        std::cmp::Ordering::Equal
+    }
+}
+
+impl<A> Hash for ReadTap<A> {
+    fn hash<H: Hasher>(&self, _: &mut H) {}
+}
+
+/// The engine's handle on a read journal armed by
+/// [`StoreDelta::arm_read_journal`].
+#[must_use = "an armed journal records until it is taken"]
+pub struct ReadJournal<A>(SharedReads<A>);
+
+impl<A> ReadJournal<A> {
+    /// The addresses read since arming, in read order (an address may
+    /// repeat, though not twice in a row), and closes the journal: stores
+    /// still connected to it record nothing more (a later `take` returns
+    /// nothing), so the engine's own probes after the step do not count,
+    /// and the record is freed here rather than when the last branch
+    /// store drops.
+    pub fn take(&self) -> Vec<A> {
+        self.0.open.store(false, Ordering::Relaxed);
+        self.0
+            .reads
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+            .unwrap_or_default()
+    }
+}
+
 /// Stores that can report *which addresses* differ between two snapshots —
 /// the primitive the worklist engine's dependency invalidation
 /// ([`crate::engine`]) is built on.
@@ -216,6 +354,22 @@ pub trait StoreDelta<A: Address>: StoreLike<A> {
         let _ = widen_at;
         self.join_in_place_delta(other)
     }
+
+    /// Arms read journaling on this snapshot: from now on every
+    /// [journaled read](StoreLike#journaled-reads) on this store **or on
+    /// any store derived from it** (by `clone`, branch threading, GC
+    /// filtering) records its address in one shared journal, until
+    /// [`ReadJournal::take`] closes it.
+    ///
+    /// The id-indexed engines arm a clone of the pre-store before each
+    /// step and take the journal as the step's read set — exactly the
+    /// addresses the transition looked at, where the [`StateRoots`]
+    /// closure over the store is every address it *could* look at.
+    /// There is no default: a store that did not journal would silently
+    /// lose every dependency of every step.
+    ///
+    /// [`StateRoots`]: crate::engine::StateRoots
+    fn arm_read_journal(&mut self) -> ReadJournal<A>;
 
     /// Arms write journaling on this store snapshot: from now on, every
     /// semantic write ([`StoreLike::bind_in_place`] / [`StoreLike::bind`]

@@ -288,9 +288,13 @@ impl<A: Address> Touches<A> for PState<A> {
     }
 }
 
-/// The worklist engine's view of a state's read set: the same roots abstract
-/// GC starts from ([`Touches`]), with the address type pinned down so the
-/// engine can close them over the shared store.
+/// The roots abstract GC starts from ([`Touches`]), with the address type
+/// pinned down so abstract GC
+/// ([`ReachableGc`](mai_core::gc::ReachableGc),
+/// [`with_state_gc`](mai_core::engine::with_state_gc)) and the structural
+/// baseline engine can close them over the store.  The id-indexed engines
+/// do not use them: they take a step's read set from the store's read
+/// journal.
 impl<A: Address> StateRoots for PState<A> {
     type Addr = A;
 

@@ -80,6 +80,7 @@ fn assert_parallel_counters(label: &str, threads: usize, seq: &EngineStats, par:
         "{ctx}: distinct_states"
     );
     assert_eq!(par.spine_clones, seq.spine_clones, "{ctx}: spine_clones");
+    assert_eq!(par.dep_edges, seq.dep_edges, "{ctx}: dep_edges");
     assert_eq!(par.sync_rounds, par.iterations, "{ctx}: sync_rounds");
 }
 

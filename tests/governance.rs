@@ -46,6 +46,17 @@ fn deterministic_counters(stats: EngineStats) -> EngineStats {
     }
 }
 
+/// Runs a barrier or elastic solve under an empty fault plan.  The plan a
+/// fault test installs is process-global, so a parallel solve running
+/// beside that test would step through its injected faults; holding the
+/// plan's serial lock keeps the two apart.  Without the `fault-inject`
+/// feature there is no plan, and this only calls `solve`.
+fn without_faults<R>(solve: impl FnOnce() -> R) -> R {
+    #[cfg(feature = "fault-inject")]
+    let _serial = mai_core::engine::FaultPlan::new().install();
+    solve()
+}
+
 /// The resume chain is provably finite (each resumed round steps at least
 /// one state of a finite abstract space), but a regression that dropped
 /// the seed's accumulated store could loop — bound the chain defensively.
@@ -97,12 +108,11 @@ fn unlimited_budget_is_byte_identical_to_the_classic_parallel_driver() {
     for seed in COMMITTED_SEEDS {
         let term = term_from_seed(seed);
         for threads in PARALLEL_THREADS {
-            let (classic, classic_stats) = la::analyse_kcfa_shared_parallel::<1>(&term, threads);
-            let (outcome, stats) = la::analyse_kcfa_shared_parallel_governed::<1>(
-                &term,
-                threads,
-                &Budget::unlimited(),
-            )
+            let (classic, classic_stats) =
+                without_faults(|| la::analyse_kcfa_shared_parallel::<1>(&term, threads));
+            let (outcome, stats) = without_faults(|| {
+                la::analyse_kcfa_shared_parallel_governed::<1>(&term, threads, &Budget::unlimited())
+            })
             .expect("no worker fault without an installed fault plan");
             assert_eq!(
                 outcome.into_complete(),
@@ -129,9 +139,10 @@ fn unlimited_budget_matches_the_classic_elastic_driver_fixpoint() {
             threads: 2,
             epochs: 4,
         };
-        let (outcome, _) =
+        let (outcome, _) = without_faults(|| {
             la::analyse_kcfa_shared_elastic_governed::<1>(&term, config, &Budget::unlimited())
-                .expect("no worker fault without an installed fault plan");
+        })
+        .expect("no worker fault without an installed fault plan");
         assert_eq!(
             outcome.into_complete(),
             direct,
@@ -208,9 +219,10 @@ fn parallel_exhaustion_resumes_on_either_driver() {
         let (oracle, _) = la::analyse_kcfa_shared_direct::<1>(&term);
         for threads in PARALLEL_THREADS {
             let ctx = format!("seed {seed:#x} at {threads} threads");
-            let (outcome, _) =
+            let (outcome, _) = without_faults(|| {
                 la::analyse_kcfa_shared_parallel_governed::<1>(&term, threads, &tight)
-                    .expect("no worker fault without an installed fault plan");
+            })
+            .expect("no worker fault without an installed fault plan");
             match outcome {
                 Outcome::Complete(value) => {
                     assert_eq!(value, oracle, "{ctx}: one-round completion")
@@ -227,12 +239,14 @@ fn parallel_exhaustion_resumes_on_either_driver() {
                         "{ctx}: sequential resume of a parallel partial"
                     );
                     // … and on the parallel driver it came from.
-                    let (par, _) = la::KCeskShared::<1>::explore_frontier_parallel_governed(
-                        &mai_lambda::direct::mnext_direct::<KCallCtx<1>, la::KCeskStore>,
-                        SolveFrom::Resume(*resume_seed),
-                        threads,
-                        &Budget::unlimited(),
-                    )
+                    let (par, _) = without_faults(|| {
+                        la::KCeskShared::<1>::explore_frontier_parallel_governed(
+                            &mai_lambda::direct::mnext_direct::<KCallCtx<1>, la::KCeskStore>,
+                            SolveFrom::Resume(*resume_seed),
+                            threads,
+                            &Budget::unlimited(),
+                        )
+                    })
                     .expect("no worker fault without an installed fault plan");
                     assert_eq!(
                         par.into_complete(),
@@ -399,13 +413,15 @@ fn elastic_cancellation_lands_within_one_epoch() {
         threads: 2,
         epochs: 8,
     };
-    let (outcome, _stats) = ChainDom::explore_frontier_elastic_governed_traced(
-        &step,
-        SolveFrom::Fresh(Chain(0)),
-        config,
-        &budget,
-        &mut sink,
-    )
+    let (outcome, _stats) = without_faults(|| {
+        ChainDom::explore_frontier_elastic_governed_traced(
+            &step,
+            SolveFrom::Fresh(Chain(0)),
+            config,
+            &budget,
+            &mut sink,
+        )
+    })
     .expect("no worker fault without an installed fault plan");
     assert_eq!(outcome.exhaust_reason(), Some(ExhaustReason::Cancelled));
     // Cancellation was raised by the very first step, so no worker may
@@ -440,12 +456,14 @@ fn elastic_round_budget_partial_resumes_onto_the_full_fixpoint() {
         threads: 2,
         epochs: 2,
     };
-    let (outcome, _) = ChainDom::explore_frontier_elastic_governed(
-        &step,
-        SolveFrom::Fresh(Chain(0)),
-        config,
-        &Budget::unlimited().with_max_rounds(1),
-    )
+    let (outcome, _) = without_faults(|| {
+        ChainDom::explore_frontier_elastic_governed(
+            &step,
+            SolveFrom::Fresh(Chain(0)),
+            config,
+            &Budget::unlimited().with_max_rounds(1),
+        )
+    })
     .expect("no worker fault without an installed fault plan");
     match outcome {
         Outcome::Complete(value) => assert_eq!(value, full),
@@ -579,7 +597,8 @@ mod faults {
     #[test]
     fn injected_delays_perturb_timing_but_not_the_fixpoint() {
         let term = term_from_seed(COMMITTED_SEEDS[5]);
-        let (classic, classic_stats) = la::analyse_kcfa_shared_parallel::<1>(&term, 2);
+        let (classic, classic_stats) =
+            without_faults(|| la::analyse_kcfa_shared_parallel::<1>(&term, 2));
         let guard = FaultPlan::new()
             .delay_at(0, 0, 2)
             .delay_at(1, 1, 2)
