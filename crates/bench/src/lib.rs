@@ -1399,7 +1399,7 @@ pub fn widening_row(
         explore_frontier_parallel_governed(
             &step,
             SolveFrom::Fresh(CountState(0)),
-            threads,
+            ParallelConfig::barrier(threads),
             &widened_budget,
         )
         .map(|(outcome, stats)| {
@@ -1428,7 +1428,7 @@ pub fn widening_row(
     // support this assertion — elastic runs there are only guaranteed a
     // sound post-fixpoint, not the sequential engines' bytes.
     let elastic_parity = <WideningDomain as ParallelCollecting<CountState, u64, IS>>::
-        explore_frontier_elastic_governed(
+        explore_frontier_parallel_governed(
             &step,
             SolveFrom::Fresh(CountState(0)),
             ParallelConfig { threads, epochs: 2 },
@@ -1560,6 +1560,18 @@ pub fn fault_ladder_row(name: impl Into<String>, program: &CExp, threads: usize)
 mod tests {
     use super::*;
 
+    /// Runs a test that solves on the worker pool under an empty fault
+    /// plan.  The plan `fault_ladder_rows_descend_to_the_sequential_rung`
+    /// installs is process-global, so a pool running beside it would step
+    /// through its injected faults; holding the plan's serial lock keeps
+    /// the two apart.  Without the `fault-inject` feature there is no plan,
+    /// and this only calls `test`.
+    fn without_faults(test: impl FnOnce()) {
+        #[cfg(feature = "fault-inject")]
+        let _serial = mai_core::engine::FaultPlan::new().install();
+        test()
+    }
+
     #[test]
     fn governed_rows_hold_parity_and_resume_onto_the_fixpoint() {
         let program = mai_cps::programs::kcfa_worst_case(2);
@@ -1580,12 +1592,14 @@ mod tests {
 
     #[test]
     fn cancel_rows_report_a_cancelled_or_completed_solve() {
-        let program = mai_cps::programs::kcfa_worst_case_scaled(2, 3);
-        // Zero delay: the token is cancelled effectively immediately, so
-        // the solve is cut short (or, degenerately, wins the race).
-        let row = cancel_latency_row("kcfa-worst-2w3", &program, 2, 4, Duration::ZERO);
-        assert!(row.ok(), "cancel token ignored: {}", row.render());
-        assert!(!row.render().is_empty());
+        without_faults(|| {
+            let program = mai_cps::programs::kcfa_worst_case_scaled(2, 3);
+            // Zero delay: the token is cancelled effectively immediately, so
+            // the solve is cut short (or, degenerately, wins the race).
+            let row = cancel_latency_row("kcfa-worst-2w3", &program, 2, 4, Duration::ZERO);
+            assert!(row.ok(), "cancel token ignored: {}", row.render());
+            assert!(!row.render().is_empty());
+        });
     }
 
     #[cfg(feature = "fault-inject")]
@@ -1600,27 +1614,29 @@ mod tests {
 
     #[test]
     fn elastic_rows_agree_and_record_epochs() {
-        let program = mai_cps::programs::kcfa_worst_case_scaled(2, 3);
-        for (threads, epochs) in [(1usize, 1usize), (2, 4)] {
-            let row = elastic_row("kcfa-worst-2w3", &program, threads, epochs, 2);
-            assert!(row.equal, "elastic/barrier/direct fixpoints differ");
-            assert_eq!((row.threads, row.epochs), (threads, epochs));
-            assert_eq!(row.configurations, row.elastic.distinct_states);
-            if epochs > 1 {
-                // The elastic machinery actually engaged: epochs ran and
-                // the per-worker memo saw traffic.
-                assert!(row.elastic.epochs_run >= row.elastic.sync_rounds);
-                assert!(row.elastic.worker_cache_hits + row.elastic.worker_cache_misses > 0);
-            } else {
-                assert_eq!(row.elastic.epochs_run, 0, "epochs=1 delegates to barrier");
+        without_faults(|| {
+            let program = mai_cps::programs::kcfa_worst_case_scaled(2, 3);
+            for (threads, epochs) in [(1usize, 1usize), (2, 4)] {
+                let row = elastic_row("kcfa-worst-2w3", &program, threads, epochs, 2);
+                assert!(row.equal, "elastic/barrier/direct fixpoints differ");
+                assert_eq!((row.threads, row.epochs), (threads, epochs));
+                assert_eq!(row.configurations, row.elastic.distinct_states);
+                if epochs > 1 {
+                    // The elastic machinery actually engaged: epochs ran and
+                    // the per-worker memo saw traffic.
+                    assert!(row.elastic.epochs_run >= row.elastic.sync_rounds);
+                    assert!(row.elastic.worker_cache_hits + row.elastic.worker_cache_misses > 0);
+                } else {
+                    assert_eq!(row.elastic.epochs_run, 0, "epochs=1 delegates to barrier");
+                }
+                let json = row.to_json().render();
+                assert!(json.contains("\"epochs\""));
+                assert!(json.contains("\"median_wall_ms\""));
+                assert!(json.contains("\"worker_cache_hit_rate\""));
+                assert!(json.contains("\"speedup_vs_barrier\""));
+                assert!(!row.render().is_empty());
             }
-            let json = row.to_json().render();
-            assert!(json.contains("\"epochs\""));
-            assert!(json.contains("\"median_wall_ms\""));
-            assert!(json.contains("\"worker_cache_hit_rate\""));
-            assert!(json.contains("\"speedup_vs_barrier\""));
-            assert!(!row.render().is_empty());
-        }
+        });
     }
 
     #[test]
@@ -1711,85 +1727,91 @@ mod tests {
 
     #[test]
     fn parallel_rows_agree_and_record_threads() {
-        let program = mai_cps::programs::kcfa_worst_case_scaled(2, 3);
-        for threads in [1usize, 2] {
-            let row = parallel_row("kcfa-worst-2w3", &program, threads, 2);
-            assert!(row.equal, "parallel and direct fixpoints differ");
-            assert_eq!(row.threads, threads);
-            // Deterministic work counters must match the direct oracle
-            // (parallel_row itself asserts the core set; spot-check more).
-            assert_eq!(row.parallel.cache_hits, row.direct.cache_hits);
-            assert_eq!(row.parallel.reenqueued, row.direct.reenqueued);
-            assert_eq!(row.parallel.intern_misses, row.direct.intern_misses);
-            // The parallel driver syncs once per round; the sequential
-            // engine never syncs.
-            assert_eq!(row.parallel.sync_rounds, row.parallel.iterations);
-            assert_eq!(row.direct.sync_rounds, 0);
-            let json = row.to_json().render();
-            assert!(json.contains("\"threads\""));
-            assert!(json.contains("\"sync_rounds\""));
-            assert!(json.contains("\"steal_events\""));
-            assert!(json.contains("\"speedup\""));
-        }
+        without_faults(|| {
+            let program = mai_cps::programs::kcfa_worst_case_scaled(2, 3);
+            for threads in [1usize, 2] {
+                let row = parallel_row("kcfa-worst-2w3", &program, threads, 2);
+                assert!(row.equal, "parallel and direct fixpoints differ");
+                assert_eq!(row.threads, threads);
+                // Deterministic work counters must match the direct oracle
+                // (parallel_row itself asserts the core set; spot-check more).
+                assert_eq!(row.parallel.cache_hits, row.direct.cache_hits);
+                assert_eq!(row.parallel.reenqueued, row.direct.reenqueued);
+                assert_eq!(row.parallel.intern_misses, row.direct.intern_misses);
+                // The parallel driver syncs once per round; the sequential
+                // engine never syncs.
+                assert_eq!(row.parallel.sync_rounds, row.parallel.iterations);
+                assert_eq!(row.direct.sync_rounds, 0);
+                let json = row.to_json().render();
+                assert!(json.contains("\"threads\""));
+                assert!(json.contains("\"sync_rounds\""));
+                assert!(json.contains("\"steal_events\""));
+                assert!(json.contains("\"speedup\""));
+            }
+        });
     }
 
     #[test]
     fn every_row_kind_reports_wall_ms_and_host_cpus() {
-        let program = mai_cps::programs::kcfa_worst_case_scaled(2, 3);
-        let jsons = vec![
-            polyvariance_rows("kcfa-worst-2w3", &program)[0].to_json(),
-            worklist_row("kcfa-worst-2w3", &program).to_json(),
-            interned_row("kcfa-worst-2w3", &program, 1).to_json(),
-            direct_row("kcfa-worst-2w3", &program, 1).to_json(),
-            parallel_row("kcfa-worst-2w3", &program, 2, 1).to_json(),
-            telemetry_row("kcfa-worst-2w3", &program, 2).to_json(),
-        ];
-        for json in jsons {
-            assert!(
-                json.get("wall_ms").and_then(Json::as_f64).is_some(),
-                "row misses wall_ms: {}",
-                json.render()
-            );
-            assert_eq!(
-                json.get("host_cpus").and_then(Json::as_u64),
-                Some(host_cpus() as u64),
-                "row misses host_cpus: {}",
-                json.render()
-            );
-        }
+        without_faults(|| {
+            let program = mai_cps::programs::kcfa_worst_case_scaled(2, 3);
+            let jsons = vec![
+                polyvariance_rows("kcfa-worst-2w3", &program)[0].to_json(),
+                worklist_row("kcfa-worst-2w3", &program).to_json(),
+                interned_row("kcfa-worst-2w3", &program, 1).to_json(),
+                direct_row("kcfa-worst-2w3", &program, 1).to_json(),
+                parallel_row("kcfa-worst-2w3", &program, 2, 1).to_json(),
+                telemetry_row("kcfa-worst-2w3", &program, 2).to_json(),
+            ];
+            for json in jsons {
+                assert!(
+                    json.get("wall_ms").and_then(Json::as_f64).is_some(),
+                    "row misses wall_ms: {}",
+                    json.render()
+                );
+                assert_eq!(
+                    json.get("host_cpus").and_then(Json::as_u64),
+                    Some(host_cpus() as u64),
+                    "row misses host_cpus: {}",
+                    json.render()
+                );
+            }
+        });
     }
 
     #[test]
     fn telemetry_rows_trace_without_perturbing_the_solve() {
-        let program = mai_cps::programs::kcfa_worst_case_scaled(2, 3);
-        // telemetry_row itself asserts EngineStats equality between the
-        // traced and untraced solves; `equal` covers the fixpoint.
-        let row = telemetry_row("kcfa-worst-2w3", &program, 2);
-        assert!(row.equal, "traced fixpoint differs from untraced");
-        assert_eq!(row.trace.rounds.len(), row.stats.iterations);
-        // Every round stepped something and the worker spans cover every
-        // round (two workers joined per sync round).
-        assert!(row.trace.rounds.iter().all(|r| r.stepped > 0));
-        assert!(!row.trace.workers.is_empty());
-        let processed: usize = row.trace.workers.iter().map(|s| s.processed).sum();
-        assert_eq!(processed, row.stats.states_stepped);
-        // The trace attributes step cost and join traffic to real labels.
-        assert!(!row.trace.top_states(4).is_empty());
-        assert!(!row.trace.top_addresses(4).is_empty());
-        let json = row.to_json().render();
-        assert!(json.contains("\"phase_totals\""));
-        assert!(json.contains("\"hot_states\""));
-        // The Chrome export parses and carries all three phase categories.
-        let chrome = Json::parse(&row.trace.chrome_trace_json()).expect("chrome trace parses");
-        let events = chrome.get("traceEvents").expect("traceEvents").items();
-        for cat in ["step", "join", "worker"] {
-            assert!(
-                events
-                    .iter()
-                    .any(|e| e.get("cat").and_then(Json::as_str) == Some(cat)),
-                "no {cat} slice in the Chrome export"
-            );
-        }
+        without_faults(|| {
+            let program = mai_cps::programs::kcfa_worst_case_scaled(2, 3);
+            // telemetry_row itself asserts EngineStats equality between the
+            // traced and untraced solves; `equal` covers the fixpoint.
+            let row = telemetry_row("kcfa-worst-2w3", &program, 2);
+            assert!(row.equal, "traced fixpoint differs from untraced");
+            assert_eq!(row.trace.rounds.len(), row.stats.iterations);
+            // Every round stepped something and the worker spans cover every
+            // round (two workers joined per sync round).
+            assert!(row.trace.rounds.iter().all(|r| r.stepped > 0));
+            assert!(!row.trace.workers.is_empty());
+            let processed: usize = row.trace.workers.iter().map(|s| s.processed).sum();
+            assert_eq!(processed, row.stats.states_stepped);
+            // The trace attributes step cost and join traffic to real labels.
+            assert!(!row.trace.top_states(4).is_empty());
+            assert!(!row.trace.top_addresses(4).is_empty());
+            let json = row.to_json().render();
+            assert!(json.contains("\"phase_totals\""));
+            assert!(json.contains("\"hot_states\""));
+            // The Chrome export parses and carries all three phase categories.
+            let chrome = Json::parse(&row.trace.chrome_trace_json()).expect("chrome trace parses");
+            let events = chrome.get("traceEvents").expect("traceEvents").items();
+            for cat in ["step", "join", "worker"] {
+                assert!(
+                    events
+                        .iter()
+                        .any(|e| e.get("cat").and_then(Json::as_str) == Some(cat)),
+                    "no {cat} slice in the Chrome export"
+                );
+            }
+        });
     }
 
     #[test]

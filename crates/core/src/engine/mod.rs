@@ -262,11 +262,10 @@ impl EngineStats {
     /// hits, re-enqueues, widenings, spine clones, intern traffic, rounds,
     /// dependency edges, steal events) are summed; *gauge* counters
     /// (peaks: frontier, shared bytes, shard imbalance; totals: distinct
-    /// states/envs) take the maximum.  This is how the parallel engine folds per-shard stats into
-    /// the run's record at each sync barrier — worker records carry only
-    /// per-shard work, the coordinator's record carries the round
-    /// structure, and `merge` is associative and commutative on that
-    /// split, so the merged result is independent of worker order.
+    /// states/envs) take the maximum.  This is how the round loop folds
+    /// each step phase's record (its workers' steals, epochs, memo traffic
+    /// and shard imbalance) into the run's; `merge` is associative and
+    /// commutative, so the result is independent of worker order.
     pub fn merge(&mut self, other: &EngineStats) {
         self.iterations += other.iterations;
         self.states_stepped += other.states_stepped;
@@ -695,29 +694,35 @@ where
     Fp::explore_frontier_direct_traced(&step, initial, sink)
 }
 
-/// Analysis domains solvable by the **sharded parallel** driver
+/// Analysis domains solvable by the **sharded parallel** drivers
 /// ([`parallel`]): the same direct-style [`StepFn`] shape as
-/// [`DirectCollecting`], with the frontier split across worker threads and
-/// per-shard store deltas joined at a sync barrier each round.
+/// [`DirectCollecting`], with each round's frontier stepped on a worker
+/// pool and the per-shard store deltas joined at a sync barrier.  The
+/// [`ParallelConfig`] selects the step phase: `epochs = 1` is the barrier
+/// phase, `epochs > 1` the elastic phase ([`parallel::elastic`]).
 ///
 /// Implementations must compute the same fixpoint
 /// [`DirectCollecting::explore_frontier_direct`] computes for the same
-/// step function, at every thread count — the sequential direct engine is
-/// the determinism oracle the differential suite pins this to.
+/// step function, at every configuration — the sequential direct engine is
+/// the determinism oracle the differential suite pins this to.  The
+/// barrier phase also reproduces its deterministic work counters; the
+/// elastic phase's counters (steps, epochs, memo traffic) are
+/// timing-dependent and must not be gated.
 pub trait ParallelCollecting<Ps, G, S>: Sized {
     /// What an `Exhausted` partial carries to continue the solve — see
     /// [`ResumeSeed`].
     type Seed;
 
-    /// The governed barrier-parallel solve: budget checked at every sync
-    /// barrier, workers polling the budget's [`CancelToken`] between
-    /// claims, and worker panics surfaced as a clean
-    /// [`EngineError::WorkerPanicked`] (the pool is drained and shut
-    /// down; nothing deadlocks).
+    /// The governed parallel solve: budget checked at every sync barrier,
+    /// workers polling the budget's [`CancelToken`] between claims
+    /// (barrier) or inside interruptible epochs (elastic, so cancel
+    /// latency is bounded by one epoch), and worker panics surfaced as a
+    /// clean [`EngineError::WorkerPanicked`] (the pool is drained and
+    /// shut down; nothing deadlocks).
     fn explore_frontier_parallel_governed_traced<F, T>(
         step: &F,
         from: SolveFrom<Ps, Self::Seed>,
-        threads: usize,
+        config: ParallelConfig,
         budget: &Budget,
         sink: &mut T,
     ) -> Result<(Outcome<Self, Self::Seed>, EngineStats), EngineError>
@@ -730,35 +735,6 @@ pub trait ParallelCollecting<Ps, G, S>: Sized {
     fn explore_frontier_parallel_governed<F>(
         step: &F,
         from: SolveFrom<Ps, Self::Seed>,
-        threads: usize,
-        budget: &Budget,
-    ) -> Result<(Outcome<Self, Self::Seed>, EngineStats), EngineError>
-    where
-        F: StepFn<Ps, G, S>,
-        Ps: fmt::Debug,
-    {
-        Self::explore_frontier_parallel_governed_traced(step, from, threads, budget, &mut NoopSink)
-    }
-
-    /// The governed barrier-elastic solve: budget checked at every
-    /// barrier, workers additionally polling the [`CancelToken`] inside
-    /// interruptible epochs so cancel latency is bounded by one epoch.
-    fn explore_frontier_elastic_governed_traced<F, T>(
-        step: &F,
-        from: SolveFrom<Ps, Self::Seed>,
-        config: ParallelConfig,
-        budget: &Budget,
-        sink: &mut T,
-    ) -> Result<(Outcome<Self, Self::Seed>, EngineStats), EngineError>
-    where
-        F: StepFn<Ps, G, S>,
-        T: TraceSink,
-        Ps: fmt::Debug;
-
-    /// [`Self::explore_frontier_elastic_governed_traced`] without a sink.
-    fn explore_frontier_elastic_governed<F>(
-        step: &F,
-        from: SolveFrom<Ps, Self::Seed>,
         config: ParallelConfig,
         budget: &Budget,
     ) -> Result<(Outcome<Self, Self::Seed>, EngineStats), EngineError>
@@ -766,66 +742,37 @@ pub trait ParallelCollecting<Ps, G, S>: Sized {
         F: StepFn<Ps, G, S>,
         Ps: fmt::Debug,
     {
-        Self::explore_frontier_elastic_governed_traced(step, from, config, budget, &mut NoopSink)
+        Self::explore_frontier_parallel_governed_traced(step, from, config, budget, &mut NoopSink)
     }
 
-    /// Solves `lfp (λX. inject(initial) ⊔ applyStep(step, X))` with the
-    /// work-stealing sharded driver on `threads` worker threads
-    /// (`threads = 1` degenerates to a sequential run of the same
-    /// protocol, useful as a sanity baseline).
-    fn explore_frontier_parallel<F>(step: &F, initial: Ps, threads: usize) -> (Self, EngineStats)
+    /// Solves `lfp (λX. inject(initial) ⊔ applyStep(step, X))` on
+    /// `config.threads` worker threads (`threads = 1` degenerates to a
+    /// sequential run of the same protocol, useful as a sanity baseline).
+    /// A panicking step function propagates with its original payload.
+    fn explore_frontier_parallel<F>(
+        step: &F,
+        initial: Ps,
+        config: ParallelConfig,
+    ) -> (Self, EngineStats)
     where
         F: StepFn<Ps, G, S>,
         Ps: fmt::Debug,
     {
-        Self::explore_frontier_parallel_traced(step, initial, threads, &mut NoopSink)
+        Self::explore_frontier_parallel_traced(step, initial, config, &mut NoopSink)
     }
 
-    /// [`Self::explore_frontier_parallel`] with a
-    /// [`TraceSink`] observing the solve:
-    /// per-round phase timings plus one
+    /// [`Self::explore_frontier_parallel`] with a [`TraceSink`] observing
+    /// the solve: per-round phase timings plus one
     /// [`WorkerSpan`](crate::telemetry::WorkerSpan) per worker per round
     /// and one [`StealTrace`](crate::telemetry::StealTrace) per stolen
-    /// chunk.  Workers record into private lock-free buffers drained by
-    /// the coordinator at the sync barrier, so tracing adds no
+    /// chunk; an elastic solve adds one
+    /// [`EpochTrace`](crate::telemetry::EpochTrace) per worker epoch and
+    /// one [`MergeTrace`](crate::telemetry::MergeTrace) per lazy merge.
+    /// Workers record into private lock-free buffers drained by the
+    /// coordinator at the sync barrier, so tracing adds no
     /// synchronisation to the step phase; fixpoints and deterministic
     /// counters are identical at every sink.
     fn explore_frontier_parallel_traced<F, T>(
-        step: &F,
-        initial: Ps,
-        threads: usize,
-        sink: &mut T,
-    ) -> (Self, EngineStats)
-    where
-        F: StepFn<Ps, G, S>,
-        T: TraceSink,
-        Ps: fmt::Debug;
-
-    /// Solves the same fixpoint with the **barrier-elastic** driver
-    /// ([`parallel::elastic`]): workers advance independent sub-frontiers
-    /// for up to [`ParallelConfig::epochs`] epochs between barriers,
-    /// merging per-shard deltas lazily.  `epochs = 1` is exactly the
-    /// barrier engine.  The fixpoint is byte-identical to the direct
-    /// engine's at every configuration; the *work counters* of an elastic
-    /// run (steps, epochs, memo traffic) are timing-dependent and must
-    /// not be gated — only the fixpoint is deterministic.
-    fn explore_frontier_elastic<F>(
-        step: &F,
-        initial: Ps,
-        config: ParallelConfig,
-    ) -> (Self, EngineStats)
-    where
-        F: StepFn<Ps, G, S>,
-        Ps: fmt::Debug,
-    {
-        Self::explore_frontier_elastic_traced(step, initial, config, &mut NoopSink)
-    }
-
-    /// [`Self::explore_frontier_elastic`] with a [`TraceSink`] observing
-    /// the solve: the barrier-engine records plus one
-    /// [`EpochTrace`](crate::telemetry::EpochTrace) per worker epoch and
-    /// one [`MergeTrace`](crate::telemetry::MergeTrace) per lazy merge.
-    fn explore_frontier_elastic_traced<F, T>(
         step: &F,
         initial: Ps,
         config: ParallelConfig,

@@ -18,38 +18,40 @@
 //! that decides its successors from anything else, such as a store's
 //! `iter()`, is not re-stepped when what it looked at grows, and the
 //! engine returns a smaller fixpoint than Kleene iteration, which
-//! [`certify`](super::certify) rejects.  Per round they
+//! [`certify`](super::certify) rejects.
 //!
-//! 1. step only the *frontier* — states with no cached outcome (newly
-//!    discovered) plus states invalidated through a reverse dependency
+//! ## The round loop
+//!
+//! The id-indexed engine is one round loop, [`solve_shared`], driven by a
+//! [`StepPhase`]: the only thing the sequential, barrier and elastic
+//! drivers supply is how one set of state ids is stepped against the
+//! round's pre-store.  The sequential phase loops over [`step_entry`] on a
+//! single-threaded [`Interner`]; the two parallel phases run on the worker
+//! pool of the [`parallel`](super::parallel) module.  Everything else is
+//! written here, once.  A round
+//!
+//! 1. checks the budget at the round boundary;
+//! 2. steps the *frontier* — states with no cached outcome (newly
+//!    discovered) plus states invalidated through the reverse dependency
 //!    index (address → dependent states) by the previous round's
-//!    per-address store deltas;
-//! 2. fold only those re-stepped contributions into the running domain
-//!    with the change-tracking, delta-reporting in-place joins of the
-//!    lattice layer ([`Lattice::join_in_place`](crate::lattice::Lattice),
-//!    [`StoreDelta::join_in_place_delta`]), obtaining the next round's
-//!    invalidations directly from the fold — no snapshot clone, no
-//!    whole-store diff, no whole-domain `==`.
+//!    per-address store deltas — all against the same pre-store;
+//! 3. installs the fresh entries in the flat cache and the reverse
+//!    dependency index, checking each re-step against its cached entry for
+//!    a lost successor (the rebuild defence below);
+//! 4. folds only the re-stepped contributions — only their store *deltas*
+//!    — into the running store, in ascending id order, with the
+//!    change-tracking, delta-reporting in-place joins of the lattice layer
+//!    ([`Lattice::join_in_place`](crate::lattice::Lattice),
+//!    [`StoreDelta::widen_in_place_delta`]), widening at the addresses the
+//!    budget's policy designated; the next round's invalidations fall
+//!    straight out of the fold — no snapshot clone, no whole-store diff,
+//!    no whole-domain `==`;
+//! 5. re-seeds the frontier with the ids minted this round that no phase
+//!    stepped, plus every cached dependent of an address that grew.
 //!
-//! A round therefore costs O(|frontier| × store-join).  The structural-key
-//! engine ([`FrontierCollecting::explore_frontier_structural`]) keys every table
-//! by the *full state structure*: each `BTreeMap<(Ps, G), …>` lookup pays a
-//! deep `Ord` walk over the whole state (environment, continuation,
-//! context), the reverse dependency index stores a deep clone of every
-//! dependent state per address, and every frontier round clones states
-//! wholesale.  Once joins are O(frontier), that state identity work
-//! dominates the run.
-//!
-//! This module's default solver ([`FrontierCollecting::explore_frontier`])
-//! is the **id-indexed** engine: a hash-consing [`Interner`] maps every
-//! distinct `(state, guts)` pair to a dense [`StateId`] the moment it is
-//! produced, so clone and equality become O(1) and each engine table
-//! becomes a flat `Vec` indexed by the id (step cache) or a small id-set
-//! (frontier, reverse dependency index).  States are deeply hashed exactly
-//! once — on intern — and un-interned back to structural values only at the
-//! language boundary, when the final [`SharedStoreDomain`] is assembled.
-//! The frontier/fold strategy (and therefore the round structure, the
-//! rebuild defence and the computed fixpoint) is exactly the PR-2 engine's.
+//! A round therefore costs O(|frontier| × store-join).  After the last
+//! round the loop un-interns the states, runs the narrowing post-pass of a
+//! complete widened solve, and packs the [`Outcome`] with its resume seed.
 //!
 //! ## Why folding only the frontier is exact
 //!
@@ -62,28 +64,38 @@
 //! is a pure function of the state, the guts and the store restricted to
 //! what it reads).  So `current ⊔ f(current)`, the accumulated Kleene
 //! iterate computed by [`explore_fp`](crate::collect::explore_fp), equals
-//! `current ⊔ (inject ⊔ Σ frontier contributions)` — the fold the engines
-//! perform.  As defence in depth, whenever a re-stepped contribution
+//! `current ⊔ (inject ⊔ Σ frontier contributions)` — the fold the loop
+//! performs.  As defence in depth, whenever a re-stepped contribution
 //! *shrank* — evidence the step function is not monotone on the current
 //! iterate, which no well-behaved configuration of this framework
 //! exhibits (GC'd contributions shrink only relative to *other* states'
 //! stores, not across rounds), but a hand-written semantics could — the
-//! engines abandon the fast path for that round: they re-step **every**
-//! cached pair against the same pre-store and fold all of the fresh
+//! loop abandons the fast path for that round: it re-steps **every**
+//! cached pair against the same pre-store and folds all of the fresh
 //! contributions, making the round literally the accumulated Kleene
 //! iterate `current ⊔ f(current)` with no reliance on cached outcomes at
 //! all ([`EngineStats::rebuild_rounds`] counts these rounds; the engine's
 //! unit tests force one with a deliberately non-monotone machine).
 //!
-//! Two observationally equivalent solvers are exposed:
+//! ## Two solvers
 //!
 //! * [`FrontierCollecting::explore_frontier`] — the id-indexed incremental
-//!   accumulator, governed and traced (the default behind
-//!   `analyse_*_worklist` and `analyse_*_direct`);
-//! * [`FrontierCollecting::explore_frontier_structural`] — the PR-2
+//!   accumulator above, governed and traced (the default behind
+//!   `analyse_*_worklist` and `analyse_*_direct`).  A hash-consing
+//!   [`Interner`] maps every distinct `(state, guts)` pair to a dense
+//!   [`StateId`] the moment it is produced, so clone and equality become
+//!   O(1) and each engine table becomes a flat `Vec` indexed by the id
+//!   (step cache) or a small id-set (frontier, reverse dependency index).
+//!   States are deeply hashed exactly once — on intern — and un-interned
+//!   back to structural values only at the language boundary.
+//! * [`FrontierCollecting::explore_frontier_structural`] — the
 //!   structural-key accumulator, unbudgeted and join-only: the E10
 //!   baseline and one of the reference solves behind the benchmark's
-//!   recorded expectations.
+//!   recorded expectations.  It keys every table by the *full state
+//!   structure* (each `BTreeMap<(Ps, G), …>` lookup pays a deep `Ord`
+//!   walk, the reverse dependency index stores a deep clone of every
+//!   dependent state), and keeps its own loop, so that it shares none of
+//!   the id-indexed engine's machinery.
 //!
 //! Both remain differential-testing oracles for each other, with
 //! [`explore_fp`](crate::collect::explore_fp) as the ground truth.
@@ -98,9 +110,9 @@ use crate::hash::{FxHashMap, FxHashSet};
 use crate::intern::{InternKey, Interner, StateId};
 use crate::monad::{run_store_passing, MonadFamily, StorePassing, Value};
 use crate::store::{StoreDelta, StoreLike};
-use crate::telemetry::{label_of, RoundTrace, Stopwatch, TraceSink};
+use crate::telemetry::{label_of, MergeTrace, RoundTrace, Stopwatch, TraceSink};
 
-use super::governor::{Budget, Outcome, ResumeSeed, SolveFrom};
+use super::governor::{Budget, LadderRung, Outcome, ResumeSeed, SolveFrom};
 use super::{
     narrow_store_post_pass, DirectCollecting, EngineStats, FrontierCollecting, StateRoots, StepFn,
     WidenTracker,
@@ -124,7 +136,7 @@ pub(super) const STATE_LABEL_MAX: usize = 96;
 
 /// How many characters of an address's `Debug` rendering become its
 /// join-traffic attribution label.
-pub(super) const ADDR_LABEL_MAX: usize = 64;
+const ADDR_LABEL_MAX: usize = 64;
 
 /// The memoised outcome of stepping one `(state, guts)` pair, in the
 /// structural engine.
@@ -166,24 +178,24 @@ type Dependents<Ps, G, A> = BTreeMap<A, BTreeSet<(Ps, G)>>;
 /// already below it, folding only the bindings the step *changed* relative
 /// to its pre-store joins to the identical result; the delta is typically a
 /// handful of addresses.
-pub(super) struct InternedEntry<S, A> {
+pub(crate) struct InternedEntry<S, A> {
     /// The successor ids the step produced (sorted, deduplicated).
-    pub(super) successors: Vec<StateId>,
+    successors: Vec<StateId>,
     /// The join of the per-branch result stores, restricted to the
     /// addresses the step changed relative to its pre-store.
-    pub(super) delta: S,
+    pub(crate) delta: S,
     /// The step's read set (sorted, deduplicated): every address its
     /// transition read, from the store's read journal (see
     /// [`step_entry`]), plus the write targets the result still binds —
     /// `bind` reads the binding it joins into (see [`CacheEntry::deps`]).
-    pub(super) deps: Vec<A>,
+    pub(crate) deps: Vec<A>,
 }
 
 /// The flat memo table of the id-indexed engine (`None` = not yet stepped).
-pub(super) type InternedCache<S, A> = Vec<Option<InternedEntry<S, A>>>;
+type InternedCache<S, A> = Vec<Option<InternedEntry<S, A>>>;
 
 /// The reverse dependency index of the id-indexed engine.
-pub(super) type IdDependents<A> = FxHashMap<A, FxHashSet<StateId>>;
+type IdDependents<A> = FxHashMap<A, FxHashSet<StateId>>;
 
 /// Steps `key`, installs the outcome in the cache and the reverse
 /// dependency index (replacing any previous entry), updates the step/
@@ -267,8 +279,9 @@ where
 /// against `store`, interning every successor through the supplied closure
 /// (successor discovery *is* the intern miss) and packaging the id-level
 /// cache entry.  The intern sink is abstract so the same stepping core
-/// serves the sequential engine (a `&mut` [`Interner`]) and the parallel
-/// engine (a shared [`ShardedInterner`](crate::intern::ShardedInterner)).
+/// serves every [`StepPhase`]: a `&mut` [`Interner`], a shared
+/// [`ShardedInterner`](crate::intern::ShardedInterner), or a worker's
+/// memo in front of one.
 ///
 /// The read set is **journaled**, not inferred: the step runs on a clone
 /// of `store` armed with [`StoreDelta::arm_read_journal`], so every
@@ -276,7 +289,7 @@ where
 /// came back empty and left no branch at all, and every address an
 /// abstract-GC sweep visited on a branch store — lands in one journal,
 /// which is taken (and closed) the moment the step returns.
-pub(super) fn step_entry<Ps, G, S, F, IN>(
+pub(crate) fn step_entry<Ps, G, S, F, IN>(
     step: &F,
     ps: Ps,
     guts: G,
@@ -329,7 +342,7 @@ where
 
 /// Whether the sorted id slice `old` is a subset of the sorted id slice
 /// `new` (the successor half of the monotonicity check, on ids).
-pub(super) fn sorted_subset(old: &[StateId], new: &[StateId]) -> bool {
+fn sorted_subset(old: &[StateId], new: &[StateId]) -> bool {
     let mut it = new.iter();
     'outer: for o in old {
         for n in it.by_ref() {
@@ -344,60 +357,408 @@ pub(super) fn sorted_subset(old: &[StateId], new: &[StateId]) -> bool {
     true
 }
 
-/// The id-indexed analogue of [`step_and_cache`]: steps `id`, installs the
-/// outcome in the flat cache and the id-level reverse dependency index, and
-/// reports whether the fresh contribution shrank.
-fn step_and_cache_interned<Ps, G, S, F>(
-    step: &F,
-    id: StateId,
-    store: &S,
-    interner: &mut Interner<(Ps, G), StateId>,
-    cache: &mut InternedCache<S, Ps::Addr>,
-    dependents: &mut IdDependents<Ps::Addr>,
+/// What one step phase produced.
+pub(crate) struct PhaseRun<S, A> {
+    /// One `(id, entry)` per id the phase stepped, in no particular order.
+    pub(crate) entries: Vec<(StateId, InternedEntry<S, A>)>,
+    /// The timing gauges the phase observed (steals, epochs, stale
+    /// merges, memo traffic, shard imbalance).  Work is counted when the
+    /// entries are installed, not here.
+    pub(crate) gauges: EngineStats,
+    /// The slowest worker's busy time: the round's step share.
+    pub(crate) busy_ns: u64,
+    /// The phase's wall time; what exceeds `busy_ns` is sync overhead.
+    pub(crate) wall_ns: u64,
+}
+
+/// How a driver steps one set of state ids against a round's pre-store —
+/// the only part of a shared-store solve that differs between the
+/// sequential, barrier and elastic drivers.  [`solve_shared`] owns the
+/// rest.
+pub(crate) trait StepPhase<Ps: StateRoots, G, S> {
+    /// Which driver this is.  A parallel round ends at a sync barrier
+    /// ([`EngineStats::sync_rounds`]); an elastic round steps against
+    /// worker views rather than the pre-store, so its rebuild re-steps the
+    /// phase's own ids too, and it reports a [`MergeTrace`].
+    fn rung(&self) -> LadderRung;
+
+    /// Interns a pair, returning its id.
+    fn intern(&mut self, pair: (Ps, G)) -> StateId;
+
+    /// Marks the start of a round for [`StepPhase::minted`].
+    fn mark(&mut self);
+
+    /// Every id interned since the last [`StepPhase::mark`], ascending.
+    fn minted(&self) -> Vec<StateId>;
+
+    /// Steps `ids` against `store`, the round's pre-store.  A `rebuild`
+    /// phase re-steps states for the rebuild defence and must step each
+    /// against `store` itself.
+    fn run<T: TraceSink>(
+        &mut self,
+        ids: Vec<StateId>,
+        store: &S,
+        rebuild: bool,
+        round: usize,
+        sink: &mut T,
+    ) -> PhaseRun<S, Ps::Addr>;
+
+    /// Consumes the phase: records the intern counters in `stats` and
+    /// returns every interned pair, in the resume seed's order.
+    fn into_pairs(self, stats: &mut EngineStats) -> Vec<(Ps, G)>;
+}
+
+/// The sequential step phase: every id in turn, on the single-threaded
+/// [`Interner`].
+struct SequentialPhase<'f, Ps, G, F> {
+    step: &'f F,
+    interner: Interner<(Ps, G), StateId>,
+    /// The interner's length at the last mark.
+    mark: usize,
+}
+
+impl<Ps, G, S, F> StepPhase<Ps, G, S> for SequentialPhase<'_, Ps, G, F>
+where
+    Ps: Value + Ord + Hash + StateRoots + std::fmt::Debug,
+    G: Value + Ord + Hash,
+    S: StoreLike<Ps::Addr> + StoreDelta<Ps::Addr> + Value,
+    F: StepFn<Ps, G, S>,
+{
+    fn rung(&self) -> LadderRung {
+        LadderRung::SequentialDirect
+    }
+
+    fn intern(&mut self, pair: (Ps, G)) -> StateId {
+        self.interner.intern(pair)
+    }
+
+    fn mark(&mut self) {
+        self.mark = self.interner.len();
+    }
+
+    fn minted(&self) -> Vec<StateId> {
+        (self.mark..self.interner.len())
+            .map(StateId::from_index)
+            .collect()
+    }
+
+    fn run<T: TraceSink>(
+        &mut self,
+        ids: Vec<StateId>,
+        store: &S,
+        _rebuild: bool,
+        _round: usize,
+        sink: &mut T,
+    ) -> PhaseRun<S, Ps::Addr> {
+        let armed = sink.enabled();
+        let mut phase_watch = Stopwatch::start(armed);
+        let mut entries = Vec::with_capacity(ids.len());
+        for id in ids {
+            let mut step_watch = Stopwatch::start(armed);
+            let (ps, guts) = self.interner.resolve(id).clone();
+            let interner = &mut self.interner;
+            let entry = step_entry(self.step, ps, guts, store, |k| interner.intern(k));
+            if armed {
+                let ns = step_watch.lap_ns();
+                sink.state_cost(&label_of(&self.interner.resolve(id).0, STATE_LABEL_MAX), ns);
+            }
+            entries.push((id, entry));
+        }
+        let ns = phase_watch.lap_ns();
+        PhaseRun {
+            entries,
+            gauges: EngineStats::default(),
+            busy_ns: ns,
+            wall_ns: ns,
+        }
+    }
+
+    fn into_pairs(self, stats: &mut EngineStats) -> Vec<(Ps, G)> {
+        stats.intern_hits = self.interner.hits();
+        stats.intern_misses = self.interner.misses();
+        stats.distinct_states = self.interner.len();
+        self.interner.into_values()
+    }
+}
+
+/// Installs freshly stepped entries in the flat cache and the reverse
+/// dependency index, replacing any previous entry, and counts their work.
+/// Reports whether a re-step *shrank* — the signal that the step function
+/// is not monotone on this round's iterate.
+fn install<S, A>(
+    entries: Vec<(StateId, InternedEntry<S, A>)>,
+    cache: &mut InternedCache<S, A>,
+    dependents: &mut IdDependents<A>,
     stats: &mut EngineStats,
 ) -> bool
 where
-    Ps: Value + Ord + Hash + StateRoots,
-    Ps::Addr: Hash,
-    G: Value + Ord + Hash,
-    S: StoreLike<Ps::Addr> + StoreDelta<Ps::Addr> + Value,
-    S::D: Touches<Ps::Addr>,
-    F: StepFn<Ps, G, S>,
+    A: Clone + Eq + Hash,
 {
-    stats.states_stepped += 1;
-    stats.spine_clones += 1;
-    let (ps, guts) = interner.resolve(id).clone();
-    let entry = step_entry(step, ps, guts, store, |k| interner.intern(k));
-    stats.dep_edges += entry.deps.len();
-    // Interning the successors may have minted fresh ids; keep the flat
-    // cache as long as the id space.
-    if cache.len() < interner.len() {
-        cache.resize_with(interner.len(), || None);
-    }
-    let slot = &mut cache[id.index()];
     let mut shrank = false;
-    if let Some(old) = slot.as_ref() {
-        stats.reenqueued += 1;
-        // The non-monotonicity detector, on ids: a re-step that loses a
-        // successor.  The structural engine additionally compares full
-        // result stores, but with delta entries the store half is vacuous —
-        // the old delta was folded into the accumulated store the round it
-        // was computed, so it is below every later pre-store by
-        // construction.  A shrinking store contribution therefore cannot
-        // un-grow the accumulator; what it *can* do is drop a successor,
-        // which is exactly what this check watches.
-        shrank = !sorted_subset(&old.successors, &entry.successors);
-        for a in &old.deps {
-            if let Some(ids) = dependents.get_mut(a) {
-                ids.remove(&id);
+    for (id, entry) in entries {
+        stats.states_stepped += 1;
+        stats.spine_clones += 1;
+        stats.dep_edges += entry.deps.len();
+        if cache.len() <= id.index() {
+            cache.resize_with(id.index() + 1, || None);
+        }
+        let slot = &mut cache[id.index()];
+        if let Some(old) = slot.take() {
+            stats.reenqueued += 1;
+            // The non-monotonicity detector, on ids: a re-step that loses
+            // a successor.  The structural engine additionally compares
+            // full result stores, but with delta entries the store half is
+            // vacuous — the old delta was folded into the accumulated
+            // store the round it was computed, so it is below every later
+            // pre-store by construction.
+            shrank |= !sorted_subset(&old.successors, &entry.successors);
+            for a in &old.deps {
+                if let Some(ids) = dependents.get_mut(a) {
+                    ids.remove(&id);
+                }
             }
         }
+        for a in &entry.deps {
+            dependents.entry(a.clone()).or_default().insert(id);
+        }
+        *slot = Some(entry);
     }
-    for a in &entry.deps {
-        dependents.entry(a.clone()).or_default().insert(id);
-    }
-    *slot = Some(entry);
     shrank
+}
+
+/// The id-indexed shared-store solve, governed and traced: the one round
+/// loop behind every driver (see the module docs), with `phase` stepping
+/// each round's ids.  Starts fresh or from a resume seed; a resumed solve
+/// re-steps every carried state once — rebuilding the cache and dependency
+/// index the partial run discarded — and then converges normally.
+pub(crate) fn solve_shared<Ps, G, S, F, T, P>(
+    mut phase: P,
+    step: &F,
+    from: SolveFrom<Ps, SharedResumeSeed<Ps, G, S>>,
+    budget: &Budget,
+    sink: &mut T,
+) -> SharedGovernedSolve<Ps, G, S>
+where
+    Ps: Value + Ord + Hash + StateRoots,
+    Ps::Addr: Hash,
+    G: Value + Ord + Hash + HasInitial,
+    S: StoreLike<Ps::Addr> + StoreDelta<Ps::Addr> + WidenLattice + Value,
+    F: StepFn<Ps, G, S>,
+    T: TraceSink,
+    P: StepPhase<Ps, G, S>,
+{
+    // One flag gates every telemetry side channel: clock samples and
+    // label formatting happen only when a real sink listens, and no
+    // counter below ever consults it — tracing cannot perturb the solve.
+    let armed = sink.enabled();
+    let rung = phase.rung();
+    let mut stats = EngineStats::default();
+    // Per-address growth bookkeeping for the budget's widening policy:
+    // decides which addresses the fold accumulates with ▽ instead of ⊔.
+    // Inert (empty point set, so the widened fold *is* the join fold)
+    // whenever widening is off.
+    let mut widen: WidenTracker<Ps::Addr> = WidenTracker::new(&budget.widen);
+    let mut cache: InternedCache<S, Ps::Addr> = Vec::new();
+    let mut dependents: IdDependents<Ps::Addr> = FxHashMap::default();
+    // The running accumulated store, and every id interned before the
+    // current round in intern order (the states a rebuild re-steps).
+    let (mut store, mut known): (S, Vec<StateId>) = match from {
+        SolveFrom::Fresh(initial) => (S::bottom(), vec![phase.intern((initial, G::initial()))]),
+        SolveFrom::Resume(seed) => (
+            seed.store,
+            seed.states
+                .into_iter()
+                .map(|pair| phase.intern(pair))
+                .collect(),
+        ),
+    };
+    let mut frontier: BTreeSet<StateId> = known.iter().copied().collect();
+
+    let mut exhausted = None;
+    while !frontier.is_empty() {
+        // The round-boundary governance check: one branch and one relaxed
+        // atomic load for an unlimited budget, no clock.  Mid-phase only
+        // the cancel token is polled, by the parallel workers.
+        if let Some(reason) = budget.exhausted(stats.iterations, stats.states_stepped) {
+            sink.governor(GovernorTrace {
+                round: stats.iterations,
+                kind: GovernorTraceKind::Exhausted(reason),
+            });
+            exhausted = Some(reason);
+            break;
+        }
+        stats.iterations += 1;
+        if rung != LadderRung::SequentialDirect {
+            stats.sync_rounds += 1;
+        }
+        let round = stats.iterations;
+        phase.mark();
+
+        // Step phase: every frontier pair against the same pre-store (the
+        // folds below land only after the whole frontier was stepped, so
+        // the round sees one consistent iterate).
+        let run = phase.run(
+            frontier.iter().copied().collect(),
+            &store,
+            false,
+            round,
+            sink,
+        );
+        let (mut busy_ns, mut wall_ns) = (run.busy_ns, run.wall_ns);
+        let stale = run.gauges.stale_merges > 0;
+        stats.merge(&run.gauges);
+        let mut stepped = run.entries.len();
+        // The ids stepped this round, whose contributions it folds in
+        // ascending order (pool phases return them in worker order).
+        let mut fold: Vec<StateId> = run.entries.iter().map(|(id, _)| *id).collect();
+        fold.sort_unstable();
+        let mut join_watch = Stopwatch::start(armed);
+        let shrank = install(run.entries, &mut cache, &mut dependents, &mut stats);
+        let mut join_ns = join_watch.lap_ns();
+
+        if shrank {
+            // Rebuild round: a contribution shrank, so the step function
+            // is not monotone on this iterate and the fast path's
+            // dependency-validity argument is off the table.  Re-step
+            // *every* known pair against the same pre-store and fold all
+            // of the fresh contributions — the round becomes literally the
+            // accumulated Kleene iterate `current ⊔ f(current)`.  Elastic
+            // workers stepped against their private views, so their ids
+            // are re-stepped too.
+            stats.rebuild_rounds += 1;
+            let mut rest: BTreeSet<StateId> = known.iter().copied().collect();
+            if rung == LadderRung::Elastic {
+                rest.extend(fold.iter().copied());
+            } else {
+                rest.retain(|id| fold.binary_search(id).is_err());
+            }
+            let rebuild = phase.run(rest.into_iter().collect(), &store, true, round, sink);
+            fold.extend(rebuild.entries.iter().map(|(id, _)| *id));
+            fold.sort_unstable();
+            fold.dedup();
+            stats.peak_frontier = stats.peak_frontier.max(fold.len());
+            busy_ns += rebuild.busy_ns;
+            wall_ns += rebuild.wall_ns;
+            stats.merge(&rebuild.gauges);
+            stepped += rebuild.entries.len();
+            join_watch.lap_ns();
+            // Further shrinkage is immaterial: the whole round is already
+            // being recomputed from scratch.
+            install(rebuild.entries, &mut cache, &mut dependents, &mut stats);
+        } else {
+            stats.peak_frontier = stats.peak_frontier.max(frontier.len());
+            // Everything off the frontier is served from the accumulated
+            // domain without being visited at all.
+            stats.cache_hits += known.len() - frontier.len();
+        }
+
+        // Fold phase: only the re-stepped contributions — and only their
+        // store *deltas* — with the per-address growth report falling
+        // straight out of the in-place join.
+        let mut changed_addrs: BTreeSet<Ps::Addr> = BTreeSet::new();
+        for &id in &fold {
+            let entry = cache[id.index()].as_ref().expect("fold of an unstepped id");
+            stats.store_joins += 1;
+            stats.spine_clones += 1;
+            if armed {
+                // Join-traffic attribution: which addresses this
+                // contribution bound, and which of them actually grew.
+                let bound = entry.delta.addresses();
+                let changed = store.widen_in_place_delta(entry.delta.clone(), widen.points());
+                for a in &bound {
+                    sink.join_traffic(&label_of(a, ADDR_LABEL_MAX), changed.contains(a));
+                }
+                changed_addrs.extend(changed);
+            } else {
+                changed_addrs
+                    .extend(store.widen_in_place_delta(entry.delta.clone(), widen.points()));
+            }
+        }
+        let (joined, widened) = widen.classify(&changed_addrs);
+        stats.store_joins_applied += joined;
+        stats.widen_applied += widened;
+        widen.record(&changed_addrs);
+        // Sample spine sharing while this round's delta adoptions are
+        // still live in the cache (peak over rounds).
+        stats.store_bytes_shared = stats.store_bytes_shared.max(store.shared_spine_bytes());
+        join_ns += join_watch.lap_ns();
+        // The round's phase split: the slowest worker's busy time is the
+        // step share, install and fold are the join share, and whatever
+        // remains of the phase walls is barrier/coordination overhead.
+        sink.round(RoundTrace {
+            round,
+            frontier: frontier.len(),
+            stepped,
+            joins: fold.len(),
+            delta_width: changed_addrs.len(),
+            rebuild: shrank,
+            step_ns: busy_ns,
+            join_ns,
+            sync_ns: wall_ns.saturating_sub(busy_ns),
+        });
+        if rung == LadderRung::Elastic {
+            sink.merge(MergeTrace {
+                round,
+                entries: fold.len(),
+                changed: changed_addrs.len(),
+                stale,
+                merge_ns: join_ns,
+            });
+        }
+
+        // Next frontier: the ids minted this round that no phase stepped
+        // (discoveries, and the ids an elastic worker minted but parked),
+        // plus every cached dependent of an address that grew.
+        let minted = phase.minted();
+        let mut next: BTreeSet<StateId> = minted
+            .iter()
+            .copied()
+            .filter(|id| cache.get(id.index()).and_then(Option::as_ref).is_none())
+            .collect();
+        known.extend(minted);
+        for a in &changed_addrs {
+            if let Some(ids) = dependents.get(a) {
+                next.extend(ids.iter().copied());
+            }
+        }
+        frontier = next;
+    }
+
+    // Un-intern only here, at the boundary: the structural domain is
+    // assembled once, from the interned pairs.
+    let pairs = phase.into_pairs(&mut stats);
+    let states: BTreeSet<(Ps, G)> = pairs.iter().cloned().collect();
+    let outcome = match exhausted {
+        None => {
+            // The decreasing pass: only after a *complete* widened solve
+            // (an exhausted partial is not a post-fixpoint, so narrowing
+            // it would not be meaningful).  It is a pure function of the
+            // final (states, store) pair, so every driver that reached the
+            // same widened fixpoint narrows to the same store.
+            if budget.widen.enabled && budget.widen.narrow_passes > 0 {
+                narrow_store_post_pass(
+                    &states,
+                    &mut store,
+                    step,
+                    budget.widen.narrow_passes,
+                    budget,
+                );
+            }
+            Outcome::Complete(SharedStoreDomain::from_parts(states, store))
+        }
+        Some(reason) => {
+            let resume_seed = Box::new(ResumeSeed {
+                states: pairs,
+                store: store.clone(),
+            });
+            Outcome::Exhausted {
+                partial: SharedStoreDomain::from_parts(states, store),
+                reason,
+                resume_seed,
+            }
+        }
+    };
+    (outcome, stats)
 }
 
 impl<Ps, G, S> FrontierCollecting<StorePassing<G, S>, Ps> for SharedStoreDomain<Ps, G, S>
@@ -456,221 +817,12 @@ where
         T: TraceSink,
         Ps: std::fmt::Debug,
     {
-        // One flag gates every telemetry side channel: clock samples and
-        // label formatting happen only when a real sink listens, and no
-        // counter below ever consults it — tracing cannot perturb the
-        // solve.
-        let armed = sink.enabled();
-        let mut stats = EngineStats::default();
-        // Per-address growth bookkeeping for the budget's widening policy:
-        // decides which addresses the fold accumulates with ▽ instead of ⊔.
-        // Inert (empty point set, so the widened fold *is* the join fold)
-        // whenever widening is off.
-        let mut widen: WidenTracker<Ps::Addr> = WidenTracker::new(&budget.widen);
-        // The hash-consing table: every distinct (state, guts) pair gets a
-        // dense StateId on first sight.  The interner doubles as the
-        // seen-set and, at the end, as the domain's state set.
-        let mut interner: Interner<(Ps, G), StateId> = Interner::new();
-        // The flat memo table and the id-level reverse dependency index.
-        let mut cache: InternedCache<S, Ps::Addr> = Vec::new();
-        let mut dependents: IdDependents<Ps::Addr> = FxHashMap::default();
-        // The running accumulated store (the states half of the running
-        // domain is the interner itself).  A resumed solve re-steps every
-        // carried state once — rebuilding the dependency index the
-        // partial run discarded — and then converges normally.
-        let mut store: S;
-        let mut frontier: BTreeSet<StateId>;
-        match from {
-            SolveFrom::Fresh(initial) => {
-                store = S::bottom();
-                let initial_id = interner.intern((initial, G::initial()));
-                frontier = [initial_id].into_iter().collect();
-            }
-            SolveFrom::Resume(seed) => {
-                store = seed.store;
-                frontier = seed
-                    .states
-                    .into_iter()
-                    .map(|key| interner.intern(key))
-                    .collect();
-            }
-        }
-
-        let mut exhausted = None;
-        while !frontier.is_empty() {
-            // The round-boundary governance check: one branch and one
-            // relaxed atomic load for an unlimited budget, no clock.
-            if let Some(reason) = budget.exhausted(stats.iterations, stats.states_stepped) {
-                sink.governor(GovernorTrace {
-                    round: stats.iterations,
-                    kind: GovernorTraceKind::Exhausted(reason),
-                });
-                exhausted = Some(reason);
-                break;
-            }
-            stats.iterations += 1;
-            // Ids below this watermark were known when the round began;
-            // everything interned during the round is a fresh discovery.
-            let known = interner.len();
-            let frontier_len = frontier.len();
-            let mut stepped_this_round = frontier_len;
-            let mut phase_watch = Stopwatch::start(armed);
-
-            // Step phase: every frontier pair against the same pre-store
-            // (the folds below land only after the whole frontier was
-            // stepped, so the round sees one consistent iterate).
-            let mut shrank = false;
-            for &id in &frontier {
-                let mut step_watch = Stopwatch::start(armed);
-                shrank |= step_and_cache_interned(
-                    step,
-                    id,
-                    &store,
-                    &mut interner,
-                    &mut cache,
-                    &mut dependents,
-                    &mut stats,
-                );
-                if armed {
-                    let ns = step_watch.lap_ns();
-                    let label = label_of(&interner.resolve(id).0, STATE_LABEL_MAX);
-                    sink.state_cost(&label, ns);
-                }
-            }
-
-            // Rebuild round: a contribution shrank, so the step function is
-            // not monotone on this iterate and the fast path's
-            // dependency-validity argument is off the table.  Re-step
-            // *every* cached pair against the same pre-store and fold all
-            // of the fresh contributions — the round becomes literally the
-            // accumulated Kleene iterate `current ⊔ f(current)`, with no
-            // reliance on cached outcomes at all.
-            let fold_ids: Vec<StateId> = if shrank {
-                stats.rebuild_rounds += 1;
-                stats.peak_frontier = stats.peak_frontier.max(known);
-                let rest: Vec<StateId> = (0..known)
-                    .map(StateId::from_index)
-                    .filter(|id| !frontier.contains(id))
-                    .collect();
-                stepped_this_round += rest.len();
-                for &id in &rest {
-                    // Further shrinkage is immaterial: the whole round is
-                    // already being recomputed from scratch.
-                    step_and_cache_interned(
-                        step,
-                        id,
-                        &store,
-                        &mut interner,
-                        &mut cache,
-                        &mut dependents,
-                        &mut stats,
-                    );
-                }
-                (0..known).map(StateId::from_index).collect()
-            } else {
-                stats.peak_frontier = stats.peak_frontier.max(frontier.len());
-                // Everything off the frontier is served from the
-                // accumulated domain without being visited at all.
-                stats.cache_hits += known - frontier.len();
-                frontier.iter().copied().collect()
-            };
-
-            let step_ns = phase_watch.lap_ns();
-
-            // Fold phase: only the re-stepped contributions — and only
-            // their store *deltas* — with the per-address growth report
-            // falling straight out of the in-place join.
-            let mut changed_addrs: BTreeSet<Ps::Addr> = BTreeSet::new();
-            for &id in &fold_ids {
-                let entry = cache[id.index()].as_ref().expect("fold of an unstepped id");
-                stats.store_joins += 1;
-                stats.spine_clones += 1;
-                if armed {
-                    // Join-traffic attribution: which addresses this
-                    // contribution bound, and which of them actually grew.
-                    let bound = entry.delta.addresses();
-                    let changed = store.widen_in_place_delta(entry.delta.clone(), widen.points());
-                    for a in &bound {
-                        sink.join_traffic(&label_of(a, ADDR_LABEL_MAX), changed.contains(a));
-                    }
-                    changed_addrs.extend(changed);
-                } else {
-                    changed_addrs
-                        .extend(store.widen_in_place_delta(entry.delta.clone(), widen.points()));
-                }
-            }
-            let (joined, widened) = widen.classify(&changed_addrs);
-            stats.store_joins_applied += joined;
-            stats.widen_applied += widened;
-            widen.record(&changed_addrs);
-            // Sample spine sharing while this round's delta adoptions are
-            // still live in the cache (peak over rounds).
-            stats.store_bytes_shared = stats.store_bytes_shared.max(store.shared_spine_bytes());
-            sink.round(RoundTrace {
-                round: stats.iterations,
-                frontier: frontier_len,
-                stepped: stepped_this_round,
-                joins: fold_ids.len(),
-                delta_width: changed_addrs.len(),
-                rebuild: shrank,
-                step_ns,
-                join_ns: phase_watch.lap_ns(),
-                sync_ns: 0,
-            });
-
-            // Next frontier: freshly discovered pairs (ids minted during
-            // this round have no cached outcome yet) plus every cached
-            // dependent of an address that grew.
-            let mut next: BTreeSet<StateId> =
-                (known..interner.len()).map(StateId::from_index).collect();
-            for a in &changed_addrs {
-                if let Some(ids) = dependents.get(a) {
-                    next.extend(ids.iter().copied());
-                }
-            }
-            frontier = next;
-        }
-
-        stats.intern_hits = interner.hits();
-        stats.intern_misses = interner.misses();
-        stats.distinct_states = interner.len();
-        // Un-intern only here, at the boundary: the structural domain is
-        // assembled once, from the interner's value table.
-        let states: BTreeSet<(Ps, G)> = interner.values().iter().cloned().collect();
-        match exhausted {
-            None => {
-                // The decreasing pass: only after a *complete* widened
-                // solve (an exhausted partial is not a post-fixpoint, so
-                // narrowing it would not be meaningful).
-                if budget.widen.enabled && budget.widen.narrow_passes > 0 {
-                    narrow_store_post_pass(
-                        &states,
-                        &mut store,
-                        step,
-                        budget.widen.narrow_passes,
-                        budget,
-                    );
-                }
-                (
-                    Outcome::Complete(SharedStoreDomain::from_parts(states, store)),
-                    stats,
-                )
-            }
-            Some(reason) => {
-                let resume_seed = Box::new(ResumeSeed {
-                    states: interner.values().to_vec(),
-                    store: store.clone(),
-                });
-                (
-                    Outcome::Exhausted {
-                        partial: SharedStoreDomain::from_parts(states, store),
-                        reason,
-                        resume_seed,
-                    },
-                    stats,
-                )
-            }
-        }
+        let phase = SequentialPhase {
+            step,
+            interner: Interner::new(),
+            mark: 0,
+        };
+        solve_shared(phase, step, from, budget, sink)
     }
 }
 
@@ -1169,8 +1321,13 @@ mod tests {
 
     /// Solves `reader_step(fallthrough)` and asserts that state 1 was
     /// re-stepped after the write: its first step saw an empty cell, so
-    /// only a re-step reaches the pointer's target, state 15.
+    /// only a re-step reaches the pointer's target, state 15.  The same
+    /// holds through the pool's step phases — elastic's staleness check
+    /// reads the journaled `deps`, so a journal gap on a worker would
+    /// show up there.
     fn assert_reader_sees_the_later_write(fallthrough: bool) {
+        use super::super::{ParallelCollecting, ParallelConfig};
+
         let step = reader_step(fallthrough);
         let kleene: SharedStoreDomain<Rd, G, S> = explore_fp::<M, Rd, _, _>(&step, Rd(0));
         let (engine, _) =
@@ -1180,6 +1337,19 @@ mod tests {
             );
         assert_eq!(engine, kleene);
         assert!(engine.states().iter().any(|(ps, _)| ps.0 == 15));
+
+        let direct = |ps: Rd, g: G, s: S| run_store_passing(step(ps), g, s);
+        let barrier = [1, 2, 4].map(ParallelConfig::barrier);
+        let elastic = [2, 4].map(|epochs| ParallelConfig::elastic(2, epochs));
+        for config in barrier.into_iter().chain(elastic) {
+            let (pooled, _) =
+                <SharedStoreDomain<Rd, G, S> as ParallelCollecting<Rd, G, S>>::explore_frontier_parallel(
+                    &direct,
+                    Rd(0),
+                    config,
+                );
+            assert_eq!(pooled, kleene, "{config:?}");
+        }
     }
 
     #[test]

@@ -189,6 +189,11 @@ impl<T: std::hash::Hash + Eq, I: InternKey> Interner<T, I> {
         &self.values
     }
 
+    /// Consumes the interner, returning the values in id order.
+    pub(crate) fn into_values(self) -> Vec<T> {
+        self.values
+    }
+
     /// How many [`Interner::intern`] calls found an existing id.
     pub fn hits(&self) -> usize {
         self.hits

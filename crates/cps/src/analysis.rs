@@ -241,7 +241,7 @@ where
     S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
     Fp: ParallelCollecting<PState<C::Addr>, C, S>,
 {
-    Fp::explore_frontier_elastic_governed(
+    Fp::explore_frontier_parallel_governed(
         &crate::direct::mnext_direct::<C, S>,
         SolveFrom::Fresh(PState::inject(program.clone())),
         config,
@@ -296,7 +296,7 @@ where
     Fp::explore_frontier_parallel(
         &crate::direct::mnext_direct::<C, S>,
         PState::inject(program.clone()),
-        threads,
+        ParallelConfig::barrier(threads),
     )
 }
 
@@ -335,7 +335,7 @@ where
     Fp::explore_frontier_parallel(
         &with_state_gc(crate::direct::mnext_direct::<C, S>),
         PState::inject(program.clone()),
-        threads,
+        ParallelConfig::barrier(threads),
     )
 }
 
@@ -355,7 +355,7 @@ where
     S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
     Fp: ParallelCollecting<PState<C::Addr>, C, S>,
 {
-    Fp::explore_frontier_elastic(
+    Fp::explore_frontier_parallel(
         &crate::direct::mnext_direct::<C, S>,
         PState::inject(program.clone()),
         config,
@@ -376,7 +376,7 @@ where
     Fp: ParallelCollecting<PState<C::Addr>, C, S>,
     T: mai_core::telemetry::TraceSink,
 {
-    Fp::explore_frontier_elastic_traced(
+    Fp::explore_frontier_parallel_traced(
         &crate::direct::mnext_direct::<C, S>,
         PState::inject(program.clone()),
         config,
@@ -395,7 +395,7 @@ where
     S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
     Fp: ParallelCollecting<PState<C::Addr>, C, S>,
 {
-    Fp::explore_frontier_elastic(
+    Fp::explore_frontier_parallel(
         &with_state_gc(crate::direct::mnext_direct::<C, S>),
         PState::inject(program.clone()),
         config,
@@ -422,7 +422,7 @@ where
     Fp::explore_frontier_parallel_traced(
         &crate::direct::mnext_direct::<C, S>,
         PState::inject(program.clone()),
-        threads,
+        ParallelConfig::barrier(threads),
         sink,
     )
 }

@@ -106,15 +106,19 @@ impl CpsInterface<HeapAddr> for StateM<Heap> {
 
     fn alloc(var: &Var, (): ()) -> Self::M<HeapAddr> {
         let var = var.clone();
-        <Self as MonadFamily>::bind(<Self as MonadState<Heap>>::get(), move |heap| {
+        // Read and bump the counter in place: binding the whole heap with
+        // `get` would clone it on every allocation.
+        let next = <Self as MonadState<Heap>>::gets(|heap: &Heap| heap.next);
+        <Self as MonadFamily>::bind(next, move |index| {
             let addr = HeapAddr {
                 name: var.clone(),
-                index: heap.next,
+                index,
             };
-            let mut bumped = heap.clone();
-            bumped.next += 1;
             <Self as MonadFamily>::then(
-                <Self as MonadState<Heap>>::put(bumped),
+                <Self as MonadState<Heap>>::modify(|mut heap: Heap| {
+                    heap.next += 1;
+                    heap
+                }),
                 <Self as MonadFamily>::pure(addr),
             )
         })

@@ -244,7 +244,7 @@ where
             crate::direct::mnext_direct::<C, S>(&table, ps, ctx, store)
         }),
         PState::inject(program.main.clone()),
-        threads,
+        ParallelConfig::barrier(threads),
     )
 }
 
@@ -259,7 +259,7 @@ where
     Fp: ParallelCollecting<PState<C::Addr>, C, S>,
 {
     let table = program.table.clone();
-    Fp::explore_frontier_elastic(
+    Fp::explore_frontier_parallel(
         &with_state_gc(move |ps, ctx, store| {
             crate::direct::mnext_direct::<C, S>(&table, ps, ctx, store)
         }),

@@ -226,7 +226,7 @@ where
     Fp::explore_frontier_parallel(
         &crate::direct::mnext_direct::<C, S>,
         PState::inject(term.clone()),
-        threads,
+        ParallelConfig::barrier(threads),
     )
 }
 
@@ -242,7 +242,7 @@ where
     Fp::explore_frontier_parallel(
         &with_state_gc(crate::direct::mnext_direct::<C, S>),
         PState::inject(term.clone()),
-        threads,
+        ParallelConfig::barrier(threads),
     )
 }
 
@@ -259,7 +259,7 @@ where
     S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
     Fp: ParallelCollecting<PState<C::Addr>, C, S>,
 {
-    Fp::explore_frontier_elastic(
+    Fp::explore_frontier_parallel(
         &crate::direct::mnext_direct::<C, S>,
         PState::inject(term.clone()),
         config,
@@ -273,7 +273,7 @@ where
     S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
     Fp: ParallelCollecting<PState<C::Addr>, C, S>,
 {
-    Fp::explore_frontier_elastic(
+    Fp::explore_frontier_parallel(
         &with_state_gc(crate::direct::mnext_direct::<C, S>),
         PState::inject(term.clone()),
         config,
@@ -339,7 +339,7 @@ where
     Fp::explore_frontier_parallel_governed(
         &crate::direct::mnext_direct::<C, S>,
         SolveFrom::Fresh(PState::inject(term.clone())),
-        threads,
+        ParallelConfig::barrier(threads),
         budget,
     )
 }
@@ -356,7 +356,7 @@ where
     S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
     Fp: ParallelCollecting<PState<C::Addr>, C, S>,
 {
-    Fp::explore_frontier_elastic_governed(
+    Fp::explore_frontier_parallel_governed(
         &crate::direct::mnext_direct::<C, S>,
         SolveFrom::Fresh(PState::inject(term.clone())),
         config,

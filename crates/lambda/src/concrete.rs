@@ -106,15 +106,19 @@ impl CeskInterface<HeapAddr> for StateM<Heap> {
 }
 
 fn fresh(name: Name) -> <StateM<Heap> as MonadFamily>::M<HeapAddr> {
-    <StateM<Heap> as MonadFamily>::bind(<StateM<Heap> as MonadState<Heap>>::get(), move |heap| {
+    // Read and bump the counter in place: binding the whole heap with
+    // `get` would clone it on every allocation.
+    let next = <StateM<Heap> as MonadState<Heap>>::gets(|heap: &Heap| heap.next);
+    <StateM<Heap> as MonadFamily>::bind(next, move |index| {
         let addr = HeapAddr {
             name: name.clone(),
-            index: heap.next,
+            index,
         };
-        let mut bumped = heap.clone();
-        bumped.next += 1;
         <StateM<Heap> as MonadFamily>::then(
-            <StateM<Heap> as MonadState<Heap>>::put(bumped),
+            <StateM<Heap> as MonadState<Heap>>::modify(|mut heap: Heap| {
+                heap.next += 1;
+                heap
+            }),
             <StateM<Heap> as MonadFamily>::pure(addr),
         )
     })

@@ -355,7 +355,7 @@ fn stale_shard_delta_reconverges_through_the_dependency_index() {
     for threads in PARALLEL_THREADS {
         for epochs in ELASTIC_EPOCHS {
             let (elastic, stats) =
-                <Dom as ParallelCollecting<TwoShard, u64, StaleStore>>::explore_frontier_elastic(
+                <Dom as ParallelCollecting<TwoShard, u64, StaleStore>>::explore_frontier_parallel(
                     &staleness_step,
                     TwoShard(0),
                     ParallelConfig { threads, epochs },
@@ -568,7 +568,7 @@ fn interval_counting_loop_diverges_without_widening_and_converges_with_it() {
                 <IDom as ParallelCollecting<CountSt, u64, IStore>>::explore_frontier_parallel_governed(
                     &step,
                     SolveFrom::Fresh(CountSt(0)),
-                    threads,
+                    ParallelConfig::barrier(threads),
                     &widened,
                 )
                 .expect("parallel widened solve must not fault");
@@ -591,7 +591,7 @@ fn interval_counting_loop_diverges_without_widening_and_converges_with_it() {
             // fixpoint is pinned, at every (threads, epochs) grid point.
             for epochs in ELASTIC_EPOCHS {
                 let (outcome, _) =
-                    <IDom as ParallelCollecting<CountSt, u64, IStore>>::explore_frontier_elastic_governed(
+                    <IDom as ParallelCollecting<CountSt, u64, IStore>>::explore_frontier_parallel_governed(
                         &step,
                         SolveFrom::Fresh(CountSt(0)),
                         ParallelConfig { threads, epochs },

@@ -13,9 +13,10 @@ use monadic_ai::cps::{
 #[test]
 fn concrete_interpreter_and_collecting_semantics_agree_on_termination() {
     // The corpus' terminating programs halt within a few hundred steps; the
-    // divergent ones (omega) make the fresh-address heap grow every step, so
-    // a large step budget costs quadratic time.  2k steps / 128 Kleene
-    // iterations classify the whole corpus correctly and keep the suite fast.
+    // divergent ones (omega) grow the concrete collecting semantics' state
+    // set every Kleene iteration, and each iteration re-steps all of it.
+    // 2k steps / 128 Kleene iterations classify the whole corpus correctly
+    // and keep the suite fast.
     for (name, program) in standard_corpus() {
         let concrete = interpret_with_limit(&program, 2_000);
         let collecting = analyse_concrete_collecting(&program, 128);

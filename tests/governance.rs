@@ -243,7 +243,7 @@ fn parallel_exhaustion_resumes_on_either_driver() {
                         la::KCeskShared::<1>::explore_frontier_parallel_governed(
                             &mai_lambda::direct::mnext_direct::<KCallCtx<1>, la::KCeskStore>,
                             SolveFrom::Resume(*resume_seed),
-                            threads,
+                            ParallelConfig::barrier(threads),
                             &Budget::unlimited(),
                         )
                     })
@@ -288,6 +288,60 @@ fn step_budgets_halt_divergent_concrete_runs() {
         mai_cps::concrete::interpret_governed(&program, &budget),
         mai_cps::concrete::Outcome::OutOfFuel { .. }
     ));
+
+    // A concrete step costs the same at step 200,000 as at step 1: an
+    // allocation must not copy the heap.  Each long run spends its whole
+    // budget (its allocations scale with the short run's) within the
+    // deadline.
+    let lambda_allocations = |steps: usize| {
+        within_deadline("the λ Ω run", move || {
+            let budget = Budget::unlimited().with_max_steps(steps);
+            match mai_lambda::concrete::evaluate_governed(&omega(), &budget) {
+                mai_lambda::concrete::Outcome::OutOfFuel { heap, .. } => heap.allocation_count(),
+                other => panic!("Ω halted: {other:?}"),
+            }
+        })
+    };
+    let cps_allocations = |steps: usize| {
+        within_deadline("the CPS Ω run", move || {
+            let budget = Budget::unlimited().with_max_steps(steps);
+            let program = mai_cps::cps_convert(&omega());
+            match mai_cps::concrete::interpret_governed(&program, &budget) {
+                mai_cps::concrete::Outcome::OutOfFuel { heap, .. } => heap.allocation_count(),
+                other => panic!("CPS Ω halted: {other:?}"),
+            }
+        })
+    };
+    for (language, allocations) in [
+        ("λ", &lambda_allocations as &dyn Fn(usize) -> u64),
+        ("CPS", &cps_allocations),
+    ] {
+        let (short, long) = (allocations(20_000), allocations(200_000));
+        assert!(short > 0, "{language}: Ω allocated nothing");
+        assert!(
+            long.abs_diff(10 * short) <= 10,
+            "{language}: {long} allocations in 200,000 steps against {short} in 20,000"
+        );
+    }
+    let halted = within_deadline("FJ nested_cells(4000)", || {
+        let program = mai_fj::programs::nested_cells(4000);
+        mai_fj::concrete::run_governed(&program, &Budget::unlimited()).halted()
+    });
+    assert!(halted, "FJ nested_cells(4000) did not halt");
+}
+
+/// Runs `run` on its own thread and fails unless it returns within 60 s.
+fn within_deadline<R: Send + 'static>(what: &str, run: impl FnOnce() -> R + Send + 'static) -> R {
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+    let (done, result) = channel();
+    std::thread::spawn(move || {
+        let _ = done.send(run());
+    });
+    match result.recv_timeout(std::time::Duration::from_secs(60)) {
+        Ok(value) => value,
+        Err(RecvTimeoutError::Timeout) => panic!("{what} did not finish within 60 s"),
+        Err(RecvTimeoutError::Disconnected) => panic!("{what} panicked"),
+    }
 }
 
 #[test]
@@ -414,7 +468,7 @@ fn elastic_cancellation_lands_within_one_epoch() {
         epochs: 8,
     };
     let (outcome, _stats) = without_faults(|| {
-        ChainDom::explore_frontier_elastic_governed_traced(
+        ChainDom::explore_frontier_parallel_governed_traced(
             &step,
             SolveFrom::Fresh(Chain(0)),
             config,
@@ -457,7 +511,7 @@ fn elastic_round_budget_partial_resumes_onto_the_full_fixpoint() {
         epochs: 2,
     };
     let (outcome, _) = without_faults(|| {
-        ChainDom::explore_frontier_elastic_governed(
+        ChainDom::explore_frontier_parallel_governed(
             &step,
             SolveFrom::Fresh(Chain(0)),
             config,
