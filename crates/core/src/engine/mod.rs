@@ -81,7 +81,7 @@ use std::fmt;
 
 use crate::addr::Address;
 use crate::collect::Collecting;
-use crate::gc::{reachable, Touches};
+use crate::gc::{reachable, reachable_unless_found, Touches};
 use crate::lattice::WidenLattice;
 use crate::monad::{MonadFamily, Value};
 use crate::store::StoreLike;
@@ -217,9 +217,10 @@ pub struct EngineStats {
     /// Read-set size summed over every executed step: Σ |read set|, the
     /// edges each step installs in the reverse dependency index.  The
     /// id-indexed engines read it off the store's read journal (plus the
-    /// write targets a step still binds), the structural baseline off the
-    /// [`StateRoots`] closure; a growing count means steps read, or are
-    /// believed to read, more of the store.  Deterministic work, summed
+    /// write targets a step still binds, and the GC sweep's visits on a
+    /// branch where abstract GC dropped a write), the structural baseline
+    /// off the [`StateRoots`] closure; a growing count means steps read, or
+    /// are believed to read, more of the store.  Deterministic work, summed
     /// by [`EngineStats::merge`].
     pub dep_edges: usize,
 }
@@ -379,8 +380,13 @@ impl fmt::Display for EngineStats {
 /// ([`with_state_gc`], [`ReachableGc`](crate::gc::ReachableGc)) and the
 /// structural baseline engine
 /// ([`FrontierCollecting::explore_frontier_structural`]), whose read sets
-/// are that closure.  The id-indexed engines do not: their read set is
-/// the store's read journal, which the closure only bounds.
+/// are that closure.  GC runs the full sweep wherever a step runs through
+/// [`StepFn::step`]: in the per-state engine, the structural baseline,
+/// [`certify`], the narrowing post-pass and the closure carrier.  The
+/// id-indexed shared-store engine does not close the roots for its read
+/// sets, which come from the store's read journal (the closure only bounds
+/// them).  Under GC it searches from the roots only until a branch's
+/// writes are found ([`StepFn::filter_writes`]).
 pub trait StateRoots {
     /// The address type this state touches.
     type Addr: Address;
@@ -410,6 +416,13 @@ pub trait StateRoots {
 /// identical fixpoints (and identical work counters) on either carrier;
 /// only the per-step constant factor differs.
 ///
+/// Two provided methods, [`StepFn::step_before_gc`] and
+/// [`StepFn::filter_writes`], let the id-indexed shared-store engine run
+/// abstract GC as a filter on each branch's writes instead of a sweep of
+/// each branch's store.  Their defaults mean "no GC" and cost nothing; only
+/// [`with_state_gc`]'s [`StateGc`] overrides them.  Every other consumer
+/// calls [`StepFn::step`], which runs the full sweep.
+///
 /// Step functions are `Sync`: the sharded parallel engine
 /// ([`parallel`]) shares one step function across all of its workers, and
 /// every producer in the tree (plain `fn`s, the `with_state_gc` wrapper,
@@ -419,6 +432,30 @@ pub trait StepFn<Ps, G, S>: Sync {
     /// Steps one `(state, guts, store)` configuration to its successor
     /// branches.
     fn step(&self, ps: Ps, guts: G, store: S) -> Vec<((Ps, G), S)>;
+
+    /// The branches of [`StepFn::step`] before abstract GC restricts their
+    /// stores.  The id-indexed shared-store engine steps through this and
+    /// applies GC itself, as [`StepFn::filter_writes`] on each branch.  The
+    /// default is [`StepFn::step`]: a step without GC.
+    fn step_before_gc(&self, ps: Ps, guts: G, store: S) -> Vec<((Ps, G), S)> {
+        self.step(ps, guts, store)
+    }
+
+    /// Abstract GC as a filter on one branch of [`StepFn::step_before_gc`].
+    /// `writes` holds the addresses the branch changed; this removes each
+    /// one GC would drop from the branch store `branch`, and adds to
+    /// `reads` the addresses that decision depends on.  The default keeps
+    /// every write and reads nothing: a step without GC.
+    fn filter_writes(
+        &self,
+        _successor: &Ps,
+        _branch: &S,
+        _writes: &mut BTreeSet<Ps::Addr>,
+        _reads: &mut Vec<Ps::Addr>,
+    ) where
+        Ps: StateRoots,
+    {
+    }
 }
 
 impl<F, Ps, G, S> StepFn<Ps, G, S> for F
@@ -440,15 +477,35 @@ where
 /// every language crate uses — restrict-to-reachable from the stepped
 /// state's [`StateRoots`] — so the languages' `analyse_*_gc_direct` entry
 /// points need no per-language GC plumbing.
-pub fn with_state_gc<Ps, G, S, F>(step: F) -> impl Fn(Ps, G, S) -> Vec<((Ps, G), S)>
+///
+/// The result's [`StepFn::step`] runs the full sweep on every branch.
+/// Every consumer that calls `step` keeps that sweep: the per-state engine
+/// (whose store is part of the state), the structural baseline,
+/// [`certify`] and the narrowing post-pass.  The id-indexed shared-store
+/// engine, on every step phase (sequential, barrier, elastic), calls
+/// [`StepFn::step_before_gc`] and [`StepFn::filter_writes`] instead: GC
+/// only decides which of a branch's own writes survive, and a search that
+/// stops once it has found them all decides that (see the shared-store
+/// module docs for why that is exact).
+pub fn with_state_gc<F>(step: F) -> StateGc<F> {
+    StateGc(step)
+}
+
+/// A step function followed by abstract GC on every branch: what
+/// [`with_state_gc`] returns.
+#[derive(Debug, Clone, Copy)]
+pub struct StateGc<F>(F);
+
+impl<Ps, G, S, F> StepFn<Ps, G, S> for StateGc<F>
 where
     Ps: StateRoots,
     S: StoreLike<Ps::Addr>,
     S::D: Touches<Ps::Addr>,
     F: StepFn<Ps, G, S>,
 {
-    move |ps: Ps, guts: G, store: S| {
-        step.step(ps, guts, store)
+    fn step(&self, ps: Ps, guts: G, store: S) -> Vec<((Ps, G), S)> {
+        self.0
+            .step(ps, guts, store)
             .into_iter()
             .map(|((ps2, g2), s2)| {
                 let live = reachable(ps2.state_roots(), &s2);
@@ -456,6 +513,23 @@ where
                 ((ps2, g2), s2)
             })
             .collect()
+    }
+
+    fn step_before_gc(&self, ps: Ps, guts: G, store: S) -> Vec<((Ps, G), S)> {
+        self.0.step(ps, guts, store)
+    }
+
+    fn filter_writes(
+        &self,
+        successor: &Ps,
+        branch: &S,
+        writes: &mut BTreeSet<Ps::Addr>,
+        reads: &mut Vec<Ps::Addr>,
+    ) {
+        if let Some(live) = reachable_unless_found(successor.state_roots(), branch, writes) {
+            writes.retain(|a| live.contains(a));
+            reads.extend(live);
+        }
     }
 }
 

@@ -9,9 +9,11 @@
 //! step runs on a store armed with a read journal
 //! ([`StoreDelta::arm_read_journal`]), which records every address the
 //! transition fetched on any branch, including fetches that came back
-//! empty and every address an abstract-GC sweep visited.  The structural
-//! baseline keeps the older, larger read set: the [`reachable`] closure of
-//! the pair's [`StateRoots`], which bounds what a transition may fetch.
+//! empty.  Abstract GC adds the addresses its sweep visited only where it
+//! drops a write (see *Abstract GC as a write filter* below).  The
+//! structural baseline keeps the older, larger read set: the [`reachable`]
+//! closure of the pair's [`StateRoots`], which bounds what a transition may
+//! fetch.
 //! Both add the write targets a step still binds.  The journal needs one
 //! contract from the semantics: it reads the store only through the
 //! journaled methods ([`StoreLike`]'s *Journaled reads*).  A transition
@@ -76,6 +78,38 @@
 //! iterate `current ⊔ f(current)` with no reliance on cached outcomes at
 //! all ([`EngineStats::rebuild_rounds`] counts these rounds; the engine's
 //! unit tests force one with a deliberately non-monotone machine).
+//!
+//! ## Abstract GC as a write filter
+//!
+//! Abstract GC (§6.4, [`with_state_gc`](super::with_state_gc)) restricts
+//! each branch's store to what its successor can reach.  Here a branch
+//! contributes only the bindings it changed.  Every other binding the
+//! sweep would drop was copied from the pre-store, so it is already in the
+//! accumulated store.  GC therefore decides one thing: which of the
+//! branch's own writes survive.  [`step_entry`] steps through
+//! [`StepFn::step_before_gc`] and takes the read journal, which closes it.
+//! Then, on each branch, [`StepFn::filter_writes`] searches from the
+//! successor's roots only until it has found every changed address:
+//!
+//! * **All found:** the writes are kept, and the search's reads are not
+//!   dependencies.  From fixed roots, reachability is monotone in the
+//!   store, and the accumulated store only grows.  So every later re-step
+//!   keeps the same writes, including Kleene's re-step against any later
+//!   iterate.
+//! * **Some not found:** the search finishes the sweep, drops the writes it
+//!   did not reach, and adds every address it visited to the read set.  The
+//!   closure of the roots depends only on the bindings at the addresses it
+//!   visits.  So the visited set is exactly the set a later growth must
+//!   touch to connect a dropped write, and such a growth re-enqueues the
+//!   state.
+//!
+//! Successors do not depend on GC, so the rebuild defence is unaffected.
+//! Every consumer that calls [`StepFn::step`] keeps the full sweep and stays
+//! a check that does not share this argument: the per-state engine (whose
+//! store is part of the state), the structural baseline below,
+//! [`certify`](super::certify), the narrowing post-pass, and the closure
+//! carrier's [`ReachableGc`](crate::gc::ReachableGc), which sweeps inside
+//! the monad.
 //!
 //! ## Two solvers
 //!
@@ -187,7 +221,9 @@ pub(crate) struct InternedEntry<S, A> {
     /// The step's read set (sorted, deduplicated): every address its
     /// transition read, from the store's read journal (see
     /// [`step_entry`]), plus the write targets the result still binds —
-    /// `bind` reads the binding it joins into (see [`CacheEntry::deps`]).
+    /// `bind` reads the binding it joins into (see [`CacheEntry::deps`]) —
+    /// plus, on a branch where abstract GC dropped a write, every address
+    /// its sweep visited.
     pub(crate) deps: Vec<A>,
 }
 
@@ -286,9 +322,11 @@ where
 /// The read set is **journaled**, not inferred: the step runs on a clone
 /// of `store` armed with [`StoreDelta::arm_read_journal`], so every
 /// address the transition fetched — on any branch, including a fetch that
-/// came back empty and left no branch at all, and every address an
-/// abstract-GC sweep visited on a branch store — lands in one journal,
-/// which is taken (and closed) the moment the step returns.
+/// came back empty and left no branch at all — lands in one journal,
+/// which is taken (and closed) the moment the step returns.  Abstract GC
+/// runs after that, as [`StepFn::filter_writes`] on each branch of
+/// [`StepFn::step_before_gc`] (the module docs' write filter), and adds
+/// its own reads only when it drops a write.
 pub(crate) fn step_entry<Ps, G, S, F, IN>(
     step: &F,
     ps: Ps,
@@ -305,17 +343,20 @@ where
 {
     let mut pre = store.clone();
     let journal = pre.arm_read_journal();
-    let branches = step.step(ps, guts, pre);
+    let branches = step.step_before_gc(ps, guts, pre);
     let mut deps = journal.take();
     let mut successors: Vec<StateId> = Vec::new();
     let mut delta = S::bottom();
     for ((ps2, g2), s2) in branches {
+        // GC drops the writes the successor cannot reach.  A dropped write
+        // no longer influences the outcome; whether it stays dropped
+        // depends on the bindings the sweep visited, which the filter adds
+        // to `deps`.  The journal is closed, so a sweep that found every
+        // write records nothing: those reads are not dependencies.
+        let mut changed = s2.changed_addresses(store);
+        step.filter_writes(&ps2, &s2, &mut changed, &mut deps);
         // Write targets are read dependencies (see `CacheEntry::deps`):
-        // keep the changed addresses the branch still binds.  An address a
-        // GC'd branch dropped no longer influences the outcome; whether it
-        // stays dropped is decided by the sweep, whose reads are already
-        // in the journal.
-        let changed = s2.changed_addresses(store);
+        // keep the changed addresses the branch still binds.
         deps.extend(changed.iter().filter(|a| s2.contains(a)).cloned());
         successors.push(intern((ps2, g2)));
         // Keep only what the branch changed: every other binding of `s2`
@@ -1319,49 +1360,125 @@ mod tests {
         }
     }
 
-    /// Solves `reader_step(fallthrough)` and asserts that state 1 was
-    /// re-stepped after the write: its first step saw an empty cell, so
-    /// only a re-step reaches the pointer's target, state 15.  The same
-    /// holds through the pool's step phases — elastic's staleness check
-    /// reads the journaled `deps`, so a journal gap on a worker would
-    /// show up there.
-    fn assert_reader_sees_the_later_write(fallthrough: bool) {
-        use super::super::{ParallelCollecting, ParallelConfig};
+    /// Solves `step` from `initial` on the sequential phase, the barrier
+    /// phase (1, 2 and 4 threads) and the elastic phase (2 threads × 2 and
+    /// 4 epochs), and asserts that every fixpoint equals `kleene` and is
+    /// certified.  The machines handed in read a cell before another state
+    /// writes it, so only a re-step after the write reaches Kleene's
+    /// fixpoint.  The pool phases matter too: elastic's staleness check
+    /// reads the entries' `deps`, so a read-set gap on a worker would show
+    /// up there.
+    fn assert_reader_sees_the_later_write<P, F>(
+        step: &F,
+        initial: P,
+        kleene: &SharedStoreDomain<P, G, S>,
+    ) where
+        P: Value + Ord + Hash + StateRoots<Addr = u8> + Send + Sync + std::fmt::Debug,
+        F: StepFn<P, G, S>,
+    {
+        use super::super::{certify, ParallelCollecting, ParallelConfig};
 
-        let step = reader_step(fallthrough);
-        let kleene: SharedStoreDomain<Rd, G, S> = explore_fp::<M, Rd, _, _>(&step, Rd(0));
-        let (engine, _) =
-            <SharedStoreDomain<Rd, G, S> as FrontierCollecting<M, Rd>>::explore_frontier(
-                &step,
-                Rd(0),
+        let (sequential, _) =
+            <SharedStoreDomain<P, G, S> as DirectCollecting<P, G, S>>::explore_frontier_direct(
+                step,
+                initial.clone(),
             );
-        assert_eq!(engine, kleene);
-        assert!(engine.states().iter().any(|(ps, _)| ps.0 == 15));
-
-        let direct = |ps: Rd, g: G, s: S| run_store_passing(step(ps), g, s);
+        let mut solves = vec![("sequential".to_string(), sequential)];
         let barrier = [1, 2, 4].map(ParallelConfig::barrier);
         let elastic = [2, 4].map(|epochs| ParallelConfig::elastic(2, epochs));
         for config in barrier.into_iter().chain(elastic) {
             let (pooled, _) =
-                <SharedStoreDomain<Rd, G, S> as ParallelCollecting<Rd, G, S>>::explore_frontier_parallel(
-                    &direct,
-                    Rd(0),
+                <SharedStoreDomain<P, G, S> as ParallelCollecting<P, G, S>>::explore_frontier_parallel(
+                    step,
+                    initial.clone(),
                     config,
                 );
-            assert_eq!(pooled, kleene, "{config:?}");
+            solves.push((format!("{config:?}"), pooled));
         }
+        for (phase, fixpoint) in solves {
+            assert_eq!(&fixpoint, kleene, "{phase}");
+            let report = certify(&fixpoint, step);
+            assert!(report.certified(), "{phase}: {report}");
+        }
+    }
+
+    /// Runs [`reader_step`] through every phase: state 1's first step saw
+    /// an empty cell, so only a re-step reaches the pointer's target, state
+    /// 15.
+    fn assert_every_phase_re_steps_the_reader(fallthrough: bool) {
+        let step = reader_step(fallthrough);
+        let kleene: SharedStoreDomain<Rd, G, S> = explore_fp::<M, Rd, _, _>(&step, Rd(0));
+        assert!(kleene.states().iter().any(|(ps, _)| ps.0 == 15));
+        let direct = |ps: Rd, g: G, s: S| run_store_passing(step(ps), g, s);
+        assert_reader_sees_the_later_write(&direct, Rd(0), &kleene);
     }
 
     #[test]
     fn an_empty_fetch_with_no_successors_is_still_a_dependency() {
         // State 1's first step has no branch at all: its read must reach
         // the journal through the armed pre-store, not a branch store.
-        assert_reader_sees_the_later_write(false);
+        assert_every_phase_re_steps_the_reader(false);
     }
 
     #[test]
     fn a_reader_without_roots_is_re_enqueued_by_a_write_to_its_cell() {
-        assert_reader_sees_the_later_write(true);
+        assert_every_phase_re_steps_the_reader(true);
+    }
+
+    /// The cells of the GC machine: state 1 writes `W`, state 4 writes a
+    /// pointer to `W` into `R`.
+    const W: u8 = 1;
+    const R: u8 = 2;
+
+    /// States of the GC machine.  State 3's only root is cell `R`.
+    #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    struct Gc(u32);
+
+    impl StateRoots for Gc {
+        type Addr = u8;
+
+        fn state_roots(&self) -> BTreeSet<u8> {
+            if self.0 == 3 {
+                [R].into_iter().collect()
+            } else {
+                BTreeSet::new()
+            }
+        }
+    }
+
+    /// `0 → {1, 2}`, `1` writes `W := {Ptr(7)}` and goes to `3`, `2 → 4`,
+    /// and `4` writes `R := {Ptr(W)}` and goes to `3`.  Under abstract GC
+    /// the write to `W` survives only once `R` points at it: state 1 is
+    /// stepped while `R` is still empty, so GC drops `W`, and only a
+    /// re-step after state 4's write keeps it.  The read that makes that
+    /// re-step happen is the GC sweep's visit of `R`.
+    fn gc_machine(st: Gc) -> <M as MonadFamily>::M<Gc> {
+        let write = |cell: u8, ptr: u8, next: u32| {
+            let write = <M as MonadTrans>::lift(<StateT<S, VecM> as MonadState<S>>::modify(
+                move |store: S| store.bind(cell, [Ptr(ptr)].into_iter().collect()),
+            ));
+            M::bind(write, move |_| M::pure(Gc(next)))
+        };
+        match st.0 {
+            0 => M::mplus(M::pure(Gc(1)), M::pure(Gc(2))),
+            1 => write(W, 7, 3),
+            2 => M::pure(Gc(4)),
+            4 => write(R, W, 3),
+            _ => M::pure(st),
+        }
+    }
+
+    #[test]
+    fn a_write_reachable_only_after_another_cell_grows_is_kept() {
+        use super::super::with_state_gc;
+        use crate::collect::with_gc;
+        use crate::gc::ReachableGc;
+
+        let kleene: SharedStoreDomain<Gc, G, S> =
+            explore_fp::<M, Gc, _, _>(with_gc::<M, Gc, _, _>(gc_machine, ReachableGc), Gc(0));
+        assert_eq!(kleene.store().fetch(&W), [Ptr(7)].into_iter().collect());
+        let direct = with_state_gc(|ps: Gc, g: G, s: S| run_store_passing(gc_machine(ps), g, s));
+        assert_reader_sees_the_later_write(&direct, Gc(0), &kleene);
     }
 
     /// Arms a clone of `plain`, checks that arming changes neither equality,

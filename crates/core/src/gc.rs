@@ -11,7 +11,15 @@
 //!   (the paper's `T̂`); language crates implement it for their values and
 //!   partial states.
 //! * [`reachable`] — the transitive closure of the touch relation through
-//!   the store (the paper's `R̂`), provided once here.
+//!   the store (the paper's `R̂`), provided once here.  It is the full
+//!   sweep, which every GC'd step run through
+//!   [`StepFn::step`](crate::engine::StepFn::step) pays per branch: the
+//!   per-state engine, the structural baseline,
+//!   [`certify`](crate::engine::certify), the narrowing post-pass and
+//!   [`ReachableGc`].  The id-indexed shared-store engine instead searches
+//!   with the same traversal only until a branch's own writes are found
+//!   (see [`with_state_gc`](crate::engine::with_state_gc)), and sweeps in
+//!   full only when one of them is out of reach.
 //! * [`GcStrategy`] — the `GarbageCollector` class of the paper: a monadic
 //!   action run after every transition.  [`NoGc`] is the default no-op;
 //!   [`ReachableGc`] restricts the store to the addresses reachable from
@@ -89,11 +97,62 @@ where
     S: StoreLike<A>,
     S::D: Touches<A>,
 {
+    walk(roots, store, |_| false).0
+}
+
+/// Searches the closure of `roots` through `store` only as far as it takes
+/// to visit every address of `targets`.  Returns `None` when it visits them
+/// all, without walking the rest of the closure; otherwise it finishes the
+/// walk and returns the whole closure, the same set [`reachable`] returns.
+///
+/// This is abstract GC as a filter on a branch's own writes (see
+/// [`with_state_gc`](crate::engine::with_state_gc)): `None` means GC keeps
+/// every write, and the closure names the writes it drops and the bindings
+/// that decided it.
+pub(crate) fn reachable_unless_found<A, S>(
+    roots: BTreeSet<A>,
+    store: &S,
+    targets: &BTreeSet<A>,
+) -> Option<BTreeSet<A>>
+where
+    A: Address,
+    S: StoreLike<A>,
+    S::D: Touches<A>,
+{
+    let mut missing = targets.len();
+    if missing == 0 {
+        return None;
+    }
+    let (seen, found) = walk(roots, store, |addr| {
+        missing -= usize::from(targets.contains(addr));
+        missing == 0
+    });
+    (!found).then_some(seen)
+}
+
+/// The one traversal behind [`reachable`] and [`reachable_unless_found`]:
+/// a depth-first walk of the closure of `roots` through `store` that calls
+/// `stop` on each address the first time it is visited, before fetching
+/// its binding.  Returns the visited set and whether `stop` cut the walk
+/// short.
+fn walk<A, S>(
+    roots: BTreeSet<A>,
+    store: &S,
+    mut stop: impl FnMut(&A) -> bool,
+) -> (BTreeSet<A>, bool)
+where
+    A: Address,
+    S: StoreLike<A>,
+    S::D: Touches<A>,
+{
     let mut seen: BTreeSet<A> = BTreeSet::new();
     let mut frontier: Vec<A> = roots.into_iter().collect();
     while let Some(addr) = frontier.pop() {
         if !seen.insert(addr.clone()) {
             continue;
+        }
+        if stop(&addr) {
+            return (seen, true);
         }
         // Borrow the binding when the store can lend it — the sweep visits
         // every live address, so per-address co-domain clones add up.
@@ -107,7 +166,7 @@ where
             }
         }
     }
-    seen
+    (seen, false)
 }
 
 /// The paper's `GarbageCollector` class: a strategy object providing the
@@ -206,6 +265,35 @@ mod tests {
             reachable([7u8].into_iter().collect(), &store),
             [7u8].into_iter().collect()
         );
+    }
+
+    #[test]
+    fn the_search_stops_once_every_target_is_found() {
+        let store = store_from(&[(1, &[2]), (2, &[3]), (3, &[]), (4, &[1])]);
+        let roots: BTreeSet<u8> = [1u8].into_iter().collect();
+        let search = |targets: &[u8]| {
+            reachable_unless_found(roots.clone(), &store, &targets.iter().copied().collect())
+        };
+        assert_eq!(search(&[]), None);
+        assert_eq!(search(&[1]), None);
+        assert_eq!(search(&[3, 2]), None);
+        // One target out of reach: the whole closure, as `reachable` has it.
+        let closure = reachable(roots.clone(), &store);
+        assert_eq!(search(&[2, 4]), Some(closure.clone()));
+        assert_eq!(search(&[9]), Some(closure));
+    }
+
+    #[test]
+    fn a_found_search_reads_only_what_it_walked() {
+        // 1 → 2 → 3: finding 2 fetches the binding of 1 and no other.
+        let mut store = store_from(&[(1, &[2]), (2, &[3]), (3, &[])]);
+        let journal = crate::store::StoreDelta::arm_read_journal(&mut store);
+        let targets: BTreeSet<u8> = [2u8].into_iter().collect();
+        assert_eq!(
+            reachable_unless_found([1u8].into_iter().collect(), &store, &targets),
+            None
+        );
+        assert_eq!(journal.take(), vec![1]);
     }
 
     #[test]

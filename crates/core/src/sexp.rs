@@ -45,6 +45,21 @@ impl Sexp {
     }
 }
 
+/// Drops a tree of any depth in constant stack: children move onto an
+/// explicit stack instead of being dropped recursively, so a deeply nested
+/// parse result cannot overflow the stack when it goes out of scope.
+impl Drop for Sexp {
+    fn drop(&mut self) {
+        let Sexp::List(items) = self else { return };
+        let mut pending = std::mem::take(items);
+        while let Some(mut node) = pending.pop() {
+            if let Sexp::List(children) = &mut node {
+                pending.append(children);
+            }
+        }
+    }
+}
+
 impl fmt::Display for Sexp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -277,6 +292,22 @@ mod tests {
         ] {
             assert!(!err.to_string().is_empty());
         }
+    }
+
+    #[test]
+    fn a_deeply_nested_list_drops_on_a_small_stack() {
+        const DEPTH: usize = 100_000;
+        let text = format!("{}{}", "(".repeat(DEPTH), ")".repeat(DEPTH));
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let parsed = parse_one(&text).expect("balanced parentheses parse");
+                assert!(parsed.as_list().is_some());
+                drop(parsed);
+            })
+            .expect("spawn a 2 MiB thread")
+            .join()
+            .expect("parse and drop on a 2 MiB stack");
     }
 
     fn arb_sexp() -> impl Strategy<Value = Sexp> {

@@ -334,15 +334,42 @@ impl WorkerBuffer {
     }
 }
 
-/// Renders a `Debug` value as a single-line label truncated to roughly
-/// `max` characters — hot-spot attribution keys, not pretty-printing.
+/// Renders a `Debug` value as a single-line label: its first `max`
+/// characters, followed by `…` when the rendering is longer — hot-spot
+/// attribution keys, not pretty-printing.  Formatting stops as soon as the
+/// label is decided, so a label costs O(`max`), not O(|value|).
 pub fn label_of<V: Debug>(value: &V, max: usize) -> String {
-    let mut label = format!("{value:?}");
-    if let Some((cut, _)) = label.char_indices().nth(max) {
-        label.truncate(cut);
-        label.push('…');
+    let mut capped = Capped {
+        label: String::new(),
+        room: max + 1,
+    };
+    // An error only means the cap was reached; `room` says so too.
+    let _ = write!(capped, "{value:?}");
+    if capped.room == 0 {
+        capped.label.pop();
+        capped.label.push('…');
     }
-    label
+    capped.label
+}
+
+/// The writer behind [`label_of`]: keeps at most `room` more characters
+/// and fails once it holds them, which stops the formatting.
+struct Capped {
+    label: String,
+    room: usize,
+}
+
+impl std::fmt::Write for Capped {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        let cut = s.char_indices().nth(self.room).map_or(s.len(), |(i, _)| i);
+        self.room -= s[..cut].chars().count();
+        self.label.push_str(&s[..cut]);
+        if self.room == 0 {
+            Err(std::fmt::Error)
+        } else {
+            Ok(())
+        }
+    }
 }
 
 /// Cumulative step cost of one state across the solve.
@@ -996,10 +1023,43 @@ mod tests {
 
     #[test]
     fn labels_truncate_on_char_boundaries() {
+        /// What `label_of` must equal: the first `max` characters of the
+        /// full rendering, then `…` if anything was cut.
+        fn full_then_truncated(rendered: String, max: usize) -> String {
+            match rendered.char_indices().nth(max) {
+                Some((cut, _)) => format!("{}…", &rendered[..cut]),
+                None => rendered,
+            }
+        }
+        /// A value whose rendering is empty.
+        struct Blank;
+        impl Debug for Blank {
+            fn fmt(&self, _: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                Ok(())
+            }
+        }
+
         assert_eq!(label_of(&7u32, 16), "7");
         let long = label_of(&"αβγδεζηθικλμ", 4);
         assert!(long.ends_with('…'));
         assert!(long.chars().count() <= 5);
+
+        for max in [0, 1, 4, 5, 6, 96] {
+            assert_eq!(label_of(&Blank, max), "");
+            // `"abcd"` renders as six characters, quotes included.
+            for value in ["", "abcd", "αβγδ", "ab😀cd", &"x".repeat(200)] {
+                let expected = full_then_truncated(format!("{value:?}"), max);
+                assert_eq!(label_of(&value, max), expected, "{value:?} at {max}");
+            }
+            // Many small writes rather than one long one.
+            let many: Vec<u16> = (0..500).collect();
+            let expected = full_then_truncated(format!("{many:?}"), max);
+            assert_eq!(label_of(&many, max), expected, "a vector at {max}");
+        }
+        assert_eq!(label_of(&"abcd", 6), "\"abcd\"");
+        assert_eq!(label_of(&"abcd", 5), "\"abcd…");
+        assert_eq!(label_of(&"αβγδ", 3), "\"αβ…");
+        assert_eq!(label_of(&7u32, 0), "…");
     }
 
     #[test]

@@ -293,8 +293,8 @@ impl<A: Address> Touches<A> for PState<A> {
 /// ([`ReachableGc`](mai_core::gc::ReachableGc),
 /// [`with_state_gc`](mai_core::engine::with_state_gc)) and the structural
 /// baseline engine can close them over the store.  The id-indexed engines
-/// do not use them: they take a step's read set from the store's read
-/// journal.
+/// take a step's read set from the store's read journal instead; under GC
+/// they search from these roots only until a branch's writes are found.
 impl<A: Address> StateRoots for PState<A> {
     type Addr = A;
 

@@ -67,6 +67,29 @@ fn deep_identity_nesting_reads_a_constant_number_of_addresses_per_step() {
     }
 }
 
+/// The sizes of the nested-cells family the GC'd direct solve is compared
+/// with the GC-free one at.
+const CELLS: [usize; 3] = [40, 80, 160];
+
+#[test]
+fn gc_direct_solves_of_nested_fj_cells_read_what_gc_free_ones_read() {
+    for n in CELLS {
+        let program = fj::programs::nested_cells(n);
+        let (fixpoint, gc) = fj::analysis::analyse_kcfa_shared_gc_direct::<1>(&program);
+        let (_, plain) = fj::analysis::analyse_kcfa_shared_direct::<1>(&program);
+        // Every write of this family is reachable from its successor, so
+        // the GC write filter keeps them all and adds no sweep reads.
+        assert_eq!(gc.dep_edges, plain.dep_edges, "n = {n}");
+        assert_eq!(gc.states_stepped, plain.states_stepped, "n = {n}");
+        let table = program.table.clone();
+        let step = with_state_gc(move |ps, ctx, store| {
+            fj::direct::mnext_direct::<KCallCtx<1>, fj::analysis::KFjStore>(&table, ps, ctx, store)
+        });
+        let report = certify(&fixpoint, &step);
+        assert!(report.certified(), "n = {n}: {report}");
+    }
+}
+
 #[test]
 fn direct_fixpoint_of_the_cps_lanes_is_certified() {
     let program = cps::programs::kcfa_worst_case_scaled(12, 20);
