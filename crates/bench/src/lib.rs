@@ -1395,27 +1395,24 @@ pub fn widening_row(
     let carrier_parity =
         rc_outcome.is_complete() && *rc_outcome.value() == fixpoint && rc_stats == widened_stats;
 
-    let parallel_parity = <WideningDomain as ParallelCollecting<CountState, u64, IS>>::
+    let (outcome, stats) = <WideningDomain as ParallelCollecting<CountState, u64, IS>>::
         explore_frontier_parallel_governed(
             &step,
             SolveFrom::Fresh(CountState(0)),
             ParallelConfig::barrier(threads),
             &widened_budget,
-        )
-        .map(|(outcome, stats)| {
-            outcome.is_complete()
-                && *outcome.value() == fixpoint
-                && (
-                    stats.states_stepped,
-                    stats.store_joins_applied,
-                    stats.widen_applied,
-                ) == (
-                    widened_stats.states_stepped,
-                    widened_stats.store_joins_applied,
-                    widened_stats.widen_applied,
-                )
-        })
-        .unwrap_or(false);
+        );
+    let parallel_parity = outcome.is_complete()
+        && *outcome.value() == fixpoint
+        && (
+            stats.states_stepped,
+            stats.store_joins_applied,
+            stats.widen_applied,
+        ) == (
+            widened_stats.states_stepped,
+            widened_stats.store_joins_applied,
+            widened_stats.widen_applied,
+        );
 
     // Byte-equality is deliberate here even though elastic widening-point
     // selection is timing-dependent: on this workload it is deterministic.
@@ -1427,15 +1424,14 @@ pub fn widening_row(
     // pure function of that final pair.  A multi-cell workload would not
     // support this assertion — elastic runs there are only guaranteed a
     // sound post-fixpoint, not the sequential engines' bytes.
-    let elastic_parity = <WideningDomain as ParallelCollecting<CountState, u64, IS>>::
+    let (outcome, _) = <WideningDomain as ParallelCollecting<CountState, u64, IS>>::
         explore_frontier_parallel_governed(
             &step,
             SolveFrom::Fresh(CountState(0)),
             ParallelConfig { threads, epochs: 2 },
             &widened_budget,
-        )
-        .map(|(outcome, _)| outcome.is_complete() && *outcome.value() == fixpoint)
-        .unwrap_or(false);
+        );
+    let elastic_parity = outcome.is_complete() && *outcome.value() == fixpoint;
 
     WideningRow {
         program: name,
@@ -1475,8 +1471,7 @@ pub fn cancel_latency_row(
         program,
         ParallelConfig { threads, epochs },
         &budget,
-    )
-    .expect("no worker fault without an installed fault plan");
+    );
     let wall = start.elapsed();
     let _ = watchdog.join();
     CancelLatencyRow {
@@ -1491,86 +1486,9 @@ pub fn cancel_latency_row(
     }
 }
 
-/// One row of the `--parallel-smoke` fault-ladder exercise (only built
-/// under the `fault-inject` feature): both parallel rungs are forced to
-/// panic and the ladder must still return the sequential oracle's
-/// byte-identical fixpoint.
-#[cfg(feature = "fault-inject")]
-#[derive(Debug, Clone)]
-pub struct FaultLadderRow {
-    /// The workload name.
-    pub program: String,
-    /// Worker threads of the faulted parallel rungs.
-    pub threads: usize,
-    /// The rung that produced the result (stable identifier).
-    pub rung: &'static str,
-    /// How many rungs faulted on the way down.
-    pub faults: usize,
-    /// Whether the ladder's fixpoint equals the sequential oracle's.
-    pub equal: bool,
-    /// Wall-clock time of the whole descent.
-    pub wall: Duration,
-}
-
-#[cfg(feature = "fault-inject")]
-impl FaultLadderRow {
-    /// Renders the row in the fixed-width format used by the report binary.
-    pub fn render(&self) -> String {
-        format!(
-            "{:<18} threads={:<2} rung={:<17} faults={:<2} wall={:<8.2?} equal={}",
-            self.program, self.threads, self.rung, self.faults, self.wall, self.equal,
-        )
-    }
-}
-
-/// Forces the full fault cascade — worker 0 panics on its first elastic
-/// step and again on its first barrier step — and runs the degradation
-/// ladder.  Worker 0's fault counter persists across rungs within the one
-/// installed plan, so both parallel rungs fault deterministically and the
-/// sequential rung (which never consults the plan) answers.
-#[cfg(feature = "fault-inject")]
-pub fn fault_ladder_row(name: impl Into<String>, program: &CExp, threads: usize) -> FaultLadderRow {
-    use mai_core::engine::FaultPlan;
-
-    let start = Instant::now();
-    let (oracle, _) = analyse_kcfa_shared_direct::<1>(program);
-    let guard = FaultPlan::new().panic_at(0, 0).panic_at(0, 1).install();
-    // The injected panics are caught by the ladder; mute the default hook
-    // while they fire so the smoke output stays one row, not backtraces.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let (outcome, _, report) = mai_cps::analysis::analyse_kcfa_shared_ladder::<1>(
-        program,
-        ParallelConfig { threads, epochs: 2 },
-        &Budget::unlimited(),
-    );
-    std::panic::set_hook(default_hook);
-    drop(guard);
-    FaultLadderRow {
-        program: name.into(),
-        threads,
-        rung: report.rung.as_str(),
-        faults: report.faults.len(),
-        equal: outcome.into_complete() == oracle,
-        wall: start.elapsed(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Runs a test that solves on the worker pool under an empty fault
-    /// plan.  The plan `fault_ladder_rows_descend_to_the_sequential_rung`
-    /// installs is process-global, so a pool running beside it would step
-    /// through its injected faults; holding the plan's serial lock keeps
-    /// the two apart.  Without the `fault-inject` feature there is no plan,
-    /// and this only calls `test`.
-    fn without_faults(test: impl FnOnce()) {
-        #[cfg(feature = "fault-inject")]
-        let _serial = mai_core::engine::FaultPlan::new().install();
-        test()
-    }
 
     #[test]
     fn governed_rows_hold_parity_and_resume_onto_the_fixpoint() {
@@ -1592,51 +1510,37 @@ mod tests {
 
     #[test]
     fn cancel_rows_report_a_cancelled_or_completed_solve() {
-        without_faults(|| {
-            let program = mai_cps::programs::kcfa_worst_case_scaled(2, 3);
-            // Zero delay: the token is cancelled effectively immediately, so
-            // the solve is cut short (or, degenerately, wins the race).
-            let row = cancel_latency_row("kcfa-worst-2w3", &program, 2, 4, Duration::ZERO);
-            assert!(row.ok(), "cancel token ignored: {}", row.render());
-            assert!(!row.render().is_empty());
-        });
-    }
-
-    #[cfg(feature = "fault-inject")]
-    #[test]
-    fn fault_ladder_rows_descend_to_the_sequential_rung() {
-        let program = mai_cps::programs::kcfa_worst_case(2);
-        let row = fault_ladder_row("kcfa-worst-2", &program, 2);
-        assert!(row.equal, "ladder fixpoint diverged: {}", row.render());
-        assert_eq!(row.rung, "sequential-direct");
-        assert_eq!(row.faults, 2);
+        let program = mai_cps::programs::kcfa_worst_case_scaled(2, 3);
+        // Zero delay: the token is cancelled effectively immediately, so
+        // the solve is cut short (or, degenerately, wins the race).
+        let row = cancel_latency_row("kcfa-worst-2w3", &program, 2, 4, Duration::ZERO);
+        assert!(row.ok(), "cancel token ignored: {}", row.render());
+        assert!(!row.render().is_empty());
     }
 
     #[test]
     fn elastic_rows_agree_and_record_epochs() {
-        without_faults(|| {
-            let program = mai_cps::programs::kcfa_worst_case_scaled(2, 3);
-            for (threads, epochs) in [(1usize, 1usize), (2, 4)] {
-                let row = elastic_row("kcfa-worst-2w3", &program, threads, epochs, 2);
-                assert!(row.equal, "elastic/barrier/direct fixpoints differ");
-                assert_eq!((row.threads, row.epochs), (threads, epochs));
-                assert_eq!(row.configurations, row.elastic.distinct_states);
-                if epochs > 1 {
-                    // The elastic machinery actually engaged: epochs ran and
-                    // the per-worker memo saw traffic.
-                    assert!(row.elastic.epochs_run >= row.elastic.sync_rounds);
-                    assert!(row.elastic.worker_cache_hits + row.elastic.worker_cache_misses > 0);
-                } else {
-                    assert_eq!(row.elastic.epochs_run, 0, "epochs=1 delegates to barrier");
-                }
-                let json = row.to_json().render();
-                assert!(json.contains("\"epochs\""));
-                assert!(json.contains("\"median_wall_ms\""));
-                assert!(json.contains("\"worker_cache_hit_rate\""));
-                assert!(json.contains("\"speedup_vs_barrier\""));
-                assert!(!row.render().is_empty());
+        let program = mai_cps::programs::kcfa_worst_case_scaled(2, 3);
+        for (threads, epochs) in [(1usize, 1usize), (2, 4)] {
+            let row = elastic_row("kcfa-worst-2w3", &program, threads, epochs, 2);
+            assert!(row.equal, "elastic/barrier/direct fixpoints differ");
+            assert_eq!((row.threads, row.epochs), (threads, epochs));
+            assert_eq!(row.configurations, row.elastic.distinct_states);
+            if epochs > 1 {
+                // The elastic machinery actually engaged: epochs ran and
+                // the per-worker memo saw traffic.
+                assert!(row.elastic.epochs_run >= row.elastic.sync_rounds);
+                assert!(row.elastic.worker_cache_hits + row.elastic.worker_cache_misses > 0);
+            } else {
+                assert_eq!(row.elastic.epochs_run, 0, "epochs=1 delegates to barrier");
             }
-        });
+            let json = row.to_json().render();
+            assert!(json.contains("\"epochs\""));
+            assert!(json.contains("\"median_wall_ms\""));
+            assert!(json.contains("\"worker_cache_hit_rate\""));
+            assert!(json.contains("\"speedup_vs_barrier\""));
+            assert!(!row.render().is_empty());
+        }
     }
 
     #[test]
@@ -1727,91 +1631,85 @@ mod tests {
 
     #[test]
     fn parallel_rows_agree_and_record_threads() {
-        without_faults(|| {
-            let program = mai_cps::programs::kcfa_worst_case_scaled(2, 3);
-            for threads in [1usize, 2] {
-                let row = parallel_row("kcfa-worst-2w3", &program, threads, 2);
-                assert!(row.equal, "parallel and direct fixpoints differ");
-                assert_eq!(row.threads, threads);
-                // Deterministic work counters must match the direct oracle
-                // (parallel_row itself asserts the core set; spot-check more).
-                assert_eq!(row.parallel.cache_hits, row.direct.cache_hits);
-                assert_eq!(row.parallel.reenqueued, row.direct.reenqueued);
-                assert_eq!(row.parallel.intern_misses, row.direct.intern_misses);
-                // The parallel driver syncs once per round; the sequential
-                // engine never syncs.
-                assert_eq!(row.parallel.sync_rounds, row.parallel.iterations);
-                assert_eq!(row.direct.sync_rounds, 0);
-                let json = row.to_json().render();
-                assert!(json.contains("\"threads\""));
-                assert!(json.contains("\"sync_rounds\""));
-                assert!(json.contains("\"steal_events\""));
-                assert!(json.contains("\"speedup\""));
-            }
-        });
+        let program = mai_cps::programs::kcfa_worst_case_scaled(2, 3);
+        for threads in [1usize, 2] {
+            let row = parallel_row("kcfa-worst-2w3", &program, threads, 2);
+            assert!(row.equal, "parallel and direct fixpoints differ");
+            assert_eq!(row.threads, threads);
+            // Deterministic work counters must match the direct oracle
+            // (parallel_row itself asserts the core set; spot-check more).
+            assert_eq!(row.parallel.cache_hits, row.direct.cache_hits);
+            assert_eq!(row.parallel.reenqueued, row.direct.reenqueued);
+            assert_eq!(row.parallel.intern_misses, row.direct.intern_misses);
+            // The parallel driver syncs once per round; the sequential
+            // engine never syncs.
+            assert_eq!(row.parallel.sync_rounds, row.parallel.iterations);
+            assert_eq!(row.direct.sync_rounds, 0);
+            let json = row.to_json().render();
+            assert!(json.contains("\"threads\""));
+            assert!(json.contains("\"sync_rounds\""));
+            assert!(json.contains("\"steal_events\""));
+            assert!(json.contains("\"speedup\""));
+        }
     }
 
     #[test]
     fn every_row_kind_reports_wall_ms_and_host_cpus() {
-        without_faults(|| {
-            let program = mai_cps::programs::kcfa_worst_case_scaled(2, 3);
-            let jsons = vec![
-                polyvariance_rows("kcfa-worst-2w3", &program)[0].to_json(),
-                worklist_row("kcfa-worst-2w3", &program).to_json(),
-                interned_row("kcfa-worst-2w3", &program, 1).to_json(),
-                direct_row("kcfa-worst-2w3", &program, 1).to_json(),
-                parallel_row("kcfa-worst-2w3", &program, 2, 1).to_json(),
-                telemetry_row("kcfa-worst-2w3", &program, 2).to_json(),
-            ];
-            for json in jsons {
-                assert!(
-                    json.get("wall_ms").and_then(Json::as_f64).is_some(),
-                    "row misses wall_ms: {}",
-                    json.render()
-                );
-                assert_eq!(
-                    json.get("host_cpus").and_then(Json::as_u64),
-                    Some(host_cpus() as u64),
-                    "row misses host_cpus: {}",
-                    json.render()
-                );
-            }
-        });
+        let program = mai_cps::programs::kcfa_worst_case_scaled(2, 3);
+        let jsons = vec![
+            polyvariance_rows("kcfa-worst-2w3", &program)[0].to_json(),
+            worklist_row("kcfa-worst-2w3", &program).to_json(),
+            interned_row("kcfa-worst-2w3", &program, 1).to_json(),
+            direct_row("kcfa-worst-2w3", &program, 1).to_json(),
+            parallel_row("kcfa-worst-2w3", &program, 2, 1).to_json(),
+            telemetry_row("kcfa-worst-2w3", &program, 2).to_json(),
+        ];
+        for json in jsons {
+            assert!(
+                json.get("wall_ms").and_then(Json::as_f64).is_some(),
+                "row misses wall_ms: {}",
+                json.render()
+            );
+            assert_eq!(
+                json.get("host_cpus").and_then(Json::as_u64),
+                Some(host_cpus() as u64),
+                "row misses host_cpus: {}",
+                json.render()
+            );
+        }
     }
 
     #[test]
     fn telemetry_rows_trace_without_perturbing_the_solve() {
-        without_faults(|| {
-            let program = mai_cps::programs::kcfa_worst_case_scaled(2, 3);
-            // telemetry_row itself asserts EngineStats equality between the
-            // traced and untraced solves; `equal` covers the fixpoint.
-            let row = telemetry_row("kcfa-worst-2w3", &program, 2);
-            assert!(row.equal, "traced fixpoint differs from untraced");
-            assert_eq!(row.trace.rounds.len(), row.stats.iterations);
-            // Every round stepped something and the worker spans cover every
-            // round (two workers joined per sync round).
-            assert!(row.trace.rounds.iter().all(|r| r.stepped > 0));
-            assert!(!row.trace.workers.is_empty());
-            let processed: usize = row.trace.workers.iter().map(|s| s.processed).sum();
-            assert_eq!(processed, row.stats.states_stepped);
-            // The trace attributes step cost and join traffic to real labels.
-            assert!(!row.trace.top_states(4).is_empty());
-            assert!(!row.trace.top_addresses(4).is_empty());
-            let json = row.to_json().render();
-            assert!(json.contains("\"phase_totals\""));
-            assert!(json.contains("\"hot_states\""));
-            // The Chrome export parses and carries all three phase categories.
-            let chrome = Json::parse(&row.trace.chrome_trace_json()).expect("chrome trace parses");
-            let events = chrome.get("traceEvents").expect("traceEvents").items();
-            for cat in ["step", "join", "worker"] {
-                assert!(
-                    events
-                        .iter()
-                        .any(|e| e.get("cat").and_then(Json::as_str) == Some(cat)),
-                    "no {cat} slice in the Chrome export"
-                );
-            }
-        });
+        let program = mai_cps::programs::kcfa_worst_case_scaled(2, 3);
+        // telemetry_row itself asserts EngineStats equality between the
+        // traced and untraced solves; `equal` covers the fixpoint.
+        let row = telemetry_row("kcfa-worst-2w3", &program, 2);
+        assert!(row.equal, "traced fixpoint differs from untraced");
+        assert_eq!(row.trace.rounds.len(), row.stats.iterations);
+        // Every round stepped something and the worker spans cover every
+        // round (two workers joined per sync round).
+        assert!(row.trace.rounds.iter().all(|r| r.stepped > 0));
+        assert!(!row.trace.workers.is_empty());
+        let processed: usize = row.trace.workers.iter().map(|s| s.processed).sum();
+        assert_eq!(processed, row.stats.states_stepped);
+        // The trace attributes step cost and join traffic to real labels.
+        assert!(!row.trace.top_states(4).is_empty());
+        assert!(!row.trace.top_addresses(4).is_empty());
+        let json = row.to_json().render();
+        assert!(json.contains("\"phase_totals\""));
+        assert!(json.contains("\"hot_states\""));
+        // The Chrome export parses and carries all three phase categories.
+        let chrome = Json::parse(&row.trace.chrome_trace_json()).expect("chrome trace parses");
+        let events = chrome.get("traceEvents").expect("traceEvents").items();
+        for cat in ["step", "join", "worker"] {
+            assert!(
+                events
+                    .iter()
+                    .any(|e| e.get("cat").and_then(Json::as_str) == Some(cat)),
+                "no {cat} slice in the Chrome export"
+            );
+        }
     }
 
     #[test]

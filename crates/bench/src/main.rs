@@ -33,10 +33,7 @@
 //! `--deadline-ms N` additionally prints a deadline-bounded solve of the
 //! largest workload (reported-only, never committed — wall-clock bound
 //! outcomes are host-dependent); `--cancel-after-ms N` sets the watchdog
-//! delay of the `--parallel-smoke` cancellation row (default 2).  Building
-//! with `--features fault-inject` adds a fault-ladder row to
-//! `--parallel-smoke`: both parallel rungs are forced to panic and the
-//! ladder must still answer with the sequential oracle's fixpoint.
+//! delay of the `--parallel-smoke` cancellation row (default 2).
 
 use std::time::Instant;
 
@@ -75,7 +72,7 @@ fn experiment_adequacy() {
             "{name:<18} concrete-halts={:<5} collecting-halts={:<5} collecting-converged={}",
             concrete.halted(),
             collecting_halts,
-            collecting.converged()
+            collecting.is_complete()
         );
     }
 }
@@ -338,23 +335,12 @@ fn parallel_smoke() -> std::process::ExitCode {
     // `--cancel-after-ms` (default 2ms).  Either outcome — cancelled
     // partial or completed fixpoint (on a fast host the solve can win the
     // race) — passes; a hang or a mangled outcome fails.
-    let cancel = cancel_latency_row(name.clone(), &program, threads, epochs, cancel_after());
+    let cancel = cancel_latency_row(name, &program, threads, epochs, cancel_after());
     println!("{}", cancel.render());
-    #[cfg(feature = "fault-inject")]
-    let ladder_ok = {
-        let ladder = mai_bench::fault_ladder_row(name, &program, threads);
-        println!("{}", ladder.render());
-        ladder.equal
-    };
-    #[cfg(not(feature = "fault-inject"))]
-    let ladder_ok = {
-        println!("fault ladder       skipped (build with --features fault-inject to exercise it)");
-        true
-    };
-    if row.equal && elastic.equal && cancel.ok() && ladder_ok {
+    if row.equal && elastic.equal && cancel.ok() {
         std::process::ExitCode::SUCCESS
     } else {
-        eprintln!("a parallel smoke row failed (divergence, hung cancel, or ladder mismatch)");
+        eprintln!("a parallel smoke row failed (divergence or hung cancel)");
         std::process::ExitCode::FAILURE
     }
 }

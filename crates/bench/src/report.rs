@@ -604,6 +604,7 @@ mod tests {
 
     #[test]
     fn engine_trace_json_serialises_rounds_workers_and_hot_spots() {
+        use mai_core::intern::{InternKey, StateId};
         use mai_core::telemetry::{RoundTrace, StealTrace, TraceSink, WorkerSpan};
 
         let mut trace = TraceBuffer::new();
@@ -631,7 +632,7 @@ mod tests {
             thief: 1,
             victim: 0,
         });
-        trace.state_cost("(f x)", 3_000);
+        trace.state_cost(StateId::from_index(0), 3_000, || "(f x)".to_owned());
         trace.join_traffic("x", true);
         let json = engine_trace_json(&trace, 8);
         let reparsed = Json::parse(&json.render()).expect("trace json parses");

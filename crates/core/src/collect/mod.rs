@@ -32,10 +32,7 @@ pub use shared::SharedStoreDomain;
 
 use crate::engine::governor::{Budget, Outcome};
 use crate::gc::GcStrategy;
-use crate::lattice::{
-    kleene_it, kleene_it_bounded, kleene_it_widened, narrow_it, KleeneOutcome, Lattice,
-    WidenLattice,
-};
+use crate::lattice::{kleene_it, kleene_it_widened, narrow_it, Lattice, WidenLattice};
 use crate::monad::{MonadFamily, Value};
 use crate::telemetry::{RoundTrace, Stopwatch, TraceSink};
 
@@ -125,6 +122,12 @@ where
 /// An `Exhausted` outcome's resume seed is the accumulated iterate;
 /// [`explore_fp_resume`] continues the ascent from it and reaches the
 /// identical least fixed point a one-shot run reaches.
+///
+/// A round budget is how to explore a domain of unbounded height (for
+/// example the fresh-address concrete collecting semantics of §5.3 on a
+/// non-terminating program): the solve ends `Exhausted` with
+/// [`ExhaustReason::RoundBudget`](crate::engine::ExhaustReason::RoundBudget)
+/// instead of diverging.
 pub fn explore_fp_governed<M, A, Fp, F>(
     step: F,
     initial: A,
@@ -178,28 +181,6 @@ where
         }
         rounds += 1;
     }
-}
-
-/// Like [`explore_fp`], but gives up after `max_iterations` Kleene steps.
-///
-/// Useful for analysis configurations whose domains have unbounded height
-/// (for example the fresh-address concrete collecting semantics of §5.3 on
-/// a non-terminating program).
-pub fn explore_fp_bounded<M, A, Fp, F>(
-    step: F,
-    initial: A,
-    max_iterations: usize,
-) -> KleeneOutcome<Fp>
-where
-    M: MonadFamily,
-    A: Value,
-    Fp: Collecting<M, A>,
-    F: Fn(A) -> M::M<A>,
-{
-    kleene_it_bounded(
-        |fp: &Fp| Fp::inject(initial.clone()).join(Fp::apply_step(&step, fp)),
-        max_iterations,
-    )
 }
 
 /// Widened [`explore_fp`]: the naive Kleene oracle for analysis domains of
@@ -343,24 +324,19 @@ mod tests {
     }
 
     #[test]
-    fn bounded_exploration_converges_on_finite_domains() {
-        let out = explore_fp_bounded::<VecM, u32, Reached, _>(collatz_ish, 0, 100);
-        assert!(out.converged());
-    }
-
-    #[test]
-    fn bounded_exploration_detects_divergence() {
-        let unbounded = |n: u32| VecM::pure(n + 1);
-        let out = explore_fp_bounded::<VecM, u32, Reached, _>(unbounded, 0, 10);
-        assert!(!out.converged());
-    }
-
-    #[test]
     fn governed_unlimited_matches_explore_fp() {
         let one_shot: Reached = explore_fp::<VecM, u32, Reached, _>(collatz_ish, 0);
-        let (outcome, _) =
-            explore_fp_governed::<VecM, u32, Reached, _>(collatz_ish, 0, &Budget::unlimited());
-        assert_eq!(outcome.into_complete(), one_shot);
+        // A round budget the finite domain never reaches changes nothing
+        // either: the solve is complete, on the one-shot fixpoint.
+        for budget in [
+            Budget::unlimited(),
+            Budget::unlimited().with_max_rounds(100),
+        ] {
+            let (outcome, rounds) =
+                explore_fp_governed::<VecM, u32, Reached, _>(collatz_ish, 0, &budget);
+            assert!(rounds < 100);
+            assert_eq!(outcome.into_complete(), one_shot);
+        }
     }
 
     #[test]
@@ -384,13 +360,21 @@ mod tests {
 
     #[test]
     fn governed_step_budget_fires() {
+        use crate::engine::governor::ExhaustReason;
         let unbounded = |n: u32| VecM::pure(n + 1);
         let budget = Budget::unlimited().with_max_steps(25);
         let (outcome, _) = explore_fp_governed::<VecM, u32, Reached, _>(unbounded, 0, &budget);
-        assert_eq!(
-            outcome.exhaust_reason(),
-            Some(crate::engine::governor::ExhaustReason::StepBudget)
-        );
+        assert_eq!(outcome.exhaust_reason(), Some(ExhaustReason::StepBudget));
+        // A divergent exploration under a round budget stops after exactly
+        // that many passes, each of which reached one more number.
+        for max_rounds in [1usize, 5, 10] {
+            let budget = Budget::unlimited().with_max_rounds(max_rounds);
+            let (outcome, rounds) =
+                explore_fp_governed::<VecM, u32, Reached, _>(unbounded, 0, &budget);
+            assert_eq!(rounds, max_rounds);
+            assert_eq!(outcome.exhaust_reason(), Some(ExhaustReason::RoundBudget));
+            assert_eq!(outcome.value().0.len(), max_rounds);
+        }
     }
 
     #[test]

@@ -1,9 +1,8 @@
-//! Engine governance: budgets, cooperative cancellation, clean worker
-//! failure, and (behind the `fault-inject` feature) deterministic fault
-//! injection for the parallel drivers.
+//! Engine governance: budgets, cooperative cancellation and resumable
+//! partials.
 //!
-//! Every engine in the ladder is *governed* (the structural-key
-//! baseline, which only differential tests and benchmarks run, is not):
+//! Every engine is *governed* (the structural-key baseline, which only
+//! differential tests and benchmarks run, is not):
 //! the solver loop consults a [`Budget`] at each round boundary
 //! (sequential engines) or barrier/epoch boundary (parallel drivers) and,
 //! instead of running open-loop until the fixpoint, returns an
@@ -26,19 +25,14 @@
 //! fixpoint a one-shot run reaches; only wall-clock and work counters
 //! differ.
 //!
-//! ## Worker panics
+//! ## Panics
 //!
-//! Parallel workers run each phase under `catch_unwind`.  A panicking
-//! worker parks its payload, still reaches the phase barrier (so the
-//! pool never deadlocks), and the coordinator shuts the pool down
-//! cleanly and reports [`EngineError::WorkerPanicked`].  The governed
-//! parallel entry points surface that as an `Err`; the classic entry
-//! points re-raise the original payload to preserve panic-propagation
-//! semantics.  [`explore_frontier_ladder_traced`] degrades
-//! elastic → barrier → sequential-direct, so a faulted parallel solve
-//! still returns the byte-identical fixpoint.
-//!
-//! [`explore_frontier_ladder_traced`]: crate::engine::explore_frontier_ladder_traced
+//! A governed solve stops in one way, with an [`Outcome`], and fails in
+//! one way: a panicking step function propagates out of the solve with
+//! its original payload, from every engine.  Parallel workers run each
+//! phase under `catch_unwind` only so that a panicking worker still
+//! reaches the phase barrier; the pool drains and shuts down before the
+//! payload is re-raised on the caller's thread.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -395,249 +389,6 @@ impl<Fp, Seed> Outcome<Fp, Seed> {
     }
 }
 
-/// A clean engine failure: the machinery (not the analysis) went wrong.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EngineError {
-    /// A parallel worker panicked mid-phase.  The pool was drained and
-    /// shut down cleanly; no fixpoint was produced.
-    WorkerPanicked {
-        /// The panic message, when it was a string payload.
-        message: String,
-    },
-}
-
-impl EngineError {
-    /// Builds a `WorkerPanicked` from a caught panic payload, extracting
-    /// the message when the payload is a `&str` or `String`.
-    pub fn worker_panicked(payload: &(dyn std::any::Any + Send)) -> Self {
-        let message = if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_owned()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "<non-string panic payload>".to_owned()
-        };
-        EngineError::WorkerPanicked { message }
-    }
-
-    /// The human-readable failure message.
-    pub fn message(&self) -> &str {
-        match self {
-            EngineError::WorkerPanicked { message } => message,
-        }
-    }
-}
-
-impl fmt::Display for EngineError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EngineError::WorkerPanicked { message } => {
-                write!(f, "parallel worker panicked: {message}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for EngineError {}
-
-/// Which rung of the degradation ladder produced the result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LadderRung {
-    /// The barrier-elastic parallel driver succeeded.
-    Elastic,
-    /// Elastic faulted; the plain barrier driver succeeded.
-    Barrier,
-    /// Both parallel drivers faulted; the sequential direct engine
-    /// (which never consults the fault plan) produced the result.
-    SequentialDirect,
-}
-
-impl LadderRung {
-    /// A stable lower-case identifier.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            LadderRung::Elastic => "elastic",
-            LadderRung::Barrier => "barrier",
-            LadderRung::SequentialDirect => "sequential-direct",
-        }
-    }
-}
-
-impl fmt::Display for LadderRung {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// How a degradation-ladder solve went: which rung answered and what
-/// the faulted rungs reported.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LadderReport {
-    /// The rung that produced the returned outcome.
-    pub rung: LadderRung,
-    /// Errors from the rungs that faulted, in descent order.
-    pub faults: Vec<(LadderRung, EngineError)>,
-}
-
-impl LadderReport {
-    /// Whether any rung faulted before one answered.
-    pub fn degraded(&self) -> bool {
-        !self.faults.is_empty()
-    }
-}
-
-/// Deterministic fault injection for the parallel drivers.
-///
-/// A `FaultPlan` maps `(worker, nth-step)` points to actions: each
-/// worker counts the states it steps (its own deterministic counter),
-/// and when worker `w` is about to perform its `n`-th step and the plan
-/// holds a fault at `(w, n)`, the action fires — a forced panic
-/// (exercising containment and the ladder) or a delay (exercising
-/// slow-worker interleavings).  Counting is per *worker index*, not per
-/// state, so plans stay meaningful across programs.
-///
-/// Plans only take effect under the `fault-inject` feature via
-/// `FaultPlan::install` (only compiled with the feature, hence no
-/// intra-doc link); without the feature the hook the workers call
-/// is an empty inline function and the plan is inert data.  The
-/// coordinator's inline singleton path acts as worker 0, so worker-0
-/// faults fire there too — still contained by the solve-level
-/// `catch_unwind`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FaultPlan {
-    /// The fault points, in no particular order.
-    pub faults: Vec<FaultSpec>,
-}
-
-/// One fault point of a [`FaultPlan`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultSpec {
-    /// Worker index the fault targets.
-    pub worker: usize,
-    /// Fires just before the worker's `nth_step`-th step (0-based).
-    pub nth_step: usize,
-    /// What happens at the fault point.
-    pub action: FaultAction,
-}
-
-/// The action at a fault point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultAction {
-    /// Panic with a deterministic message.
-    Panic,
-    /// Sleep for the given duration, then continue normally.
-    Delay(Duration),
-}
-
-impl FaultPlan {
-    /// An empty plan.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a forced panic just before `worker`'s `nth_step`-th step.
-    pub fn panic_at(mut self, worker: usize, nth_step: usize) -> Self {
-        self.faults.push(FaultSpec {
-            worker,
-            nth_step,
-            action: FaultAction::Panic,
-        });
-        self
-    }
-
-    /// Adds a delay of `millis` just before `worker`'s `nth_step`-th step.
-    pub fn delay_at(mut self, worker: usize, nth_step: usize, millis: u64) -> Self {
-        self.faults.push(FaultSpec {
-            worker,
-            nth_step,
-            action: FaultAction::Delay(Duration::from_millis(millis)),
-        });
-        self
-    }
-}
-
-#[cfg(feature = "fault-inject")]
-mod injection {
-    use super::{FaultAction, FaultPlan};
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Mutex, MutexGuard, PoisonError, RwLock};
-
-    /// Serializes concurrently-installing tests: only one plan can be
-    /// active at a time, and `install` blocks until the previous
-    /// [`FaultGuard`] drops.
-    static SERIAL: Mutex<()> = Mutex::new(());
-    static INSTALLED: RwLock<Option<Installed>> = RwLock::new(None);
-
-    struct Installed {
-        faults: Vec<super::FaultSpec>,
-        /// One deterministic step counter per worker index the plan
-        /// mentions (workers beyond the plan are not counted).
-        counters: Vec<AtomicUsize>,
-    }
-
-    /// Keeps a [`FaultPlan`] active; dropping it uninstalls the plan.
-    pub struct FaultGuard {
-        _serial: MutexGuard<'static, ()>,
-    }
-
-    impl Drop for FaultGuard {
-        fn drop(&mut self) {
-            *INSTALLED.write().unwrap_or_else(PoisonError::into_inner) = None;
-        }
-    }
-
-    impl FaultPlan {
-        /// Installs the plan globally for the parallel drivers.  Blocks
-        /// until any previously-installed plan's guard drops (plans are
-        /// process-global, so concurrent tests serialize here).
-        pub fn install(self) -> FaultGuard {
-            let serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
-            let workers = self.faults.iter().map(|f| f.worker + 1).max().unwrap_or(0);
-            let counters = (0..workers).map(|_| AtomicUsize::new(0)).collect();
-            *INSTALLED.write().unwrap_or_else(PoisonError::into_inner) = Some(Installed {
-                faults: self.faults,
-                counters,
-            });
-            FaultGuard { _serial: serial }
-        }
-    }
-
-    /// The worker-side hook: counts `worker`'s step and fires any fault
-    /// registered at this `(worker, nth-step)` point.
-    pub(crate) fn fault_point(worker: usize) {
-        let installed = INSTALLED.read().unwrap_or_else(PoisonError::into_inner);
-        let Some(plan) = installed.as_ref() else {
-            return;
-        };
-        let Some(counter) = plan.counters.get(worker) else {
-            return;
-        };
-        let nth = counter.fetch_add(1, Ordering::Relaxed);
-        for fault in &plan.faults {
-            if fault.worker == worker && fault.nth_step == nth {
-                match fault.action {
-                    FaultAction::Panic => {
-                        panic!("injected fault: worker {worker} panicked at step {nth}")
-                    }
-                    FaultAction::Delay(duration) => std::thread::sleep(duration),
-                }
-            }
-        }
-    }
-}
-
-#[cfg(feature = "fault-inject")]
-pub use injection::FaultGuard;
-
-#[cfg(feature = "fault-inject")]
-pub(crate) use injection::fault_point;
-
-/// The worker-side fault hook compiles to nothing without the
-/// `fault-inject` feature.
-#[cfg(not(feature = "fault-inject"))]
-#[inline(always)]
-pub(crate) fn fault_point(_worker: usize) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -705,45 +456,5 @@ mod tests {
             resume_seed: Box::new(()),
         };
         let _ = exhausted.into_complete();
-    }
-
-    #[test]
-    fn engine_error_extracts_panic_messages() {
-        let boxed: Box<dyn std::any::Any + Send> = Box::new("boom");
-        let err = EngineError::worker_panicked(boxed.as_ref());
-        assert_eq!(err.message(), "boom");
-        assert!(err.to_string().contains("worker panicked: boom"));
-        let boxed: Box<dyn std::any::Any + Send> = Box::new(String::from("kaput"));
-        assert_eq!(
-            EngineError::worker_panicked(boxed.as_ref()).message(),
-            "kaput"
-        );
-        let boxed: Box<dyn std::any::Any + Send> = Box::new(17u8);
-        assert_eq!(
-            EngineError::worker_panicked(boxed.as_ref()).message(),
-            "<non-string panic payload>"
-        );
-    }
-
-    #[test]
-    fn fault_plan_builders_accumulate_specs() {
-        let plan = FaultPlan::new().panic_at(1, 3).delay_at(0, 2, 5);
-        assert_eq!(plan.faults.len(), 2);
-        assert_eq!(
-            plan.faults[0],
-            FaultSpec {
-                worker: 1,
-                nth_step: 3,
-                action: FaultAction::Panic
-            }
-        );
-        assert_eq!(
-            plan.faults[1],
-            FaultSpec {
-                worker: 0,
-                nth_step: 2,
-                action: FaultAction::Delay(Duration::from_millis(5))
-            }
-        );
     }
 }

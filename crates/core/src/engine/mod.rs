@@ -67,13 +67,10 @@ mod shared;
 
 pub use certificate::{certify, CertReport};
 
-#[cfg(feature = "fault-inject")]
-pub use governor::FaultGuard;
 pub use governor::{
-    Budget, CancelToken, EngineError, ExhaustReason, FaultAction, FaultPlan, FaultSpec,
-    LadderReport, LadderRung, Outcome, ResumeSeed, SolveFrom, WidenPolicy,
+    Budget, CancelToken, ExhaustReason, Outcome, ResumeSeed, SolveFrom, WidenPolicy,
 };
-pub use parallel::{explore_frontier_ladder, explore_frontier_ladder_traced, ParallelConfig};
+pub use parallel::ParallelConfig;
 pub use shared::SharedResumeSeed;
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -773,7 +770,8 @@ where
 /// [`DirectCollecting`], with each round's frontier stepped on a worker
 /// pool and the per-shard store deltas joined at a sync barrier.  The
 /// [`ParallelConfig`] selects the step phase: `epochs = 1` is the barrier
-/// phase, `epochs > 1` the elastic phase ([`parallel::elastic`]).
+/// phase, `epochs > 1` the elastic phase ([`parallel::elastic`]).  Every
+/// method returns the type its [`DirectCollecting`] counterpart returns.
 ///
 /// Implementations must compute the same fixpoint
 /// [`DirectCollecting::explore_frontier_direct`] computes for the same
@@ -782,24 +780,26 @@ where
 /// barrier phase also reproduces its deterministic work counters; the
 /// elastic phase's counters (steps, epochs, memo traffic) are
 /// timing-dependent and must not be gated.
+///
+/// A panicking step function propagates out of every method with its
+/// original payload, as it does out of the sequential engines; the worker
+/// pool is drained and shut down first, so nothing deadlocks.
 pub trait ParallelCollecting<Ps, G, S>: Sized {
     /// What an `Exhausted` partial carries to continue the solve — see
     /// [`ResumeSeed`].
     type Seed;
 
     /// The governed parallel solve: budget checked at every sync barrier,
-    /// workers polling the budget's [`CancelToken`] between claims
+    /// and workers polling the budget's [`CancelToken`] between claims
     /// (barrier) or inside interruptible epochs (elastic, so cancel
-    /// latency is bounded by one epoch), and worker panics surfaced as a
-    /// clean [`EngineError::WorkerPanicked`] (the pool is drained and
-    /// shut down; nothing deadlocks).
+    /// latency is bounded by one epoch).
     fn explore_frontier_parallel_governed_traced<F, T>(
         step: &F,
         from: SolveFrom<Ps, Self::Seed>,
         config: ParallelConfig,
         budget: &Budget,
         sink: &mut T,
-    ) -> Result<(Outcome<Self, Self::Seed>, EngineStats), EngineError>
+    ) -> (Outcome<Self, Self::Seed>, EngineStats)
     where
         F: StepFn<Ps, G, S>,
         T: TraceSink,
@@ -811,7 +811,7 @@ pub trait ParallelCollecting<Ps, G, S>: Sized {
         from: SolveFrom<Ps, Self::Seed>,
         config: ParallelConfig,
         budget: &Budget,
-    ) -> Result<(Outcome<Self, Self::Seed>, EngineStats), EngineError>
+    ) -> (Outcome<Self, Self::Seed>, EngineStats)
     where
         F: StepFn<Ps, G, S>,
         Ps: fmt::Debug,
@@ -822,7 +822,6 @@ pub trait ParallelCollecting<Ps, G, S>: Sized {
     /// Solves `lfp (λX. inject(initial) ⊔ applyStep(step, X))` on
     /// `config.threads` worker threads (`threads = 1` degenerates to a
     /// sequential run of the same protocol, useful as a sanity baseline).
-    /// A panicking step function propagates with its original payload.
     fn explore_frontier_parallel<F>(
         step: &F,
         initial: Ps,
@@ -855,7 +854,17 @@ pub trait ParallelCollecting<Ps, G, S>: Sized {
     where
         F: StepFn<Ps, G, S>,
         T: TraceSink,
-        Ps: fmt::Debug;
+        Ps: fmt::Debug,
+    {
+        let (outcome, stats) = Self::explore_frontier_parallel_governed_traced(
+            step,
+            SolveFrom::Fresh(initial),
+            config,
+            &Budget::unlimited(),
+            sink,
+        );
+        (outcome.into_complete(), stats)
+    }
 }
 
 /// Analysis domains that can be solved by a frontier-driven worklist engine

@@ -89,7 +89,6 @@ use crate::monad::Value;
 use crate::store::{StoreDelta, StoreLike};
 use crate::telemetry::{Stopwatch, WorkerBuffer};
 
-use super::super::governor::fault_point;
 use super::super::shared::step_entry;
 use super::super::{EngineStats, StateRoots, StepFn};
 use super::{EpochClock, Phase, WorkerOutcome};
@@ -165,7 +164,6 @@ where
             {
                 break;
             }
-            fault_point(me);
             let mut step_watch = Stopwatch::start(trace);
             let (ps, guts) = memo.resolve_cloned(interner, id);
             let entry = step_entry(step, ps, guts, &view, |k| {

@@ -14,7 +14,9 @@
 //! phase has no parallelism and runs inline on the coordinator as worker
 //! 0.  A worker that panics still reaches the done barrier; its payload is
 //! re-raised on the coordinator, and the pool is shut down on every exit
-//! path before the panic leaves the solve.
+//! path before the panic leaves the solve.  So a panicking step fails a
+//! pool solve the way it fails a sequential one: with its original
+//! payload, governed or not.
 //!
 //! The **barrier** phase (`ParallelConfig::epochs = 1`) splits the ids
 //! into one contiguous range per worker.  Each worker drains its range
@@ -68,18 +70,14 @@ use crate::gc::Touches;
 use crate::intern::{ShardedInterner, StateId, WorkerInternCache, WORKER_CACHE_CAPACITY};
 use crate::monad::Value;
 use crate::store::{StoreDelta, StoreLike};
-use crate::telemetry::{
-    label_of, GovernorTrace, GovernorTraceKind, NoopSink, Stopwatch, TraceSink, WorkerBuffer,
-};
+use crate::telemetry::{label_of, Stopwatch, TraceSink, WorkerBuffer};
 
-use super::governor::{
-    fault_point, Budget, CancelToken, EngineError, LadderReport, LadderRung, Outcome, SolveFrom,
-};
+use super::governor::{Budget, CancelToken, Outcome, SolveFrom};
 use super::shared::{
-    solve_shared, step_entry, InternedEntry, PhaseRun, SharedGovernedSolve, SharedResumeSeed,
-    StepPhase, STATE_LABEL_MAX,
+    solve_shared, step_entry, InternedEntry, PhaseKind, PhaseRun, SharedGovernedSolve,
+    SharedResumeSeed, StepPhase, STATE_LABEL_MAX,
 };
-use super::{DirectCollecting, EngineStats, ParallelCollecting, StateRoots, StepFn};
+use super::{EngineStats, ParallelCollecting, StateRoots, StepFn};
 use crate::lattice::WidenLattice;
 
 /// The knob set of the parallel drivers: how many workers, and how many
@@ -332,7 +330,6 @@ where
         }
         let Some((start, end)) = claimed else { break };
         for &id in &ids[start..(start + chunk).min(end)] {
-            fault_point(me);
             let mut step_watch = Stopwatch::start(*trace);
             let (ps, guts) = interner.resolve_cloned(id);
             let entry = step_entry(step, ps, guts, store, |k| interner.intern(k));
@@ -470,11 +467,11 @@ where
     S: StoreLike<Ps::Addr> + StoreDelta<Ps::Addr> + Value,
     F: StepFn<Ps, G, S>,
 {
-    fn rung(&self) -> LadderRung {
+    fn kind(&self) -> PhaseKind {
         if self.epochs > 1 {
-            LadderRung::Elastic
+            PhaseKind::Elastic
         } else {
-            LadderRung::Barrier
+            PhaseKind::Barrier
         }
     }
 
@@ -594,18 +591,16 @@ where
 /// The governed parallel solve: the shared round loop over the pool's step
 /// phase — barrier when `config.epochs = 1`, elastic otherwise.
 ///
-/// Returns `Err` with the *original* panic payload when a worker (or the
-/// coordinator's inline singleton path) panicked: the pool is always
-/// drained and shut down first, so the caller decides whether to re-raise
-/// it (classic entry points) or convert it to a clean
-/// [`EngineError::WorkerPanicked`] (governed entry points).
+/// A panic on a worker (or on the coordinator's inline singleton path)
+/// propagates with its original payload, after the pool has drained and
+/// shut down.
 fn solve_on_pool<Ps, G, S, F, T>(
     step: &F,
     from: SolveFrom<Ps, SharedResumeSeed<Ps, G, S>>,
     config: ParallelConfig,
     budget: &Budget,
     sink: &mut T,
-) -> Result<SharedGovernedSolve<Ps, G, S>, Box<dyn Any + Send>>
+) -> SharedGovernedSolve<Ps, G, S>
 where
     Ps: Value + Ord + Hash + StateRoots + Send + Sync + std::fmt::Debug,
     Ps::Addr: Hash,
@@ -616,7 +611,7 @@ where
 {
     let threads = config.threads.max(1);
     let pool: Pool<Ps, G, S, Ps::Addr> = Pool::new(threads);
-    std::thread::scope(|scope| {
+    let solve = std::thread::scope(|scope| {
         for me in 0..threads {
             let pool = &pool;
             scope.spawn(move || pool.work(me, step));
@@ -635,12 +630,13 @@ where
         }));
         // Shut the pool down: a `None` phase is the stop signal.  This
         // runs on the panic path too — otherwise the scope's implicit join
-        // would wait forever on workers parked at the start barrier — and
-        // only *then* is the panic handed back.
+        // would wait forever on workers parked at the start barrier.
         *pool.slot.write().unwrap_or_else(PoisonError::into_inner) = None;
         pool.start.wait();
         solve
-    })
+    });
+    // Every worker has joined: re-raise a panic only now.
+    solve.unwrap_or_else(|payload| resume_unwind(payload))
 }
 
 impl<Ps, G, S> ParallelCollecting<Ps, G, S> for SharedStoreDomain<Ps, G, S>
@@ -659,133 +655,14 @@ where
         config: ParallelConfig,
         budget: &Budget,
         sink: &mut T,
-    ) -> Result<(Outcome<Self, Self::Seed>, EngineStats), EngineError>
+    ) -> (Outcome<Self, Self::Seed>, EngineStats)
     where
         F: StepFn<Ps, G, S>,
         T: TraceSink,
         Ps: std::fmt::Debug,
     {
         solve_on_pool(step, from, config, budget, sink)
-            .map_err(|payload| EngineError::worker_panicked(payload.as_ref()))
     }
-
-    fn explore_frontier_parallel_traced<F, T>(
-        step: &F,
-        initial: Ps,
-        config: ParallelConfig,
-        sink: &mut T,
-    ) -> (Self, EngineStats)
-    where
-        F: StepFn<Ps, G, S>,
-        T: TraceSink,
-        Ps: std::fmt::Debug,
-    {
-        // The classic entry point re-raises the original panic payload, so
-        // a panicking user step function propagates exactly as it would
-        // out of the sequential engines.
-        match solve_on_pool(
-            step,
-            SolveFrom::Fresh(initial),
-            config,
-            &Budget::unlimited(),
-            sink,
-        ) {
-            Ok((outcome, stats)) => (outcome.into_complete(), stats),
-            Err(payload) => resume_unwind(payload),
-        }
-    }
-}
-
-/// The `(outcome, stats, report)` triple the degradation ladder returns.
-pub type LadderSolve<Ps, G, S> = (
-    Outcome<SharedStoreDomain<Ps, G, S>, SharedResumeSeed<Ps, G, S>>,
-    EngineStats,
-    LadderReport,
-);
-
-/// [`explore_frontier_ladder_traced`] without a sink.
-pub fn explore_frontier_ladder<Ps, G, S, F>(
-    step: &F,
-    initial: Ps,
-    config: ParallelConfig,
-    budget: &Budget,
-) -> LadderSolve<Ps, G, S>
-where
-    Ps: Value + Ord + Hash + StateRoots + Send + Sync + std::fmt::Debug,
-    Ps::Addr: Hash,
-    G: Value + Ord + Hash + HasInitial + Send + Sync,
-    S: StoreLike<Ps::Addr> + StoreDelta<Ps::Addr> + WidenLattice + Value,
-    S::D: Touches<Ps::Addr>,
-    F: StepFn<Ps, G, S>,
-{
-    explore_frontier_ladder_traced(step, initial, config, budget, &mut NoopSink)
-}
-
-/// The degradation ladder: elastic → barrier → sequential-direct.
-///
-/// Tries the requested parallel driver first (elastic when
-/// `config.epochs > 1`, otherwise straight to barrier); when a rung fails
-/// with [`EngineError::WorkerPanicked`] the fault is recorded, a
-/// [`GovernorTraceKind::RungFaulted`] event is emitted, and the next rung
-/// runs the *same* solve from scratch.  The last rung is the sequential
-/// direct engine, which shares no pool and never consults the fault plan,
-/// so a faulted parallel solve still returns the byte-identical fixpoint
-/// (every rung computes the same least fixpoint by the engine-equivalence
-/// ladder).  The returned [`LadderReport`] says which rung answered and
-/// what the faulted rungs reported.
-pub fn explore_frontier_ladder_traced<Ps, G, S, F, T>(
-    step: &F,
-    initial: Ps,
-    config: ParallelConfig,
-    budget: &Budget,
-    sink: &mut T,
-) -> LadderSolve<Ps, G, S>
-where
-    Ps: Value + Ord + Hash + StateRoots + Send + Sync + std::fmt::Debug,
-    Ps::Addr: Hash,
-    G: Value + Ord + Hash + HasInitial + Send + Sync,
-    S: StoreLike<Ps::Addr> + StoreDelta<Ps::Addr> + WidenLattice + Value,
-    S::D: Touches<Ps::Addr>,
-    F: StepFn<Ps, G, S>,
-    T: TraceSink,
-{
-    let mut faults: Vec<(LadderRung, EngineError)> = Vec::new();
-    let mut rungs = vec![(LadderRung::Barrier, ParallelConfig::barrier(config.threads))];
-    if config.epochs > 1 {
-        rungs.insert(0, (LadderRung::Elastic, config));
-    }
-    for (rung, config) in rungs {
-        match SharedStoreDomain::explore_frontier_parallel_governed_traced(
-            step,
-            SolveFrom::Fresh(initial.clone()),
-            config,
-            budget,
-            sink,
-        ) {
-            Ok((outcome, stats)) => return (outcome, stats, LadderReport { rung, faults }),
-            Err(error) => {
-                sink.governor(GovernorTrace {
-                    round: 0,
-                    kind: GovernorTraceKind::RungFaulted(rung),
-                });
-                faults.push((rung, error));
-            }
-        }
-    }
-    // The last rung cannot fault: the sequential direct engine runs no
-    // pool and never consults the fault plan.
-    let (outcome, stats) =
-        <SharedStoreDomain<Ps, G, S> as DirectCollecting<Ps, G, S>>::explore_frontier_governed_traced(
-            step,
-            SolveFrom::Fresh(initial),
-            budget,
-            sink,
-        );
-    let report = LadderReport {
-        rung: LadderRung::SequentialDirect,
-        faults,
-    };
-    (outcome, stats, report)
 }
 
 #[cfg(test)]

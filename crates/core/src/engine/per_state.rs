@@ -45,7 +45,7 @@ use crate::telemetry::{label_of, RoundTrace, Stopwatch, TraceSink};
 use super::governor::{Budget, Outcome, ResumeSeed, SolveFrom};
 use super::shared::STATE_LABEL_MAX;
 use super::{DirectCollecting, EngineStats, FrontierCollecting, StepFn};
-use crate::telemetry::{GovernorTrace, GovernorTraceKind};
+use crate::telemetry::GovernorTrace;
 
 impl<Ps, G, S> FrontierCollecting<StorePassing<G, S>, Ps> for PerStateDomain<Ps, G, S>
 where
@@ -123,10 +123,7 @@ where
 
         let mut exhausted = budget.exhausted(0, 0);
         if let Some(reason) = exhausted {
-            sink.governor(GovernorTrace {
-                round: 0,
-                kind: GovernorTraceKind::Exhausted(reason),
-            });
+            sink.governor(GovernorTrace { round: 0, reason });
         }
         while exhausted.is_none() {
             let Some(id) = frontier.pop_front() else {
@@ -138,7 +135,6 @@ where
             // clone (an Arc bump on the persistent spine).
             stats.spine_clones += 1;
             let ((ps, guts), store) = interner.resolve(id).clone();
-            let label = armed.then(|| label_of(&ps, STATE_LABEL_MAX));
             let mut step_watch = Stopwatch::start(armed);
             for successor in step.step(ps, guts, store) {
                 let known = interner.len();
@@ -149,8 +145,10 @@ where
                     frontier.push_back(succ_id);
                 }
             }
-            if let Some(label) = label {
-                sink.state_cost(&label, step_watch.lap_ns());
+            if armed {
+                sink.state_cost(id, step_watch.lap_ns(), || {
+                    label_of(&interner.resolve(id).0 .0, STATE_LABEL_MAX)
+                });
             }
             stats.peak_frontier = stats.peak_frontier.max(frontier.len());
             generation_left -= 1;
@@ -171,10 +169,7 @@ where
                 generation_left = generation_size;
                 generation_joins = 0;
                 if let Some(reason) = budget.exhausted(round, stats.states_stepped) {
-                    sink.governor(GovernorTrace {
-                        round,
-                        kind: GovernorTraceKind::Exhausted(reason),
-                    });
+                    sink.governor(GovernorTrace { round, reason });
                     exhausted = Some(reason);
                 }
             }

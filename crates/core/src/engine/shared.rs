@@ -29,8 +29,10 @@
 //! drivers supply is how one set of state ids is stepped against the
 //! round's pre-store.  The sequential phase loops over [`step_entry`] on a
 //! single-threaded [`Interner`]; the two parallel phases run on the worker
-//! pool of the [`parallel`](super::parallel) module.  Everything else is
-//! written here, once.  A round
+//! pool of the [`parallel`](super::parallel) module.  A phase also names
+//! its [`PhaseKind`], for the three things the loop does differently per
+//! driver (sync rounds, the elastic rebuild and merge traces).  Everything
+//! else is written here, once.  A round
 //!
 //! 1. checks the budget at the round boundary;
 //! 2. steps the *frontier* — states with no cached outcome (newly
@@ -146,13 +148,13 @@ use crate::monad::{run_store_passing, MonadFamily, StorePassing, Value};
 use crate::store::{StoreDelta, StoreLike};
 use crate::telemetry::{label_of, MergeTrace, RoundTrace, Stopwatch, TraceSink};
 
-use super::governor::{Budget, LadderRung, Outcome, ResumeSeed, SolveFrom};
+use super::governor::{Budget, Outcome, ResumeSeed, SolveFrom};
 use super::{
     narrow_store_post_pass, DirectCollecting, EngineStats, FrontierCollecting, StateRoots, StepFn,
     WidenTracker,
 };
 use crate::lattice::WidenLattice;
-use crate::telemetry::{GovernorTrace, GovernorTraceKind};
+use crate::telemetry::GovernorTrace;
 
 /// The resume seed of every shared-store engine: the `(state, guts)`
 /// pairs discovered so far plus the accumulated store.
@@ -412,16 +414,28 @@ pub(crate) struct PhaseRun<S, A> {
     pub(crate) wall_ns: u64,
 }
 
+/// Which driver a [`StepPhase`] belongs to: the three things
+/// [`solve_shared`] does differently for one.  A parallel round ends at a
+/// sync barrier ([`EngineStats::sync_rounds`]); an elastic round steps
+/// against worker views rather than the pre-store, so its rebuild
+/// re-steps the phase's own ids too, and it reports a [`MergeTrace`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PhaseKind {
+    /// One thread, every id in turn.
+    Sequential,
+    /// The worker pool, every id against the pre-store.
+    Barrier,
+    /// The worker pool, epochs over private views.
+    Elastic,
+}
+
 /// How a driver steps one set of state ids against a round's pre-store —
 /// the only part of a shared-store solve that differs between the
 /// sequential, barrier and elastic drivers.  [`solve_shared`] owns the
 /// rest.
 pub(crate) trait StepPhase<Ps: StateRoots, G, S> {
-    /// Which driver this is.  A parallel round ends at a sync barrier
-    /// ([`EngineStats::sync_rounds`]); an elastic round steps against
-    /// worker views rather than the pre-store, so its rebuild re-steps the
-    /// phase's own ids too, and it reports a [`MergeTrace`].
-    fn rung(&self) -> LadderRung;
+    /// Which driver this is.
+    fn kind(&self) -> PhaseKind;
 
     /// Interns a pair, returning its id.
     fn intern(&mut self, pair: (Ps, G)) -> StateId;
@@ -465,8 +479,8 @@ where
     S: StoreLike<Ps::Addr> + StoreDelta<Ps::Addr> + Value,
     F: StepFn<Ps, G, S>,
 {
-    fn rung(&self) -> LadderRung {
-        LadderRung::SequentialDirect
+    fn kind(&self) -> PhaseKind {
+        PhaseKind::Sequential
     }
 
     fn intern(&mut self, pair: (Ps, G)) -> StateId {
@@ -501,7 +515,9 @@ where
             let entry = step_entry(self.step, ps, guts, store, |k| interner.intern(k));
             if armed {
                 let ns = step_watch.lap_ns();
-                sink.state_cost(&label_of(&self.interner.resolve(id).0, STATE_LABEL_MAX), ns);
+                sink.state_cost(id, ns, || {
+                    label_of(&self.interner.resolve(id).0, STATE_LABEL_MAX)
+                });
             }
             entries.push((id, entry));
         }
@@ -592,7 +608,7 @@ where
     // label formatting happen only when a real sink listens, and no
     // counter below ever consults it — tracing cannot perturb the solve.
     let armed = sink.enabled();
-    let rung = phase.rung();
+    let kind = phase.kind();
     let mut stats = EngineStats::default();
     // Per-address growth bookkeeping for the budget's widening policy:
     // decides which addresses the fold accumulates with ▽ instead of ⊔.
@@ -623,13 +639,13 @@ where
         if let Some(reason) = budget.exhausted(stats.iterations, stats.states_stepped) {
             sink.governor(GovernorTrace {
                 round: stats.iterations,
-                kind: GovernorTraceKind::Exhausted(reason),
+                reason,
             });
             exhausted = Some(reason);
             break;
         }
         stats.iterations += 1;
-        if rung != LadderRung::SequentialDirect {
+        if kind != PhaseKind::Sequential {
             stats.sync_rounds += 1;
         }
         let round = stats.iterations;
@@ -668,7 +684,7 @@ where
             // are re-stepped too.
             stats.rebuild_rounds += 1;
             let mut rest: BTreeSet<StateId> = known.iter().copied().collect();
-            if rung == LadderRung::Elastic {
+            if kind == PhaseKind::Elastic {
                 rest.extend(fold.iter().copied());
             } else {
                 rest.retain(|id| fold.binary_search(id).is_err());
@@ -737,7 +753,7 @@ where
             join_ns,
             sync_ns: wall_ns.saturating_sub(busy_ns),
         });
-        if rung == LadderRung::Elastic {
+        if kind == PhaseKind::Elastic {
             sink.merge(MergeTrace {
                 round,
                 entries: fold.len(),
@@ -1411,6 +1427,66 @@ mod tests {
         assert!(kleene.states().iter().any(|(ps, _)| ps.0 == 15));
         let direct = |ps: Rd, g: G, s: S| run_store_passing(step(ps), g, s);
         assert_reader_sees_the_later_write(&direct, Rd(0), &kleene);
+    }
+
+    /// A state rendered as a long string and then a number, so that two
+    /// states can share their hot-spot label.
+    #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    struct Padded(String, u8);
+
+    impl StateRoots for Padded {
+        type Addr = u8;
+
+        fn state_roots(&self) -> BTreeSet<u8> {
+            BTreeSet::new()
+        }
+    }
+
+    /// Two states whose renderings agree in their first
+    /// [`STATE_LABEL_MAX`] characters are two hot states, each stepped
+    /// once, on every engine that attributes step costs: the sequential
+    /// phase, both pool phases (through their worker buffers) and the
+    /// per-state engine.
+    #[test]
+    fn states_sharing_a_label_are_separate_hot_states() {
+        use super::super::{ParallelCollecting, ParallelConfig};
+        use crate::collect::PerStateDomain;
+        use crate::telemetry::TraceBuffer;
+
+        type Shared = SharedStoreDomain<Padded, G, S>;
+        let step = |ps: Padded, g: G, s: S| match ps.1 {
+            0 => vec![((Padded(ps.0, 1), g), s)],
+            _ => Vec::new(),
+        };
+        let initial = Padded("x".repeat(STATE_LABEL_MAX), 0);
+        let last = Padded(initial.0.clone(), 1);
+        assert_eq!(
+            label_of(&initial, STATE_LABEL_MAX),
+            label_of(&last, STATE_LABEL_MAX)
+        );
+
+        let mut traces = Vec::new();
+        let mut trace = TraceBuffer::new();
+        Shared::explore_frontier_direct_traced(&step, initial.clone(), &mut trace);
+        traces.push(("sequential".to_string(), trace));
+        for config in [ParallelConfig::barrier(2), ParallelConfig::elastic(2, 2)] {
+            let mut trace = TraceBuffer::new();
+            Shared::explore_frontier_parallel_traced(&step, initial.clone(), config, &mut trace);
+            traces.push((format!("{config:?}"), trace));
+        }
+        let mut trace = TraceBuffer::new();
+        <PerStateDomain<Padded, G, S> as DirectCollecting<Padded, G, S>>::explore_frontier_direct_traced(
+            &step,
+            initial.clone(),
+            &mut trace,
+        );
+        traces.push(("per-state".to_string(), trace));
+
+        for (engine, trace) in traces {
+            let hot = trace.top_states(10);
+            assert_eq!(hot.len(), 2, "{engine}: {hot:?}");
+            assert!(hot.iter().all(|h| h.steps == 1), "{engine}: {hot:?}");
+        }
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! from `⊥` (paper §5.2, equation (1)).
 
 use super::{Lattice, WidenLattice};
-use crate::engine::governor::{Budget, Outcome};
 
 /// Computes the least fixed point of a monotone function by Kleene
 /// iteration, as the paper's `kleeneIt`:
@@ -25,7 +24,9 @@ use crate::engine::governor::{Budget, Outcome};
 ///
 /// Terminates when the iterates stabilise; over a finite-height lattice (the
 /// abstract domains of the framework) this always happens.  For domains of
-/// unbounded height prefer [`kleene_it_bounded`].
+/// unbounded height widen ([`kleene_it_widened`]), or bound the rounds of a
+/// collecting semantics with
+/// [`explore_fp_governed`](crate::collect::explore_fp_governed).
 ///
 /// ```rust
 /// use std::collections::BTreeSet;
@@ -120,126 +121,6 @@ where
     current
 }
 
-/// The result of a bounded Kleene iteration.
-///
-/// The outcome is `#[must_use]`: an [`KleeneOutcome::Exhausted`] carries a
-/// *truncated* iterate that is **not** a fixpoint, so callers must check
-/// [`KleeneOutcome::converged`] (or match) before treating the value as
-/// one — dropping the outcome on the floor is exactly the silent
-/// non-convergence bug this type exists to prevent.
-#[must_use = "an Exhausted outcome's value is a truncated iterate, not a fixpoint — check converged()"]
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum KleeneOutcome<L> {
-    /// The iteration stabilised at this fixed point after the recorded
-    /// number of steps.
-    Converged {
-        /// The least fixed point.
-        value: L,
-        /// How many applications of the functional were needed.
-        iterations: usize,
-    },
-    /// The iteration was cut off after `max_iterations` steps; the carried
-    /// value is a sound *under*-approximation of the least fixed point of a
-    /// monotone functional (the running accumulated iterate).
-    Exhausted {
-        /// The accumulated iterate reached before giving up.
-        value: L,
-        /// The bound that was hit.
-        max_iterations: usize,
-    },
-}
-
-impl<L> KleeneOutcome<L> {
-    /// The carried lattice element, whether or not the iteration converged.
-    pub fn value(&self) -> &L {
-        match self {
-            KleeneOutcome::Converged { value, .. } => value,
-            KleeneOutcome::Exhausted { value, .. } => value,
-        }
-    }
-
-    /// Whether the iteration reached a fixed point.
-    pub fn converged(&self) -> bool {
-        matches!(self, KleeneOutcome::Converged { .. })
-    }
-
-    /// Consumes the outcome, yielding the lattice element.
-    pub fn into_value(self) -> L {
-        match self {
-            KleeneOutcome::Converged { value, .. } => value,
-            KleeneOutcome::Exhausted { value, .. } => value,
-        }
-    }
-}
-
-/// Governed Kleene iteration from an explicit starting iterate: one
-/// application of the functional is one *round* (and one *step* — at the
-/// whole-lattice level the two coincide), and the [`Budget`] is consulted
-/// before each application.  Returns the outcome together with the number
-/// of applications performed.
-///
-/// An `Exhausted` outcome's resume seed is the accumulated iterate
-/// itself: passing it back as `start` continues the ascent and reaches
-/// the same least fixed point a one-shot run would (the Kleene sequence
-/// from any sound under-approximation of the lfp still converges to it).
-pub fn kleene_it_governed_from<L, F>(start: L, f: F, budget: &Budget) -> (Outcome<L, L>, usize)
-where
-    L: Lattice,
-    F: Fn(&L) -> L,
-{
-    let mut current = start;
-    let mut rounds = 0usize;
-    loop {
-        if let Some(reason) = budget.exhausted(rounds, rounds) {
-            let resume_seed = Box::new(current.clone());
-            return (
-                Outcome::Exhausted {
-                    partial: current,
-                    reason,
-                    resume_seed,
-                },
-                rounds,
-            );
-        }
-        let next = f(&current);
-        if !current.join_in_place(next) {
-            return (Outcome::Complete(current), rounds);
-        }
-        rounds += 1;
-    }
-}
-
-/// Governed Kleene iteration from `⊥` — see [`kleene_it_governed_from`].
-pub fn kleene_it_governed<L, F>(f: F, budget: &Budget) -> (Outcome<L, L>, usize)
-where
-    L: Lattice,
-    F: Fn(&L) -> L,
-{
-    kleene_it_governed_from(L::bottom(), f, budget)
-}
-
-/// Kleene iteration with an explicit bound on the number of steps, reporting
-/// whether the iteration converged.
-///
-/// Useful for analyses whose guts are allowed to grow without bound (e.g.
-/// the simple integer-time collecting semantics of §5.3, which the paper
-/// itself notes "may not terminate").  A compatibility shim over
-/// [`kleene_it_governed`] with a round budget of `max_iterations`.
-pub fn kleene_it_bounded<L, F>(f: F, max_iterations: usize) -> KleeneOutcome<L>
-where
-    L: Lattice,
-    F: Fn(&L) -> L,
-{
-    let budget = Budget::unlimited().with_max_rounds(max_iterations);
-    match kleene_it_governed(f, &budget) {
-        (Outcome::Complete(value), iterations) => KleeneOutcome::Converged { value, iterations },
-        (Outcome::Exhausted { partial, .. }, _) => KleeneOutcome::Exhausted {
-            value: partial,
-            max_iterations,
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,55 +146,19 @@ mod tests {
     }
 
     #[test]
-    fn bounded_iteration_reports_convergence() {
-        let out = kleene_it_bounded(
-            |s: &BTreeSet<u8>| {
-                let mut next = s.clone();
-                next.insert(3);
-                next
-            },
-            10,
-        );
-        assert!(out.converged());
-        assert_eq!(out.value(), &[3u8].into_iter().collect());
-        if let KleeneOutcome::Converged { iterations, .. } = out {
-            assert!(iterations <= 2);
-        }
-    }
-
-    #[test]
-    fn governed_exhaustion_resumes_to_the_one_shot_fixpoint() {
-        let f = |s: &BTreeSet<u32>| {
-            let mut next = s.clone();
-            next.insert(1);
-            next.extend(s.iter().filter(|&&x| x < 64).map(|&x| x * 2));
-            next
-        };
-        let one_shot: BTreeSet<u32> = kleene_it(f);
-        let budget = Budget::unlimited().with_max_rounds(2);
-        let (outcome, rounds) = kleene_it_governed(f, &budget);
-        assert_eq!(rounds, 2);
-        let Outcome::Exhausted {
-            partial,
-            reason,
-            resume_seed,
-        } = outcome
-        else {
-            panic!("two rounds cannot reach the seven-round fixpoint");
-        };
-        assert_eq!(reason, crate::engine::governor::ExhaustReason::RoundBudget);
-        assert!(partial.len() < one_shot.len());
-        let (resumed, _) = kleene_it_governed_from(*resume_seed, f, &Budget::unlimited());
-        assert_eq!(resumed.into_complete(), one_shot);
-    }
-
-    #[test]
     fn widened_iteration_terminates_where_plain_kleene_diverges() {
         use crate::lattice::Interval;
         // The counting functional ascends forever under join…
         let f = |x: &Interval| Interval::singleton(0).join(*x + Interval::singleton(1));
-        let bounded = kleene_it_bounded(f, 50);
-        assert!(!bounded.converged());
+        let mut plain = Interval::bottom();
+        for round in 0..50 {
+            let next = f(&plain);
+            assert!(
+                plain.join_in_place(next),
+                "join stabilised in round {round}"
+            );
+        }
+        assert_eq!(plain, Interval::range(0, 49));
         // …and stabilises at [0, +∞) once the accumulation point widens.
         for delay in [0usize, 1, 3, 10] {
             assert_eq!(kleene_it_widened(f, delay), Interval::at_least(0));
@@ -332,21 +177,5 @@ mod tests {
         // One descending pass replaces the widened +∞ with the true bound.
         let refined = narrow_it(post, f, 4);
         assert_eq!(refined, Interval::range(0, 10));
-    }
-
-    #[test]
-    fn bounded_iteration_reports_exhaustion() {
-        // A functional over an infinite-height chain never converges.
-        let out = kleene_it_bounded(
-            |s: &BTreeSet<u64>| {
-                let mut next = s.clone();
-                next.insert(s.len() as u64);
-                next
-            },
-            5,
-        );
-        assert!(!out.converged());
-        assert_eq!(out.value().len(), 5);
-        assert_eq!(out.into_value().len(), 5);
     }
 }

@@ -36,10 +36,7 @@ pub use absnat::AbsNat;
 pub use galois::GaloisConnection;
 pub use instances::{Flat, PointwiseExt};
 pub use interval::{Hi, Interval, Lo};
-pub use kleene::{
-    kleene_it, kleene_it_bounded, kleene_it_governed, kleene_it_governed_from, kleene_it_widened,
-    narrow_it, KleeneOutcome,
-};
+pub use kleene::{kleene_it, kleene_it_widened, narrow_it};
 
 /// A join semi-lattice with a least element.
 ///

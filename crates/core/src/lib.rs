@@ -90,28 +90,21 @@ pub use addr::{
 pub use collect::{
     explore_fp, explore_fp_traced, run_analysis, Collecting, PerStateDomain, SharedStoreDomain,
 };
-#[cfg(feature = "fault-inject")]
-pub use engine::FaultGuard;
 pub use engine::{
-    explore_frontier_ladder, explore_frontier_ladder_traced, explore_worklist_direct_traced_stats,
-    with_state_gc, Budget, CancelToken, DirectCollecting, EngineError, EngineStats, ExhaustReason,
-    FaultAction, FaultPlan, FaultSpec, FrontierCollecting, LadderReport, LadderRung, Outcome,
-    ParallelCollecting, ParallelConfig, ResumeSeed, SharedResumeSeed, SolveFrom, StateRoots,
-    StepFn,
+    explore_worklist_direct_traced_stats, with_state_gc, Budget, CancelToken, DirectCollecting,
+    EngineStats, ExhaustReason, FrontierCollecting, Outcome, ParallelCollecting, ParallelConfig,
+    ResumeSeed, SharedResumeSeed, SolveFrom, StateRoots, StepFn,
 };
 pub use env::{CowMap, CowSet};
 pub use gc::{reachable, GcStrategy, NoGc, ReachableGc, Touches};
 pub use hash::{fx_hash_of, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use intern::{EnvId, InternKey, Interner, ShardedInterner, StateId};
-pub use lattice::{
-    kleene_it, kleene_it_bounded, kleene_it_governed, kleene_it_governed_from, AbsNat,
-    KleeneOutcome, Lattice,
-};
+pub use lattice::{kleene_it, AbsNat, Lattice};
 pub use monad::{MonadFamily, MonadPlus, MonadState, MonadTrans, StorePassing, Value};
 pub use name::{Label, Name};
 pub use pmap::PMap;
 pub use store::{BasicStore, Counter, CountingStore, StoreDelta, StoreLike};
 pub use telemetry::{
-    GovernorTrace, GovernorTraceKind, HotAddr, HotState, NoopSink, PhaseTotals, RoundTrace,
-    StealTrace, TraceBuffer, TraceSink, WorkerSpan,
+    GovernorTrace, HotAddr, HotState, NoopSink, PhaseTotals, RoundTrace, StealTrace, TraceBuffer,
+    TraceSink, WorkerSpan,
 };

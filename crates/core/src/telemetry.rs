@@ -53,7 +53,7 @@ use std::fmt::Debug;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use crate::engine::governor::{ExhaustReason, LadderRung};
+use crate::engine::governor::ExhaustReason;
 use crate::hash::FxHashMap;
 use crate::intern::StateId;
 
@@ -164,32 +164,20 @@ pub struct MergeTrace {
     pub merge_ns: u64,
 }
 
-/// A governance event of a governed solve: the budget fired, or a
-/// degradation-ladder rung faulted.
+/// A governance event of a governed solve: the budget fired, and the
+/// solve returned a partial.
 ///
-/// The cancel-latency tests are built on these records: the `round`
-/// of an [`GovernorTraceKind::Exhausted`] event is the number of
-/// *completed* rounds when the budget was observed, so the distance
-/// between the cancel request and the event bounds the observation
-/// latency in rounds.
+/// The cancel-latency tests are built on these records: `round` is the
+/// number of *completed* rounds when the budget was observed, so the
+/// distance between the cancel request and the event bounds the
+/// observation latency in rounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GovernorTrace {
-    /// Rounds completed when the event was observed (sequential and
-    /// barrier engines observe at round boundaries; for ladder events,
-    /// the rung's rounds completed before it faulted is unknown, so 0).
+    /// Rounds completed when the budget was observed (every engine
+    /// observes at round boundaries).
     pub round: usize,
-    /// What was observed.
-    pub kind: GovernorTraceKind,
-}
-
-/// What a [`GovernorTrace`] records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GovernorTraceKind {
-    /// The budget fired with this reason; the solve returned a partial.
-    Exhausted(ExhaustReason),
-    /// This degradation-ladder rung faulted (a worker panicked) and the
-    /// solve fell to the next rung.
-    RungFaulted(LadderRung),
+    /// Which limit fired.
+    pub reason: ExhaustReason,
 }
 
 /// A structured trace consumer, threaded through the engines' `_traced`
@@ -222,13 +210,14 @@ pub trait TraceSink {
     /// One lazy merge of the elastic driver.
     fn merge(&mut self, _event: MergeTrace) {}
 
-    /// One governance event: budget exhaustion observed, or a ladder
-    /// rung faulted.
+    /// One governance event: budget exhaustion observed.
     fn governor(&mut self, _event: GovernorTrace) {}
 
-    /// `ns` nanoseconds were spent stepping the state labelled `label`
-    /// (cumulative attribution: called once per step of that state).
-    fn state_cost(&mut self, _label: &str, _ns: u64) {}
+    /// `ns` nanoseconds were spent stepping the state the solve interned
+    /// as `id` (cumulative attribution: called once per step of that
+    /// state).  `label` renders the state; a recording sink calls it once
+    /// per id, on the state's first step.
+    fn state_cost(&mut self, _id: StateId, _ns: u64, _label: impl FnOnce() -> String) {}
 
     /// A folded delta touched the address labelled `label`; `grew` is
     /// whether the accumulated binding actually grew.
@@ -329,7 +318,7 @@ impl WorkerBuffer {
             });
         }
         for (id, ns) in self.costs {
-            sink.state_cost(&label(id), ns);
+            sink.state_cost(id, ns, || label(id));
         }
     }
 }
@@ -375,7 +364,8 @@ impl std::fmt::Write for Capped {
 /// Cumulative step cost of one state across the solve.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HotState {
-    /// The state's (truncated `Debug`) label.
+    /// The state's (truncated `Debug`) label.  Two states may share a
+    /// label; each still has its own row.
     pub label: String,
     /// How many times the state was stepped.
     pub steps: usize,
@@ -416,6 +406,9 @@ impl PhaseTotals {
 /// The reference [`TraceSink`]: records every event and aggregates the
 /// hot-spot attribution, then exports Chrome trace JSON, per-round CSV
 /// or a human-readable profile summary.
+///
+/// Step costs are keyed by the solve's [`StateId`]s, so a buffer
+/// attributes the hot states of one solve.
 #[derive(Debug, Default)]
 pub struct TraceBuffer {
     /// Every recorded round, in order.
@@ -430,7 +423,7 @@ pub struct TraceBuffer {
     pub merges: Vec<MergeTrace>,
     /// Every recorded governance event, in arrival order.
     pub governor_events: Vec<GovernorTrace>,
-    state_costs: FxHashMap<String, (usize, u64)>,
+    state_costs: FxHashMap<StateId, HotState>,
     join_counts: FxHashMap<String, (usize, usize)>,
 }
 
@@ -463,10 +456,14 @@ impl TraceSink for TraceBuffer {
         self.governor_events.push(event);
     }
 
-    fn state_cost(&mut self, label: &str, ns: u64) {
-        let (steps, total) = self.state_costs.entry(label.to_owned()).or_default();
-        *steps += 1;
-        *total += ns;
+    fn state_cost(&mut self, id: StateId, ns: u64, label: impl FnOnce() -> String) {
+        let hot = self.state_costs.entry(id).or_insert_with(|| HotState {
+            label: label(),
+            steps: 0,
+            total_ns: 0,
+        });
+        hot.steps += 1;
+        hot.total_ns += ns;
     }
 
     fn join_traffic(&mut self, label: &str, grew: bool) {
@@ -494,24 +491,19 @@ impl TraceBuffer {
     }
 
     /// The `k` states with the largest cumulative step cost, descending
-    /// (ties broken by label, so the order is deterministic).
+    /// (ties broken by label, then id, so the order is deterministic).
     pub fn top_states(&self, k: usize) -> Vec<HotState> {
-        let mut all: Vec<HotState> = self
-            .state_costs
-            .iter()
-            .map(|(label, &(steps, total_ns))| HotState {
-                label: label.clone(),
-                steps,
-                total_ns,
-            })
-            .collect();
-        all.sort_by(|a, b| {
+        let mut all: Vec<(&StateId, &HotState)> = self.state_costs.iter().collect();
+        all.sort_by(|(a_id, a), (b_id, b)| {
             b.total_ns
                 .cmp(&a.total_ns)
                 .then_with(|| a.label.cmp(&b.label))
+                .then_with(|| a_id.cmp(b_id))
         });
-        all.truncate(k);
-        all
+        all.into_iter()
+            .take(k)
+            .map(|(_, hot)| hot.clone())
+            .collect()
     }
 
     /// The `k` addresses with the most join traffic, descending (ties
@@ -731,17 +723,14 @@ impl TraceBuffer {
         // Governance events land as global instants at the end of the
         // reconstructed timeline (their round is in the args).
         for g in &self.governor_events {
-            let (name, detail) = match g.kind {
-                GovernorTraceKind::Exhausted(reason) => ("budget exhausted", reason.as_str()),
-                GovernorTraceKind::RungFaulted(rung) => ("ladder fallback", rung.as_str()),
-            };
             push(
                 &mut out,
                 format!(
-                    "{{\"name\":\"{name}\",\"cat\":\"governor\",\"ph\":\"i\",\"s\":\"g\",\
-                     \"ts\":{},\"pid\":0,\"tid\":0,\"args\":{{\"round\":{},\"detail\":\"{detail}\"}}}}",
+                    "{{\"name\":\"budget exhausted\",\"cat\":\"governor\",\"ph\":\"i\",\"s\":\"g\",\
+                     \"ts\":{},\"pid\":0,\"tid\":0,\"args\":{{\"round\":{},\"detail\":\"{}\"}}}}",
                     us(cursor_ns),
                     g.round,
+                    g.reason,
                 ),
             );
         }
@@ -840,15 +829,11 @@ impl TraceBuffer {
         if !self.governor_events.is_empty() {
             let _ = writeln!(out, "governance:");
             for g in &self.governor_events {
-                let what = match g.kind {
-                    GovernorTraceKind::Exhausted(reason) => {
-                        format!("budget exhausted ({reason})")
-                    }
-                    GovernorTraceKind::RungFaulted(rung) => {
-                        format!("ladder rung faulted ({rung})")
-                    }
-                };
-                let _ = writeln!(out, "  after round {}: {what}", g.round);
+                let _ = writeln!(
+                    out,
+                    "  after round {}: budget exhausted ({})",
+                    g.round, g.reason
+                );
             }
         }
         let hot_states = self.top_states(k);
@@ -929,9 +914,10 @@ mod tests {
             thief: 1,
             victim: 0,
         });
-        buf.state_cost("St(1)", 700);
-        buf.state_cost("St(1)", 300);
-        buf.state_cost("St(2)", 400);
+        let (one, two) = (StateId::from_index(1), StateId::from_index(2));
+        buf.state_cost(one, 700, || "St(1)".to_owned());
+        buf.state_cost(one, 300, || unreachable!("a state is labelled once"));
+        buf.state_cost(two, 400, || "St(2)".to_owned());
         buf.join_traffic("a0", true);
         buf.join_traffic("a0", false);
         buf.join_traffic("a1", true);
@@ -944,7 +930,9 @@ mod tests {
         assert!(!sink.enabled());
         sink.round(RoundTrace::default());
         sink.worker(WorkerSpan::default());
-        sink.state_cost("x", 1);
+        sink.state_cost(StateId::from_index(0), 1, || {
+            unreachable!("a no-op sink never labels")
+        });
         sink.join_traffic("a", true);
     }
 

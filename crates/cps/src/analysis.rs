@@ -13,15 +13,14 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use mai_core::addr::{Context, NamedAddress};
 use mai_core::collect::{
-    explore_fp_bounded, run_analysis, with_gc, Collecting, PerStateDomain, SharedStoreDomain,
+    explore_fp_governed, run_analysis, with_gc, Collecting, PerStateDomain, SharedStoreDomain,
 };
 use mai_core::engine::{
-    explore_frontier_ladder, with_state_gc, Budget, DirectCollecting, EngineError, EngineStats,
-    FrontierCollecting, LadderReport, Outcome, ParallelCollecting, ParallelConfig,
-    SharedResumeSeed, SolveFrom,
+    with_state_gc, Budget, DirectCollecting, EngineStats, FrontierCollecting, Outcome,
+    ParallelCollecting, ParallelConfig, SharedResumeSeed, SolveFrom,
 };
 use mai_core::gc::ReachableGc;
-use mai_core::lattice::{KleeneOutcome, Lattice};
+use mai_core::lattice::Lattice;
 use mai_core::monad::{
     gets_nd_set, MonadFamily, MonadState, MonadTrans, StateT, StorePassing, Value, VecM,
 };
@@ -235,7 +234,7 @@ pub fn analyse_worklist_elastic_governed<C, S, Fp>(
     program: &CExp,
     config: ParallelConfig,
     budget: &Budget,
-) -> Result<(Outcome<Fp, Fp::Seed>, EngineStats), EngineError>
+) -> (Outcome<Fp, Fp::Seed>, EngineStats)
 where
     C: Context,
     S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
@@ -244,36 +243,6 @@ where
     Fp::explore_frontier_parallel_governed(
         &crate::direct::mnext_direct::<C, S>,
         SolveFrom::Fresh(PState::inject(program.clone())),
-        config,
-        budget,
-    )
-}
-
-/// The outcome type of a ladder solve over the shared-store CPS domain.
-pub type LadderOutcome<C, S> = Outcome<
-    SharedStoreDomain<PState<<C as Context>::Addr>, C, S>,
-    SharedResumeSeed<PState<<C as Context>::Addr>, C, S>,
->;
-
-/// [`analyse_worklist_elastic`] behind the full degradation ladder:
-/// elastic → barrier → sequential direct.  A faulted parallel rung is
-/// reported in the [`LadderReport`]; the returned fixpoint is byte-identical
-/// to [`analyse_worklist_direct`] no matter which rung completed.
-pub fn analyse_worklist_ladder<C, S>(
-    program: &CExp,
-    config: ParallelConfig,
-    budget: &Budget,
-) -> (LadderOutcome<C, S>, EngineStats, LadderReport)
-where
-    C: Context + std::hash::Hash,
-    S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>>
-        + mai_core::store::StoreDelta<C::Addr>
-        + mai_core::lattice::WidenLattice
-        + Value,
-{
-    explore_frontier_ladder(
-        &crate::direct::mnext_direct::<C, S>,
-        PState::inject(program.clone()),
         config,
         budget,
     )
@@ -659,22 +628,8 @@ pub fn analyse_kcfa_shared_elastic_governed<const K: usize>(
     program: &CExp,
     config: ParallelConfig,
     budget: &Budget,
-) -> Result<(Outcome<KCfaShared<K>, KCfaSeed<K>>, EngineStats), EngineError> {
+) -> (Outcome<KCfaShared<K>, KCfaSeed<K>>, EngineStats) {
     analyse_worklist_elastic_governed::<KCallCtx<K>, KStore, _>(program, config, budget)
-}
-
-/// [`analyse_kcfa_shared_elastic`] behind the degradation ladder
-/// (elastic → barrier → sequential direct).
-pub fn analyse_kcfa_shared_ladder<const K: usize>(
-    program: &CExp,
-    config: ParallelConfig,
-    budget: &Budget,
-) -> (
-    Outcome<KCfaShared<K>, KCfaSeed<K>>,
-    EngineStats,
-    LadderReport,
-) {
-    analyse_worklist_ladder::<KCallCtx<K>, KStore>(program, config, budget)
 }
 
 /// How many distinct environments the states of a shared-store fixpoint
@@ -735,19 +690,23 @@ pub type ConcreteCollectingDomain = PerStateDomain<
 >;
 
 /// The fresh-address *concrete collecting semantics* of §5.3, explored for
-/// at most `max_iterations` Kleene steps (its domain has unbounded height,
+/// at most `max_iterations` Kleene rounds (its domain has unbounded height,
 /// so exhaustive exploration of a non-terminating program would diverge —
-/// the paper makes the same caveat).
+/// the paper makes the same caveat).  A program whose exploration does not
+/// close within the bound ends `Exhausted` with
+/// [`ExhaustReason::RoundBudget`](mai_core::engine::ExhaustReason::RoundBudget);
+/// its resume seed is the accumulated iterate.
 pub fn analyse_concrete_collecting(
     program: &CExp,
     max_iterations: usize,
-) -> KleeneOutcome<ConcreteCollectingDomain> {
+) -> Outcome<ConcreteCollectingDomain, ConcreteCollectingDomain> {
     type S = BasicStore<<ConcreteCtx as Context>::Addr, Val<<ConcreteCtx as Context>::Addr>>;
-    explore_fp_bounded::<StorePassing<ConcreteCtx, S>, _, _, _>(
+    explore_fp_governed::<StorePassing<ConcreteCtx, S>, _, _, _>(
         closure_mnext::<ConcreteCtx, S>,
         PState::inject(program.clone()),
-        max_iterations,
+        &Budget::unlimited().with_max_rounds(max_iterations),
     )
+    .0
 }
 
 /// The abstract errors observable in a set of reachable states: the
@@ -1004,7 +963,7 @@ mod tests {
     #[test]
     fn concrete_collecting_semantics_of_terminating_program_converges() {
         let out = analyse_concrete_collecting(&identity_program(), 64);
-        assert!(out.converged());
+        assert!(out.is_complete());
         assert!(out.value().distinct_states().iter().any(PState::is_final));
     }
 

@@ -11,9 +11,8 @@ use std::collections::BTreeSet;
 use mai_core::addr::{Context, NamedAddress};
 use mai_core::collect::{run_analysis, with_gc, Collecting, PerStateDomain, SharedStoreDomain};
 use mai_core::engine::{
-    explore_frontier_ladder, with_state_gc, Budget, DirectCollecting, EngineError, EngineStats,
-    FrontierCollecting, LadderReport, Outcome, ParallelCollecting, ParallelConfig,
-    SharedResumeSeed, SolveFrom,
+    with_state_gc, Budget, DirectCollecting, EngineStats, FrontierCollecting, Outcome,
+    ParallelCollecting, ParallelConfig, SharedResumeSeed, SolveFrom,
 };
 use mai_core::gc::ReachableGc;
 use mai_core::monad::{
@@ -324,13 +323,13 @@ where
 }
 
 /// [`analyse_worklist_parallel`], governed: budget and cancellation are
-/// checked at every barrier, and a panicked worker surfaces as a clean
-/// [`EngineError`] instead of deadlocking the pool.
+/// checked at every barrier.  A panicking step propagates with its
+/// original payload once the pool has shut down.
 pub fn analyse_worklist_parallel_governed<C, S, Fp>(
     term: &Term,
     threads: usize,
     budget: &Budget,
-) -> Result<(Outcome<Fp, Fp::Seed>, EngineStats), EngineError>
+) -> (Outcome<Fp, Fp::Seed>, EngineStats)
 where
     C: Context,
     S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
@@ -350,7 +349,7 @@ pub fn analyse_worklist_elastic_governed<C, S, Fp>(
     term: &Term,
     config: ParallelConfig,
     budget: &Budget,
-) -> Result<(Outcome<Fp, Fp::Seed>, EngineStats), EngineError>
+) -> (Outcome<Fp, Fp::Seed>, EngineStats)
 where
     C: Context,
     S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
@@ -363,36 +362,6 @@ where
         budget,
     )
 }
-
-/// [`analyse_worklist_elastic`] behind the full degradation ladder:
-/// elastic → barrier → sequential direct.  A faulted parallel rung is
-/// reported in the [`LadderReport`]; the returned fixpoint is byte-identical
-/// to [`analyse_worklist_direct`] no matter which rung completed.
-pub fn analyse_worklist_ladder<C, S>(
-    term: &Term,
-    config: ParallelConfig,
-    budget: &Budget,
-) -> (LadderOutcome<C, S>, EngineStats, LadderReport)
-where
-    C: Context + std::hash::Hash,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>>
-        + mai_core::store::StoreDelta<C::Addr>
-        + mai_core::lattice::WidenLattice
-        + Value,
-{
-    explore_frontier_ladder(
-        &crate::direct::mnext_direct::<C, S>,
-        PState::inject(term.clone()),
-        config,
-        budget,
-    )
-}
-
-/// The outcome type of a ladder solve over the shared-store CESK domain.
-pub type LadderOutcome<C, S> = Outcome<
-    SharedStoreDomain<PState<<C as Context>::Addr>, C, S>,
-    SharedResumeSeed<PState<<C as Context>::Addr>, C, S>,
->;
 
 /// Like [`analyse_worklist`], but solved by the PR-2 *structural-key*
 /// incremental engine (states as `BTreeMap` keys instead of interned ids) —
@@ -583,7 +552,7 @@ pub fn analyse_kcfa_shared_parallel_governed<const K: usize>(
     term: &Term,
     threads: usize,
     budget: &Budget,
-) -> Result<(Outcome<KCeskShared<K>, KCeskSeed<K>>, EngineStats), EngineError> {
+) -> (Outcome<KCeskShared<K>, KCeskSeed<K>>, EngineStats) {
     analyse_worklist_parallel_governed::<KCallCtx<K>, KCeskStore, _>(term, threads, budget)
 }
 
@@ -593,22 +562,8 @@ pub fn analyse_kcfa_shared_elastic_governed<const K: usize>(
     term: &Term,
     config: ParallelConfig,
     budget: &Budget,
-) -> Result<(Outcome<KCeskShared<K>, KCeskSeed<K>>, EngineStats), EngineError> {
+) -> (Outcome<KCeskShared<K>, KCeskSeed<K>>, EngineStats) {
     analyse_worklist_elastic_governed::<KCallCtx<K>, KCeskStore, _>(term, config, budget)
-}
-
-/// [`analyse_kcfa_shared_direct`] behind the degradation ladder
-/// (elastic → barrier → sequential direct).
-pub fn analyse_kcfa_shared_ladder<const K: usize>(
-    term: &Term,
-    config: ParallelConfig,
-    budget: &Budget,
-) -> (
-    Outcome<KCeskShared<K>, KCeskSeed<K>>,
-    EngineStats,
-    LadderReport,
-) {
-    analyse_worklist_ladder::<KCallCtx<K>, KCeskStore>(term, config, budget)
 }
 
 /// The abstract errors observable in a set of reachable states: the

@@ -201,8 +201,7 @@ fn widened_multi_cell_fixpoints_are_certified_on_every_driver() {
             SolveFrom::Fresh(Cells(0)),
             config,
             &budget,
-        )
-        .expect("no worker panics");
+        );
         fixpoints.push((format!("{config:?}"), outcome.into_complete()));
     }
     // Elastic widening points depend on merge timing, so its fixpoint is

@@ -2,7 +2,7 @@
 //!
 //! The committed seeds and the deterministic λ-term generator they drive
 //! are used by both `tests/differential.rs` (the engine pentagon) and
-//! `tests/governance.rs` (budgets, resume, faults), so the corpus the two
+//! `tests/governance.rs` (budgets, resume, panics), so the corpus the two
 //! suites exercise is literally the same set of programs.  Each seed
 //! drives a deterministic xorshift generator from which a λ-term is
 //! drawn; the corpus they induce is fixed until this list (or the

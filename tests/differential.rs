@@ -570,8 +570,7 @@ fn interval_counting_loop_diverges_without_widening_and_converges_with_it() {
                     SolveFrom::Fresh(CountSt(0)),
                     ParallelConfig::barrier(threads),
                     &widened,
-                )
-                .expect("parallel widened solve must not fault");
+                );
             let Outcome::Complete(parallel) = outcome else {
                 panic!("{label}: widened parallel solve must converge at {threads} threads");
             };
@@ -596,8 +595,7 @@ fn interval_counting_loop_diverges_without_widening_and_converges_with_it() {
                         SolveFrom::Fresh(CountSt(0)),
                         ParallelConfig { threads, epochs },
                         &widened,
-                    )
-                    .expect("elastic widened solve must not fault");
+                    );
                 let Outcome::Complete(elastic) = outcome else {
                     panic!(
                         "{label}: widened elastic solve must converge at {threads} threads, {epochs} epochs"

@@ -5,6 +5,7 @@
 //! collecting semantics and the abstract interpreters; on terminating,
 //! deterministic programs they must agree about what the program does.
 
+use monadic_ai::core::engine::ExhaustReason;
 use monadic_ai::cps::programs::{identity_application, omega, standard_corpus};
 use monadic_ai::cps::{
     analyse_concrete_collecting, analyse_kcfa_shared, analyse_mono, interpret_with_limit, PState,
@@ -35,9 +36,18 @@ fn concrete_interpreter_and_collecting_semantics_agree_on_termination() {
         // converged (the divergent programs are the only ones allowed to
         // exhaust the Kleene bound).
         assert!(
-            collecting.converged() || !concrete.halted(),
+            collecting.is_complete() || !concrete.halted(),
             "{name}: halting classified from a truncated Kleene iterate"
         );
+        // And a divergent program does exhaust it: the round budget stops
+        // the exploration, nothing else does.
+        if !concrete.halted() {
+            assert_eq!(
+                collecting.exhaust_reason(),
+                Some(ExhaustReason::RoundBudget),
+                "{name}: a divergent exploration must end on its round budget"
+            );
+        }
     }
 }
 

@@ -1,5 +1,5 @@
-//! Governance of the engines: budgets, cancellation, resumable partials,
-//! panic containment and the degradation ladder.
+//! Governance of the engines: budgets, cancellation, resumable partials
+//! and panic containment.
 //!
 //! The suite pins four properties over the *same committed corpus* the
 //! differential suite replays (`tests/common`):
@@ -15,22 +15,27 @@
 //! 3. **Cancel latency** — a cancellation raised *inside* a step is
 //!    observed within one round (sequential) or one epoch (elastic),
 //!    asserted from traced telemetry, not timing.
-//! 4. **Fault containment** (`--features fault-inject`) — deterministically
-//!    injected worker panics surface as clean [`EngineError`]s, never
-//!    deadlocks, and the degradation ladder still produces the
-//!    byte-identical sequential fixpoint.
+//! 4. **Panic containment** — a step that panics on one chosen state
+//!    re-raises its original payload out of every governed pool solve,
+//!    after the pool has shut down, and a step that sleeps on chosen
+//!    states changes no fixpoint and no barrier work counter.  Every
+//!    containment solve runs under a deadline, so a regression fails
+//!    instead of hanging.
 
 use std::collections::BTreeSet;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
+use std::time::Duration;
 
 use mai_core::engine::{
     Budget, CancelToken, DirectCollecting, EngineStats, ExhaustReason, Outcome, ParallelCollecting,
     ParallelConfig, SolveFrom,
 };
 use mai_core::store::BasicStore;
-use mai_core::telemetry::{GovernorTraceKind, TraceBuffer};
-use mai_core::KCallCtx;
+use mai_core::telemetry::TraceBuffer;
+use mai_core::{KCallAddr, KCallCtx};
 use mai_lambda::analysis as la;
-use mai_lambda::Term;
+use mai_lambda::{PState, Term};
 
 mod common;
 use common::{term_from_seed, COMMITTED_SEEDS, PARALLEL_THREADS};
@@ -46,15 +51,38 @@ fn deterministic_counters(stats: EngineStats) -> EngineStats {
     }
 }
 
-/// Runs a barrier or elastic solve under an empty fault plan.  The plan a
-/// fault test installs is process-global, so a parallel solve running
-/// beside that test would step through its injected faults; holding the
-/// plan's serial lock keeps the two apart.  Without the `fault-inject`
-/// feature there is no plan, and this only calls `solve`.
-fn without_faults<R>(solve: impl FnOnce() -> R) -> R {
-    #[cfg(feature = "fault-inject")]
-    let _serial = mai_core::engine::FaultPlan::new().install();
-    solve()
+/// A state of the seeds' CESK machine.
+type Cesk = PState<KCallAddr>;
+
+/// What one step of the seeds' machine returns.
+type Branches = Vec<((Cesk, KCallCtx<1>), la::KCeskStore)>;
+
+/// The seeds' direct step.
+fn direct_step(ps: Cesk, g: KCallCtx<1>, s: la::KCeskStore) -> Branches {
+    mai_lambda::direct::mnext_direct::<KCallCtx<1>, la::KCeskStore>(ps, g, s)
+}
+
+/// Three states of a fixpoint — its least, middle and greatest — for a
+/// step to single out.
+fn chosen_states(fixpoint: &la::KCeskShared<1>) -> BTreeSet<Cesk> {
+    let states: Vec<&Cesk> = fixpoint.states().iter().map(|(ps, _)| ps).collect();
+    [0, states.len() / 2, states.len() - 1]
+        .into_iter()
+        .map(|i| states[i].clone())
+        .collect()
+}
+
+/// The direct step, sleeping 2 ms before it steps any `chosen` state: a
+/// slow worker that computes exactly what the direct step computes.
+fn sleepy_step(
+    chosen: BTreeSet<Cesk>,
+) -> impl Fn(Cesk, KCallCtx<1>, la::KCeskStore) -> Branches + Sync {
+    move |ps, g, s| {
+        if chosen.contains(&ps) {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        direct_step(ps, g, s)
+    }
 }
 
 /// The resume chain is provably finite (each resumed round steps at least
@@ -108,22 +136,32 @@ fn unlimited_budget_is_byte_identical_to_the_classic_parallel_driver() {
     for seed in COMMITTED_SEEDS {
         let term = term_from_seed(seed);
         for threads in PARALLEL_THREADS {
-            let (classic, classic_stats) =
-                without_faults(|| la::analyse_kcfa_shared_parallel::<1>(&term, threads));
-            let (outcome, stats) = without_faults(|| {
-                la::analyse_kcfa_shared_parallel_governed::<1>(&term, threads, &Budget::unlimited())
-            })
-            .expect("no worker fault without an installed fault plan");
-            assert_eq!(
-                outcome.into_complete(),
-                classic,
-                "governed-off parallel fixpoint differs on seed {seed:#x} at {threads} threads"
+            let (classic, classic_stats) = la::analyse_kcfa_shared_parallel::<1>(&term, threads);
+            let governed = la::analyse_kcfa_shared_parallel_governed::<1>(
+                &term,
+                threads,
+                &Budget::unlimited(),
             );
-            assert_eq!(
-                deterministic_counters(stats),
-                deterministic_counters(classic_stats),
-                "governed-off parallel work counters differ on seed {seed:#x} at {threads} threads"
+            // One more input: the same solve with a worker that sleeps on
+            // a few states.  Slowing a worker changes only the schedule.
+            let sleepy = la::KCeskShared::<1>::explore_frontier_parallel_governed(
+                &sleepy_step(chosen_states(&classic)),
+                SolveFrom::Fresh(PState::inject(term.clone())),
+                ParallelConfig::barrier(threads),
+                &Budget::unlimited(),
             );
+            for (step, (outcome, stats)) in [("direct", governed), ("sleepy", sleepy)] {
+                assert_eq!(
+                    outcome.into_complete(),
+                    classic,
+                    "governed-off {step} parallel fixpoint differs on seed {seed:#x} at {threads} threads"
+                );
+                assert_eq!(
+                    deterministic_counters(stats),
+                    deterministic_counters(classic_stats),
+                    "governed-off {step} parallel work counters differ on seed {seed:#x} at {threads} threads"
+                );
+            }
         }
     }
 }
@@ -139,15 +177,21 @@ fn unlimited_budget_matches_the_classic_elastic_driver_fixpoint() {
             threads: 2,
             epochs: 4,
         };
-        let (outcome, _) = without_faults(|| {
-            la::analyse_kcfa_shared_elastic_governed::<1>(&term, config, &Budget::unlimited())
-        })
-        .expect("no worker fault without an installed fault plan");
-        assert_eq!(
-            outcome.into_complete(),
-            direct,
-            "governed-off elastic fixpoint differs on seed {seed:#x}"
+        let governed =
+            la::analyse_kcfa_shared_elastic_governed::<1>(&term, config, &Budget::unlimited());
+        let sleepy = la::KCeskShared::<1>::explore_frontier_parallel_governed(
+            &sleepy_step(chosen_states(&direct)),
+            SolveFrom::Fresh(PState::inject(term.clone())),
+            config,
+            &Budget::unlimited(),
         );
+        for (step, (outcome, _)) in [("direct", governed), ("sleepy", sleepy)] {
+            assert_eq!(
+                outcome.into_complete(),
+                direct,
+                "governed-off {step} elastic fixpoint differs on seed {seed:#x}"
+            );
+        }
     }
 }
 
@@ -219,10 +263,8 @@ fn parallel_exhaustion_resumes_on_either_driver() {
         let (oracle, _) = la::analyse_kcfa_shared_direct::<1>(&term);
         for threads in PARALLEL_THREADS {
             let ctx = format!("seed {seed:#x} at {threads} threads");
-            let (outcome, _) = without_faults(|| {
-                la::analyse_kcfa_shared_parallel_governed::<1>(&term, threads, &tight)
-            })
-            .expect("no worker fault without an installed fault plan");
+            let (outcome, _) =
+                la::analyse_kcfa_shared_parallel_governed::<1>(&term, threads, &tight);
             match outcome {
                 Outcome::Complete(value) => {
                     assert_eq!(value, oracle, "{ctx}: one-round completion")
@@ -239,15 +281,12 @@ fn parallel_exhaustion_resumes_on_either_driver() {
                         "{ctx}: sequential resume of a parallel partial"
                     );
                     // … and on the parallel driver it came from.
-                    let (par, _) = without_faults(|| {
-                        la::KCeskShared::<1>::explore_frontier_parallel_governed(
-                            &mai_lambda::direct::mnext_direct::<KCallCtx<1>, la::KCeskStore>,
-                            SolveFrom::Resume(*resume_seed),
-                            ParallelConfig::barrier(threads),
-                            &Budget::unlimited(),
-                        )
-                    })
-                    .expect("no worker fault without an installed fault plan");
+                    let (par, _) = la::KCeskShared::<1>::explore_frontier_parallel_governed(
+                        &mai_lambda::direct::mnext_direct::<KCallCtx<1>, la::KCeskStore>,
+                        SolveFrom::Resume(*resume_seed),
+                        ParallelConfig::barrier(threads),
+                        &Budget::unlimited(),
+                    );
                     assert_eq!(
                         par.into_complete(),
                         oracle,
@@ -432,7 +471,7 @@ fn sequential_cancellation_lands_within_one_round() {
     assert!(
         sink.governor_events
             .iter()
-            .any(|e| e.kind == GovernorTraceKind::Exhausted(ExhaustReason::Cancelled)),
+            .any(|e| e.reason == ExhaustReason::Cancelled),
         "no governor event recorded for the cancellation"
     );
 }
@@ -467,16 +506,13 @@ fn elastic_cancellation_lands_within_one_epoch() {
         threads: 2,
         epochs: 8,
     };
-    let (outcome, _stats) = without_faults(|| {
-        ChainDom::explore_frontier_parallel_governed_traced(
-            &step,
-            SolveFrom::Fresh(Chain(0)),
-            config,
-            &budget,
-            &mut sink,
-        )
-    })
-    .expect("no worker fault without an installed fault plan");
+    let (outcome, _stats) = ChainDom::explore_frontier_parallel_governed_traced(
+        &step,
+        SolveFrom::Fresh(Chain(0)),
+        config,
+        &budget,
+        &mut sink,
+    );
     assert_eq!(outcome.exhaust_reason(), Some(ExhaustReason::Cancelled));
     // Cancellation was raised by the very first step, so no worker may
     // run past its next interruptible epoch boundary: every recorded
@@ -510,15 +546,12 @@ fn elastic_round_budget_partial_resumes_onto_the_full_fixpoint() {
         threads: 2,
         epochs: 2,
     };
-    let (outcome, _) = without_faults(|| {
-        ChainDom::explore_frontier_parallel_governed(
-            &step,
-            SolveFrom::Fresh(Chain(0)),
-            config,
-            &Budget::unlimited().with_max_rounds(1),
-        )
-    })
-    .expect("no worker fault without an installed fault plan");
+    let (outcome, _) = ChainDom::explore_frontier_parallel_governed(
+        &step,
+        SolveFrom::Fresh(Chain(0)),
+        config,
+        &Budget::unlimited().with_max_rounds(1),
+    );
     match outcome {
         Outcome::Complete(value) => assert_eq!(value, full),
         Outcome::Exhausted {
@@ -540,152 +573,80 @@ fn elastic_round_budget_partial_resumes_onto_the_full_fixpoint() {
 }
 
 // ---------------------------------------------------------------------------
-// Deterministic fault injection (feature-gated)
+// Panic containment
 // ---------------------------------------------------------------------------
 
-#[cfg(feature = "fault-inject")]
-mod faults {
-    use super::*;
-    use mai_core::engine::{EngineError, FaultPlan, LadderRung};
+/// The payload the containment test's step panics with.
+const CHOSEN_PANIC: &str = "the step reached the chosen state";
 
-    /// The committed thread counts the fault matrix replays at (a faulted
-    /// singleton pool is covered by the ladder tests).
-    const FAULT_THREADS: [usize; 2] = [2, 4];
-
-    #[test]
-    fn injected_worker_panic_surfaces_as_a_clean_error() {
-        let term = term_from_seed(COMMITTED_SEEDS[1]);
-        for threads in FAULT_THREADS {
-            // The first frontier is the singleton initial state, stepped
-            // on the coordinator's inline path as worker 0 — so the
-            // (0, 0) fault fires deterministically on every program.
-            let guard = FaultPlan::new().panic_at(0, 0).install();
-            let result = la::analyse_kcfa_shared_parallel_governed::<1>(
-                &term,
-                threads,
-                &Budget::unlimited(),
-            );
-            drop(guard);
-            match result {
-                Err(EngineError::WorkerPanicked { message }) => assert!(
-                    message.contains("injected fault"),
-                    "unexpected panic message: {message}"
-                ),
-                other => panic!("expected a contained worker panic, got {other:?}"),
-            }
-        }
+/// The first state the sequential engine steps in its widest round, if
+/// that round steps two states or more: a round the barrier phase steps on
+/// its workers rather than inline.
+fn state_in_a_wide_round(term: &Term) -> Option<Cesk> {
+    let order = Mutex::new(Vec::new());
+    let recording = |ps: Cesk, g: KCallCtx<1>, s: la::KCeskStore| {
+        order.lock().unwrap().push(ps.clone());
+        direct_step(ps, g, s)
+    };
+    let mut trace = TraceBuffer::new();
+    la::KCeskShared::<1>::explore_frontier_direct_traced(
+        &recording,
+        PState::inject(term.clone()),
+        &mut trace,
+    );
+    let widest = trace
+        .rounds
+        .iter()
+        .max_by_key(|r| r.stepped)
+        .expect("a solve has rounds");
+    if widest.stepped < 2 {
+        return None;
     }
+    let before: usize = trace.rounds[..widest.round - 1]
+        .iter()
+        .map(|r| r.stepped)
+        .sum();
+    Some(order.into_inner().unwrap().swap_remove(before))
+}
 
-    #[test]
-    fn ladder_degrades_from_elastic_to_barrier() {
-        let term = term_from_seed(COMMITTED_SEEDS[2]);
-        let (oracle, _) = la::analyse_kcfa_shared_direct::<1>(&term);
-        let config = ParallelConfig {
-            threads: 2,
-            epochs: 2,
-        };
-        // Worker 0's step counter persists across rungs within one
-        // install, so (0, 0) fires in the elastic rung and is already
-        // spent when the barrier rung steps worker 0 again (nth = 1).
-        let guard = FaultPlan::new().panic_at(0, 0).install();
-        let (outcome, _, report) =
-            la::analyse_kcfa_shared_ladder::<1>(&term, config, &Budget::unlimited());
-        drop(guard);
-        assert!(report.degraded());
-        assert_eq!(report.rung, LadderRung::Barrier);
-        assert_eq!(report.faults.len(), 1);
-        assert_eq!(report.faults[0].0, LadderRung::Elastic);
+#[test]
+fn a_panicking_step_reraises_its_payload_out_of_every_pool() {
+    let (term, chosen) = COMMITTED_SEEDS
+        .into_iter()
+        .map(term_from_seed)
+        .find_map(|term| Some((term.clone(), state_in_a_wide_round(&term)?)))
+        .expect("a committed seed has a round that steps two states");
+    let configs = [
+        ParallelConfig::barrier(2),
+        ParallelConfig::barrier(4),
+        ParallelConfig::elastic(2, 2),
+        ParallelConfig::elastic(4, 4),
+    ];
+    for config in configs {
+        let (term, chosen) = (term.clone(), chosen.clone());
+        let what = format!("the panicking {config:?} solve");
+        let message = within_deadline(&what, move || {
+            let step = move |ps: Cesk, g: KCallCtx<1>, s: la::KCeskStore| {
+                if ps == chosen {
+                    std::panic::panic_any(CHOSEN_PANIC);
+                }
+                direct_step(ps, g, s)
+            };
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                la::KCeskShared::<1>::explore_frontier_parallel_governed(
+                    &step,
+                    SolveFrom::Fresh(PState::inject(term)),
+                    config,
+                    &Budget::unlimited(),
+                )
+            }));
+            let payload = caught.err()?;
+            payload.downcast_ref::<&str>().map(|m| m.to_string())
+        });
         assert_eq!(
-            outcome.into_complete(),
-            oracle,
-            "degraded ladder fixpoint differs from the sequential oracle"
+            message.as_deref(),
+            Some(CHOSEN_PANIC),
+            "{config:?}: the original payload must propagate"
         );
-    }
-
-    #[test]
-    fn ladder_falls_all_the_way_to_the_sequential_engine() {
-        let term = term_from_seed(COMMITTED_SEEDS[3]);
-        let (oracle, _) = la::analyse_kcfa_shared_direct::<1>(&term);
-        let config = ParallelConfig {
-            threads: 2,
-            epochs: 2,
-        };
-        // Elastic faults at worker 0's step 0, barrier at its step 1; the
-        // sequential rung never consults the plan.
-        let guard = FaultPlan::new().panic_at(0, 0).panic_at(0, 1).install();
-        let (outcome, _, report) =
-            la::analyse_kcfa_shared_ladder::<1>(&term, config, &Budget::unlimited());
-        drop(guard);
-        assert_eq!(report.rung, LadderRung::SequentialDirect);
-        assert_eq!(
-            report.faults.iter().map(|(r, _)| *r).collect::<Vec<_>>(),
-            vec![LadderRung::Elastic, LadderRung::Barrier]
-        );
-        assert_eq!(
-            outcome.into_complete(),
-            oracle,
-            "fully-degraded ladder fixpoint differs from the sequential oracle"
-        );
-    }
-
-    #[test]
-    fn single_epoch_ladder_skips_the_elastic_rung() {
-        let term = term_from_seed(COMMITTED_SEEDS[4]);
-        let (oracle, _) = la::analyse_kcfa_shared_direct::<1>(&term);
-        let config = ParallelConfig {
-            threads: 2,
-            epochs: 1,
-        };
-        let guard = FaultPlan::new().panic_at(0, 0).install();
-        let (outcome, _, report) =
-            la::analyse_kcfa_shared_ladder::<1>(&term, config, &Budget::unlimited());
-        drop(guard);
-        assert_eq!(report.rung, LadderRung::SequentialDirect);
-        assert_eq!(
-            report.faults.iter().map(|(r, _)| *r).collect::<Vec<_>>(),
-            vec![LadderRung::Barrier]
-        );
-        assert_eq!(outcome.into_complete(), oracle);
-    }
-
-    #[test]
-    fn injected_delays_perturb_timing_but_not_the_fixpoint() {
-        let term = term_from_seed(COMMITTED_SEEDS[5]);
-        let (classic, classic_stats) =
-            without_faults(|| la::analyse_kcfa_shared_parallel::<1>(&term, 2));
-        let guard = FaultPlan::new()
-            .delay_at(0, 0, 2)
-            .delay_at(1, 1, 2)
-            .install();
-        let (outcome, stats) =
-            la::analyse_kcfa_shared_parallel_governed::<1>(&term, 2, &Budget::unlimited())
-                .expect("delays must not fault the pool");
-        drop(guard);
-        assert_eq!(outcome.into_complete(), classic);
-        assert_eq!(
-            deterministic_counters(stats),
-            deterministic_counters(classic_stats),
-            "a delayed worker changed the deterministic work counters"
-        );
-    }
-
-    #[test]
-    fn cps_ladder_survives_the_full_fault_cascade() {
-        let term = term_from_seed(COMMITTED_SEEDS[6]);
-        let program = mai_cps::cps_convert(&term);
-        let (oracle, _) = mai_cps::analysis::analyse_kcfa_shared_direct::<1>(&program);
-        let config = ParallelConfig {
-            threads: 2,
-            epochs: 2,
-        };
-        let guard = FaultPlan::new().panic_at(0, 0).panic_at(0, 1).install();
-        let (outcome, _, report) = mai_cps::analysis::analyse_kcfa_shared_ladder::<1>(
-            &program,
-            config,
-            &Budget::unlimited(),
-        );
-        drop(guard);
-        assert_eq!(report.rung, LadderRung::SequentialDirect);
-        assert_eq!(outcome.into_complete(), oracle);
     }
 }
