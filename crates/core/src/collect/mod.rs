@@ -324,19 +324,41 @@ mod tests {
     }
 
     #[test]
+    fn bounded_exploration_converges_on_finite_domains() {
+        // A round budget the finite domain never reaches changes nothing:
+        // the solve is complete, on the one-shot fixpoint.
+        let one_shot: Reached = explore_fp::<VecM, u32, Reached, _>(collatz_ish, 0);
+        let budget = Budget::unlimited().with_max_rounds(100);
+        let (outcome, rounds) =
+            explore_fp_governed::<VecM, u32, Reached, _>(collatz_ish, 0, &budget);
+        assert!(rounds < 100);
+        assert!(outcome.is_complete());
+        assert_eq!(outcome.into_complete(), one_shot);
+    }
+
+    #[test]
+    fn bounded_exploration_detects_divergence() {
+        use crate::engine::governor::ExhaustReason;
+        // A divergent exploration under a round budget stops after exactly
+        // that many passes, each of which reached one more number.
+        let unbounded = |n: u32| VecM::pure(n + 1);
+        for max_rounds in [1usize, 5, 10] {
+            let budget = Budget::unlimited().with_max_rounds(max_rounds);
+            let (outcome, rounds) =
+                explore_fp_governed::<VecM, u32, Reached, _>(unbounded, 0, &budget);
+            assert_eq!(rounds, max_rounds);
+            assert!(!outcome.is_complete());
+            assert_eq!(outcome.exhaust_reason(), Some(ExhaustReason::RoundBudget));
+            assert_eq!(outcome.value().0.len(), max_rounds);
+        }
+    }
+
+    #[test]
     fn governed_unlimited_matches_explore_fp() {
         let one_shot: Reached = explore_fp::<VecM, u32, Reached, _>(collatz_ish, 0);
-        // A round budget the finite domain never reaches changes nothing
-        // either: the solve is complete, on the one-shot fixpoint.
-        for budget in [
-            Budget::unlimited(),
-            Budget::unlimited().with_max_rounds(100),
-        ] {
-            let (outcome, rounds) =
-                explore_fp_governed::<VecM, u32, Reached, _>(collatz_ish, 0, &budget);
-            assert!(rounds < 100);
-            assert_eq!(outcome.into_complete(), one_shot);
-        }
+        let (outcome, _) =
+            explore_fp_governed::<VecM, u32, Reached, _>(collatz_ish, 0, &Budget::unlimited());
+        assert_eq!(outcome.into_complete(), one_shot);
     }
 
     #[test]
@@ -365,16 +387,6 @@ mod tests {
         let budget = Budget::unlimited().with_max_steps(25);
         let (outcome, _) = explore_fp_governed::<VecM, u32, Reached, _>(unbounded, 0, &budget);
         assert_eq!(outcome.exhaust_reason(), Some(ExhaustReason::StepBudget));
-        // A divergent exploration under a round budget stops after exactly
-        // that many passes, each of which reached one more number.
-        for max_rounds in [1usize, 5, 10] {
-            let budget = Budget::unlimited().with_max_rounds(max_rounds);
-            let (outcome, rounds) =
-                explore_fp_governed::<VecM, u32, Reached, _>(unbounded, 0, &budget);
-            assert_eq!(rounds, max_rounds);
-            assert_eq!(outcome.exhaust_reason(), Some(ExhaustReason::RoundBudget));
-            assert_eq!(outcome.value().0.len(), max_rounds);
-        }
     }
 
     #[test]
