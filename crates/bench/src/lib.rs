@@ -13,7 +13,9 @@ use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use mai_core::collect::explore_fp;
-use mai_core::engine::{Budget, CancelToken, EngineStats, ExhaustReason, Outcome, ParallelConfig};
+use mai_core::engine::{
+    certify, Budget, CancelToken, EngineStats, ExhaustReason, Outcome, ParallelConfig,
+};
 use mai_core::telemetry::TraceBuffer;
 use mai_core::{KCallAddr, KCallCtx, StorePassing};
 use mai_cps::analysis::{
@@ -25,8 +27,15 @@ use mai_cps::analysis::{
     AnalysisMetrics, KCfaShared, KStore,
 };
 use mai_cps::syntax::CExp;
-use mai_cps::{mnext, PState};
+use mai_cps::{mnext, mnext_direct, PState};
 use report::{engine_stats_json, engine_trace_json, Json};
+
+/// Whether [`certify`] accepts a 1CFA shared-store fixpoint as a
+/// post-fixpoint of `mnext`: the check that shares no machinery with the
+/// engines that computed it.
+fn certified(fixpoint: &KCfaShared<1>) -> bool {
+    certify(fixpoint, &mnext_direct::<KCallCtx<1>, KStore>).certified()
+}
 
 /// The number of logical CPUs on the reporting host.  Recorded (never
 /// gated) on every report row alongside `wall_ms`, so a wall-clock number
@@ -177,6 +186,8 @@ pub struct WorklistRow {
     pub worklist_time: Duration,
     /// Whether the two fixpoints were identical (they always must be).
     pub equal: bool,
+    /// Whether [`certify`] accepts the worklist fixpoint.
+    pub certified: bool,
 }
 
 impl WorklistRow {
@@ -189,7 +200,7 @@ impl WorklistRow {
         };
         format!(
             "{:<18} kleene-steps={:<7} worklist-steps={:<6} step-ratio={:<5.1} \
-             kleene={:<10.2?} worklist={:<10.2?} equal={}",
+             kleene={:<10.2?} worklist={:<10.2?} equal={} certified={}",
             self.program,
             self.kleene_steps,
             self.stats.states_stepped,
@@ -197,6 +208,7 @@ impl WorklistRow {
             self.kleene_time,
             self.worklist_time,
             self.equal,
+            self.certified,
         )
     }
 }
@@ -229,6 +241,7 @@ pub fn worklist_row(name: &'static str, program: &CExp) -> WorklistRow {
         stats,
         worklist_time,
         equal: worklist == kleene,
+        certified: certified(&worklist),
     }
 }
 
@@ -273,6 +286,7 @@ impl WorklistRow {
                     Json::Num(self.worklist_time.as_secs_f64() * 1e3),
                 ),
                 ("equal", Json::Bool(self.equal)),
+                ("certified", Json::Bool(self.certified)),
             ]
             .into_iter()
             .chain(timing_fields(self.kleene_time + self.worklist_time)),
@@ -308,6 +322,8 @@ pub struct InternedRow {
     pub structural_time: Duration,
     /// Whether the two fixpoints were identical (they always must be).
     pub equal: bool,
+    /// Whether [`certify`] accepts the id-indexed fixpoint.
+    pub certified: bool,
 }
 
 impl InternedRow {
@@ -330,7 +346,7 @@ impl InternedRow {
     pub fn render(&self) -> String {
         format!(
             "{:<18} states={:<6} envs={:<5} hit-rate={:<5.2} deps={}/{} \
-             interned={:<10.2?} structural={:<10.2?} speedup={:<5.2} equal={}",
+             interned={:<10.2?} structural={:<10.2?} speedup={:<5.2} equal={} certified={}",
             self.program,
             self.interned.distinct_states,
             self.interned.distinct_envs,
@@ -341,6 +357,7 @@ impl InternedRow {
             self.structural_time,
             self.speedup(),
             self.equal,
+            self.certified,
         )
     }
 
@@ -362,6 +379,7 @@ impl InternedRow {
                 ),
                 ("speedup", Json::Num(self.speedup())),
                 ("equal", Json::Bool(self.equal)),
+                ("certified", Json::Bool(self.certified)),
             ]
             .into_iter()
             .chain(timing_fields(self.interned_time + self.structural_time)),
@@ -400,6 +418,7 @@ pub fn interned_row(name: impl Into<String>, program: &CExp, repeats: usize) -> 
         structural: structural_stats,
         structural_time,
         equal: interned == structural,
+        certified: certified(&interned),
     }
 }
 
@@ -426,6 +445,8 @@ pub struct DirectRow {
     pub direct_time: Duration,
     /// Whether the two fixpoints were identical (they always must be).
     pub equal: bool,
+    /// Whether [`certify`] accepts the direct-carrier fixpoint.
+    pub certified: bool,
 }
 
 impl DirectRow {
@@ -445,17 +466,19 @@ impl DirectRow {
     /// show the structural sharing both carriers now enjoy.
     pub fn render(&self) -> String {
         format!(
-            "{:<18} states={:<6} clones={:<6} shared-bytes={:<8} deps={:<7} \
-             rc={:<10.2?} direct={:<10.2?} speedup={:<5.2} equal={}",
+            "{:<18} states={:<6} clones={:<6} shared-bytes={:<8} deps={:<7} folded={:<7} \
+             rc={:<10.2?} direct={:<10.2?} speedup={:<5.2} equal={} certified={}",
             self.program,
             self.direct.distinct_states,
             self.direct.spine_clones,
             self.direct.store_bytes_shared,
             self.direct.dep_edges,
+            self.direct.branches_folded,
             self.rc_time,
             self.direct_time,
             self.speedup(),
             self.equal,
+            self.certified,
         )
     }
 
@@ -471,6 +494,7 @@ impl DirectRow {
                 ("direct_ms", Json::Num(self.direct_time.as_secs_f64() * 1e3)),
                 ("speedup", Json::Num(self.speedup())),
                 ("equal", Json::Bool(self.equal)),
+                ("certified", Json::Bool(self.certified)),
             ]
             .into_iter()
             .chain(timing_fields(self.rc_time + self.direct_time)),
@@ -506,6 +530,7 @@ pub fn direct_row(name: impl Into<String>, program: &CExp, repeats: usize) -> Di
         direct: direct_stats,
         direct_time,
         equal: rc == direct,
+        certified: certified(&direct),
     }
 }
 
@@ -992,6 +1017,9 @@ pub struct GovernedRow {
     pub resume_links: usize,
     /// Whether the resumed fixpoint equals the one-shot fixpoint.
     pub resumed_equal: bool,
+    /// Whether [`certify`] accepts both the governed-off fixpoint and the
+    /// fixpoint the resume chain ended on.
+    pub certified: bool,
     /// Wall-clock time of the whole row (reported, never gated).
     pub wall: Duration,
 }
@@ -1001,7 +1029,7 @@ impl GovernedRow {
     pub fn render(&self) -> String {
         format!(
             "{:<18} states={:<6} parity={:<5} max_steps={:<5} reason={:<9} resumes={:<4} \
-             resumed_equal={}",
+             resumed_equal={:<5} certified={}",
             self.program,
             self.configurations,
             self.parity,
@@ -1009,6 +1037,7 @@ impl GovernedRow {
             self.exhaust_reason.map_or("none", ExhaustReason::as_str),
             self.resume_links,
             self.resumed_equal,
+            self.certified,
         )
     }
 
@@ -1032,6 +1061,7 @@ impl GovernedRow {
                 ),
                 ("resume_links", Json::Int(self.resume_links as u64)),
                 ("resumed_equal", Json::Bool(self.resumed_equal)),
+                ("certified", Json::Bool(self.certified)),
             ]
             .into_iter()
             .chain(timing_fields(self.wall)),
@@ -1065,7 +1095,9 @@ pub fn governed_row(name: impl Into<String>, program: &CExp, max_steps: usize) -
         );
         outcome = analyse_kcfa_shared_resume::<1>(*resume_seed, &budget).0;
     }
-    let resumed_equal = outcome.into_complete() == direct;
+    let resumed = outcome.into_complete();
+    let resumed_equal = resumed == direct;
+    let certified = unlimited.is_complete() && certified(unlimited.value()) && certified(&resumed);
 
     GovernedRow {
         program: name,
@@ -1077,6 +1109,7 @@ pub fn governed_row(name: impl Into<String>, program: &CExp, max_steps: usize) -
         exhaust_reason,
         resume_links,
         resumed_equal,
+        certified,
         wall: start.elapsed(),
     }
 }

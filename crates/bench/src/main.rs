@@ -695,6 +695,7 @@ const GATED_COUNTER_PATHS: &[(&str, &[&str])] = &[
             "direct.spine_clones",
             "direct.store_bytes_shared",
             "direct.dep_edges",
+            "direct.branches_folded",
         ],
     ),
     (
@@ -725,6 +726,33 @@ const GATED_COUNTER_PATHS: &[(&str, &[&str])] = &[
         ],
     ),
 ];
+
+/// The sections whose every row carries a `certified` flag from
+/// `engine::certify`; `--check-regress` fails on any row without
+/// `certified: true`.
+const CERTIFIED_SECTIONS: &[&str] = &[
+    "e8_worklist_vs_kleene",
+    "e10_interned_vs_structural",
+    "e11_persistent_vs_interned",
+    "e15_governed",
+];
+
+/// `section/program` for every row of a certified section whose fixpoint
+/// `engine::certify` did not accept (or that does not say).
+fn uncertified_rows(report: &Json) -> Vec<String> {
+    CERTIFIED_SECTIONS
+        .iter()
+        .flat_map(|section| {
+            committed_rows(report, section)
+                .iter()
+                .filter(|row| !matches!(row.get("certified"), Some(Json::Bool(true))))
+                .map(move |row| {
+                    let program = row.get("program").and_then(Json::as_str).unwrap_or("?");
+                    format!("{section}/{program}")
+                })
+        })
+        .collect()
+}
 
 /// The gated counter paths of one section.
 fn section_paths(section: &str) -> &'static [&'static str] {
@@ -784,9 +812,16 @@ fn committed_counter(row: &Json, path: &str) -> Option<u64> {
 }
 
 /// Measures every deterministic engine counter the report tracks, without
-/// printing the tables.
-fn fresh_counters() -> Vec<CounterSample> {
+/// printing the tables, and names every fresh row whose fixpoint
+/// `engine::certify` rejected.
+fn fresh_counters() -> (Vec<CounterSample>, Vec<String>) {
     let mut samples: Vec<CounterSample> = Vec::new();
+    let mut uncertified: Vec<String> = Vec::new();
+    let mut certify = |section: &str, key: &str, certified: bool| {
+        if !certified {
+            uncertified.push(format!("{section}/{key}"));
+        }
+    };
     let mut corpus = cps_corpus();
     corpus.push(("kcfa-worst-3", kcfa_worst_case(3)));
     corpus.push(("kcfa-worst-4", kcfa_worst_case(4)));
@@ -794,6 +829,7 @@ fn fresh_counters() -> Vec<CounterSample> {
     for (name, program) in &corpus {
         let row = worklist_row(name, program);
         assert!(row.equal, "{name}: worklist fixpoint differs from Kleene");
+        certify("e8_worklist_vs_kleene", name, row.certified);
         sample_row(
             &mut samples,
             "e8_worklist_vs_kleene",
@@ -822,6 +858,7 @@ fn fresh_counters() -> Vec<CounterSample> {
             ),
             "{name}: carriers disagree on work counters"
         );
+        certify("e11_persistent_vs_interned", &name, row.certified);
         sample_row(
             &mut samples,
             "e11_persistent_vs_interned",
@@ -857,6 +894,7 @@ fn fresh_counters() -> Vec<CounterSample> {
             row.equal,
             "{name}: interned fixpoint differs from structural"
         );
+        certify("e10_interned_vs_structural", &name, row.certified);
         sample_row(
             &mut samples,
             "e10_interned_vs_structural",
@@ -873,6 +911,7 @@ fn fresh_counters() -> Vec<CounterSample> {
         let row = governed_row(name.clone(), &program, max_steps_budget());
         assert!(row.parity, "{name}: governed-off parity broke");
         assert!(row.resumed_equal, "{name}: resume diverged from one-shot");
+        certify("e15_governed", &name, row.certified);
         sample_row(&mut samples, "e15_governed", name, &row.to_json());
     }
     // E16: widened-solve counters.  Widening points make the governed
@@ -885,7 +924,7 @@ fn fresh_counters() -> Vec<CounterSample> {
         assert!(row.elastic_parity, "{name}: elastic driver diverged");
         sample_row(&mut samples, "e16_widening", name, &row.to_json());
     }
-    samples
+    (samples, uncertified)
 }
 
 /// The `--check-regress` mode: compares freshly measured deterministic
@@ -915,11 +954,20 @@ fn check_regress() -> std::process::ExitCode {
     for section in &unbaselined {
         println!("NO BASELINE {section}: gated section has no committed rows in {path}");
     }
+    let committed_uncertified = uncertified_rows(&committed);
+    for row in &committed_uncertified {
+        println!("UNCERTIFIED {row}: the committed fixpoint is not certified in {path}");
+    }
 
     let mut regressions = 0usize;
     let mut improvements = 0usize;
     let mut missing = 0usize;
-    for (section, program, counter, fresh) in fresh_counters() {
+    let (samples, fresh_uncertified) = fresh_counters();
+    for row in &fresh_uncertified {
+        println!("UNCERTIFIED {row}: engine::certify rejects the fresh fixpoint");
+    }
+    let uncertified = committed_uncertified.len() + fresh_uncertified.len();
+    for (section, program, counter, fresh) in samples {
         // E12 rows are keyed by program *and* thread count (the sample key
         // is "program@tN"); its rows live under the section's "rows" field
         // next to the host_cpus record.
@@ -970,7 +1018,12 @@ fn check_regress() -> std::process::ExitCode {
     println!(
         "\ncheck-regress: {regressions} regression(s), {improvements} improvement(s), {missing} new counter(s)"
     );
-    if !unbaselined.is_empty() {
+    if uncertified > 0 {
+        println!(
+            "{uncertified} uncertified fixpoint(s) — an engine returned less than a post-fixpoint"
+        );
+        std::process::ExitCode::FAILURE
+    } else if !unbaselined.is_empty() {
         println!(
             "{} gated section(s) have no committed baseline — regenerate BENCH_report.json",
             unbaselined.len()
@@ -1104,6 +1157,37 @@ mod tests {
     /// Every gated path resolves inside the JSON rendering its section's
     /// row type produces — a path typo would otherwise only surface as a
     /// panic in the (slow) `--check-regress` mode.
+    #[test]
+    fn committed_report_certifies_every_fixpoint() {
+        let report = Json::parse(include_str!("../../../BENCH_report.json"))
+            .expect("committed BENCH_report.json parses");
+        for section in CERTIFIED_SECTIONS {
+            assert!(
+                !committed_rows(&report, section).is_empty(),
+                "{section} has no committed rows"
+            );
+        }
+        assert_eq!(uncertified_rows(&report), Vec::<String>::new());
+        // …and the check fires on a false or missing flag.
+        let row = |certified: Option<bool>| {
+            let mut fields = vec![("program", Json::Str("p".to_string()))];
+            fields.extend(certified.map(|c| ("certified", Json::Bool(c))));
+            Json::obj(fields)
+        };
+        let doctored = Json::obj([
+            ("e8_worklist_vs_kleene", Json::Arr(vec![row(Some(true))])),
+            (
+                "e10_interned_vs_structural",
+                Json::Arr(vec![row(Some(false))]),
+            ),
+            ("e15_governed", Json::Arr(vec![row(None)])),
+        ]);
+        assert_eq!(
+            uncertified_rows(&doctored),
+            vec!["e10_interned_vs_structural/p", "e15_governed/p"]
+        );
+    }
+
     #[test]
     fn gated_paths_resolve_in_fresh_rows() {
         let program = mai_cps::programs::kcfa_worst_case_scaled(2, 3);

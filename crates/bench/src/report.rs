@@ -384,6 +384,7 @@ pub fn engine_stats_json(stats: &EngineStats) -> Json {
         ("distinct_states", Json::Int(stats.distinct_states as u64)),
         ("distinct_envs", Json::Int(stats.distinct_envs as u64)),
         ("spine_clones", Json::Int(stats.spine_clones as u64)),
+        ("branches_folded", Json::Int(stats.branches_folded as u64)),
         (
             "store_bytes_shared",
             Json::Int(stats.store_bytes_shared as u64),

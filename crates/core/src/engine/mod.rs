@@ -220,6 +220,12 @@ pub struct EngineStats {
     /// are believed to read, more of the store.  Deterministic work, summed
     /// by [`EngineStats::merge`].
     pub dep_edges: usize,
+    /// Branches the id-indexed shared-store engine interned, restricted
+    /// and folded: every branch of a full step, and only the fresh
+    /// branches of a semi-naive re-step (the old ones replay cached
+    /// branches and are dropped).  Under full re-steps it would equal the
+    /// branches produced.  Deterministic work, 0 for the other engines.
+    pub branches_folded: usize,
 }
 
 /// Declares the one list of timing gauges: generates both
@@ -289,6 +295,7 @@ impl EngineStats {
         self.worker_cache_misses += other.worker_cache_misses;
         self.stripe_acquisitions += other.stripe_acquisitions;
         self.dep_edges += other.dep_edges;
+        self.branches_folded += other.branches_folded;
     }
 
     /// Average contribution joins per solver round: O(|frontier|) for the
@@ -335,7 +342,8 @@ impl fmt::Display for EngineStats {
             f,
             "iters={} stepped={} hits={} reenq={} addr-joins={} widened={} joins={} rebuilds={} \
              peak={} intern={}/{} distinct={} clones={} shared-bytes={} syncs={} steals={} \
-             imbalance={} epochs={} stale={} memo={}/{} stripe-locks={} dep-edges={}",
+             imbalance={} epochs={} stale={} memo={}/{} stripe-locks={} dep-edges={} \
+             branches-folded={}",
             self.iterations,
             self.states_stepped,
             self.cache_hits,
@@ -358,7 +366,8 @@ impl fmt::Display for EngineStats {
             self.worker_cache_hits,
             self.worker_cache_misses,
             self.stripe_acquisitions,
-            self.dep_edges
+            self.dep_edges,
+            self.branches_folded
         )
     }
 }

@@ -108,7 +108,7 @@ fn owner_of<A: Hash>(addr: &A, shards: usize) -> usize {
 pub(super) fn run_epochs<Ps, G, S, F>(
     me: usize,
     step: &F,
-    phase: &Phase<S>,
+    phase: &Phase<S, Ps::Addr>,
     interner: &ShardedInterner<(Ps, G), StateId>,
     clock: &EpochClock,
     memo: &mut WorkerInternCache<(Ps, G), StateId>,
@@ -166,7 +166,9 @@ where
             }
             let mut step_watch = Stopwatch::start(trace);
             let (ps, guts) = memo.resolve_cloned(interner, id);
-            let entry = step_entry(step, ps, guts, &view, |k| {
+            // Views differ from the pre-store, so an elastic step never
+            // re-steps semi-naive.
+            let entry = step_entry(step, ps, guts, &view, None, |k| {
                 let (sid, minted) = memo.intern_fresh(interner, k);
                 if minted {
                     fresh.push(sid);

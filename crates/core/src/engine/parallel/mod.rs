@@ -74,8 +74,8 @@ use crate::telemetry::{label_of, Stopwatch, TraceSink, WorkerBuffer};
 
 use super::governor::{Budget, CancelToken, Outcome, SolveFrom};
 use super::shared::{
-    solve_shared, step_entry, InternedEntry, PhaseKind, PhaseRun, SharedGovernedSolve,
-    SharedResumeSeed, StepPhase, STATE_LABEL_MAX,
+    solve_shared, step_entry, Baseline, InternedEntry, Job, PhaseKind, PhaseRun,
+    SharedGovernedSolve, SharedResumeSeed, StepPhase, STATE_LABEL_MAX,
 };
 use super::{EngineStats, ParallelCollecting, StateRoots, StepFn};
 use crate::lattice::WidenLattice;
@@ -192,9 +192,12 @@ impl SpinBarrier {
 
 /// One step phase, as published to the worker pool: the ids to step, a
 /// snapshot of the pre-round store, and the shard layout.
-struct Phase<S> {
+struct Phase<S, A> {
     /// The ids to step, ascending.
     ids: Vec<StateId>,
+    /// Each id's semi-naive baseline, by position in `ids` (the barrier
+    /// body re-steps against it; the elastic body steps in full).
+    baselines: Vec<Option<Baseline<S, A>>>,
     /// The pre-round store snapshot every step runs against.
     store: S,
     /// The epoch budget: 1 runs the stealing body, more the epoch body.
@@ -214,17 +217,18 @@ struct Phase<S> {
     cancel: CancelToken,
 }
 
-impl<S> Phase<S> {
-    /// Lays `ids` out as `shards` contiguous ranges.
+impl<S, A> Phase<S, A> {
+    /// Lays the jobs' ids out as `shards` contiguous ranges.
     fn new(
-        ids: Vec<StateId>,
+        jobs: Vec<Job<S, A>>,
         store: S,
         epochs: usize,
         shards: usize,
         trace: bool,
         cancel: CancelToken,
     ) -> Self {
-        let len = ids.len();
+        let len = jobs.len();
+        let (ids, baselines) = jobs.into_iter().unzip();
         Phase {
             ends: (1..=shards).map(|t| t * len / shards).collect(),
             cursors: (0..shards)
@@ -232,6 +236,7 @@ impl<S> Phase<S> {
                 .collect(),
             chunk: (len / (shards * 8)).max(1),
             ids,
+            baselines,
             store,
             epochs,
             trace,
@@ -263,7 +268,7 @@ struct WorkerOutcome<S, A> {
 fn run_stealing<Ps, G, S, F>(
     me: usize,
     step: &F,
-    phase: &Phase<S>,
+    phase: &Phase<S, Ps::Addr>,
     interner: &ShardedInterner<(Ps, G), StateId>,
 ) -> WorkerOutcome<S, Ps::Addr>
 where
@@ -280,6 +285,7 @@ where
     };
     let Phase {
         ids,
+        baselines,
         store,
         cursors,
         ends,
@@ -329,10 +335,13 @@ where
             }
         }
         let Some((start, end)) = claimed else { break };
-        for &id in &ids[start..(start + chunk).min(end)] {
+        for at in start..(start + chunk).min(end) {
+            let id = ids[at];
             let mut step_watch = Stopwatch::start(*trace);
             let (ps, guts) = interner.resolve_cloned(id);
-            let entry = step_entry(step, ps, guts, store, |k| interner.intern(k));
+            let entry = step_entry(step, ps, guts, store, baselines[at].as_ref(), |k| {
+                interner.intern(k)
+            });
             if *trace {
                 // Raw `(id, ns)` only — labels are resolved by the
                 // coordinator at the barrier, never on the hot path.
@@ -360,7 +369,7 @@ struct Pool<Ps, G, S, A> {
     interner: ShardedInterner<(Ps, G), StateId>,
     clock: EpochClock,
     /// The published phase; `None` between phases and as the stop signal.
-    slot: RwLock<Option<Phase<S>>>,
+    slot: RwLock<Option<Phase<S, A>>>,
     outcomes: Mutex<Vec<WorkerOutcome<S, A>>>,
     /// Panic payloads from workers: a worker that panics (a panicking user
     /// step function, say) must still arrive at the done barrier, or the
@@ -401,7 +410,7 @@ where
         &self,
         me: usize,
         step: &F,
-        phase: &Phase<S>,
+        phase: &Phase<S, Ps::Addr>,
         memo: &mut WorkerInternCache<(Ps, G), StateId>,
     ) -> WorkerOutcome<S, Ps::Addr> {
         if phase.epochs > 1 {
@@ -489,7 +498,7 @@ where
 
     fn run<T: TraceSink>(
         &mut self,
-        ids: Vec<StateId>,
+        jobs: Vec<Job<S, Ps::Addr>>,
         store: &S,
         rebuild: bool,
         round: usize,
@@ -504,10 +513,10 @@ where
         // pool a wake/park cycle (an elastic one still chases its chain
         // through the epochs).  The work is identical; there is just no
         // sync traffic for it.
-        let inline = ids.len() <= 1;
+        let inline = jobs.len() <= 1;
         let shards = if inline { 1 } else { self.threads };
         let phase = Phase::new(
-            ids,
+            jobs,
             store.clone(),
             epochs,
             shards,
@@ -568,6 +577,16 @@ where
         }
         run.gauges.shard_imbalance = max_processed - min_processed.min(max_processed);
         run
+    }
+
+    #[cfg(debug_assertions)]
+    fn peek(&self, id: StateId) -> (Ps, G) {
+        self.pool.interner.peek_cloned(id)
+    }
+
+    #[cfg(debug_assertions)]
+    fn lookup(&self, pair: &(Ps, G)) -> Option<StateId> {
+        self.pool.interner.get(pair)
     }
 
     fn into_pairs(self, stats: &mut EngineStats) -> Vec<(Ps, G)> {

@@ -113,6 +113,71 @@
 //! carrier's [`ReachableGc`](crate::gc::ReachableGc), which sweeps inside
 //! the monad.
 //!
+//! ## Semi-naive re-steps
+//!
+//! A transition's result is a union over the values its fetches choose
+//! (the `StorePassing` bind, §5.3.1), so a re-step against a grown store
+//! only has to enumerate the choices that include something new — the
+//! semi-naive rule of Datalog evaluation.  A cached entry remembers three
+//! things: its pre-store restricted to the addresses its step read
+//! ([`StoreDelta::remember`], every value set shared), those reads apart
+//! from its write targets, and the most journaled read calls any one path
+//! of the step made.  [`solve_shared`] hands that baseline to the re-step,
+//! which arms the pre-store with it ([`StoreDelta::arm_re_step`]).  Each
+//! path starts *old*:
+//!
+//! * a fan-out ([`Branches::fetch_each`](crate::monad::Branches::fetch_each))
+//!   makes the branch that chooses a value outside the remembered binding
+//!   *fresh*; an old choice continues the old path;
+//! * an old path replays a path of the previous step, so it makes at most
+//!   the previous longest path's read calls, and the fan-out that reaches
+//!   that count drops its old choices on the spot — they could read
+//!   nothing more and never become fresh;
+//! * a strong update marks its path fresh;
+//! * any other read of a binding that differs from the remembered one
+//!   ([`ReadJournal::diverged`](crate::store::ReadJournal::diverged))
+//!   gives its continuation an input the previous step never gave it.  The
+//!   step is then a full re-step: its branches are all kept when no
+//!   fan-out dropped one, and it is re-run without a baseline otherwise.
+//!
+//! [`step_entry`] interns, restricts and folds only the fresh branches, and
+//! [`install`] merges them into the cached entry: successors are the cached
+//! ones ∪ the fresh ones, the delta is the fresh delta, the reads are the
+//! cached reads ∪ this step's, and the deps are those reads ∪ the fresh
+//! branches' write targets.  That **equals a full re-step against the same
+//! pre-store**.  An old branch chose and read exactly what a branch of the
+//! previous step did, so it reaches the same successor (cached) with the
+//! same writes, which the previous round folded below this pre-store: its
+//! delta and write targets are empty.  Every path of the previous step is
+//! replayed this way — its choices are still in the grown bindings and its
+//! plain reads saw no change, or the step is full — so the reads of the
+//! old paths are the cached reads.  Successor ids, fold order, `dep_edges`
+//! and every counter but [`EngineStats::branches_folded`] are therefore
+//! those of full re-steps.  Debug builds check it: every merged entry is
+//! compared with a full re-step against the same pre-store (successors,
+//! delta, reads, deps), touching no counter and interning nothing, so
+//! `cargo test` runs the check across the whole suite and release builds
+//! pay nothing.
+//!
+//! Full re-steps remain for a state's first step, rebuild rounds and
+//! resumed solves (no cached entry); for stores that cannot remember a
+//! binding ([`CountingStore`](crate::store::CountingStore),
+//! [`IntervalStore`](crate::store::IntervalStore): the trait default);
+//! for entries whose GC write filter dropped a write, whose fate depends
+//! on reads the journal does not see; for the elastic phase, which steps
+//! against worker views; and for everything outside this engine — the
+//! structural baseline, Kleene iteration, [`certify`](super::certify) and
+//! the narrowing pass.  The barrier phase re-steps against the same
+//! baselines as the sequential phase, so their counters stay equal.
+//!
+//! The rebuild defence below compares a re-step's successors with the
+//! cached ones, and a merged entry holds the cached successors by
+//! construction, so **the shrink check covers only full re-steps**.  What
+//! it can no longer see is a merged entry, which differs from its cache by
+//! new fan-out choices alone; every re-step whose plain read saw a changed
+//! binding — the way a non-monotone step shrinks — is a full re-step and
+//! still reaches the check.
+//!
 //! ## Two solvers
 //!
 //! * [`FrontierCollecting::explore_frontier`] — the id-indexed incremental
@@ -139,7 +204,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::Hash;
 
-use crate::addr::HasInitial;
+use crate::addr::{Address, HasInitial};
 use crate::collect::{Collecting, SharedStoreDomain};
 use crate::gc::{reachable, Touches};
 use crate::hash::{FxHashMap, FxHashSet};
@@ -227,7 +292,45 @@ pub(crate) struct InternedEntry<S, A> {
     /// plus, on a branch where abstract GC dropped a write, every address
     /// its sweep visited.
     pub(crate) deps: Vec<A>,
+    /// What a later re-step of this pair may run semi-naive against;
+    /// `None` where it must re-step in full.
+    baseline: Option<Baseline<S, A>>,
+    /// The entry came from a semi-naive re-step: it holds only the fresh
+    /// branches' successors, and [`install`] adds the cached ones.
+    merge: bool,
+    /// The branches this step interned and folded
+    /// ([`EngineStats::branches_folded`]).
+    branches: usize,
 }
+
+/// What a cached entry remembers of its step for a semi-naive re-step
+/// (see the module docs).  A clone is an `Arc` bump (plus a copy of
+/// `unbound`, which is almost always empty).
+#[derive(Clone)]
+pub(crate) struct Baseline<S, A> {
+    /// The step's pre-store restricted to the addresses it read
+    /// ([`StoreDelta::remember`]): the value set each read saw.
+    pre: S,
+    /// The reads `pre` does not bind.  With `pre`'s addresses, these are
+    /// the step's journaled reads, kept apart from the write targets in
+    /// the entry's deps.
+    unbound: Vec<A>,
+    /// The most journaled read calls any one path of the step made.
+    longest: u32,
+}
+
+impl<S: StoreLike<A>, A: Address> Baseline<S, A> {
+    /// The step's journaled reads, sorted and deduplicated.
+    fn reads(&self) -> Vec<A> {
+        let mut reads: Vec<A> = self.pre.addresses().into_iter().collect();
+        reads.extend(self.unbound.iter().cloned());
+        reads.sort_unstable();
+        reads
+    }
+}
+
+/// One id to step, with the baseline it may re-step semi-naive against.
+pub(crate) type Job<S, A> = (StateId, Option<Baseline<S, A>>);
 
 /// The flat memo table of the id-indexed engine (`None` = not yet stepped).
 type InternedCache<S, A> = Vec<Option<InternedEntry<S, A>>>;
@@ -329,11 +432,17 @@ where
 /// runs after that, as [`StepFn::filter_writes`] on each branch of
 /// [`StepFn::step_before_gc`] (the module docs' write filter), and adds
 /// its own reads only when it drops a write.
+///
+/// With a `baseline` the step is a semi-naive re-step
+/// ([`StoreDelta::arm_re_step`]): old branches are skipped, and the entry
+/// holds the fresh branches plus the baseline's reads, for [`install`] to
+/// merge (see the module docs).
 pub(crate) fn step_entry<Ps, G, S, F, IN>(
     step: &F,
     ps: Ps,
     guts: G,
     store: &S,
+    baseline: Option<&Baseline<S, Ps::Addr>>,
     mut intern: IN,
 ) -> InternedEntry<S, Ps::Addr>
 where
@@ -344,19 +453,50 @@ where
     IN: FnMut((Ps, G)) -> StateId,
 {
     let mut pre = store.clone();
-    let journal = pre.arm_read_journal();
+    let (journal, pair) = match baseline {
+        Some(b) => (
+            pre.arm_re_step(&b.pre, b.longest),
+            Some((ps.clone(), guts.clone())),
+        ),
+        None => (pre.arm_read_journal(), None),
+    };
     let branches = step.step_before_gc(ps, guts, pre);
-    let mut deps = journal.take();
+    let mut reads = journal.take();
+    // A plain read that saw a changed binding on an old path fed its
+    // continuation an input the previous step never gave it: the step is
+    // a full re-step, so the shrink check sees it.  If no fan-out dropped
+    // an old branch, the branches already are the full step's.
+    let baseline = match (baseline, pair) {
+        (Some(_), Some((ps, guts))) if journal.diverged() => {
+            if journal.pruned() {
+                drop(branches);
+                return step_entry(step, ps, guts, store, None, intern);
+            }
+            None
+        }
+        (baseline, _) => baseline,
+    };
     let mut successors: Vec<StateId> = Vec::new();
     let mut delta = S::bottom();
+    let mut deps: Vec<Ps::Addr> = Vec::new();
+    let mut dropped_write = false;
+    let mut folded = 0usize;
     for ((ps2, g2), s2) in branches {
+        // An old branch replays a branch of the previous step: its
+        // successor is cached, and its writes were folded below `store`.
+        if baseline.is_some() && s2.is_old_branch() {
+            continue;
+        }
+        folded += 1;
         // GC drops the writes the successor cannot reach.  A dropped write
         // no longer influences the outcome; whether it stays dropped
         // depends on the bindings the sweep visited, which the filter adds
         // to `deps`.  The journal is closed, so a sweep that found every
         // write records nothing: those reads are not dependencies.
         let mut changed = s2.changed_addresses(store);
+        let written = changed.len();
         step.filter_writes(&ps2, &s2, &mut changed, &mut deps);
+        dropped_write |= changed.len() < written;
         // Write targets are read dependencies (see `CacheEntry::deps`):
         // keep the changed addresses the branch still binds.
         deps.extend(changed.iter().filter(|a| s2.contains(a)).cloned());
@@ -369,18 +509,63 @@ where
         // the cached delta disconnected from the journal.
         delta.join_in_place(s2.restrict_to(&changed));
     }
+    let semi_naive = baseline.is_some();
+    let mut longest = journal.longest_path();
+    if let Some(b) = baseline {
+        reads.extend(b.reads());
+        longest = longest.max(b.longest);
+    }
     successors.sort_unstable();
     successors.dedup();
+    reads.sort_unstable();
+    reads.dedup();
+    deps.extend(reads.iter().cloned());
     deps.sort_unstable();
     deps.dedup();
     // The journal repeats an address once per branch that read it; the
     // cache keeps the entry, so give back the repeats' capacity.
     deps.shrink_to_fit();
+    // A dropped write's fate depends on reads the journal does not see,
+    // so its entry re-steps in full.
+    let baseline = if dropped_write {
+        None
+    } else {
+        store.remember(&reads).map(|pre| {
+            let bound = pre.addresses();
+            reads.retain(|a| !bound.contains(a));
+            reads.shrink_to_fit();
+            Baseline {
+                pre,
+                unbound: reads,
+                longest,
+            }
+        })
+    };
     InternedEntry {
         successors,
         delta,
         deps,
+        merge: semi_naive,
+        baseline,
+        branches: folded,
     }
+}
+
+/// The union of two sorted, deduplicated id slices.
+fn sorted_union(a: &[StateId], b: &[StateId]) -> Vec<StateId> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut a, mut b) = (a.iter().peekable(), b.iter().peekable());
+    while let (Some(&&x), Some(&&y)) = (a.peek(), b.peek()) {
+        out.push(x.min(y));
+        if x <= y {
+            a.next();
+        }
+        if y <= x {
+            b.next();
+        }
+    }
+    out.extend(a.chain(b));
+    out
 }
 
 /// Whether the sorted id slice `old` is a subset of the sorted id slice
@@ -446,17 +631,27 @@ pub(crate) trait StepPhase<Ps: StateRoots, G, S> {
     /// Every id interned since the last [`StepPhase::mark`], ascending.
     fn minted(&self) -> Vec<StateId>;
 
-    /// Steps `ids` against `store`, the round's pre-store.  A `rebuild`
-    /// phase re-steps states for the rebuild defence and must step each
-    /// against `store` itself.
+    /// Steps each job's id against `store`, the round's pre-store, semi-
+    /// naive where the job carries a baseline (a phase may ignore it and
+    /// step in full).  A `rebuild` phase re-steps states for the rebuild
+    /// defence and must step each against `store` itself.
     fn run<T: TraceSink>(
         &mut self,
-        ids: Vec<StateId>,
+        jobs: Vec<Job<S, Ps::Addr>>,
         store: &S,
         rebuild: bool,
         round: usize,
         sink: &mut T,
     ) -> PhaseRun<S, Ps::Addr>;
+
+    /// The pair behind `id` and the id of a pair, touching no counter: the
+    /// debug check of semi-naive re-steps re-steps through these.
+    #[cfg(debug_assertions)]
+    fn peek(&self, id: StateId) -> (Ps, G);
+
+    /// See [`StepPhase::peek`].
+    #[cfg(debug_assertions)]
+    fn lookup(&self, pair: &(Ps, G)) -> Option<StateId>;
 
     /// Consumes the phase: records the intern counters in `stats` and
     /// returns every interned pair, in the resume seed's order.
@@ -499,7 +694,7 @@ where
 
     fn run<T: TraceSink>(
         &mut self,
-        ids: Vec<StateId>,
+        jobs: Vec<Job<S, Ps::Addr>>,
         store: &S,
         _rebuild: bool,
         _round: usize,
@@ -507,12 +702,14 @@ where
     ) -> PhaseRun<S, Ps::Addr> {
         let armed = sink.enabled();
         let mut phase_watch = Stopwatch::start(armed);
-        let mut entries = Vec::with_capacity(ids.len());
-        for id in ids {
+        let mut entries = Vec::with_capacity(jobs.len());
+        for (id, baseline) in jobs {
             let mut step_watch = Stopwatch::start(armed);
             let (ps, guts) = self.interner.resolve(id).clone();
             let interner = &mut self.interner;
-            let entry = step_entry(self.step, ps, guts, store, |k| interner.intern(k));
+            let entry = step_entry(self.step, ps, guts, store, baseline.as_ref(), |k| {
+                interner.intern(k)
+            });
             if armed {
                 let ns = step_watch.lap_ns();
                 sink.state_cost(id, ns, || {
@@ -530,6 +727,16 @@ where
         }
     }
 
+    #[cfg(debug_assertions)]
+    fn peek(&self, id: StateId) -> (Ps, G) {
+        self.interner.resolve(id).clone()
+    }
+
+    #[cfg(debug_assertions)]
+    fn lookup(&self, pair: &(Ps, G)) -> Option<StateId> {
+        self.interner.get(pair)
+    }
+
     fn into_pairs(self, stats: &mut EngineStats) -> Vec<(Ps, G)> {
         stats.intern_hits = self.interner.hits();
         stats.intern_misses = self.interner.misses();
@@ -539,9 +746,10 @@ where
 }
 
 /// Installs freshly stepped entries in the flat cache and the reverse
-/// dependency index, replacing any previous entry, and counts their work.
-/// Reports whether a re-step *shrank* — the signal that the step function
-/// is not monotone on this round's iterate.
+/// dependency index, replacing any previous entry (a semi-naive entry is
+/// merged with it first), and counts their work.  Reports whether a
+/// re-step *shrank* — the signal that the step function is not monotone on
+/// this round's iterate.
 fn install<S, A>(
     entries: Vec<(StateId, InternedEntry<S, A>)>,
     cache: &mut InternedCache<S, A>,
@@ -552,16 +760,22 @@ where
     A: Clone + Eq + Hash,
 {
     let mut shrank = false;
-    for (id, entry) in entries {
+    for (id, mut entry) in entries {
         stats.states_stepped += 1;
         stats.spine_clones += 1;
         stats.dep_edges += entry.deps.len();
+        stats.branches_folded += entry.branches;
         if cache.len() <= id.index() {
             cache.resize_with(id.index() + 1, || None);
         }
         let slot = &mut cache[id.index()];
         if let Some(old) = slot.take() {
             stats.reenqueued += 1;
+            // A semi-naive entry holds its fresh branches only; the old
+            // ones replay cached successors (see the module docs).
+            if entry.merge {
+                entry.successors = sorted_union(&old.successors, &entry.successors);
+            }
             // The non-monotonicity detector, on ids: a re-step that loses
             // a successor.  The structural engine additionally compares
             // full result stores, but with delta entries the store half is
@@ -581,6 +795,43 @@ where
         *slot = Some(entry);
     }
     shrank
+}
+
+/// The debug build's check of the semi-naive argument: re-steps each
+/// merged id in full against the same pre-store and asserts that the
+/// merged entry has the full step's successors, delta, read set and deps.
+/// It interns nothing and counts nothing, so the solve it checks is the
+/// release build's solve.
+#[cfg(debug_assertions)]
+fn check_semi_naive<Ps, G, S, F, P>(
+    phase: &P,
+    step: &F,
+    store: &S,
+    cache: &InternedCache<S, Ps::Addr>,
+    merged: &[StateId],
+) where
+    Ps: Value + Ord + Hash + StateRoots,
+    G: Value + Ord + Hash,
+    S: StoreLike<Ps::Addr> + StoreDelta<Ps::Addr> + Value,
+    F: StepFn<Ps, G, S>,
+    P: StepPhase<Ps, G, S>,
+{
+    for &id in merged {
+        let (ps, guts) = phase.peek(id);
+        let full = step_entry(step, ps, guts, store, None, |pair| {
+            phase
+                .lookup(&pair)
+                .expect("a full re-step reached a state its semi-naive re-step missed")
+        });
+        let entry = cache[id.index()]
+            .as_ref()
+            .expect("a merged entry is installed");
+        let reads = |e: &InternedEntry<S, Ps::Addr>| e.baseline.as_ref().map(Baseline::reads);
+        assert_eq!(entry.successors, full.successors, "{id}: successors");
+        assert!(entry.delta == full.delta, "{id}: delta");
+        assert_eq!(entry.deps, full.deps, "{id}: deps");
+        assert_eq!(reads(entry), reads(&full), "{id}: reads");
+    }
 }
 
 /// The id-indexed shared-store solve, governed and traced: the one round
@@ -654,13 +905,16 @@ where
         // Step phase: every frontier pair against the same pre-store (the
         // folds below land only after the whole frontier was stepped, so
         // the round sees one consistent iterate).
-        let run = phase.run(
-            frontier.iter().copied().collect(),
-            &store,
-            false,
-            round,
-            sink,
-        );
+        // A cached pair re-steps semi-naive against its baseline; a pair
+        // stepped for the first time has none.
+        let jobs = frontier
+            .iter()
+            .map(|&id| {
+                let cached = cache.get(id.index()).and_then(Option::as_ref);
+                (id, cached.and_then(|entry| entry.baseline.clone()))
+            })
+            .collect();
+        let run = phase.run(jobs, &store, false, round, sink);
         let (mut busy_ns, mut wall_ns) = (run.busy_ns, run.wall_ns);
         let stale = run.gauges.stale_merges > 0;
         stats.merge(&run.gauges);
@@ -669,9 +923,18 @@ where
         // ascending order (pool phases return them in worker order).
         let mut fold: Vec<StateId> = run.entries.iter().map(|(id, _)| *id).collect();
         fold.sort_unstable();
+        #[cfg(debug_assertions)]
+        let merged: Vec<StateId> = run
+            .entries
+            .iter()
+            .filter(|(_, entry)| entry.merge)
+            .map(|(id, _)| *id)
+            .collect();
         let mut join_watch = Stopwatch::start(armed);
         let shrank = install(run.entries, &mut cache, &mut dependents, &mut stats);
         let mut join_ns = join_watch.lap_ns();
+        #[cfg(debug_assertions)]
+        check_semi_naive(&phase, step, &store, &cache, &merged);
 
         if shrank {
             // Rebuild round: a contribution shrank, so the step function
@@ -689,7 +952,13 @@ where
             } else {
                 rest.retain(|id| fold.binary_search(id).is_err());
             }
-            let rebuild = phase.run(rest.into_iter().collect(), &store, true, round, sink);
+            let rebuild = phase.run(
+                rest.into_iter().map(|id| (id, None)).collect(),
+                &store,
+                true,
+                round,
+                sink,
+            );
             fold.extend(rebuild.entries.iter().map(|(id, _)| *id));
             fold.sort_unstable();
             fold.dedup();
@@ -1555,6 +1824,22 @@ mod tests {
         assert_eq!(kleene.store().fetch(&W), [Ptr(7)].into_iter().collect());
         let direct = with_state_gc(|ps: Gc, g: G, s: S| run_store_passing(gc_machine(ps), g, s));
         assert_reader_sees_the_later_write(&direct, Gc(0), &kleene);
+
+        // State 1 has no reads, so a semi-naive re-step would replay its
+        // one branch as old and drop it, write and all.  An entry whose GC
+        // dropped a write re-steps in full instead.  Branches folded, round
+        // by round: 0 makes two; 1 (dropping W) and 2 one each; 3 and 4 one
+        // each; 4's write to R re-steps 1 in full (one branch, W kept) and
+        // 4 semi-naive (old, none); W's growth re-steps 1, now semi-naive
+        // (old, none).  A semi-naive round-4 re-step of 1 would fold six.
+        let (fixpoint, stats) =
+            <SharedStoreDomain<Gc, G, S> as DirectCollecting<Gc, G, S>>::explore_frontier_direct(
+                &direct,
+                Gc(0),
+            );
+        assert_eq!(fixpoint, kleene);
+        assert_eq!(stats.states_stepped, 8, "{stats}");
+        assert_eq!(stats.branches_folded, 7, "{stats}");
     }
 
     /// Arms a clone of `plain`, checks that arming changes neither equality,

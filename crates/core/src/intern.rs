@@ -342,10 +342,34 @@ impl<T: std::hash::Hash + Eq, I: InternKey> ShardedInterner<T, I> {
         T: Clone,
     {
         self.acquisitions.fetch_add(1, Ordering::Relaxed);
+        self.peek_cloned(id)
+    }
+
+    /// [`ShardedInterner::resolve_cloned`] without counting the stripe
+    /// acquisition.
+    pub(crate) fn peek_cloned(&self, id: I) -> T
+    where
+        T: Clone,
+    {
         let stripe = self.stripes[id.index() % STRIPES]
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         stripe.values[id.index() / STRIPES].clone()
+    }
+
+    /// The id of an already-interned value, if any (no stats, no insert):
+    /// the debug check of semi-naive re-steps looks successors up with it.
+    #[cfg(debug_assertions)]
+    pub(crate) fn get(&self, value: &T) -> Option<I> {
+        let hash = fx_hash_of(value);
+        let stripe = self.stripes[Self::stripe_of(hash)]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let candidates = stripe.buckets.get(&hash)?;
+        candidates
+            .iter()
+            .copied()
+            .find(|id| &stripe.values[id.index() / STRIPES] == value)
     }
 
     /// How many distinct values have been interned (across all stripes).

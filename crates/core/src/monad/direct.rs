@@ -23,10 +23,23 @@
 //!
 //! which `tests/monad_laws.rs` checks over randomized programs written once
 //! against [`StepMonad`].
+//!
+//! Because a computation is its branches, the carrier can also skip the
+//! branches a re-step would only repeat.  Every fetch the languages' `mnext`
+//! instances fan out goes through one helper, [`Branches::fetch_each`].  On
+//! a semi-naive re-step (`StoreDelta::arm_re_step`) it marks each branch
+//! *fresh* when it chooses a value the previous step did not see, and it
+//! drops an *old* branch as soon as it can read nothing more.  The engine
+//! then interns and folds the fresh branches only (see the shared-store
+//! engine's *Semi-naive re-steps*).  On a full step the marks are inert and
+//! the branches are exactly those above.
 
+use std::collections::BTreeSet;
 use std::marker::PhantomData;
 
 use super::{StepMonad, Value};
+use crate::addr::Address;
+use crate::store::{FanOut, OldPath, StoreLike};
 
 /// The branches of a direct-style computation, in the engines'
 /// `((value, guts), store)` shape: the desugared `g -> s -> [((a, g), s)]`
@@ -48,26 +61,89 @@ impl<A, G, S> Branches<A, G, S> {
     }
 
     /// One branch per value, each on its own copy of the context (the
-    /// last value takes `cx` itself): how fetching a set-valued binding
-    /// fans out into non-determinism.
-    pub fn each(values: Vec<A>, (guts, store): (G, S)) -> Self
+    /// last value takes `cx` itself): how a set of choices fans out into
+    /// non-determinism.
+    pub fn each(values: Vec<A>, cx: (G, S)) -> Self
     where
         G: Clone,
         S: Clone,
     {
-        let mut values = values.into_iter();
-        let Some(mut last) = values.next() else {
+        Self::fan(values.into_iter().map(|v| (v, false)), cx, |_| {})
+    }
+
+    /// The fan-out of a fetch: one branch per value bound at `addr` that
+    /// `project` keeps, in the binding's order, each on its own copy of
+    /// the context — the `StorePassing` bind over a fetched set (§5.3.1).
+    ///
+    /// On a semi-naive re-step ([`StoreLike::fan_out`]) the branches are
+    /// marked as they are made.  On an old path, a branch that chooses a
+    /// value the previous step did not see is fresh; one that chooses an
+    /// old value stays old, unless this read reaches the previous step's
+    /// longest path, where it could only replay a previous branch and is
+    /// not made at all.  Telling old values from new costs one walk of
+    /// the binding beside its (precomputed) new values, and nothing when
+    /// the binding did not change or the old choices are dropped.
+    pub fn fetch_each<Ad, X, P>(addr: &Ad, project: P, cx: (G, S)) -> Self
+    where
+        Ad: Address,
+        S: StoreLike<Ad, D = BTreeSet<X>>,
+        X: Ord + Clone,
+        P: Fn(&X) -> Option<&A>,
+        A: Clone,
+        G: Clone,
+    {
+        let FanOut { binding, old } = cx.1.fan_out(addr);
+        let binding: &BTreeSet<X> = &binding;
+        let keep = |x: &X, fresh: bool| project(x).map(|v| (v.clone(), fresh));
+        let choices: Vec<(A, bool)> = match old {
+            Some(OldPath { new, last: true }) => new
+                .iter()
+                .flat_map(|new| new.iter())
+                .filter_map(|x| keep(x, true))
+                .collect(),
+            Some(OldPath {
+                new: Some(new),
+                last: false,
+            }) => {
+                let mut new = new.iter().peekable();
+                binding
+                    .iter()
+                    .filter_map(|x| keep(x, new.next_if(|n| *n == x).is_some()))
+                    .collect()
+            }
+            _ => binding.iter().filter_map(|x| keep(x, false)).collect(),
+        };
+        Self::fan(choices.into_iter(), cx, |s| s.mark_fresh())
+    }
+
+    /// One branch per `(value, fresh)` choice; `mark` marks the store of
+    /// each fresh one.
+    fn fan<I, M>(choices: I, (guts, store): (G, S), mark: M) -> Self
+    where
+        I: ExactSizeIterator<Item = (A, bool)>,
+        M: Fn(&mut S),
+        G: Clone,
+        S: Clone,
+    {
+        let branch = |(v, fresh): (A, bool), g: G, mut s: S| {
+            if fresh {
+                mark(&mut s);
+            }
+            ((v, g), s)
+        };
+        let mut choices = choices;
+        let Some(mut last) = choices.next() else {
             return Branches::none();
         };
-        let mut out = Vec::with_capacity(values.len() + 1);
-        for next in values {
-            out.push(((last, guts.clone()), store.clone()));
+        if choices.len() == 0 {
+            return Branches::One(branch(last, guts, store));
+        }
+        let mut out = Vec::with_capacity(choices.len() + 1);
+        for next in choices {
+            out.push(branch(last, guts.clone(), store.clone()));
             last = next;
         }
-        if out.is_empty() {
-            return Branches::One(((last, guts), store));
-        }
-        out.push(((last, guts), store));
+        out.push(branch(last, guts, store));
         Branches::Many(out)
     }
 

@@ -1,14 +1,17 @@
 //! The plain power-set store.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::addr::Address;
 use crate::env::CowSet;
+use crate::hash::FxHashMap;
 use crate::lattice::Lattice;
 use crate::pmap::PMap;
 
-use super::{ReadJournal, ReadTap, StoreLike};
+use super::{FanOut, OldPath, OldRead, ReadJournal, ReadTap, StoreLike};
 
 /// The standard abstract store of the abstracted abstract machine:
 /// a point-wise map from addresses to *sets* of values,
@@ -29,13 +32,69 @@ use super::{ReadJournal, ReadTap, StoreLike};
 /// carried along.  The [`StoreLike`] co-domain stays the structural
 /// `BTreeSet<V>`.
 ///
-/// `fetch`, `fetch_ref` and `contains` are journaled reads
+/// `fetch`, `fetch_ref`, `contains` and `fan_out` are journaled reads
 /// ([`StoreDelta::arm_read_journal`](super::StoreDelta::arm_read_journal));
-/// [`BasicStore::iter`] is not.
+/// [`BasicStore::iter`] is not.  The store remembers bindings for
+/// semi-naive re-steps ([`StoreDelta::arm_re_step`](super::StoreDelta::arm_re_step)):
+/// its baseline is the previous pre-store restricted to what the step read,
+/// and a binding that is pointer-equal to the remembered one is unchanged
+/// without a look at its values.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct BasicStore<A: Ord, V: Ord> {
     bindings: PMap<A, CowSet<V>>,
-    reads: ReadTap<A>,
+    reads: ReadTap<A, Remembered<A, V>>,
+}
+
+/// What a semi-naive re-step of a [`BasicStore`] remembers of the previous
+/// step: its pre-store restricted to the addresses it read.
+struct Remembered<A, V: Ord> {
+    bindings: PMap<A, CowSet<V>>,
+    /// Per address a fan-out read this step: the binding the new values
+    /// were computed from and those values, so each address's difference
+    /// is computed once per step, not once per path.
+    grown: Mutex<FxHashMap<A, Grown<V>>>,
+}
+
+/// A binding read by a fan-out on a semi-naive re-step, with its new
+/// values.
+type Grown<V> = (CowSet<V>, NewValues<V>);
+
+/// The values of a binding a semi-naive re-step's previous step did not
+/// see (`None`: there are none).
+type NewValues<V> = Option<Arc<BTreeSet<V>>>;
+
+impl<A: Address, V: Ord + Clone> Remembered<A, V> {
+    /// Whether a plain read of `a` sees what the previous step saw.
+    fn unchanged(&self, a: &A, now: Option<&CowSet<V>>) -> bool {
+        match (self.bindings.get(a), now) {
+            (Some(then), Some(now)) => then.ptr_eq(now) || then == now,
+            (None, None) => true,
+            (Some(one), None) | (None, Some(one)) => one.is_empty(),
+        }
+    }
+
+    /// The values of `now`, the binding at `a`, that the previous step did
+    /// not see.
+    fn grown_at(&self, a: &A, now: Option<&CowSet<V>>) -> NewValues<V> {
+        let now = now?;
+        let then = self.bindings.get(a);
+        if then.is_some_and(|then| then.ptr_eq(now)) {
+            return None;
+        }
+        let mut grown = self.grown.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((seen, new)) = grown.get(a) {
+            if seen.ptr_eq(now) {
+                return new.clone();
+            }
+        }
+        let new: BTreeSet<V> = match then {
+            Some(then) => now.iter().filter(|v| !then.contains(v)).cloned().collect(),
+            None => now.as_set().clone(),
+        };
+        let new = (!new.is_empty()).then(|| Arc::new(new));
+        grown.insert(a.clone(), (now.clone(), new.clone()));
+        new
+    }
 }
 
 impl<A: Address, V: Ord + Clone> BasicStore<A, V> {
@@ -120,14 +179,15 @@ where
     }
 
     fn replace(mut self, a: A, d: Self::D) -> Self {
+        // A strong update can leave a binding below the store it replaced,
+        // so its branch is never dropped as a replay.
+        self.reads.mark_fresh();
         self.bindings.insert(a, d.into_iter().collect());
         self
     }
 
     fn fetch(&self, a: &A) -> Self::D {
-        self.reads.record(a);
-        self.bindings
-            .get(a)
+        self.read(a)
             .map(|vs| vs.as_set().clone())
             .unwrap_or_default()
     }
@@ -135,13 +195,31 @@ where
     fn contains(&self, a: &A) -> bool {
         // Cheaper than the trait default, which materialises the fetched
         // set just to test it for bottom.
-        self.reads.record(a);
-        self.bindings.get(a).is_some_and(|vs| !vs.is_empty())
+        self.read(a).is_some_and(|vs| !vs.is_empty())
     }
 
     fn fetch_ref(&self, a: &A) -> Option<&Self::D> {
-        self.reads.record(a);
-        self.bindings.get(a).map(CowSet::as_set)
+        self.read(a).map(CowSet::as_set)
+    }
+
+    fn fan_out(&self, a: &A) -> FanOut<'_, Self::D> {
+        let now = self.bindings.get(a);
+        let old = self.reads.record(a).map(|OldRead { baseline, last }| {
+            let new = baseline.grown_at(a, now);
+            if last && now.map_or(0, CowSet::len) > new.as_ref().map_or(0, |new| new.len()) {
+                self.reads.prune();
+            }
+            OldPath { new, last }
+        });
+        let binding = now.map_or_else(
+            || Cow::Owned(BTreeSet::new()),
+            |vs| Cow::Borrowed(vs.as_set()),
+        );
+        FanOut { binding, old }
+    }
+
+    fn mark_fresh(&mut self) {
+        self.reads.mark_fresh();
     }
 
     fn filter_store<F>(mut self, keep: F) -> Self
@@ -185,6 +263,40 @@ where
 
     fn arm_read_journal(&mut self) -> ReadJournal<A> {
         self.reads.arm()
+    }
+
+    fn remember(&self, reads: &[A]) -> Option<Self> {
+        Some(BasicStore {
+            bindings: self.bindings.restricted_to(reads),
+            reads: ReadTap::default(),
+        })
+    }
+
+    fn arm_re_step(&mut self, remembered: &Self, longest_path: u32) -> ReadJournal<A> {
+        let baseline = Remembered {
+            bindings: remembered.bindings.clone(),
+            grown: Mutex::default(),
+        };
+        self.reads.arm_re_step(baseline, longest_path)
+    }
+
+    fn is_old_branch(&self) -> bool {
+        self.reads.is_old()
+    }
+}
+
+impl<A: Address, V: Ord + Clone> BasicStore<A, V> {
+    /// A plain journaled read of `a`.  On an old path of a semi-naive
+    /// re-step, a binding that differs from the remembered one ends the
+    /// semi-naive step.
+    fn read(&self, a: &A) -> Option<&CowSet<V>> {
+        let now = self.bindings.get(a);
+        if let Some(OldRead { baseline, .. }) = self.reads.record(a) {
+            if !baseline.unchanged(a, now) {
+                self.reads.diverge();
+            }
+        }
+        now
     }
 }
 

@@ -21,10 +21,11 @@ pub use basic::BasicStore;
 pub use counting::{Counter, CountingStore};
 pub use interval::IntervalStore;
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt::Debug;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::addr::Address;
@@ -51,18 +52,33 @@ use crate::lattice::Lattice;
 ///
 /// ## Journaled reads
 ///
-/// [`StoreLike::fetch`], [`StoreLike::fetch_ref`], [`StoreLike::contains`]
-/// and [`Counter::count`] are the store's **reads**: on a snapshot armed
-/// with [`StoreDelta::arm_read_journal`] (and on every store derived from
-/// it) each of them records the address it looked at.  The id-indexed
-/// engines take that journal as the step's read set, so a transition may
-/// depend on the pre-store only through these methods.  Everything else —
-/// [`StoreLike::addresses`], [`StoreLike::binding_count`], the stores'
-/// `iter()`, diffs and joins — is invisible to dependency tracking: a
-/// semantics that decides successors from it is not re-stepped when the
-/// store it looked at grows, and the engine returns a smaller fixpoint
-/// than Kleene iteration (which
+/// [`StoreLike::fetch`], [`StoreLike::fetch_ref`], [`StoreLike::contains`],
+/// [`StoreLike::fan_out`] and [`Counter::count`] are the store's **reads**:
+/// on a snapshot armed with [`StoreDelta::arm_read_journal`] (and on every
+/// store derived from it) each of them records the address it looked at.
+/// The id-indexed engines take that journal as the step's read set, so a
+/// transition may depend on the pre-store only through these methods.
+/// Everything else — [`StoreLike::addresses`], [`StoreLike::binding_count`],
+/// the stores' `iter()`, diffs and joins — is invisible to dependency
+/// tracking: a semantics that decides successors from it is not re-stepped
+/// when the store it looked at grows, and the engine returns a smaller
+/// fixpoint than Kleene iteration (which
 /// [`certify`](crate::engine::certify) rejects).
+///
+/// The same reads drive **semi-naive re-steps**
+/// ([`StoreDelta::arm_re_step`]).  Each read call counts on the reading
+/// store's path.  On an old path — one that so far chose and read only
+/// what the previous step saw — [`StoreLike::fan_out`] tells the branches
+/// that choose a new value from the ones that replay the previous step,
+/// and any other read of a binding that differs from the remembered one
+/// ends the semi-naive step ([`ReadJournal::diverged`]).  A strong update
+/// ([`StoreLike::replace`]) marks its path fresh.  Stores that cannot
+/// remember a binding keep the defaults: no baseline, full re-steps.  A
+/// path is the store it threads, so a transition must read through the
+/// store of the branch it is on: a copy kept from before a fan-out and
+/// read after it is not on the branch's path, and a re-step may drop the
+/// branch before that read happens.  The languages' `mnext` only ever
+/// read the context their branch was handed.
 pub trait StoreLike<A: Address>: Lattice + Ord + Debug + Send + Sync + 'static {
     /// The co-domain of the store: what an address denotes.
     ///
@@ -150,6 +166,27 @@ pub trait StoreLike<A: Address>: Lattice + Ord + Debug + Send + Sync + 'static {
         self.addresses().len()
     }
 
+    /// A fan-out read of `a`: the binding the direct carrier gives one
+    /// branch per value of ([`Branches::fetch_each`]), and, on an old path
+    /// of a semi-naive re-step, which of its values are new.  A journaled
+    /// read.  The default lends the binding through
+    /// [`StoreLike::fetch_ref`] (falling back to [`StoreLike::fetch`] —
+    /// `None` there does not mean "unbound" for every store) and knows no
+    /// baseline.
+    ///
+    /// [`Branches::fetch_each`]: crate::monad::Branches::fetch_each
+    fn fan_out(&self, a: &A) -> FanOut<'_, Self::D> {
+        let binding = match self.fetch_ref(a) {
+            Some(d) => Cow::Borrowed(d),
+            None => Cow::Owned(self.fetch(a)),
+        };
+        FanOut { binding, old: None }
+    }
+
+    /// Marks this branch store's path fresh: it chose something the
+    /// previous step did not see.  A no-op for stores without a baseline.
+    fn mark_fresh(&mut self) {}
+
     /// Approximate bytes of store structure this snapshot shares with
     /// *other live snapshots* (`Arc`-shared spine nodes with a reference
     /// count above one).  Stores without a persistent spine report 0.  The
@@ -162,29 +199,29 @@ pub trait StoreLike<A: Address>: Lattice + Ord + Debug + Send + Sync + 'static {
     }
 }
 
-/// Materialises the elements bound at `a` through a projection, borrowing
-/// the binding when the store can lend it and falling back to
-/// [`StoreLike::fetch`] otherwise — `fetch_ref`'s `None` does **not** mean
-/// "unbound" for an arbitrary store, it may also mean "cannot lend", so
-/// every caller of `fetch_ref` needs this exact fallback.  Shared here so
-/// the languages' direct-style transition functions cannot drift from the
-/// lending contract.
-pub fn fetch_filtered<A, S, X, T, P>(store: &S, a: &A, project: P) -> Vec<T>
-where
-    A: Address,
-    S: StoreLike<A, D = BTreeSet<X>>,
-    X: Ord + Clone + Debug + 'static,
-    P: Fn(&X) -> Option<&T>,
-    T: Clone,
-{
-    match store.fetch_ref(a) {
-        Some(set) => set.iter().filter_map(|x| project(x).cloned()).collect(),
-        None => store
-            .fetch(a)
-            .iter()
-            .filter_map(|x| project(x).cloned())
-            .collect(),
-    }
+/// What a fan-out read of one address sees ([`StoreLike::fan_out`]): the
+/// binding to branch on and, on an old path of a semi-naive re-step, which
+/// of its values are new.
+pub struct FanOut<'s, D: Clone> {
+    /// The binding at the address, borrowed when the store can lend it.
+    pub binding: Cow<'s, D>,
+    /// `Some` on an old path of a semi-naive re-step, `None` on a full
+    /// step and on a fresh path (where every branch inherits the path's
+    /// mark).
+    pub old: Option<OldPath<D>>,
+}
+
+/// A fan-out read on an old path: a branch that chooses a value outside
+/// `new` stays old, one that chooses a value in `new` is fresh.
+pub struct OldPath<D> {
+    /// The values of the binding that the previous step did not see
+    /// (`None`: there are none).  Computed once per address and step.
+    pub new: Option<Arc<D>>,
+    /// This read reaches the previous step's longest path.  An old path
+    /// replays a path of the previous step, so a branch that chooses an
+    /// old value here can read nothing more and never become fresh: the
+    /// fan-out drops it.
+    pub last: bool,
 }
 
 /// One armed step's read journal, shared by every store connected to it.
@@ -196,9 +233,22 @@ struct Journal<A> {
     /// It guards no data (`reads` is closed under the lock), so `Relaxed`
     /// suffices.
     open: AtomicBool,
+    /// On a semi-naive re-step, the previous step's longest path in read
+    /// calls; unused on a full step.
+    prior_longest: u32,
+    /// The most read calls any one path of this step has made so far.
+    longest: AtomicU32,
+    /// Set when a plain read on an old path saw a changed binding.
+    diverged: AtomicBool,
+    /// Set when a fan-out dropped an old branch.
+    pruned: AtomicBool,
 }
 
 type SharedReads<A> = Arc<Journal<A>>;
+
+/// The bit of a path mark that says the path chose or read something new;
+/// the bits below it count the path's read calls.
+const FRESH: u32 = 1 << 31;
 
 /// A store's connection to a read journal: the field through which a
 /// journaling store records its [journaled reads](StoreLike#journaled-reads).
@@ -211,32 +261,77 @@ type SharedReads<A> = Arc<Journal<A>>;
 /// comes back empty leaves no successor and no branch store to carry a
 /// private journal, but the read still depends on the address.
 ///
+/// [`ReadTap::arm_re_step`] arms a semi-naive re-step instead: the tap
+/// also holds `B`, the store's memory of what the previous step saw, and
+/// each store carries its own **path mark** — the read calls its path has
+/// made and whether it chose or read something new.  A clone copies the
+/// mark, so each branch of a fan-out continues its parent's path.
+///
 /// The tap is operational metadata, not part of the store's value: every
 /// tap compares equal, orders equal and hashes to nothing, so a store type
 /// can keep its derived `Eq`, `Ord` and `Hash` with a tap field in it.
-pub struct ReadTap<A>(Option<SharedReads<A>>);
+pub struct ReadTap<A, B = ()> {
+    journal: Option<SharedReads<A>>,
+    /// What the previous step saw, on a semi-naive re-step.
+    baseline: Option<Arc<B>>,
+    /// This path's read calls, plus the [`FRESH`] bit.
+    path: AtomicU32,
+}
 
-impl<A: Clone + PartialEq> ReadTap<A> {
+/// A journaled read on an old path of a semi-naive re-step
+/// ([`ReadTap::record`]).
+pub struct OldRead<'t, B> {
+    /// What the previous step saw.
+    pub baseline: &'t B,
+    /// This read reaches the previous step's longest path (see
+    /// [`OldPath::last`]).
+    pub last: bool,
+}
+
+impl<A: Clone + PartialEq, B> ReadTap<A, B> {
     /// Connects this tap to a fresh, open journal and returns the
-    /// engine's handle on it (replacing any earlier connection).
+    /// engine's handle on it (replacing any earlier connection): a full
+    /// step, with no baseline.
     pub fn arm(&mut self) -> ReadJournal<A> {
+        self.connect(None, 0)
+    }
+
+    /// Like [`ReadTap::arm`], for a semi-naive re-step against
+    /// `baseline`, whose step's longest path made `prior_longest` read
+    /// calls.  The armed store starts an old path.
+    pub fn arm_re_step(&mut self, baseline: B, prior_longest: u32) -> ReadJournal<A> {
+        self.connect(Some(Arc::new(baseline)), prior_longest)
+    }
+
+    fn connect(&mut self, baseline: Option<Arc<B>>, prior_longest: u32) -> ReadJournal<A> {
         let journal: SharedReads<A> = Arc::new(Journal {
             reads: Mutex::new(Some(Vec::new())),
             open: AtomicBool::new(true),
+            prior_longest,
+            longest: AtomicU32::new(0),
+            diverged: AtomicBool::new(false),
+            pruned: AtomicBool::new(false),
         });
-        self.0 = Some(Arc::clone(&journal));
+        self.journal = Some(Arc::clone(&journal));
+        self.baseline = baseline;
+        self.path = AtomicU32::new(0);
         ReadJournal(journal)
     }
 
-    /// Records a read of `a`, if the tap is connected to an open journal.
-    /// A read of the address recorded last is not recorded again: a fetch
-    /// repeated on every branch of a fan-out stays one entry.
+    /// Records a read of `a`, if the tap is connected to an open journal,
+    /// and counts it on this store's path.  A read of the address recorded
+    /// last is not recorded again: a fetch repeated on every branch of a
+    /// fan-out stays one entry.  Returns the baseline when the read is on
+    /// an old path of a semi-naive re-step.
     #[inline]
-    pub fn record(&self, a: &A) {
-        let Some(journal) = &self.0 else { return };
+    pub fn record(&self, a: &A) -> Option<OldRead<'_, B>> {
+        let journal = self.journal.as_ref()?;
         if !journal.open.load(Ordering::Relaxed) {
-            return;
+            return None;
         }
+        let mark = self.path.fetch_add(1, Ordering::Relaxed) + 1;
+        let calls = mark & !FRESH;
+        journal.longest.fetch_max(calls, Ordering::Relaxed);
         // A push either happens or not, so a poisoned journal is still a
         // valid record of the reads before the panic.
         let mut reads = journal.reads.lock().unwrap_or_else(PoisonError::into_inner);
@@ -245,47 +340,89 @@ impl<A: Clone + PartialEq> ReadTap<A> {
                 log.push(a.clone());
             }
         }
+        drop(reads);
+        let baseline = self.baseline.as_deref()?;
+        (mark & FRESH == 0).then_some(OldRead {
+            baseline,
+            last: calls >= journal.prior_longest,
+        })
+    }
+
+    /// A plain read on an old path saw a binding that differs from the
+    /// remembered one: the path is fresh, and the step is no longer
+    /// semi-naive (see [`ReadJournal::diverged`]).
+    pub fn diverge(&self) {
+        self.mark_fresh();
+        if let Some(journal) = &self.journal {
+            journal.diverged.store(true, Ordering::Relaxed);
+        }
+    }
+
+    /// A fan-out on an old path dropped the branches that chose an old
+    /// value (see [`ReadJournal::pruned`]).
+    pub fn prune(&self) {
+        if let Some(journal) = &self.journal {
+            journal.pruned.store(true, Ordering::Relaxed);
+        }
+    }
+
+    /// Marks this store's path fresh.
+    pub fn mark_fresh(&self) {
+        self.path.fetch_or(FRESH, Ordering::Relaxed);
+    }
+
+    /// Whether this store ends an old path of a semi-naive re-step.
+    pub fn is_old(&self) -> bool {
+        self.baseline.is_some() && self.path.load(Ordering::Relaxed) & FRESH == 0
     }
 }
 
-impl<A> Clone for ReadTap<A> {
+impl<A, B> Clone for ReadTap<A, B> {
     fn clone(&self) -> Self {
-        ReadTap(self.0.clone())
+        ReadTap {
+            journal: self.journal.clone(),
+            baseline: self.baseline.clone(),
+            path: AtomicU32::new(self.path.load(Ordering::Relaxed)),
+        }
     }
 }
 
-impl<A> Default for ReadTap<A> {
+impl<A, B> Default for ReadTap<A, B> {
     fn default() -> Self {
-        ReadTap(None)
+        ReadTap {
+            journal: None,
+            baseline: None,
+            path: AtomicU32::new(0),
+        }
     }
 }
 
-impl<A> PartialEq for ReadTap<A> {
+impl<A, B> PartialEq for ReadTap<A, B> {
     fn eq(&self, _: &Self) -> bool {
         true
     }
 }
 
-impl<A> Eq for ReadTap<A> {}
+impl<A, B> Eq for ReadTap<A, B> {}
 
-impl<A> PartialOrd for ReadTap<A> {
+impl<A, B> PartialOrd for ReadTap<A, B> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<A> Ord for ReadTap<A> {
+impl<A, B> Ord for ReadTap<A, B> {
     fn cmp(&self, _: &Self) -> std::cmp::Ordering {
         std::cmp::Ordering::Equal
     }
 }
 
-impl<A> Hash for ReadTap<A> {
+impl<A, B> Hash for ReadTap<A, B> {
     fn hash<H: Hasher>(&self, _: &mut H) {}
 }
 
 /// The engine's handle on a read journal armed by
-/// [`StoreDelta::arm_read_journal`].
+/// [`StoreDelta::arm_read_journal`] or [`StoreDelta::arm_re_step`].
 #[must_use = "an armed journal records until it is taken"]
 pub struct ReadJournal<A>(SharedReads<A>);
 
@@ -304,6 +441,25 @@ impl<A> ReadJournal<A> {
             .unwrap_or_else(PoisonError::into_inner)
             .take()
             .unwrap_or_default()
+    }
+
+    /// The most journaled read calls any one path of the step made,
+    /// repeated reads of one address included.
+    pub fn longest_path(&self) -> u32 {
+        self.0.longest.load(Ordering::Relaxed)
+    }
+
+    /// Whether a plain read (anything but a fan-out) on an old path saw a
+    /// changed binding.  The path's continuation then ran on an input the
+    /// previous step never gave it, so the step is not semi-naive.
+    pub fn diverged(&self) -> bool {
+        self.0.diverged.load(Ordering::Relaxed)
+    }
+
+    /// Whether a fan-out dropped an old branch.  A step that pruned
+    /// nothing enumerated every branch, as a full step does.
+    pub fn pruned(&self) -> bool {
+        self.0.pruned.load(Ordering::Relaxed)
     }
 }
 
@@ -370,6 +526,41 @@ pub trait StoreDelta<A: Address>: StoreLike<A> {
     ///
     /// [`StateRoots`]: crate::engine::StateRoots
     fn arm_read_journal(&mut self) -> ReadJournal<A>;
+
+    /// This store restricted to `reads` (sorted), as the baseline of a
+    /// later semi-naive re-step of the step that read them: what each read
+    /// saw, with every value set shared, not copied.  `None` (the default)
+    /// for a store that cannot remember a binding; the engine then
+    /// re-steps in full.
+    fn remember(&self, reads: &[A]) -> Option<Self>
+    where
+        Self: Sized,
+    {
+        let _ = reads;
+        None
+    }
+
+    /// Arms a **semi-naive re-step** on this snapshot: journals reads like
+    /// [`StoreDelta::arm_read_journal`], and also marks every path *old*
+    /// until it chooses or reads something `remembered` — what
+    /// [`StoreDelta::remember`] returned for the previous step — does not
+    /// hold.  `longest_path` is the most read calls any path of the
+    /// previous step made ([`ReadJournal::longest_path`]).  An old branch
+    /// replays a branch of the previous step; the engine drops it
+    /// ([`StoreDelta::is_old_branch`]).  The default arms a full step.
+    fn arm_re_step(&mut self, remembered: &Self, longest_path: u32) -> ReadJournal<A>
+    where
+        Self: Sized,
+    {
+        let _ = (remembered, longest_path);
+        self.arm_read_journal()
+    }
+
+    /// Whether this branch store ends an old path of a semi-naive
+    /// re-step.  The default: never.
+    fn is_old_branch(&self) -> bool {
+        false
+    }
 
     /// Arms write journaling on this store snapshot: from now on, every
     /// semantic write ([`StoreLike::bind_in_place`] / [`StoreLike::bind`]

@@ -2,16 +2,20 @@
 //!
 //! [`mnext`] runs on the direct-style step carrier ([`Direct`]) with the
 //! `(context, store)` pair as its explicit context: `fun`/`arg` fan a
-//! fetched binding out into one branch per value, `write` is an in-place
-//! weak update on the branch's own store, `alloc` consults the context and
-//! `tick` advances it.  No `Rc<dyn Fn>` is allocated, and the branches come
-//! out in the order the closure carrier enumerates them.
+//! fetched binding out into one branch per value through
+//! [`Branches::fetch_each`], `write` is an in-place weak update on the
+//! branch's own store, `alloc` consults the context and `tick` advances it.
+//! No `Rc<dyn Fn>` is allocated, and the branches come out in the order the
+//! closure carrier enumerates them.  On a semi-naive re-step the fan-out
+//! enumerates only the choices that include something new: a relay
+//! `(k x)` re-stepped after `x` grew pairs each old `k` with the new `x`
+//! values only.
 
 use std::collections::BTreeSet;
 
 use mai_core::addr::Context;
 use mai_core::monad::{Branches, Direct, StepMonad};
-use mai_core::store::{fetch_filtered, StoreLike};
+use mai_core::store::StoreLike;
 
 use crate::semantics::{mnext, CpsInterface, Env, PState, Val};
 use crate::syntax::{AExp, Var};
@@ -24,13 +28,10 @@ where
     fn fun(env: &Env<C::Addr>, e: &AExp, (ctx, store): (C, S)) -> Branches<Val<C::Addr>, C, S> {
         match e {
             AExp::Lam(lam) => Self::pure(Val::closure(lam.clone(), env.clone()), (ctx, store)),
-            AExp::Ref(v) => {
-                let vals = match env.get(v) {
-                    Some(a) => fetch_filtered(&store, a, |v| Some(v)),
-                    None => Vec::new(),
-                };
-                Branches::each(vals, (ctx, store))
-            }
+            AExp::Ref(v) => match env.get(v) {
+                Some(a) => Branches::fetch_each(a, |v| Some(v), (ctx, store)),
+                None => Branches::none(),
+            },
         }
     }
 

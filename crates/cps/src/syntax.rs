@@ -49,11 +49,19 @@ impl PartialOrd for Lambda {
     }
 }
 
+/// The structural order, except that two clones of one abstraction share
+/// their body and compare `Equal` without walking it: `Arc`'s `Ord`,
+/// unlike its `Eq`, has no pointer shortcut, and a set of closures
+/// compares equal pairs on every lookup and union.
 impl Ord for Lambda {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.params
-            .cmp(&other.params)
-            .then_with(|| self.body.cmp(&other.body))
+        self.params.cmp(&other.params).then_with(|| {
+            if Arc::ptr_eq(&self.body, &other.body) {
+                std::cmp::Ordering::Equal
+            } else {
+                self.body.cmp(&other.body)
+            }
+        })
     }
 }
 
@@ -412,5 +420,35 @@ mod tests {
         set.insert(sample());
         set.insert(CExp::Exit);
         assert_eq!(set.len(), 2);
+    }
+
+    #[test]
+    fn lambda_order_is_structural_with_or_without_a_shared_body() {
+        // The order the pointer shortcut must agree with: parameters, then
+        // the bodies compared by value.
+        let structural = |a: &Lambda, b: &Lambda| {
+            a.params()
+                .cmp(b.params())
+                .then_with(|| a.body().as_ref().cmp(b.body().as_ref()))
+        };
+        let source = "((λ (x k) (k x)) (λ (y j) (j y)) (λ (r) exit))";
+        let first = crate::parser::parse_program(source).expect("parses");
+        let second = crate::parser::parse_program(source).expect("parses");
+        // Clones share their body; two parses build separate bodies; the
+        // three abstractions of one program are distinct.
+        let mut lambdas = sample().lambdas();
+        lambdas.extend(sample().lambdas().iter().cloned());
+        lambdas.extend(first.lambdas());
+        lambdas.extend(second.lambdas());
+        for a in &lambdas {
+            for b in [a.clone()].iter().chain(&lambdas) {
+                assert_eq!(a.cmp(b), structural(a, b), "{a} vs {b}");
+                assert_eq!(a.cmp(b) == std::cmp::Ordering::Equal, a == b);
+            }
+        }
+        let (x, y) = (&first.lambdas()[0], &second.lambdas()[0]);
+        assert!(!Arc::ptr_eq(x.body(), y.body()));
+        assert_eq!(x.cmp(y), std::cmp::Ordering::Equal);
+        assert_ne!(x.cmp(&first.lambdas()[1]), std::cmp::Ordering::Equal);
     }
 }

@@ -2,17 +2,20 @@
 //!
 //! [`mnext`] runs on the direct-style step carrier ([`Direct`]) with the
 //! `(context, store)` pair as its explicit context: `lookup`/`fetch`/
-//! `kont_at` fan the fetched set out into one branch per element, `bind_*`
-//! are in-place weak updates on the branch's own store, `alloc*` consult
-//! the context and `tick` advances it.  No `Rc<dyn Fn>` is allocated, and
-//! the branches come out in the order the closure carrier enumerates them.
+//! `kont_at` fan the fetched set out into one branch per element through
+//! [`Branches::fetch_each`], `bind_*` are in-place weak updates on the
+//! branch's own store, `alloc*` consult the context and `tick` advances
+//! it.  No `Rc<dyn Fn>` is allocated, and the branches come out in the
+//! order the closure carrier enumerates them.  On a semi-naive re-step the
+//! fan-out makes only the branches that choose an object or frame the
+//! previous step did not see.
 
 use std::collections::BTreeSet;
 
 use mai_core::addr::Context;
 use mai_core::monad::{Branches, Direct, StepMonad};
 use mai_core::name::{Label, Name};
-use mai_core::store::{fetch_filtered, StoreLike};
+use mai_core::store::StoreLike;
 
 use crate::machine::{kont_name, mnext, Env, FjInterface, Kont, KontKind, Obj, PState, Storable};
 use crate::syntax::{ClassTable, VarName};
@@ -29,14 +32,12 @@ where
         }
     }
 
-    fn fetch(addr: &C::Addr, (ctx, store): (C, S)) -> Branches<Obj<C::Addr>, C, S> {
-        let objs = fetch_filtered(&store, addr, Storable::as_val);
-        Branches::each(objs, (ctx, store))
+    fn fetch(addr: &C::Addr, cx: (C, S)) -> Branches<Obj<C::Addr>, C, S> {
+        Branches::fetch_each(addr, Storable::as_val, cx)
     }
 
-    fn kont_at(addr: &C::Addr, (ctx, store): (C, S)) -> Branches<Kont<C::Addr>, C, S> {
-        let frames = fetch_filtered(&store, addr, Storable::as_kont);
-        Branches::each(frames, (ctx, store))
+    fn kont_at(addr: &C::Addr, cx: (C, S)) -> Branches<Kont<C::Addr>, C, S> {
+        Branches::fetch_each(addr, Storable::as_kont, cx)
     }
 
     fn bind_val(addr: C::Addr, val: Obj<C::Addr>, (ctx, mut store): (C, S)) -> Branches<(), C, S> {

@@ -2,17 +2,20 @@
 //!
 //! [`mnext`] runs on the direct-style step carrier ([`Direct`]) with the
 //! `(context, store)` pair as its explicit context: `lookup`/`kont_at` fan
-//! the fetched set out into one branch per element, `bind_*` are in-place
-//! weak updates on the branch's own store, `alloc_*` consult the context
-//! and `tick` advances it.  No `Rc<dyn Fn>` is allocated, and the branches
-//! come out in the order the closure carrier enumerates them.
+//! the fetched set out into one branch per element through
+//! [`Branches::fetch_each`], `bind_*` are in-place weak updates on the
+//! branch's own store, `alloc_*` consult the context and `tick` advances
+//! it.  No `Rc<dyn Fn>` is allocated, and the branches come out in the
+//! order the closure carrier enumerates them.  On a semi-naive re-step the
+//! fan-out makes only the branches that choose a value or frame the
+//! previous step did not see.
 
 use std::collections::BTreeSet;
 
 use mai_core::addr::Context;
 use mai_core::monad::{Branches, Direct, StepMonad};
 use mai_core::name::Label;
-use mai_core::store::{fetch_filtered, StoreLike};
+use mai_core::store::StoreLike;
 
 use crate::machine::{
     kont_name, mnext, CeskInterface, Closure, Env, Kont, KontKind, PState, Storable,
@@ -29,16 +32,14 @@ where
         var: &Var,
         (ctx, store): (C, S),
     ) -> Branches<Closure<C::Addr>, C, S> {
-        let vals = match env.get(var) {
-            Some(a) => fetch_filtered(&store, a, Storable::as_val),
-            None => Vec::new(),
-        };
-        Branches::each(vals, (ctx, store))
+        match env.get(var) {
+            Some(a) => Branches::fetch_each(a, Storable::as_val, (ctx, store)),
+            None => Branches::none(),
+        }
     }
 
-    fn kont_at(addr: &C::Addr, (ctx, store): (C, S)) -> Branches<Kont<C::Addr>, C, S> {
-        let frames = fetch_filtered(&store, addr, Storable::as_kont);
-        Branches::each(frames, (ctx, store))
+    fn kont_at(addr: &C::Addr, cx: (C, S)) -> Branches<Kont<C::Addr>, C, S> {
+        Branches::fetch_each(addr, Storable::as_kont, cx)
     }
 
     fn bind_val(

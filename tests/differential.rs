@@ -81,6 +81,10 @@ fn assert_parallel_counters(label: &str, threads: usize, seq: &EngineStats, par:
     );
     assert_eq!(par.spine_clones, seq.spine_clones, "{ctx}: spine_clones");
     assert_eq!(par.dep_edges, seq.dep_edges, "{ctx}: dep_edges");
+    assert_eq!(
+        par.branches_folded, seq.branches_folded,
+        "{ctx}: branches_folded"
+    );
     assert_eq!(par.sync_rounds, par.iterations, "{ctx}: sync_rounds");
 }
 
