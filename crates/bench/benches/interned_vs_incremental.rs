@@ -8,23 +8,9 @@
 //! the configuration the id-indexed engine must stay exact on.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mai_core::KCallCtx;
-use mai_cps::analysis::{analyse_kcfa_shared_structural, analyse_kcfa_shared_worklist, KStore};
+use mai_core::analyse::{self, Gc};
+use mai_cps::analysis::KCfaShared;
 use mai_cps::programs::{garbage_chain, kcfa_worst_case_scaled};
-use mai_cps::{analyse_gc_worklist, analyse_gc_worklist_structural};
-
-type GcDomain = mai_cps::analysis::KCfaShared<1>;
-
-fn gc_interned(program: &mai_cps::syntax::CExp) -> GcDomain {
-    let (result, _): (GcDomain, _) = analyse_gc_worklist::<KCallCtx<1>, KStore, _>(program);
-    result
-}
-
-fn gc_structural(program: &mai_cps::syntax::CExp) -> GcDomain {
-    let (result, _): (GcDomain, _) =
-        analyse_gc_worklist_structural::<KCallCtx<1>, KStore, _>(program);
-    result
-}
 
 fn interned_vs_incremental(c: &mut Criterion) {
     let mut group = c.benchmark_group("interned_vs_incremental");
@@ -35,12 +21,12 @@ fn interned_vs_incremental(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("kcfa-worst/structural", id.clone()),
             &program,
-            |b, p| b.iter(|| analyse_kcfa_shared_structural::<1>(p)),
+            |b, p| b.iter(|| analyse::structural::<KCfaShared<1>>(p, Gc::Off)),
         );
         group.bench_with_input(
             BenchmarkId::new("kcfa-worst/interned", id),
             &program,
-            |b, p| b.iter(|| analyse_kcfa_shared_worklist::<1>(p)),
+            |b, p| b.iter(|| analyse::worklist::<KCfaShared<1>>(p, Gc::Off)),
         );
     }
     for n in [6usize, 10] {
@@ -48,12 +34,12 @@ fn interned_vs_incremental(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("garbage-chain-gc/structural", n),
             &program,
-            |b, p| b.iter(|| gc_structural(p)),
+            |b, p| b.iter(|| analyse::structural::<KCfaShared<1>>(p, Gc::On)),
         );
         group.bench_with_input(
             BenchmarkId::new("garbage-chain-gc/interned", n),
             &program,
-            |b, p| b.iter(|| gc_interned(p)),
+            |b, p| b.iter(|| analyse::worklist::<KCfaShared<1>>(p, Gc::On)),
         );
     }
     group.finish();

@@ -14,11 +14,18 @@
 //! round offers the driver ≈16–32 states to shard.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mai_cps::analysis::{
-    analyse_kcfa_shared_direct, analyse_kcfa_shared_gc_direct, analyse_kcfa_shared_gc_parallel,
-    analyse_kcfa_shared_parallel,
-};
+use mai_core::analyse::{self, Gc};
+use mai_core::{Budget, NoopSink, ParallelConfig};
+use mai_cps::analysis::KCfaShared;
 use mai_cps::programs::{garbage_chain, kcfa_worst_case_scaled};
+use mai_cps::CExp;
+
+/// A 1CFA shared-store solve on the barrier-parallel driver.
+fn barrier(program: &CExp, gc: Gc, threads: usize) -> KCfaShared<1> {
+    let config = ParallelConfig::barrier(threads);
+    let (outcome, _) = analyse::parallel(program, gc, config, &Budget::unlimited(), &mut NoopSink);
+    outcome.into_complete()
+}
 
 fn parallel_vs_direct(c: &mut Criterion) {
     let mut group = c.benchmark_group("parallel_vs_direct");
@@ -29,13 +36,13 @@ fn parallel_vs_direct(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("kcfa-worst/direct", id.clone()),
             &program,
-            |b, p| b.iter(|| analyse_kcfa_shared_direct::<1>(p)),
+            |b, p| b.iter(|| analyse::direct::<KCfaShared<1>>(p, Gc::Off)),
         );
         for threads in [2usize, 4] {
             group.bench_with_input(
                 BenchmarkId::new(format!("kcfa-worst/parallel-t{threads}"), id.clone()),
                 &program,
-                |b, p| b.iter(|| analyse_kcfa_shared_parallel::<1>(p, threads)),
+                |b, p| b.iter(|| barrier(p, Gc::Off, threads)),
             );
         }
     }
@@ -46,12 +53,12 @@ fn parallel_vs_direct(c: &mut Criterion) {
     group.bench_with_input(
         BenchmarkId::new("garbage-chain-gc/direct", 10usize),
         &program,
-        |b, p| b.iter(|| analyse_kcfa_shared_gc_direct::<1>(p)),
+        |b, p| b.iter(|| analyse::direct::<KCfaShared<1>>(p, Gc::On)),
     );
     group.bench_with_input(
         BenchmarkId::new("garbage-chain-gc/parallel-t2", 10usize),
         &program,
-        |b, p| b.iter(|| analyse_kcfa_shared_gc_parallel::<1>(p, 2)),
+        |b, p| b.iter(|| barrier(p, Gc::On, 2)),
     );
     group.finish();
 }

@@ -3,19 +3,17 @@
 //!
 //! Both sides run the *same* id-indexed incremental solver over the *same*
 //! pmap-backed stores; the only difference is how a transition is
-//! evaluated: `analyse_*_worklist` desugars the `Rc<dyn Fn>` monad per
+//! evaluated: `analyse::worklist` desugars the `Rc<dyn Fn>` monad per
 //! step (one heap allocation per bind plus capture clones),
-//! `analyse_*_direct` runs `mnext_direct` — plain function composition on
+//! `analyse::direct` runs `mnext_direct` — plain function composition on
 //! an explicit `(context, store)` pair.  The gap is therefore pure
 //! carrier (bind-allocation) cost.  A GC'd configuration and a counting
 //! store ride along to keep the fast path honest on the harder store
 //! shapes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mai_cps::analysis::{
-    analyse_kcfa_shared_direct, analyse_kcfa_shared_gc_direct, analyse_kcfa_shared_gc_worklist,
-    analyse_kcfa_shared_worklist, analyse_kcfa_with_count_direct, analyse_kcfa_with_count_worklist,
-};
+use mai_core::analyse::{self, Gc};
+use mai_cps::analysis::{KCfaCounting, KCfaShared};
 use mai_cps::programs::{garbage_chain, kcfa_worst_case_scaled};
 
 fn persistent_vs_interned(c: &mut Criterion) {
@@ -27,35 +25,35 @@ fn persistent_vs_interned(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("kcfa-worst/rc-interned", id.clone()),
             &program,
-            |b, p| b.iter(|| analyse_kcfa_shared_worklist::<1>(p)),
+            |b, p| b.iter(|| analyse::worklist::<KCfaShared<1>>(p, Gc::Off)),
         );
         group.bench_with_input(
             BenchmarkId::new("kcfa-worst/direct", id),
             &program,
-            |b, p| b.iter(|| analyse_kcfa_shared_direct::<1>(p)),
+            |b, p| b.iter(|| analyse::direct::<KCfaShared<1>>(p, Gc::Off)),
         );
     }
     let program = garbage_chain(10);
     group.bench_with_input(
         BenchmarkId::new("garbage-chain-gc/rc-interned", 10usize),
         &program,
-        |b, p| b.iter(|| analyse_kcfa_shared_gc_worklist::<1>(p)),
+        |b, p| b.iter(|| analyse::worklist::<KCfaShared<1>>(p, Gc::On)),
     );
     group.bench_with_input(
         BenchmarkId::new("garbage-chain-gc/direct", 10usize),
         &program,
-        |b, p| b.iter(|| analyse_kcfa_shared_gc_direct::<1>(p)),
+        |b, p| b.iter(|| analyse::direct::<KCfaShared<1>>(p, Gc::On)),
     );
     let program = kcfa_worst_case_scaled(4, 8);
     group.bench_with_input(
         BenchmarkId::new("kcfa-worst-counting/rc-interned", "4w8"),
         &program,
-        |b, p| b.iter(|| analyse_kcfa_with_count_worklist::<1>(p)),
+        |b, p| b.iter(|| analyse::worklist::<KCfaCounting<1>>(p, Gc::Off)),
     );
     group.bench_with_input(
         BenchmarkId::new("kcfa-worst-counting/direct", "4w8"),
         &program,
-        |b, p| b.iter(|| analyse_kcfa_with_count_direct::<1>(p)),
+        |b, p| b.iter(|| analyse::direct::<KCfaCounting<1>>(p, Gc::Off)),
     );
     group.finish();
 }

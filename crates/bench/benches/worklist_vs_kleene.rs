@@ -4,10 +4,8 @@
 //! (long chains of states whose dependencies never change again).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mai_cps::analysis::{
-    analyse_kcfa_shared, analyse_kcfa_shared_gc, analyse_kcfa_shared_gc_worklist,
-    analyse_kcfa_shared_worklist,
-};
+use mai_core::analyse::{self, Gc};
+use mai_cps::analysis::{analyse_kcfa_shared, analyse_kcfa_shared_gc, KCfaShared};
 use mai_cps::programs::{garbage_chain, kcfa_worst_case};
 
 fn worklist_vs_kleene(c: &mut Criterion) {
@@ -23,7 +21,7 @@ fn worklist_vs_kleene(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("kcfa-worst/worklist", n),
             &program,
-            |b, p| b.iter(|| analyse_kcfa_shared_worklist::<1>(p)),
+            |b, p| b.iter(|| analyse::worklist::<KCfaShared<1>>(p, Gc::Off)),
         );
     }
     for n in [6usize, 10] {
@@ -36,7 +34,7 @@ fn worklist_vs_kleene(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("garbage-chain/worklist", n),
             &program,
-            |b, p| b.iter(|| analyse_kcfa_shared_worklist::<1>(p)),
+            |b, p| b.iter(|| analyse::worklist::<KCfaShared<1>>(p, Gc::Off)),
         );
         group.bench_with_input(
             BenchmarkId::new("garbage-chain/kleene-gc", n),
@@ -46,7 +44,7 @@ fn worklist_vs_kleene(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("garbage-chain/worklist-gc", n),
             &program,
-            |b, p| b.iter(|| analyse_kcfa_shared_gc_worklist::<1>(p)),
+            |b, p| b.iter(|| analyse::worklist::<KCfaShared<1>>(p, Gc::On)),
         );
     }
     group.finish();

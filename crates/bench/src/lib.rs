@@ -12,18 +12,15 @@ use std::cell::Cell;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
+use mai_core::analyse::{self, Gc};
 use mai_core::collect::explore_fp;
 use mai_core::engine::{
     certify, Budget, CancelToken, EngineStats, ExhaustReason, Outcome, ParallelConfig,
 };
-use mai_core::telemetry::TraceBuffer;
+use mai_core::telemetry::{NoopSink, TraceBuffer, TraceSink};
 use mai_core::{KCallAddr, KCallCtx, StorePassing};
 use mai_cps::analysis::{
-    analyse_kcfa, analyse_kcfa_shared, analyse_kcfa_shared_direct, analyse_kcfa_shared_elastic,
-    analyse_kcfa_shared_elastic_governed, analyse_kcfa_shared_elastic_traced,
-    analyse_kcfa_shared_gc, analyse_kcfa_shared_governed, analyse_kcfa_shared_parallel,
-    analyse_kcfa_shared_parallel_traced, analyse_kcfa_shared_resume,
-    analyse_kcfa_shared_structural, analyse_kcfa_shared_worklist, analyse_mono, distinct_env_count,
+    analyse_kcfa, analyse_kcfa_shared, analyse_kcfa_shared_gc, analyse_mono, distinct_env_count,
     AnalysisMetrics, KCfaShared, KStore,
 };
 use mai_cps::syntax::CExp;
@@ -35,6 +32,22 @@ use report::{engine_stats_json, engine_trace_json, Json};
 /// engines that computed it.
 fn certified(fixpoint: &KCfaShared<1>) -> bool {
     certify(fixpoint, &mnext_direct::<KCallCtx<1>, KStore>).certified()
+}
+
+/// A 1CFA shared-store solve on the parallel driver `config` selects,
+/// observed by `sink`.
+fn solve_parallel<T: TraceSink>(
+    program: &CExp,
+    config: ParallelConfig,
+    sink: &mut T,
+) -> (KCfaShared<1>, EngineStats) {
+    analyse::complete(analyse::parallel(
+        program,
+        Gc::Off,
+        config,
+        &Budget::unlimited(),
+        sink,
+    ))
 }
 
 /// The number of logical CPUs on the reporting host.  Recorded (never
@@ -231,7 +244,7 @@ pub fn worklist_row(name: &'static str, program: &CExp) -> WorklistRow {
     let kleene_time = start.elapsed();
 
     let start = Instant::now();
-    let (worklist, stats) = analyse_kcfa_shared_worklist::<1>(program);
+    let (worklist, stats) = analyse::worklist::<KCfaShared<1>>(program, Gc::Off);
     let worklist_time = start.elapsed();
 
     WorklistRow {
@@ -398,11 +411,11 @@ pub fn interned_row(name: impl Into<String>, program: &CExp, repeats: usize) -> 
     let mut measured: Option<(KCfaShared<1>, EngineStats, KCfaShared<1>, EngineStats)> = None;
     for _ in 0..repeats {
         let start = Instant::now();
-        let (interned, interned_stats) = analyse_kcfa_shared_worklist::<1>(program);
+        let (interned, interned_stats) = analyse::worklist::<KCfaShared<1>>(program, Gc::Off);
         interned_time = interned_time.min(start.elapsed());
 
         let start = Instant::now();
-        let (structural, structural_stats) = analyse_kcfa_shared_structural::<1>(program);
+        let (structural, structural_stats) = analyse::structural::<KCfaShared<1>>(program, Gc::Off);
         structural_time = structural_time.min(start.elapsed());
         measured = Some((interned, interned_stats, structural, structural_stats));
     }
@@ -512,11 +525,11 @@ pub fn direct_row(name: impl Into<String>, program: &CExp, repeats: usize) -> Di
     let mut measured: Option<(KCfaShared<1>, EngineStats, KCfaShared<1>, EngineStats)> = None;
     for _ in 0..repeats {
         let start = Instant::now();
-        let (rc, rc_stats) = analyse_kcfa_shared_worklist::<1>(program);
+        let (rc, rc_stats) = analyse::worklist::<KCfaShared<1>>(program, Gc::Off);
         rc_time = rc_time.min(start.elapsed());
 
         let start = Instant::now();
-        let (direct, direct_stats) = analyse_kcfa_shared_direct::<1>(program);
+        let (direct, direct_stats) = analyse::direct::<KCfaShared<1>>(program, Gc::Off);
         direct_time = direct_time.min(start.elapsed());
         measured = Some((rc, rc_stats, direct, direct_stats));
     }
@@ -637,11 +650,12 @@ pub fn parallel_row(
     let mut measured: Option<(KCfaShared<1>, EngineStats, KCfaShared<1>, EngineStats)> = None;
     for _ in 0..repeats {
         let start = Instant::now();
-        let (direct, direct_stats) = analyse_kcfa_shared_direct::<1>(program);
+        let (direct, direct_stats) = analyse::direct::<KCfaShared<1>>(program, Gc::Off);
         direct_time = direct_time.min(start.elapsed());
 
         let start = Instant::now();
-        let (parallel, parallel_stats) = analyse_kcfa_shared_parallel::<1>(program, threads);
+        let (parallel, parallel_stats) =
+            solve_parallel(program, ParallelConfig::barrier(threads), &mut NoopSink);
         parallel_time = parallel_time.min(start.elapsed());
         measured = Some((direct, direct_stats, parallel, parallel_stats));
     }
@@ -760,13 +774,14 @@ impl TelemetryRow {
 pub fn telemetry_row(name: impl Into<String>, program: &CExp, threads: usize) -> TelemetryRow {
     let name = name.into();
     let start = Instant::now();
-    let (untraced, untraced_stats) = analyse_kcfa_shared_parallel::<1>(program, threads);
+    let (untraced, untraced_stats) =
+        solve_parallel(program, ParallelConfig::barrier(threads), &mut NoopSink);
     let untraced_time = start.elapsed();
 
     let mut trace = TraceBuffer::new();
     let start = Instant::now();
     let (traced, traced_stats) =
-        analyse_kcfa_shared_parallel_traced::<1, _>(program, threads, &mut trace);
+        solve_parallel(program, ParallelConfig::barrier(threads), &mut trace);
     let traced_time = start.elapsed();
 
     // The timing gauges legitimately differ between any two runs (traced or
@@ -950,19 +965,23 @@ pub fn elastic_row(
 ) -> ElasticRow {
     let name = name.into();
     let config = ParallelConfig { threads, epochs };
-    let ((direct, direct_stats), direct_time, direct_median) =
-        repeat_timed(repeats, || analyse_kcfa_shared_direct::<1>(program));
+    let ((direct, direct_stats), direct_time, direct_median) = repeat_timed(repeats, || {
+        analyse::direct::<KCfaShared<1>>(program, Gc::Off)
+    });
     let ((barrier, barrier_stats), barrier_time, barrier_median) = repeat_timed(repeats, || {
-        analyse_kcfa_shared_parallel::<1>(program, threads)
+        solve_parallel(program, ParallelConfig::barrier(threads), &mut NoopSink)
     });
-    let ((elastic, elastic_stats), elastic_time, elastic_median) = repeat_timed(repeats, || {
-        analyse_kcfa_shared_elastic::<1>(program, config)
-    });
+    let ((elastic, elastic_stats), elastic_time, elastic_median) =
+        repeat_timed(repeats, || solve_parallel(program, config, &mut NoopSink));
 
     let mut barrier_trace = TraceBuffer::new();
-    let _ = analyse_kcfa_shared_parallel_traced::<1, _>(program, threads, &mut barrier_trace);
+    let _ = solve_parallel(
+        program,
+        ParallelConfig::barrier(threads),
+        &mut barrier_trace,
+    );
     let mut elastic_trace = TraceBuffer::new();
-    let _ = analyse_kcfa_shared_elastic_traced::<1, _>(program, config, &mut elastic_trace);
+    let _ = solve_parallel(program, config, &mut elastic_trace);
 
     ElasticRow {
         program: name,
@@ -1077,14 +1096,20 @@ impl GovernedRow {
 pub fn governed_row(name: impl Into<String>, program: &CExp, max_steps: usize) -> GovernedRow {
     let name = name.into();
     let start = Instant::now();
-    let (direct, direct_stats) = analyse_kcfa_shared_direct::<1>(program);
-    let (unlimited, governed_stats) =
-        analyse_kcfa_shared_governed::<1>(program, &Budget::unlimited());
+    let (direct, direct_stats) = analyse::direct::<KCfaShared<1>>(program, Gc::Off);
+    let (unlimited, governed_stats) = analyse::governed::<KCfaShared<1>, _>(
+        program,
+        Gc::Off,
+        None,
+        &Budget::unlimited(),
+        &mut NoopSink,
+    );
     let parity =
         unlimited.is_complete() && *unlimited.value() == direct && governed_stats == direct_stats;
 
     let budget = Budget::unlimited().with_max_steps(max_steps);
-    let (mut outcome, _) = analyse_kcfa_shared_governed::<1>(program, &budget);
+    let (mut outcome, _) =
+        analyse::governed::<KCfaShared<1>, _>(program, Gc::Off, None, &budget, &mut NoopSink);
     let exhaust_reason = outcome.exhaust_reason();
     let mut resume_links = 0usize;
     while let Outcome::Exhausted { resume_seed, .. } = outcome {
@@ -1093,7 +1118,14 @@ pub fn governed_row(name: impl Into<String>, program: &CExp, max_steps: usize) -
             resume_links <= MAX_RESUME_LINKS,
             "{name}: resume chain failed to converge"
         );
-        outcome = analyse_kcfa_shared_resume::<1>(*resume_seed, &budget).0;
+        outcome = analyse::governed::<KCfaShared<1>, _>(
+            program,
+            Gc::Off,
+            Some(*resume_seed),
+            &budget,
+            &mut NoopSink,
+        )
+        .0;
     }
     let resumed = outcome.into_complete();
     let resumed_equal = resumed == direct;
@@ -1321,6 +1353,9 @@ pub struct WideningRow {
     pub elastic_parity: bool,
     /// Worker threads of the parallel/elastic parity solves.
     pub threads: usize,
+    /// Whether [`certify`] accepts the widened-and-narrowed sequential
+    /// fixpoint as a post-fixpoint of the direct step.
+    pub certified: bool,
     /// Wall-clock time of the whole row (reported, never gated).
     pub wall: Duration,
 }
@@ -1330,7 +1365,7 @@ impl WideningRow {
     pub fn render(&self) -> String {
         format!(
             "{:<18} cap={:<6} join_only={:<11} widens={:<3} bound={:<9} carrier={:<5} \
-             parallel={:<5} elastic={}",
+             parallel={:<5} elastic={:<5} certified={}",
             self.program,
             self.cap.map_or("none".to_string(), |c| c.to_string()),
             self.join_only_reason
@@ -1340,6 +1375,7 @@ impl WideningRow {
             self.carrier_parity,
             self.parallel_parity,
             self.elastic_parity,
+            self.certified,
         )
     }
 
@@ -1369,6 +1405,7 @@ impl WideningRow {
                 ("parallel_parity", Json::Bool(self.parallel_parity)),
                 ("elastic_parity", Json::Bool(self.elastic_parity)),
                 ("threads", Json::Int(self.threads as u64)),
+                ("certified", Json::Bool(self.certified)),
             ]
             .into_iter()
             .chain(timing_fields(self.wall)),
@@ -1416,6 +1453,7 @@ pub fn widening_row(
     let fixpoint = outcome.into_complete();
     let bound = fixpoint.store().fetch(&0u8).to_string();
     let finite_bounds = fixpoint.store().finite_bound_count();
+    let certified = certify(&fixpoint, &step).certified();
 
     let m_step = m_counting_step(cap);
     let rc_step = move |ps: CountState, g: u64, s: IS| run_store_passing(m_step(ps), g, s);
@@ -1478,6 +1516,7 @@ pub fn widening_row(
         parallel_parity,
         elastic_parity,
         threads,
+        certified,
         wall: start.elapsed(),
     }
 }
@@ -1500,10 +1539,12 @@ pub fn cancel_latency_row(
         token.cancel();
     });
     let start = Instant::now();
-    let (outcome, stats) = analyse_kcfa_shared_elastic_governed::<1>(
+    let (outcome, stats) = analyse::parallel::<KCfaShared<1>, _>(
         program,
+        Gc::Off,
         ParallelConfig { threads, epochs },
         &budget,
+        &mut NoopSink,
     );
     let wall = start.elapsed();
     let _ = watchdog.join();
@@ -1539,6 +1580,18 @@ mod tests {
         let easy = governed_row("kcfa-worst-2", &program, usize::MAX);
         assert_eq!(easy.exhaust_reason, None);
         assert_eq!(easy.resume_links, 0);
+    }
+
+    #[test]
+    fn widening_rows_certify_the_narrowed_fixpoint() {
+        for cap in [None, Some(12)] {
+            let row = widening_row("count", cap, 64, 2);
+            assert!(row.certified, "uncertified: {}", row.render());
+            assert!(matches!(
+                row.to_json().get("certified"),
+                Some(Json::Bool(true))
+            ));
+        }
     }
 
     #[test]

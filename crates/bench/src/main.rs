@@ -446,8 +446,13 @@ fn experiment_governed() -> Vec<Json> {
         let program = kcfa_worst_case_scaled(4, E10_SCALE_WIDTH);
         let budget = Budget::unlimited().with_timeout(std::time::Duration::from_millis(ms as u64));
         let start = Instant::now();
-        let (outcome, stats) =
-            mai_cps::analysis::analyse_kcfa_shared_governed::<1>(&program, &budget);
+        let (outcome, stats) = mai_core::analyse::governed::<mai_cps::analysis::KCfaShared<1>, _>(
+            &program,
+            mai_core::analyse::Gc::Off,
+            None,
+            &budget,
+            &mut mai_core::NoopSink,
+        );
         println!(
             "deadline demo      kcfa-worst-4w{E10_SCALE_WIDTH} deadline={ms}ms wall={:<8.2?} \
              rounds={:<4} outcome={} (reported-only)",
@@ -735,6 +740,7 @@ const CERTIFIED_SECTIONS: &[&str] = &[
     "e10_interned_vs_structural",
     "e11_persistent_vs_interned",
     "e15_governed",
+    "e16_widening",
 ];
 
 /// `section/program` for every row of a certified section whose fixpoint
@@ -922,6 +928,7 @@ fn fresh_counters() -> (Vec<CounterSample>, Vec<String>) {
         assert!(row.carrier_parity, "{name}: Rc carrier diverged");
         assert!(row.parallel_parity, "{name}: parallel driver diverged");
         assert!(row.elastic_parity, "{name}: elastic driver diverged");
+        certify("e16_widening", &name, row.certified);
         sample_row(&mut samples, "e16_widening", name, &row.to_json());
     }
     (samples, uncertified)

@@ -51,8 +51,9 @@
 //! ## Choosing a driver
 //!
 //! Use the domain's [`DirectCollecting`] or [`FrontierCollecting`] methods
-//! (or the language crates' `analyse_*_direct` / `analyse_*_worklist`
-//! entry points) whenever the analysis is the bottleneck: on worklist-hard
+//! (or [`analyse::direct`](crate::analyse::direct) /
+//! [`analyse::worklist`](crate::analyse::worklist) over a language's
+//! machine) whenever the analysis is the bottleneck: on worklist-hard
 //! workloads such as `kcfa_worst_case` the engine steps a small fraction of
 //! the states Kleene iteration re-steps.  Use
 //! [`explore_fp`](crate::collect::explore_fp) when you want the paper's
@@ -146,9 +147,8 @@ pub struct EngineStats {
     pub distinct_states: usize,
     /// Distinct environments among the fixpoint's states.  The engines are
     /// language-generic and cannot see environments, so this is filled in
-    /// at the language boundary (the `distinct_env_count` helpers of the
-    /// language crates, used by the E10 experiment rows); 0 when nothing
-    /// filled it.
+    /// at the language boundary (CPS's `distinct_env_count`, used by the
+    /// E10 experiment rows); 0 when nothing filled it.
     pub distinct_envs: usize,
     /// Whole-store spine clones the solver performed: one per step (the
     /// pre-store handed to the transition function) plus one per cached
@@ -481,8 +481,11 @@ where
 /// This is the direct-style counterpart of
 /// [`with_gc`](crate::collect::with_gc) specialised to the one strategy
 /// every language crate uses — restrict-to-reachable from the stepped
-/// state's [`StateRoots`] — so the languages' `analyse_*_gc_direct` entry
-/// points need no per-language GC plumbing.
+/// state's [`StateRoots`] — so [`analyse::direct`](crate::analyse::direct)
+/// and [`analyse::parallel`](crate::analyse::parallel) with
+/// [`Gc::On`](crate::analyse::Gc::On) need no per-language GC plumbing.
+/// They hand the returned step to the engine as it is: wrapped in another
+/// closure it would hide the two methods below.
 ///
 /// The result's [`StepFn::step`] runs the full sweep on every branch.
 /// Every consumer that calls `step` keeps that sweep: the per-state engine

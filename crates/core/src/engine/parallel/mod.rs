@@ -48,9 +48,10 @@
 //!   deterministic, and ids never escape the engine (the domain is
 //!   un-interned at the boundary).
 //!
-//! Consequently `analyse_*_parallel` produces **byte-identical fixpoints
-//! and identical deterministic work counters** (steps, joins, rounds,
-//! widenings, re-enqueues, intern traffic) to `analyse_*_direct` at every
+//! Consequently [`analyse::parallel`](crate::analyse::parallel) produces
+//! **byte-identical fixpoints and identical deterministic work counters**
+//! (steps, joins, rounds, widenings, re-enqueues, intern traffic) to
+//! [`analyse::direct`](crate::analyse::direct) at every
 //! thread count — asserted across the committed differential matrix at
 //! 1, 2 and 4 threads.  Only the timing-dependent gauges
 //! (`steal_events`, `shard_imbalance`) and the physical-sharing sample

@@ -182,7 +182,7 @@
 //!
 //! * [`FrontierCollecting::explore_frontier`] — the id-indexed incremental
 //!   accumulator above, governed and traced (the default behind
-//!   `analyse_*_worklist` and `analyse_*_direct`).  A hash-consing
+//!   `analyse::worklist` and `analyse::direct`).  A hash-consing
 //!   [`Interner`] maps every distinct `(state, guts)` pair to a dense
 //!   [`StateId`] the moment it is produced, so clone and equality become
 //!   O(1) and each engine table becomes a flat `Vec` indexed by the id

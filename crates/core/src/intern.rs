@@ -595,9 +595,9 @@ impl<T: std::hash::Hash + Eq + Clone, I: InternKey> WorkerInternCache<T, I> {
     }
 }
 
-/// Counts the distinct values of an iterator by interning them — the shared
-/// implementation behind the language crates' `distinct_env_count` helpers
-/// (the language-boundary half of the engine's intern statistics).
+/// Counts the distinct values of an iterator by interning them — the
+/// implementation behind CPS's `distinct_env_count` (the language-boundary
+/// half of the engine's intern statistics).
 pub fn distinct_count<T: std::hash::Hash + Eq, I: IntoIterator<Item = T>>(items: I) -> usize {
     let mut interner: Interner<T, EnvId> = Interner::new();
     for item in items {

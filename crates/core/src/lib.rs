@@ -35,6 +35,10 @@
 //!   replacement for naive Kleene iteration that only re-steps states whose
 //!   store dependencies changed, with instrumentation for the experiment
 //!   harness.
+//! * [`analyse`] — the solves, written once over every language's machine:
+//!   a language implements [`analyse::Machine`], and a call such as
+//!   `analyse::direct::<D>(&program, Gc::On)` picks the engine by name, the
+//!   context and store by the domain type `D`, and GC by argument.
 //! * [`intern`] — hash-consed state/environment interning: dense `u32` ids
 //!   with precomputed hashes, the identity currency of the id-indexed
 //!   engines (with [`hash`] supplying the fast deterministic hasher).
@@ -49,8 +53,9 @@
 //!   direct-style λ-calculus front ends.
 //!
 //! Language substrates (CPS, direct-style λ-calculus, Featherweight Java)
-//! live in their own crates and only supply a semantic interface plus a
-//! monadic `mnext` step function; every knob above is reused unchanged —
+//! live in their own crates and only supply a semantic interface, a
+//! monadic `mnext` step function and its [`analyse::Machine`] instance;
+//! every knob above is reused unchanged —
 //! which is precisely the unification the paper claims.
 //!
 //! ## Quick taste
@@ -69,6 +74,7 @@
 #![warn(missing_docs)]
 
 pub mod addr;
+pub mod analyse;
 pub mod collect;
 pub mod engine;
 pub mod env;

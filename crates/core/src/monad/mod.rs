@@ -39,15 +39,15 @@
 //! interface operation takes and every `bind` continuation receives.  The
 //! semantics then has three instances:
 //!
-//! * the **closure carrier** — [`StorePassing`], what `analyse_*` and
-//!   `analyse_*_worklist` run.  Every [`MonadFamily`] is a `StepMonad`
+//! * the **closure carrier** — [`StorePassing`], what `analyse::kleene`,
+//!   `analyse::worklist` and `analyse::structural` run.  Every [`MonadFamily`] is a `StepMonad`
 //!   with `Cx = ()`: its state lives inside its closures.  Maximally
 //!   faithful, and the oracle; its cost is one `Rc` allocation per `bind`
 //!   plus the capture clones those binds force;
 //! * the **concrete heap** — [`StateM`] over each language's heap, the
 //!   paper's §4 interpreter, also with `Cx = ()`;
-//! * the **direct carrier** — [`direct::Direct`], what `analyse_*_direct`
-//!   and every parallel driver run.  Its context is the `(guts, store)`
+//! * the **direct carrier** — [`direct::Direct`], what `analyse::direct`,
+//!   `analyse::governed` and `analyse::parallel` run.  Its context is the `(guts, store)`
 //!   pair itself and a computation is its eagerly evaluated branch vector
 //!   ([`direct::Branches`], one branch held inline), so `bind` is a
 //!   monomorphized loop and no `Rc<dyn Fn>` is ever allocated.

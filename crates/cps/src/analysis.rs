@@ -1,33 +1,56 @@
 //! Abstract interpretation of CPS: the `StorePassing` instance of the
-//! semantic interface, abstract garbage collection, and the k-CFA analysis
-//! family (paper §5.3, §6 and §8).
+//! semantic interface, the CPS [`Machine`], and the k-CFA analysis family
+//! (paper §5.3, §6 and §8).
 //!
 //! Everything in this module is assembled from language-independent parts of
 //! `mai-core`: the [`StorePassing`] monad, [`Context`]s for polyvariance,
 //! [`StoreLike`] stores (plain or counting), the per-state / shared-store
-//! [`Collecting`] domains, and the garbage-collection reachability engine.
-//! The only CPS-specific ingredients are the [`CpsInterface`] instance below
-//! and the [`Touches`](mai_core::gc::Touches) instances of [`crate::semantics`].
+//! domains, abstract garbage collection and the solves of
+//! [`mai_core::analyse`].  The only CPS-specific ingredients are the
+//! [`CpsInterface`] instance below, the [`Machine`] instance that hands
+//! `mnext` to the solves, and the [`Touches`](mai_core::gc::Touches)
+//! instances of [`crate::semantics`].
+//!
+//! The §8 family is a set of domain types — [`KCfaPerState`] (§8.1),
+//! [`KCfaShared`] (§8.2), [`KCfaCounting`] (§8.3), [`KCfaCountingPerState`]
+//! and [`MonoShared`] — and every engine solves every one of them, with or
+//! without abstract GC (§6.4):
+//!
+//! ```rust
+//! use mai_core::analyse::{self, Gc};
+//! use mai_cps::analysis::KCfaShared;
+//! use mai_cps::parse_program;
+//!
+//! let program = parse_program("((λ (x k) (k x)) (λ (y j) (j y)) (λ (r) exit))").unwrap();
+//! let kleene: KCfaShared<1> = analyse::kleene(&program, Gc::On);
+//! let (direct, _stats) = analyse::direct::<KCfaShared<1>>(&program, Gc::On);
+//! assert_eq!(direct, kleene);
+//! ```
+//!
+//! The paper's named analyses are one-line Kleene solves:
+//! [`analyse_kcfa`], [`analyse_kcfa_shared`], [`analyse_kcfa_with_count`],
+//! [`analyse_kcfa_count_cloned`], [`analyse_kcfa_shared_gc`],
+//! [`analyse_kcfa_gc`] and [`analyse_mono`].  The `_worklist`,
+//! `_structural`, `_direct`, `_parallel` and `_elastic` names serve the
+//! source→answer benchmark (`perfbench/`) until it calls
+//! [`mai_core::analyse`] itself.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use mai_core::addr::{Context, NamedAddress};
-use mai_core::collect::{
-    explore_fp_governed, run_analysis, with_gc, Collecting, PerStateDomain, SharedStoreDomain,
-};
-use mai_core::engine::{
-    with_state_gc, Budget, DirectCollecting, EngineStats, FrontierCollecting, Outcome,
-    ParallelCollecting, ParallelConfig, SharedResumeSeed, SolveFrom,
-};
-use mai_core::gc::ReachableGc;
+use mai_core::analyse::{self, Gc, Machine};
+use mai_core::collect::{explore_fp_governed, PerStateDomain, SharedStoreDomain};
+use mai_core::engine::{Budget, EngineStats, Outcome, ParallelConfig, SharedResumeSeed};
 use mai_core::lattice::Lattice;
 use mai_core::monad::{
     gets_nd_set, MonadFamily, MonadState, MonadTrans, StateT, StorePassing, Value, VecM,
 };
 use mai_core::name::Name;
 use mai_core::store::{BasicStore, CountingStore, StoreLike};
+use mai_core::telemetry::{NoopSink, TraceSink};
 use mai_core::{ConcreteCtx, KCallAddr, KCallCtx, MonoAddr, MonoCtx};
 
+use crate::direct::{mnext_direct, Successors};
 use crate::semantics::{mnext, CpsInterface, Env, PState, Val};
 use crate::syntax::{AExp, CExp, Lambda, Var};
 
@@ -82,344 +105,25 @@ where
     }
 }
 
-/// [`mnext`] on the closure carrier, in the `Fn(state) -> M<state>` shape
-/// the closure-carrier engines take.
-fn closure_mnext<C, S>(
-    ps: PState<C::Addr>,
-) -> <StorePassing<C, S> as MonadFamily>::M<PState<C::Addr>>
+/// The CPS machine, as the solves of [`mai_core::analyse`] see it.
+impl<C, S> Machine<C, S> for PState<C::Addr>
 where
     C: Context,
     S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
 {
-    mnext::<StorePassing<C, S>, C::Addr>(ps, ())
-}
+    type Program = CExp;
 
-/// Runs the monadically-parameterized analysis of a CPS program with an
-/// arbitrary combination of context `C`, store `S` and collecting domain
-/// `Fp` — the paper's `runAnalysis` with its three degrees of freedom
-/// spelled out as type parameters.
-pub fn analyse<C, S, Fp>(program: &CExp) -> Fp
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
-    Fp: Collecting<StorePassing<C, S>, PState<C::Addr>>,
-{
-    run_analysis::<StorePassing<C, S>, _, Fp, _>(
-        closure_mnext::<C, S>,
-        PState::inject(program.clone()),
-    )
-}
+    fn initial(program: &CExp) -> Self {
+        PState::inject(program.clone())
+    }
 
-/// Like [`analyse`], but performs abstract garbage collection after every
-/// transition (the `STEP-GC` rule of §6.4).
-pub fn analyse_gc<C, S, Fp>(program: &CExp) -> Fp
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
-    Fp: Collecting<StorePassing<C, S>, PState<C::Addr>>,
-{
-    run_analysis::<StorePassing<C, S>, _, Fp, _>(
-        with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(closure_mnext::<C, S>, ReachableGc),
-        PState::inject(program.clone()),
-    )
-}
+    fn step(_: &CExp, state: Self) -> <StorePassing<C, S> as MonadFamily>::M<Self> {
+        mnext::<StorePassing<C, S>, C::Addr>(state, ())
+    }
 
-/// Like [`analyse`], but solved by the frontier-driven worklist engine
-/// instead of naive Kleene iteration, additionally reporting
-/// [`EngineStats`].  Computes exactly the same fixpoint (the engine replays
-/// the Kleene iterate sequence, serving unchanged states from its step
-/// cache), so `analyse` remains the reference oracle.
-pub fn analyse_worklist<C, S, Fp>(program: &CExp) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
-    Fp: FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
-{
-    Fp::explore_frontier(&closure_mnext::<C, S>, PState::inject(program.clone()))
-}
-
-/// Like [`analyse_gc`], but solved by the worklist engine.
-pub fn analyse_gc_worklist<C, S, Fp>(program: &CExp) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
-    Fp: FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
-{
-    Fp::explore_frontier(
-        &with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(closure_mnext::<C, S>, ReachableGc),
-        PState::inject(program.clone()),
-    )
-}
-
-/// Like [`analyse_worklist`], but evaluated on the **direct-style step
-/// carrier**: the engine runs [`crate::direct::mnext_direct`] — the same
-/// Figure-2 semantics with `bind` as plain function composition on an
-/// explicit `(context, store)` context — instead of desugaring the
-/// `Rc`-closure monad per step.  Identical fixpoint and identical work
-/// counters (the solver code is shared); only the per-step constant factor
-/// differs.  The `Rc` carrier remains the differential-testing oracle.
-pub fn analyse_worklist_direct<C, S, Fp>(program: &CExp) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
-    Fp: DirectCollecting<PState<C::Addr>, C, S>,
-{
-    Fp::explore_frontier_direct(
-        &crate::direct::mnext_direct::<C, S>,
-        PState::inject(program.clone()),
-    )
-}
-
-/// Like [`analyse_gc_worklist`], but on the direct-style carrier: abstract
-/// GC runs as a per-branch store restriction ([`with_state_gc`]) after
-/// each direct transition.
-pub fn analyse_gc_worklist_direct<C, S, Fp>(program: &CExp) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
-    Fp: DirectCollecting<PState<C::Addr>, C, S>,
-{
-    Fp::explore_frontier_direct(
-        &with_state_gc(crate::direct::mnext_direct::<C, S>),
-        PState::inject(program.clone()),
-    )
-}
-
-/// Like [`analyse_worklist_direct`], but *governed*: the solve consults
-/// `budget` at every round boundary and returns an [`Outcome`] — either
-/// the complete fixpoint or an `Exhausted` partial whose resume seed
-/// reaches the identical fixpoint when handed back to
-/// [`analyse_resume_governed`].  With `Budget::unlimited()` the result and
-/// every deterministic work counter are byte-identical to
-/// [`analyse_worklist_direct`] (the ungoverned entry point *is* this one,
-/// applied to the unlimited budget).
-pub fn analyse_worklist_governed<C, S, Fp>(
-    program: &CExp,
-    budget: &Budget,
-) -> (Outcome<Fp, Fp::Seed>, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
-    Fp: DirectCollecting<PState<C::Addr>, C, S>,
-{
-    Fp::explore_frontier_governed(
-        &crate::direct::mnext_direct::<C, S>,
-        SolveFrom::Fresh(PState::inject(program.clone())),
-        budget,
-    )
-}
-
-/// Resumes an exhausted governed solve from its carried seed.  Monotone
-/// accumulation guarantees the resumed solve reaches exactly the fixpoint
-/// the one-shot solve would have.
-pub fn analyse_resume_governed<C, S, Fp>(
-    seed: Fp::Seed,
-    budget: &Budget,
-) -> (Outcome<Fp, Fp::Seed>, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
-    Fp: DirectCollecting<PState<C::Addr>, C, S>,
-{
-    Fp::explore_frontier_governed(
-        &crate::direct::mnext_direct::<C, S>,
-        SolveFrom::Resume(seed),
-        budget,
-    )
-}
-
-/// [`analyse_worklist_elastic`], governed: budget and cancellation are
-/// checked at every epoch boundary (cancel latency is at most one epoch).
-pub fn analyse_worklist_elastic_governed<C, S, Fp>(
-    program: &CExp,
-    config: ParallelConfig,
-    budget: &Budget,
-) -> (Outcome<Fp, Fp::Seed>, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
-    Fp: ParallelCollecting<PState<C::Addr>, C, S>,
-{
-    Fp::explore_frontier_parallel_governed(
-        &crate::direct::mnext_direct::<C, S>,
-        SolveFrom::Fresh(PState::inject(program.clone())),
-        config,
-        budget,
-    )
-}
-
-/// Like [`analyse_worklist_direct`], but solved by the **sharded parallel
-/// driver** ([`mai_core::engine::parallel`]) on `threads` worker threads:
-/// the frontier is sharded across workers (work-stealing by `StateId`
-/// ranges), each worker steps against a snapshot of the global store, and
-/// per-shard deltas are joined at a sync barrier each round.  Byte-identical
-/// fixpoint — and identical deterministic work counters — to
-/// [`analyse_worklist_direct`] at every thread count; the sequential direct
-/// engine remains the determinism oracle.
-pub fn analyse_worklist_parallel<C, S, Fp>(program: &CExp, threads: usize) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
-    Fp: ParallelCollecting<PState<C::Addr>, C, S>,
-{
-    Fp::explore_frontier_parallel(
-        &crate::direct::mnext_direct::<C, S>,
-        PState::inject(program.clone()),
-        ParallelConfig::barrier(threads),
-    )
-}
-
-/// [`analyse_worklist_direct`] with a [`TraceSink`](mai_core::telemetry::TraceSink)
-/// observing the solve: per-round phase timings, store-join traffic and
-/// hot-state attribution.  Identical fixpoint and identical deterministic
-/// work counters at every sink — with
-/// [`NoopSink`](mai_core::telemetry::NoopSink) this *is*
-/// [`analyse_worklist_direct`], monomorphized back to the untraced code.
-pub fn analyse_worklist_direct_traced<C, S, Fp, T>(
-    program: &CExp,
-    sink: &mut T,
-) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
-    Fp: DirectCollecting<PState<C::Addr>, C, S>,
-    T: mai_core::telemetry::TraceSink,
-{
-    Fp::explore_frontier_direct_traced(
-        &crate::direct::mnext_direct::<C, S>,
-        PState::inject(program.clone()),
-        sink,
-    )
-}
-
-/// Like [`analyse_gc_worklist_direct`], but solved by the sharded parallel
-/// driver (abstract GC as the per-branch [`with_state_gc`] store
-/// restriction, inside each worker).
-pub fn analyse_gc_worklist_parallel<C, S, Fp>(program: &CExp, threads: usize) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
-    Fp: ParallelCollecting<PState<C::Addr>, C, S>,
-{
-    Fp::explore_frontier_parallel(
-        &with_state_gc(crate::direct::mnext_direct::<C, S>),
-        PState::inject(program.clone()),
-        ParallelConfig::barrier(threads),
-    )
-}
-
-/// Like [`analyse_worklist_parallel`], but solved by the **barrier-elastic
-/// driver** ([`mai_core::engine::parallel::elastic`]): workers advance
-/// private sub-frontiers for up to [`ParallelConfig::epochs`] epochs
-/// between barriers, merging per-shard store deltas lazily.  The fixpoint
-/// stays byte-identical to [`analyse_worklist_direct`]; the *work
-/// counters* become timing-dependent (`epochs = 1` delegates to the
-/// barrier engine, deterministic counters and all).
-pub fn analyse_worklist_elastic<C, S, Fp>(
-    program: &CExp,
-    config: ParallelConfig,
-) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
-    Fp: ParallelCollecting<PState<C::Addr>, C, S>,
-{
-    Fp::explore_frontier_parallel(
-        &crate::direct::mnext_direct::<C, S>,
-        PState::inject(program.clone()),
-        config,
-    )
-}
-
-/// [`analyse_worklist_elastic`] with a
-/// [`TraceSink`](mai_core::telemetry::TraceSink) observing the solve
-/// (per-round, per-worker, per-epoch and per-merge profiles).
-pub fn analyse_worklist_elastic_traced<C, S, Fp, T>(
-    program: &CExp,
-    config: ParallelConfig,
-    sink: &mut T,
-) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
-    Fp: ParallelCollecting<PState<C::Addr>, C, S>,
-    T: mai_core::telemetry::TraceSink,
-{
-    Fp::explore_frontier_parallel_traced(
-        &crate::direct::mnext_direct::<C, S>,
-        PState::inject(program.clone()),
-        config,
-        sink,
-    )
-}
-
-/// Like [`analyse_gc_worklist_parallel`], but on the barrier-elastic
-/// driver.
-pub fn analyse_gc_worklist_elastic<C, S, Fp>(
-    program: &CExp,
-    config: ParallelConfig,
-) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
-    Fp: ParallelCollecting<PState<C::Addr>, C, S>,
-{
-    Fp::explore_frontier_parallel(
-        &with_state_gc(crate::direct::mnext_direct::<C, S>),
-        PState::inject(program.clone()),
-        config,
-    )
-}
-
-/// [`analyse_worklist_parallel`] with a
-/// [`TraceSink`](mai_core::telemetry::TraceSink) observing the solve:
-/// per-round phase timings **plus one
-/// [`WorkerSpan`](mai_core::telemetry::WorkerSpan) per worker per round**
-/// and a [`StealTrace`](mai_core::telemetry::StealTrace) per stolen chunk —
-/// the decomposition of E12's sync overhead.
-pub fn analyse_worklist_parallel_traced<C, S, Fp, T>(
-    program: &CExp,
-    threads: usize,
-    sink: &mut T,
-) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
-    Fp: ParallelCollecting<PState<C::Addr>, C, S>,
-    T: mai_core::telemetry::TraceSink,
-{
-    Fp::explore_frontier_parallel_traced(
-        &crate::direct::mnext_direct::<C, S>,
-        PState::inject(program.clone()),
-        ParallelConfig::barrier(threads),
-        sink,
-    )
-}
-
-/// Like [`analyse_worklist`], but solved by the PR-2 *structural-key*
-/// incremental engine (states as `BTreeMap` keys instead of interned ids).
-/// Same fixpoint and same frontier strategy; kept as a differential-testing
-/// oracle and the E10 benchmark baseline.
-pub fn analyse_worklist_structural<C, S, Fp>(program: &CExp) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
-    Fp: FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
-{
-    Fp::explore_frontier_structural(&closure_mnext::<C, S>, PState::inject(program.clone()))
-}
-
-/// Like [`analyse_gc_worklist`], but solved by the structural-key engine.
-pub fn analyse_gc_worklist_structural<C, S, Fp>(program: &CExp) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
-    Fp: FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
-{
-    Fp::explore_frontier_structural(
-        &with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(closure_mnext::<C, S>, ReachableGc),
-        PState::inject(program.clone()),
-    )
+    fn step_direct(_: &CExp, state: Self, ctx: C, store: S) -> Successors<C, S> {
+        mnext_direct(state, ctx, store)
+    }
 }
 
 /// The plain store used by the k-CFA family: addresses are
@@ -439,19 +143,28 @@ pub type KCfaShared<const K: usize> = SharedStoreDomain<PState<KCallAddr>, KCall
 pub type KCfaCounting<const K: usize> =
     SharedStoreDomain<PState<KCallAddr>, KCallCtx<K>, KCountingStore>;
 
+/// The heap-cloning k-CFA domain with abstract counting: every explored
+/// configuration carries its own counting store, so counts reflect the
+/// allocations actually performed along each path.
+pub type KCfaCountingPerState<const K: usize> =
+    PerStateDomain<PState<KCallAddr>, KCallCtx<K>, KCountingStore>;
+
 /// The monovariant (0CFA) shared-store analysis domain.
 pub type MonoShared =
     SharedStoreDomain<PState<MonoAddr>, MonoCtx, BasicStore<MonoAddr, Val<MonoAddr>>>;
 
+/// The resume seed of a governed shared-store k-CFA solve.
+pub type KCfaSeed<const K: usize> = SharedResumeSeed<PState<KCallAddr>, KCallCtx<K>, KStore>;
+
 /// The paper's `analyseKCFA` (§8.1): a k-CFA analysis with a per-state
 /// ("cloned") store.
 pub fn analyse_kcfa<const K: usize>(program: &CExp) -> KCfaPerState<K> {
-    analyse::<KCallCtx<K>, KStore, _>(program)
+    analyse::kleene(program, Gc::Off)
 }
 
 /// The paper's `analyseShared` (§8.2): k-CFA with a single widened store.
 pub fn analyse_kcfa_shared<const K: usize>(program: &CExp) -> KCfaShared<K> {
-    analyse::<KCallCtx<K>, KStore, _>(program)
+    analyse::kleene(program, Gc::Off)
 }
 
 /// The paper's `analyseWithCount` (§8.3): k-CFA with a shared *counting*
@@ -465,171 +178,93 @@ pub fn analyse_kcfa_shared<const K: usize>(program: &CExp) -> KCfaShared<K> {
 /// [`analyse_kcfa_count_cloned`], which pairs the counting store with the
 /// heap-cloning domain.
 pub fn analyse_kcfa_with_count<const K: usize>(program: &CExp) -> KCfaCounting<K> {
-    analyse::<KCallCtx<K>, KCountingStore, _>(program)
+    analyse::kleene(program, Gc::Off)
 }
-
-/// The heap-cloning k-CFA domain with abstract counting: every explored
-/// configuration carries its own counting store, so counts reflect the
-/// allocations actually performed along each path.
-pub type KCfaCountingPerState<const K: usize> =
-    PerStateDomain<PState<KCallAddr>, KCallCtx<K>, KCountingStore>;
 
 /// k-CFA with per-state *counting* stores: the configuration of abstract
 /// counting used for must-alias / strong-update reasoning (§6.3).
 pub fn analyse_kcfa_count_cloned<const K: usize>(program: &CExp) -> KCfaCountingPerState<K> {
-    analyse::<KCallCtx<K>, KCountingStore, _>(program)
+    analyse::kleene(program, Gc::Off)
 }
 
 /// k-CFA with a shared store and abstract garbage collection (§6.4).
 pub fn analyse_kcfa_shared_gc<const K: usize>(program: &CExp) -> KCfaShared<K> {
-    analyse_gc::<KCallCtx<K>, KStore, _>(program)
+    analyse::kleene(program, Gc::On)
 }
 
 /// k-CFA with a per-state store and abstract garbage collection.
 pub fn analyse_kcfa_gc<const K: usize>(program: &CExp) -> KCfaPerState<K> {
-    analyse_gc::<KCallCtx<K>, KStore, _>(program)
+    analyse::kleene(program, Gc::On)
 }
 
 /// The classical monovariant analysis (0CFA, §2.3.1) with a shared store.
 pub fn analyse_mono(program: &CExp) -> MonoShared {
-    analyse::<MonoCtx, BasicStore<MonoAddr, Val<MonoAddr>>, _>(program)
+    analyse::kleene(program, Gc::Off)
 }
 
-/// [`analyse_kcfa`] solved by the worklist engine (per-state stores).
-pub fn analyse_kcfa_worklist<const K: usize>(program: &CExp) -> (KCfaPerState<K>, EngineStats) {
-    analyse_worklist::<KCallCtx<K>, KStore, _>(program)
-}
-
-/// [`analyse_kcfa_shared`] solved by the worklist engine with store-delta
-/// dependency invalidation.
+/// [`analyse_kcfa_shared`] solved by the id-indexed engine on the closure
+/// carrier.
 pub fn analyse_kcfa_shared_worklist<const K: usize>(
     program: &CExp,
 ) -> (KCfaShared<K>, EngineStats) {
-    analyse_worklist::<KCallCtx<K>, KStore, _>(program)
+    analyse::worklist(program, Gc::Off)
 }
 
-/// [`analyse_kcfa_shared`] solved by the PR-2 structural-key incremental
-/// engine — the baseline the E10 experiment measures the id-indexed engine
-/// against.
+/// [`analyse_kcfa_shared`] solved by the structural-key baseline.
 pub fn analyse_kcfa_shared_structural<const K: usize>(
     program: &CExp,
 ) -> (KCfaShared<K>, EngineStats) {
-    analyse_worklist_structural::<KCallCtx<K>, KStore, _>(program)
+    analyse::structural(program, Gc::Off)
 }
 
-/// [`analyse_kcfa_shared_worklist`] on the direct-style carrier — the E11
-/// fast path (no `Rc<dyn Fn>` per bind, persistent-spine store clones).
+/// [`analyse_kcfa_shared`] solved by the id-indexed engine on the direct
+/// carrier.
 pub fn analyse_kcfa_shared_direct<const K: usize>(program: &CExp) -> (KCfaShared<K>, EngineStats) {
-    analyse_worklist_direct::<KCallCtx<K>, KStore, _>(program)
+    analyse::direct(program, Gc::Off)
 }
 
 /// [`analyse_kcfa_shared_direct`] with a
-/// [`TraceSink`](mai_core::telemetry::TraceSink) observing the solve.
-pub fn analyse_kcfa_shared_direct_traced<const K: usize, T>(
+/// [`TraceSink`] observing the solve.
+pub fn analyse_kcfa_shared_direct_traced<const K: usize, T: TraceSink>(
     program: &CExp,
     sink: &mut T,
-) -> (KCfaShared<K>, EngineStats)
-where
-    T: mai_core::telemetry::TraceSink,
-{
-    analyse_worklist_direct_traced::<KCallCtx<K>, KStore, _, T>(program, sink)
-}
-
-/// [`analyse_kcfa_shared_gc_worklist`] on the direct-style carrier.
-pub fn analyse_kcfa_shared_gc_direct<const K: usize>(
-    program: &CExp,
 ) -> (KCfaShared<K>, EngineStats) {
-    analyse_gc_worklist_direct::<KCallCtx<K>, KStore, _>(program)
+    analyse::complete(analyse::governed(
+        program,
+        Gc::Off,
+        None,
+        &Budget::unlimited(),
+        sink,
+    ))
 }
 
-/// [`analyse_kcfa_with_count_worklist`] (shared counting store) on the
-/// direct-style carrier.
-pub fn analyse_kcfa_with_count_direct<const K: usize>(
-    program: &CExp,
-) -> (KCfaCounting<K>, EngineStats) {
-    analyse_worklist_direct::<KCallCtx<K>, KCountingStore, _>(program)
-}
-
-/// [`analyse_kcfa_shared_direct`] solved by the sharded parallel driver —
-/// the E12 measurement subject.
+/// [`analyse_kcfa_shared_direct`] solved by the barrier-parallel driver.
 pub fn analyse_kcfa_shared_parallel<const K: usize>(
     program: &CExp,
     threads: usize,
 ) -> (KCfaShared<K>, EngineStats) {
-    analyse_worklist_parallel::<KCallCtx<K>, KStore, _>(program, threads)
+    let config = ParallelConfig::barrier(threads);
+    analyse::complete(analyse::parallel(
+        program,
+        Gc::Off,
+        config,
+        &Budget::unlimited(),
+        &mut NoopSink,
+    ))
 }
 
-/// [`analyse_kcfa_shared_parallel`] with a
-/// [`TraceSink`](mai_core::telemetry::TraceSink) observing the solve —
-/// the E13 measurement subject (per-round, per-worker profiles).
-pub fn analyse_kcfa_shared_parallel_traced<const K: usize, T>(
-    program: &CExp,
-    threads: usize,
-    sink: &mut T,
-) -> (KCfaShared<K>, EngineStats)
-where
-    T: mai_core::telemetry::TraceSink,
-{
-    analyse_worklist_parallel_traced::<KCallCtx<K>, KStore, _, T>(program, threads, sink)
-}
-
-/// [`analyse_kcfa_shared_gc_direct`] solved by the sharded parallel driver.
-pub fn analyse_kcfa_shared_gc_parallel<const K: usize>(
-    program: &CExp,
-    threads: usize,
-) -> (KCfaShared<K>, EngineStats) {
-    analyse_gc_worklist_parallel::<KCallCtx<K>, KStore, _>(program, threads)
-}
-
-/// [`analyse_kcfa_shared_direct`] solved by the barrier-elastic driver —
-/// the E14 measurement subject.
+/// [`analyse_kcfa_shared_direct`] solved by the barrier-elastic driver.
 pub fn analyse_kcfa_shared_elastic<const K: usize>(
     program: &CExp,
     config: ParallelConfig,
 ) -> (KCfaShared<K>, EngineStats) {
-    analyse_worklist_elastic::<KCallCtx<K>, KStore, _>(program, config)
-}
-
-/// [`analyse_kcfa_shared_elastic`] with a
-/// [`TraceSink`](mai_core::telemetry::TraceSink) observing the solve
-/// (per-round, per-worker, per-epoch and per-merge profiles).
-pub fn analyse_kcfa_shared_elastic_traced<const K: usize, T>(
-    program: &CExp,
-    config: ParallelConfig,
-    sink: &mut T,
-) -> (KCfaShared<K>, EngineStats)
-where
-    T: mai_core::telemetry::TraceSink,
-{
-    analyse_worklist_elastic_traced::<KCallCtx<K>, KStore, _, T>(program, config, sink)
-}
-
-/// The resume seed of a governed shared-store k-CFA solve.
-pub type KCfaSeed<const K: usize> = SharedResumeSeed<PState<KCallAddr>, KCallCtx<K>, KStore>;
-
-/// [`analyse_kcfa_shared_direct`], governed by a [`Budget`].
-pub fn analyse_kcfa_shared_governed<const K: usize>(
-    program: &CExp,
-    budget: &Budget,
-) -> (Outcome<KCfaShared<K>, KCfaSeed<K>>, EngineStats) {
-    analyse_worklist_governed::<KCallCtx<K>, KStore, _>(program, budget)
-}
-
-/// Resumes an exhausted [`analyse_kcfa_shared_governed`] solve.
-pub fn analyse_kcfa_shared_resume<const K: usize>(
-    seed: KCfaSeed<K>,
-    budget: &Budget,
-) -> (Outcome<KCfaShared<K>, KCfaSeed<K>>, EngineStats) {
-    analyse_resume_governed::<KCallCtx<K>, KStore, _>(seed, budget)
-}
-
-/// [`analyse_kcfa_shared_elastic`], governed by a [`Budget`].
-pub fn analyse_kcfa_shared_elastic_governed<const K: usize>(
-    program: &CExp,
-    config: ParallelConfig,
-    budget: &Budget,
-) -> (Outcome<KCfaShared<K>, KCfaSeed<K>>, EngineStats) {
-    analyse_worklist_elastic_governed::<KCallCtx<K>, KStore, _>(program, config, budget)
+    analyse::complete(analyse::parallel(
+        program,
+        Gc::Off,
+        config,
+        &Budget::unlimited(),
+        &mut NoopSink,
+    ))
 }
 
 /// How many distinct environments the states of a shared-store fixpoint
@@ -645,40 +280,6 @@ where
     S: Lattice,
 {
     mai_core::intern::distinct_count(result.states().iter().map(|(ps, _)| ps.env.clone()))
-}
-
-/// [`analyse_kcfa_with_count`] solved by the worklist engine (shared
-/// counting store; count bumps participate in dependency invalidation).
-pub fn analyse_kcfa_with_count_worklist<const K: usize>(
-    program: &CExp,
-) -> (KCfaCounting<K>, EngineStats) {
-    analyse_worklist::<KCallCtx<K>, KCountingStore, _>(program)
-}
-
-/// [`analyse_kcfa_count_cloned`] solved by the worklist engine.
-pub fn analyse_kcfa_count_cloned_worklist<const K: usize>(
-    program: &CExp,
-) -> (KCfaCountingPerState<K>, EngineStats) {
-    analyse_worklist::<KCallCtx<K>, KCountingStore, _>(program)
-}
-
-/// [`analyse_kcfa_shared_gc`] solved by the worklist engine: abstract GC
-/// composes with the engine because a GC'd transition still only depends on
-/// the store restricted to the state's reachable addresses.
-pub fn analyse_kcfa_shared_gc_worklist<const K: usize>(
-    program: &CExp,
-) -> (KCfaShared<K>, EngineStats) {
-    analyse_gc_worklist::<KCallCtx<K>, KStore, _>(program)
-}
-
-/// [`analyse_kcfa_gc`] solved by the worklist engine.
-pub fn analyse_kcfa_gc_worklist<const K: usize>(program: &CExp) -> (KCfaPerState<K>, EngineStats) {
-    analyse_gc_worklist::<KCallCtx<K>, KStore, _>(program)
-}
-
-/// [`analyse_mono`] solved by the worklist engine.
-pub fn analyse_mono_worklist(program: &CExp) -> (MonoShared, EngineStats) {
-    analyse_worklist::<MonoCtx, BasicStore<MonoAddr, Val<MonoAddr>>, _>(program)
 }
 
 /// The per-state domain of the fresh-address concrete collecting semantics
@@ -702,7 +303,7 @@ pub fn analyse_concrete_collecting(
 ) -> Outcome<ConcreteCollectingDomain, ConcreteCollectingDomain> {
     type S = BasicStore<<ConcreteCtx as Context>::Addr, Val<<ConcreteCtx as Context>::Addr>>;
     explore_fp_governed::<StorePassing<ConcreteCtx, S>, _, _, _>(
-        closure_mnext::<ConcreteCtx, S>,
+        |state| mnext::<StorePassing<ConcreteCtx, S>, _>(state, ()),
         PState::inject(program.clone()),
         &Budget::unlimited().with_max_rounds(max_iterations),
     )
@@ -779,26 +380,6 @@ impl AnalysisMetrics {
             store_bindings: store.binding_count(),
             store_facts: store.fact_count(),
             singleton_flows: store.singleton_count(),
-        }
-    }
-
-    /// Metrics of a per-state-store analysis result (stores are joined
-    /// before being measured).
-    pub fn of_per_state<Ps, C, A>(result: &PerStateDomain<Ps, C, BasicStore<A, Val<A>>>) -> Self
-    where
-        Ps: Ord + Clone,
-        C: Ord + Clone,
-        A: NamedAddress,
-        Val<A>: Ord,
-    {
-        let joined: BasicStore<A, Val<A>> =
-            Lattice::join_all(result.iter().map(|(_, s)| s.clone()));
-        AnalysisMetrics {
-            configurations: result.len(),
-            distinct_states: result.distinct_states().len(),
-            store_bindings: joined.binding_count(),
-            store_facts: joined.fact_count(),
-            singleton_flows: joined.singleton_count(),
         }
     }
 }
@@ -977,7 +558,6 @@ mod tests {
         assert!(m.distinct_states <= m.configurations);
 
         let cloned = analyse_kcfa::<1>(&p);
-        let mc = AnalysisMetrics::of_per_state(&cloned);
-        assert!(mc.distinct_states <= mc.configurations);
+        assert!(cloned.distinct_states().len() <= cloned.len());
     }
 }

@@ -10,11 +10,14 @@
 //!   [`semantics::mnext`] written once against the interface.
 //! * [`concrete`] — the concrete interpreter of §4, recovered by choosing a
 //!   deterministic state monad over a real heap.
-//! * [`analysis`] — the `StorePassing` instance (§5.3, §6), abstract
-//!   garbage collection and the k-CFA analysis family of §8
+//! * [`analysis`] — the `StorePassing` instance (§5.3, §6), the CPS
+//!   [`Machine`](mai_core::analyse::Machine) that every solve of
+//!   [`mai_core::analyse`] runs, and the k-CFA analysis family of §8 as
+//!   domain types (`KCfaPerState`, `KCfaShared`, `KCfaCounting`, the
+//!   monovariant `MonoShared`) with the paper's named analyses
 //!   (`analyse_kcfa`, `analyse_kcfa_shared`, `analyse_kcfa_with_count`,
-//!   GC'd variants, the monovariant 0CFA, and the fresh-address concrete
-//!   collecting semantics).
+//!   GC'd variants, `analyse_mono`) and the fresh-address concrete
+//!   collecting semantics.
 //! * [`programs`] — benchmark programs and generators.
 //! * [`convert`] — a CPS transform from the direct-style λ-calculus of
 //!   `mai-lambda`, used to obtain realistic workloads (Church arithmetic).
@@ -43,21 +46,11 @@ pub mod semantics;
 pub mod syntax;
 
 pub use analysis::{
-    abstract_errors, analyse, analyse_concrete_collecting, analyse_gc, analyse_gc_worklist,
-    analyse_gc_worklist_structural, analyse_kcfa, analyse_kcfa_count_cloned,
-    analyse_kcfa_count_cloned_worklist, analyse_kcfa_gc, analyse_kcfa_gc_worklist,
-    analyse_kcfa_shared, analyse_kcfa_shared_gc, analyse_kcfa_shared_gc_worklist,
+    abstract_errors, analyse_concrete_collecting, analyse_kcfa, analyse_kcfa_count_cloned,
+    analyse_kcfa_gc, analyse_kcfa_shared, analyse_kcfa_shared_direct,
+    analyse_kcfa_shared_direct_traced, analyse_kcfa_shared_elastic, analyse_kcfa_shared_gc,
     analyse_kcfa_shared_structural, analyse_kcfa_shared_worklist, analyse_kcfa_with_count,
-    analyse_kcfa_with_count_worklist, analyse_kcfa_worklist, analyse_mono, analyse_mono_worklist,
-    analyse_worklist, analyse_worklist_structural, distinct_env_count, flow_map_of_store,
-    AnalysisMetrics, FlowMap,
-};
-pub use analysis::{
-    analyse_gc_worklist_direct, analyse_kcfa_shared_direct, analyse_kcfa_shared_direct_traced,
-    analyse_kcfa_shared_elastic, analyse_kcfa_shared_elastic_traced, analyse_kcfa_shared_gc_direct,
-    analyse_kcfa_shared_parallel_traced, analyse_kcfa_with_count_direct, analyse_worklist_direct,
-    analyse_worklist_direct_traced, analyse_worklist_elastic_traced,
-    analyse_worklist_parallel_traced,
+    analyse_mono, distinct_env_count, flow_map_of_store, AnalysisMetrics, FlowMap,
 };
 pub use concrete::{interpret, interpret_with_limit, Heap, HeapAddr, Outcome};
 pub use convert::cps_convert;

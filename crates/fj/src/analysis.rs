@@ -7,23 +7,49 @@
 //! in `mai-core` was written with objects in mind, yet everything applies —
 //! the paper's claim that "context-sensitivity for Java and for the lambda
 //! calculus is the same monad".
+//!
+//! The FJ [`Machine`] instance hands `mnext`, closed over the program's
+//! class table, to the solves of [`mai_core::analyse`], so every engine
+//! solves every domain type below ([`KFjShared`], [`KFjPerState`],
+//! [`MonoFjShared`]):
+//!
+//! ```rust
+//! use mai_core::analyse::{self, Gc};
+//! use mai_fj::analysis::{result_classes, KFjShared};
+//! use mai_fj::programs::pair_fst;
+//!
+//! let program = pair_fst();
+//! let (fixpoint, _stats) = analyse::direct::<KFjShared<1>>(&program, Gc::On);
+//! assert_eq!(fixpoint, analyse::kleene::<KFjShared<1>>(&program, Gc::On));
+//! assert_eq!(result_classes(&fixpoint).len(), 1);
+//! ```
+//!
+//! The named analyses ([`analyse_kcfa`], [`analyse_kcfa_shared`],
+//! [`analyse_kcfa_with_count`], [`analyse_kcfa_shared_gc`],
+//! [`analyse_mono`]) are one-line Kleene solves.  The `_worklist`,
+//! `_structural`, `_direct`, `_parallel` and `_elastic` names serve the
+//! source→answer benchmark (`perfbench/`) until it calls
+//! [`mai_core::analyse`] itself.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use mai_core::addr::{Context, NamedAddress};
-use mai_core::collect::{run_analysis, with_gc, Collecting, PerStateDomain, SharedStoreDomain};
+use mai_core::analyse::{self, Domain, Gc, Machine};
+use mai_core::collect::{PerStateDomain, SharedStoreDomain};
 use mai_core::engine::{
-    with_state_gc, DirectCollecting, EngineStats, FrontierCollecting, ParallelCollecting,
-    ParallelConfig,
+    Budget, EngineStats, FrontierCollecting, ParallelCollecting, ParallelConfig,
 };
-use mai_core::gc::ReachableGc;
-use mai_core::monad::{gets_nd_set, MonadState, MonadTrans, StateT, StorePassing, Value, VecM};
+use mai_core::monad::{
+    gets_nd_set, MonadFamily, MonadState, MonadTrans, StateT, StorePassing, Value, VecM,
+};
 use mai_core::name::{Label, Name};
 use mai_core::store::{BasicStore, CountingStore, StoreLike};
+use mai_core::telemetry::NoopSink;
 use mai_core::{KCallAddr, KCallCtx, MonoAddr, MonoCtx};
 
+use crate::direct::{mnext_direct, Successors};
 use crate::machine::{kont_name, mnext, Env, FjInterface, Kont, KontKind, Obj, PState, Storable};
-use crate::syntax::{ClassName, ClassTable, Program, VarName};
+use crate::syntax::{ClassName, Program, VarName};
 
 impl<C, S> FjInterface<C::Addr> for StorePassing<C, S>
 where
@@ -106,200 +132,26 @@ where
     }
 }
 
-/// Runs the Featherweight Java analysis with an arbitrary context, store and
-/// collecting domain.
-pub fn analyse<C, S, Fp>(program: &Program) -> Fp
+/// The Featherweight Java machine, as the solves of [`mai_core::analyse`]
+/// see it: both steps read the program's class table.
+impl<C, S> Machine<C, S> for PState<C::Addr>
 where
     C: Context,
     S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: Collecting<StorePassing<C, S>, PState<C::Addr>>,
 {
-    let table = program.table.clone();
-    run_analysis::<StorePassing<C, S>, _, Fp, _>(
-        move |ps| mnext::<StorePassing<C, S>, C::Addr>(&table, ps, ()),
-        PState::inject(program.main.clone()),
-    )
-}
+    type Program = Program;
 
-/// Like [`analyse`], with abstract garbage collection after every step.
-pub fn analyse_with_gc<C, S, Fp>(program: &Program) -> Fp
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: Collecting<StorePassing<C, S>, PState<C::Addr>>,
-{
-    let table = program.table.clone();
-    run_analysis::<StorePassing<C, S>, _, Fp, _>(
-        with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(
-            move |ps| mnext::<StorePassing<C, S>, C::Addr>(&table, ps, ()),
-            ReachableGc,
-        ),
-        PState::inject(program.main.clone()),
-    )
-}
+    fn initial(program: &Program) -> Self {
+        PState::inject(program.main.clone())
+    }
 
-/// Like [`analyse`], but solved by the frontier-driven worklist engine
-/// instead of naive Kleene iteration, additionally reporting
-/// [`EngineStats`].  Computes exactly the same fixpoint.
-pub fn analyse_worklist<C, S, Fp>(program: &Program) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
-{
-    let table = program.table.clone();
-    Fp::explore_frontier(
-        &move |ps| mnext::<StorePassing<C, S>, C::Addr>(&table, ps, ()),
-        PState::inject(program.main.clone()),
-    )
-}
+    fn step(program: &Program, state: Self) -> <StorePassing<C, S> as MonadFamily>::M<Self> {
+        mnext::<StorePassing<C, S>, C::Addr>(&program.table, state, ())
+    }
 
-/// Like [`analyse_with_gc`], but solved by the worklist engine.
-pub fn analyse_with_gc_worklist<C, S, Fp>(program: &Program) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
-{
-    let table = program.table.clone();
-    Fp::explore_frontier(
-        &with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(
-            move |ps| mnext::<StorePassing<C, S>, C::Addr>(&table, ps, ()),
-            ReachableGc,
-        ),
-        PState::inject(program.main.clone()),
-    )
-}
-
-/// Like [`analyse_worklist`], but evaluated on the **direct-style step
-/// carrier** ([`crate::direct::mnext_direct`]): the same FJ machine
-/// semantics with `bind` as plain function composition — no `Rc<dyn Fn>`
-/// per bind.  Identical fixpoint; the `Rc` carrier remains the oracle.
-pub fn analyse_worklist_direct<C, S, Fp>(program: &Program) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: DirectCollecting<PState<C::Addr>, C, S>,
-{
-    let table = program.table.clone();
-    Fp::explore_frontier_direct(
-        &move |ps, ctx, store| crate::direct::mnext_direct::<C, S>(&table, ps, ctx, store),
-        PState::inject(program.main.clone()),
-    )
-}
-
-/// [`analyse_worklist_direct`] with a
-/// [`TraceSink`](mai_core::telemetry::TraceSink) observing the solve:
-/// per-round phase timings, store-join traffic and hot-state attribution.
-/// Identical fixpoint and identical deterministic work counters at every
-/// sink.
-pub fn analyse_worklist_direct_traced<C, S, Fp, T>(
-    program: &Program,
-    sink: &mut T,
-) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: DirectCollecting<PState<C::Addr>, C, S>,
-    T: mai_core::telemetry::TraceSink,
-{
-    let table = program.table.clone();
-    Fp::explore_frontier_direct_traced(
-        &move |ps, ctx, store| crate::direct::mnext_direct::<C, S>(&table, ps, ctx, store),
-        PState::inject(program.main.clone()),
-        sink,
-    )
-}
-
-/// Like [`analyse_with_gc_worklist`], but on the direct-style carrier
-/// (per-branch store restriction via
-/// [`with_state_gc`]).
-pub fn analyse_with_gc_worklist_direct<C, S, Fp>(program: &Program) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: DirectCollecting<PState<C::Addr>, C, S>,
-{
-    let table = program.table.clone();
-    Fp::explore_frontier_direct(
-        &with_state_gc(move |ps, ctx, store| {
-            crate::direct::mnext_direct::<C, S>(&table, ps, ctx, store)
-        }),
-        PState::inject(program.main.clone()),
-    )
-}
-
-/// Like [`analyse_with_gc_worklist_direct`], but solved by the sharded
-/// parallel driver (abstract GC as the per-branch [`with_state_gc`] store
-/// restriction, inside each worker).
-pub fn analyse_with_gc_parallel<C, S, Fp>(program: &Program, threads: usize) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: ParallelCollecting<PState<C::Addr>, C, S>,
-{
-    let table = program.table.clone();
-    Fp::explore_frontier_parallel(
-        &with_state_gc(move |ps, ctx, store| {
-            crate::direct::mnext_direct::<C, S>(&table, ps, ctx, store)
-        }),
-        PState::inject(program.main.clone()),
-        ParallelConfig::barrier(threads),
-    )
-}
-
-/// Like [`analyse_with_gc_parallel`], but on the barrier-elastic driver.
-pub fn analyse_with_gc_elastic<C, S, Fp>(
-    program: &Program,
-    config: ParallelConfig,
-) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: ParallelCollecting<PState<C::Addr>, C, S>,
-{
-    let table = program.table.clone();
-    Fp::explore_frontier_parallel(
-        &with_state_gc(move |ps, ctx, store| {
-            crate::direct::mnext_direct::<C, S>(&table, ps, ctx, store)
-        }),
-        PState::inject(program.main.clone()),
-        config,
-    )
-}
-
-/// Like [`analyse_worklist`], but solved by the PR-2 *structural-key*
-/// incremental engine (states as `BTreeMap` keys instead of interned ids) —
-/// a differential-testing oracle and the E10 benchmark baseline.
-pub fn analyse_worklist_structural<C, S, Fp>(program: &Program) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
-{
-    let table = program.table.clone();
-    Fp::explore_frontier_structural(
-        &move |ps| mnext::<StorePassing<C, S>, C::Addr>(&table, ps, ()),
-        PState::inject(program.main.clone()),
-    )
-}
-
-/// Like [`analyse_with_gc_worklist`], but solved by the structural-key
-/// engine.
-pub fn analyse_with_gc_worklist_structural<C, S, Fp>(program: &Program) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
-{
-    let table = program.table.clone();
-    Fp::explore_frontier_structural(
-        &with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(
-            move |ps| mnext::<StorePassing<C, S>, C::Addr>(&table, ps, ()),
-            ReachableGc,
-        ),
-        PState::inject(program.main.clone()),
-    )
+    fn step_direct(program: &Program, state: Self, ctx: C, store: S) -> Successors<C, S> {
+        mnext_direct(&program.table, state, ctx, store)
+    }
 }
 
 /// The plain store of the call-site-sensitive FJ analyses.
@@ -320,109 +172,45 @@ pub type MonoFjShared =
 
 /// k-call-site-sensitive analysis with a shared (widened) store.
 pub fn analyse_kcfa_shared<const K: usize>(program: &Program) -> KFjShared<K> {
-    analyse::<KCallCtx<K>, KFjStore, _>(program)
+    analyse::kleene(program, Gc::Off)
 }
 
 /// k-call-site-sensitive analysis with per-state stores (heap cloning).
 pub fn analyse_kcfa<const K: usize>(program: &Program) -> KFjPerState<K> {
-    analyse::<KCallCtx<K>, KFjStore, _>(program)
+    analyse::kleene(program, Gc::Off)
 }
 
 /// k-call-site-sensitive analysis with a shared counting store.
 pub fn analyse_kcfa_with_count<const K: usize>(
     program: &Program,
 ) -> SharedStoreDomain<PState<KCallAddr>, KCallCtx<K>, KFjCountingStore> {
-    analyse::<KCallCtx<K>, KFjCountingStore, _>(program)
+    analyse::kleene(program, Gc::Off)
 }
 
 /// k-call-site-sensitive analysis with a shared store and abstract GC.
 pub fn analyse_kcfa_shared_gc<const K: usize>(program: &Program) -> KFjShared<K> {
-    analyse_with_gc::<KCallCtx<K>, KFjStore, _>(program)
+    analyse::kleene(program, Gc::On)
 }
 
 /// Monovariant (context-insensitive) analysis with a shared store.
 pub fn analyse_mono(program: &Program) -> MonoFjShared {
-    analyse::<MonoCtx, BasicStore<MonoAddr, Storable<MonoAddr>>, _>(program)
+    analyse::kleene(program, Gc::Off)
 }
 
-/// [`analyse_kcfa_shared`] solved by the worklist engine.
-pub fn analyse_kcfa_shared_worklist<const K: usize>(
-    program: &Program,
-) -> (KFjShared<K>, EngineStats) {
-    analyse_worklist::<KCallCtx<K>, KFjStore, _>(program)
-}
-
-/// [`analyse_kcfa_shared`] solved by the PR-2 structural-key incremental
-/// engine — the E10 benchmark baseline.
-pub fn analyse_kcfa_shared_structural<const K: usize>(
-    program: &Program,
-) -> (KFjShared<K>, EngineStats) {
-    analyse_worklist_structural::<KCallCtx<K>, KFjStore, _>(program)
-}
-
-/// How many distinct environments the states of a shared-store FJ fixpoint
-/// carry, measured with an [`EnvId`](mai_core::intern::EnvId) interner —
-/// the language-boundary half of [`EngineStats::distinct_envs`].
-pub fn distinct_env_count<A, G, S>(result: &SharedStoreDomain<PState<A>, G, S>) -> usize
-where
-    A: mai_core::addr::Address + std::hash::Hash,
-    G: Ord + Clone,
-    S: mai_core::lattice::Lattice,
-{
-    mai_core::intern::distinct_count(result.states().iter().map(|(ps, _)| ps.env.clone()))
-}
-
-/// [`analyse_kcfa`] solved by the worklist engine (per-state stores).
-pub fn analyse_kcfa_worklist<const K: usize>(program: &Program) -> (KFjPerState<K>, EngineStats) {
-    analyse_worklist::<KCallCtx<K>, KFjStore, _>(program)
-}
-
-/// [`analyse_kcfa_with_count`] solved by the worklist engine.
-pub fn analyse_kcfa_with_count_worklist<const K: usize>(
-    program: &Program,
-) -> (
-    SharedStoreDomain<PState<KCallAddr>, KCallCtx<K>, KFjCountingStore>,
-    EngineStats,
-) {
-    analyse_worklist::<KCallCtx<K>, KFjCountingStore, _>(program)
-}
-
-/// [`analyse_kcfa_shared_gc`] solved by the worklist engine.
+/// [`analyse_kcfa_shared_gc`] solved by the id-indexed engine on the
+/// closure carrier.
 pub fn analyse_kcfa_shared_gc_worklist<const K: usize>(
     program: &Program,
 ) -> (KFjShared<K>, EngineStats) {
-    analyse_with_gc_worklist::<KCallCtx<K>, KFjStore, _>(program)
+    analyse::worklist(program, Gc::On)
 }
 
-/// [`analyse_kcfa_shared_worklist`] on the direct-style carrier.
-pub fn analyse_kcfa_shared_direct<const K: usize>(
-    program: &Program,
-) -> (KFjShared<K>, EngineStats) {
-    analyse_worklist_direct::<KCallCtx<K>, KFjStore, _>(program)
-}
-
-/// [`analyse_kcfa_shared_direct`] with a
-/// [`TraceSink`](mai_core::telemetry::TraceSink) observing the solve.
-pub fn analyse_kcfa_shared_direct_traced<const K: usize, T>(
-    program: &Program,
-    sink: &mut T,
-) -> (KFjShared<K>, EngineStats)
-where
-    T: mai_core::telemetry::TraceSink,
-{
-    analyse_worklist_direct_traced::<KCallCtx<K>, KFjStore, _, T>(program, sink)
-}
-
-/// [`analyse_kcfa_shared_gc_worklist`] on the direct-style carrier.
+/// [`analyse_kcfa_shared_gc`] solved by the id-indexed engine on the
+/// direct carrier.
 pub fn analyse_kcfa_shared_gc_direct<const K: usize>(
     program: &Program,
 ) -> (KFjShared<K>, EngineStats) {
-    analyse_with_gc_worklist_direct::<KCallCtx<K>, KFjStore, _>(program)
-}
-
-/// [`analyse_mono_worklist`] on the direct-style carrier.
-pub fn analyse_mono_direct(program: &Program) -> (MonoFjShared, EngineStats) {
-    analyse_worklist_direct::<MonoCtx, BasicStore<MonoAddr, Storable<MonoAddr>>, _>(program)
+    analyse::direct(program, Gc::On)
 }
 
 /// [`analyse_kcfa_shared_gc_direct`] solved by the barrier-elastic driver.
@@ -430,12 +218,44 @@ pub fn analyse_kcfa_shared_gc_elastic<const K: usize>(
     program: &Program,
     config: ParallelConfig,
 ) -> (KFjShared<K>, EngineStats) {
-    analyse_with_gc_elastic::<KCallCtx<K>, KFjStore, _>(program, config)
+    analyse::complete(analyse::parallel(
+        program,
+        Gc::On,
+        config,
+        &Budget::unlimited(),
+        &mut NoopSink,
+    ))
 }
 
-/// [`analyse_mono`] solved by the worklist engine.
-pub fn analyse_mono_worklist(program: &Program) -> (MonoFjShared, EngineStats) {
-    analyse_worklist::<MonoCtx, BasicStore<MonoAddr, Storable<MonoAddr>>, _>(program)
+/// The structural-key baseline with abstract GC, over any context `C`,
+/// store `S` and shared-store domain `Fp`.
+pub fn analyse_with_gc_worklist_structural<C, S, Fp>(program: &Program) -> (Fp, EngineStats)
+where
+    C: Context,
+    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
+    Fp: Domain<State = PState<C::Addr>, Guts = C, Store = S>
+        + FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
+{
+    analyse::structural(program, Gc::On)
+}
+
+/// The barrier-parallel driver with abstract GC, over any context `C`,
+/// store `S` and shared-store domain `Fp`.
+pub fn analyse_with_gc_parallel<C, S, Fp>(program: &Program, threads: usize) -> (Fp, EngineStats)
+where
+    C: Context,
+    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
+    Fp: Domain<State = PState<C::Addr>, Guts = C, Store = S>
+        + ParallelCollecting<PState<C::Addr>, C, S>,
+{
+    let config = ParallelConfig::barrier(threads);
+    analyse::complete(analyse::parallel(
+        program,
+        Gc::On,
+        config,
+        &Budget::unlimited(),
+        &mut NoopSink,
+    ))
 }
 
 /// Which classes may flow to each variable or field cell, extracted from an
@@ -500,35 +320,6 @@ pub trait ResultClass {
 impl<A> ResultClass for PState<A> {
     fn result_class(&self) -> Option<ClassName> {
         self.result().map(|obj| obj.class.clone())
-    }
-}
-
-/// A typed façade bundling a program with the analyses most examples need.
-#[derive(Debug, Clone)]
-pub struct FjAnalyser {
-    program: Program,
-}
-
-impl FjAnalyser {
-    /// Creates an analyser for a (well-formed) program.
-    pub fn new(program: Program) -> Self {
-        FjAnalyser { program }
-    }
-
-    /// The underlying class table.
-    pub fn table(&self) -> &ClassTable {
-        &self.program.table
-    }
-
-    /// Monovariant class analysis of the program: variable/field → classes.
-    pub fn mono_class_flows(&self) -> BTreeMap<Name, BTreeSet<ClassName>> {
-        class_flow_map(analyse_mono(&self.program).store())
-    }
-
-    /// The classes the program may evaluate to under 1-call-site
-    /// sensitivity.
-    pub fn result_classes_1cfa(&self) -> BTreeSet<ClassName> {
-        result_classes(&analyse_kcfa_shared::<1>(&self.program))
     }
 }
 
@@ -641,17 +432,5 @@ mod tests {
         // A well-behaved program reports no errors.
         let result = analyse_mono(&programs::pair_fst());
         assert!(abstract_errors(result.distinct_states().iter()).is_empty());
-    }
-
-    #[test]
-    fn analyser_facade_reports_flows_and_results() {
-        let analyser = FjAnalyser::new(programs::pair_fst());
-        let flows = analyser.mono_class_flows();
-        assert!(!flows.is_empty());
-        assert_eq!(
-            analyser.result_classes_1cfa(),
-            [Name::from("A")].into_iter().collect()
-        );
-        assert!(analyser.table().class(&Name::from("Pair")).is_some());
     }
 }

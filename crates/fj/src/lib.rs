@@ -12,8 +12,9 @@
 //!   and continuations) behind the semantic interface
 //!   [`machine::FjInterface`].
 //! * [`concrete`] — the concrete interpreter.
-//! * [`analysis`] — the monovariant and k-call-site-sensitive analyses,
-//!   counting stores, abstract GC and class-flow extraction.
+//! * [`analysis`] — the FJ [`Machine`](mai_core::analyse::Machine) that
+//!   every solve of [`mai_core::analyse`] runs, the monovariant and
+//!   k-call-site-sensitive domain types, and class-flow extraction.
 //! * [`programs`] — well-typed example programs and generators.
 //!
 //! ```rust
@@ -40,17 +41,10 @@ pub mod syntax;
 pub mod typecheck;
 
 pub use analysis::{
-    abstract_errors, analyse, analyse_kcfa, analyse_kcfa_shared, analyse_kcfa_shared_gc,
-    analyse_kcfa_shared_gc_worklist, analyse_kcfa_shared_structural, analyse_kcfa_shared_worklist,
-    analyse_kcfa_with_count, analyse_kcfa_with_count_worklist, analyse_kcfa_worklist, analyse_mono,
-    analyse_mono_worklist, analyse_with_gc, analyse_with_gc_worklist,
-    analyse_with_gc_worklist_structural, analyse_worklist, analyse_worklist_structural,
-    class_flow_map, distinct_env_count, result_classes, FjAnalyser,
-};
-pub use analysis::{
-    analyse_kcfa_shared_direct, analyse_kcfa_shared_direct_traced, analyse_kcfa_shared_gc_direct,
-    analyse_kcfa_shared_gc_elastic, analyse_mono_direct, analyse_with_gc_worklist_direct,
-    analyse_worklist_direct, analyse_worklist_direct_traced,
+    abstract_errors, analyse_kcfa, analyse_kcfa_shared, analyse_kcfa_shared_gc,
+    analyse_kcfa_shared_gc_direct, analyse_kcfa_shared_gc_elastic, analyse_kcfa_shared_gc_worklist,
+    analyse_kcfa_with_count, analyse_mono, analyse_with_gc_worklist_structural, class_flow_map,
+    result_classes,
 };
 pub use concrete::{run, run_with_limit, Outcome};
 pub use direct::mnext_direct;

@@ -5,23 +5,46 @@
 //! CPS (contexts, stores, counting stores, garbage collection, per-state or
 //! shared-store domains) — this module is the concrete evidence for the
 //! paper's reuse claim (Figure 3 and §1.2).
+//!
+//! The CESK [`Machine`] instance hands `mnext` to the solves of
+//! [`mai_core::analyse`], so every engine solves every domain type below
+//! ([`KCeskShared`], [`KCeskPerState`], [`MonoCeskShared`]):
+//!
+//! ```rust
+//! use mai_core::analyse::{self, Gc};
+//! use mai_lambda::analysis::KCeskShared;
+//! use mai_lambda::programs::identity_application;
+//!
+//! let term = identity_application();
+//! let kleene: KCeskShared<1> = analyse::kleene(&term, Gc::Off);
+//! let (worklist, _stats) = analyse::worklist::<KCeskShared<1>>(&term, Gc::Off);
+//! assert_eq!(worklist, kleene);
+//! ```
+//!
+//! The named analyses ([`analyse_kcfa`], [`analyse_kcfa_shared`],
+//! [`analyse_kcfa_with_count`], [`analyse_kcfa_shared_gc`],
+//! [`analyse_mono`]) are one-line Kleene solves.  The `_worklist`,
+//! `_structural`, `_direct`, `_parallel` and `_elastic` names serve the
+//! source→answer benchmark (`perfbench/`) until it calls
+//! [`mai_core::analyse`] itself.
 
 use std::collections::BTreeSet;
 
 use mai_core::addr::{Context, NamedAddress};
-use mai_core::collect::{run_analysis, with_gc, Collecting, PerStateDomain, SharedStoreDomain};
+use mai_core::analyse::{self, Domain, Gc, Machine};
+use mai_core::collect::{PerStateDomain, SharedStoreDomain};
 use mai_core::engine::{
-    with_state_gc, Budget, DirectCollecting, EngineStats, FrontierCollecting, Outcome,
-    ParallelCollecting, ParallelConfig, SharedResumeSeed, SolveFrom,
+    Budget, DirectCollecting, EngineStats, FrontierCollecting, ParallelConfig, SharedResumeSeed,
 };
-use mai_core::gc::ReachableGc;
 use mai_core::monad::{
     gets_nd_set, MonadFamily, MonadState, MonadTrans, StateT, StorePassing, Value, VecM,
 };
 use mai_core::name::{Label, Name};
 use mai_core::store::{BasicStore, CountingStore, StoreLike};
+use mai_core::telemetry::{NoopSink, TraceSink};
 use mai_core::{KCallAddr, KCallCtx, MonoAddr, MonoCtx};
 
+use crate::direct::{mnext_direct, Successors};
 use crate::machine::{
     kont_name, mnext, CeskInterface, Closure, Env, Kont, KontKind, PState, Storable,
 };
@@ -94,299 +117,25 @@ where
     }
 }
 
-/// [`mnext`] on the closure carrier, in the `Fn(state) -> M<state>` shape
-/// the closure-carrier engines take.
-fn closure_mnext<C, S>(
-    ps: PState<C::Addr>,
-) -> <StorePassing<C, S> as MonadFamily>::M<PState<C::Addr>>
+/// The CESK machine, as the solves of [`mai_core::analyse`] see it.
+impl<C, S> Machine<C, S> for PState<C::Addr>
 where
     C: Context,
     S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
 {
-    mnext::<StorePassing<C, S>, C::Addr>(ps, ())
-}
+    type Program = Term;
 
-/// Runs the CESK analysis with an arbitrary context, store and collecting
-/// domain.
-pub fn analyse<C, S, Fp>(term: &Term) -> Fp
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: Collecting<StorePassing<C, S>, PState<C::Addr>>,
-{
-    run_analysis::<StorePassing<C, S>, _, Fp, _>(
-        closure_mnext::<C, S>,
-        PState::inject(term.clone()),
-    )
-}
+    fn initial(term: &Term) -> Self {
+        PState::inject(term.clone())
+    }
 
-/// Like [`analyse`], with abstract garbage collection after every step.
-pub fn analyse_with_gc<C, S, Fp>(term: &Term) -> Fp
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: Collecting<StorePassing<C, S>, PState<C::Addr>>,
-{
-    run_analysis::<StorePassing<C, S>, _, Fp, _>(
-        with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(closure_mnext::<C, S>, ReachableGc),
-        PState::inject(term.clone()),
-    )
-}
+    fn step(_: &Term, state: Self) -> <StorePassing<C, S> as MonadFamily>::M<Self> {
+        mnext::<StorePassing<C, S>, C::Addr>(state, ())
+    }
 
-/// Like [`analyse`], but solved by the frontier-driven worklist engine
-/// instead of naive Kleene iteration, additionally reporting
-/// [`EngineStats`].  Computes exactly the same fixpoint.
-pub fn analyse_worklist<C, S, Fp>(term: &Term) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
-{
-    Fp::explore_frontier(&closure_mnext::<C, S>, PState::inject(term.clone()))
-}
-
-/// Like [`analyse_with_gc`], but solved by the worklist engine.
-pub fn analyse_with_gc_worklist<C, S, Fp>(term: &Term) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
-{
-    Fp::explore_frontier(
-        &with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(closure_mnext::<C, S>, ReachableGc),
-        PState::inject(term.clone()),
-    )
-}
-
-/// Like [`analyse_worklist`], but evaluated on the **direct-style step
-/// carrier** ([`crate::direct::mnext_direct`]): the same CESK semantics
-/// with `bind` as plain function composition — no `Rc<dyn Fn>` per bind.
-/// Identical fixpoint; the `Rc` carrier remains the oracle.
-pub fn analyse_worklist_direct<C, S, Fp>(term: &Term) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: DirectCollecting<PState<C::Addr>, C, S>,
-{
-    Fp::explore_frontier_direct(
-        &crate::direct::mnext_direct::<C, S>,
-        PState::inject(term.clone()),
-    )
-}
-
-/// [`analyse_worklist_direct`] with a
-/// [`TraceSink`](mai_core::telemetry::TraceSink) observing the solve:
-/// per-round phase timings, store-join traffic and hot-state attribution.
-/// Identical fixpoint and identical deterministic work counters at every
-/// sink.
-pub fn analyse_worklist_direct_traced<C, S, Fp, T>(term: &Term, sink: &mut T) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: DirectCollecting<PState<C::Addr>, C, S>,
-    T: mai_core::telemetry::TraceSink,
-{
-    Fp::explore_frontier_direct_traced(
-        &crate::direct::mnext_direct::<C, S>,
-        PState::inject(term.clone()),
-        sink,
-    )
-}
-
-/// Like [`analyse_with_gc_worklist`], but on the direct-style carrier
-/// (per-branch store restriction via
-/// [`with_state_gc`]).
-pub fn analyse_with_gc_worklist_direct<C, S, Fp>(term: &Term) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: DirectCollecting<PState<C::Addr>, C, S>,
-{
-    Fp::explore_frontier_direct(
-        &with_state_gc(crate::direct::mnext_direct::<C, S>),
-        PState::inject(term.clone()),
-    )
-}
-
-/// Like [`analyse_worklist_direct`], but solved by the **sharded parallel
-/// driver** ([`mai_core::engine::parallel`]) on `threads` worker threads:
-/// the frontier is sharded across workers (work-stealing by `StateId`
-/// ranges), each worker steps against a snapshot of the global store, and
-/// per-shard deltas are joined at a sync barrier each round.  Byte-identical
-/// fixpoint — and identical deterministic work counters — to
-/// [`analyse_worklist_direct`] at every thread count; the sequential direct
-/// engine remains the determinism oracle.
-pub fn analyse_worklist_parallel<C, S, Fp>(term: &Term, threads: usize) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: ParallelCollecting<PState<C::Addr>, C, S>,
-{
-    Fp::explore_frontier_parallel(
-        &crate::direct::mnext_direct::<C, S>,
-        PState::inject(term.clone()),
-        ParallelConfig::barrier(threads),
-    )
-}
-
-/// Like [`analyse_with_gc_worklist_direct`], but solved by the sharded
-/// parallel driver (abstract GC as the per-branch [`with_state_gc`] store
-/// restriction, inside each worker).
-pub fn analyse_with_gc_parallel<C, S, Fp>(term: &Term, threads: usize) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: ParallelCollecting<PState<C::Addr>, C, S>,
-{
-    Fp::explore_frontier_parallel(
-        &with_state_gc(crate::direct::mnext_direct::<C, S>),
-        PState::inject(term.clone()),
-        ParallelConfig::barrier(threads),
-    )
-}
-
-/// Like [`analyse_worklist_parallel`], but solved by the **barrier-elastic
-/// driver** ([`mai_core::engine::parallel::elastic`]): workers advance
-/// private sub-frontiers for up to [`ParallelConfig::epochs`] epochs
-/// between barriers, merging per-shard store deltas lazily.  The fixpoint
-/// stays byte-identical to [`analyse_worklist_direct`]; the *work
-/// counters* become timing-dependent (`epochs = 1` delegates to the
-/// barrier engine, deterministic counters and all).
-pub fn analyse_worklist_elastic<C, S, Fp>(term: &Term, config: ParallelConfig) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: ParallelCollecting<PState<C::Addr>, C, S>,
-{
-    Fp::explore_frontier_parallel(
-        &crate::direct::mnext_direct::<C, S>,
-        PState::inject(term.clone()),
-        config,
-    )
-}
-
-/// Like [`analyse_with_gc_parallel`], but on the barrier-elastic driver.
-pub fn analyse_with_gc_elastic<C, S, Fp>(term: &Term, config: ParallelConfig) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: ParallelCollecting<PState<C::Addr>, C, S>,
-{
-    Fp::explore_frontier_parallel(
-        &with_state_gc(crate::direct::mnext_direct::<C, S>),
-        PState::inject(term.clone()),
-        config,
-    )
-}
-
-/// Like [`analyse_worklist_direct`], but *governed*: the solve consults
-/// `budget` at every round boundary and returns an [`Outcome`] — either the
-/// complete fixpoint or an `Exhausted` partial whose resume seed reaches
-/// the identical fixpoint when handed back to
-/// [`analyse_resume_governed`].  With `Budget::unlimited()` the result and
-/// every deterministic work counter are byte-identical to
-/// [`analyse_worklist_direct`] (the ungoverned entry point *is* this one,
-/// applied to the unlimited budget).
-pub fn analyse_worklist_governed<C, S, Fp>(
-    term: &Term,
-    budget: &Budget,
-) -> (Outcome<Fp, Fp::Seed>, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: DirectCollecting<PState<C::Addr>, C, S>,
-{
-    Fp::explore_frontier_governed(
-        &crate::direct::mnext_direct::<C, S>,
-        SolveFrom::Fresh(PState::inject(term.clone())),
-        budget,
-    )
-}
-
-/// Resumes an exhausted governed solve from its carried seed.  Monotone
-/// accumulation guarantees the resumed solve reaches exactly the fixpoint
-/// the one-shot solve would have.
-pub fn analyse_resume_governed<C, S, Fp>(
-    seed: Fp::Seed,
-    budget: &Budget,
-) -> (Outcome<Fp, Fp::Seed>, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: DirectCollecting<PState<C::Addr>, C, S>,
-{
-    Fp::explore_frontier_governed(
-        &crate::direct::mnext_direct::<C, S>,
-        SolveFrom::Resume(seed),
-        budget,
-    )
-}
-
-/// [`analyse_worklist_parallel`], governed: budget and cancellation are
-/// checked at every barrier.  A panicking step propagates with its
-/// original payload once the pool has shut down.
-pub fn analyse_worklist_parallel_governed<C, S, Fp>(
-    term: &Term,
-    threads: usize,
-    budget: &Budget,
-) -> (Outcome<Fp, Fp::Seed>, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: ParallelCollecting<PState<C::Addr>, C, S>,
-{
-    Fp::explore_frontier_parallel_governed(
-        &crate::direct::mnext_direct::<C, S>,
-        SolveFrom::Fresh(PState::inject(term.clone())),
-        ParallelConfig::barrier(threads),
-        budget,
-    )
-}
-
-/// [`analyse_worklist_elastic`], governed: budget and cancellation are
-/// checked at every epoch boundary (cancel latency is at most one epoch).
-pub fn analyse_worklist_elastic_governed<C, S, Fp>(
-    term: &Term,
-    config: ParallelConfig,
-    budget: &Budget,
-) -> (Outcome<Fp, Fp::Seed>, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: ParallelCollecting<PState<C::Addr>, C, S>,
-{
-    Fp::explore_frontier_parallel_governed(
-        &crate::direct::mnext_direct::<C, S>,
-        SolveFrom::Fresh(PState::inject(term.clone())),
-        config,
-        budget,
-    )
-}
-
-/// Like [`analyse_worklist`], but solved by the PR-2 *structural-key*
-/// incremental engine (states as `BTreeMap` keys instead of interned ids) —
-/// a differential-testing oracle and the E10 benchmark baseline.
-pub fn analyse_worklist_structural<C, S, Fp>(term: &Term) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
-{
-    Fp::explore_frontier_structural(&closure_mnext::<C, S>, PState::inject(term.clone()))
-}
-
-/// Like [`analyse_with_gc_worklist`], but solved by the structural-key
-/// engine.
-pub fn analyse_with_gc_worklist_structural<C, S, Fp>(term: &Term) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
-{
-    Fp::explore_frontier_structural(
-        &with_gc::<StorePassing<C, S>, PState<C::Addr>, _, _>(closure_mnext::<C, S>, ReachableGc),
-        PState::inject(term.clone()),
-    )
+    fn step_direct(_: &Term, state: Self, ctx: C, store: S) -> Successors<C, S> {
+        mnext_direct(state, ctx, store)
+    }
 }
 
 /// The plain store of the k-CFA CESK family.
@@ -407,163 +156,98 @@ pub type KCeskPerState<const K: usize> = PerStateDomain<PState<KCallAddr>, KCall
 pub type MonoCeskShared =
     SharedStoreDomain<PState<MonoAddr>, MonoCtx, BasicStore<MonoAddr, Storable<MonoAddr>>>;
 
+/// The resume seed of a governed shared-store k-CFA solve.
+pub type KCeskSeed<const K: usize> = SharedResumeSeed<PState<KCallAddr>, KCallCtx<K>, KCeskStore>;
+
 /// k-CFA over the CESK machine with a shared (widened) store.
 pub fn analyse_kcfa_shared<const K: usize>(term: &Term) -> KCeskShared<K> {
-    analyse::<KCallCtx<K>, KCeskStore, _>(term)
+    analyse::kleene(term, Gc::Off)
 }
 
 /// k-CFA over the CESK machine with per-state stores.
 pub fn analyse_kcfa<const K: usize>(term: &Term) -> KCeskPerState<K> {
-    analyse::<KCallCtx<K>, KCeskStore, _>(term)
+    analyse::kleene(term, Gc::Off)
 }
 
 /// k-CFA over the CESK machine with a shared *counting* store.
 pub fn analyse_kcfa_with_count<const K: usize>(
     term: &Term,
 ) -> SharedStoreDomain<PState<KCallAddr>, KCallCtx<K>, KCeskCountingStore> {
-    analyse::<KCallCtx<K>, KCeskCountingStore, _>(term)
+    analyse::kleene(term, Gc::Off)
 }
 
 /// k-CFA over the CESK machine with a shared store and abstract GC.
 pub fn analyse_kcfa_shared_gc<const K: usize>(term: &Term) -> KCeskShared<K> {
-    analyse_with_gc::<KCallCtx<K>, KCeskStore, _>(term)
+    analyse::kleene(term, Gc::On)
 }
 
 /// Monovariant (0CFA) analysis of the CESK machine with a shared store.
 pub fn analyse_mono(term: &Term) -> MonoCeskShared {
-    analyse::<MonoCtx, BasicStore<MonoAddr, Storable<MonoAddr>>, _>(term)
+    analyse::kleene(term, Gc::Off)
 }
 
-/// [`analyse_kcfa_shared`] solved by the worklist engine.
-pub fn analyse_kcfa_shared_worklist<const K: usize>(term: &Term) -> (KCeskShared<K>, EngineStats) {
-    analyse_worklist::<KCallCtx<K>, KCeskStore, _>(term)
-}
-
-/// [`analyse_kcfa`] solved by the worklist engine (per-state stores).
-pub fn analyse_kcfa_worklist<const K: usize>(term: &Term) -> (KCeskPerState<K>, EngineStats) {
-    analyse_worklist::<KCallCtx<K>, KCeskStore, _>(term)
-}
-
-/// [`analyse_kcfa_with_count`] solved by the worklist engine.
-pub fn analyse_kcfa_with_count_worklist<const K: usize>(
-    term: &Term,
-) -> (
-    SharedStoreDomain<PState<KCallAddr>, KCallCtx<K>, KCeskCountingStore>,
-    EngineStats,
-) {
-    analyse_worklist::<KCallCtx<K>, KCeskCountingStore, _>(term)
-}
-
-/// [`analyse_kcfa_shared_gc`] solved by the worklist engine.
-pub fn analyse_kcfa_shared_gc_worklist<const K: usize>(
-    term: &Term,
-) -> (KCeskShared<K>, EngineStats) {
-    analyse_with_gc_worklist::<KCallCtx<K>, KCeskStore, _>(term)
-}
-
-/// [`analyse_kcfa_shared`] solved by the PR-2 structural-key incremental
-/// engine — the E10 benchmark baseline.
-pub fn analyse_kcfa_shared_structural<const K: usize>(
-    term: &Term,
-) -> (KCeskShared<K>, EngineStats) {
-    analyse_worklist_structural::<KCallCtx<K>, KCeskStore, _>(term)
-}
-
-/// How many distinct environments the states of a shared-store CESK
-/// fixpoint carry (top-level state environments; closures and frames share
-/// them through the copy-on-write representation), measured with an
-/// [`EnvId`](mai_core::intern::EnvId) interner — the language-boundary half
-/// of [`EngineStats::distinct_envs`].
-pub fn distinct_env_count<A, G, S>(result: &SharedStoreDomain<PState<A>, G, S>) -> usize
-where
-    A: mai_core::addr::Address + std::hash::Hash,
-    G: Ord + Clone,
-    S: mai_core::lattice::Lattice,
-{
-    mai_core::intern::distinct_count(result.states().iter().map(|(ps, _)| ps.env.clone()))
-}
-
-/// [`analyse_mono`] solved by the worklist engine.
+/// [`analyse_mono`] solved by the id-indexed engine on the closure carrier.
 pub fn analyse_mono_worklist(term: &Term) -> (MonoCeskShared, EngineStats) {
-    analyse_worklist::<MonoCtx, BasicStore<MonoAddr, Storable<MonoAddr>>, _>(term)
+    analyse::worklist(term, Gc::Off)
 }
 
-/// [`analyse_kcfa_shared_worklist`] on the direct-style carrier.
-pub fn analyse_kcfa_shared_direct<const K: usize>(term: &Term) -> (KCeskShared<K>, EngineStats) {
-    analyse_worklist_direct::<KCallCtx<K>, KCeskStore, _>(term)
-}
-
-/// [`analyse_kcfa_shared_direct`] with a
-/// [`TraceSink`](mai_core::telemetry::TraceSink) observing the solve.
-pub fn analyse_kcfa_shared_direct_traced<const K: usize, T>(
-    term: &Term,
-    sink: &mut T,
-) -> (KCeskShared<K>, EngineStats)
-where
-    T: mai_core::telemetry::TraceSink,
-{
-    analyse_worklist_direct_traced::<KCallCtx<K>, KCeskStore, _, T>(term, sink)
-}
-
-/// [`analyse_mono_worklist`] on the direct-style carrier.
+/// [`analyse_mono`] solved by the id-indexed engine on the direct carrier.
 pub fn analyse_mono_direct(term: &Term) -> (MonoCeskShared, EngineStats) {
-    analyse_worklist_direct::<MonoCtx, BasicStore<MonoAddr, Storable<MonoAddr>>, _>(term)
+    analyse::direct(term, Gc::Off)
 }
 
-/// [`analyse_kcfa_shared_direct`] solved by the sharded parallel driver.
-pub fn analyse_kcfa_shared_parallel<const K: usize>(
-    term: &Term,
-    threads: usize,
-) -> (KCeskShared<K>, EngineStats) {
-    analyse_worklist_parallel::<KCallCtx<K>, KCeskStore, _>(term, threads)
-}
-
-/// [`analyse_mono_direct`] solved by the sharded parallel driver.
+/// [`analyse_mono_direct`] solved by the barrier-parallel driver.
 pub fn analyse_mono_parallel(term: &Term, threads: usize) -> (MonoCeskShared, EngineStats) {
-    analyse_worklist_parallel::<MonoCtx, BasicStore<MonoAddr, Storable<MonoAddr>>, _>(term, threads)
+    let config = ParallelConfig::barrier(threads);
+    analyse::complete(analyse::parallel(
+        term,
+        Gc::Off,
+        config,
+        &Budget::unlimited(),
+        &mut NoopSink,
+    ))
 }
 
 /// [`analyse_mono_direct`] solved by the barrier-elastic driver.
 pub fn analyse_mono_elastic(term: &Term, config: ParallelConfig) -> (MonoCeskShared, EngineStats) {
-    analyse_worklist_elastic::<MonoCtx, BasicStore<MonoAddr, Storable<MonoAddr>>, _>(term, config)
+    analyse::complete(analyse::parallel(
+        term,
+        Gc::Off,
+        config,
+        &Budget::unlimited(),
+        &mut NoopSink,
+    ))
 }
 
-/// The resume seed of a governed shared-store k-CFA solve.
-pub type KCeskSeed<const K: usize> = SharedResumeSeed<PState<KCallAddr>, KCallCtx<K>, KCeskStore>;
-
-/// [`analyse_kcfa_shared_direct`], governed by a [`Budget`].
-pub fn analyse_kcfa_shared_governed<const K: usize>(
-    term: &Term,
-    budget: &Budget,
-) -> (Outcome<KCeskShared<K>, KCeskSeed<K>>, EngineStats) {
-    analyse_worklist_governed::<KCallCtx<K>, KCeskStore, _>(term, budget)
+/// The structural-key baseline over any context `C`, store `S` and
+/// shared-store domain `Fp`.
+pub fn analyse_worklist_structural<C, S, Fp>(term: &Term) -> (Fp, EngineStats)
+where
+    C: Context,
+    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
+    Fp: Domain<State = PState<C::Addr>, Guts = C, Store = S>
+        + FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
+{
+    analyse::structural(term, Gc::Off)
 }
 
-/// Resumes an exhausted [`analyse_kcfa_shared_governed`] solve.
-pub fn analyse_kcfa_shared_resume<const K: usize>(
-    seed: KCeskSeed<K>,
-    budget: &Budget,
-) -> (Outcome<KCeskShared<K>, KCeskSeed<K>>, EngineStats) {
-    analyse_resume_governed::<KCallCtx<K>, KCeskStore, _>(seed, budget)
-}
-
-/// [`analyse_kcfa_shared_parallel`], governed by a [`Budget`].
-pub fn analyse_kcfa_shared_parallel_governed<const K: usize>(
-    term: &Term,
-    threads: usize,
-    budget: &Budget,
-) -> (Outcome<KCeskShared<K>, KCeskSeed<K>>, EngineStats) {
-    analyse_worklist_parallel_governed::<KCallCtx<K>, KCeskStore, _>(term, threads, budget)
-}
-
-/// [`analyse_kcfa_shared_parallel`] on the barrier-elastic driver,
-/// governed by a [`Budget`].
-pub fn analyse_kcfa_shared_elastic_governed<const K: usize>(
-    term: &Term,
-    config: ParallelConfig,
-    budget: &Budget,
-) -> (Outcome<KCeskShared<K>, KCeskSeed<K>>, EngineStats) {
-    analyse_worklist_elastic_governed::<KCallCtx<K>, KCeskStore, _>(term, config, budget)
+/// The direct-carrier solve over any context `C`, store `S` and domain
+/// `Fp`, with a [`TraceSink`] observing it.
+pub fn analyse_worklist_direct_traced<C, S, Fp, T>(term: &Term, sink: &mut T) -> (Fp, EngineStats)
+where
+    C: Context,
+    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
+    Fp: Domain<State = PState<C::Addr>, Guts = C, Store = S>
+        + DirectCollecting<PState<C::Addr>, C, S>,
+    T: TraceSink,
+{
+    analyse::complete(analyse::governed(
+        term,
+        Gc::Off,
+        None,
+        &Budget::unlimited(),
+        sink,
+    ))
 }
 
 /// The abstract errors observable in a set of reachable states: the
@@ -718,8 +402,7 @@ mod tests {
     fn gc_only_shrinks_the_store() {
         let t = two_sites();
         let plain = analyse_mono(&t);
-        let gced: MonoCeskShared =
-            analyse_with_gc::<MonoCtx, BasicStore<MonoAddr, Storable<MonoAddr>>, _>(&t);
+        let gced: MonoCeskShared = analyse::kleene(&t, Gc::On);
         assert!(gced.store().fact_count() <= plain.store().fact_count());
         assert!(gced.distinct_states().iter().any(PState::is_final));
     }

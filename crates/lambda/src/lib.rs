@@ -16,7 +16,9 @@
 //!   adequacy tests.
 //! * [`analysis`] — the abstract interpreters, assembled from the *same*
 //!   `mai-core` monads, contexts, stores and GC as the CPS and
-//!   Featherweight Java substrates.
+//!   Featherweight Java substrates: the CESK machine's
+//!   [`Machine`](mai_core::analyse::Machine) instance reaches every solve
+//!   of [`mai_core::analyse`].
 //! * [`programs`] — benchmark terms (Church arithmetic, blur, let-chains).
 //!
 //! ```rust
@@ -40,17 +42,10 @@ pub mod programs;
 pub mod syntax;
 
 pub use analysis::{
-    abstract_errors, analyse, analyse_kcfa, analyse_kcfa_shared, analyse_kcfa_shared_gc,
-    analyse_kcfa_shared_gc_worklist, analyse_kcfa_shared_structural, analyse_kcfa_shared_worklist,
-    analyse_kcfa_with_count, analyse_kcfa_with_count_worklist, analyse_kcfa_worklist, analyse_mono,
-    analyse_mono_worklist, analyse_with_gc, analyse_with_gc_worklist,
-    analyse_with_gc_worklist_structural, analyse_worklist, analyse_worklist_structural,
-    distinct_env_count, flow_map_of_store,
-};
-pub use analysis::{
-    analyse_kcfa_shared_direct, analyse_kcfa_shared_direct_traced, analyse_mono_direct,
-    analyse_mono_elastic, analyse_with_gc_worklist_direct, analyse_worklist_direct,
-    analyse_worklist_direct_traced,
+    abstract_errors, analyse_kcfa, analyse_kcfa_shared, analyse_kcfa_shared_gc,
+    analyse_kcfa_with_count, analyse_mono, analyse_mono_direct, analyse_mono_elastic,
+    analyse_mono_worklist, analyse_worklist_direct_traced, analyse_worklist_structural,
+    flow_map_of_store,
 };
 pub use concrete::{decode_church_numeral, evaluate, evaluate_with_limit, Outcome};
 pub use direct::mnext_direct;

@@ -4,10 +4,13 @@
 //!
 //! Run with `cargo run --example church_adequacy`.
 
+use monadic_ai::core::analyse::{self, Gc};
+use monadic_ai::cps::analysis::MonoShared;
 use monadic_ai::cps::convert::cps_convert;
-use monadic_ai::cps::{analyse_mono as cps_mono, interpret_with_limit};
+use monadic_ai::cps::interpret_with_limit;
+use monadic_ai::lambda::analysis::MonoCeskShared;
 use monadic_ai::lambda::programs::{church_exponentiation, church_multiplication};
-use monadic_ai::lambda::{analyse_mono as cesk_mono, decode_church_numeral, evaluate};
+use monadic_ai::lambda::{decode_church_numeral, evaluate};
 
 fn main() {
     for (label, term, expected) in [
@@ -35,8 +38,8 @@ fn main() {
 
         // The abstract interpreters terminate on both representations and
         // keep the halt state reachable — the soundness sanity check.
-        let cesk_abs = cesk_mono(&term);
-        let cps_abs = cps_mono(&program);
+        let cesk_abs: MonoCeskShared = analyse::kleene(&term, Gc::Off);
+        let cps_abs: MonoShared = analyse::kleene(&program, Gc::Off);
         println!(
             "abstract state counts: CESK 0CFA = {}, CPS 0CFA = {}",
             cesk_abs.len(),

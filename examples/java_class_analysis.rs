@@ -5,8 +5,10 @@
 //!
 //! Run with `cargo run --example java_class_analysis`.
 
+use monadic_ai::core::analyse::{self, Gc};
+use monadic_ai::fj::analysis::{KFjShared, MonoFjShared};
 use monadic_ai::fj::programs::{pair_fst, shape_dispatch, two_cells};
-use monadic_ai::fj::{analyse_kcfa_shared, analyse_mono, class_flow_map, result_classes, run};
+use monadic_ai::fj::{class_flow_map, result_classes, run};
 
 fn main() {
     for (name, program) in [
@@ -22,11 +24,11 @@ fn main() {
         println!("concrete result class : {:?}", concrete.result_class());
 
         // Context-insensitive class analysis.
-        let mono = analyse_mono(&program);
+        let mono: MonoFjShared = analyse::kleene(&program, Gc::Off);
         println!("0CFA result classes   : {:?}", result_classes(&mono));
 
         // 1-call-site-sensitive class analysis.
-        let one = analyse_kcfa_shared::<1>(&program);
+        let one: KFjShared<1> = analyse::kleene(&program, Gc::Off);
         println!("1CFA result classes   : {:?}", result_classes(&one));
 
         // Field/variable class flows under the monovariant analysis.

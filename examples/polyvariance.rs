@@ -8,15 +8,17 @@
 //!
 //! Run with `cargo run --example polyvariance`.
 
+use monadic_ai::core::analyse::{self, Gc};
 use monadic_ai::core::Name;
+use monadic_ai::cps::analysis::{KCfaShared, MonoShared};
 use monadic_ai::cps::programs::fan_out;
-use monadic_ai::cps::{analyse_kcfa_shared, analyse_mono, flow_map_of_store, AnalysisMetrics};
+use monadic_ai::cps::{flow_map_of_store, AnalysisMetrics};
 
 fn main() {
     let program = fan_out(6);
     println!("analysing: {program}\n");
 
-    let mono = analyse_mono(&program);
+    let mono: MonoShared = analyse::kleene(&program, Gc::Off);
     let mono_flows = flow_map_of_store(mono.store());
     println!(
         "0CFA  : x may be {} different lambdas | metrics {:?}",
@@ -24,7 +26,7 @@ fn main() {
         AnalysisMetrics::of_shared(&mono)
     );
 
-    let one = analyse_kcfa_shared::<1>(&program);
+    let one: KCfaShared<1> = analyse::kleene(&program, Gc::Off);
     let one_flows = flow_map_of_store(one.store());
     println!(
         "1CFA  : x may be {} different lambdas | metrics {:?}",
@@ -32,7 +34,7 @@ fn main() {
         AnalysisMetrics::of_shared(&one)
     );
 
-    let two = analyse_kcfa_shared::<2>(&program);
+    let two: KCfaShared<2> = analyse::kleene(&program, Gc::Off);
     println!("2CFA  : metrics {:?}", AnalysisMetrics::of_shared(&two));
 
     // Under 0CFA all six argument lambdas pile into the single abstract

@@ -1,14 +1,15 @@
 //! Quickstart: parse a CPS program, run the concrete interpreter, then run
 //! a spectrum of abstract interpreters obtained by swapping the monadic
-//! parameters — without touching the semantics.
+//! parameters — without touching the semantics.  Each analysis is one call
+//! into `mai_core::analyse`: the domain type picks context and store, the
+//! function picks the engine, and an argument picks abstract GC.
 //!
 //! Run with `cargo run --example quickstart`.
 
+use monadic_ai::core::analyse::{self, Gc};
 use monadic_ai::core::Name;
-use monadic_ai::cps::{
-    analyse_kcfa_shared, analyse_kcfa_shared_gc, analyse_mono, flow_map_of_store, interpret,
-    parse_program, AnalysisMetrics,
-};
+use monadic_ai::cps::analysis::{KCfaShared, MonoShared};
+use monadic_ai::cps::{flow_map_of_store, interpret, parse_program, AnalysisMetrics};
 
 fn main() {
     // The identity function applied to the identity function, in CPS.
@@ -27,14 +28,23 @@ fn main() {
 
     // 2. The monovariant analysis (0CFA): the \"context-insensitivity
     //    monad\" plugged into the same semantics.
-    let mono = analyse_mono(&program);
+    let mono: MonoShared = analyse::kleene(&program, Gc::Off);
     let flows = flow_map_of_store(mono.store());
     println!("0CFA flow set of x: {:?}", flows[&Name::from("x")]);
 
     // 3. 1-CFA with a shared (widened) store, with and without abstract
     //    garbage collection.
-    let one = analyse_kcfa_shared::<1>(&program);
-    let one_gc = analyse_kcfa_shared_gc::<1>(&program);
+    let one: KCfaShared<1> = analyse::kleene(&program, Gc::Off);
+    let one_gc: KCfaShared<1> = analyse::kleene(&program, Gc::On);
     println!("1CFA        : {:?}", AnalysisMetrics::of_shared(&one));
     println!("1CFA + GC   : {:?}", AnalysisMetrics::of_shared(&one_gc));
+
+    // 4. The same analysis on the fast engine: the direct carrier and the
+    //    id-indexed worklist reach the identical fixpoint.
+    let (direct, stats) = analyse::direct::<KCfaShared<1>>(&program, Gc::On);
+    println!(
+        "1CFA + GC on the direct engine == Kleene: {}",
+        direct == one_gc
+    );
+    println!("  engine [{stats}]");
 }

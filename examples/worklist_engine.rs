@@ -3,24 +3,23 @@
 //!
 //! Run with `cargo run --example worklist_engine`.
 
+use monadic_ai::core::analyse::{self, Gc};
+use monadic_ai::cps::analysis::{KCfaShared, MonoShared};
+use monadic_ai::cps::parse_program;
 use monadic_ai::cps::programs::{kcfa_worst_case, omega};
-use monadic_ai::cps::{
-    analyse_kcfa_shared, analyse_kcfa_shared_structural, analyse_kcfa_shared_worklist,
-    analyse_mono_worklist, parse_program,
-};
 
 fn main() {
     // A handwritten program through the parser, solved by the worklist
     // engine's monovariant analysis.
     let program = parse_program("((λ (x k) (k x)) (λ (y j) (j y)) (λ (r) exit))").unwrap();
-    let (mono, stats) = analyse_mono_worklist(&program);
+    let (mono, stats) = analyse::worklist::<MonoShared>(&program, Gc::Off);
     println!(
         "identity: {} states reached, engine [{stats}]",
         mono.distinct_states().len()
     );
 
     // The divergent Ω term: the abstract engine still terminates.
-    let (o, stats) = analyse_mono_worklist(&omega());
+    let (o, stats) = analyse::worklist::<MonoShared>(&omega(), Gc::Off);
     println!(
         "omega:    {} states reached, engine [{stats}]",
         o.distinct_states().len()
@@ -33,9 +32,9 @@ fn main() {
     // contribution; the structural-key baseline runs the same strategy
     // with deep-compared states instead of interned ids.
     let program = kcfa_worst_case(3);
-    let kleene = analyse_kcfa_shared::<1>(&program);
-    let (worklist, stats) = analyse_kcfa_shared_worklist::<1>(&program);
-    let (structural, structural_stats) = analyse_kcfa_shared_structural::<1>(&program);
+    let kleene: KCfaShared<1> = analyse::kleene(&program, Gc::Off);
+    let (worklist, stats) = analyse::worklist::<KCfaShared<1>>(&program, Gc::Off);
+    let (structural, structural_stats) = analyse::structural::<KCfaShared<1>>(&program, Gc::Off);
     println!(
         "kcfa-worst-3 (1CFA): incremental == kleene: {}, structural == kleene: {}",
         worklist == kleene,

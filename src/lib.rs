@@ -14,8 +14,9 @@
 //! * [`core`] (`mai-core`) — the language-independent framework: GAT-based
 //!   monads ([`core::monad`]), lattices and Kleene iteration
 //!   ([`core::lattice`]), polyvariance contexts ([`core::addr`]), abstract
-//!   stores and counting ([`core::store`]), abstract GC ([`core::gc`]) and
-//!   the collecting-semantics domains ([`core::collect`]).
+//!   stores and counting ([`core::store`]), abstract GC ([`core::gc`]),
+//!   the collecting-semantics domains ([`core::collect`]) and the solves
+//!   every language's machine runs ([`core::analyse`]).
 //! * [`cps`] (`mai-cps`) — the CPS λ-calculus the paper develops in full.
 //! * [`lambda`] (`mai-lambda`) — the direct-style λ-calculus on a CESK
 //!   machine.
@@ -24,12 +25,18 @@
 //! ## Quick start
 //!
 //! ```rust
-//! use monadic_ai::cps::{analyse_mono, flow_map_of_store, parse_program};
+//! use monadic_ai::core::analyse::{self, Gc};
+//! use monadic_ai::cps::analysis::{KCfaShared, MonoShared};
+//! use monadic_ai::cps::{flow_map_of_store, parse_program};
 //!
 //! let program = parse_program("((λ (x k) (k x)) (λ (y j) (j y)) (λ (r) exit))").unwrap();
-//! let result = analyse_mono(&program);
+//! let result: MonoShared = analyse::kleene(&program, Gc::Off);
 //! let flows = flow_map_of_store(result.store());
 //! assert_eq!(flows[&monadic_ai::core::Name::from("x")].len(), 1);
+//!
+//! // 1-CFA with abstract GC, on the fast engine: the same fixpoint as Kleene.
+//! let (fast, _stats) = analyse::direct::<KCfaShared<1>>(&program, Gc::On);
+//! assert_eq!(fast, analyse::kleene::<KCfaShared<1>>(&program, Gc::On));
 //! ```
 //!
 //! See the `examples/` directory for larger walk-throughs and `mai-bench`

@@ -20,6 +20,7 @@
 
 use std::collections::BTreeSet;
 
+use monadic_ai::core::analyse::{self, Gc};
 use monadic_ai::core::engine::{
     certify, with_state_gc, Budget, DirectCollecting, ParallelCollecting, ParallelConfig,
     SolveFrom, WidenPolicy,
@@ -27,6 +28,8 @@ use monadic_ai::core::engine::{
 use monadic_ai::core::lattice::{Interval, Lattice, MeetLattice};
 use monadic_ai::core::store::{BasicStore, IntervalStore, StoreLike};
 use monadic_ai::core::{KCallCtx, MonoAddr, MonoCtx, SharedStoreDomain, StateRoots};
+use monadic_ai::fj::analysis::KFjShared;
+use monadic_ai::lambda::analysis::MonoCeskShared;
 use monadic_ai::lambda::parser::parse_term;
 use monadic_ai::lambda::{Storable, Term};
 use monadic_ai::{cps, fj, lambda};
@@ -47,7 +50,7 @@ fn identity_nesting(depth: usize) -> Term {
 fn direct_fixpoints_of_deep_identity_nesting_are_certified() {
     type Store = BasicStore<MonoAddr, Storable<MonoAddr>>;
     for depth in DEPTHS {
-        let (fixpoint, _) = lambda::analyse_mono_direct(&identity_nesting(depth));
+        let (fixpoint, _) = analyse::direct::<MonoCeskShared>(&identity_nesting(depth), Gc::Off);
         let report = certify(&fixpoint, &lambda::direct::mnext_direct::<MonoCtx, Store>);
         assert!(report.certified(), "depth {depth}: {report}");
         assert_eq!(report.states, fixpoint.len());
@@ -57,7 +60,7 @@ fn direct_fixpoints_of_deep_identity_nesting_are_certified() {
 #[test]
 fn deep_identity_nesting_reads_a_constant_number_of_addresses_per_step() {
     for depth in DEPTHS {
-        let (_, stats) = lambda::analyse_mono_direct(&identity_nesting(depth));
+        let (_, stats) = analyse::direct::<MonoCeskShared>(&identity_nesting(depth), Gc::Off);
         assert!(
             stats.dep_edges <= 2 * stats.states_stepped,
             "depth {depth}: {} dependency edges over {} steps",
@@ -75,8 +78,8 @@ const CELLS: [usize; 3] = [40, 80, 160];
 fn gc_direct_solves_of_nested_fj_cells_read_what_gc_free_ones_read() {
     for n in CELLS {
         let program = fj::programs::nested_cells(n);
-        let (fixpoint, gc) = fj::analysis::analyse_kcfa_shared_gc_direct::<1>(&program);
-        let (_, plain) = fj::analysis::analyse_kcfa_shared_direct::<1>(&program);
+        let (fixpoint, gc) = analyse::direct::<KFjShared<1>>(&program, Gc::On);
+        let (_, plain) = analyse::direct::<KFjShared<1>>(&program, Gc::Off);
         // Every write of this family is reachable from its successor, so
         // the GC write filter keeps them all and adds no sweep reads.
         assert_eq!(gc.dep_edges, plain.dep_edges, "n = {n}");
@@ -93,7 +96,7 @@ fn gc_direct_solves_of_nested_fj_cells_read_what_gc_free_ones_read() {
 #[test]
 fn direct_fixpoint_of_the_cps_lanes_is_certified() {
     let program = cps::programs::kcfa_worst_case_scaled(12, 20);
-    let (fixpoint, _) = cps::analysis::analyse_kcfa_shared_direct::<1>(&program);
+    let (fixpoint, _) = analyse::direct::<cps::analysis::KCfaShared<1>>(&program, Gc::Off);
     let report = certify(
         &fixpoint,
         &cps::direct::mnext_direct::<KCallCtx<1>, cps::analysis::KStore>,
@@ -105,7 +108,7 @@ fn direct_fixpoint_of_the_cps_lanes_is_certified() {
 #[test]
 fn gc_direct_fixpoint_of_nested_fj_cells_is_certified() {
     let program = fj::programs::nested_cells(40);
-    let (fixpoint, _) = fj::analysis::analyse_kcfa_shared_gc_direct::<1>(&program);
+    let (fixpoint, _) = analyse::direct::<KFjShared<1>>(&program, Gc::On);
     let table = program.table.clone();
     let step = with_state_gc(move |ps, ctx, store| {
         fj::direct::mnext_direct::<KCallCtx<1>, fj::analysis::KFjStore>(&table, ps, ctx, store)

@@ -1,15 +1,25 @@
 //! Shared corpus machinery for the root integration suites.
 //!
 //! The committed seeds and the deterministic λ-term generator they drive
-//! are used by both `tests/differential.rs` (the engine pentagon) and
+//! are used by both `tests/differential.rs` (the engine matrix) and
 //! `tests/governance.rs` (budgets, resume, panics), so the corpus the two
-//! suites exercise is literally the same set of programs.  Each seed
+//! suites exercise is literally the same set of programs.  The engine
+//! parity check, [`engine_parity`], serves the differential and the
+//! worklist suites for all three languages.  Each seed
 //! drives a deterministic xorshift generator from which a λ-term is
 //! drawn; the corpus they induce is fixed until this list (or the
 //! generator) changes, so the list is part of the reviewable surface.
 
 #![allow(dead_code)]
 
+use std::fmt;
+
+use mai_core::analyse::{self, Domain, Gc, Program};
+use mai_core::engine::{
+    Budget, DirectCollecting, EngineStats, FrontierCollecting, ParallelCollecting, ParallelConfig,
+};
+use mai_core::lattice::Lattice;
+use mai_core::{NoopSink, SharedStoreDomain, StorePassing};
 use mai_lambda::syntax::TermBuilder;
 use mai_lambda::Term;
 use proptest::prelude::*;
@@ -96,3 +106,170 @@ pub fn term_from_seed(seed: u64) -> Term {
     let shape = shape_strategy().generate(&mut rng);
     to_term(&shape, &mut TermBuilder::new())
 }
+
+/// Asserts that a parallel run reproduced the sequential direct engine's
+/// deterministic work counters (the timing gauges `steal_events` /
+/// `shard_imbalance` and the fold-order-dependent `store_bytes_shared`
+/// sample are exempt by design; `sync_rounds` must equal the parallel
+/// run's own round count).
+pub fn assert_parallel_counters(label: &str, threads: usize, seq: &EngineStats, par: &EngineStats) {
+    let ctx = format!("{label} at {threads} threads");
+    assert_eq!(par.iterations, seq.iterations, "{ctx}: iterations");
+    assert_eq!(
+        par.states_stepped, seq.states_stepped,
+        "{ctx}: states_stepped"
+    );
+    assert_eq!(par.cache_hits, seq.cache_hits, "{ctx}: cache_hits");
+    assert_eq!(par.reenqueued, seq.reenqueued, "{ctx}: reenqueued");
+    assert_eq!(
+        par.store_joins_applied, seq.store_joins_applied,
+        "{ctx}: store_joins_applied"
+    );
+    assert_eq!(par.widen_applied, seq.widen_applied, "{ctx}: widen_applied");
+    assert_eq!(par.store_joins, seq.store_joins, "{ctx}: store_joins");
+    assert_eq!(
+        par.rebuild_rounds, seq.rebuild_rounds,
+        "{ctx}: rebuild_rounds"
+    );
+    assert_eq!(par.peak_frontier, seq.peak_frontier, "{ctx}: peak_frontier");
+    assert_eq!(par.intern_hits, seq.intern_hits, "{ctx}: intern_hits");
+    assert_eq!(par.intern_misses, seq.intern_misses, "{ctx}: intern_misses");
+    assert_eq!(
+        par.distinct_states, seq.distinct_states,
+        "{ctx}: distinct_states"
+    );
+    assert_eq!(par.spine_clones, seq.spine_clones, "{ctx}: spine_clones");
+    assert_eq!(par.dep_edges, seq.dep_edges, "{ctx}: dep_edges");
+    assert_eq!(
+        par.branches_folded, seq.branches_folded,
+        "{ctx}: branches_folded"
+    );
+    assert_eq!(par.sync_rounds, par.iterations, "{ctx}: sync_rounds");
+}
+
+/// How many `(state, guts)` pairs a shared-store fixpoint holds.
+pub trait Pairs {
+    /// The number of pairs.
+    fn pairs(&self) -> usize;
+}
+
+impl<Ps: Ord + Clone, G: Ord + Clone, S: Lattice> Pairs for SharedStoreDomain<Ps, G, S> {
+    fn pairs(&self) -> usize {
+        self.len()
+    }
+}
+
+/// Solves one shared-store configuration `D` of `program` with every
+/// engine and carrier, with and without abstract GC, and asserts them
+/// identical: Kleene iteration (the oracle), the id-indexed engine on the
+/// closure carrier, the structural baseline, the id-indexed engine on the
+/// direct carrier, and the barrier-parallel driver at every thread count
+/// of [`PARALLEL_THREADS`].
+///
+/// The barrier driver must also reproduce the direct engine's
+/// deterministic work counters ([`assert_parallel_counters`]).  Without
+/// GC the closure-carrier run must intern every pair once, never rebuild,
+/// fold one contribution per stepped pair, and do no more work than the
+/// structural baseline.
+pub fn engine_parity<D>(label: &str, program: &Program<D>)
+where
+    D: Domain
+        + FrontierCollecting<StorePassing<D::Guts, D::Store>, D::State>
+        + DirectCollecting<D::State, D::Guts, D::Store>
+        + ParallelCollecting<D::State, D::Guts, D::Store>
+        + Pairs
+        + PartialEq
+        + fmt::Debug,
+{
+    for gc in [Gc::Off, Gc::On] {
+        let ctx = format!("{label}, GC {gc:?}");
+        let kleene: D = analyse::kleene(program, gc);
+        let (worklist, stats) = analyse::worklist::<D>(program, gc);
+        let (structural, structural_stats) = analyse::structural::<D>(program, gc);
+        let (direct, direct_stats) = analyse::direct::<D>(program, gc);
+        assert_eq!(worklist, kleene, "{ctx}: closure worklist != Kleene");
+        assert_eq!(structural, kleene, "{ctx}: structural != Kleene");
+        assert_eq!(direct, kleene, "{ctx}: direct != Kleene");
+        if gc == Gc::Off {
+            assert!(stats.states_stepped > 0, "{ctx}");
+            assert_eq!(stats.distinct_states, worklist.pairs(), "{ctx}");
+            assert_eq!(stats.intern_misses, worklist.pairs(), "{ctx}");
+            // Same frontier strategy with tighter read sets: the
+            // id-indexed engine never does more logical work than the
+            // structural one.
+            assert!(
+                stats.states_stepped <= structural_stats.states_stepped,
+                "{ctx}"
+            );
+            assert!(stats.store_joins <= structural_stats.store_joins, "{ctx}");
+            // GC-free contributions are monotone, so the incremental
+            // engine never leaves the fast path and folds exactly one
+            // contribution per stepped pair.
+            assert_eq!(stats.rebuild_rounds, 0, "{ctx}");
+            assert_eq!(stats.store_joins, stats.states_stepped, "{ctx}");
+        }
+        for threads in PARALLEL_THREADS {
+            let config = ParallelConfig::barrier(threads);
+            let (parallel, par_stats) = analyse::complete(analyse::parallel::<D, _>(
+                program,
+                gc,
+                config,
+                &Budget::unlimited(),
+                &mut NoopSink,
+            ));
+            assert_eq!(
+                parallel, kleene,
+                "{ctx}: parallel != Kleene at {threads} threads"
+            );
+            assert_parallel_counters(&ctx, threads, &direct_stats, &par_stats);
+        }
+    }
+}
+
+/// Runs [`engine_parity`] on the six configurations {mono, k = 0, k = 1} ×
+/// {basic, counting store} of one machine.  `$dom<C, S>` names the
+/// machine's shared-store domain and `$val<A>` its store values.
+#[allow(unused_macros)]
+macro_rules! parity_matrix {
+    ($label:expr, $program:expr, $dom:ident, $val:ident) => {{
+        use mai_core::store::{BasicStore, CountingStore};
+        use mai_core::{KCallAddr, KCallCtx, MonoAddr, MonoCtx};
+        let (label, program) = ($label, $program);
+        common::engine_parity::<$dom<MonoCtx, BasicStore<MonoAddr, $val<MonoAddr>>>>(
+            &format!("{label} mono/basic"),
+            program,
+        );
+        common::engine_parity::<$dom<MonoCtx, CountingStore<MonoAddr, $val<MonoAddr>>>>(
+            &format!("{label} mono/counting"),
+            program,
+        );
+        common::engine_parity::<$dom<KCallCtx<0>, BasicStore<KCallAddr, $val<KCallAddr>>>>(
+            &format!("{label} 0cfa/basic"),
+            program,
+        );
+        common::engine_parity::<$dom<KCallCtx<0>, CountingStore<KCallAddr, $val<KCallAddr>>>>(
+            &format!("{label} 0cfa/counting"),
+            program,
+        );
+        common::engine_parity::<$dom<KCallCtx<1>, BasicStore<KCallAddr, $val<KCallAddr>>>>(
+            &format!("{label} 1cfa/basic"),
+            program,
+        );
+        common::engine_parity::<$dom<KCallCtx<1>, CountingStore<KCallAddr, $val<KCallAddr>>>>(
+            &format!("{label} 1cfa/counting"),
+            program,
+        );
+    }};
+}
+
+/// The shared-store domain of the CESK machine over context `C` and store `S`.
+pub type CeskDomain<C, S> =
+    SharedStoreDomain<mai_lambda::PState<<C as mai_core::addr::Context>::Addr>, C, S>;
+
+/// The shared-store domain of the CPS machine over context `C` and store `S`.
+pub type CpsDomain<C, S> =
+    SharedStoreDomain<mai_cps::PState<<C as mai_core::addr::Context>::Addr>, C, S>;
+
+/// The shared-store domain of the FJ machine over context `C` and store `S`.
+pub type FjDomain<C, S> =
+    SharedStoreDomain<mai_fj::PState<<C as mai_core::addr::Context>::Addr>, C, S>;

@@ -7,14 +7,14 @@
 //! store ∈ {basic, counting} × {plain, abstract GC}, and each
 //! configuration is solved by every engine and carrier in the tree:
 //!
-//! * naive Kleene iteration (`analyse*` — the paper's literal algorithm,
-//!   the ground truth),
-//! * the PR-2 structural-key incremental engine (`analyse_*_structural`),
-//! * the PR-3 id-indexed engine on the `Rc`-closure carrier
-//!   (`analyse_*_worklist`),
+//! * naive Kleene iteration (`analyse::kleene` — the paper's literal
+//!   algorithm, the ground truth),
+//! * the structural-key incremental engine (`analyse::structural`),
+//! * the id-indexed engine on the `Rc`-closure carrier
+//!   (`analyse::worklist`),
 //! * the id-indexed engine on the direct-style carrier
-//!   (`analyse_*_direct`),
-//! * the sharded parallel driver (`analyse_*_parallel`), run at 1, 2 and
+//!   (`analyse::direct`),
+//! * the sharded parallel driver (`analyse::parallel`), run at 1, 2 and
 //!   4 worker threads.
 //!
 //! All four sequential solvers must produce bit-identical fixpoints, and
@@ -32,188 +32,32 @@
 
 use std::collections::BTreeSet;
 
-use mai_core::engine::EngineStats;
-use mai_core::store::{BasicStore, CountingStore};
-use mai_core::{KCallAddr, KCallCtx, MonoAddr, MonoCtx};
+use mai_core::analyse::{self, Gc};
+use mai_core::engine::{Budget, ParallelConfig};
+use mai_core::store::BasicStore;
+use mai_core::{KCallAddr, KCallCtx, NoopSink};
+use mai_cps::Val;
 use mai_lambda::syntax::TermBuilder;
-use mai_lambda::Term;
+use mai_lambda::{Storable, Term};
 use proptest::prelude::*;
 
-// The committed seeds and the deterministic λ-term generator live in
-// `tests/common` so the governance suite replays the same corpus.
+// The committed seeds, the deterministic λ-term generator and the engine
+// parity check live in `tests/common` so the governance and worklist
+// suites replay the same corpus and the same checks.
+#[macro_use]
 mod common;
-use common::{shape_strategy, term_from_seed, to_term, COMMITTED_SEEDS, PARALLEL_THREADS};
-
-// ---------------------------------------------------------------------------
-// The per-configuration engine pentagon
-// ---------------------------------------------------------------------------
-
-/// Asserts that a parallel run reproduced the sequential direct engine's
-/// deterministic work counters (the timing gauges `steal_events` /
-/// `shard_imbalance` and the fold-order-dependent `store_bytes_shared`
-/// sample are exempt by design; `sync_rounds` must equal the parallel
-/// run's own round count).
-fn assert_parallel_counters(label: &str, threads: usize, seq: &EngineStats, par: &EngineStats) {
-    let ctx = format!("{label} at {threads} threads");
-    assert_eq!(par.iterations, seq.iterations, "{ctx}: iterations");
-    assert_eq!(
-        par.states_stepped, seq.states_stepped,
-        "{ctx}: states_stepped"
-    );
-    assert_eq!(par.cache_hits, seq.cache_hits, "{ctx}: cache_hits");
-    assert_eq!(par.reenqueued, seq.reenqueued, "{ctx}: reenqueued");
-    assert_eq!(
-        par.store_joins_applied, seq.store_joins_applied,
-        "{ctx}: store_joins_applied"
-    );
-    assert_eq!(par.widen_applied, seq.widen_applied, "{ctx}: widen_applied");
-    assert_eq!(par.store_joins, seq.store_joins, "{ctx}: store_joins");
-    assert_eq!(
-        par.rebuild_rounds, seq.rebuild_rounds,
-        "{ctx}: rebuild_rounds"
-    );
-    assert_eq!(par.peak_frontier, seq.peak_frontier, "{ctx}: peak_frontier");
-    assert_eq!(par.intern_hits, seq.intern_hits, "{ctx}: intern_hits");
-    assert_eq!(par.intern_misses, seq.intern_misses, "{ctx}: intern_misses");
-    assert_eq!(
-        par.distinct_states, seq.distinct_states,
-        "{ctx}: distinct_states"
-    );
-    assert_eq!(par.spine_clones, seq.spine_clones, "{ctx}: spine_clones");
-    assert_eq!(par.dep_edges, seq.dep_edges, "{ctx}: dep_edges");
-    assert_eq!(
-        par.branches_folded, seq.branches_folded,
-        "{ctx}: branches_folded"
-    );
-    assert_eq!(par.sync_rounds, par.iterations, "{ctx}: sync_rounds");
-}
-
-/// Solves one CESK configuration with all five engine/carrier combinations
-/// (four sequential plus the parallel driver, and the GC'd variants of
-/// each) and asserts them identical.
-fn cesk_pentagon<C, S>(term: &Term)
-where
-    C: mai_core::addr::Context + std::hash::Hash,
-    S: mai_core::store::StoreLike<C::Addr, D = BTreeSet<mai_lambda::Storable<C::Addr>>>
-        + mai_core::store::StoreDelta<C::Addr>
-        + mai_core::monad::Value
-        + mai_core::lattice::WidenLattice,
-{
-    use mai_lambda::analysis as la;
-    type Dom<C, S> =
-        mai_core::SharedStoreDomain<mai_lambda::PState<<C as mai_core::addr::Context>::Addr>, C, S>;
-
-    let kleene: Dom<C, S> = la::analyse::<C, S, _>(term);
-    let (interned, _): (Dom<C, S>, _) = la::analyse_worklist::<C, S, _>(term);
-    let (structural, _): (Dom<C, S>, _) = la::analyse_worklist_structural::<C, S, _>(term);
-    let (direct, direct_stats): (Dom<C, S>, _) = la::analyse_worklist_direct::<C, S, _>(term);
-    assert_eq!(interned, kleene, "CESK interned != Kleene");
-    assert_eq!(structural, kleene, "CESK structural != Kleene");
-    assert_eq!(direct, kleene, "CESK direct != Kleene");
-    for threads in PARALLEL_THREADS {
-        let (parallel, par_stats): (Dom<C, S>, _) =
-            la::analyse_worklist_parallel::<C, S, _>(term, threads);
-        assert_eq!(
-            parallel, kleene,
-            "CESK parallel != Kleene at {threads} threads"
-        );
-        assert_parallel_counters("CESK", threads, &direct_stats, &par_stats);
-    }
-
-    let gc_kleene: Dom<C, S> = la::analyse_with_gc::<C, S, _>(term);
-    let (gc_interned, _): (Dom<C, S>, _) = la::analyse_with_gc_worklist::<C, S, _>(term);
-    let (gc_structural, _): (Dom<C, S>, _) =
-        la::analyse_with_gc_worklist_structural::<C, S, _>(term);
-    let (gc_direct, gc_direct_stats): (Dom<C, S>, _) =
-        la::analyse_with_gc_worklist_direct::<C, S, _>(term);
-    assert_eq!(gc_interned, gc_kleene, "CESK gc interned != Kleene");
-    assert_eq!(gc_structural, gc_kleene, "CESK gc structural != Kleene");
-    assert_eq!(gc_direct, gc_kleene, "CESK gc direct != Kleene");
-    for threads in PARALLEL_THREADS {
-        let (gc_parallel, gc_par_stats): (Dom<C, S>, _) =
-            la::analyse_with_gc_parallel::<C, S, _>(term, threads);
-        assert_eq!(
-            gc_parallel, gc_kleene,
-            "CESK gc parallel != Kleene at {threads} threads"
-        );
-        assert_parallel_counters("CESK gc", threads, &gc_direct_stats, &gc_par_stats);
-    }
-}
-
-/// Solves one CPS configuration with all five engine/carrier combinations
-/// (four sequential plus the parallel driver, and the GC'd variants) and
-/// asserts them identical.
-fn cps_pentagon<C, S>(program: &mai_cps::CExp)
-where
-    C: mai_core::addr::Context + std::hash::Hash,
-    S: mai_core::store::StoreLike<C::Addr, D = BTreeSet<mai_cps::Val<C::Addr>>>
-        + mai_core::store::StoreDelta<C::Addr>
-        + mai_core::monad::Value
-        + mai_core::lattice::WidenLattice,
-{
-    use mai_cps::analysis as ca;
-    type Dom<C, S> =
-        mai_core::SharedStoreDomain<mai_cps::PState<<C as mai_core::addr::Context>::Addr>, C, S>;
-
-    let kleene: Dom<C, S> = ca::analyse::<C, S, _>(program);
-    let (interned, _): (Dom<C, S>, _) = ca::analyse_worklist::<C, S, _>(program);
-    let (structural, _): (Dom<C, S>, _) = ca::analyse_worklist_structural::<C, S, _>(program);
-    let (direct, direct_stats): (Dom<C, S>, _) = ca::analyse_worklist_direct::<C, S, _>(program);
-    assert_eq!(interned, kleene, "CPS interned != Kleene");
-    assert_eq!(structural, kleene, "CPS structural != Kleene");
-    assert_eq!(direct, kleene, "CPS direct != Kleene");
-    for threads in PARALLEL_THREADS {
-        let (parallel, par_stats): (Dom<C, S>, _) =
-            ca::analyse_worklist_parallel::<C, S, _>(program, threads);
-        assert_eq!(
-            parallel, kleene,
-            "CPS parallel != Kleene at {threads} threads"
-        );
-        assert_parallel_counters("CPS", threads, &direct_stats, &par_stats);
-    }
-
-    let gc_kleene: Dom<C, S> = ca::analyse_gc::<C, S, _>(program);
-    let (gc_interned, _): (Dom<C, S>, _) = ca::analyse_gc_worklist::<C, S, _>(program);
-    let (gc_structural, _): (Dom<C, S>, _) = ca::analyse_gc_worklist_structural::<C, S, _>(program);
-    let (gc_direct, gc_direct_stats): (Dom<C, S>, _) =
-        ca::analyse_gc_worklist_direct::<C, S, _>(program);
-    assert_eq!(gc_interned, gc_kleene, "CPS gc interned != Kleene");
-    assert_eq!(gc_structural, gc_kleene, "CPS gc structural != Kleene");
-    assert_eq!(gc_direct, gc_kleene, "CPS gc direct != Kleene");
-    for threads in PARALLEL_THREADS {
-        let (gc_parallel, gc_par_stats): (Dom<C, S>, _) =
-            ca::analyse_gc_worklist_parallel::<C, S, _>(program, threads);
-        assert_eq!(
-            gc_parallel, gc_kleene,
-            "CPS gc parallel != Kleene at {threads} threads"
-        );
-        assert_parallel_counters("CPS gc", threads, &gc_direct_stats, &gc_par_stats);
-    }
-}
+use common::{
+    assert_parallel_counters, shape_strategy, term_from_seed, to_term, CeskDomain, CpsDomain,
+    COMMITTED_SEEDS, PARALLEL_THREADS,
+};
 
 /// The full configuration matrix for one generated term, both languages:
-/// {mono, k-CFA k=0, k-CFA k=1} × {basic, counting} × {plain, GC} × five
-/// engines.
+/// {mono, k-CFA k=0, k-CFA k=1} × {basic, counting} × {plain, GC} × every
+/// engine of [`common::engine_parity`].
 fn full_matrix(term: &Term) {
-    type LStorable<A> = mai_lambda::Storable<A>;
-    type CVal<A> = mai_cps::Val<A>;
-
-    // CESK side.
-    cesk_pentagon::<MonoCtx, BasicStore<MonoAddr, LStorable<MonoAddr>>>(term);
-    cesk_pentagon::<MonoCtx, CountingStore<MonoAddr, LStorable<MonoAddr>>>(term);
-    cesk_pentagon::<KCallCtx<0>, BasicStore<KCallAddr, LStorable<KCallAddr>>>(term);
-    cesk_pentagon::<KCallCtx<0>, CountingStore<KCallAddr, LStorable<KCallAddr>>>(term);
-    cesk_pentagon::<KCallCtx<1>, BasicStore<KCallAddr, LStorable<KCallAddr>>>(term);
-    cesk_pentagon::<KCallCtx<1>, CountingStore<KCallAddr, LStorable<KCallAddr>>>(term);
-
+    parity_matrix!("CESK", term, CeskDomain, Storable);
     // CPS side, through the CPS transform.
-    let program = mai_cps::cps_convert(term);
-    cps_pentagon::<MonoCtx, BasicStore<MonoAddr, CVal<MonoAddr>>>(&program);
-    cps_pentagon::<MonoCtx, CountingStore<MonoAddr, CVal<MonoAddr>>>(&program);
-    cps_pentagon::<KCallCtx<0>, BasicStore<KCallAddr, CVal<KCallAddr>>>(&program);
-    cps_pentagon::<KCallCtx<0>, CountingStore<KCallAddr, CVal<KCallAddr>>>(&program);
-    cps_pentagon::<KCallCtx<1>, BasicStore<KCallAddr, CVal<KCallAddr>>>(&program);
-    cps_pentagon::<KCallCtx<1>, CountingStore<KCallAddr, CVal<KCallAddr>>>(&program);
+    parity_matrix!("CPS", &mai_cps::cps_convert(term), CpsDomain, Val);
 }
 
 #[test]
@@ -237,40 +81,45 @@ const ELASTIC_EPOCHS: [usize; 3] = [1, 2, 8];
 /// unlike [`assert_parallel_counters`] no step/join parity is demanded.
 #[test]
 fn elastic_matches_direct_across_committed_seeds() {
-    use mai_core::engine::ParallelConfig;
-    use mai_cps::analysis as ca;
-    use mai_lambda::analysis as la;
-    type Ctx = KCallCtx<1>;
-    type LStore = BasicStore<KCallAddr, mai_lambda::Storable<KCallAddr>>;
-    type CStore = BasicStore<KCallAddr, mai_cps::Val<KCallAddr>>;
-    type LDom = mai_core::SharedStoreDomain<mai_lambda::PState<KCallAddr>, Ctx, LStore>;
-    type CDom = mai_core::SharedStoreDomain<mai_cps::PState<KCallAddr>, Ctx, CStore>;
+    type LDom = CeskDomain<KCallCtx<1>, BasicStore<KCallAddr, Storable<KCallAddr>>>;
+    type CDom = CpsDomain<KCallCtx<1>, BasicStore<KCallAddr, Val<KCallAddr>>>;
 
     for seed in COMMITTED_SEEDS {
         let term = term_from_seed(seed);
         let program = mai_cps::cps_convert(&term);
-        let (l_direct, _): (LDom, _) = la::analyse_worklist_direct::<Ctx, LStore, _>(&term);
-        let (l_gc_direct, _): (LDom, _) =
-            la::analyse_with_gc_worklist_direct::<Ctx, LStore, _>(&term);
-        let (c_direct, _): (CDom, _) = ca::analyse_worklist_direct::<Ctx, CStore, _>(&program);
-        let (c_gc_direct, _): (CDom, _) =
-            ca::analyse_gc_worklist_direct::<Ctx, CStore, _>(&program);
-        for threads in PARALLEL_THREADS {
-            for epochs in ELASTIC_EPOCHS {
-                let config = ParallelConfig { threads, epochs };
-                let ctx = format!("seed {seed:#x} at {threads} threads, {epochs} epochs");
-                let (l, _): (LDom, _) =
-                    la::analyse_worklist_elastic::<Ctx, LStore, _>(&term, config);
-                assert_eq!(l, l_direct, "CESK elastic != direct for {ctx}");
-                let (lg, _): (LDom, _) =
-                    la::analyse_with_gc_elastic::<Ctx, LStore, _>(&term, config);
-                assert_eq!(lg, l_gc_direct, "CESK gc elastic != direct for {ctx}");
-                let (c, _): (CDom, _) =
-                    ca::analyse_worklist_elastic::<Ctx, CStore, _>(&program, config);
-                assert_eq!(c, c_direct, "CPS elastic != direct for {ctx}");
-                let (cg, _): (CDom, _) =
-                    ca::analyse_gc_worklist_elastic::<Ctx, CStore, _>(&program, config);
-                assert_eq!(cg, c_gc_direct, "CPS gc elastic != direct for {ctx}");
+        for gc in [Gc::Off, Gc::On] {
+            let (l_direct, _) = analyse::direct::<LDom>(&term, gc);
+            let (c_direct, _) = analyse::direct::<CDom>(&program, gc);
+            for threads in PARALLEL_THREADS {
+                for epochs in ELASTIC_EPOCHS {
+                    let config = ParallelConfig { threads, epochs };
+                    let ctx =
+                        format!("seed {seed:#x}, GC {gc:?} at {threads} threads, {epochs} epochs");
+                    let (l, _) = analyse::parallel::<LDom, _>(
+                        &term,
+                        gc,
+                        config,
+                        &Budget::unlimited(),
+                        &mut NoopSink,
+                    );
+                    assert_eq!(
+                        l.into_complete(),
+                        l_direct,
+                        "CESK elastic != direct for {ctx}"
+                    );
+                    let (c, _) = analyse::parallel::<CDom, _>(
+                        &program,
+                        gc,
+                        config,
+                        &Budget::unlimited(),
+                        &mut NoopSink,
+                    );
+                    assert_eq!(
+                        c.into_complete(),
+                        c_direct,
+                        "CPS elastic != direct for {ctx}"
+                    );
+                }
             }
         }
     }
@@ -648,13 +497,19 @@ fn committed_seeds_derive_a_stable_corpus() {
 
 proptest! {
     /// Every random term: the 1CFA shared-store configuration (the one the
-    /// benchmarks run) across all five engines, both languages, plus the
-    /// GC'd direct-vs-Rc pair.
+    /// benchmarks run) across every engine, both languages, with and
+    /// without GC.
     #[test]
     fn prop_engines_agree_on_random_terms(shape in shape_strategy()) {
         let term = to_term(&shape, &mut TermBuilder::new());
-        cesk_pentagon::<KCallCtx<1>, BasicStore<KCallAddr, mai_lambda::Storable<KCallAddr>>>(&term);
+        common::engine_parity::<CeskDomain<KCallCtx<1>, BasicStore<KCallAddr, Storable<KCallAddr>>>>(
+            "CESK 1cfa/basic",
+            &term,
+        );
         let program = mai_cps::cps_convert(&term);
-        cps_pentagon::<KCallCtx<1>, BasicStore<KCallAddr, mai_cps::Val<KCallAddr>>>(&program);
+        common::engine_parity::<CpsDomain<KCallCtx<1>, BasicStore<KCallAddr, Val<KCallAddr>>>>(
+            "CPS 1cfa/basic",
+            &program,
+        );
     }
 }

@@ -4,30 +4,27 @@
 
 use std::collections::BTreeSet;
 
-use monadic_ai::core::{KCallCtx, MonoCtx, Name};
+use monadic_ai::core::analyse::{self, Gc};
+use monadic_ai::core::Name;
 use monadic_ai::cps::convert::cps_convert;
 use monadic_ai::{cps, fj, lambda};
 
 #[test]
 fn the_same_context_types_drive_all_three_languages() {
     // The *types* below are the proof: `MonoCtx` and `KCallCtx<1>` from
-    // mai-core instantiate analyses for CPS, the CESK machine and FJ alike.
+    // mai-core instantiate analyses for CPS, the CESK machine and FJ alike,
+    // through the one Kleene solve of `mai_core::analyse`.
     let cps_program = cps::programs::identity_application();
-    let _cps_mono: cps::analysis::MonoShared =
-        cps::analysis::analyse::<MonoCtx, _, _>(&cps_program);
-    let _cps_one: cps::analysis::KCfaShared<1> =
-        cps::analysis::analyse::<KCallCtx<1>, _, _>(&cps_program);
+    let _cps_mono: cps::analysis::MonoShared = analyse::kleene(&cps_program, Gc::Off);
+    let _cps_one: cps::analysis::KCfaShared<1> = analyse::kleene(&cps_program, Gc::Off);
 
     let cesk_term = lambda::programs::identity_application();
-    let _cesk_mono: lambda::analysis::MonoCeskShared =
-        lambda::analysis::analyse::<MonoCtx, _, _>(&cesk_term);
-    let _cesk_one: lambda::analysis::KCeskShared<1> =
-        lambda::analysis::analyse::<KCallCtx<1>, _, _>(&cesk_term);
+    let _cesk_mono: lambda::analysis::MonoCeskShared = analyse::kleene(&cesk_term, Gc::Off);
+    let _cesk_one: lambda::analysis::KCeskShared<1> = analyse::kleene(&cesk_term, Gc::Off);
 
     let fj_program = fj::programs::pair_fst();
-    let _fj_mono: fj::analysis::MonoFjShared = fj::analysis::analyse::<MonoCtx, _, _>(&fj_program);
-    let _fj_one: fj::analysis::KFjShared<1> =
-        fj::analysis::analyse::<KCallCtx<1>, _, _>(&fj_program);
+    let _fj_mono: fj::analysis::MonoFjShared = analyse::kleene(&fj_program, Gc::Off);
+    let _fj_one: fj::analysis::KFjShared<1> = analyse::kleene(&fj_program, Gc::Off);
 }
 
 #[test]

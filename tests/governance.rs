@@ -27,18 +27,38 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 use std::time::Duration;
 
+use mai_core::analyse::{self, Gc};
 use mai_core::engine::{
     Budget, CancelToken, DirectCollecting, EngineStats, ExhaustReason, Outcome, ParallelCollecting,
     ParallelConfig, SolveFrom,
 };
 use mai_core::store::BasicStore;
-use mai_core::telemetry::TraceBuffer;
+use mai_core::telemetry::{NoopSink, TraceBuffer};
 use mai_core::{KCallAddr, KCallCtx};
 use mai_lambda::analysis as la;
 use mai_lambda::{PState, Term};
 
 mod common;
 use common::{term_from_seed, COMMITTED_SEEDS, PARALLEL_THREADS};
+
+/// The governed 1CFA shared-store CESK solve of `term`: fresh, or resumed
+/// from `resume`.
+fn governed(
+    term: &Term,
+    resume: Option<la::KCeskSeed<1>>,
+    budget: &Budget,
+) -> (Outcome<la::KCeskShared<1>, la::KCeskSeed<1>>, EngineStats) {
+    analyse::governed(term, Gc::Off, resume, budget, &mut NoopSink)
+}
+
+/// The 1CFA shared-store CESK solve of `term` on a parallel driver.
+fn parallel(
+    term: &Term,
+    config: ParallelConfig,
+    budget: &Budget,
+) -> (Outcome<la::KCeskShared<1>, la::KCeskSeed<1>>, EngineStats) {
+    analyse::parallel(term, Gc::Off, config, budget, &mut NoopSink)
+}
 
 /// Zeroes the timing gauges ([`EngineStats::work`]) and the
 /// fold-order-dependent `store_bytes_shared` sample, which legitimately
@@ -98,8 +118,11 @@ const MAX_RESUME_CHAIN: usize = 10_000;
 fn unlimited_budget_is_byte_identical_to_the_classic_engines() {
     for seed in COMMITTED_SEEDS {
         let term = term_from_seed(seed);
-        let (direct, direct_stats) = la::analyse_kcfa_shared_direct::<1>(&term);
-        let (outcome, stats) = la::analyse_kcfa_shared_governed::<1>(&term, &Budget::unlimited());
+        let (direct, direct_stats) = la::KCeskShared::<1>::explore_frontier_direct(
+            &direct_step,
+            PState::inject(term.clone()),
+        );
+        let (outcome, stats) = governed(&term, None, &Budget::unlimited());
         assert!(
             outcome.is_complete(),
             "unlimited budget exhausted on seed {seed:#x}"
@@ -115,10 +138,18 @@ fn unlimited_budget_is_byte_identical_to_the_classic_engines() {
         );
 
         let program = mai_cps::cps_convert(&term);
-        let (c_direct, c_direct_stats) =
-            mai_cps::analysis::analyse_kcfa_shared_direct::<1>(&program);
-        let (c_outcome, c_stats) =
-            mai_cps::analysis::analyse_kcfa_shared_governed::<1>(&program, &Budget::unlimited());
+        type CpsDomain = mai_cps::analysis::KCfaShared<1>;
+        let (c_direct, c_direct_stats) = CpsDomain::explore_frontier_direct(
+            &mai_cps::mnext_direct::<KCallCtx<1>, mai_cps::analysis::KStore>,
+            mai_cps::PState::inject(program.clone()),
+        );
+        let (c_outcome, c_stats) = analyse::governed::<CpsDomain, _>(
+            &program,
+            Gc::Off,
+            None,
+            &Budget::unlimited(),
+            &mut NoopSink,
+        );
         assert_eq!(
             c_outcome.into_complete(),
             c_direct,
@@ -136,10 +167,14 @@ fn unlimited_budget_is_byte_identical_to_the_classic_parallel_driver() {
     for seed in COMMITTED_SEEDS {
         let term = term_from_seed(seed);
         for threads in PARALLEL_THREADS {
-            let (classic, classic_stats) = la::analyse_kcfa_shared_parallel::<1>(&term, threads);
-            let governed = la::analyse_kcfa_shared_parallel_governed::<1>(
+            let (classic, classic_stats) = la::KCeskShared::<1>::explore_frontier_parallel(
+                &direct_step,
+                PState::inject(term.clone()),
+                ParallelConfig::barrier(threads),
+            );
+            let governed = parallel(
                 &term,
-                threads,
+                ParallelConfig::barrier(threads),
                 &Budget::unlimited(),
             );
             // One more input: the same solve with a worker that sleeps on
@@ -172,13 +207,12 @@ fn unlimited_budget_matches_the_classic_elastic_driver_fixpoint() {
     // differential suite), so only fixpoint identity is demanded here.
     for seed in COMMITTED_SEEDS {
         let term = term_from_seed(seed);
-        let (direct, _) = la::analyse_kcfa_shared_direct::<1>(&term);
+        let (direct, _) = analyse::direct::<la::KCeskShared<1>>(&term, Gc::Off);
         let config = ParallelConfig {
             threads: 2,
             epochs: 4,
         };
-        let governed =
-            la::analyse_kcfa_shared_elastic_governed::<1>(&term, config, &Budget::unlimited());
+        let governed = parallel(&term, config, &Budget::unlimited());
         let sleepy = la::KCeskShared::<1>::explore_frontier_parallel_governed(
             &sleepy_step(chosen_states(&direct)),
             SolveFrom::Fresh(PState::inject(term.clone())),
@@ -199,9 +233,10 @@ fn unlimited_budget_matches_the_classic_elastic_driver_fixpoint() {
 // Resume soundness
 // ---------------------------------------------------------------------------
 
-/// Chains `analyse_kcfa_shared_resume` under `budget` until completion,
-/// starting from an already-obtained outcome.
+/// Chains resumed [`governed`] solves of `term` under `budget` until
+/// completion, starting from an already-obtained outcome.
 fn drain_resume_chain(
+    term: &Term,
     mut outcome: Outcome<la::KCeskShared<1>, la::KCeskSeed<1>>,
     budget: &Budget,
     ctx: &str,
@@ -215,7 +250,7 @@ fn drain_resume_chain(
                 ..
             } => {
                 assert_eq!(reason, ExhaustReason::RoundBudget, "{ctx}: wrong reason");
-                outcome = la::analyse_kcfa_shared_resume::<1>(*resume_seed, budget).0;
+                outcome = governed(term, Some(*resume_seed), budget).0;
             }
         }
     }
@@ -227,16 +262,15 @@ fn exhausted_partials_resume_onto_the_one_shot_fixpoint() {
     let tight = Budget::unlimited().with_max_rounds(1);
     for seed in COMMITTED_SEEDS {
         let term = term_from_seed(seed);
-        let (oracle, _) = la::analyse_kcfa_shared_direct::<1>(&term);
+        let (oracle, _) = analyse::direct::<la::KCeskShared<1>>(&term, Gc::Off);
         let ctx = format!("seed {seed:#x}");
 
         // One tight round, then a single unlimited resume.
-        let (first, _) = la::analyse_kcfa_shared_governed::<1>(&term, &tight);
+        let (first, _) = governed(&term, None, &tight);
         match first {
             Outcome::Complete(value) => assert_eq!(value, oracle, "{ctx}: one-round completion"),
             Outcome::Exhausted { resume_seed, .. } => {
-                let (resumed, _) =
-                    la::analyse_kcfa_shared_resume::<1>(*resume_seed, &Budget::unlimited());
+                let (resumed, _) = governed(&term, Some(*resume_seed), &Budget::unlimited());
                 assert_eq!(
                     resumed.into_complete(),
                     oracle,
@@ -246,8 +280,8 @@ fn exhausted_partials_resume_onto_the_one_shot_fixpoint() {
         }
 
         // The worst case: every link of the chain is one round.
-        let (chained, _) = la::analyse_kcfa_shared_governed::<1>(&term, &tight);
-        let fixpoint = drain_resume_chain(chained, &tight, &ctx);
+        let (chained, _) = governed(&term, None, &tight);
+        let fixpoint = drain_resume_chain(&term, chained, &tight, &ctx);
         assert_eq!(
             fixpoint, oracle,
             "{ctx}: one-round resume chain diverged from the one-shot fixpoint"
@@ -260,21 +294,18 @@ fn parallel_exhaustion_resumes_on_either_driver() {
     let tight = Budget::unlimited().with_max_rounds(1);
     for seed in COMMITTED_SEEDS {
         let term = term_from_seed(seed);
-        let (oracle, _) = la::analyse_kcfa_shared_direct::<1>(&term);
+        let (oracle, _) = analyse::direct::<la::KCeskShared<1>>(&term, Gc::Off);
         for threads in PARALLEL_THREADS {
             let ctx = format!("seed {seed:#x} at {threads} threads");
-            let (outcome, _) =
-                la::analyse_kcfa_shared_parallel_governed::<1>(&term, threads, &tight);
+            let (outcome, _) = parallel(&term, ParallelConfig::barrier(threads), &tight);
             match outcome {
                 Outcome::Complete(value) => {
                     assert_eq!(value, oracle, "{ctx}: one-round completion")
                 }
                 Outcome::Exhausted { resume_seed, .. } => {
                     // The seed is driver-agnostic: resume sequentially …
-                    let (seq, _) = la::analyse_kcfa_shared_resume::<1>(
-                        (*resume_seed).clone(),
-                        &Budget::unlimited(),
-                    );
+                    let (seq, _) =
+                        governed(&term, Some((*resume_seed).clone()), &Budget::unlimited());
                     assert_eq!(
                         seq.into_complete(),
                         oracle,

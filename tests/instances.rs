@@ -20,6 +20,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
+use mai_core::analyse::{self, Gc};
 use mai_core::engine::Budget;
 use mai_core::name::Name;
 use mai_cps::analysis as ca;
@@ -43,17 +44,17 @@ fn fj_closure_and_direct_fixpoints_agree() {
     for (name, program) in corpus {
         assert_eq!(
             fa::analyse_mono(&program),
-            fa::analyse_mono_direct(&program).0,
+            analyse::direct::<fa::MonoFjShared>(&program, Gc::Off).0,
             "{name}: 0CFA"
         );
         assert_eq!(
             fa::analyse_kcfa_shared::<1>(&program),
-            fa::analyse_kcfa_shared_direct::<1>(&program).0,
+            analyse::direct::<fa::KFjShared<1>>(&program, Gc::Off).0,
             "{name}: 1CFA"
         );
         assert_eq!(
             fa::analyse_kcfa_shared_gc::<1>(&program),
-            fa::analyse_kcfa_shared_gc_direct::<1>(&program).0,
+            analyse::direct::<fa::KFjShared<1>>(&program, Gc::On).0,
             "{name}: 1CFA with abstract GC"
         );
     }
@@ -94,7 +95,11 @@ fn lambda_concrete_results_are_covered_by_both_carriers() {
             ("closure 0CFA", halted(la::analyse_mono(&term).states())),
             (
                 "direct 0CFA",
-                halted(la::analyse_mono_direct(&term).0.states()),
+                halted(
+                    analyse::direct::<la::MonoCeskShared>(&term, Gc::Off)
+                        .0
+                        .states(),
+                ),
             ),
             (
                 "closure 1CFA",
@@ -102,7 +107,11 @@ fn lambda_concrete_results_are_covered_by_both_carriers() {
             ),
             (
                 "direct 1CFA",
-                halted(la::analyse_kcfa_shared_direct::<1>(&term).0.states()),
+                halted(
+                    analyse::direct::<la::KCeskShared<1>>(&term, Gc::Off)
+                        .0
+                        .states(),
+                ),
             ),
         ];
         for (carrier, results) in fixpoints {
@@ -168,7 +177,11 @@ fn cps_concrete_bindings_are_in_every_flow_map() {
             ),
             (
                 "direct 1CFA",
-                mai_cps::flow_map_of_store(ca::analyse_kcfa_shared_direct::<1>(&program).0.store()),
+                mai_cps::flow_map_of_store(
+                    analyse::direct::<ca::KCfaShared<1>>(&program, Gc::Off)
+                        .0
+                        .store(),
+                ),
             ),
         ];
         let bindings = concrete_cps_bindings(&outcome);

@@ -9,9 +9,11 @@
 //! worst-case family, the intern statistics must account for every
 //! configuration, and environment sharing must be observable end to end.
 
+use monadic_ai::core::analyse::{self, Gc};
 use monadic_ai::core::intern::{EnvId, InternKey, Interner, StateId};
 use monadic_ai::core::Name;
 use monadic_ai::cps;
+use monadic_ai::cps::analysis::KCfaShared;
 use monadic_ai::cps::programs::{kcfa_worst_case, kcfa_worst_case_scaled};
 
 /// Interner ids agree with structural equality on real abstract machine
@@ -47,8 +49,9 @@ fn interned_engine_agrees_on_the_scaled_worst_case_family() {
     for (n, width) in [(3usize, 2usize), (4, 2), (3, 4)] {
         let program = kcfa_worst_case_scaled(n, width);
         let kleene = cps::analyse_kcfa_shared::<1>(&program);
-        let (interned, stats) = cps::analyse_kcfa_shared_worklist::<1>(&program);
-        let (structural, structural_stats) = cps::analyse_kcfa_shared_structural::<1>(&program);
+        let (interned, stats) = analyse::worklist::<KCfaShared<1>>(&program, Gc::Off);
+        let (structural, structural_stats) =
+            analyse::structural::<KCfaShared<1>>(&program, Gc::Off);
 
         assert_eq!(interned, kleene, "kcfa-worst-{n}w{width}: interned differs");
         assert_eq!(

@@ -15,9 +15,12 @@
 //! [`TraceBuffer`]: monadic_ai::core::telemetry::TraceBuffer
 //! [`RoundTrace`]: monadic_ai::core::telemetry::RoundTrace
 
+use monadic_ai::core::analyse::{self, Gc, Program};
 use monadic_ai::core::collect::{explore_fp, explore_fp_traced};
-use monadic_ai::core::engine::{EngineStats, FrontierCollecting};
-use monadic_ai::core::telemetry::TraceBuffer;
+use monadic_ai::core::engine::{
+    Budget, DirectCollecting, EngineStats, FrontierCollecting, ParallelConfig,
+};
+use monadic_ai::core::telemetry::{NoopSink, TraceBuffer, TraceSink};
 use monadic_ai::core::{KCallAddr, KCallCtx, SharedStoreDomain, StorePassing};
 use monadic_ai::cps::analysis::KStore;
 use monadic_ai::cps::programs::{id_chain, kcfa_worst_case, kcfa_worst_case_scaled};
@@ -27,6 +30,36 @@ use monadic_ai::{cps, fj, lambda};
 type Ctx = KCallCtx<1>;
 type M = StorePassing<Ctx, KStore>;
 type Domain = SharedStoreDomain<PState<KCallAddr>, Ctx, KStore>;
+
+/// A direct-carrier solve of `D` recorded into `trace`.
+fn traced_direct<D>(program: &Program<D>, trace: &mut TraceBuffer) -> (D, EngineStats)
+where
+    D: analyse::Domain + DirectCollecting<D::State, D::Guts, D::Store>,
+{
+    analyse::complete(analyse::governed(
+        program,
+        Gc::Off,
+        None,
+        &Budget::unlimited(),
+        trace,
+    ))
+}
+
+/// A 1CFA CPS solve on the barrier-parallel driver, observed by `sink`.
+fn barrier<T: TraceSink>(
+    program: &cps::CExp,
+    threads: usize,
+    sink: &mut T,
+) -> (Domain, EngineStats) {
+    let config = ParallelConfig::barrier(threads);
+    analyse::complete(analyse::parallel(
+        program,
+        Gc::Off,
+        config,
+        &Budget::unlimited(),
+        sink,
+    ))
+}
 
 /// The workloads the parity suite sweeps: a monotone chain, the kCFA
 /// worst case and its widened (rebuild-triggering) scaled variant.
@@ -113,10 +146,9 @@ fn worklist_engines_traced_match_untraced() {
 #[test]
 fn direct_engine_traced_matches_untraced_across_languages() {
     let program = kcfa_worst_case_scaled(2, 4);
-    let (untraced, stats) = cps::analysis::analyse_kcfa_shared_direct::<1>(&program);
+    let (untraced, stats) = analyse::direct::<cps::analysis::KCfaShared<1>>(&program, Gc::Off);
     let mut trace = TraceBuffer::new();
-    let (traced, traced_stats) =
-        cps::analysis::analyse_kcfa_shared_direct_traced::<1, _>(&program, &mut trace);
+    let (traced, traced_stats) = traced_direct::<Domain>(&program, &mut trace);
     assert_eq!(traced, untraced, "cps: direct fixpoint changed");
     assert_eq!(traced_stats, stats, "cps: direct stats changed");
     assert_sequential_rounds(&trace, &stats, "cps/direct");
@@ -124,19 +156,19 @@ fn direct_engine_traced_matches_untraced_across_languages() {
     assert!(!trace.top_states(4).is_empty());
 
     let term = lambda::programs::church_multiplication(2, 2);
-    let (untraced, stats) = lambda::analysis::analyse_kcfa_shared_direct::<1>(&term);
+    let (untraced, stats) = analyse::direct::<lambda::analysis::KCeskShared<1>>(&term, Gc::Off);
     let mut trace = TraceBuffer::new();
     let (traced, traced_stats) =
-        lambda::analysis::analyse_kcfa_shared_direct_traced::<1, _>(&term, &mut trace);
+        traced_direct::<lambda::analysis::KCeskShared<1>>(&term, &mut trace);
     assert_eq!(traced, untraced, "lambda: direct fixpoint changed");
     assert_eq!(traced_stats, stats, "lambda: direct stats changed");
     assert_sequential_rounds(&trace, &stats, "lambda/direct");
 
     let fj_program = fj::programs::pair_fst();
-    let (untraced, stats) = fj::analysis::analyse_kcfa_shared_direct::<1>(&fj_program);
+    let (untraced, stats) = analyse::direct::<fj::analysis::KFjShared<1>>(&fj_program, Gc::Off);
     let mut trace = TraceBuffer::new();
     let (traced, traced_stats) =
-        fj::analysis::analyse_kcfa_shared_direct_traced::<1, _>(&fj_program, &mut trace);
+        traced_direct::<fj::analysis::KFjShared<1>>(&fj_program, &mut trace);
     assert_eq!(traced, untraced, "fj: direct fixpoint changed");
     assert_eq!(traced_stats, stats, "fj: direct stats changed");
     assert_sequential_rounds(&trace, &stats, "fj/direct");
@@ -146,11 +178,9 @@ fn direct_engine_traced_matches_untraced_across_languages() {
 fn parallel_driver_traced_matches_untraced() {
     let program = kcfa_worst_case_scaled(2, 4);
     for threads in [1usize, 2, 4] {
-        let (untraced, stats) = cps::analysis::analyse_kcfa_shared_parallel::<1>(&program, threads);
+        let (untraced, stats) = barrier(&program, threads, &mut NoopSink);
         let mut trace = TraceBuffer::new();
-        let (traced, traced_stats) = cps::analysis::analyse_kcfa_shared_parallel_traced::<1, _>(
-            &program, threads, &mut trace,
-        );
+        let (traced, traced_stats) = barrier(&program, threads, &mut trace);
         assert_eq!(
             traced, untraced,
             "t{threads}: parallel fixpoint changed under tracing"
@@ -192,8 +222,7 @@ fn chrome_trace_export_is_schema_valid() {
 
     let program = kcfa_worst_case_scaled(2, 4);
     let mut trace = TraceBuffer::new();
-    let (_, stats) =
-        cps::analysis::analyse_kcfa_shared_parallel_traced::<1, _>(&program, 2, &mut trace);
+    let (_, stats) = barrier(&program, 2, &mut trace);
     let chrome = trace.chrome_trace_json();
     let parsed = Json::parse(&chrome).expect("Chrome trace export parses as JSON");
     assert_eq!(
