@@ -9,6 +9,7 @@
 pub mod report;
 
 use std::cell::Cell;
+use std::collections::BTreeSet;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
@@ -1558,6 +1559,240 @@ pub fn cancel_latency_row(
         completed: outcome.is_complete(),
         rounds: stats.iterations,
     }
+}
+
+/// One program family of the E17 scaling curve.  Each follows one
+/// perfbench workload past its ladder, from the front end (source text
+/// where the language has a parser) through the direct solve to a query
+/// answer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScalingFamily {
+    /// Identity nesting `((λ (y) y) ((λ (y) y) … (λ (x) x)))` under 0CFA,
+    /// parsed from source text; `size` is the nesting depth.
+    LambdaIdentity,
+    /// [`kcfa_worst_case_scaled`](mai_cps::programs::kcfa_worst_case_scaled)
+    /// at depth [`E17_LANES_DEPTH`] under 1-CFA, rendered and re-parsed;
+    /// `size` is the lane count.
+    CpsLanes,
+    /// FJ [`nested_cells`](mai_fj::programs::nested_cells) under 1-CFA with
+    /// abstract GC, typechecked; `size` is the cell count.
+    FjCells,
+}
+
+/// The depth of every E17 lanes program (perfbench's `cps-lanes` depth).
+pub const E17_LANES_DEPTH: usize = 12;
+
+impl ScalingFamily {
+    /// Every family, in report order.
+    pub const ALL: [ScalingFamily; 3] = [
+        ScalingFamily::LambdaIdentity,
+        ScalingFamily::CpsLanes,
+        ScalingFamily::FjCells,
+    ];
+
+    /// The family's name, the prefix of its rows' `program` keys.
+    pub fn name(self) -> &'static str {
+        match self {
+            ScalingFamily::LambdaIdentity => "lambda-identity",
+            ScalingFamily::CpsLanes => "cps-lanes",
+            ScalingFamily::FjCells => "fj-cells",
+        }
+    }
+
+    /// The program sizes of the curve, smallest first.
+    pub fn sizes(self) -> &'static [usize] {
+        match self {
+            ScalingFamily::LambdaIdentity => &[250, 500, 1_000, 2_000, 4_000, 8_000],
+            ScalingFamily::CpsLanes => &[25, 50, 100, 200],
+            ScalingFamily::FjCells => &[40, 80, 160, 320, 640, 1_280],
+        }
+    }
+}
+
+/// One row of the E17 scaling curve: one program of a family, source to
+/// answer.  The times are the best of the row's repeats, phase by phase.
+#[derive(Debug, Clone)]
+pub struct ScalingRow {
+    /// The family.
+    pub family: ScalingFamily,
+    /// The program size (see [`ScalingFamily`]).
+    pub size: usize,
+    /// `(state, guts)` pairs in the fixpoint.
+    pub configurations: usize,
+    /// The query answer: flow facts (plus result classes for FJ).
+    pub flow_facts: usize,
+    /// Work statistics of the direct solve.
+    pub stats: EngineStats,
+    /// The front end: parsing (λ, CPS) or typechecking (FJ).
+    pub front: Duration,
+    /// The direct solve.
+    pub solve: Duration,
+    /// The query over the fixpoint.
+    pub query: Duration,
+    /// The log-log slope of [`ScalingRow::total`] against configurations
+    /// since the family's previous row; `None` on its first row.
+    pub exponent: Option<f64>,
+}
+
+impl ScalingRow {
+    /// The row's key in the report: family name and size.
+    pub fn program(&self) -> String {
+        format!("{}-{}", self.family.name(), self.size)
+    }
+
+    /// Front end, solve and query together.
+    pub fn total(&self) -> Duration {
+        self.front + self.solve + self.query
+    }
+
+    /// Renders the row in the fixed-width format used by the report binary.
+    pub fn render(&self) -> String {
+        let exponent = self
+            .exponent
+            .map_or_else(|| "-".to_string(), |e| format!("{e:.2}"));
+        format!(
+            "{:<22} configs={:<6} stepped={:<6} deps={:<7} folded={:<7} \
+             front={:<10.2?} solve={:<10.2?} query={:<10.2?} exponent={}",
+            self.program(),
+            self.configurations,
+            self.stats.states_stepped,
+            self.stats.dep_edges,
+            self.stats.branches_folded,
+            self.front,
+            self.solve,
+            self.query,
+            exponent,
+        )
+    }
+
+    /// The JSON rendering of the row for `BENCH_report.json`.
+    pub fn to_json(&self) -> Json {
+        let ms = |d: Duration| Json::Num(d.as_secs_f64() * 1e3);
+        Json::obj(
+            [
+                ("program", Json::Str(self.program())),
+                ("family", Json::Str(self.family.name().to_string())),
+                ("size", Json::Int(self.size as u64)),
+                ("configurations", Json::Int(self.configurations as u64)),
+                ("flow_facts", Json::Int(self.flow_facts as u64)),
+                ("engine", engine_stats_json(&self.stats)),
+                ("front_ms", ms(self.front)),
+                ("solve_ms", ms(self.solve)),
+                ("query_ms", ms(self.query)),
+                ("exponent", Json::Num(self.exponent.unwrap_or(f64::NAN))),
+            ]
+            .into_iter()
+            .chain(timing_fields(self.total())),
+        )
+    }
+}
+
+/// `f`'s result and how long it took.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
+    let start = Instant::now();
+    let out = f();
+    (out, start.elapsed())
+}
+
+/// One source-to-answer pass: `(configurations, flow facts, stats, [front,
+/// solve, query])`.  Building the input and dropping the program and the
+/// fixpoint are not timed.
+fn scaling_pass(family: ScalingFamily, size: usize) -> (usize, usize, EngineStats, [Duration; 3]) {
+    match family {
+        ScalingFamily::LambdaIdentity => {
+            let source = format!(
+                "{}(λ (x) x){}",
+                "((λ (y) y) ".repeat(size),
+                ")".repeat(size)
+            );
+            let (term, front) =
+                timed(|| mai_lambda::parse_term(&source).expect("identity nesting parses"));
+            let ((fp, stats), solve) =
+                timed(|| analyse::direct::<mai_lambda::analysis::MonoCeskShared>(&term, Gc::Off));
+            let (facts, query) = timed(|| {
+                let flows = mai_lambda::flow_map_of_store(fp.store());
+                mai_lambda::abstract_errors(fp.states().iter().map(|(ps, _)| ps));
+                flows.values().map(BTreeSet::len).sum()
+            });
+            (fp.len(), facts, stats, [front, solve, query])
+        }
+        ScalingFamily::CpsLanes => {
+            let source =
+                mai_cps::programs::kcfa_worst_case_scaled(E17_LANES_DEPTH, size).to_string();
+            let (program, front) =
+                timed(|| mai_cps::parse_program(&source).expect("rendered lanes parse"));
+            let ((fp, stats), solve) =
+                timed(|| analyse::direct::<KCfaShared<1>>(&program, Gc::Off));
+            let (facts, query) = timed(|| {
+                let flows = mai_cps::flow_map_of_store(fp.store());
+                mai_cps::abstract_errors(fp.states().iter().map(|(ps, _)| ps));
+                flows.values().map(BTreeSet::len).sum()
+            });
+            (fp.len(), facts, stats, [front, solve, query])
+        }
+        ScalingFamily::FjCells => {
+            let program = mai_fj::programs::nested_cells(size);
+            let (_, front) =
+                timed(|| mai_fj::check_program(&program).expect("nested cells typecheck"));
+            let ((fp, stats), solve) =
+                timed(|| analyse::direct::<mai_fj::analysis::KFjShared<1>>(&program, Gc::On));
+            let (facts, query) = timed(|| {
+                let results = mai_fj::result_classes(&fp);
+                let flows = mai_fj::class_flow_map(fp.store());
+                mai_fj::abstract_errors(fp.states().iter().map(|(ps, _)| ps));
+                flows.values().map(BTreeSet::len).sum::<usize>() + results.len()
+            });
+            (fp.len(), facts, stats, [front, solve, query])
+        }
+    }
+}
+
+/// How long an E17 row keeps repeating: once its passes took this long it
+/// stops, so the small rows, whose times are the noisiest, get the most
+/// passes and the largest rows run once.
+const E17_PASS_BUDGET: Duration = Duration::from_secs(1);
+
+/// Runs one E17 row up to `repeats` times (at least once, and no more once
+/// the passes took a second), keeping each phase's best time;
+/// `previous` is the family's previous row, against which the row fits
+/// its exponent.
+pub fn scaling_row(
+    family: ScalingFamily,
+    size: usize,
+    repeats: usize,
+    previous: Option<&ScalingRow>,
+) -> ScalingRow {
+    let mut best = [Duration::MAX; 3];
+    let mut measured = None;
+    let started = Instant::now();
+    for _ in 0..repeats.max(1) {
+        let (configurations, flow_facts, stats, times) = scaling_pass(family, size);
+        for (best, time) in best.iter_mut().zip(times) {
+            *best = (*best).min(time);
+        }
+        measured = Some((configurations, flow_facts, stats));
+        if started.elapsed() >= E17_PASS_BUDGET {
+            break;
+        }
+    }
+    let (configurations, flow_facts, stats) = measured.expect("at least one repeat");
+    let [front, solve, query] = best;
+    let mut row = ScalingRow {
+        family,
+        size,
+        configurations,
+        flow_facts,
+        stats,
+        front,
+        solve,
+        query,
+        exponent: None,
+    };
+    row.exponent = previous.map(|prev| {
+        (row.total().as_secs_f64() / prev.total().as_secs_f64()).ln()
+            / (row.configurations as f64 / prev.configurations as f64).ln()
+    });
+    row
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
 //! The experiment report binary: regenerates the qualitative tables listed
-//! in `EXPERIMENTS.md` (E1–E8 and E10–E16; E9 is retired), prints them to
+//! in `EXPERIMENTS.md` (E1–E8 and E10–E17; E9 is retired), prints them to
 //! stdout and writes the machine-readable `BENCH_report.json` next to the
 //! current directory so the performance trajectory is tracked across PRs.
 //!
@@ -40,8 +40,9 @@ use std::time::Instant;
 use mai_bench::report::Json;
 use mai_bench::{
     cancel_latency_row, cloning_vs_shared, cps_corpus, direct_row, elastic_row, gc_rows,
-    governed_row, host_cpus, interned_row, parallel_row, polyvariance_rows, telemetry_row,
-    widening_row, worklist_row, E10_SCALE_WIDTH, PROFILE_TOP_K,
+    governed_row, host_cpus, interned_row, parallel_row, polyvariance_rows, scaling_row,
+    telemetry_row, widening_row, worklist_row, ScalingFamily, ScalingRow, E10_SCALE_WIDTH,
+    PROFILE_TOP_K,
 };
 use mai_core::store::StoreLike;
 use mai_cps::analysis::{analyse_kcfa_shared, analyse_mono};
@@ -505,6 +506,40 @@ fn experiment_widening() -> Vec<Json> {
     rows
 }
 
+/// How often each E17 row runs at most in the report (best time per
+/// phase; a row also stops once its passes took a second, see
+/// [`scaling_row`]), unless `--repeat` overrides it.
+const E17_REPEATS: usize = 7;
+
+/// The E17 rows of every family, each fitting its exponent against the
+/// family's previous row.
+fn scaling_rows(repeats: usize) -> Vec<ScalingRow> {
+    let mut rows: Vec<ScalingRow> = Vec::new();
+    for family in ScalingFamily::ALL {
+        let mut previous: Option<ScalingRow> = None;
+        for &size in family.sizes() {
+            let row = scaling_row(family, size, repeats, previous.as_ref());
+            previous = Some(row.clone());
+            rows.push(row);
+        }
+    }
+    rows
+}
+
+/// E17 — the scaling curve past the perfbench ladders: source text →
+/// front end → direct solve → query, per family, with a fitted exponent
+/// per segment.
+fn experiment_scaling() -> Vec<Json> {
+    heading("E17  scaling curve: source → direct solve → answer (time vs. configurations)");
+    scaling_rows(repeat_count(E17_REPEATS))
+        .iter()
+        .map(|row| {
+            println!("{}", row.render());
+            row.to_json()
+        })
+        .collect()
+}
+
 /// The `--widening-canary` mode: the CI non-termination canary.  Solves
 /// the unbounded counting loop join-only under a step budget — it must
 /// stop with a *clean* `StepBudget` exhaustion, never hang — and then
@@ -730,6 +765,16 @@ const GATED_COUNTER_PATHS: &[(&str, &[&str])] = &[
             "widened.widen_applied",
         ],
     ),
+    // E17 gates the work of each row; its times and exponents are
+    // reported, never gated.
+    (
+        "e17_scaling",
+        &[
+            "engine.states_stepped",
+            "engine.dep_edges",
+            "engine.branches_folded",
+        ],
+    ),
 ];
 
 /// The sections whose every row carries a `certified` flag from
@@ -931,6 +976,10 @@ fn fresh_counters() -> (Vec<CounterSample>, Vec<String>) {
         certify("e16_widening", &name, row.certified);
         sample_row(&mut samples, "e16_widening", name, &row.to_json());
     }
+    // E17: the scaling rows' work counters, from one pass of each row.
+    for row in scaling_rows(1) {
+        sample_row(&mut samples, "e17_scaling", row.program(), &row.to_json());
+    }
     (samples, uncertified)
 }
 
@@ -1082,9 +1131,10 @@ fn main() -> std::process::ExitCode {
     let elastic = experiment_elastic();
     let governed = experiment_governed();
     let widening = experiment_widening();
+    let scaling = experiment_scaling();
 
     let report = Json::obj([
-        ("schema_version", Json::Int(9)),
+        ("schema_version", Json::Int(10)),
         (
             "report_wall_clock_ms",
             Json::Num(started.elapsed().as_secs_f64() * 1e3),
@@ -1098,6 +1148,7 @@ fn main() -> std::process::ExitCode {
         ("e14_elastic_vs_barrier", elastic),
         ("e15_governed", Json::Arr(governed)),
         ("e16_widening", Json::Arr(widening)),
+        ("e17_scaling", Json::Arr(scaling)),
     ]);
     let path = "BENCH_report.json";
     match std::fs::write(path, report.render() + "\n") {
@@ -1217,6 +1268,10 @@ mod tests {
             ),
             ("e15_governed", governed_row("w", &program, 8).to_json()),
             ("e16_widening", widening_row("w", Some(12), 64, 2).to_json()),
+            (
+                "e17_scaling",
+                scaling_row(ScalingFamily::LambdaIdentity, 4, 1, None).to_json(),
+            ),
         ];
         for (section, row) in rows {
             for path in section_paths(section) {

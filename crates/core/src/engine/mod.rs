@@ -158,14 +158,16 @@ pub struct EngineStats {
     /// engine started re-stepping or re-folding work it had stopped doing,
     /// so `mai-bench --check-regress` gates on it like on steps and joins.
     pub spine_clones: usize,
-    /// The peak, over solver rounds, of the approximate bytes of the
-    /// accumulated store's spine shared (`Arc` strong count > 1) with the
-    /// solver's cached deltas — sampled after each round's fold phase via
-    /// [`StoreLike::shared_spine_bytes`](crate::store::StoreLike), while
-    /// the adoptions that fold performed are still live.  0 for stores
-    /// without a persistent spine and for the per-state engine (which has
-    /// no single accumulated store).  Deterministic for a deterministic
-    /// run; `--check-regress` treats a *drop* as a structural-sharing
+    /// The peak, over solver rounds, of the approximate bytes of spine
+    /// that one round's fold adopted by reference: the nominal size of
+    /// every node of a cached delta that the accumulated store now holds
+    /// instead of a copy, as the persistent spine's join reports it
+    /// ([`StoreDelta::widen_in_place_delta`](crate::store::StoreDelta::widen_in_place_delta)).
+    /// Counted where the fold creates the sharing, so it costs O(delta)
+    /// per round, not a walk of the whole store.  0 for stores without a
+    /// persistent spine and for the per-state engine (which has no single
+    /// accumulated store).  Deterministic for a deterministic run;
+    /// `--check-regress` treats a *drop* as a structural-sharing
     /// regression.
     pub store_bytes_shared: usize,
     /// Join-on-sync barriers the sharded parallel engine crossed: one per

@@ -54,8 +54,8 @@
 //! [`analyse::direct`](crate::analyse::direct) at every
 //! thread count — asserted across the committed differential matrix at
 //! 1, 2 and 4 threads.  Only the timing-dependent gauges
-//! (`steal_events`, `shard_imbalance`) and the physical-sharing sample
-//! (`store_bytes_shared`, which depends on fold adoption order) may vary.
+//! (`steal_events`, `shard_imbalance`) and the spine-adoption count
+//! (`store_bytes_shared`, which depends on the fold order) may vary.
 
 pub mod elastic;
 
@@ -771,7 +771,7 @@ pub(crate) mod tests {
             );
             // Every deterministic work counter must agree with the
             // sequential direct engine; only the timing gauges and the
-            // fold-order-dependent sharing sample may differ.
+            // fold-order-dependent adoption count may differ.
             assert_eq!(par_stats.iterations, seq_stats.iterations);
             assert_eq!(par_stats.states_stepped, seq_stats.states_stepped);
             assert_eq!(par_stats.cache_hits, seq_stats.cache_hits);

@@ -979,9 +979,11 @@ where
         }
 
         // Fold phase: only the re-stepped contributions — and only their
-        // store *deltas* — with the per-address growth report falling
-        // straight out of the in-place join.
+        // store *deltas* — with the per-address growth report and the
+        // spine adopted by reference falling straight out of the in-place
+        // join.
         let mut changed_addrs: BTreeSet<Ps::Addr> = BTreeSet::new();
+        let mut adopted = 0;
         for &id in &fold {
             let entry = cache[id.index()].as_ref().expect("fold of an unstepped id");
             stats.store_joins += 1;
@@ -990,23 +992,25 @@ where
                 // Join-traffic attribution: which addresses this
                 // contribution bound, and which of them actually grew.
                 let bound = entry.delta.addresses();
-                let changed = store.widen_in_place_delta(entry.delta.clone(), widen.points());
+                let changed =
+                    store.widen_in_place_delta(entry.delta.clone(), widen.points(), &mut adopted);
                 for a in &bound {
                     sink.join_traffic(&label_of(a, ADDR_LABEL_MAX), changed.contains(a));
                 }
                 changed_addrs.extend(changed);
             } else {
-                changed_addrs
-                    .extend(store.widen_in_place_delta(entry.delta.clone(), widen.points()));
+                changed_addrs.extend(store.widen_in_place_delta(
+                    entry.delta.clone(),
+                    widen.points(),
+                    &mut adopted,
+                ));
             }
         }
         let (joined, widened) = widen.classify(&changed_addrs);
         stats.store_joins_applied += joined;
         stats.widen_applied += widened;
         widen.record(&changed_addrs);
-        // Sample spine sharing while this round's delta adoptions are
-        // still live in the cache (peak over rounds).
-        stats.store_bytes_shared = stats.store_bytes_shared.max(store.shared_spine_bytes());
+        stats.store_bytes_shared = stats.store_bytes_shared.max(adopted);
         join_ns += join_watch.lap_ns();
         // The round's phase split: the slowest worker's busy time is the
         // step share, install and fold are the join share, and whatever
@@ -1239,6 +1243,7 @@ where
         let step_ns = phase_watch.lap_ns();
         let mut changed_addrs: BTreeSet<Ps::Addr> = BTreeSet::new();
         let mut discovered: Vec<(Ps, G)> = Vec::new();
+        let mut adopted = 0;
         for key in &fold_keys {
             let entry = &cache[key];
             stats.store_joins += 1;
@@ -1248,12 +1253,14 @@ where
                     discovered.push(succ.clone());
                 }
             }
-            changed_addrs.extend(current.store_mut().join_in_place_delta(entry.store.clone()));
+            changed_addrs.extend(current.store_mut().widen_in_place_delta(
+                entry.store.clone(),
+                &BTreeSet::new(),
+                &mut adopted,
+            ));
         }
         stats.store_joins_applied += changed_addrs.len();
-        stats.store_bytes_shared = stats
-            .store_bytes_shared
-            .max(current.store().shared_spine_bytes());
+        stats.store_bytes_shared = stats.store_bytes_shared.max(adopted);
         sink.round(RoundTrace {
             round: stats.iterations,
             frontier: frontier_len,

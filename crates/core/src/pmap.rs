@@ -308,32 +308,13 @@ impl<K, V> PMap<K, V> {
         self.root.as_ref().map_or(0, walk)
     }
 
-    /// Approximate bytes of spine structure this map shares with *other
-    /// live snapshots*: the summed footprint of every node whose `Arc`
-    /// strong count exceeds one.  Deterministic for a deterministic run —
-    /// the engines report its per-round peak as
-    /// [`EngineStats::store_bytes_shared`](crate::engine::EngineStats::store_bytes_shared)
-    /// so structural-sharing regressions are observable.
-    ///
-    /// The per-node accounting uses *nominal* sizes (a fixed node header
-    /// plus fixed per-entry/per-child costs), **not** `std::mem::size_of`:
-    /// the counter is gated by `mai-bench --check-regress` against a
-    /// committed baseline, and real layouts vary across targets and
-    /// compiler versions — a rustc upgrade must not be able to move the
-    /// number.
-    pub fn shared_spine_bytes(&self) -> usize {
-        /// Nominal bytes of a node header (any variant).
-        const NODE: usize = 48;
-        /// Nominal bytes per leaf entry.
-        const ENTRY: usize = 32;
-        /// Nominal bytes per branch child pointer.
-        const CHILD: usize = 8;
-        fn node_bytes<K, V>(node: &Node<K, V>) -> usize {
-            NODE + match &node.kind {
-                NodeKind::Leaf { entries, .. } => entries.len() * ENTRY,
-                NodeKind::Branch { children, .. } => children.len() * CHILD,
-            }
-        }
+    /// Approximate bytes of spine structure this map shares with other
+    /// live snapshots: the summed [`node_bytes`] of every node whose `Arc`
+    /// strong count exceeds one.  A whole-spine walk, so only the tests use
+    /// it, as a probe on what the joins report in
+    /// [`PMap::join_in_place_delta`]'s `adopted_bytes`.
+    #[cfg(test)]
+    pub(crate) fn shared_spine_bytes(&self) -> usize {
         fn walk<K, V>(node: &Arc<Node<K, V>>) -> usize {
             let own = if Arc::strong_count(node) > 1 {
                 node_bytes(node.as_ref())
@@ -346,6 +327,26 @@ impl<K, V> PMap<K, V> {
             }
         }
         self.root.as_ref().map_or(0, walk)
+    }
+}
+
+/// The nominal footprint of one trie node: a fixed header plus a fixed cost
+/// per leaf entry or branch child.  These are **not** `std::mem::size_of`
+/// figures: the adoption report built from them
+/// ([`EngineStats::store_bytes_shared`](crate::engine::EngineStats::store_bytes_shared))
+/// is gated by `mai-bench --check-regress` against a committed baseline,
+/// and real layouts vary across targets and compiler versions, so a rustc
+/// upgrade must not be able to move the number.
+fn node_bytes<K, V>(node: &Node<K, V>) -> usize {
+    /// Nominal bytes of a node header (any variant).
+    const NODE: usize = 48;
+    /// Nominal bytes per leaf entry.
+    const ENTRY: usize = 32;
+    /// Nominal bytes per branch child pointer.
+    const CHILD: usize = 8;
+    NODE + match &node.kind {
+        NodeKind::Leaf { entries, .. } => entries.len() * ENTRY,
+        NodeKind::Branch { children, .. } => children.len() * CHILD,
     }
 }
 
@@ -685,27 +686,40 @@ impl<K: Hash + Eq + Clone, V: Lattice> PMap<K, V> {
         K: Ord,
     {
         let mut grew = false;
-        self.merge_from(other, &mut |_k| grew = true);
+        self.merge_from(other, &mut |_k| grew = true, &mut 0);
         grew
     }
 
     /// Like [`PMap::join_map_in_place`], additionally reporting *which keys*
     /// grew — the per-address delta the incremental engines' dependency
-    /// invalidation is built on.
-    pub fn join_in_place_delta(&mut self, other: Self) -> BTreeSet<K>
+    /// invalidation is built on — and adding to `adopted_bytes` the
+    /// nominal bytes of every node of `other` the join hung into `self` by
+    /// reference: `other`'s root when `self` was empty, a branch child
+    /// `self` lacked, or a leaf whose keys were all vacant.  The adopted
+    /// node's descendants are reached only through it and are not counted
+    /// again; a join whose keys were all bound already adopts nothing.
+    /// Sizes are nominal: a fixed header plus a fixed cost per entry or
+    /// child.
+    pub fn join_in_place_delta(&mut self, other: Self, adopted_bytes: &mut usize) -> BTreeSet<K>
     where
         K: Ord,
     {
         let mut changed = BTreeSet::new();
-        self.merge_from(other, &mut |k| {
-            changed.insert(k.clone());
-        });
+        self.merge_from(
+            other,
+            &mut |k| {
+                changed.insert(k.clone());
+            },
+            adopted_bytes,
+        );
         changed
     }
 
     /// The shared merge engine behind the in-place joins: `on_grew` is
-    /// invoked once per key whose binding semantically grew.
-    fn merge_from(&mut self, other: Self, on_grew: &mut dyn FnMut(&K))
+    /// invoked once per key whose binding semantically grew, and `adopted`
+    /// grows by the nominal bytes of every `other` node hung into `self` by
+    /// reference.
+    fn merge_from(&mut self, other: Self, on_grew: &mut dyn FnMut(&K), adopted: &mut usize)
     where
         K: Ord,
     {
@@ -713,10 +727,11 @@ impl<K: Hash + Eq + Clone, V: Lattice> PMap<K, V> {
             (_, None) => {}
             (None, Some(theirs)) => {
                 report_subtree(&theirs, on_grew);
+                *adopted += node_bytes(theirs.as_ref());
                 self.root = Some(theirs);
             }
             (Some(ours), Some(theirs)) => {
-                if let Some(merged) = merge_nodes(ours, &theirs, 0, on_grew) {
+                if let Some(merged) = merge_nodes(ours, &theirs, 0, on_grew, adopted) {
                     *ours = merged;
                 }
             }
@@ -1077,12 +1092,14 @@ fn diff_missing_from<K: Hash + Eq + Clone + Ord, V: PartialEq>(
 /// Merges subtree `b` into subtree `a` (both rooted at the same hash
 /// prefix), returning the replacement node — or `None` when `a` absorbs `b`
 /// without changing, in which case nothing was copied.  `on_grew` fires for
-/// every key whose binding semantically grew.
+/// every key whose binding semantically grew; `adopted` grows by the
+/// nominal bytes of every `b` node the result holds by reference.
 fn merge_nodes<K: Hash + Eq + Clone + Ord, V: Lattice>(
     a: &Arc<Node<K, V>>,
     b: &Arc<Node<K, V>>,
     level: u32,
     on_grew: &mut dyn FnMut(&K),
+    adopted: &mut usize,
 ) -> Option<Arc<Node<K, V>>> {
     if Arc::ptr_eq(a, b) {
         return None;
@@ -1139,8 +1156,10 @@ fn merge_nodes<K: Hash + Eq + Clone + Ord, V: Lattice>(
                 }
                 merged.map(|entries| Arc::new(Node::leaf(*ha, entries)))
             } else {
-                // Disjoint hashes: every `b` entry is an addition.
+                // Disjoint hashes: every `b` entry is an addition, and
+                // `b` survives, shared, under the split.
                 report_subtree(b, on_grew);
+                *adopted += node_bytes(b.as_ref());
                 Some(split(Arc::clone(a), *ha, Arc::clone(b), *hb, level))
             }
         }
@@ -1165,7 +1184,7 @@ fn merge_nodes<K: Hash + Eq + Clone + Ord, V: Lattice>(
                 let in_b = bb & (1 << frag) != 0;
                 match (in_a, in_b) {
                     (true, true) => {
-                        match merge_nodes(&ca[ia], &cb[ib], level + 1, on_grew) {
+                        match merge_nodes(&ca[ia], &cb[ib], level + 1, on_grew, adopted) {
                             Some(node) => {
                                 changed = true;
                                 new_children.push(node);
@@ -1182,6 +1201,7 @@ fn merge_nodes<K: Hash + Eq + Clone + Ord, V: Lattice>(
                     (false, true) => {
                         // Adopt the whole `b` subtree by reference.
                         report_subtree(&cb[ib], on_grew);
+                        *adopted += node_bytes(cb[ib].as_ref());
                         changed = true;
                         new_children.push(Arc::clone(&cb[ib]));
                         ib += 1;
@@ -1211,7 +1231,7 @@ fn merge_nodes<K: Hash + Eq + Clone + Ord, V: Lattice>(
                     }
                 }
                 let mut node = Arc::clone(a);
-                adopt_leaf(&mut node, level, *hash, b);
+                adopt_leaf(&mut node, level, *hash, b, adopted);
                 return Some(node);
             }
             // Otherwise join each `b` entry into the branch individually.
@@ -1242,18 +1262,56 @@ fn merge_nodes<K: Hash + Eq + Clone + Ord, V: Lattice>(
             for (k, va) in entries {
                 join_entry(&mut node, level, *hash, k, va);
             }
+            *adopted += held_bytes(&node, b, level);
             Some(node)
         }
     }
 }
 
+/// The nominal bytes of the nodes of `b` that `node` holds by reference,
+/// where `node` is `b` with the paths to some keys copied by
+/// [`join_entry`] (both rooted at `level`).  A copied path node is not
+/// counted; the `b` nodes hanging off it are, and so is a `b` leaf that a
+/// [`split`] pushed one level down.
+fn held_bytes<K, V>(node: &Arc<Node<K, V>>, b: &Arc<Node<K, V>>, level: u32) -> usize {
+    if Arc::ptr_eq(node, b) {
+        return node_bytes(b.as_ref());
+    }
+    let NodeKind::Branch {
+        bitmap: bn,
+        children: cn,
+        ..
+    } = &node.as_ref().kind
+    else {
+        return 0;
+    };
+    let child = |frag: u32| Node::<K, V>::child_index(*bn, frag).ok().map(|i| &cn[i]);
+    match &b.as_ref().kind {
+        NodeKind::Leaf { hash, .. } => {
+            child(fragment(*hash, level)).map_or(0, |c| held_bytes(c, b, level + 1))
+        }
+        NodeKind::Branch {
+            bitmap: bb,
+            children: cb,
+            ..
+        } => (0..FANOUT as u32)
+            .filter(|frag| bb & (1 << frag) != 0)
+            .zip(cb)
+            .map(|(frag, cb)| child(frag).map_or(0, |c| held_bytes(c, cb, level + 1)))
+            .sum(),
+    }
+}
+
 /// Hangs the leaf `b` (whose keys are all vacant in the subtree) into the
-/// trie by reference, copying only the descent path.
+/// trie by reference, copying only the descent path, and adds `b`'s nominal
+/// bytes to `adopted` when it is hung whole (a same-hash collision bucket
+/// copies its entries instead).
 fn adopt_leaf<K: Hash + Eq + Clone + Ord, V: Lattice>(
     node: &mut Arc<Node<K, V>>,
     level: u32,
     hash: u64,
     b: &Arc<Node<K, V>>,
+    adopted: &mut usize,
 ) {
     if let NodeKind::Leaf {
         hash: leaf_hash, ..
@@ -1263,6 +1321,7 @@ fn adopt_leaf<K: Hash + Eq + Clone + Ord, V: Lattice>(
         if old_hash != hash {
             // Two distinct hashes: both leaves survive, shared, under a
             // fresh branch chain.
+            *adopted += node_bytes(b.as_ref());
             *node = split(Arc::clone(node), old_hash, Arc::clone(b), hash, level);
         } else {
             // Same-hash collision bucket with disjoint keys: the entries
@@ -1294,10 +1353,11 @@ fn adopt_leaf<K: Hash + Eq + Clone + Ord, V: Lattice>(
             match Node::<K, V>::child_index(*bitmap, frag) {
                 Ok(i) => {
                     let before = children[i].len();
-                    adopt_leaf(&mut children[i], level + 1, hash, b);
+                    adopt_leaf(&mut children[i], level + 1, hash, b, adopted);
                     *len += children[i].len() - before;
                 }
                 Err(i) => {
+                    *adopted += node_bytes(b.as_ref());
                     children.insert(i, Arc::clone(b));
                     *bitmap |= 1 << frag;
                     *len += b.len();
@@ -1750,14 +1810,35 @@ mod tests {
         let a = from_pairs(&[(1, 1)]);
         let b = from_pairs(&[(2, 2), (3, 3)]);
         let mut joined = a.clone();
-        assert!(joined.join_map_in_place(b.clone()));
+        let mut adopted = 0;
+        assert_eq!(joined.join_in_place_delta(b.clone(), &mut adopted).len(), 2);
         assert_eq!(joined.len(), 3);
-        // `b`'s spine is now shared with `joined`.
+        // `b`'s spine is now shared with `joined`, and the join said so.
+        assert!(adopted > 0);
         assert!(b.shared_spine_bytes() > 0);
         // Joining the (smaller) original back is a no-op that copies nothing.
         let before = joined.clone();
         assert!(!joined.join_map_in_place(a));
         assert!(joined.ptr_eq(&before));
+    }
+
+    #[test]
+    fn join_of_bound_keys_adopts_nothing() {
+        let pairs: Vec<(u16, u8)> = (0..64).map(|i| (i, 1)).collect();
+        let mut acc = from_pairs(&pairs);
+        // Every key of the delta is bound already: growing values copies
+        // paths, re-joining known values copies nothing, and neither hangs
+        // a delta node into the accumulator.
+        for (grow, delta) in [
+            (true, from_pairs(&[(3, 2), (40, 2)])),
+            (false, from_pairs(&[(3, 1), (40, 2), (63, 1)])),
+        ] {
+            let mut adopted = 0;
+            let grew = acc.join_in_place_delta(delta.clone(), &mut adopted);
+            assert_eq!(!grew.is_empty(), grow);
+            assert_eq!(adopted, 0);
+            assert_eq!(delta.shared_spine_bytes(), 0);
+        }
     }
 
     /// A key whose `Hash` collapses to two buckets: every map with three or
@@ -1832,9 +1913,13 @@ mod tests {
             let mut joined = a.clone();
             let grew = joined.join_map_in_place(b.clone());
             prop_assert_eq!(grew, !b.leq_map(&a));
-            let mut delta_map = a.clone();
-            let delta = delta_map.join_in_place_delta(b.clone());
+            // A fresh build of `a` shares nothing, so what it shares after
+            // the join is exactly what the join reports it adopted from `b`.
+            let mut delta_map = colliding_from(&xs);
+            let mut adopted = 0;
+            let delta = delta_map.join_in_place_delta(b.clone(), &mut adopted);
             prop_assert_eq!(&delta_map, &joined);
+            prop_assert_eq!(adopted, delta_map.shared_spine_bytes());
             for k in 0u8..8 {
                 let va = a.get(&Colliding(k)).cloned().unwrap_or_default();
                 let vb = b.get(&Colliding(k)).cloned().unwrap_or_default();
@@ -1905,10 +1990,14 @@ mod tests {
             prop_assert!(!joined.join_map_in_place(b.clone()));
             prop_assert_eq!(&joined, &again);
 
-            // Delta join: same result, and exactly the grown keys reported.
-            let mut delta_map = a.clone();
-            let delta = delta_map.join_in_place_delta(b.clone());
+            // Delta join: same result, exactly the grown keys reported, and
+            // (on a fresh build of `a`, which shares nothing) exactly the
+            // spine it shares with `b` reported as adopted.
+            let mut delta_map = from_pairs(&xs);
+            let mut adopted = 0;
+            let delta = delta_map.join_in_place_delta(b.clone(), &mut adopted);
             prop_assert_eq!(&delta_map, &joined);
+            prop_assert_eq!(adopted, delta_map.shared_spine_bytes());
             for k in 0u16..48 {
                 let va = a.get(&k).cloned().unwrap_or_default();
                 let vb = b.get(&k).cloned().unwrap_or_default();

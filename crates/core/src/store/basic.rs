@@ -242,10 +242,6 @@ where
     fn binding_count(&self) -> usize {
         self.bindings.len()
     }
-
-    fn shared_spine_bytes(&self) -> usize {
-        self.bindings.shared_spine_bytes()
-    }
 }
 
 impl<A, V> super::StoreDelta<A> for BasicStore<A, V>
@@ -257,8 +253,14 @@ where
         self.bindings.changed_keys(&other.bindings)
     }
 
-    fn join_in_place_delta(&mut self, other: Self) -> BTreeSet<A> {
-        self.bindings.join_in_place_delta(other.bindings)
+    fn widen_in_place_delta(
+        &mut self,
+        other: Self,
+        _widen_at: &BTreeSet<A>,
+        adopted_bytes: &mut usize,
+    ) -> BTreeSet<A> {
+        self.bindings
+            .join_in_place_delta(other.bindings, adopted_bytes)
     }
 
     fn arm_read_journal(&mut self) -> ReadJournal<A> {
@@ -366,7 +368,7 @@ mod tests {
         let snapshot = s.clone();
         // The clone shares the whole spine, so shared bytes are visible
         // from either handle.
-        assert!(snapshot.shared_spine_bytes() > 0);
+        assert!(snapshot.bindings.shared_spine_bytes() > 0);
         assert!(s.spine_nodes() > 0);
         // Growing one handle leaves the other untouched.
         let grown = s.clone().bind(3, set(&[3]));

@@ -182,10 +182,6 @@ where
     fn binding_count(&self) -> usize {
         self.bindings.len()
     }
-
-    fn shared_spine_bytes(&self) -> usize {
-        self.bindings.shared_spine_bytes()
-    }
 }
 
 impl<A, V> super::StoreDelta<A> for CountingStore<A, V>
@@ -200,10 +196,16 @@ where
         self.bindings.changed_keys(&other.bindings)
     }
 
-    fn join_in_place_delta(&mut self, other: Self) -> BTreeSet<A> {
+    fn widen_in_place_delta(
+        &mut self,
+        other: Self,
+        _widen_at: &BTreeSet<A>,
+        adopted_bytes: &mut usize,
+    ) -> BTreeSet<A> {
         // The `(value set, count)` entries are pair lattices, so the spine
         // merge reports count-only growth too.
-        self.bindings.join_in_place_delta(other.bindings)
+        self.bindings
+            .join_in_place_delta(other.bindings, adopted_bytes)
     }
 
     fn arm_read_journal(&mut self) -> ReadJournal<A> {
@@ -328,7 +330,7 @@ mod tests {
         let snapshot = s.clone();
         assert!(!s.bind_in_place(1, set(&[5])));
         assert_eq!(s, snapshot);
-        assert!(snapshot.shared_spine_bytes() > 0);
+        assert!(snapshot.bindings.shared_spine_bytes() > 0);
     }
 
     proptest! {

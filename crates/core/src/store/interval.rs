@@ -29,8 +29,9 @@ use super::{ReadJournal, ReadTap, StoreDelta, StoreLike};
 /// `bind` is the weak update `σ ⊔ [â ↦ ι]`; `replace` is a strong update.
 /// The store is a lattice point-wise, a [`WidenLattice`] point-wise (every
 /// address is its own widening point), and a [`StoreDelta`] whose
-/// [`StoreDelta::widen_in_place_delta`] actually widens — the override
-/// that makes the fixpoint engines terminate on numeric domains.
+/// [`StoreDelta::widen_in_place_delta`] actually widens — the one store
+/// whose fold differs from its join, which makes the fixpoint engines
+/// terminate on numeric domains.
 ///
 /// The store also journals its writes when armed
 /// ([`StoreDelta::arm_write_journal`]): `journal`, when present, maps each
@@ -141,7 +142,9 @@ impl<A: Address> WidenLattice for IntervalStore<A> {
     /// widening point.
     fn widen_in_place(&mut self, other: Self) -> bool {
         let everywhere: BTreeSet<A> = other.bindings.keys().cloned().collect();
-        !self.widen_in_place_delta(other, &everywhere).is_empty()
+        !self
+            .widen_in_place_delta(other, &everywhere, &mut 0)
+            .is_empty()
     }
 
     /// Point-wise narrowing of `self`'s bindings against `other`'s.
@@ -233,10 +236,6 @@ impl<A: Address> StoreLike<A> for IntervalStore<A> {
     fn binding_count(&self) -> usize {
         self.bindings.len()
     }
-
-    fn shared_spine_bytes(&self) -> usize {
-        self.bindings.shared_spine_bytes()
-    }
 }
 
 impl<A: Address> StoreDelta<A> for IntervalStore<A> {
@@ -244,13 +243,16 @@ impl<A: Address> StoreDelta<A> for IntervalStore<A> {
         self.bindings.changed_keys(&other.bindings)
     }
 
-    fn join_in_place_delta(&mut self, other: Self) -> BTreeSet<A> {
-        self.bindings.join_in_place_delta(other.bindings)
-    }
-
-    fn widen_in_place_delta(&mut self, other: Self, widen_at: &BTreeSet<A>) -> BTreeSet<A> {
+    fn widen_in_place_delta(
+        &mut self,
+        other: Self,
+        widen_at: &BTreeSet<A>,
+        adopted_bytes: &mut usize,
+    ) -> BTreeSet<A> {
         if widen_at.is_empty() {
-            return self.bindings.join_in_place_delta(other.bindings);
+            return self
+                .bindings
+                .join_in_place_delta(other.bindings, adopted_bytes);
         }
         let mut changed = BTreeSet::new();
         for (a, v) in other.bindings.iter() {
@@ -328,7 +330,7 @@ mod tests {
             .into_iter()
             .collect();
         let widen_at = [1u8].into_iter().collect();
-        let changed = s.widen_in_place_delta(delta, &widen_at);
+        let changed = s.widen_in_place_delta(delta, &widen_at, &mut 0);
         assert_eq!(changed, [1u8, 2].into_iter().collect());
         // Address 1 widened its unstable bound away; address 2 only joined.
         assert_eq!(s.fetch(&1), Interval::at_least(0));
@@ -341,7 +343,7 @@ mod tests {
         let delta: S = [(1u8, Interval::range(0, 2))].into_iter().collect();
 
         let mut widened = base.clone();
-        let w_changed = widened.widen_in_place_delta(delta.clone(), &BTreeSet::new());
+        let w_changed = widened.widen_in_place_delta(delta.clone(), &BTreeSet::new(), &mut 0);
         let mut joined = base;
         let j_changed = joined.join_in_place_delta(delta);
         assert_eq!(widened, joined);
@@ -465,7 +467,7 @@ mod tests {
             let s1 = mk(&xs);
             let s2 = mk(&ys);
             let mut widened = s1.clone();
-            let changed = widened.widen_in_place_delta(s2.clone(), &points);
+            let changed = widened.widen_in_place_delta(s2.clone(), &points, &mut 0);
             prop_assert!(s1.leq(&widened));
             prop_assert!(s2.leq(&widened));
             for a in 0u8..6 {

@@ -186,17 +186,6 @@ pub trait StoreLike<A: Address>: Lattice + Ord + Debug + Send + Sync + 'static {
     /// Marks this branch store's path fresh: it chose something the
     /// previous step did not see.  A no-op for stores without a baseline.
     fn mark_fresh(&mut self) {}
-
-    /// Approximate bytes of store structure this snapshot shares with
-    /// *other live snapshots* (`Arc`-shared spine nodes with a reference
-    /// count above one).  Stores without a persistent spine report 0.  The
-    /// fixpoint engines sample this at the end of a run
-    /// ([`EngineStats::store_bytes_shared`](crate::engine::EngineStats)) so
-    /// that structural-sharing regressions are as observable as step/join
-    /// regressions.
-    fn shared_spine_bytes(&self) -> usize {
-        0
-    }
 }
 
 /// What a fan-out read of one address sees ([`StoreLike::fan_out`]): the
@@ -483,33 +472,47 @@ pub trait StoreDelta<A: Address>: StoreLike<A> {
     /// `self ⊔ other` and returns every address whose binding observably
     /// changed (value set or auxiliary data such as counts).
     ///
-    /// This is the incremental engine's accumulation primitive: folding a
-    /// step's result store into the running global store yields the delta
-    /// for dependency invalidation directly, with no snapshot clone and no
-    /// after-the-fact [`StoreDelta::changed_addresses`] diff.  The returned
-    /// set is exactly `joined.changed_addresses(old_self)` restricted to
-    /// growth (a join can only grow), and the flag-free join law holds:
-    /// the set is empty iff `other ⊑ old_self`.
-    fn join_in_place_delta(&mut self, other: Self) -> BTreeSet<A>;
-
-    /// Like [`StoreDelta::join_in_place_delta`], but accumulating with the
-    /// co-domain's *widening* at the addresses in `widen_at` (plain join
-    /// everywhere else).  This is the engines' widening point: when a
-    /// store's co-domain has infinite height (e.g.
-    /// [`Interval`](crate::lattice::Interval)), an address that keeps
-    /// growing round after round is designated a widening point and its
-    /// accumulation switches from `⊔` to `▽`, so the per-address chain —
-    /// and with it the fixpoint iteration — stabilises.
-    ///
-    /// The default ignores `widen_at` and joins: for finite-height
-    /// co-domains (power-sets, counted power-sets) the join *is* a
-    /// terminating widening, and the engines' behaviour is unchanged.
-    /// Stores over infinite-height co-domains
-    /// ([`IntervalStore`]) override it.
-    fn widen_in_place_delta(&mut self, other: Self, widen_at: &BTreeSet<A>) -> BTreeSet<A> {
-        let _ = widen_at;
-        self.join_in_place_delta(other)
+    /// Folding a step's result store into the running global store this
+    /// way yields the delta for dependency invalidation directly, with no
+    /// snapshot clone and no after-the-fact
+    /// [`StoreDelta::changed_addresses`] diff.  The returned set is exactly
+    /// `joined.changed_addresses(old_self)` restricted to growth (a join
+    /// can only grow), and the flag-free join law holds: the set is empty
+    /// iff `other ⊑ old_self`.  Provided: a
+    /// [`StoreDelta::widen_in_place_delta`] with no widening point.
+    fn join_in_place_delta(&mut self, other: Self) -> BTreeSet<A> {
+        self.widen_in_place_delta(other, &BTreeSet::new(), &mut 0)
     }
+
+    /// The engines' accumulation primitive: like
+    /// [`StoreDelta::join_in_place_delta`], but accumulating with the
+    /// co-domain's *widening* at the addresses in `widen_at` (plain join
+    /// everywhere else), and adding to `adopted_bytes` the nominal bytes of
+    /// the spine nodes of `other` that `self` now holds by reference.
+    ///
+    /// `widen_at` is the engines' widening point: when a store's co-domain
+    /// has infinite height (e.g. [`Interval`](crate::lattice::Interval)),
+    /// an address that keeps growing round after round is designated a
+    /// widening point and its accumulation switches from `⊔` to `▽`, so
+    /// the per-address chain — and with it the fixpoint iteration —
+    /// stabilises.  For finite-height co-domains (power-sets, counted
+    /// power-sets) the join *is* a terminating widening, so their stores
+    /// ignore `widen_at`.
+    ///
+    /// `adopted_bytes` is the persistent spine's report
+    /// ([`PMap::join_in_place_delta`](crate::pmap::PMap::join_in_place_delta)):
+    /// a delta subtree whose keys `self` lacked is hung in by reference,
+    /// not copied.  The engines sum it over a round's folds; its peak over
+    /// rounds is
+    /// [`EngineStats::store_bytes_shared`](crate::engine::EngineStats::store_bytes_shared).
+    /// A store without a persistent spine adopts nothing and leaves it
+    /// alone.
+    fn widen_in_place_delta(
+        &mut self,
+        other: Self,
+        widen_at: &BTreeSet<A>,
+        adopted_bytes: &mut usize,
+    ) -> BTreeSet<A>;
 
     /// Arms read journaling on this snapshot: from now on every
     /// [journaled read](StoreLike#journaled-reads) on this store **or on

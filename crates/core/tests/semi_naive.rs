@@ -126,8 +126,14 @@ impl StoreDelta<u8> for Full {
         self.0.changed_addresses(&other.0)
     }
 
-    fn join_in_place_delta(&mut self, other: Self) -> BTreeSet<u8> {
-        self.0.join_in_place_delta(other.0)
+    fn widen_in_place_delta(
+        &mut self,
+        other: Self,
+        widen_at: &BTreeSet<u8>,
+        adopted_bytes: &mut usize,
+    ) -> BTreeSet<u8> {
+        self.0
+            .widen_in_place_delta(other.0, widen_at, adopted_bytes)
     }
 
     fn arm_read_journal(&mut self) -> ReadJournal<u8> {

@@ -10,6 +10,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use mai_core::name::{Label, LabelSupply, Name};
@@ -37,7 +38,10 @@ pub fn this_var() -> VarName {
 }
 
 /// A Featherweight Java expression.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+///
+/// `Hash` is hand-written and does not walk the expression (see its impl);
+/// `Eq` and `Ord` are derived.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Expr {
     /// A variable reference (`x` or `this`).
     Var(VarName),
@@ -80,6 +84,27 @@ pub enum Expr {
         /// The cast expression.
         object: Arc<Expr>,
     },
+}
+
+/// Hashes the constructor plus its label, or the variable of a `Var`.
+/// Machine states embed the expression they evaluate and the engines hash
+/// states on every intern, so a derived `Hash` would walk the remaining
+/// program each time.  Labels are unique within a program, so this is a
+/// cheap digest consistent with the structural `Eq` (equal expressions
+/// have equal labels).  Distinct expressions of different programs may
+/// collide; hash users resolve that with `Eq`, as they must anyway.  CPS's
+/// `CExp` and the λ-calculus's `Term` hash the same way.
+impl Hash for Expr {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match self {
+            Expr::Var(v) => v.hash(state),
+            Expr::FieldAccess { label, .. }
+            | Expr::MethodCall { label, .. }
+            | Expr::New { label, .. }
+            | Expr::Cast { label, .. } => label.hash(state),
+        }
+    }
 }
 
 impl Expr {
@@ -579,5 +604,60 @@ mod tests {
         assert!(e.size() >= 4);
         let cast = b.cast("A", Expr::var("z"));
         assert_eq!(cast.to_string(), "((A) z)");
+    }
+
+    /// Counts the writes a hash makes, whatever their width.
+    #[derive(Default)]
+    struct CountingHasher(usize);
+
+    impl Hasher for CountingHasher {
+        fn finish(&self) -> u64 {
+            self.0 as u64
+        }
+
+        fn write(&mut self, _: &[u8]) {
+            self.0 += 1;
+        }
+    }
+
+    #[test]
+    fn hashing_an_expression_does_not_walk_it() {
+        // The deep build's drop recurses once per level; give it room.
+        let writes = std::thread::Builder::new()
+            .stack_size(64 << 20)
+            .spawn(|| {
+                [10, 1000].map(|n| {
+                    let mut hasher = CountingHasher::default();
+                    crate::programs::nested_cells(n).main.hash(&mut hasher);
+                    hasher.0
+                })
+            })
+            .expect("spawn")
+            .join()
+            .expect("deep expressions hash");
+        assert_eq!(writes[0], writes[1]);
+    }
+
+    #[test]
+    fn equal_expressions_of_separate_builds_hash_alike() {
+        let corpus = crate::programs::standard_corpus();
+        for ((name, first), (_, second)) in corpus.iter().zip(crate::programs::standard_corpus()) {
+            let methods = |p: &Program| -> Vec<Expr> {
+                p.table
+                    .classes()
+                    .flat_map(|c| c.methods.iter().map(|m| m.body.clone()))
+                    .collect()
+            };
+            let exprs = [vec![first.main.clone()], methods(first)].concat();
+            let again = [vec![second.main.clone()], methods(&second)].concat();
+            for (a, b) in exprs.iter().zip(&again) {
+                assert_eq!(a, b, "{name}");
+                assert_eq!(
+                    mai_core::hash::fx_hash_of(a),
+                    mai_core::hash::fx_hash_of(b),
+                    "{name}: {a}"
+                );
+            }
+        }
     }
 }

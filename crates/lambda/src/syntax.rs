@@ -5,8 +5,10 @@
 //! the syntax for that substrate.  Applications and `let`-bindings carry
 //! [`Label`]s so that the same k-CFA context machinery applies unchanged.
 
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use mai_core::name::{Label, LabelSupply, Name};
@@ -15,7 +17,14 @@ use mai_core::name::{Label, LabelSupply, Name};
 pub type Var = Name;
 
 /// A direct-style λ-term.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+///
+/// Machine states embed the term they evaluate, so the engines hash and
+/// order terms on every intern and every set operation, and a derived
+/// `Hash` or `Ord` would walk the whole remaining program each time.  The
+/// hand-written impls below cost O(1) per state where the program's
+/// sharing allows it; `Eq` stays derived, since `Arc`'s `Eq` already
+/// answers pointer-equal children without a walk.
+#[derive(Clone, PartialEq, Eq)]
 pub enum Term {
     /// A variable reference.
     Var(Var),
@@ -52,7 +61,112 @@ pub enum Term {
     },
 }
 
+/// Hashes the constructor and the field that names the node: the variable
+/// of a `Var`, the label of an `App` or `Let`, and for a `Lam`, which has no
+/// label, its parameter plus the same head of its body.  Labels are unique
+/// within a program, so this is a cheap digest consistent with the
+/// structural `Eq` (equal terms have equal heads).  Distinct terms of
+/// different programs may collide; hash users resolve that with `Eq`, as
+/// they must anyway.  CPS's `Lambda` and `CExp` hash the same way.
+impl Hash for Term {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.hash_head(state);
+        if let Term::Lam { body, .. } = self {
+            body.hash_head(state);
+        }
+    }
+}
+
+impl PartialOrd for Term {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// The derived order (`Var < Lam < App < Let`, fields in declaration
+/// order), except that pointer-equal children compare `Equal` without a
+/// walk: `Arc`'s `Ord`, unlike its `Eq`, has no pointer shortcut, and the
+/// states of one program share their subterms with it.
+impl Ord for Term {
+    fn cmp(&self, other: &Self) -> Ordering {
+        fn child(a: &Arc<Term>, b: &Arc<Term>) -> Ordering {
+            if Arc::ptr_eq(a, b) {
+                Ordering::Equal
+            } else {
+                a.as_ref().cmp(b.as_ref())
+            }
+        }
+        match (self, other) {
+            (Term::Var(a), Term::Var(b)) => a.cmp(b),
+            (
+                Term::Lam {
+                    param: pa,
+                    body: ba,
+                },
+                Term::Lam {
+                    param: pb,
+                    body: bb,
+                },
+            ) => pa.cmp(pb).then_with(|| child(ba, bb)),
+            (
+                Term::App {
+                    label: la,
+                    func: fa,
+                    arg: aa,
+                },
+                Term::App {
+                    label: lb,
+                    func: fb,
+                    arg: ab,
+                },
+            ) => la
+                .cmp(lb)
+                .then_with(|| child(fa, fb))
+                .then_with(|| child(aa, ab)),
+            (
+                Term::Let {
+                    label: la,
+                    name: na,
+                    rhs: ra,
+                    body: ba,
+                },
+                Term::Let {
+                    label: lb,
+                    name: nb,
+                    rhs: rb,
+                    body: bb,
+                },
+            ) => la
+                .cmp(lb)
+                .then_with(|| na.cmp(nb))
+                .then_with(|| child(ra, rb))
+                .then_with(|| child(ba, bb)),
+            _ => self.rank().cmp(&other.rank()),
+        }
+    }
+}
+
 impl Term {
+    /// The constructor's position in declaration order.
+    fn rank(&self) -> u8 {
+        match self {
+            Term::Var(_) => 0,
+            Term::Lam { .. } => 1,
+            Term::App { .. } => 2,
+            Term::Let { .. } => 3,
+        }
+    }
+
+    /// Hashes the constructor and the field that names this node (see
+    /// `Hash for Term`).
+    fn hash_head<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match self {
+            Term::Var(name) | Term::Lam { param: name, .. } => name.hash(state),
+            Term::App { label, .. } | Term::Let { label, .. } => label.hash(state),
+        }
+    }
+
     /// A variable reference.
     pub fn var(name: impl Into<Name>) -> Self {
         Term::Var(name.into())
@@ -292,6 +406,144 @@ mod tests {
         assert_eq!(a.to_string(), "(f y)");
         let l = b.let_in("z", Term::var("a"), Term::var("z"));
         assert_eq!(l.to_string(), "(let (z a) z)");
+    }
+
+    /// Counts the writes a hash makes, whatever their width.
+    #[derive(Default)]
+    struct CountingHasher(usize);
+
+    impl Hasher for CountingHasher {
+        fn finish(&self) -> u64 {
+            self.0 as u64
+        }
+
+        fn write(&mut self, _: &[u8]) {
+            self.0 += 1;
+        }
+    }
+
+    fn hash_writes(term: &Term) -> usize {
+        let mut hasher = CountingHasher::default();
+        term.hash(&mut hasher);
+        hasher.0
+    }
+
+    /// `((λ (y) y) ((λ (y) y) … (λ (x) x)))` with `depth` identity
+    /// applications.
+    fn identity_nesting(depth: usize) -> Term {
+        let source = format!(
+            "{}(λ (x) x){}",
+            "((λ (y) y) ".repeat(depth),
+            ")".repeat(depth)
+        );
+        crate::parse_term(&source).expect("identity nesting parses")
+    }
+
+    /// `Term` with the derived order: the reference `Term::cmp` must agree
+    /// with, compared by value all the way down.
+    #[derive(PartialEq, Eq, PartialOrd, Ord)]
+    enum Mirror {
+        Var(Name),
+        Lam(Name, Box<Mirror>),
+        App(Label, Box<Mirror>, Box<Mirror>),
+        Let(Label, Name, Box<Mirror>, Box<Mirror>),
+    }
+
+    fn mirror(term: &Term) -> Mirror {
+        match term {
+            Term::Var(v) => Mirror::Var(v.clone()),
+            Term::Lam { param, body } => Mirror::Lam(param.clone(), Box::new(mirror(body))),
+            Term::App { label, func, arg } => {
+                Mirror::App(*label, Box::new(mirror(func)), Box::new(mirror(arg)))
+            }
+            Term::Let {
+                label,
+                name,
+                rhs,
+                body,
+            } => Mirror::Let(
+                *label,
+                name.clone(),
+                Box::new(mirror(rhs)),
+                Box::new(mirror(body)),
+            ),
+        }
+    }
+
+    /// Every subterm of `term`, each a clone that shares its children with
+    /// `term`.
+    fn subterms(term: &Term, out: &mut Vec<Term>) {
+        out.push(term.clone());
+        match term {
+            Term::Var(_) => {}
+            Term::Lam { body, .. } => subterms(body, out),
+            Term::App { func, arg, .. } => {
+                subterms(func, out);
+                subterms(arg, out);
+            }
+            Term::Let { rhs, body, .. } => {
+                subterms(rhs, out);
+                subterms(body, out);
+            }
+        }
+    }
+
+    #[test]
+    fn hashing_a_term_does_not_walk_it() {
+        // The deep parse and drop recurse once per level; give them room.
+        let writes = std::thread::Builder::new()
+            .stack_size(64 << 20)
+            .spawn(|| {
+                [10, 10_000].map(|depth| {
+                    let term = identity_nesting(depth);
+                    let Term::App { func, .. } = &term else {
+                        panic!("identity nesting is an application");
+                    };
+                    (hash_writes(&term), hash_writes(func))
+                })
+            })
+            .expect("spawn")
+            .join()
+            .expect("deep terms hash");
+        assert_eq!(writes[0], writes[1]);
+    }
+
+    #[test]
+    fn equal_terms_of_separate_parses_hash_and_order_alike() {
+        let source = "(let (id (λ (x) x)) (let (k (λ (a b) a)) ((k id) (id (λ (y) y)))))";
+        let first = crate::parse_term(source).expect("parses");
+        let second = crate::parse_term(source).expect("parses");
+        let (Term::Let { rhs: r1, .. }, Term::Let { rhs: r2, .. }) = (&first, &second) else {
+            panic!("the program is a let");
+        };
+        assert!(!Arc::ptr_eq(r1, r2));
+        assert_eq!(first, second);
+        assert_eq!(
+            mai_core::hash::fx_hash_of(&first),
+            mai_core::hash::fx_hash_of(&second)
+        );
+        assert_eq!(first.cmp(&second), Ordering::Equal);
+        // Subterms of one parse share children with it (the pointer
+        // shortcut decides), those of the other parse do not (the walk
+        // decides); the order must be the derived one either way.  A
+        // different program of the same shape numbers its labels alike,
+        // so its nodes meet equal labels over different children.
+        let other = crate::parse_term("(let (id (λ (x) x)) (let (k (λ (a b) b)) ((id k) (k id))))")
+            .expect("parses");
+        let mut terms = Vec::new();
+        for term in [&first, &second, &other] {
+            subterms(term, &mut terms);
+        }
+        let mirrors: Vec<Mirror> = terms.iter().map(mirror).collect();
+        for (a, ma) in terms.iter().zip(&mirrors) {
+            for (b, mb) in terms.iter().zip(&mirrors) {
+                assert_eq!(a.cmp(b), ma.cmp(mb), "{a} vs {b}");
+                assert_eq!(a.cmp(b) == Ordering::Equal, a == b, "{a} vs {b}");
+                if a == b {
+                    assert_eq!(mai_core::hash::fx_hash_of(a), mai_core::hash::fx_hash_of(b));
+                }
+            }
+        }
     }
 
     #[test]

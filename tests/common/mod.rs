@@ -109,9 +109,9 @@ pub fn term_from_seed(seed: u64) -> Term {
 
 /// Asserts that a parallel run reproduced the sequential direct engine's
 /// deterministic work counters (the timing gauges `steal_events` /
-/// `shard_imbalance` and the fold-order-dependent `store_bytes_shared`
-/// sample are exempt by design; `sync_rounds` must equal the parallel
-/// run's own round count).
+/// `shard_imbalance` and `store_bytes_shared`, the bytes a round's fold
+/// adopted by reference, which depend on the fold order, are exempt by
+/// design; `sync_rounds` must equal the parallel run's own round count).
 pub fn assert_parallel_counters(label: &str, threads: usize, seq: &EngineStats, par: &EngineStats) {
     let ctx = format!("{label} at {threads} threads");
     assert_eq!(par.iterations, seq.iterations, "{ctx}: iterations");

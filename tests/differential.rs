@@ -22,11 +22,11 @@
 //! engine's *deterministic work counters* (steps, joins, rounds,
 //! widenings, re-enqueues, intern traffic) at every thread count — only
 //! its timing gauges (`steal_events`, `shard_imbalance`) and the
-//! fold-order-dependent `store_bytes_shared` sample may vary.  Two drivers run the
-//! suite: a `proptest!` block (deterministic fixed-seed stub; case count
-//! pinned in CI via `PROPTEST_CASES`) covering the 1CFA shared-store
-//! configuration on every case, and an explicit list of **committed
-//! seeds** (below) that replays the *full* matrix reproducibly — change a
+//! fold-order-dependent `store_bytes_shared` adoption count may vary.  Two
+//! drivers run the suite: a `proptest!` block (deterministic fixed-seed
+//! stub; case count pinned in CI via `PROPTEST_CASES`) covering the 1CFA
+//! shared-store configuration on every case, and an explicit list of
+//! **committed seeds** (below) that replays the *full* matrix reproducibly — change a
 //! seed and the whole derived program corpus changes, so the list is part
 //! of the reviewable surface.
 
@@ -495,7 +495,79 @@ fn committed_seeds_derive_a_stable_corpus() {
     );
 }
 
+/// `Term` with the derived order: the reference `Term::cmp` must agree
+/// with, compared by value all the way down (no pointer shortcut).
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+enum Mirror {
+    Var(mai_core::Name),
+    Lam(mai_core::Name, Box<Mirror>),
+    App(mai_core::Label, Box<Mirror>, Box<Mirror>),
+    Let(mai_core::Label, mai_core::Name, Box<Mirror>, Box<Mirror>),
+}
+
+fn mirror(term: &Term) -> Mirror {
+    match term {
+        Term::Var(v) => Mirror::Var(v.clone()),
+        Term::Lam { param, body } => Mirror::Lam(param.clone(), Box::new(mirror(body))),
+        Term::App { label, func, arg } => {
+            Mirror::App(*label, Box::new(mirror(func)), Box::new(mirror(arg)))
+        }
+        Term::Let {
+            label,
+            name,
+            rhs,
+            body,
+        } => Mirror::Let(
+            *label,
+            name.clone(),
+            Box::new(mirror(rhs)),
+            Box::new(mirror(body)),
+        ),
+    }
+}
+
+/// Every subterm of `term`, each a clone that shares its children with it.
+fn subterms(term: &Term, out: &mut Vec<Term>) {
+    out.push(term.clone());
+    match term {
+        Term::Var(_) => {}
+        Term::Lam { body, .. } => subterms(body, out),
+        Term::App { func, arg, .. } => {
+            subterms(func, out);
+            subterms(arg, out);
+        }
+        Term::Let { rhs, body, .. } => {
+            subterms(rhs, out);
+            subterms(body, out);
+        }
+    }
+}
+
 proptest! {
+    /// Any two random terms and their subterms are ordered as the derived
+    /// order orders them, and equal ones hash alike.  The first term is
+    /// built twice: subterms of one build share children (the pointer
+    /// shortcut decides), the two builds share none (the walk decides).
+    #[test]
+    fn prop_term_order_is_the_derived_order(
+        pair in (shape_strategy(), shape_strategy())
+    ) {
+        let mut terms = Vec::new();
+        for shape in [&pair.0, &pair.1, &pair.0] {
+            subterms(&to_term(shape, &mut TermBuilder::new()), &mut terms);
+        }
+        let mirrors: Vec<Mirror> = terms.iter().map(mirror).collect();
+        for (a, ma) in terms.iter().zip(&mirrors) {
+            for (b, mb) in terms.iter().zip(&mirrors) {
+                prop_assert_eq!(a.cmp(b), ma.cmp(mb), "{} vs {}", a, b);
+                prop_assert_eq!(a.cmp(b) == std::cmp::Ordering::Equal, a == b);
+                if a == b {
+                    prop_assert_eq!(mai_core::fx_hash_of(a), mai_core::fx_hash_of(b));
+                }
+            }
+        }
+    }
+
     /// Every random term: the 1CFA shared-store configuration (the one the
     /// benchmarks run) across every engine, both languages, with and
     /// without GC.

@@ -60,9 +60,10 @@ fn parallel(
     analyse::parallel(term, Gc::Off, config, budget, &mut NoopSink)
 }
 
-/// Zeroes the timing gauges ([`EngineStats::work`]) and the
-/// fold-order-dependent `store_bytes_shared` sample, which legitimately
-/// vary between parallel runs — the same exemptions the differential
+/// Zeroes the timing gauges ([`EngineStats::work`]) and
+/// `store_bytes_shared` (the bytes a round's fold adopted by reference,
+/// which depend on the fold order), which legitimately vary between
+/// parallel runs — the same exemptions the differential
 /// suite's counter parity grants.  Everything else must match exactly.
 fn deterministic_counters(stats: EngineStats) -> EngineStats {
     EngineStats {
