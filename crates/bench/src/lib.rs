@@ -1570,6 +1570,8 @@ pub enum ScalingFamily {
     /// Identity nesting `((λ (y) y) ((λ (y) y) … (λ (x) x)))` under 0CFA,
     /// parsed from source text; `size` is the nesting depth.
     LambdaIdentity,
+    /// The same identity nesting under 0CFA with abstract GC.
+    LambdaIdentityGc,
     /// [`kcfa_worst_case_scaled`](mai_cps::programs::kcfa_worst_case_scaled)
     /// at depth [`E17_LANES_DEPTH`] under 1-CFA, rendered and re-parsed;
     /// `size` is the lane count.
@@ -1584,8 +1586,9 @@ pub const E17_LANES_DEPTH: usize = 12;
 
 impl ScalingFamily {
     /// Every family, in report order.
-    pub const ALL: [ScalingFamily; 3] = [
+    pub const ALL: [ScalingFamily; 4] = [
         ScalingFamily::LambdaIdentity,
+        ScalingFamily::LambdaIdentityGc,
         ScalingFamily::CpsLanes,
         ScalingFamily::FjCells,
     ];
@@ -1594,6 +1597,7 @@ impl ScalingFamily {
     pub fn name(self) -> &'static str {
         match self {
             ScalingFamily::LambdaIdentity => "lambda-identity",
+            ScalingFamily::LambdaIdentityGc => "lambda-identity-gc",
             ScalingFamily::CpsLanes => "cps-lanes",
             ScalingFamily::FjCells => "fj-cells",
         }
@@ -1602,7 +1606,9 @@ impl ScalingFamily {
     /// The program sizes of the curve, smallest first.
     pub fn sizes(self) -> &'static [usize] {
         match self {
-            ScalingFamily::LambdaIdentity => &[250, 500, 1_000, 2_000, 4_000, 8_000],
+            ScalingFamily::LambdaIdentity | ScalingFamily::LambdaIdentityGc => {
+                &[250, 500, 1_000, 2_000, 4_000, 8_000]
+            }
             ScalingFamily::CpsLanes => &[25, 50, 100, 200],
             ScalingFamily::FjCells => &[40, 80, 160, 320, 640, 1_280],
         }
@@ -1651,13 +1657,14 @@ impl ScalingRow {
             .exponent
             .map_or_else(|| "-".to_string(), |e| format!("{e:.2}"));
         format!(
-            "{:<22} configs={:<6} stepped={:<6} deps={:<7} folded={:<7} \
+            "{:<23} configs={:<6} stepped={:<6} deps={:<7} folded={:<7} gc-visited={:<7} \
              front={:<10.2?} solve={:<10.2?} query={:<10.2?} exponent={}",
             self.program(),
             self.configurations,
             self.stats.states_stepped,
             self.stats.dep_edges,
             self.stats.branches_folded,
+            self.stats.gc_filter_visited,
             self.front,
             self.solve,
             self.query,
@@ -1699,16 +1706,21 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 /// fixpoint are not timed.
 fn scaling_pass(family: ScalingFamily, size: usize) -> (usize, usize, EngineStats, [Duration; 3]) {
     match family {
-        ScalingFamily::LambdaIdentity => {
+        ScalingFamily::LambdaIdentity | ScalingFamily::LambdaIdentityGc => {
             let source = format!(
                 "{}(λ (x) x){}",
                 "((λ (y) y) ".repeat(size),
                 ")".repeat(size)
             );
+            let gc = if family == ScalingFamily::LambdaIdentityGc {
+                Gc::On
+            } else {
+                Gc::Off
+            };
             let (term, front) =
                 timed(|| mai_lambda::parse_term(&source).expect("identity nesting parses"));
             let ((fp, stats), solve) =
-                timed(|| analyse::direct::<mai_lambda::analysis::MonoCeskShared>(&term, Gc::Off));
+                timed(|| analyse::direct::<mai_lambda::analysis::MonoCeskShared>(&term, gc));
             let (facts, query) = timed(|| {
                 let flows = mai_lambda::flow_map_of_store(fp.store());
                 mai_lambda::abstract_errors(fp.states().iter().map(|(ps, _)| ps));

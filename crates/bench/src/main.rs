@@ -736,6 +736,7 @@ const GATED_COUNTER_PATHS: &[(&str, &[&str])] = &[
             "direct.store_bytes_shared",
             "direct.dep_edges",
             "direct.branches_folded",
+            "direct.gc_filter_visited",
         ],
     ),
     (
@@ -773,6 +774,7 @@ const GATED_COUNTER_PATHS: &[(&str, &[&str])] = &[
             "engine.states_stepped",
             "engine.dep_edges",
             "engine.branches_folded",
+            "engine.gc_filter_visited",
         ],
     ),
 ];

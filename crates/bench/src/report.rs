@@ -386,6 +386,10 @@ pub fn engine_stats_json(stats: &EngineStats) -> Json {
         ("spine_clones", Json::Int(stats.spine_clones as u64)),
         ("branches_folded", Json::Int(stats.branches_folded as u64)),
         (
+            "gc_filter_visited",
+            Json::Int(stats.gc_filter_visited as u64),
+        ),
+        (
             "store_bytes_shared",
             Json::Int(stats.store_bytes_shared as u64),
         ),

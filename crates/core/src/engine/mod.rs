@@ -228,6 +228,14 @@ pub struct EngineStats {
     /// branches and are dropped).  Under full re-steps it would equal the
     /// branches produced.  Deterministic work, 0 for the other engines.
     pub branches_folded: usize,
+    /// Addresses the abstract-GC write filter's searches discovered
+    /// ([`StepFn::filter_writes`]), summed over every branch the
+    /// id-indexed shared-store engine folded.  A search that finds a
+    /// branch's writes next to the successor's roots costs a couple of
+    /// addresses; one that drops a write costs the whole closure.
+    /// Deterministic work, summed by [`EngineStats::merge`]; 0 without GC
+    /// and for the other engines, which sweep in full.
+    pub gc_filter_visited: usize,
 }
 
 /// Declares the one list of timing gauges: generates both
@@ -298,6 +306,7 @@ impl EngineStats {
         self.stripe_acquisitions += other.stripe_acquisitions;
         self.dep_edges += other.dep_edges;
         self.branches_folded += other.branches_folded;
+        self.gc_filter_visited += other.gc_filter_visited;
     }
 
     /// Average contribution joins per solver round: O(|frontier|) for the
@@ -345,7 +354,7 @@ impl fmt::Display for EngineStats {
             "iters={} stepped={} hits={} reenq={} addr-joins={} widened={} joins={} rebuilds={} \
              peak={} intern={}/{} distinct={} clones={} shared-bytes={} syncs={} steals={} \
              imbalance={} epochs={} stale={} memo={}/{} stripe-locks={} dep-edges={} \
-             branches-folded={}",
+             branches-folded={} gc-visited={}",
             self.iterations,
             self.states_stepped,
             self.cache_hits,
@@ -369,7 +378,8 @@ impl fmt::Display for EngineStats {
             self.worker_cache_misses,
             self.stripe_acquisitions,
             self.dep_edges,
-            self.branches_folded
+            self.branches_folded,
+            self.gc_filter_visited
         )
     }
 }
@@ -393,8 +403,13 @@ impl fmt::Display for EngineStats {
 /// [`certify`], the narrowing post-pass and the closure carrier.  The
 /// id-indexed shared-store engine does not close the roots for its read
 /// sets, which come from the store's read journal (the closure only bounds
-/// them).  Under GC it searches from the roots only until a branch's
-/// writes are found ([`StepFn::filter_writes`]).
+/// them).  Under GC it searches from the roots only until it has
+/// discovered a branch's writes ([`StepFn::filter_writes`]), testing each
+/// root before it fetches anything, so a GC'd step calls `state_roots`
+/// once per branch.  Implementations should therefore cost what the roots
+/// cost, not what the rest of the program costs: the language crates read
+/// the free variables behind their roots from caches built once per
+/// program, not from a walk of the expression.
 pub trait StateRoots {
     /// The address type this state touches.
     type Addr: Address;
@@ -452,17 +467,21 @@ pub trait StepFn<Ps, G, S>: Sync {
     /// Abstract GC as a filter on one branch of [`StepFn::step_before_gc`].
     /// `writes` holds the addresses the branch changed; this removes each
     /// one GC would drop from the branch store `branch`, and adds to
-    /// `reads` the addresses that decision depends on.  The default keeps
-    /// every write and reads nothing: a step without GC.
+    /// `reads` the addresses that decision depends on.  Returns how many
+    /// addresses the decision visited
+    /// ([`EngineStats::gc_filter_visited`]).  The default keeps every write,
+    /// reads nothing and visits nothing: a step without GC.
     fn filter_writes(
         &self,
         _successor: &Ps,
         _branch: &S,
         _writes: &mut BTreeSet<Ps::Addr>,
         _reads: &mut Vec<Ps::Addr>,
-    ) where
+    ) -> usize
+    where
         Ps: StateRoots,
     {
+        0
     }
 }
 
@@ -496,8 +515,11 @@ where
 /// engine, on every step phase (sequential, barrier, elastic), calls
 /// [`StepFn::step_before_gc`] and [`StepFn::filter_writes`] instead: GC
 /// only decides which of a branch's own writes survive, and a search that
-/// stops once it has found them all decides that (see the shared-store
-/// module docs for why that is exact).
+/// stops once it has discovered them all decides that (see the
+/// shared-store module docs for why that is exact).  The search tests each
+/// address on discovery, roots included, so a write bound next to the
+/// successor's roots is found after a couple of addresses
+/// ([`EngineStats::gc_filter_visited`] counts them).
 pub fn with_state_gc<F>(step: F) -> StateGc<F> {
     StateGc(step)
 }
@@ -536,11 +558,14 @@ where
         branch: &S,
         writes: &mut BTreeSet<Ps::Addr>,
         reads: &mut Vec<Ps::Addr>,
-    ) {
-        if let Some(live) = reachable_unless_found(successor.state_roots(), branch, writes) {
+    ) -> usize {
+        let mut visited = 0;
+        let roots = successor.state_roots();
+        if let Some(live) = reachable_unless_found(roots, branch, writes, &mut visited) {
             writes.retain(|a| live.contains(a));
             reads.extend(live);
         }
+        visited
     }
 }
 

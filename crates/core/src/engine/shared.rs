@@ -91,7 +91,10 @@
 //! branch's own writes survive.  [`step_entry`] steps through
 //! [`StepFn::step_before_gc`] and takes the read journal, which closes it.
 //! Then, on each branch, [`StepFn::filter_writes`] searches from the
-//! successor's roots only until it has found every changed address:
+//! successor's roots only until it has discovered every changed address
+//! (each address is tested when the search first sees it, roots first, so
+//! a write next to the roots stops it after a couple of addresses;
+//! [`EngineStats::gc_filter_visited`] counts them):
 //!
 //! * **All found:** the writes are kept, and the search's reads are not
 //!   dependencies.  From fixed roots, reachability is monotone in the
@@ -301,6 +304,9 @@ pub(crate) struct InternedEntry<S, A> {
     /// The branches this step interned and folded
     /// ([`EngineStats::branches_folded`]).
     branches: usize,
+    /// The addresses its GC write filter visited
+    /// ([`EngineStats::gc_filter_visited`]).
+    gc_visited: usize,
 }
 
 /// What a cached entry remembers of its step for a semi-naive re-step
@@ -481,6 +487,7 @@ where
     let mut deps: Vec<Ps::Addr> = Vec::new();
     let mut dropped_write = false;
     let mut folded = 0usize;
+    let mut gc_visited = 0usize;
     for ((ps2, g2), s2) in branches {
         // An old branch replays a branch of the previous step: its
         // successor is cached, and its writes were folded below `store`.
@@ -495,7 +502,7 @@ where
         // write records nothing: those reads are not dependencies.
         let mut changed = s2.changed_addresses(store);
         let written = changed.len();
-        step.filter_writes(&ps2, &s2, &mut changed, &mut deps);
+        gc_visited += step.filter_writes(&ps2, &s2, &mut changed, &mut deps);
         dropped_write |= changed.len() < written;
         // Write targets are read dependencies (see `CacheEntry::deps`):
         // keep the changed addresses the branch still binds.
@@ -548,6 +555,7 @@ where
         merge: semi_naive,
         baseline,
         branches: folded,
+        gc_visited,
     }
 }
 
@@ -765,6 +773,7 @@ where
         stats.spine_clones += 1;
         stats.dep_edges += entry.deps.len();
         stats.branches_folded += entry.branches;
+        stats.gc_filter_visited += entry.gc_visited;
         if cache.len() <= id.index() {
             cache.resize_with(id.index() + 1, || None);
         }

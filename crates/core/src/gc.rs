@@ -17,9 +17,13 @@
 //!   per-state engine, the structural baseline,
 //!   [`certify`](crate::engine::certify), the narrowing post-pass and
 //!   [`ReachableGc`].  The id-indexed shared-store engine instead searches
-//!   with the same traversal only until a branch's own writes are found
-//!   (see [`with_state_gc`](crate::engine::with_state_gc)), and sweeps in
-//!   full only when one of them is out of reach.
+//!   with the same traversal only until it has discovered a branch's own
+//!   writes (see [`with_state_gc`](crate::engine::with_state_gc)), and
+//!   sweeps in full only when one of them is out of reach.  The traversal
+//!   tests an address when it first discovers it, roots included, so such
+//!   a search stops as soon as the last write comes into view: a write
+//!   bound next to the roots costs a couple of addresses, however long the
+//!   continuation chain behind them is.
 //! * [`GcStrategy`] — the `GarbageCollector` class of the paper: a monadic
 //!   action run after every transition.  [`NoGc`] is the default no-op;
 //!   [`ReachableGc`] restricts the store to the addresses reachable from
@@ -101,18 +105,23 @@ where
 }
 
 /// Searches the closure of `roots` through `store` only as far as it takes
-/// to visit every address of `targets`.  Returns `None` when it visits them
-/// all, without walking the rest of the closure; otherwise it finishes the
-/// walk and returns the whole closure, the same set [`reachable`] returns.
+/// to discover every address of `targets`.  Returns `None` when it finds
+/// them all, without walking the rest of the closure; otherwise it finishes
+/// the walk and returns the whole closure, the same set [`reachable`]
+/// returns.  Either way it adds the number of addresses it discovered to
+/// `visited`.
 ///
 /// This is abstract GC as a filter on a branch's own writes (see
 /// [`with_state_gc`](crate::engine::with_state_gc)): `None` means GC keeps
 /// every write, and the closure names the writes it drops and the bindings
-/// that decided it.
+/// that decided it.  Each address is tested when the walk first discovers
+/// it, so a search whose targets are roots, or bound next to them, costs
+/// as many addresses as it finds, however deep the closure is.
 pub(crate) fn reachable_unless_found<A, S>(
     roots: BTreeSet<A>,
     store: &S,
     targets: &BTreeSet<A>,
+    visited: &mut usize,
 ) -> Option<BTreeSet<A>>
 where
     A: Address,
@@ -127,14 +136,16 @@ where
         missing -= usize::from(targets.contains(addr));
         missing == 0
     });
+    *visited += seen.len();
     (!found).then_some(seen)
 }
 
 /// The one traversal behind [`reachable`] and [`reachable_unless_found`]:
 /// a depth-first walk of the closure of `roots` through `store` that calls
-/// `stop` on each address the first time it is visited, before fetching
-/// its binding.  Returns the visited set and whether `stop` cut the walk
-/// short.
+/// `stop` on each address on discovery — a root when the walk starts, any
+/// other address when a fetched binding first touches it — and so before
+/// fetching its binding.  Returns the discovered set and whether `stop`
+/// cut the walk short.
 fn walk<A, S>(
     roots: BTreeSet<A>,
     store: &S,
@@ -146,14 +157,16 @@ where
     S::D: Touches<A>,
 {
     let mut seen: BTreeSet<A> = BTreeSet::new();
-    let mut frontier: Vec<A> = roots.into_iter().collect();
-    while let Some(addr) = frontier.pop() {
-        if !seen.insert(addr.clone()) {
-            continue;
-        }
-        if stop(&addr) {
+    let mut frontier: Vec<A> = Vec::with_capacity(roots.len());
+    for root in roots {
+        if stop(&root) {
+            seen.insert(root);
             return (seen, true);
         }
+        seen.insert(root.clone());
+        frontier.push(root);
+    }
+    while let Some(addr) = frontier.pop() {
         // Borrow the binding when the store can lend it — the sweep visits
         // every live address, so per-address co-domain clones add up.
         let touched = match store.fetch_ref(&addr) {
@@ -161,9 +174,14 @@ where
             None => store.fetch(&addr).touches(),
         };
         for next in touched {
-            if !seen.contains(&next) {
-                frontier.push(next);
+            if seen.contains(&next) {
+                continue;
             }
+            seen.insert(next.clone());
+            if stop(&next) {
+                return (seen, true);
+            }
+            frontier.push(next);
         }
     }
     (seen, false)
@@ -267,20 +285,23 @@ mod tests {
         );
     }
 
+    /// `reachable_unless_found` from `roots` to `targets`, without the
+    /// visit count.
+    fn search(store: &BasicStore<u8, Ptrs>, roots: &[u8], targets: &[u8]) -> Option<BTreeSet<u8>> {
+        let roots = roots.iter().copied().collect();
+        reachable_unless_found(roots, store, &targets.iter().copied().collect(), &mut 0)
+    }
+
     #[test]
     fn the_search_stops_once_every_target_is_found() {
         let store = store_from(&[(1, &[2]), (2, &[3]), (3, &[]), (4, &[1])]);
-        let roots: BTreeSet<u8> = [1u8].into_iter().collect();
-        let search = |targets: &[u8]| {
-            reachable_unless_found(roots.clone(), &store, &targets.iter().copied().collect())
-        };
-        assert_eq!(search(&[]), None);
-        assert_eq!(search(&[1]), None);
-        assert_eq!(search(&[3, 2]), None);
+        assert_eq!(search(&store, &[1], &[]), None);
+        assert_eq!(search(&store, &[1], &[1]), None);
+        assert_eq!(search(&store, &[1], &[3, 2]), None);
         // One target out of reach: the whole closure, as `reachable` has it.
-        let closure = reachable(roots.clone(), &store);
-        assert_eq!(search(&[2, 4]), Some(closure.clone()));
-        assert_eq!(search(&[9]), Some(closure));
+        let closure = reachable([1u8].into_iter().collect(), &store);
+        assert_eq!(search(&store, &[1], &[2, 4]), Some(closure.clone()));
+        assert_eq!(search(&store, &[1], &[9]), Some(closure));
     }
 
     #[test]
@@ -288,12 +309,73 @@ mod tests {
         // 1 → 2 → 3: finding 2 fetches the binding of 1 and no other.
         let mut store = store_from(&[(1, &[2]), (2, &[3]), (3, &[])]);
         let journal = crate::store::StoreDelta::arm_read_journal(&mut store);
-        let targets: BTreeSet<u8> = [2u8].into_iter().collect();
+        assert_eq!(search(&store, &[1], &[2]), None);
+        assert_eq!(journal.take(), vec![1]);
+    }
+
+    #[test]
+    fn a_target_that_is_a_root_fetches_nothing() {
+        // The target is tested when it is discovered, and roots are
+        // discovered before any binding is fetched.
+        let mut store = store_from(&[(1, &[2]), (2, &[3]), (3, &[]), (5, &[1])]);
+        let journal = crate::store::StoreDelta::arm_read_journal(&mut store);
+        let mut visited = 0;
+        let roots: BTreeSet<u8> = [1u8, 5].into_iter().collect();
+        let targets: BTreeSet<u8> = [5u8].into_iter().collect();
         assert_eq!(
-            reachable_unless_found([1u8].into_iter().collect(), &store, &targets),
+            reachable_unless_found(roots, &store, &targets, &mut visited),
             None
         );
-        assert_eq!(journal.take(), vec![1]);
+        assert_eq!(journal.take(), Vec::<u8>::new());
+        assert_eq!(visited, 2);
+    }
+
+    #[test]
+    fn the_search_counts_the_addresses_it_discovers() {
+        // A chain 1 → 2 → … → 9: a target next to the root costs two
+        // addresses, however long the chain behind it is; a target out of
+        // reach costs the whole closure.
+        let edges: Vec<(u8, Vec<u8>)> = (1u8..10).map(|a| (a, vec![a + 1])).collect();
+        let store = edges.iter().fold(BasicStore::new(), |s, (a, next)| {
+            s.bind(*a, [Ptrs(next.clone())].into_iter().collect())
+        });
+        let count = |targets: &[u8]| {
+            let mut visited = 0;
+            let targets = targets.iter().copied().collect();
+            reachable_unless_found([1u8].into_iter().collect(), &store, &targets, &mut visited);
+            visited
+        };
+        assert_eq!(count(&[2]), 2);
+        assert_eq!(count(&[1]), 1);
+        assert_eq!(count(&[42]), 10);
+        assert_eq!(count(&[]), 0);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_search_agrees_with_the_closure(
+            edges in proptest::collection::vec((0u8..12, 0u8..12), 0..30),
+            roots in proptest::collection::btree_set(0u8..12, 0..4),
+            targets in proptest::collection::btree_set(0u8..14, 0..4),
+        ) {
+            let mut adjacency: std::collections::BTreeMap<u8, Vec<u8>> = Default::default();
+            for (from, to) in &edges {
+                adjacency.entry(*from).or_default().push(*to);
+            }
+            let store = adjacency.iter().fold(BasicStore::new(), |s, (a, next)| {
+                s.bind(*a, [Ptrs(next.clone())].into_iter().collect())
+            });
+            let closure = reachable(roots.clone(), &store);
+            let mut visited = 0;
+            let found = reachable_unless_found(roots.clone(), &store, &targets, &mut visited);
+            if targets.is_subset(&closure) {
+                proptest::prop_assert_eq!(found, None);
+                proptest::prop_assert!(visited <= closure.len());
+            } else {
+                proptest::prop_assert_eq!(found, Some(closure.clone()));
+                proptest::prop_assert_eq!(visited, closure.len());
+            }
+        }
     }
 
     #[test]

@@ -47,7 +47,7 @@ impl CpsConverter {
                 let label = self.labels.fresh();
                 CExp::call(label, k, vec![AExp::Ref(x.clone())])
             }
-            Term::Lam { param, body } => {
+            Term::Lam { param, body, .. } => {
                 let kv = self.fresh("k");
                 let body_cps = self.convert(body, AExp::Ref(kv.clone()));
                 let label = self.labels.fresh();

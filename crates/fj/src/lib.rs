@@ -48,6 +48,8 @@ pub use analysis::{
 };
 pub use concrete::{run, run_with_limit, Outcome};
 pub use direct::mnext_direct;
-pub use machine::{mnext, Control, Env, FjInterface, Kont, KontKind, Obj, PState, Storable};
-pub use syntax::{ClassDecl, ClassTable, Expr, ExprBuilder, MethodDecl, Program};
+pub use machine::{
+    mnext, Control, Env, FjInterface, Kont, KontKind, Obj, PState, PendingArgs, Storable,
+};
+pub use syntax::{ClassDecl, ClassTable, Expr, ExprBuilder, FreeVarTable, MethodDecl, Program};
 pub use typecheck::{check_program, type_of, TypeEnv, TypeError};

@@ -7,8 +7,10 @@
 //! semantic interface [`FjInterface`] so that the monad (and with it every
 //! analysis parameter) stays exchangeable.
 
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use mai_core::addr::Address;
@@ -18,7 +20,9 @@ use mai_core::gc::Touches;
 use mai_core::monad::StepMonad;
 use mai_core::name::{Label, Name};
 
-use crate::syntax::{this_var, ClassName, ClassTable, Expr, FieldName, MethodName, VarName};
+use crate::syntax::{
+    this_var, ClassName, ClassTable, Expr, FieldName, FreeVarTable, MethodBody, MethodName, VarName,
+};
 
 /// An environment: variable → address, shared copy-on-write — cloning an
 /// environment into a frame or successor state is a reference-count bump,
@@ -50,6 +54,84 @@ impl<A: Address> Touches<A> for Obj<A> {
     }
 }
 
+/// The argument expressions a frame has still to evaluate: the whole
+/// argument list of its call or construction, shared with the program, the
+/// position of the next one, and the [`FreeVarTable`] of the body they
+/// belong to.
+///
+/// It compares, orders and hashes as the slice of arguments still to come
+/// (the table is not part of the value), so a frame orders and hashes as
+/// it did when it held a copy of that slice; two handles on the same
+/// position of the same list compare `Equal` without a walk.
+#[derive(Clone, Default)]
+pub struct PendingArgs {
+    args: Arc<[Expr]>,
+    next: usize,
+    free: FreeVarTable,
+}
+
+impl PendingArgs {
+    /// Every argument of `args` still to come, from the body whose table is
+    /// `free`.
+    pub fn new(args: Arc<[Expr]>, free: FreeVarTable) -> Self {
+        PendingArgs {
+            args,
+            next: 0,
+            free,
+        }
+    }
+
+    /// The arguments still to be evaluated.
+    pub fn remaining(&self) -> &[Expr] {
+        &self.args[self.next..]
+    }
+
+    /// The next argument, as a control to evaluate, and the arguments
+    /// after it; `None` when none remain.
+    fn split_first<A>(&self) -> Option<(Control<A>, PendingArgs)> {
+        let first = self.args.get(self.next)?;
+        let rest = PendingArgs {
+            next: self.next + 1,
+            ..self.clone()
+        };
+        Some((
+            Control::Eval(Arc::new(first.clone()), self.free.clone()),
+            rest,
+        ))
+    }
+}
+
+impl PartialEq for PendingArgs {
+    fn eq(&self, other: &Self) -> bool {
+        (Arc::ptr_eq(&self.args, &other.args) && self.next == other.next)
+            || self.remaining() == other.remaining()
+    }
+}
+
+impl Eq for PendingArgs {}
+
+impl PartialOrd for PendingArgs {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for PendingArgs {
+    fn cmp(&self, other: &Self) -> Ordering {
+        if Arc::ptr_eq(&self.args, &other.args) && self.next == other.next {
+            Ordering::Equal
+        } else {
+            self.remaining().cmp(other.remaining())
+        }
+    }
+}
+
+impl Hash for PendingArgs {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.remaining().hash(state);
+    }
+}
+
 /// A continuation frame.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Kont<A> {
@@ -69,7 +151,7 @@ pub enum Kont<A> {
         /// The invoked method.
         method: MethodName,
         /// The argument expressions, still to be evaluated.
-        args: Vec<Expr>,
+        args: PendingArgs,
         /// The environment the arguments are evaluated in.
         env: Env<A>,
         /// The rest of the continuation.
@@ -86,7 +168,7 @@ pub enum Kont<A> {
         /// The evaluated arguments so far.
         done: Vec<Obj<A>>,
         /// The argument expressions still to be evaluated.
-        rest: Vec<Expr>,
+        rest: PendingArgs,
         /// The environment the arguments are evaluated in.
         env: Env<A>,
         /// The rest of the continuation.
@@ -101,7 +183,7 @@ pub enum Kont<A> {
         /// The evaluated arguments so far.
         done: Vec<Obj<A>>,
         /// The argument expressions still to be evaluated.
-        rest: Vec<Expr>,
+        rest: PendingArgs,
         /// The environment the arguments are evaluated in.
         env: Env<A>,
         /// The rest of the continuation.
@@ -222,8 +304,9 @@ impl<A: Address> Touches<A> for Storable<A> {
 /// The control component of an FJ machine state.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Control<A> {
-    /// Evaluating an expression.
-    Eval(Arc<Expr>),
+    /// Evaluating an expression, with the [`FreeVarTable`] of the body it
+    /// belongs to (which takes no part in equality, order or hashing).
+    Eval(Arc<Expr>, FreeVarTable),
     /// Returning an object to the continuation.
     Value(Obj<A>),
     /// The machine has halted with this object.
@@ -236,7 +319,7 @@ pub enum Control<A> {
 impl<A: fmt::Debug> fmt::Debug for Control<A> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Control::Eval(e) => write!(f, "eval {}", e),
+            Control::Eval(e, _) => write!(f, "eval {}", e),
             Control::Value(v) => write!(f, "value {:?}", v),
             Control::Halted(v) => write!(f, "halted {:?}", v),
             Control::Stuck(why) => write!(f, "stuck: {}", why),
@@ -256,10 +339,12 @@ pub struct PState<A> {
 }
 
 impl<A> PState<A> {
-    /// The initial state of a program's `main` expression.
+    /// The initial state of a program's `main` expression.  Builds the
+    /// free-variable table of `main` (once per program).
     pub fn inject(main: Expr) -> Self {
+        let free = FreeVarTable::of(&main);
         PState {
-            control: Control::Eval(Arc::new(main)),
+            control: Control::Eval(Arc::new(main), free),
             env: Env::new(),
             kont: None,
         }
@@ -304,8 +389,8 @@ impl<A: fmt::Debug> fmt::Debug for PState<A> {
 impl<A: Address> Touches<A> for PState<A> {
     fn touches(&self) -> BTreeSet<A> {
         let mut out: BTreeSet<A> = match &self.control {
-            Control::Eval(e) => e
-                .free_vars()
+            Control::Eval(e, free) => free
+                .free_vars(e)
                 .iter()
                 .filter_map(|v| self.env.get(v).cloned())
                 .collect(),
@@ -323,7 +408,11 @@ impl<A: Address> Touches<A> for PState<A> {
 /// [`with_state_gc`](mai_core::engine::with_state_gc)) and the structural
 /// baseline engine can close them over the store.  The id-indexed engines
 /// take a step's read set from the store's read journal instead; under GC
-/// they search from these roots only until a branch's writes are found.
+/// they search from these roots only until they have discovered a branch's
+/// writes.
+/// The free variables behind an evaluating state's roots come from its
+/// body's [`FreeVarTable`], so computing the roots costs the roots, not a
+/// walk of the rest of the program.
 impl<A: Address> StateRoots for PState<A> {
     type Addr = A;
 
@@ -427,19 +516,20 @@ where
     A: Address,
 {
     match ps.control {
-        Control::Eval(expr) => step_eval::<M, A>(table, &expr, ps.env, ps.kont, cx),
+        Control::Eval(expr, free) => step_eval::<M, A>(table, &expr, free, ps.env, ps.kont, cx),
         Control::Value(value) => step_value::<M, A>(table, value, ps.kont, cx),
         Control::Halted(_) | Control::Stuck(_) => M::pure(ps, cx),
     }
 }
 
-/// Allocates a frame of `kind` at `site`, stores it, and continues by
-/// evaluating `next_control` under `env` with the frame as continuation.
+/// Allocates a frame of `kind` at `site`, stores it, and continues with
+/// `control` (evaluating an expression) under `env`, with the frame as
+/// continuation.
 fn push_frame_and_eval<M, A>(
     site: Label,
     kind: KontKind,
     frame: Kont<A>,
-    next_control: Arc<Expr>,
+    control: Control<A>,
     env: Env<A>,
     cx: M::Cx,
 ) -> M::M<PState<A>>
@@ -449,7 +539,7 @@ where
 {
     M::bind(M::alloc_kont(site, kind, cx), move |addr, cx| {
         let next = PState {
-            control: Control::Eval(next_control.clone()),
+            control: control.clone(),
             env: env.clone(),
             kont: Some(addr.clone()),
         };
@@ -457,9 +547,12 @@ where
     })
 }
 
+/// Steps the evaluation of `expr`, a subexpression of the body whose
+/// free-variable table is `free`.
 fn step_eval<M, A>(
     table: &ClassTable,
     expr: &Expr,
+    free: FreeVarTable,
     env: Env<A>,
     kont: KontRef<A>,
     cx: M::Cx,
@@ -497,7 +590,7 @@ where
                 field: field.clone(),
                 next: kont,
             },
-            object.clone(),
+            Control::Eval(object.clone(), free),
             env,
             cx,
         ),
@@ -512,11 +605,11 @@ where
             Kont::CallRcvK {
                 site: *label,
                 method: method.clone(),
-                args: args.clone(),
+                args: PendingArgs::new(args.clone(), free.clone()),
                 env: env.clone(),
                 next: kont,
             },
-            object.clone(),
+            Control::Eval(object.clone(), free),
             env,
             cx,
         ),
@@ -524,7 +617,7 @@ where
             if table.fields(class).is_err() {
                 return M::pure(stuck(format!("new of unknown class {class}")), cx);
             }
-            match args.split_first() {
+            match PendingArgs::new(args.clone(), free).split_first() {
                 None => construct::<M, A>(table, *label, class.clone(), Vec::new(), kont, cx),
                 Some((first, rest)) => push_frame_and_eval::<M, A>(
                     *label,
@@ -533,11 +626,11 @@ where
                         site: *label,
                         class: class.clone(),
                         done: Vec::new(),
-                        rest: rest.to_vec(),
+                        rest,
                         env: env.clone(),
                         next: kont,
                     },
-                    Arc::new(first.clone()),
+                    first,
                     env,
                     cx,
                 ),
@@ -555,7 +648,7 @@ where
                 class: class.clone(),
                 next: kont,
             },
-            object.clone(),
+            Control::Eval(object.clone(), free),
             env,
             cx,
         ),
@@ -642,7 +735,7 @@ where
     M: FjInterface<A>,
     A: Address,
 {
-    let (_, decl) = match table.mbody(method, &receiver.class) {
+    let (_, decl, body) = match table.method(method, &receiver.class) {
         Ok(found) => found,
         Err(e) => return M::pure(stuck(e.to_string()), cx),
     };
@@ -658,10 +751,10 @@ where
         .chain(decl.params.iter().map(|(_, n)| n.clone()))
         .collect();
     let values: Vec<Obj<A>> = std::iter::once(receiver).chain(args).collect();
-    let body = Arc::new(decl.body.clone());
+    let MethodBody { expr, free } = body.clone();
     let params = names.clone();
     bind_all::<M, A, _>(site, names, values, cx, move |addrs| PState {
-        control: Control::Eval(body.clone()),
+        control: Control::Eval(expr.clone(), free.clone()),
         env: params.iter().cloned().zip(addrs.iter().cloned()).collect(),
         kont: kont.clone(),
     })
@@ -730,11 +823,11 @@ where
                         method,
                         receiver: value,
                         done: Vec::new(),
-                        rest: rest.to_vec(),
+                        rest,
                         env: env.clone(),
                         next,
                     },
-                    Arc::new(first.clone()),
+                    first,
                     env,
                     cx,
                 ),
@@ -751,7 +844,7 @@ where
                 done.push(value);
                 match rest.split_first() {
                     None => invoke::<M, A>(&table, site, &method, receiver, done, next, cx),
-                    Some((first, remaining)) => push_frame_and_eval::<M, A>(
+                    Some((first, rest)) => push_frame_and_eval::<M, A>(
                         site,
                         KontKind::Args,
                         Kont::CallArgsK {
@@ -759,11 +852,11 @@ where
                             method,
                             receiver,
                             done,
-                            rest: remaining.to_vec(),
+                            rest,
                             env: env.clone(),
                             next,
                         },
-                        Arc::new(first.clone()),
+                        first,
                         env,
                         cx,
                     ),
@@ -780,18 +873,18 @@ where
                 done.push(value);
                 match rest.split_first() {
                     None => construct::<M, A>(&table, site, class, done, next, cx),
-                    Some((first, remaining)) => push_frame_and_eval::<M, A>(
+                    Some((first, rest)) => push_frame_and_eval::<M, A>(
                         site,
                         KontKind::New,
                         Kont::NewK {
                             site,
                             class,
                             done,
-                            rest: remaining.to_vec(),
+                            rest,
                             env: env.clone(),
                             next,
                         },
-                        Arc::new(first.clone()),
+                        first,
                         env,
                         cx,
                     ),
@@ -847,7 +940,7 @@ mod tests {
                 class: Name::from("A"),
                 fields: vec![7],
             }],
-            rest: vec![],
+            rest: PendingArgs::default(),
             env: [(Name::from("x"), 9u32)].into_iter().collect(),
             next: Some(11),
         };
@@ -872,6 +965,69 @@ mod tests {
         let stuck_state: PState<u32> = stuck("why");
         assert!(stuck_state.touches().is_empty());
         assert!(stuck_state.is_stuck());
+    }
+
+    /// States order and hash by their expressions: a control evaluating an
+    /// expression orders as the expression, whichever free-variable table
+    /// it carries, and a frame's pending arguments order and hash as the
+    /// slice of arguments still to come.  Two builds of the corpus share
+    /// no allocation, so the walk decides between them.
+    #[test]
+    fn controls_and_frames_order_and_hash_as_their_expressions() {
+        use crate::syntax::tests::{bodies, subexpressions};
+        use mai_core::hash::fx_hash_of;
+        let programs: Vec<crate::Program> = [
+            crate::programs::standard_corpus(),
+            crate::programs::standard_corpus(),
+        ]
+        .concat()
+        .into_iter()
+        .map(|(_, program)| program)
+        .collect();
+        let bodies: Vec<Expr> = programs.iter().flat_map(bodies).collect();
+        let mut exprs = Vec::new();
+        for body in &bodies {
+            subexpressions(body, &mut exprs);
+        }
+        let tables = [FreeVarTable::default(), FreeVarTable::of(&bodies[0])];
+        let controls: Vec<Control<u32>> = exprs
+            .iter()
+            .enumerate()
+            .map(|(i, e)| Control::Eval(Arc::new((*e).clone()), tables[i % 2].clone()))
+            .collect();
+        for (a, ca) in exprs.iter().zip(&controls) {
+            for (b, cb) in exprs.iter().zip(&controls) {
+                assert_eq!(ca.cmp(cb), a.cmp(b), "{a} vs {b}");
+                assert_eq!(ca == cb, a == b, "{a} vs {b}");
+                if a == b {
+                    assert_eq!(fx_hash_of(ca), fx_hash_of(cb), "{a}");
+                }
+            }
+        }
+        let pending: Vec<PendingArgs> = exprs
+            .iter()
+            .filter_map(|e| match e {
+                Expr::MethodCall { args, .. } | Expr::New { args, .. } => Some(args.clone()),
+                _ => None,
+            })
+            .flat_map(|args| {
+                let mut at = PendingArgs::new(args, FreeVarTable::default());
+                let mut all = vec![at.clone()];
+                while let Some((_, rest)) = at.split_first::<u32>() {
+                    all.push(rest.clone());
+                    at = rest;
+                }
+                all
+            })
+            .collect();
+        assert!(pending.len() > 20);
+        for a in &pending {
+            assert_eq!(fx_hash_of(a), fx_hash_of(&a.remaining().to_vec()));
+            for b in &pending {
+                assert_eq!(a.cmp(b), a.remaining().cmp(b.remaining()));
+                assert_eq!(a == b, a.remaining() == b.remaining());
+            }
+        }
     }
 
     #[test]

@@ -8,11 +8,13 @@
 //! calls, constructions, field accesses, casts) carries a [`Label`] so the
 //! language-independent context machinery applies unchanged.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
+use mai_core::hash::FxHashMap;
 use mai_core::name::{Label, LabelSupply, Name};
 
 /// A class name.
@@ -62,8 +64,9 @@ pub enum Expr {
         object: Arc<Expr>,
         /// The invoked method.
         method: MethodName,
-        /// The argument expressions.
-        args: Vec<Expr>,
+        /// The argument expressions, shared: a clone of the call, and a
+        /// machine frame waiting on its arguments, hold the same slice.
+        args: Arc<[Expr]>,
     },
     /// An object construction `new C(ē)`.
     New {
@@ -72,8 +75,8 @@ pub enum Expr {
         /// The constructed class.
         class: ClassName,
         /// The constructor arguments, one per field of `C` (inherited
-        /// fields first).
-        args: Vec<Expr>,
+        /// fields first), shared like a call's.
+        args: Arc<[Expr]>,
     },
     /// A cast `(C) e`.
     Cast {
@@ -117,16 +120,7 @@ impl Expr {
     pub fn free_vars(&self) -> BTreeSet<VarName> {
         match self {
             Expr::Var(v) => [v.clone()].into_iter().collect(),
-            Expr::FieldAccess { object, .. } => object.free_vars(),
-            Expr::MethodCall { object, args, .. } => {
-                let mut out = object.free_vars();
-                for a in args {
-                    out.extend(a.free_vars());
-                }
-                out
-            }
-            Expr::New { args, .. } => args.iter().flat_map(Expr::free_vars).collect(),
-            Expr::Cast { object, .. } => object.free_vars(),
+            _ => self.children().flat_map(Expr::free_vars).collect(),
         }
     }
 
@@ -138,48 +132,37 @@ impl Expr {
     }
 
     fn collect_labels(&self, out: &mut BTreeSet<Label>) {
-        match self {
-            Expr::Var(_) => {}
-            Expr::FieldAccess { label, object, .. } => {
-                out.insert(*label);
-                object.collect_labels(out);
-            }
-            Expr::MethodCall {
-                label,
-                object,
-                args,
-                ..
-            } => {
-                out.insert(*label);
-                object.collect_labels(out);
-                for a in args {
-                    a.collect_labels(out);
-                }
-            }
-            Expr::New { label, args, .. } => {
-                out.insert(*label);
-                for a in args {
-                    a.collect_labels(out);
-                }
-            }
-            Expr::Cast { label, object, .. } => {
-                out.insert(*label);
-                object.collect_labels(out);
-            }
+        out.extend(self.label());
+        for child in self.children() {
+            child.collect_labels(out);
         }
+    }
+
+    /// The label of a compound expression; `None` for a variable.
+    fn label(&self) -> Option<Label> {
+        match self {
+            Expr::Var(_) => None,
+            Expr::FieldAccess { label, .. }
+            | Expr::MethodCall { label, .. }
+            | Expr::New { label, .. }
+            | Expr::Cast { label, .. } => Some(*label),
+        }
+    }
+
+    /// The immediate subexpressions, receiver first.
+    fn children(&self) -> impl Iterator<Item = &Expr> {
+        let (object, args): (Option<&Expr>, &[Expr]) = match self {
+            Expr::Var(_) => (None, &[]),
+            Expr::FieldAccess { object, .. } | Expr::Cast { object, .. } => (Some(object), &[]),
+            Expr::MethodCall { object, args, .. } => (Some(object), args),
+            Expr::New { args, .. } => (None, args),
+        };
+        object.into_iter().chain(args)
     }
 
     /// The number of AST nodes.
     pub fn size(&self) -> usize {
-        match self {
-            Expr::Var(_) => 1,
-            Expr::FieldAccess { object, .. } => 1 + object.size(),
-            Expr::MethodCall { object, args, .. } => {
-                1 + object.size() + args.iter().map(Expr::size).sum::<usize>()
-            }
-            Expr::New { args, .. } => 1 + args.iter().map(Expr::size).sum::<usize>(),
-            Expr::Cast { object, .. } => 1 + object.size(),
-        }
+        1 + self.children().map(Expr::size).sum::<usize>()
     }
 }
 
@@ -221,6 +204,99 @@ impl fmt::Display for Expr {
             }
             Expr::Cast { class, object, .. } => write!(f, "(({}) {})", class, object),
         }
+    }
+}
+
+/// The free variables of every compound subexpression of one body of
+/// code — a program's `main` or a method body — keyed by label.
+///
+/// FJ expressions bind no variables, so a variable is its own free
+/// variable and every other expression's are its children's.  The table is
+/// built once per body, bottom-up and without recursion, so a machine step
+/// reads a state's roots from it instead of walking the rest of the
+/// program (the machine's `Touches for PState`).  Each machine state that
+/// evaluates an expression carries a handle to its body's table.
+///
+/// A handle is not part of the value it rides in: any two tables compare
+/// equal and hash to nothing, so states order and hash by their
+/// expressions alone.  An expression the table does not know — a label it
+/// never saw, or one that labels two subexpressions with different free
+/// variables — is walked, as [`Expr::free_vars`] walks it.
+#[derive(Clone, Default)]
+pub struct FreeVarTable(Arc<FxHashMap<Label, Option<BTreeSet<VarName>>>>);
+
+impl FreeVarTable {
+    /// The table of `body` and all of its subexpressions.
+    pub fn of(body: &Expr) -> Self {
+        let mut table: FxHashMap<Label, Option<BTreeSet<VarName>>> = FxHashMap::default();
+        // Post-order on an explicit stack: a node is entered once with its
+        // children still to do and finished once they are all in the table.
+        let mut stack: Vec<(&Expr, bool)> = vec![(body, false)];
+        while let Some((expr, finished)) = stack.pop() {
+            let Some(label) = expr.label() else { continue };
+            if !finished {
+                stack.push((expr, true));
+                stack.extend(expr.children().map(|child| (child, false)));
+                continue;
+            }
+            let mut free = BTreeSet::new();
+            for child in expr.children() {
+                match child.label().map(|l| table.get(&l)) {
+                    None => free.extend(child.free_vars()),
+                    Some(Some(Some(set))) => free.extend(set.iter().cloned()),
+                    Some(_) => free.extend(child.free_vars()),
+                }
+            }
+            match table.get_mut(&label) {
+                None => {
+                    table.insert(label, Some(free));
+                }
+                Some(known) => {
+                    if known.as_ref() != Some(&free) {
+                        *known = None;
+                    }
+                }
+            }
+        }
+        FreeVarTable(Arc::new(table))
+    }
+
+    /// The free variables of `expr`, from the table where it knows them.
+    pub fn free_vars<'a>(&'a self, expr: &Expr) -> Cow<'a, BTreeSet<VarName>> {
+        match expr.label().and_then(|label| self.0.get(&label)) {
+            Some(Some(free)) => Cow::Borrowed(free),
+            _ => Cow::Owned(expr.free_vars()),
+        }
+    }
+}
+
+impl PartialEq for FreeVarTable {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for FreeVarTable {}
+
+impl PartialOrd for FreeVarTable {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for FreeVarTable {
+    fn cmp(&self, _: &Self) -> std::cmp::Ordering {
+        std::cmp::Ordering::Equal
+    }
+}
+
+impl Hash for FreeVarTable {
+    fn hash<H: Hasher>(&self, _: &mut H) {}
+}
+
+impl fmt::Debug for FreeVarTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "FreeVarTable({} labels)", self.0.len())
     }
 }
 
@@ -286,11 +362,33 @@ impl std::error::Error for TableError {}
 
 /// A class table: the collection of class declarations a program runs
 /// against, with the usual Featherweight Java lookup functions.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Clone, PartialEq, Eq, Default)]
 pub struct ClassTable {
     /// Shared, so that cloning a table into a transition's continuation is
     /// a reference-count bump.
     classes: Arc<BTreeMap<ClassName, ClassDecl>>,
+    /// Every method body as the machine evaluates it, by defining class
+    /// and method name: behind an `Arc`, with its [`FreeVarTable`], both
+    /// built once with the table.
+    bodies: Arc<BTreeMap<(ClassName, MethodName), MethodBody>>,
+}
+
+/// A method body as the machine evaluates it: the expression behind an
+/// `Arc` and its [`FreeVarTable`].
+#[derive(Clone, PartialEq, Eq)]
+pub(crate) struct MethodBody {
+    /// The body expression.
+    pub(crate) expr: Arc<Expr>,
+    /// The free variables of its subexpressions.
+    pub(crate) free: FreeVarTable,
+}
+
+impl fmt::Debug for ClassTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ClassTable")
+            .field("classes", &self.classes)
+            .finish_non_exhaustive()
+    }
 }
 
 impl ClassTable {
@@ -298,9 +396,18 @@ impl ClassTable {
     /// declarations of `Object`.
     pub fn new(decls: Vec<ClassDecl>) -> Result<Self, TableError> {
         let mut classes = BTreeMap::new();
+        let mut bodies = BTreeMap::new();
         for decl in decls {
             if decl.name == object_class() {
                 return Err(TableError::DuplicateClass(decl.name));
+            }
+            // The first declaration of a name is the one `method` finds.
+            for m in &decl.methods {
+                let key = (decl.name.clone(), m.name.clone());
+                bodies.entry(key).or_insert_with(|| MethodBody {
+                    free: FreeVarTable::of(&m.body),
+                    expr: Arc::new(m.body.clone()),
+                });
             }
             if classes.insert(decl.name.clone(), decl.clone()).is_some() {
                 return Err(TableError::DuplicateClass(decl.name));
@@ -308,6 +415,7 @@ impl ClassTable {
         }
         Ok(ClassTable {
             classes: Arc::new(classes),
+            bodies: Arc::new(bodies),
         })
     }
 
@@ -382,10 +490,22 @@ impl ClassTable {
         method: &MethodName,
         class: &ClassName,
     ) -> Result<(ClassName, MethodDecl), TableError> {
+        let (owner, decl, _) = self.method(method, class)?;
+        Ok((owner.clone(), decl.clone()))
+    }
+
+    /// *mbody(m, C)* borrowed from the table: the defining class, the
+    /// declaration, and the body as the machine evaluates it.
+    pub(crate) fn method(
+        &self,
+        method: &MethodName,
+        class: &ClassName,
+    ) -> Result<(&ClassName, &MethodDecl, &MethodBody), TableError> {
         for ancestor in self.ancestry(class)? {
-            if let Some(decl) = self.classes.get(&ancestor) {
+            if let Some((owner, decl)) = self.classes.get_key_value(&ancestor) {
                 if let Some(m) = decl.methods.iter().find(|m| &m.name == method) {
-                    return Ok((ancestor, m.clone()));
+                    let body = &self.bodies[&(owner.clone(), method.clone())];
+                    return Ok((owner, m, body));
                 }
             }
         }
@@ -446,7 +566,7 @@ impl ExprBuilder {
             label: self.labels.fresh(),
             object: Arc::new(object),
             method: Name::from(method),
-            args,
+            args: args.into(),
         }
     }
 
@@ -455,7 +575,7 @@ impl ExprBuilder {
         Expr::New {
             label: self.labels.fresh(),
             class: Name::from(class),
-            args,
+            args: args.into(),
         }
     }
 
@@ -501,7 +621,7 @@ pub fn class(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn pair_table() -> ClassTable {
@@ -604,6 +724,77 @@ mod tests {
         assert!(e.size() >= 4);
         let cast = b.cast("A", Expr::var("z"));
         assert_eq!(cast.to_string(), "((A) z)");
+    }
+
+    /// Every subexpression of `expr`, itself first.
+    pub(crate) fn subexpressions<'a>(expr: &'a Expr, out: &mut Vec<&'a Expr>) {
+        out.push(expr);
+        for child in expr.children() {
+            subexpressions(child, out);
+        }
+    }
+
+    /// Every body of a program: `main`, then each method body.
+    pub(crate) fn bodies(program: &Program) -> Vec<Expr> {
+        let methods = program
+            .table
+            .classes()
+            .flat_map(|c| c.methods.iter().map(|m| m.body.clone()));
+        std::iter::once(program.main.clone())
+            .chain(methods)
+            .collect()
+    }
+
+    #[test]
+    fn free_variable_tables_equal_the_walk_on_every_subexpression() {
+        let mut programs: Vec<Program> = crate::programs::standard_corpus()
+            .into_iter()
+            .map(|(_, program)| program)
+            .collect();
+        programs.push(crate::programs::nested_cells(50));
+        for program in &programs {
+            for body in bodies(program) {
+                let table = FreeVarTable::of(&body);
+                let mut exprs = Vec::new();
+                subexpressions(&body, &mut exprs);
+                for expr in exprs {
+                    assert_eq!(*table.free_vars(expr), expr.free_vars(), "{expr}");
+                    if expr.label().is_some() {
+                        assert!(matches!(table.free_vars(expr), Cow::Borrowed(_)), "{expr}");
+                    }
+                }
+            }
+            // The class table holds each method body with its table.
+            for class in program.table.classes() {
+                for m in &class.methods {
+                    let (_, decl, body) = program.table.method(&m.name, &class.name).unwrap();
+                    assert_eq!(decl, m);
+                    assert_eq!(*body.expr, m.body);
+                    assert_eq!(*body.free.free_vars(&m.body), m.body.free_vars());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_label_shared_by_different_subexpressions_is_walked() {
+        let label = Label::new(7);
+        let call = |object: &str, arg: &str| Expr::MethodCall {
+            label,
+            object: Arc::new(Expr::var(object)),
+            method: Name::from("m"),
+            args: vec![Expr::var(arg)].into(),
+        };
+        let (first, second) = (call("a", "b"), call("c", "d"));
+        let mut b = ExprBuilder::new();
+        let body = b.new_object("P", vec![first.clone(), second.clone()]);
+        let table = FreeVarTable::of(&body);
+        for expr in [&first, &second, &body] {
+            assert_eq!(*table.free_vars(expr), expr.free_vars(), "{expr}");
+        }
+        assert!(matches!(table.free_vars(&first), Cow::Owned(_)));
+        // An empty table walks every expression.
+        assert_eq!(*FreeVarTable::default().free_vars(&body), body.free_vars());
     }
 
     /// Counts the writes a hash makes, whatever their width.

@@ -48,13 +48,19 @@ impl<A: fmt::Debug> fmt::Debug for Closure<A> {
     }
 }
 
+/// The addresses `env` maps the free variables of `term` to, leaving out
+/// `bound`; the free variables come from the term's cache
+/// ([`Term::cached_free_vars`]), not a walk of the term.
+fn free_addrs<A: Address>(term: &Term, bound: Option<&Var>, env: &Env<A>) -> BTreeSet<A> {
+    term.cached_free_vars()
+        .filter(|v| Some(*v) != bound)
+        .filter_map(|v| env.get(v).cloned())
+        .collect()
+}
+
 impl<A: Address> Touches<A> for Closure<A> {
     fn touches(&self) -> BTreeSet<A> {
-        let mut free = self.body.free_vars();
-        free.remove(&self.param);
-        free.iter()
-            .filter_map(|v| self.env.get(v).cloned())
-            .collect()
+        free_addrs(&self.body, Some(&self.param), &self.env)
     }
 }
 
@@ -110,11 +116,7 @@ impl<A: Address> Touches<A> for Kont<A> {
     fn touches(&self) -> BTreeSet<A> {
         match self {
             Kont::Ar { arg, env, next, .. } => {
-                let mut out: BTreeSet<A> = arg
-                    .free_vars()
-                    .iter()
-                    .filter_map(|v| env.get(v).cloned())
-                    .collect();
+                let mut out = free_addrs(arg, None, env);
                 out.extend(next.clone());
                 out
             }
@@ -130,10 +132,7 @@ impl<A: Address> Touches<A> for Kont<A> {
                 next,
                 ..
             } => {
-                let mut free = body.free_vars();
-                free.remove(name);
-                let mut out: BTreeSet<A> =
-                    free.iter().filter_map(|v| env.get(v).cloned()).collect();
+                let mut out = free_addrs(body, Some(name), env);
                 out.extend(next.clone());
                 out
             }
@@ -275,11 +274,7 @@ impl<A: fmt::Debug> fmt::Debug for PState<A> {
 impl<A: Address> Touches<A> for PState<A> {
     fn touches(&self) -> BTreeSet<A> {
         let mut out: BTreeSet<A> = match &self.control {
-            Control::Eval(t) => t
-                .free_vars()
-                .iter()
-                .filter_map(|v| self.env.get(v).cloned())
-                .collect(),
+            Control::Eval(t) => free_addrs(t, None, &self.env),
             Control::Value(v) | Control::Halted(v) => v.touches(),
             Control::Error(_) => BTreeSet::new(),
         };
@@ -294,7 +289,11 @@ impl<A: Address> Touches<A> for PState<A> {
 /// [`with_state_gc`](mai_core::engine::with_state_gc)) and the structural
 /// baseline engine can close them over the store.  The id-indexed engines
 /// take a step's read set from the store's read journal instead; under GC
-/// they search from these roots only until a branch's writes are found.
+/// they search from these roots only until they have discovered a branch's
+/// writes.
+/// The free variables behind the roots come from the terms' caches
+/// ([`Term::cached_free_vars`]), so computing the roots costs the roots,
+/// not a walk of the rest of the program.
 impl<A: Address> StateRoots for PState<A> {
     type Addr = A;
 
@@ -471,7 +470,7 @@ where
                 cx,
             )
         }),
-        Term::Lam { param, body } => M::pure(
+        Term::Lam { param, body, .. } => M::pure(
             PState {
                 control: Control::Value(Closure {
                     param: param.clone(),
@@ -483,7 +482,9 @@ where
             },
             cx,
         ),
-        Term::App { label, func, arg } => {
+        Term::App {
+            label, func, arg, ..
+        } => {
             let frame = Kont::Ar {
                 site: *label,
                 arg: arg.clone(),
@@ -497,6 +498,7 @@ where
             name,
             rhs,
             body,
+            ..
         } => {
             let frame = Kont::LetK {
                 site: *label,

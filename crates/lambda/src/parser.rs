@@ -184,7 +184,7 @@ mod tests {
     fn multi_parameter_lambdas_are_curried() {
         let t = parse_term("(λ (a b) a)").unwrap();
         match t {
-            Term::Lam { param, body } => {
+            Term::Lam { param, body, .. } => {
                 assert_eq!(param, Name::from("a"));
                 assert!(matches!(body.as_ref(), Term::Lam { .. }));
             }

@@ -9,7 +9,7 @@ use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use mai_core::name::{Label, LabelSupply, Name};
 
@@ -24,6 +24,10 @@ pub type Var = Name;
 /// hand-written impls below cost O(1) per state where the program's
 /// sharing allows it; `Eq` stays derived, since `Arc`'s `Eq` already
 /// answers pointer-equal children without a walk.
+///
+/// Each compound node caches its free variables ([`Term::cached_free_vars`]),
+/// which abstract GC reads on every step; the cache takes no part in
+/// equality, order or hashing.
 #[derive(Clone, PartialEq, Eq)]
 pub enum Term {
     /// A variable reference.
@@ -34,6 +38,8 @@ pub enum Term {
         param: Var,
         /// The body.
         body: Arc<Term>,
+        /// The node's free variables, filled on first use.
+        free: FreeVarCache,
     },
     /// An application `(e₀ e₁)`, labelled as a program point.
     App {
@@ -43,6 +49,8 @@ pub enum Term {
         func: Arc<Term>,
         /// The operand.
         arg: Arc<Term>,
+        /// The node's free variables, filled on first use.
+        free: FreeVarCache,
     },
     /// A `let`-binding `(let (x e₁) e₂)`, labelled as a program point.
     ///
@@ -58,8 +66,24 @@ pub enum Term {
         rhs: Arc<Term>,
         /// The body.
         body: Arc<Term>,
+        /// The node's free variables, filled on first use.
+        free: FreeVarCache,
     },
 }
+
+/// The free variables of one compound [`Term`] node, filled the first time
+/// they are asked for, from its children's caches.  Not part of the term:
+/// any two caches compare equal.  A clone of a filled cache shares its set.
+#[derive(Clone, Default)]
+pub struct FreeVarCache(OnceLock<Arc<BTreeSet<Var>>>);
+
+impl PartialEq for FreeVarCache {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for FreeVarCache {}
 
 /// Hashes the constructor and the field that names the node: the variable
 /// of a `Var`, the label of an `App` or `Let`, and for a `Lam`, which has no
@@ -102,10 +126,12 @@ impl Ord for Term {
                 Term::Lam {
                     param: pa,
                     body: ba,
+                    ..
                 },
                 Term::Lam {
                     param: pb,
                     body: bb,
+                    ..
                 },
             ) => pa.cmp(pb).then_with(|| child(ba, bb)),
             (
@@ -113,11 +139,13 @@ impl Ord for Term {
                     label: la,
                     func: fa,
                     arg: aa,
+                    ..
                 },
                 Term::App {
                     label: lb,
                     func: fb,
                     arg: ab,
+                    ..
                 },
             ) => la
                 .cmp(lb)
@@ -129,12 +157,14 @@ impl Ord for Term {
                     name: na,
                     rhs: ra,
                     body: ba,
+                    ..
                 },
                 Term::Let {
                     label: lb,
                     name: nb,
                     rhs: rb,
                     body: bb,
+                    ..
                 },
             ) => la
                 .cmp(lb)
@@ -177,6 +207,7 @@ impl Term {
         Term::Lam {
             param: param.into(),
             body: Arc::new(body),
+            free: FreeVarCache::default(),
         }
     }
 
@@ -191,6 +222,7 @@ impl Term {
             label,
             func: Arc::new(func),
             arg: Arc::new(arg),
+            free: FreeVarCache::default(),
         }
     }
 
@@ -201,6 +233,7 @@ impl Term {
             name: name.into(),
             rhs: Arc::new(rhs),
             body: Arc::new(body),
+            free: FreeVarCache::default(),
         }
     }
 
@@ -208,7 +241,7 @@ impl Term {
     pub fn free_vars(&self) -> BTreeSet<Var> {
         match self {
             Term::Var(v) => [v.clone()].into_iter().collect(),
-            Term::Lam { param, body } => {
+            Term::Lam { param, body, .. } => {
                 let mut free = body.free_vars();
                 free.remove(param);
                 free
@@ -229,6 +262,90 @@ impl Term {
         }
     }
 
+    /// The free variables, each once and in order, read from the per-node
+    /// cache: the same set as [`Term::free_vars`], without its walk.  The
+    /// first query below an unfilled node fills every unfilled node under
+    /// it, bottom-up on an explicit stack (no recursion), from the
+    /// children's caches.
+    pub fn cached_free_vars(&self) -> impl Iterator<Item = &Var> + '_ {
+        let (var, set) = match self {
+            Term::Var(v) => (Some(v), None),
+            _ => (None, Some(self.free_set().iter())),
+        };
+        var.into_iter().chain(set.into_iter().flatten())
+    }
+
+    /// The node's free-variable cache; `None` for a variable.
+    fn cache(&self) -> Option<&FreeVarCache> {
+        match self {
+            Term::Var(_) => None,
+            Term::Lam { free, .. } | Term::App { free, .. } | Term::Let { free, .. } => Some(free),
+        }
+    }
+
+    /// The cached free variables of a compound node, filling the caches
+    /// below it first (see [`Term::cached_free_vars`]).
+    fn free_set(&self) -> &BTreeSet<Var> {
+        let cache = self.cache().expect("a compound node");
+        if cache.0.get().is_none() {
+            let mut stack: Vec<(&Term, bool)> = vec![(self, false)];
+            while let Some((term, ready)) = stack.pop() {
+                let Some(cache) = term.cache() else { continue };
+                if cache.0.get().is_some() {
+                    continue;
+                }
+                if ready {
+                    // Every child is filled: a racing filler computed
+                    // the same set, so losing the race is harmless.
+                    let _ = cache.0.set(term.free_from_children());
+                } else {
+                    stack.push((term, true));
+                    stack.extend(term.children().map(|child| (child, false)));
+                }
+            }
+        }
+        cache.0.get().expect("filled above")
+    }
+
+    /// The immediate subterms.
+    fn children(&self) -> impl Iterator<Item = &Term> {
+        let (a, b) = match self {
+            Term::Var(_) => (None, None),
+            Term::Lam { body, .. } => (Some(body), None),
+            Term::App { func, arg, .. } => (Some(func), Some(arg)),
+            Term::Let { rhs, body, .. } => (Some(rhs), Some(body)),
+        };
+        a.into_iter().chain(b).map(Arc::as_ref)
+    }
+
+    /// The free variables of a compound node from its children's caches,
+    /// which must be filled.  Every empty set is one shared allocation.
+    fn free_from_children(&self) -> Arc<BTreeSet<Var>> {
+        static EMPTY: OnceLock<Arc<BTreeSet<Var>>> = OnceLock::new();
+        // `scoped` is the child the node's binder, if any, scopes over.
+        let (scoped, bound, other) = match self {
+            Term::Var(_) => unreachable!("variables have no cache"),
+            Term::Lam { param, body, .. } => (body, Some(param), None),
+            Term::App { func, arg, .. } => (func, None, Some(arg)),
+            Term::Let {
+                name, rhs, body, ..
+            } => (body, Some(name), Some(rhs)),
+        };
+        let mut free: BTreeSet<Var> = scoped
+            .cached_free_vars()
+            .filter(|v| Some(*v) != bound)
+            .cloned()
+            .collect();
+        if let Some(other) = other {
+            free.extend(other.cached_free_vars().cloned());
+        }
+        if free.is_empty() {
+            EMPTY.get_or_init(Arc::default).clone()
+        } else {
+            Arc::new(free)
+        }
+    }
+
     /// Whether the term is closed.
     pub fn is_closed(&self) -> bool {
         self.free_vars().is_empty()
@@ -242,32 +359,17 @@ impl Term {
     }
 
     fn collect_labels(&self, out: &mut BTreeSet<Label>) {
-        match self {
-            Term::Var(_) => {}
-            Term::Lam { body, .. } => body.collect_labels(out),
-            Term::App { label, func, arg } => {
-                out.insert(*label);
-                func.collect_labels(out);
-                arg.collect_labels(out);
-            }
-            Term::Let {
-                label, rhs, body, ..
-            } => {
-                out.insert(*label);
-                rhs.collect_labels(out);
-                body.collect_labels(out);
-            }
+        if let Term::App { label, .. } | Term::Let { label, .. } = self {
+            out.insert(*label);
+        }
+        for child in self.children() {
+            child.collect_labels(out);
         }
     }
 
     /// The number of AST nodes — a simple program-size metric.
     pub fn size(&self) -> usize {
-        match self {
-            Term::Var(_) => 1,
-            Term::Lam { body, .. } => 1 + body.size(),
-            Term::App { func, arg, .. } => 1 + func.size() + arg.size(),
-            Term::Let { rhs, body, .. } => 1 + rhs.size() + body.size(),
-        }
+        1 + self.children().map(Term::size).sum::<usize>()
     }
 }
 
@@ -281,7 +383,7 @@ impl fmt::Display for Term {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Term::Var(v) => write!(f, "{}", v),
-            Term::Lam { param, body } => write!(f, "(λ ({}) {})", param, body),
+            Term::Lam { param, body, .. } => write!(f, "(λ ({}) {})", param, body),
             Term::App { func, arg, .. } => write!(f, "({} {})", func, arg),
             Term::Let {
                 name, rhs, body, ..
@@ -452,15 +554,16 @@ mod tests {
     fn mirror(term: &Term) -> Mirror {
         match term {
             Term::Var(v) => Mirror::Var(v.clone()),
-            Term::Lam { param, body } => Mirror::Lam(param.clone(), Box::new(mirror(body))),
-            Term::App { label, func, arg } => {
-                Mirror::App(*label, Box::new(mirror(func)), Box::new(mirror(arg)))
-            }
+            Term::Lam { param, body, .. } => Mirror::Lam(param.clone(), Box::new(mirror(body))),
+            Term::App {
+                label, func, arg, ..
+            } => Mirror::App(*label, Box::new(mirror(func)), Box::new(mirror(arg))),
             Term::Let {
                 label,
                 name,
                 rhs,
                 body,
+                ..
             } => Mirror::Let(
                 *label,
                 name.clone(),
@@ -547,10 +650,55 @@ mod tests {
     }
 
     #[test]
+    fn cached_free_variables_equal_the_walk_on_every_subterm() {
+        let mut b = TermBuilder::new();
+        let xz = b.app(Term::var("x"), Term::var("z"));
+        let shadowing = b.let_in("x", Term::var("x"), Term::lam("y", xz));
+        let mut programs: Vec<Term> = crate::programs::standard_corpus()
+            .into_iter()
+            .map(|(_, term)| term)
+            .collect();
+        programs.extend([shadowing, identity_nesting(50)]);
+        for program in &programs {
+            let mut terms = Vec::new();
+            subterms(program, &mut terms);
+            // Fill from the root down, then read every subterm's own cache.
+            assert_eq!(
+                program.cached_free_vars().cloned().collect::<BTreeSet<_>>(),
+                program.free_vars(),
+                "{program}"
+            );
+            for term in &terms {
+                let cached: Vec<&Var> = term.cached_free_vars().collect();
+                assert!(cached.windows(2).all(|w| w[0] < w[1]), "{term}");
+                assert_eq!(
+                    cached.into_iter().cloned().collect::<BTreeSet<_>>(),
+                    term.free_vars(),
+                    "{term}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_cache_is_not_part_of_the_term() {
+        let source = "(let (id (λ (x) x)) ((id id) (λ (y) (id y))))";
+        let filled = crate::parse_term(source).expect("parses");
+        let fresh = crate::parse_term(source).expect("parses");
+        assert_eq!(filled.cached_free_vars().count(), 0);
+        assert_eq!(filled, fresh);
+        assert_eq!(filled.cmp(&fresh), Ordering::Equal);
+        assert_eq!(
+            mai_core::hash::fx_hash_of(&filled),
+            mai_core::hash::fx_hash_of(&fresh)
+        );
+    }
+
+    #[test]
     fn lams_curry_in_the_right_order() {
         let t = Term::lams(&["a", "b"], Term::var("a"));
         match t {
-            Term::Lam { param, body } => {
+            Term::Lam { param, body, .. } => {
                 assert_eq!(param, Name::from("a"));
                 match body.as_ref() {
                     Term::Lam { param, .. } => assert_eq!(param, &Name::from("b")),

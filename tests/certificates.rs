@@ -93,6 +93,32 @@ fn gc_direct_solves_of_nested_fj_cells_read_what_gc_free_ones_read() {
     }
 }
 
+/// The GC write filter finds each branch's writes next to the
+/// successor's roots, so its searches cost a couple of addresses per
+/// configuration, not the continuation chain behind them.
+#[test]
+fn gc_write_filter_visits_at_most_two_addresses_per_configuration() {
+    let (cells, cell_stats) =
+        analyse::direct::<KFjShared<1>>(&fj::programs::nested_cells(640), Gc::On);
+    let (identity, identity_stats) =
+        analyse::direct::<MonoCeskShared>(&identity_nesting(2_000), Gc::On);
+    for (name, configurations, stats) in [
+        ("nested cells, n = 640", cells.len(), cell_stats),
+        (
+            "identity nesting, n = 2,000",
+            identity.len(),
+            identity_stats,
+        ),
+    ] {
+        assert!(stats.gc_filter_visited > 0, "{name}: {stats}");
+        assert!(
+            stats.gc_filter_visited <= 2 * configurations,
+            "{name}: the filter visited {} addresses over {configurations} configurations",
+            stats.gc_filter_visited
+        );
+    }
+}
+
 #[test]
 fn direct_fixpoint_of_the_cps_lanes_is_certified() {
     let program = cps::programs::kcfa_worst_case_scaled(12, 20);

@@ -144,6 +144,10 @@ pub fn assert_parallel_counters(label: &str, threads: usize, seq: &EngineStats, 
         par.branches_folded, seq.branches_folded,
         "{ctx}: branches_folded"
     );
+    assert_eq!(
+        par.gc_filter_visited, seq.gc_filter_visited,
+        "{ctx}: gc_filter_visited"
+    );
     assert_eq!(par.sync_rounds, par.iterations, "{ctx}: sync_rounds");
 }
 

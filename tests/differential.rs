@@ -508,15 +508,16 @@ enum Mirror {
 fn mirror(term: &Term) -> Mirror {
     match term {
         Term::Var(v) => Mirror::Var(v.clone()),
-        Term::Lam { param, body } => Mirror::Lam(param.clone(), Box::new(mirror(body))),
-        Term::App { label, func, arg } => {
-            Mirror::App(*label, Box::new(mirror(func)), Box::new(mirror(arg)))
-        }
+        Term::Lam { param, body, .. } => Mirror::Lam(param.clone(), Box::new(mirror(body))),
+        Term::App {
+            label, func, arg, ..
+        } => Mirror::App(*label, Box::new(mirror(func)), Box::new(mirror(arg))),
         Term::Let {
             label,
             name,
             rhs,
             body,
+            ..
         } => Mirror::Let(
             *label,
             name.clone(),
@@ -565,6 +566,18 @@ proptest! {
                     prop_assert_eq!(mai_core::fx_hash_of(a), mai_core::fx_hash_of(b));
                 }
             }
+        }
+    }
+
+    /// Every subterm of a random term reads from its cache the free
+    /// variables a walk finds.
+    #[test]
+    fn prop_cached_free_variables_equal_the_walk(shape in shape_strategy()) {
+        let mut terms = Vec::new();
+        subterms(&to_term(&shape, &mut TermBuilder::new()), &mut terms);
+        for term in &terms {
+            let cached: std::collections::BTreeSet<_> = term.cached_free_vars().cloned().collect();
+            prop_assert_eq!(cached, term.free_vars(), "{}", term);
         }
     }
 
