@@ -3,10 +3,9 @@
 //! hand-fused stepper that threads the context, store and branching
 //! directly.
 
-use std::collections::BTreeSet;
-
 use criterion::{criterion_group, criterion_main, Criterion};
 use mai_core::addr::Context;
+use mai_core::env::PSet;
 use mai_core::monad::run_store_passing;
 use mai_core::store::StoreLike;
 use mai_core::{BasicStore, KCallCtx, Lattice};
@@ -41,7 +40,7 @@ fn fused_round(frontier: &[(PState<Addr>, Ctx, Store)]) -> Vec<(PState<Addr>, Ct
             out.push((ps.clone(), ctx.clone(), store.clone()));
             continue;
         };
-        let callees: BTreeSet<Val<Addr>> = match f {
+        let callees: PSet<Val<Addr>> = match f {
             AExp::Lam(lam) => [Val::closure(lam.clone(), ps.env.clone())]
                 .into_iter()
                 .collect(),
@@ -54,7 +53,7 @@ fn fused_round(frontier: &[(PState<Addr>, Ctx, Store)]) -> Vec<(PState<Addr>, Ct
             let mut store2 = store.clone();
             for (param, arg) in lambda.params().iter().zip(args.iter()) {
                 let addr = ctx2.valloc(param);
-                let vals: BTreeSet<Val<Addr>> = match arg {
+                let vals: PSet<Val<Addr>> = match arg {
                     AExp::Lam(lam) => [Val::closure(lam.clone(), ps.env.clone())]
                         .into_iter()
                         .collect(),

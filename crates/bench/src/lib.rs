@@ -18,14 +18,16 @@ use mai_core::collect::explore_fp;
 use mai_core::engine::{
     certify, Budget, CancelToken, EngineStats, ExhaustReason, Outcome, ParallelConfig,
 };
+use mai_core::store::BasicStore;
 use mai_core::telemetry::{NoopSink, TraceBuffer, TraceSink};
-use mai_core::{KCallAddr, KCallCtx, StorePassing};
+use mai_core::{KCallAddr, KCallCtx, MonoAddr, MonoCtx, StorePassing};
 use mai_cps::analysis::{
     analyse_kcfa, analyse_kcfa_shared, analyse_kcfa_shared_gc, analyse_mono, distinct_env_count,
     AnalysisMetrics, KCfaShared, KStore,
 };
 use mai_cps::syntax::CExp;
 use mai_cps::{mnext, mnext_direct, PState};
+use mai_lambda::machine::Storable;
 use report::{engine_stats_json, engine_trace_json, Json};
 
 /// Whether [`certify`] accepts a 1CFA shared-store fixpoint as a
@@ -1603,6 +1605,22 @@ impl ScalingFamily {
         }
     }
 
+    /// The family a row's `family` field names.
+    pub fn by_name(name: &str) -> Option<ScalingFamily> {
+        Self::ALL.into_iter().find(|family| family.name() == name)
+    }
+
+    /// Whether the family's rows are [`certify`]d: the GC-free ones.  On a
+    /// GC'd fixpoint `certify` re-runs the full reachability sweep per
+    /// branch, which is quadratic in program depth (the `with_state_gc`
+    /// write filter is the engines' only).
+    pub fn certifiable(self) -> bool {
+        matches!(
+            self,
+            ScalingFamily::LambdaIdentity | ScalingFamily::CpsLanes
+        )
+    }
+
     /// The program sizes of the curve, smallest first.
     pub fn sizes(self) -> &'static [usize] {
         match self {
@@ -1638,6 +1656,10 @@ pub struct ScalingRow {
     /// The log-log slope of [`ScalingRow::total`] against configurations
     /// since the family's previous row; `None` on its first row.
     pub exponent: Option<f64>,
+    /// Whether [`certify`] accepts the fixpoint, run once and untimed;
+    /// `None` for the families that are not
+    /// [certifiable](ScalingFamily::certifiable).
+    pub certified: Option<bool>,
 }
 
 impl ScalingRow {
@@ -1656,9 +1678,12 @@ impl ScalingRow {
         let exponent = self
             .exponent
             .map_or_else(|| "-".to_string(), |e| format!("{e:.2}"));
+        let certified = self
+            .certified
+            .map_or_else(|| "-".to_string(), |c| c.to_string());
         format!(
             "{:<23} configs={:<6} stepped={:<6} deps={:<7} folded={:<7} gc-visited={:<7} \
-             front={:<10.2?} solve={:<10.2?} query={:<10.2?} exponent={}",
+             front={:<10.2?} solve={:<10.2?} query={:<10.2?} exponent={:<5} certified={}",
             self.program(),
             self.configurations,
             self.stats.states_stepped,
@@ -1669,6 +1694,7 @@ impl ScalingRow {
             self.solve,
             self.query,
             exponent,
+            certified,
         )
     }
 
@@ -1689,6 +1715,7 @@ impl ScalingRow {
                 ("exponent", Json::Num(self.exponent.unwrap_or(f64::NAN))),
             ]
             .into_iter()
+            .chain(self.certified.map(|c| ("certified", Json::Bool(c))))
             .chain(timing_fields(self.total())),
         )
     }
@@ -1701,10 +1728,23 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     (out, start.elapsed())
 }
 
-/// One source-to-answer pass: `(configurations, flow facts, stats, [front,
-/// solve, query])`.  Building the input and dropping the program and the
-/// fixpoint are not timed.
-fn scaling_pass(family: ScalingFamily, size: usize) -> (usize, usize, EngineStats, [Duration; 3]) {
+/// What one source-to-answer pass measured.
+struct ScalingPass {
+    configurations: usize,
+    flow_facts: usize,
+    stats: EngineStats,
+    /// Front end, solve and query.
+    times: [Duration; 3],
+    /// The [`certify`] verdict, when the pass was asked for one.
+    certified: Option<bool>,
+}
+
+/// One source-to-answer pass.  Building the input, [`certify`] (run when
+/// `certify_fixpoint` is set and the family is
+/// [certifiable](ScalingFamily::certifiable)) and dropping the program and
+/// the fixpoint are not timed.
+fn scaling_pass(family: ScalingFamily, size: usize, certify_fixpoint: bool) -> ScalingPass {
+    let certify_fixpoint = certify_fixpoint && family.certifiable();
     match family {
         ScalingFamily::LambdaIdentity | ScalingFamily::LambdaIdentityGc => {
             let source = format!(
@@ -1726,7 +1766,17 @@ fn scaling_pass(family: ScalingFamily, size: usize) -> (usize, usize, EngineStat
                 mai_lambda::abstract_errors(fp.states().iter().map(|(ps, _)| ps));
                 flows.values().map(BTreeSet::len).sum()
             });
-            (fp.len(), facts, stats, [front, solve, query])
+            type Store = BasicStore<MonoAddr, Storable<MonoAddr>>;
+            let certified = certify_fixpoint.then(|| {
+                certify(&fp, &mai_lambda::direct::mnext_direct::<MonoCtx, Store>).certified()
+            });
+            ScalingPass {
+                configurations: fp.len(),
+                flow_facts: facts,
+                stats,
+                times: [front, solve, query],
+                certified,
+            }
         }
         ScalingFamily::CpsLanes => {
             let source =
@@ -1740,7 +1790,13 @@ fn scaling_pass(family: ScalingFamily, size: usize) -> (usize, usize, EngineStat
                 mai_cps::abstract_errors(fp.states().iter().map(|(ps, _)| ps));
                 flows.values().map(BTreeSet::len).sum()
             });
-            (fp.len(), facts, stats, [front, solve, query])
+            ScalingPass {
+                configurations: fp.len(),
+                flow_facts: facts,
+                stats,
+                times: [front, solve, query],
+                certified: certify_fixpoint.then(|| certified(&fp)),
+            }
         }
         ScalingFamily::FjCells => {
             let program = mai_fj::programs::nested_cells(size);
@@ -1754,7 +1810,13 @@ fn scaling_pass(family: ScalingFamily, size: usize) -> (usize, usize, EngineStat
                 mai_fj::abstract_errors(fp.states().iter().map(|(ps, _)| ps));
                 flows.values().map(BTreeSet::len).sum::<usize>() + results.len()
             });
-            (fp.len(), facts, stats, [front, solve, query])
+            ScalingPass {
+                configurations: fp.len(),
+                flow_facts: facts,
+                stats,
+                times: [front, solve, query],
+                certified: None,
+            }
         }
     }
 }
@@ -1765,9 +1827,10 @@ fn scaling_pass(family: ScalingFamily, size: usize) -> (usize, usize, EngineStat
 const E17_PASS_BUDGET: Duration = Duration::from_secs(1);
 
 /// Runs one E17 row up to `repeats` times (at least once, and no more once
-/// the passes took a second), keeping each phase's best time;
-/// `previous` is the family's previous row, against which the row fits
-/// its exponent.
+/// the passes took a second), keeping each phase's best time; the first
+/// pass also [`certify`]s the fixpoint of a certifiable family, outside
+/// the timed phases.  `previous` is the family's previous row, against
+/// which the row fits its exponent.
 pub fn scaling_row(
     family: ScalingFamily,
     size: usize,
@@ -1775,19 +1838,26 @@ pub fn scaling_row(
     previous: Option<&ScalingRow>,
 ) -> ScalingRow {
     let mut best = [Duration::MAX; 3];
-    let mut measured = None;
+    let mut measured: Option<ScalingPass> = None;
+    let mut certified = None;
     let started = Instant::now();
     for _ in 0..repeats.max(1) {
-        let (configurations, flow_facts, stats, times) = scaling_pass(family, size);
-        for (best, time) in best.iter_mut().zip(times) {
+        let pass = scaling_pass(family, size, measured.is_none());
+        for (best, time) in best.iter_mut().zip(pass.times) {
             *best = (*best).min(time);
         }
-        measured = Some((configurations, flow_facts, stats));
+        certified = certified.or(pass.certified);
+        measured = Some(pass);
         if started.elapsed() >= E17_PASS_BUDGET {
             break;
         }
     }
-    let (configurations, flow_facts, stats) = measured.expect("at least one repeat");
+    let ScalingPass {
+        configurations,
+        flow_facts,
+        stats,
+        ..
+    } = measured.expect("at least one repeat");
     let [front, solve, query] = best;
     let mut row = ScalingRow {
         family,
@@ -1799,6 +1869,7 @@ pub fn scaling_row(
         solve,
         query,
         exponent: None,
+        certified,
     };
     row.exponent = previous.map(|prev| {
         (row.total().as_secs_f64() / prev.total().as_secs_f64()).ln()

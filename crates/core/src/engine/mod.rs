@@ -1041,7 +1041,7 @@ mod tests {
                         Ptr,
                         _,
                     >(move |store| {
-                        store.fetch(&cell)
+                        store.fetch(&cell).iter().cloned().collect()
                     }));
                     let via_heap = M::bind(fetched, move |ptr| M::pure(St((ptr.0 + 8) % 16)));
                     M::mplus(M::pure(next), via_heap)

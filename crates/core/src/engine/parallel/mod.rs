@@ -734,7 +734,7 @@ pub(crate) mod tests {
         match n {
             1 => {
                 let fetched = <M as MonadTrans>::lift(gets_nd_set::<StateT<S, VecM>, S, Ptr, _>(
-                    move |store| store.fetch(&0u8),
+                    move |store| store.fetch(&0u8).iter().cloned().collect(),
                 ));
                 let via_heap = M::bind(fetched, move |ptr| M::pure(St(ptr.0 as u32 + 1)));
                 M::mplus(M::pure(St(2)), via_heap)

@@ -1344,7 +1344,7 @@ mod tests {
                 let fetched =
                     <M as MonadTrans>::lift(
                         crate::monad::gets_nd_set::<StateT<S, VecM>, S, Ptr, _>(move |store| {
-                            store.fetch(&0u8)
+                            store.fetch(&0u8).iter().cloned().collect()
                         }),
                     );
                 let via_heap = M::bind(fetched, move |ptr| M::pure(St(ptr.0 as u32 + 1)));
@@ -1637,12 +1637,12 @@ mod tests {
         move |st: Rd| match st.0 {
             0 => M::mplus(M::pure(Rd(1)), M::pure(Rd(2))),
             1 => {
-                let fetched = <M as MonadTrans>::lift(crate::monad::gets_nd_set::<
-                    StateT<S, VecM>,
-                    S,
-                    Ptr,
-                    _,
-                >(|store| store.fetch(&0u8)));
+                let fetched =
+                    <M as MonadTrans>::lift(
+                        crate::monad::gets_nd_set::<StateT<S, VecM>, S, Ptr, _>(|store| {
+                            store.fetch(&0u8).iter().cloned().collect()
+                        }),
+                    );
                 let via_heap = M::bind(fetched, |ptr| M::pure(Rd(10 + u32::from(ptr.0))));
                 if fallthrough {
                     M::mplus(M::pure(Rd(9)), via_heap)
@@ -1898,7 +1898,7 @@ mod tests {
         use crate::lattice::Interval;
         use crate::store::{Counter, CountingStore, IntervalStore};
 
-        let ptrs: BTreeSet<Ptr> = [Ptr(7)].into_iter().collect();
+        let ptrs: crate::env::PSet<Ptr> = [Ptr(7)].into_iter().collect();
         assert_journal_is_not_part_of_the_value(S::new().bind(1, ptrs.clone()));
         let counting = CountingStore::<u8, Ptr>::new().bind(1, ptrs);
         assert_journal_is_not_part_of_the_value(counting.clone());

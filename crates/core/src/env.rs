@@ -1,257 +1,70 @@
-//! Shared, copy-on-write finite maps for environments.
+//! Persistent environments and value sets, on the store's hash trie.
 //!
 //! Machine states carry environments (`Var ⇀ Addr`) inside closures,
 //! continuation frames and the states themselves, and the monadic step
-//! functions clone them constantly — every `bind` continuation captures its
-//! environment by value, every successor state embeds one.  With a plain
-//! `BTreeMap` each of those clones is a deep copy; profiling the shared
-//! store engines shows environment cloning dominating state construction.
+//! functions clone and extend them constantly: every `bind` continuation
+//! captures its environment by value, every successor state embeds one, and
+//! every call extends its callee's captured environment with the
+//! parameters.  The stores, in turn, bind each address to a set of values
+//! that grows a value at a time.
 //!
-//! [`CowMap`] keeps the `BTreeMap` API the language crates use but wraps
-//! the map in an [`Arc`]: cloning is a reference-count bump, and the first
-//! mutation through a shared handle copies the underlying map once
-//! (`Arc::make_mut`).  Comparisons and equality keep their structural
-//! semantics with a pointer-identity fast path — two handles to the same
-//! allocation are equal without walking the map, which is the common case
-//! once states are hash-consed ([`crate::intern`]).
+//! Both are persistent [`PMap`]s, the trie the store spine is built on:
+//! each language's environment is a `PMap<Var, A>`, and [`PSet`] is the
+//! value set of [`BasicStore`](crate::store::BasicStore) and
+//! [`CountingStore`](crate::store::CountingStore).  Cloning either is an
+//! `Arc` bump.  Extending an environment by one variable, or binding one
+//! more value into a set, copies one O(log n) path and shares every other
+//! node with the original.  Equality, `⊑`, joins and diffs skip the
+//! subtrees two snapshots share by pointer, and hashing replays the trie's
+//! cached per-node digests, so interning a state whose environment was
+//! hashed before is O(1) in the environment.  Iteration is in trie order,
+//! not key order.
+//!
+//! ```rust
+//! use mai_core::pmap::PMap;
+//!
+//! let mut base: PMap<&'static str, u32> = PMap::new();
+//! base.insert("x", 1);
+//! let captured = base.clone();          // O(1): shares the whole trie
+//! let mut extended = captured.clone();
+//! extended.insert("y", 2);              // copies one path, here
+//! assert_eq!(base, captured);
+//! assert_eq!(captured.get(&"y"), None);
+//! assert_eq!(extended.get(&"y"), Some(&2));
+//! ```
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, OnceLock};
 
-use crate::hash::fx_hash_of;
+use crate::lattice::{Lattice, WidenLattice};
+use crate::pmap::{self, PMap};
 
-/// An `Arc`-backed copy-on-write map with `BTreeMap` semantics.
+/// A persistent set: the keys of a [`PMap`] that binds each member to
+/// `true`, the top of the two-point lattice `false ⊑ true`.  An absent key
+/// reads as that lattice's ⊥, so the map's joins report every new member
+/// as growth (a `()` marker would not: `()` is ⊥).
 ///
 /// ```rust
-/// use mai_core::env::CowMap;
-///
-/// let mut base: CowMap<&'static str, u32> = CowMap::new();
-/// base.insert("x", 1);
-/// let shared = base.clone();          // O(1): bumps a reference count
-/// let mut extended = shared.clone();
-/// extended.insert("y", 2);            // copies the map once, here
-/// assert_eq!(base, shared);
-/// assert_eq!(shared.get(&"y"), None);
-/// assert_eq!(extended.get(&"y"), Some(&2));
-/// ```
-///
-/// The map also carries a lazily **precomputed content hash**: hashing a
-/// `CowMap` walks the bindings at most once per allocation and feeds the
-/// cached 64-bit digest to the caller's hasher thereafter — which is what
-/// makes hash-consing whole machine states ([`crate::intern`]) O(1) in the
-/// environment once the environment has been hashed anywhere before.
-pub struct CowMap<K: Ord, V>(Arc<CowInner<K, V>>);
-
-struct CowInner<K: Ord, V> {
-    map: BTreeMap<K, V>,
-    /// The cached Fx content hash of `map`, computed on first use and
-    /// cleared by every mutation.
-    hash: OnceLock<u64>,
-}
-
-impl<K: Ord + Clone, V: Clone> Clone for CowInner<K, V> {
-    fn clone(&self) -> Self {
-        CowInner {
-            map: self.map.clone(),
-            // The clone has identical content, so the cached digest (if
-            // any) remains valid; mutators clear it after `Arc::make_mut`.
-            hash: self.hash.clone(),
-        }
-    }
-}
-
-impl<K: Ord, V> CowMap<K, V> {
-    /// Creates an empty map.
-    pub fn new() -> Self {
-        CowMap(Arc::new(CowInner {
-            map: BTreeMap::new(),
-            hash: OnceLock::new(),
-        }))
-    }
-
-    /// Looks up a key.
-    pub fn get(&self, key: &K) -> Option<&V> {
-        self.0.map.get(key)
-    }
-
-    /// Whether the key is bound.
-    pub fn contains_key(&self, key: &K) -> bool {
-        self.0.map.contains_key(key)
-    }
-
-    /// The number of bindings.
-    pub fn len(&self) -> usize {
-        self.0.map.len()
-    }
-
-    /// Whether the map is empty.
-    pub fn is_empty(&self) -> bool {
-        self.0.map.is_empty()
-    }
-
-    /// Iterates over the bindings in key order.
-    pub fn iter(&self) -> std::collections::btree_map::Iter<'_, K, V> {
-        self.0.map.iter()
-    }
-
-    /// Iterates over the keys in order.
-    pub fn keys(&self) -> std::collections::btree_map::Keys<'_, K, V> {
-        self.0.map.keys()
-    }
-
-    /// Iterates over the values in key order.
-    pub fn values(&self) -> std::collections::btree_map::Values<'_, K, V> {
-        self.0.map.values()
-    }
-
-    /// Whether two handles share the same underlying allocation (an O(1)
-    /// witness of structural equality; the converse need not hold).
-    pub fn ptr_eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
-    }
-}
-
-impl<K: Ord + Clone, V: Clone> CowMap<K, V> {
-    /// Inserts a binding, copying the underlying map first if this handle
-    /// shares it with others.
-    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        let inner = Arc::make_mut(&mut self.0);
-        inner.hash = OnceLock::new();
-        inner.map.insert(key, value)
-    }
-
-    /// Removes a binding, copying the underlying map first if shared.
-    /// Returns the removed value, if any; an absent key never copies.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
-        if !self.0.map.contains_key(key) {
-            return None;
-        }
-        let inner = Arc::make_mut(&mut self.0);
-        inner.hash = OnceLock::new();
-        inner.map.remove(key)
-    }
-
-    /// A new map extending `self` with one binding (`self` is unchanged).
-    #[must_use]
-    pub fn updated(&self, key: K, value: V) -> Self {
-        let mut next = self.clone();
-        next.insert(key, value);
-        next
-    }
-}
-
-impl<K: Ord, V> Default for CowMap<K, V> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K: Ord, V> Clone for CowMap<K, V> {
-    fn clone(&self) -> Self {
-        CowMap(Arc::clone(&self.0))
-    }
-}
-
-impl<K: Ord + fmt::Debug, V: fmt::Debug> fmt::Debug for CowMap<K, V> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.map.fmt(f)
-    }
-}
-
-impl<K: Ord + PartialEq, V: PartialEq> PartialEq for CowMap<K, V> {
-    fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0) || self.0.map == other.0.map
-    }
-}
-
-impl<K: Ord + Eq, V: Eq> Eq for CowMap<K, V> {}
-
-impl<K: Ord, V: PartialOrd> PartialOrd for CowMap<K, V> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        if Arc::ptr_eq(&self.0, &other.0) {
-            return Some(std::cmp::Ordering::Equal);
-        }
-        self.0.map.partial_cmp(&other.0.map)
-    }
-}
-
-impl<K: Ord, V: Ord> Ord for CowMap<K, V> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        if Arc::ptr_eq(&self.0, &other.0) {
-            return std::cmp::Ordering::Equal;
-        }
-        self.0.map.cmp(&other.0.map)
-    }
-}
-
-impl<K: Ord + Hash, V: Hash> Hash for CowMap<K, V> {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        // Compute the content digest once per allocation and replay it:
-        // structurally equal maps produce the same digest, so this stays
-        // consistent with the structural `PartialEq`.
-        let digest = *self.0.hash.get_or_init(|| fx_hash_of(&self.0.map));
-        state.write_u64(digest);
-    }
-}
-
-impl<K: Ord, V> FromIterator<(K, V)> for CowMap<K, V> {
-    fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
-        CowMap(Arc::new(CowInner {
-            map: iter.into_iter().collect(),
-            hash: OnceLock::new(),
-        }))
-    }
-}
-
-impl<'a, K: Ord, V> IntoIterator for &'a CowMap<K, V> {
-    type Item = (&'a K, &'a V);
-    type IntoIter = std::collections::btree_map::Iter<'a, K, V>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.0.map.iter()
-    }
-}
-
-impl<K: Ord + Clone, V: Clone> Extend<(K, V)> for CowMap<K, V> {
-    fn extend<I: IntoIterator<Item = (K, V)>>(&mut self, iter: I) {
-        let inner = Arc::make_mut(&mut self.0);
-        inner.hash = OnceLock::new();
-        inner.map.extend(iter);
-    }
-}
-
-/// An `Arc`-backed copy-on-write set with `BTreeSet` semantics — the
-/// value-set counterpart of [`CowMap`], used by the stores so that cloning
-/// a store shares every per-address value set and diffing two stores
-/// short-circuits on pointer identity for every set a step merely carried
-/// along.
-///
-/// ```rust
-/// use mai_core::env::CowSet;
+/// use mai_core::env::PSet;
 /// use mai_core::lattice::Lattice;
 ///
-/// let a: CowSet<u32> = [1, 2].into_iter().collect();
+/// let a: PSet<u32> = [1, 2].into_iter().collect();
 /// let b = a.clone();                    // O(1)
 /// assert!(a.ptr_eq(&b));
 /// let grown = a.clone().join([3].into_iter().collect());
 /// assert!(a.leq(&grown) && !grown.leq(&a));
+/// assert!(grown.contains(&3) && !a.contains(&3));
 /// ```
-pub struct CowSet<T: Ord>(Arc<std::collections::BTreeSet<T>>);
+pub struct PSet<T>(PMap<T, bool>);
 
-impl<T: Ord> CowSet<T> {
+impl<T> PSet<T> {
     /// Creates an empty set.
     pub fn new() -> Self {
-        CowSet(Arc::new(std::collections::BTreeSet::new()))
+        PSet(PMap::new())
     }
 
-    /// Whether the element is present.
-    pub fn contains(&self, value: &T) -> bool {
-        self.0.contains(value)
-    }
-
-    /// The number of elements.
+    /// The number of members.
     pub fn len(&self) -> usize {
         self.0.len()
     }
@@ -261,153 +74,179 @@ impl<T: Ord> CowSet<T> {
         self.0.is_empty()
     }
 
-    /// Iterates over the elements in order.
-    pub fn iter(&self) -> std::collections::btree_set::Iter<'_, T> {
-        self.0.iter()
+    /// Iterates over the members in trie (hash) order: deterministic for
+    /// a given content, but not sorted.
+    pub fn iter(&self) -> Iter<'_, T> {
+        Iter(self.0.iter())
     }
 
-    /// A view of the underlying set.
-    pub fn as_set(&self) -> &std::collections::BTreeSet<T> {
+    /// Whether two sets share the same root allocation (an O(1) witness of
+    /// equality; the converse need not hold).
+    pub fn ptr_eq(&self, other: &Self) -> bool {
+        self.0.ptr_eq(&other.0)
+    }
+
+    /// The trie under the set, for the tests' sharing probes.
+    #[cfg(test)]
+    pub(crate) fn trie(&self) -> &PMap<T, bool> {
         &self.0
     }
+}
 
-    /// Whether two handles share the same underlying allocation (an O(1)
-    /// witness of structural equality; the converse need not hold).
-    pub fn ptr_eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
+impl<T: Hash + Eq> PSet<T> {
+    /// Whether `value` is a member.
+    pub fn contains(&self, value: &T) -> bool {
+        self.0.contains_key(value)
     }
 }
 
-impl<T: Ord + Clone> CowSet<T> {
-    /// Inserts an element, copying the underlying set first if this handle
-    /// shares it with others.  Returns whether the element was new; a
-    /// present element never copies.
+impl<T: Hash + Eq + Ord + Clone> PSet<T> {
+    /// Inserts a member, copying one trie path when it is new.  Returns
+    /// whether it was new; a present member copies nothing.
     pub fn insert(&mut self, value: T) -> bool {
-        if self.0.contains(&value) {
-            return false;
-        }
-        Arc::make_mut(&mut self.0).insert(value)
+        self.0.join_at_in_place(value, true)
     }
 
-    /// The underlying set, cloned (shared handles) or moved out (unique).
-    pub fn into_set(self) -> std::collections::BTreeSet<T> {
-        Arc::try_unwrap(self.0).unwrap_or_else(|shared| (*shared).clone())
+    /// The members of `self` that `then` lacks (`self \ then`).  The trie
+    /// diff ([`PMap::changed_keys`]) skips every subtree the two sets
+    /// share by pointer, so a set grown from `then` by k members costs
+    /// about k paths, not a walk of either set.
+    #[must_use]
+    pub fn difference(&self, then: &Self) -> Self {
+        self.0
+            .changed_keys(&then.0)
+            .into_iter()
+            .filter(|v| self.contains(v))
+            .collect()
     }
 }
 
-impl<T: Ord> Default for CowSet<T> {
+/// The borrowed member iterator of a [`PSet`], in trie order.
+pub struct Iter<'a, T>(pmap::Iter<'a, T, bool>);
+
+impl<'a, T> Iterator for Iter<'a, T> {
+    type Item = &'a T;
+
+    fn next(&mut self) -> Option<&'a T> {
+        self.0.next().map(|(v, _)| v)
+    }
+}
+
+impl<'a, T> IntoIterator for &'a PSet<T> {
+    type Item = &'a T;
+    type IntoIter = Iter<'a, T>;
+
+    fn into_iter(self) -> Iter<'a, T> {
+        self.iter()
+    }
+}
+
+/// The members, cloned out of the shared trie, in trie order.
+impl<T: Clone> IntoIterator for PSet<T> {
+    type Item = T;
+    type IntoIter = std::vec::IntoIter<T>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter().cloned().collect::<Vec<T>>().into_iter()
+    }
+}
+
+impl<T: Hash + Eq + Ord + Clone> FromIterator<T> for PSet<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let mut set = PSet::new();
+        for value in iter {
+            set.insert(value);
+        }
+        set
+    }
+}
+
+impl<T> Default for PSet<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T: Ord> Clone for CowSet<T> {
+impl<T> Clone for PSet<T> {
     fn clone(&self) -> Self {
-        CowSet(Arc::clone(&self.0))
+        PSet(self.0.clone())
     }
 }
 
-impl<T: Ord + fmt::Debug> fmt::Debug for CowSet<T> {
+impl<T: fmt::Debug> fmt::Debug for PSet<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.fmt(f)
+        f.debug_set().entries(self.iter()).finish()
     }
 }
 
-impl<T: Ord> PartialEq for CowSet<T> {
+impl<T: Eq> PartialEq for PSet<T> {
     fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0) || self.0 == other.0
+        self.0 == other.0
     }
 }
 
-impl<T: Ord> Eq for CowSet<T> {}
+impl<T: Eq> Eq for PSet<T> {}
 
-impl<T: Ord> PartialOrd for CowSet<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+impl<T: Ord> PartialOrd for PSet<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<T: Ord> Ord for CowSet<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        if Arc::ptr_eq(&self.0, &other.0) {
-            return std::cmp::Ordering::Equal;
-        }
+/// The trie's order ([`PMap`]'s `Ord`): total and a function of the
+/// members, but not the order a `BTreeSet` would give.
+impl<T: Ord> Ord for PSet<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
         self.0.cmp(&other.0)
     }
 }
 
-impl<T: Ord + Hash> Hash for CowSet<T> {
+impl<T: Hash> Hash for PSet<T> {
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.0.hash(state);
     }
 }
 
-impl<T: Ord> FromIterator<T> for CowSet<T> {
-    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        CowSet(Arc::new(iter.into_iter().collect()))
-    }
-}
-
-impl<'a, T: Ord> IntoIterator for &'a CowSet<T> {
-    type Item = &'a T;
-    type IntoIter = std::collections::btree_set::Iter<'a, T>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.0.iter()
-    }
-}
-
-impl<T: Ord + Clone> crate::lattice::Lattice for CowSet<T> {
+/// The power-set lattice, on the trie's own joins: a join adopts the
+/// subtrees only `other` has by reference and skips the shared ones.
+impl<T: Hash + Eq + Ord + Clone> Lattice for PSet<T> {
     fn bottom() -> Self {
         Self::new()
     }
 
     fn join(mut self, other: Self) -> Self {
-        self.join_in_place(other);
+        self.0.join_map_in_place(other.0);
         self
     }
 
     fn leq(&self, other: &Self) -> bool {
-        // Shared allocations are equal, hence comparable, without a walk.
-        Arc::ptr_eq(&self.0, &other.0) || self.0.is_subset(&other.0)
+        self.0.leq_map(&other.0)
     }
 
     fn join_in_place(&mut self, other: Self) -> bool {
-        if Arc::ptr_eq(&self.0, &other.0) {
-            return false;
-        }
-        if self.0.is_empty() {
-            // Adopt the other allocation wholesale; report growth iff it
-            // was non-empty.
-            let grew = !other.0.is_empty();
-            self.0 = other.0;
-            return grew;
-        }
-        let mut grew = false;
-        for v in other.into_set() {
-            grew |= self.insert(v);
-        }
-        grew
+        self.0.join_map_in_place(other.0)
     }
 
     fn is_bottom(&self) -> bool {
-        self.0.is_empty()
+        self.is_empty()
     }
 }
 
 // Power-sets over a program's finite value space: the default widening
 // (join) terminates, so the finite-height defaults apply.
-impl<T: Ord + Clone> crate::lattice::WidenLattice for CowSet<T> {}
+impl<T: Hash + Eq + Ord + Clone> WidenLattice for PSet<T> {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hash::fx_hash_of;
-    use crate::lattice::Lattice;
+
+    /// An environment shape: variables to addresses.
+    type Env = PMap<u16, u32>;
 
     #[test]
     fn clone_is_shared_until_mutated() {
-        let mut a: CowMap<u8, u8> = CowMap::new();
+        let mut a: Env = Env::new();
         a.insert(1, 10);
         let b = a.clone();
         assert!(a.ptr_eq(&b));
@@ -418,60 +257,77 @@ mod tests {
         assert_eq!(c.len(), 2);
         // The original handles still share.
         assert!(a.ptr_eq(&b));
+        // So do sets.
+        let mut s: PSet<u8> = [1].into_iter().collect();
+        let t = s.clone();
+        assert!(s.ptr_eq(&t));
+        assert!(!s.insert(1), "a present member must not copy");
+        assert!(s.ptr_eq(&t));
+        assert!(s.insert(2));
+        assert!(!s.ptr_eq(&t) && t.len() == 1 && s.len() == 2);
     }
 
     #[test]
     fn equality_and_order_are_structural() {
-        let a: CowMap<u8, u8> = [(1, 10), (2, 20)].into_iter().collect();
-        let b: CowMap<u8, u8> = [(2, 20), (1, 10)].into_iter().collect();
+        let a: Env = [(1, 10), (2, 20)].into_iter().collect();
+        let b: Env = [(2, 20), (1, 10)].into_iter().collect();
         assert_eq!(a, b);
-        assert_eq!(a.cmp(&b), std::cmp::Ordering::Equal);
-        let c: CowMap<u8, u8> = [(1, 10), (3, 30)].into_iter().collect();
+        assert_eq!(a.cmp(&b), Ordering::Equal);
+        assert_eq!(a.partial_cmp(&b), Some(Ordering::Equal));
+        let c: Env = [(1, 10), (3, 30)].into_iter().collect();
         assert_ne!(a, c);
-        assert_eq!(a.cmp(&c), std::cmp::Ordering::Less);
+        assert_ne!(a.cmp(&c), Ordering::Equal);
+        assert_eq!(a.cmp(&c), c.cmp(&a).reverse());
+        assert_eq!(a.partial_cmp(&c), Some(a.cmp(&c)));
         // Hash agrees with structural equality.
         assert_eq!(fx_hash_of(&a), fx_hash_of(&b));
     }
 
     #[test]
     fn mutating_one_handle_never_disturbs_the_other() {
-        let base: CowMap<&'static str, u32> = [("x", 1)].into_iter().collect();
+        let base: Env = [(1, 1)].into_iter().collect();
         let mut ext = base.clone();
-        ext.insert("y", 2);
-        assert_eq!(base.get(&"y"), None);
-        assert_eq!(ext.get(&"y"), Some(&2));
-        assert_eq!(ext.updated("z", 3).len(), 3);
-        assert_eq!(ext.len(), 2);
-        let mut rm = ext.clone();
-        assert_eq!(rm.remove(&"missing"), None);
-        assert!(rm.ptr_eq(&ext), "removing an absent key must not copy");
-        assert_eq!(rm.remove(&"x"), Some(1));
-        assert_eq!(ext.get(&"x"), Some(&1));
+        ext.insert(2, 2);
+        assert_eq!(base.get(&2), None);
+        assert_eq!(ext.get(&2), Some(&2));
+        let mut kept = ext.clone();
+        kept.retain(|v| *v != 1);
+        assert_eq!(kept.get(&1), None);
+        assert_eq!(ext.get(&1), Some(&1));
+        let mut all = ext.clone();
+        all.retain(|_| true);
+        assert!(all.ptr_eq(&ext), "keeping every binding must not copy");
     }
 
     #[test]
     fn cached_hash_is_invalidated_by_mutation() {
-        let mut m: CowMap<u8, u8> = [(1, 10)].into_iter().collect();
+        let mut m: Env = [(1, 10)].into_iter().collect();
         let h1 = fx_hash_of(&m);
         m.insert(2, 20);
         let h2 = fx_hash_of(&m);
         assert_ne!(h1, h2, "mutation must refresh the cached digest");
         // Equal maps built separately agree, shared or not.
-        let rebuilt: CowMap<u8, u8> = [(2, 20), (1, 10)].into_iter().collect();
+        let rebuilt: Env = [(2, 20), (1, 10)].into_iter().collect();
         assert_eq!(fx_hash_of(&m), fx_hash_of(&rebuilt));
-        m.remove(&2);
+        m.retain(|v| *v != 2);
         assert_eq!(
             fx_hash_of(&m),
-            fx_hash_of(&[(1u8, 10u8)].into_iter().collect::<CowMap<_, _>>())
+            fx_hash_of(&[(1, 10)].into_iter().collect::<Env>())
         );
-        let mut ext = m.clone();
-        ext.extend([(3, 30)]);
-        assert_ne!(fx_hash_of(&ext), fx_hash_of(&m));
+        // Sets replay the same cached digests.
+        let mut s: PSet<u8> = [1].into_iter().collect();
+        let h = fx_hash_of(&s);
+        s.insert(2);
+        assert_ne!(fx_hash_of(&s), h);
+        assert_eq!(
+            fx_hash_of(&s),
+            fx_hash_of(&[2u8, 1].into_iter().collect::<PSet<u8>>())
+        );
     }
 
     #[test]
-    fn cow_set_shares_and_joins_like_a_power_set() {
-        let a: CowSet<u8> = [1, 2].into_iter().collect();
+    fn pset_shares_and_joins_like_a_power_set() {
+        let a: PSet<u8> = [1, 2].into_iter().collect();
         let b = a.clone();
         assert!(a.ptr_eq(&b));
         assert_eq!(a, b);
@@ -479,37 +335,82 @@ mod tests {
         // Join with sharing short-circuit reports no growth.
         let mut acc = a.clone();
         assert!(!acc.join_in_place(b.clone()));
-        // Genuine growth copies once and reports it.
+        assert!(acc.ptr_eq(&a));
+        // Genuine growth copies a path and reports it.
         assert!(acc.join_in_place([3].into_iter().collect()));
         assert!(!a.contains(&3) && acc.contains(&3));
         assert_eq!(acc.len(), 3);
         assert_eq!(a.clone().join([3].into_iter().collect()), acc);
         // Bottom adoption: joining into an empty set adopts the allocation.
-        let mut bot: CowSet<u8> = CowSet::bottom();
+        let mut bot: PSet<u8> = PSet::bottom();
         assert!(bot.is_bottom());
         assert!(bot.join_in_place(a.clone()));
         assert!(bot.ptr_eq(&a));
         // Structural semantics everywhere.
-        let rebuilt: CowSet<u8> = [2, 1].into_iter().collect();
+        let rebuilt: PSet<u8> = [2, 1].into_iter().collect();
         assert_eq!(a, rebuilt);
-        assert_eq!(a.cmp(&rebuilt), std::cmp::Ordering::Equal);
+        assert_eq!(a.cmp(&rebuilt), Ordering::Equal);
         assert_eq!(fx_hash_of(&a), fx_hash_of(&rebuilt));
-        assert_eq!(a.iter().copied().collect::<Vec<u8>>(), vec![1, 2]);
+        let mut members: Vec<u8> = a.iter().copied().collect();
+        members.sort_unstable();
+        assert_eq!(members, vec![1, 2]);
         assert_eq!((&a).into_iter().count(), 2);
-        assert_eq!(a.as_set().len(), 2);
-        assert_eq!(rebuilt.into_set(), [1u8, 2].into_iter().collect());
+        assert_eq!(rebuilt.into_iter().count(), 2);
+        // Difference: the members the other set lacks.
+        assert_eq!(acc.difference(&a), [3].into_iter().collect());
+        assert!(a.difference(&acc).is_empty());
+        assert!(acc.difference(&acc.clone()).is_empty());
     }
 
     #[test]
-    fn iteration_is_in_key_order() {
-        let m: CowMap<u8, u8> = [(3, 30), (1, 10), (2, 20)].into_iter().collect();
-        let keys: Vec<u8> = m.keys().copied().collect();
+    fn iteration_order_is_a_function_of_content() {
+        let m: Env = [(3, 30), (1, 10), (2, 20)].into_iter().collect();
+        let n: Env = [(2, 20), (3, 30), (1, 10)].into_iter().collect();
+        let pairs: Vec<(u16, u32)> = (&m).into_iter().map(|(k, v)| (*k, *v)).collect();
+        assert_eq!(pairs, n.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>());
+        let mut keys: Vec<u16> = m.keys().copied().collect();
+        keys.sort_unstable();
         assert_eq!(keys, vec![1, 2, 3]);
-        let pairs: Vec<(u8, u8)> = (&m).into_iter().map(|(k, v)| (*k, *v)).collect();
-        assert_eq!(pairs, vec![(1, 10), (2, 20), (3, 30)]);
-        assert_eq!(m.values().copied().sum::<u8>(), 60);
+        assert_eq!(m.values().copied().sum::<u32>(), 60);
         assert!(m.contains_key(&1) && !m.contains_key(&9));
         assert!(!m.is_empty());
-        assert!(CowMap::<u8, u8>::default().is_empty());
+        assert!(Env::default().is_empty());
+        let s: PSet<u16> = [3, 1, 2].into_iter().collect();
+        let t: PSet<u16> = [2, 3, 1].into_iter().collect();
+        assert!(s.iter().eq(t.iter()));
+    }
+
+    #[test]
+    fn binding_one_value_into_a_shared_set_copies_one_path() {
+        let held: PSet<u32> = (0..1000).collect();
+        // `insert` and a singleton join each copy the new member's path
+        // and share every other node with the set the snapshot holds.
+        let mut inserted = held.clone();
+        assert!(inserted.insert(1000));
+        let mut joined = held.clone();
+        assert!(joined.join_in_place([1000].into_iter().collect()));
+        for grown in [&inserted, &joined] {
+            let path = grown.trie().path_nodes(&1000);
+            assert!(path >= 2, "1,001 members need more than one level");
+            assert_eq!(grown.trie().nodes_not_in(held.trie()), path);
+            assert_eq!(grown.len(), 1001);
+        }
+        assert_eq!(held.len(), 1000);
+        assert!(!held.contains(&1000));
+    }
+
+    #[test]
+    fn extending_a_shared_environment_copies_one_path() {
+        let captured: Env = (0..1000).map(|v| (v, u32::from(v) * 7)).collect();
+        let mut extended = captured.clone();
+        extended.insert(1000, 1);
+        let path = extended.path_nodes(&1000);
+        assert!(path >= 2);
+        assert_eq!(extended.nodes_not_in(&captured), path);
+        // Rebinding a variable the environment has copies its path too.
+        let mut shadowed = captured.clone();
+        shadowed.insert(500, 0);
+        assert_eq!(shadowed.nodes_not_in(&captured), shadowed.path_nodes(&500));
+        assert_eq!(captured.get(&500), Some(&3500));
     }
 }

@@ -33,6 +33,7 @@ use std::collections::BTreeSet;
 
 use crate::addr::Address;
 use crate::engine::StateRoots;
+use crate::env::PSet;
 use crate::monad::{MonadFamily, MonadState, MonadTrans, StateT, StorePassing, Value, VecM};
 use crate::store::StoreLike;
 
@@ -46,7 +47,7 @@ pub trait Touches<A: Ord> {
     fn touches(&self) -> BTreeSet<A>;
 }
 
-impl<A: Ord, T: Touches<A>> Touches<A> for BTreeSet<T> {
+impl<A: Ord, T: Touches<A>> Touches<A> for PSet<T> {
     fn touches(&self) -> BTreeSet<A> {
         self.iter().flat_map(Touches::touches).collect()
     }
@@ -82,7 +83,7 @@ impl<A: Ord, T: Touches<A>, U: Touches<A>> Touches<A> for (T, U) {
 /// use mai_core::store::{BasicStore, StoreLike};
 ///
 /// // A tiny "heap of pointers": each value is the address it points to.
-/// #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+/// #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 /// struct Ptr(u8);
 /// impl Touches<u8> for Ptr {
 ///     fn touches(&self) -> BTreeSet<u8> { [self.0].into_iter().collect() }
@@ -243,7 +244,7 @@ mod tests {
     use crate::monad::VecM;
     use crate::store::BasicStore;
 
-    #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+    #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
     struct Ptrs(Vec<u8>);
 
     impl Touches<u8> for Ptrs {
@@ -387,7 +388,7 @@ mod tests {
     #[test]
     fn touches_lifts_through_containers() {
         let direct = Ptrs(vec![1, 2]);
-        let set: BTreeSet<Ptrs> = [direct.clone()].into_iter().collect();
+        let set: PSet<Ptrs> = [direct.clone()].into_iter().collect();
         let vec = vec![direct.clone()];
         let opt = Some(direct.clone());
         let pair = (direct, Ptrs(vec![9]));

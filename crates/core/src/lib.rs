@@ -45,8 +45,9 @@
 //! * [`telemetry`] — zero-cost-when-off structured tracing for the
 //!   engines: per-round phase timings, per-worker spans, hot-spot
 //!   attribution and Chrome-trace/CSV exporters.
-//! * [`mod@env`] — shared copy-on-write environment maps, so state
-//!   construction stops deep-cloning environments per transition.
+//! * [`mod@env`] — persistent environments and the stores' value sets
+//!   ([`env::PSet`]), both on the [`pmap`] trie the store spine uses, so
+//!   extending an environment or growing a flow set copies one path.
 //! * [`name`] — globally pooled identifiers and program-point labels shared
 //!   by all language substrates.
 //! * [`sexp`] — a small s-expression reader used by the CPS and
@@ -101,7 +102,7 @@ pub use engine::{
     EngineStats, ExhaustReason, FrontierCollecting, Outcome, ParallelCollecting, ParallelConfig,
     ResumeSeed, SharedResumeSeed, SolveFrom, StateRoots, StepFn,
 };
-pub use env::{CowMap, CowSet};
+pub use env::PSet;
 pub use gc::{reachable, GcStrategy, NoGc, ReachableGc, Touches};
 pub use hash::{fx_hash_of, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use intern::{EnvId, InternKey, Interner, ShardedInterner, StateId};

@@ -22,7 +22,10 @@
 //! ```
 //!
 //! which `tests/monad_laws.rs` checks over randomized programs written once
-//! against [`StepMonad`].
+//! against [`StepMonad`].  With the stores' [`PSet`] bindings the two agree
+//! up to the order of a fetch's branches: the closure carrier's
+//! `gets_nd_set` branches over a sorted copy of the fetched set, and
+//! [`Branches::fetch_each`] over the set itself, in trie order.
 //!
 //! Because a computation is its branches, the carrier can also skip the
 //! branches a re-step would only repeat.  Every fetch the languages' `mnext`
@@ -34,11 +37,12 @@
 //! engine's *Semi-naive re-steps*).  On a full step the marks are inert and
 //! the branches are exactly those above.
 
-use std::collections::BTreeSet;
+use std::hash::Hash;
 use std::marker::PhantomData;
 
 use super::{StepMonad, Value};
 use crate::addr::Address;
+use crate::env::PSet;
 use crate::store::{FanOut, OldPath, StoreLike};
 
 /// The branches of a direct-style computation, in the engines'
@@ -72,45 +76,43 @@ impl<A, G, S> Branches<A, G, S> {
     }
 
     /// The fan-out of a fetch: one branch per value bound at `addr` that
-    /// `project` keeps, in the binding's order, each on its own copy of
-    /// the context — the `StorePassing` bind over a fetched set (§5.3.1).
+    /// `project` keeps, in the binding's (trie) order, each on its own
+    /// copy of the context — the `StorePassing` bind over a fetched set
+    /// (§5.3.1).
     ///
     /// On a semi-naive re-step ([`StoreLike::fan_out`]) the branches are
     /// marked as they are made.  On an old path, a branch that chooses a
     /// value the previous step did not see is fresh; one that chooses an
     /// old value stays old, unless this read reaches the previous step's
     /// longest path, where it could only replay a previous branch and is
-    /// not made at all.  Telling old values from new costs one walk of
-    /// the binding beside its (precomputed) new values, and nothing when
-    /// the binding did not change or the old choices are dropped.
+    /// not made at all.  Telling old values from new costs one membership
+    /// test in the (precomputed) new values per value of the binding, and
+    /// nothing when the binding did not change or the old choices are
+    /// dropped.
     pub fn fetch_each<Ad, X, P>(addr: &Ad, project: P, cx: (G, S)) -> Self
     where
         Ad: Address,
-        S: StoreLike<Ad, D = BTreeSet<X>>,
-        X: Ord + Clone,
+        S: StoreLike<Ad, D = PSet<X>>,
+        X: Hash + Eq,
         P: Fn(&X) -> Option<&A>,
         A: Clone,
         G: Clone,
     {
         let FanOut { binding, old } = cx.1.fan_out(addr);
-        let binding: &BTreeSet<X> = &binding;
         let keep = |x: &X, fresh: bool| project(x).map(|v| (v.clone(), fresh));
         let choices: Vec<(A, bool)> = match old {
             Some(OldPath { new, last: true }) => new
                 .iter()
-                .flat_map(|new| new.iter())
+                .flat_map(PSet::iter)
                 .filter_map(|x| keep(x, true))
                 .collect(),
             Some(OldPath {
                 new: Some(new),
                 last: false,
-            }) => {
-                let mut new = new.iter().peekable();
-                binding
-                    .iter()
-                    .filter_map(|x| keep(x, new.next_if(|n| *n == x).is_some()))
-                    .collect()
-            }
+            }) => binding
+                .iter()
+                .filter_map(|x| keep(x, new.contains(x)))
+                .collect(),
             _ => binding.iter().filter_map(|x| keep(x, false)).collect(),
         };
         Self::fan(choices.into_iter(), cx, |s| s.mark_fresh())

@@ -29,11 +29,11 @@
 //!   binding actually changed, instead of a read pre-check descent followed
 //!   by a second write descent;
 //! * **every node caches a content digest** — hashing a whole map is one
-//!   `OnceLock` read per already-digested subtree (mirroring
-//!   [`CowMap`](crate::env::CowMap)'s cached hashes), so the per-state
-//!   engine's whole-store interning hash is O(1) amortised: a write
-//!   invalidates only the O(log n) freshly-built path, and the next hash
-//!   recomputes exactly those nodes.
+//!   `OnceLock` read per already-digested subtree, so the per-state
+//!   engine's whole-store interning hash, and the hash of a machine
+//!   state's environment, is O(1) amortised: a write invalidates only the
+//!   O(log n) freshly-built path, and the next hash recomputes exactly
+//!   those nodes.
 //!
 //! The trie shape is *canonical*: it is a pure function of the key/value
 //! content (collision leaves keep their entries sorted by key, a branch
@@ -50,6 +50,19 @@
 //! Sync` whenever its keys and values are — the property the sharded
 //! parallel engine ([`crate::engine::parallel`]) relies on to hand store
 //! snapshots to its workers and join per-shard deltas at the sync barrier.
+//!
+//! The same trie holds the stores' value sets and the machines'
+//! environments ([`crate::env`]): a [`PSet`](crate::env::PSet) is a
+//! `PMap<T, bool>`, and each language's `Env<A>` is a `PMap<Var, A>`.  A
+//! store, its flow sets and every environment a state or closure captures
+//! are therefore one persistent structure: binding one more value into a
+//! w-value set, or extending a captured w-entry environment by one
+//! variable, copies one O(log w) path, and the joins, diffs and
+//! comparisons above skip the rest by pointer.  Iteration — and with it
+//! the `Debug` output of stores, environments and machine states — is in
+//! trie order, not key order; equality, hashing and the orders stay
+//! functions of the content, so fixpoints compare equal as values however
+//! they were built.
 
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
@@ -328,6 +341,34 @@ impl<K, V> PMap<K, V> {
         }
         self.root.as_ref().map_or(0, walk)
     }
+
+    /// How many nodes of this map are not nodes of `other` (by pointer): a
+    /// probe of what a write copied.  After `b = a.clone()` and one write
+    /// into `b`, every node off the written path is still `a`'s, so the
+    /// probe reads the path's length ([`PMap::path_nodes`]).
+    #[cfg(test)]
+    pub(crate) fn nodes_not_in(&self, other: &Self) -> usize {
+        fn mark<K, V>(node: &Arc<Node<K, V>>, seen: &mut std::collections::HashSet<usize>) {
+            seen.insert(Arc::as_ptr(node) as usize);
+            if let NodeKind::Branch { children, .. } = &node.kind {
+                children.iter().for_each(|child| mark(child, seen));
+            }
+        }
+        fn count<K, V>(node: &Arc<Node<K, V>>, seen: &std::collections::HashSet<usize>) -> usize {
+            if seen.contains(&(Arc::as_ptr(node) as usize)) {
+                return 0;
+            }
+            1 + match &node.kind {
+                NodeKind::Leaf { .. } => 0,
+                NodeKind::Branch { children, .. } => children.iter().map(|c| count(c, seen)).sum(),
+            }
+        }
+        let mut seen = std::collections::HashSet::new();
+        if let Some(root) = &other.root {
+            mark(root, &mut seen);
+        }
+        self.root.as_ref().map_or(0, |root| count(root, &seen))
+    }
 }
 
 /// The nominal footprint of one trie node: a fixed header plus a fixed cost
@@ -360,6 +401,31 @@ impl<K: Hash + Eq, V> PMap<K, V> {
     /// Whether the key is present.
     pub fn contains_key(&self, key: &K) -> bool {
         self.get(key).is_some()
+    }
+
+    /// How many nodes the descent to `key`'s leaf passes, root and leaf
+    /// included (0 when `key` is not bound): the nodes a write of `key`
+    /// may copy.
+    #[cfg(test)]
+    pub(crate) fn path_nodes(&self, key: &K) -> usize {
+        let hash = fx_hash_of(key);
+        let mut node = match &self.root {
+            Some(root) if lookup_node(root, hash, key, 0).is_some() => root,
+            _ => return 0,
+        };
+        let mut nodes = 1;
+        let mut level = 0;
+        while let NodeKind::Branch {
+            bitmap, children, ..
+        } = &node.kind
+        {
+            let i = Node::<K, V>::child_index(*bitmap, fragment(hash, level))
+                .expect("the key is bound below this branch");
+            node = &children[i];
+            nodes += 1;
+            level += 1;
+        }
+        nodes
     }
 }
 
@@ -1522,9 +1588,16 @@ impl<K: Eq, V: PartialEq> PartialEq for PMap<K, V> {
 
 impl<K: Eq, V: Eq> Eq for PMap<K, V> {}
 
-impl<K: Ord, V: Ord> PartialOrd for PMap<K, V> {
+/// Lexicographic over the trie-order entry sequence, like [`Ord`] (with
+/// which it agrees whenever `V: Ord`).  Only `V: PartialOrd` is asked for,
+/// so that a `#[derive(PartialOrd)]` over a type holding a `PMap<K, A>`
+/// compiles under the derive's `A: PartialOrd` bound.
+impl<K: Ord, V: PartialOrd> PartialOrd for PMap<K, V> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+        if self.ptr_eq(other) {
+            return Some(Ordering::Equal);
+        }
+        self.iter().partial_cmp(other.iter())
     }
 }
 
@@ -1539,19 +1612,7 @@ impl<K: Ord, V: Ord> Ord for PMap<K, V> {
         if self.ptr_eq(other) {
             return Ordering::Equal;
         }
-        let mut a = self.iter();
-        let mut b = other.iter();
-        loop {
-            match (a.next(), b.next()) {
-                (None, None) => return Ordering::Equal,
-                (None, Some(_)) => return Ordering::Less,
-                (Some(_), None) => return Ordering::Greater,
-                (Some(x), Some(y)) => match x.cmp(&y) {
-                    Ordering::Equal => continue,
-                    non_eq => return non_eq,
-                },
-            }
-        }
+        self.iter().cmp(other.iter())
     }
 }
 

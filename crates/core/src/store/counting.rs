@@ -2,9 +2,10 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::hash::Hash;
 
 use crate::addr::Address;
-use crate::env::CowSet;
+use crate::env::PSet;
 use crate::lattice::{AbsNat, Lattice};
 use crate::pmap::PMap;
 
@@ -25,9 +26,10 @@ use super::{ReadJournal, ReadTap, StoreLike};
 ///
 /// Like [`BasicStore`](super::BasicStore), the binding spine is a
 /// persistent [`PMap`] (clone = `Arc` bump, writes copy one trie path,
-/// diffs/joins skip shared subtrees) and the per-address value sets are
-/// copy-on-write [`CowSet`]s; each entry is the pair lattice
-/// `(value set, count)`.
+/// diffs/joins skip shared subtrees) and the per-address value sets, the
+/// [`StoreLike`] co-domain, are [`PSet`]s on the same trie, so a bind
+/// copies one path of the set it grows; each entry is the pair lattice
+/// `(value set, count)`.  `Debug` prints in trie order.
 ///
 /// `fetch`, `fetch_ref`, `contains` (through `fetch`) and
 /// [`Counter::count`] are journaled reads
@@ -35,11 +37,11 @@ use super::{ReadJournal, ReadTap, StoreLike};
 /// [`CountingStore::iter`] is not.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct CountingStore<A: Ord, V: Ord> {
-    bindings: PMap<A, (CowSet<V>, AbsNat)>,
+    bindings: PMap<A, (PSet<V>, AbsNat)>,
     reads: ReadTap<A>,
 }
 
-impl<A: Address, V: Ord + Clone> CountingStore<A, V> {
+impl<A: Address, V: Ord + Hash + Clone> CountingStore<A, V> {
     /// Creates an empty counting store.
     pub fn new() -> Self {
         CountingStore {
@@ -50,10 +52,8 @@ impl<A: Address, V: Ord + Clone> CountingStore<A, V> {
 
     /// Iterates over `(address, values, count)` triples, in the spine's
     /// deterministic (hash) order.  Not a journaled read.
-    pub fn iter(&self) -> impl Iterator<Item = (&A, &BTreeSet<V>, AbsNat)> {
-        self.bindings
-            .iter()
-            .map(|(a, (vs, n))| (a, vs.as_set(), *n))
+    pub fn iter(&self) -> impl Iterator<Item = (&A, &PSet<V>, AbsNat)> {
+        self.bindings.iter().map(|(a, (vs, n))| (a, vs, *n))
     }
 
     /// The number of addresses whose abstract count is exactly one — the
@@ -71,7 +71,7 @@ impl<A: Address, V: Ord + Clone> CountingStore<A, V> {
     }
 }
 
-impl<A: Address + fmt::Debug, V: Ord + Clone + fmt::Debug> fmt::Debug for CountingStore<A, V> {
+impl<A: Address + fmt::Debug, V: Ord + fmt::Debug> fmt::Debug for CountingStore<A, V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_map()
             .entries(self.bindings.iter().map(|(a, (vs, n))| (a, (vs, n))))
@@ -79,7 +79,7 @@ impl<A: Address + fmt::Debug, V: Ord + Clone + fmt::Debug> fmt::Debug for Counti
     }
 }
 
-impl<A: Address, V: Ord + Clone> Lattice for CountingStore<A, V> {
+impl<A: Address, V: Ord + Hash + Clone> Lattice for CountingStore<A, V> {
     fn bottom() -> Self {
         CountingStore::new()
     }
@@ -107,14 +107,14 @@ impl<A: Address, V: Ord + Clone> Lattice for CountingStore<A, V> {
 /// Counted power-set co-domains have finite height over any fixed program
 /// (the count component saturates at ∞), so the defaults (widen = join,
 /// narrow = no-op) are a sound, terminating widening pair.
-impl<A: Address, V: Ord + Clone> crate::lattice::WidenLattice for CountingStore<A, V> {}
+impl<A: Address, V: Ord + Hash + Clone> crate::lattice::WidenLattice for CountingStore<A, V> {}
 
 impl<A, V> StoreLike<A> for CountingStore<A, V>
 where
     A: Address,
-    V: Ord + Clone + fmt::Debug + Send + Sync + 'static,
+    V: Ord + Hash + Clone + fmt::Debug + Send + Sync + 'static,
 {
-    type D = BTreeSet<V>;
+    type D = PSet<V>;
 
     fn bind_in_place(&mut self, a: A, d: Self::D) -> bool {
         // σ ⊔ [â ↦ d],  μ ⊕ [â ↦ 1] — installed through the spine's
@@ -123,7 +123,7 @@ where
         self.bindings.upsert_with(a, |entry| match entry {
             Some((vs, n)) => {
                 let mut joined = vs.clone();
-                let grew = joined.join_in_place(d.into_iter().collect());
+                let grew = joined.join_in_place(d);
                 let bumped = *n + AbsNat::One;
                 let count_changed = bumped != *n;
                 if grew || count_changed {
@@ -133,7 +133,7 @@ where
                 }
             }
             // The count went 0 → 1, so the binding always changed.
-            None => Some((d.into_iter().collect(), AbsNat::One)),
+            None => Some((d, AbsNat::One)),
         })
     }
 
@@ -145,7 +145,7 @@ where
             .get(&a)
             .map(|(_, n)| *n)
             .unwrap_or(AbsNat::Zero);
-        self.bindings.insert(a, (d.into_iter().collect(), count));
+        self.bindings.insert(a, (d, count));
         self
     }
 
@@ -153,13 +153,13 @@ where
         self.reads.record(a);
         self.bindings
             .get(a)
-            .map(|(vs, _)| vs.as_set().clone())
+            .map(|(vs, _)| vs.clone())
             .unwrap_or_default()
     }
 
     fn fetch_ref(&self, a: &A) -> Option<&Self::D> {
         self.reads.record(a);
-        self.bindings.get(a).map(|(vs, _)| vs.as_set())
+        self.bindings.get(a).map(|(vs, _)| vs)
     }
 
     fn filter_store<F>(mut self, keep: F) -> Self
@@ -187,7 +187,7 @@ where
 impl<A, V> super::StoreDelta<A> for CountingStore<A, V>
 where
     A: Address,
-    V: Ord + Clone + fmt::Debug + Send + Sync + 'static,
+    V: Ord + Hash + Clone + fmt::Debug + Send + Sync + 'static,
 {
     fn changed_addresses(&self, other: &Self) -> BTreeSet<A> {
         // Counts are part of the observable binding: an address whose value
@@ -240,7 +240,7 @@ pub trait Counter<A: Address>: StoreLike<A> {
 impl<A, V> Counter<A> for CountingStore<A, V>
 where
     A: Address,
-    V: Ord + Clone + fmt::Debug + Send + Sync + 'static,
+    V: Ord + Hash + Clone + fmt::Debug + Send + Sync + 'static,
 {
     fn count(&self, a: &A) -> AbsNat {
         self.reads.record(a);
@@ -259,7 +259,7 @@ mod tests {
 
     type S = CountingStore<u8, u8>;
 
-    fn set(xs: &[u8]) -> BTreeSet<u8> {
+    fn set(xs: &[u8]) -> PSet<u8> {
         xs.iter().copied().collect()
     }
 

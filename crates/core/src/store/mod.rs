@@ -40,13 +40,13 @@ use crate::lattice::Lattice;
 /// that are themselves immutable lattice elements.
 ///
 /// ```rust
+/// use mai_core::env::PSet;
 /// use mai_core::store::{BasicStore, StoreLike};
-/// use std::collections::BTreeSet;
 ///
 /// let store: BasicStore<u32, &'static str> = BasicStore::empty_store();
 /// let store = store.bind(1, ["closure-a"].into_iter().collect());
 /// let store = store.bind(1, ["closure-b"].into_iter().collect());
-/// let fetched: BTreeSet<&str> = store.fetch(&1);
+/// let fetched: PSet<&str> = store.fetch(&1);
 /// assert_eq!(fetched.len(), 2); // weak update: both closures flow to address 1
 /// ```
 ///
@@ -80,15 +80,19 @@ use crate::lattice::Lattice;
 /// branch before that read happens.  The languages' `mnext` only ever
 /// read the context their branch was handed.
 pub trait StoreLike<A: Address>: Lattice + Ord + Debug + Send + Sync + 'static {
-    /// The co-domain of the store: what an address denotes.
+    /// The co-domain of the store: what an address denotes.  The
+    /// power-set stores ([`BasicStore`], [`CountingStore`]) bind each
+    /// address to a [`PSet`](crate::env::PSet), a persistent set on the
+    /// spine's own trie, and lend or hand out that very set: a `fetch` is
+    /// an `Arc` bump, and a bind of one value copies one path of it.
     ///
     /// Both the store and its co-domain are `Send + Sync`: the sharded
     /// parallel engine ([`crate::engine::parallel`]) hands each worker a
     /// snapshot of the global store and collects per-shard delta stores
     /// across the sync barrier, so stores must be shareable across threads.
     /// Every store in the tree is already structurally thread-safe (the
-    /// [`PMap`](crate::pmap) spine and [`CowSet`](crate::env::CowSet)
-    /// values are `Arc`-shared).
+    /// [`PMap`](crate::pmap) spine and the [`PSet`](crate::env::PSet)
+    /// values on it are `Arc`-shared).
     type D: Lattice + Ord + Clone + Debug + Send + Sync + 'static;
 
     /// The empty store `σ₀`.
@@ -205,7 +209,7 @@ pub struct FanOut<'s, D: Clone> {
 pub struct OldPath<D> {
     /// The values of the binding that the previous step did not see
     /// (`None`: there are none).  Computed once per address and step.
-    pub new: Option<Arc<D>>,
+    pub new: Option<D>,
     /// This read reaches the previous step's longest path.  An old path
     /// replays a path of the previous step, so a branch that chooses an
     /// old value here can read nothing more and never become fresh: the

@@ -2,8 +2,9 @@
 //!
 //! Every [`Lattice`] instance reachable from the stores — the old
 //! `BTreeMap` point-wise carrier, the new persistent [`PMap`] carrier, the
-//! copy-on-write value sets, the counting entries and the assembled stores
-//! themselves — is checked against the full law set:
+//! persistent [`PSet`] value sets on the same trie, the counting entries
+//! and the assembled stores themselves — is checked against the full law
+//! set:
 //!
 //! * `join` is **commutative**, **associative** and **idempotent**;
 //! * `bottom` is the **identity** of `join`, and `is_bottom` agrees with
@@ -21,7 +22,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use mai_core::env::CowSet;
+use mai_core::env::PSet;
 use mai_core::lattice::{AbsNat, Flat, Interval, Lattice, WidenLattice};
 use mai_core::pmap::PMap;
 use mai_core::store::{BasicStore, CountingStore, StoreLike};
@@ -100,7 +101,7 @@ fn btree_set() -> BoxedStrategy<BTreeSet<u8>> {
     proptest::collection::btree_set(0u8..6, 0..5).boxed()
 }
 
-fn cow_set() -> BoxedStrategy<CowSet<u8>> {
+fn pset() -> BoxedStrategy<PSet<u8>> {
     proptest::collection::vec(0u8..6, 0..5)
         .prop_map(|xs| xs.into_iter().collect())
         .boxed()
@@ -120,12 +121,12 @@ fn btree_map_carrier() -> BoxedStrategy<BTreeMap<u8, BTreeSet<u8>>> {
         .boxed()
 }
 
-/// The *new* persistent spine carrier: `PMap` with copy-on-write set
-/// values, built through the joining insert exactly as the stores do.
-fn pmap_carrier() -> BoxedStrategy<PMap<u8, CowSet<u8>>> {
+/// The *new* persistent spine carrier: `PMap` with persistent set values,
+/// built through the joining insert exactly as the stores do.
+fn pmap_carrier() -> BoxedStrategy<PMap<u8, PSet<u8>>> {
     proptest::collection::vec((0u8..5, 1u8..6), 0..8)
         .prop_map(|pairs| {
-            let mut map: PMap<u8, CowSet<u8>> = PMap::new();
+            let mut map: PMap<u8, PSet<u8>> = PMap::new();
             for (k, v) in pairs {
                 map.join_at_in_place(k, [v].into_iter().collect());
             }
@@ -135,8 +136,8 @@ fn pmap_carrier() -> BoxedStrategy<PMap<u8, CowSet<u8>>> {
 }
 
 /// A counting-store entry: the pair lattice of a value set and a count.
-fn counting_entry() -> BoxedStrategy<(CowSet<u8>, AbsNat)> {
-    (cow_set(), absnat()).boxed()
+fn counting_entry() -> BoxedStrategy<(PSet<u8>, AbsNat)> {
+    (pset(), absnat()).boxed()
 }
 
 /// Arbitrary intervals over a small window of ℤ, including the unbounded
@@ -189,14 +190,14 @@ lattice_laws!(
 );
 lattice_laws!(pair_laws, (AbsNat, BTreeSet<u8>), (absnat(), btree_set()));
 lattice_laws!(power_set_laws, BTreeSet<u8>, btree_set());
-lattice_laws!(cow_set_laws, CowSet<u8>, cow_set());
+lattice_laws!(pset_laws, PSet<u8>, pset());
 lattice_laws!(
     btreemap_carrier_laws,
     BTreeMap<u8, BTreeSet<u8>>,
     btree_map_carrier()
 );
-lattice_laws!(pmap_carrier_laws, PMap<u8, CowSet<u8>>, pmap_carrier());
-lattice_laws!(counting_entry_laws, (CowSet<u8>, AbsNat), counting_entry());
+lattice_laws!(pmap_carrier_laws, PMap<u8, PSet<u8>>, pmap_carrier());
+lattice_laws!(counting_entry_laws, (PSet<u8>, AbsNat), counting_entry());
 lattice_laws!(basic_store_laws, BasicStore<u8, u8>, basic_store());
 lattice_laws!(counting_store_laws, CountingStore<u8, u8>, counting_store());
 lattice_laws!(interval_laws, Interval, interval());
@@ -272,9 +273,9 @@ mod interval_widening_laws {
 mod carriers_agree {
     use super::*;
 
-    fn both(pairs: &[(u8, u8)]) -> (BTreeMap<u8, BTreeSet<u8>>, PMap<u8, CowSet<u8>>) {
+    fn both(pairs: &[(u8, u8)]) -> (BTreeMap<u8, BTreeSet<u8>>, PMap<u8, PSet<u8>>) {
         let mut old: BTreeMap<u8, BTreeSet<u8>> = BTreeMap::new();
-        let mut new: PMap<u8, CowSet<u8>> = PMap::new();
+        let mut new: PMap<u8, PSet<u8>> = PMap::new();
         for (k, v) in pairs {
             old.entry(*k).or_default().insert(*v);
             new.join_at_in_place(*k, [*v].into_iter().collect());
@@ -303,9 +304,57 @@ mod carriers_agree {
             for k in 0u8..5 {
                 let old_v: Option<BTreeSet<u8>> = old_acc.get(&k).cloned();
                 let new_v: Option<BTreeSet<u8>> =
-                    new_acc.get(&k).map(|s| s.as_set().clone());
+                    new_acc.get(&k).map(|s| s.iter().copied().collect());
                 prop_assert_eq!(old_v, new_v, "key {}", k);
             }
+        }
+    }
+}
+
+/// `PMap`'s `PartialOrd` asks only `V: PartialOrd` (so derived orders over
+/// environments compile); whenever `V: Ord` it must agree with `Ord` and
+/// `Eq`, and for a partial `V` it must still be the lexicographic order of
+/// the trie-order entries.
+mod pmap_order {
+    use super::*;
+    use std::cmp::Ordering;
+
+    fn map<V: Clone>(pairs: &[(u8, V)]) -> PMap<u8, V> {
+        pairs.iter().cloned().collect()
+    }
+
+    proptest! {
+        #[test]
+        fn prop_partial_order_agrees_with_order_and_equality(
+            xs in proptest::collection::vec((0u8..6, 0u8..4), 0..6),
+            ys in proptest::collection::vec((0u8..6, 0u8..4), 0..6),
+        ) {
+            let (a, b) = (map(&xs), map(&ys));
+            prop_assert_eq!(a.partial_cmp(&b), Some(a.cmp(&b)));
+            prop_assert_eq!(a.cmp(&b) == Ordering::Equal, a == b);
+            prop_assert_eq!(b.cmp(&a), a.cmp(&b).reverse());
+            prop_assert_eq!(a.partial_cmp(&a.clone()), Some(Ordering::Equal));
+            // Sets order through the same trie.
+            let (sa, sb): (PSet<u8>, PSet<u8>) =
+                (xs.iter().map(|p| p.0).collect(), ys.iter().map(|p| p.0).collect());
+            prop_assert_eq!(sa.partial_cmp(&sb), Some(sa.cmp(&sb)));
+            prop_assert_eq!(sa.cmp(&sb) == Ordering::Equal, sa == sb);
+        }
+
+        #[test]
+        fn prop_partial_order_is_lexicographic_over_entries(
+            xs in proptest::collection::vec((0u8..6, 0u8..4), 0..6),
+            ys in proptest::collection::vec((0u8..6, 0u8..4), 0..6),
+        ) {
+            // `f64` values are only partially ordered (`NaN`).
+            let floats = |pairs: &[(u8, u8)]| -> Vec<(u8, f64)> {
+                pairs
+                    .iter()
+                    .map(|&(k, v)| (k, if v == 0 { f64::NAN } else { f64::from(v) }))
+                    .collect()
+            };
+            let (a, b) = (map(&floats(&xs)), map(&floats(&ys)));
+            prop_assert_eq!(a.partial_cmp(&b), a.iter().partial_cmp(b.iter()));
         }
     }
 }

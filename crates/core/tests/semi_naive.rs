@@ -20,6 +20,7 @@ use mai_core::engine::{
     certify, Budget, DirectCollecting, EngineStats, ParallelCollecting, ParallelConfig, SolveFrom,
     StateRoots, StepFn, WidenPolicy,
 };
+use mai_core::env::PSet;
 use mai_core::lattice::{Interval, Lattice, WidenLattice};
 use mai_core::monad::{
     gets_nd_set, run_store_passing, Branches, Direct, MonadFamily, MonadPlus, MonadState,
@@ -86,7 +87,7 @@ impl Lattice for Full {
 impl WidenLattice for Full {}
 
 impl StoreLike<u8> for Full {
-    type D = BTreeSet<Ptr>;
+    type D = PSet<Ptr>;
 
     fn bind_in_place(&mut self, a: u8, d: Self::D) -> bool {
         self.0.bind_in_place(a, d)
@@ -144,9 +145,9 @@ type Successors<S> = Vec<((St, G), S)>;
 type D<S> = Direct<G, S>;
 
 /// The stores the machines run on.
-trait Cells: StoreDelta<u8, D = BTreeSet<Ptr>> + WidenLattice + Value + std::hash::Hash {}
+trait Cells: StoreDelta<u8, D = PSet<Ptr>> + WidenLattice + Value + std::hash::Hash {}
 
-impl<S: StoreDelta<u8, D = BTreeSet<Ptr>> + WidenLattice + Value + std::hash::Hash> Cells for S {}
+impl<S: StoreDelta<u8, D = PSet<Ptr>> + WidenLattice + Value + std::hash::Hash> Cells for S {}
 
 /// The cells every machine's store is compared at.
 const CELLS: [u8; 4] = [0, 1, 2, 3];
@@ -274,7 +275,7 @@ fn rc_reader<S: Cells>(ps: St) -> <StorePassing<G, S> as MonadFamily>::M<St> {
         1 => {
             let fetched =
                 <M<S> as MonadTrans>::lift(gets_nd_set::<StateT<S, VecM>, S, Ptr, _>(|s: &S| {
-                    s.fetch(&0)
+                    s.fetch(&0).iter().cloned().collect()
                 }));
             <M<S> as MonadFamily>::bind(fetched, move |p| pure(St(20 + u32::from(p.0))))
         }

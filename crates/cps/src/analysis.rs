@@ -41,6 +41,7 @@ use mai_core::addr::{Context, NamedAddress};
 use mai_core::analyse::{self, Gc, Machine};
 use mai_core::collect::{explore_fp_governed, PerStateDomain, SharedStoreDomain};
 use mai_core::engine::{Budget, EngineStats, Outcome, ParallelConfig, SharedResumeSeed};
+use mai_core::env::PSet;
 use mai_core::lattice::Lattice;
 use mai_core::monad::{
     gets_nd_set, MonadFamily, MonadState, MonadTrans, StateT, StorePassing, Value, VecM,
@@ -67,7 +68,7 @@ use crate::syntax::{AExp, CExp, Lambda, Var};
 impl<C, S> CpsInterface<C::Addr> for StorePassing<C, S>
 where
     C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
+    S: StoreLike<C::Addr, D = PSet<Val<C::Addr>>> + Value,
 {
     fn fun(env: &Env<C::Addr>, e: &AExp, (): ()) -> Self::M<Val<C::Addr>> {
         match e {
@@ -76,7 +77,7 @@ where
                 let addr = env.get(v).cloned();
                 Self::lift(gets_nd_set::<StateT<S, VecM>, S, Val<C::Addr>, _>(
                     move |store| match &addr {
-                        Some(a) => store.fetch(a),
+                        Some(a) => store.fetch(a).iter().cloned().collect(),
                         None => BTreeSet::new(),
                     },
                 ))
@@ -109,7 +110,7 @@ where
 impl<C, S> Machine<C, S> for PState<C::Addr>
 where
     C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
+    S: StoreLike<C::Addr, D = PSet<Val<C::Addr>>> + Value,
 {
     type Program = CExp;
 
@@ -270,9 +271,9 @@ pub fn analyse_kcfa_shared_elastic<const K: usize>(
 /// How many distinct environments the states of a shared-store fixpoint
 /// carry, measured with an [`EnvId`](mai_core::intern::EnvId) interner —
 /// the language-boundary half of the engine's intern statistics
-/// ([`EngineStats::distinct_envs`]).  With copy-on-write environments this
-/// is also (a lower bound on) how many environment allocations the whole
-/// run needed.
+/// ([`EngineStats::distinct_envs`]).  Each distinct environment has its
+/// own trie root, so this is also a lower bound on how many environment
+/// allocations the whole run needed.
 pub fn distinct_env_count<A, G, S>(result: &SharedStoreDomain<PState<A>, G, S>) -> usize
 where
     A: mai_core::addr::Address + std::hash::Hash,
@@ -335,12 +336,12 @@ pub type FlowMap = BTreeMap<Name, BTreeSet<Lambda>>;
 pub fn flow_map_of_store<A, S>(store: &S) -> FlowMap
 where
     A: NamedAddress,
-    S: StoreLike<A, D = BTreeSet<Val<A>>>,
+    S: StoreLike<A, D = PSet<Val<A>>>,
 {
     let mut flows: FlowMap = BTreeMap::new();
     for addr in store.addresses() {
         let entry = flows.entry(addr.variable().clone()).or_default();
-        for val in store.fetch(&addr) {
+        for val in &store.fetch(&addr) {
             entry.insert(val.lambda().clone());
         }
     }

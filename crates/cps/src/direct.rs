@@ -5,15 +5,17 @@
 //! fetched binding out into one branch per value through
 //! [`Branches::fetch_each`], `write` is an in-place weak update on the
 //! branch's own store, `alloc` consults the context and `tick` advances it.
-//! No `Rc<dyn Fn>` is allocated, and the branches come out in the order the
-//! closure carrier enumerates them.  On a semi-naive re-step the fan-out
+//! No `Rc<dyn Fn>` is allocated.  The branches are the closure carrier's,
+//! in the fetched set's trie order rather than its sorted order (a fetch
+//! lends the store's own [`PSet`], where the closure carrier's
+//! `gets_nd_set` branches over a sorted copy); the engines' fixpoints do
+//! not depend on branch order.  On a semi-naive re-step the fan-out
 //! enumerates only the choices that include something new: a relay
 //! `(k x)` re-stepped after `x` grew pairs each old `k` with the new `x`
 //! values only.
 
-use std::collections::BTreeSet;
-
 use mai_core::addr::Context;
+use mai_core::env::PSet;
 use mai_core::monad::{Branches, Direct, StepMonad};
 use mai_core::store::StoreLike;
 
@@ -23,7 +25,7 @@ use crate::syntax::{AExp, Var};
 impl<C, S> CpsInterface<C::Addr> for Direct<C, S>
 where
     C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>>,
+    S: StoreLike<C::Addr, D = PSet<Val<C::Addr>>>,
 {
     fn fun(env: &Env<C::Addr>, e: &AExp, (ctx, store): (C, S)) -> Branches<Val<C::Addr>, C, S> {
         match e {
@@ -64,7 +66,7 @@ pub type Successors<C, S> = Vec<((PState<<C as Context>::Addr>, C), S)>;
 pub fn mnext_direct<C, S>(ps: PState<C::Addr>, ctx: C, store: S) -> Successors<C, S>
 where
     C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>>,
+    S: StoreLike<C::Addr, D = PSet<Val<C::Addr>>>,
 {
     mnext::<Direct<C, S>, C::Addr>(ps, (ctx, store)).into_vec()
 }

@@ -16,18 +16,19 @@ use std::sync::Arc;
 
 use mai_core::addr::Address;
 use mai_core::engine::StateRoots;
-use mai_core::env::CowMap;
 use mai_core::gc::Touches;
 use mai_core::monad::StepMonad;
 use mai_core::name::Label;
+use mai_core::pmap::PMap;
 
 use crate::syntax::{AExp, CExp, Lambda, Var};
 
 /// An environment: a finite map from variables to addresses
-/// (`Env a = Var ⇀ a`), shared copy-on-write — cloning an environment into
-/// a closure or successor state is a reference-count bump, and the map is
-/// copied only when a shared handle is extended.
-pub type Env<A> = CowMap<Var, A>;
+/// (`Env a = Var ⇀ a`), on the store's persistent trie — cloning an
+/// environment into a closure or successor state is a reference-count
+/// bump, and extending a callee's captured environment with its parameters
+/// copies one O(log n) path per parameter.
+pub type Env<A> = PMap<Var, A>;
 
 /// A denotable value.  CPS is so small that closures are the only kind of
 /// value (`Val a = Clo (Lambda, Env a)`).

@@ -39,6 +39,7 @@ use mai_core::collect::{PerStateDomain, SharedStoreDomain};
 use mai_core::engine::{
     Budget, EngineStats, FrontierCollecting, ParallelCollecting, ParallelConfig,
 };
+use mai_core::env::PSet;
 use mai_core::monad::{
     gets_nd_set, MonadFamily, MonadState, MonadTrans, StateT, StorePassing, Value, VecM,
 };
@@ -54,7 +55,7 @@ use crate::syntax::{ClassName, Program, VarName};
 impl<C, S> FjInterface<C::Addr> for StorePassing<C, S>
 where
     C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
+    S: StoreLike<C::Addr, D = PSet<Storable<C::Addr>>> + Value,
 {
     fn lookup(env: &Env<C::Addr>, var: &VarName, (): ()) -> Self::M<Obj<C::Addr>> {
         let addr = env.get(var).cloned();
@@ -137,7 +138,7 @@ where
 impl<C, S> Machine<C, S> for PState<C::Addr>
 where
     C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
+    S: StoreLike<C::Addr, D = PSet<Storable<C::Addr>>> + Value,
 {
     type Program = Program;
 
@@ -232,7 +233,7 @@ pub fn analyse_kcfa_shared_gc_elastic<const K: usize>(
 pub fn analyse_with_gc_worklist_structural<C, S, Fp>(program: &Program) -> (Fp, EngineStats)
 where
     C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
+    S: StoreLike<C::Addr, D = PSet<Storable<C::Addr>>> + Value,
     Fp: Domain<State = PState<C::Addr>, Guts = C, Store = S>
         + FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
 {
@@ -244,7 +245,7 @@ where
 pub fn analyse_with_gc_parallel<C, S, Fp>(program: &Program, threads: usize) -> (Fp, EngineStats)
 where
     C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
+    S: StoreLike<C::Addr, D = PSet<Storable<C::Addr>>> + Value,
     Fp: Domain<State = PState<C::Addr>, Guts = C, Store = S>
         + ParallelCollecting<PState<C::Addr>, C, S>,
 {
@@ -264,11 +265,11 @@ where
 pub fn class_flow_map<A, S>(store: &S) -> BTreeMap<Name, BTreeSet<ClassName>>
 where
     A: NamedAddress,
-    S: StoreLike<A, D = BTreeSet<Storable<A>>>,
+    S: StoreLike<A, D = PSet<Storable<A>>>,
 {
     let mut flows: BTreeMap<Name, BTreeSet<ClassName>> = BTreeMap::new();
     for addr in store.addresses() {
-        for storable in store.fetch(&addr) {
+        for storable in &store.fetch(&addr) {
             if let Storable::Val(obj) = storable {
                 flows
                     .entry(addr.variable().clone())

@@ -5,14 +5,14 @@
 //! `kont_at` fan the fetched set out into one branch per element through
 //! [`Branches::fetch_each`], `bind_*` are in-place weak updates on the
 //! branch's own store, `alloc*` consult the context and `tick` advances
-//! it.  No `Rc<dyn Fn>` is allocated, and the branches come out in the
-//! order the closure carrier enumerates them.  On a semi-naive re-step the
+//! it.  No `Rc<dyn Fn>` is allocated.  The branches are the closure
+//! carrier's, in the fetched set's trie order rather than its sorted
+//! order.  On a semi-naive re-step the
 //! fan-out makes only the branches that choose an object or frame the
 //! previous step did not see.
 
-use std::collections::BTreeSet;
-
 use mai_core::addr::Context;
+use mai_core::env::PSet;
 use mai_core::monad::{Branches, Direct, StepMonad};
 use mai_core::name::{Label, Name};
 use mai_core::store::StoreLike;
@@ -23,7 +23,7 @@ use crate::syntax::{ClassTable, VarName};
 impl<C, S> FjInterface<C::Addr> for Direct<C, S>
 where
     C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>>,
+    S: StoreLike<C::Addr, D = PSet<Storable<C::Addr>>>,
 {
     fn lookup(env: &Env<C::Addr>, var: &VarName, cx: (C, S)) -> Branches<Obj<C::Addr>, C, S> {
         match env.get(var) {
@@ -79,7 +79,7 @@ pub fn mnext_direct<C, S>(
 ) -> Successors<C, S>
 where
     C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>>,
+    S: StoreLike<C::Addr, D = PSet<Storable<C::Addr>>>,
 {
     mnext::<Direct<C, S>, C::Addr>(table, ps, (ctx, store)).into_vec()
 }

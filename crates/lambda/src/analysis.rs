@@ -36,6 +36,7 @@ use mai_core::collect::{PerStateDomain, SharedStoreDomain};
 use mai_core::engine::{
     Budget, DirectCollecting, EngineStats, FrontierCollecting, ParallelConfig, SharedResumeSeed,
 };
+use mai_core::env::PSet;
 use mai_core::monad::{
     gets_nd_set, MonadFamily, MonadState, MonadTrans, StateT, StorePassing, Value, VecM,
 };
@@ -53,7 +54,7 @@ use crate::syntax::{Term, Var};
 impl<C, S> CeskInterface<C::Addr> for StorePassing<C, S>
 where
     C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
+    S: StoreLike<C::Addr, D = PSet<Storable<C::Addr>>> + Value,
 {
     fn lookup(env: &Env<C::Addr>, var: &Var, (): ()) -> Self::M<Closure<C::Addr>> {
         let addr = env.get(var).cloned();
@@ -121,7 +122,7 @@ where
 impl<C, S> Machine<C, S> for PState<C::Addr>
 where
     C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
+    S: StoreLike<C::Addr, D = PSet<Storable<C::Addr>>> + Value,
 {
     type Program = Term;
 
@@ -224,7 +225,7 @@ pub fn analyse_mono_elastic(term: &Term, config: ParallelConfig) -> (MonoCeskSha
 pub fn analyse_worklist_structural<C, S, Fp>(term: &Term) -> (Fp, EngineStats)
 where
     C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
+    S: StoreLike<C::Addr, D = PSet<Storable<C::Addr>>> + Value,
     Fp: Domain<State = PState<C::Addr>, Guts = C, Store = S>
         + FrontierCollecting<StorePassing<C, S>, PState<C::Addr>>,
 {
@@ -236,7 +237,7 @@ where
 pub fn analyse_worklist_direct_traced<C, S, Fp, T>(term: &Term, sink: &mut T) -> (Fp, EngineStats)
 where
     C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
+    S: StoreLike<C::Addr, D = PSet<Storable<C::Addr>>> + Value,
     Fp: Domain<State = PState<C::Addr>, Guts = C, Store = S>
         + DirectCollecting<PState<C::Addr>, C, S>,
     T: TraceSink,
@@ -272,12 +273,12 @@ where
 pub fn flow_map_of_store<A, S>(store: &S) -> std::collections::BTreeMap<Name, BTreeSet<Var>>
 where
     A: NamedAddress,
-    S: StoreLike<A, D = BTreeSet<Storable<A>>>,
+    S: StoreLike<A, D = PSet<Storable<A>>>,
 {
     let mut flows: std::collections::BTreeMap<Name, BTreeSet<Var>> =
         std::collections::BTreeMap::new();
     for addr in store.addresses() {
-        for storable in store.fetch(&addr) {
+        for storable in &store.fetch(&addr) {
             if let Storable::Val(clo) = storable {
                 flows
                     .entry(addr.variable().clone())

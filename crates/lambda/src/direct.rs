@@ -5,14 +5,14 @@
 //! the fetched set out into one branch per element through
 //! [`Branches::fetch_each`], `bind_*` are in-place weak updates on the
 //! branch's own store, `alloc_*` consult the context and `tick` advances
-//! it.  No `Rc<dyn Fn>` is allocated, and the branches come out in the
-//! order the closure carrier enumerates them.  On a semi-naive re-step the
+//! it.  No `Rc<dyn Fn>` is allocated.  The branches are the closure
+//! carrier's, in the fetched set's trie order rather than its sorted
+//! order.  On a semi-naive re-step the
 //! fan-out makes only the branches that choose a value or frame the
 //! previous step did not see.
 
-use std::collections::BTreeSet;
-
 use mai_core::addr::Context;
+use mai_core::env::PSet;
 use mai_core::monad::{Branches, Direct, StepMonad};
 use mai_core::name::Label;
 use mai_core::store::StoreLike;
@@ -25,7 +25,7 @@ use crate::syntax::Var;
 impl<C, S> CeskInterface<C::Addr> for Direct<C, S>
 where
     C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>>,
+    S: StoreLike<C::Addr, D = PSet<Storable<C::Addr>>>,
 {
     fn lookup(
         env: &Env<C::Addr>,
@@ -80,7 +80,7 @@ pub type Successors<C, S> = Vec<((PState<<C as Context>::Addr>, C), S)>;
 pub fn mnext_direct<C, S>(ps: PState<C::Addr>, ctx: C, store: S) -> Successors<C, S>
 where
     C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>>,
+    S: StoreLike<C::Addr, D = PSet<Storable<C::Addr>>>,
 {
     mnext::<Direct<C, S>, C::Addr>(ps, (ctx, store)).into_vec()
 }

@@ -14,18 +14,18 @@ use std::sync::Arc;
 
 use mai_core::addr::Address;
 use mai_core::engine::StateRoots;
-use mai_core::env::CowMap;
 use mai_core::gc::Touches;
 use mai_core::monad::StepMonad;
 use mai_core::name::{Label, Name};
+use mai_core::pmap::PMap;
 
 use crate::syntax::{Term, Var};
 
-/// An environment: a finite map from variables to addresses, shared
-/// copy-on-write — cloning an environment into a closure, frame or
-/// successor state is a reference-count bump, and the map is copied only
-/// when a shared handle is extended.
-pub type Env<A> = CowMap<Var, A>;
+/// An environment: a finite map from variables to addresses, on the
+/// store's persistent trie — cloning an environment into a closure, frame
+/// or successor state is a reference-count bump, and extending a shared
+/// one copies one O(log n) path.
+pub type Env<A> = PMap<Var, A>;
 
 /// A reference to a continuation: `None` is the halt continuation, `Some`
 /// points at a store-allocated continuation.

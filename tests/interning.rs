@@ -1,5 +1,5 @@
 //! Hash-consed state interning: the id-indexed engine layer and its
-//! supporting cast (the `Interner`, the copy-on-write environments, the
+//! supporting cast (the `Interner`, the persistent environments, the
 //! pooled names) preserve structural semantics exactly.
 //!
 //! The unit suites of `mai-core` cover each piece in isolation; these
